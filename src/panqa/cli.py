@@ -17,7 +17,7 @@ from . import quantizer as quant_mod
 from .errors import DegeneracyError, InputError, PanqaError
 from .fusion import FUSION_METHODS, FusionConfig, pansharpen
 from .pipeline import (EvalOptions, RunManifest, classic_metrics,
-                       evaluate_candidate, run_manifest)
+                       evaluate_candidate, image_features, run_manifest)
 from .protocol import srcc
 from .raster import MultibandImage, load_image, save_image
 from .resample import (DEFAULT_MTF_GAIN_MS, UPSAMPLE_METHODS, degrade,
@@ -66,8 +66,8 @@ def cmd_eval(args) -> int:
     opts = EvalOptions(ratio=args.ratio, ergas_factor=args.ergas_factor,
                        block_size=args.block_size, gl=args.gl,
                        radii=args.radii)
-    record = evaluate_candidate(reference, candidate, opts,
-                                candidate_id=args.candidate)
+    record = evaluate_candidate(image_features(reference, opts), candidate,
+                                opts, candidate_id=args.candidate)
     doc = {
         "category1": record.category1,
         "category2": record.category2,
@@ -145,14 +145,14 @@ def _load_stack(path) -> quant_mod.LabelMapStack:
 def cmd_contours(args) -> int:
     stack_a = _load_stack(args.a)
     stack_b = _load_stack(args.b)
-    _, mean_a = quant_mod.cross_aura(stack_a)
-    _, mean_b = quant_mod.cross_aura(stack_b)
+    plane_a, mean_a = quant_mod.cross_aura(stack_a)
+    plane_b, mean_b = quant_mod.cross_aura(stack_b)
     doc = {
         "cross_aura_mean_a": mean_a,
         "cross_aura_mean_b": mean_b,
         "cross_aura_cost": abs(mean_a - mean_b),
-        "binary_contour_cost": quant_mod.binary_contour_cost(stack_a,
-                                                             stack_b),
+        "binary_contour_cost": quant_mod.binary_contour_cost(plane_a,
+                                                             plane_b),
         "post_class_change_coarse": quant_mod.post_classification_change_count(
             stack_a, stack_b, "coarse"),
     }
@@ -229,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=int, default=4)
     p.add_argument("--ergas-factor", type=float, default=None)
     p.add_argument("--block-size", type=int, default=8)
-    p.add_argument("--gl", type=int, default=32)
-    p.add_argument("--radii", type=_radii, default=(1, 2, 3))
+    p.add_argument("--gl", type=int, default=glcm3_mod.DEFAULT_GL)
+    p.add_argument("--radii", type=_radii, default=glcm3_mod.DEFAULT_RADII)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glcm3", help="third-order texture features")
     p.add_argument("--input", required=True)
     p.add_argument("--band", type=int, default=0)
-    p.add_argument("--gl", type=int, default=32)
-    p.add_argument("--radii", type=_radii, default=(1, 2, 3))
+    p.add_argument("--gl", type=int, default=glcm3_mod.DEFAULT_GL)
+    p.add_argument("--radii", type=_radii, default=glcm3_mod.DEFAULT_RADII)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-matrix", default="")
     p.set_defaults(func=cmd_glcm3)

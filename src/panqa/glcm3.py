@@ -104,16 +104,19 @@ def tims_glcm(labels: np.ndarray, rings: RingSpec | None = None,
     if h < 2 * rmax + 1 or w < 2 * rmax + 1:
         raise InputError("image too small: no valid centers")
 
-    center = lab[rmax:h - rmax, rmax:w - rmax].astype(np.int64)
+    # every flat index (center*gl + low)*gl + high is below gl**3
+    lab = lab.astype(np.uint16 if gl**3 <= 65536 else np.intp)
+    center_term = lab[rmax:h - rmax, rmax:w - rmax] * (gl * gl)
     counts = np.zeros(gl * gl * gl, dtype=np.int64)
     for radius in rings.radii:
         for dy, dx in _half_ring_offsets(radius):
             p = lab[rmax + dy:h - rmax + dy, rmax + dx:w - rmax + dx]
             q = lab[rmax - dy:h - rmax - dy, rmax - dx:w - rmax - dx]
-            row = np.minimum(p, q).astype(np.int64)
-            col = np.maximum(p, q).astype(np.int64)
-            flat = (center * gl + row) * gl + col
-            np.add.at(counts, flat.ravel(), 1)
+            flat = np.minimum(p, q)
+            flat *= gl
+            flat += np.maximum(p, q)
+            flat += center_term
+            counts += np.bincount(flat.ravel(), minlength=gl**3)
     return Glcm3(gl=gl, counts=counts.reshape(gl, gl, gl))
 
 
@@ -131,6 +134,15 @@ def glcm3_features(m: Glcm3) -> tuple[float, float, float]:
     return contrast, energy, lne
 
 
+def band_texture(band: np.ndarray, gl: int = DEFAULT_GL,
+                 rings: RingSpec | None = None
+                 ) -> tuple[float, float, float]:
+    """(contrast, energy, lne) of one band: gray levels -> triples ->
+    features."""
+    return glcm3_features(tims_glcm(quantize_gray_levels(band, gl), rings,
+                                    gl=gl))
+
+
 def glcm3_cost(band_a: np.ndarray, band_b: np.ndarray,
                gl: int = DEFAULT_GL, rings: RingSpec | None = None
                ) -> tuple[float, float, float]:
@@ -139,9 +151,8 @@ def glcm3_cost(band_a: np.ndarray, band_b: np.ndarray,
     b = np.asarray(band_b)
     if a.shape != b.shape:
         raise InputError("shape mismatch")
-    fa = glcm3_features(tims_glcm(quantize_gray_levels(a, gl), rings, gl=gl))
-    fb = glcm3_features(tims_glcm(quantize_gray_levels(b, gl), rings, gl=gl))
-    return tuple(abs(x - y) for x, y in zip(fa, fb))
+    return tuple(abs(x - y) for x, y in zip(band_texture(a, gl, rings),
+                                            band_texture(b, gl, rings)))
 
 
 def _toroidal_shift(plane: np.ndarray, n: int, m: int) -> np.ndarray:

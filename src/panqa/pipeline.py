@@ -1,24 +1,28 @@
-"""Candidate evaluation and the degrade -> fuse -> evaluate -> rank run.
+"""Image featurization, candidate evaluation and the ranking run.
 
-evaluate_candidate() turns a (reference, candidate) image pair into the
-full battery of scalar costs; run_manifest() evaluates every candidate of
-a run manifest, aggregates the costs into rank tables for cases A-D and
-serializes ranks.csv / report.json.
+image_features() computes one image's quality indicators; evaluate_candidate()
+turns a featurized reference and a candidate image into the full battery of
+scalar costs; run_manifest() featurizes the reference once, evaluates every
+candidate of a run manifest, aggregates the costs into rank tables for
+cases A-D and serializes ranks.csv / report.json.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputError
-from .glcm3 import DEFAULT_GL, RingSpec, glcm3_cost
+from .glcm3 import DEFAULT_GL, DEFAULT_RADII, RingSpec, band_texture
 from .protocol import QiRecord, RankTable, aggregate
-from .quantizer import (binary_contour_cost, cross_aura,
+from .quantizer import (LabelMapStack, binary_contour_cost, cross_aura,
                         post_classification_change_count, quantize_spectral)
 from .raster import MultibandImage, load_image
 from .spectral import (BlockSpec, ergas, inverse_pcc_cost, mdb_cost, q4,
@@ -31,8 +35,12 @@ class EvalOptions:
     ergas_factor: float | None = None
     block_size: int = 8
     gl: int = DEFAULT_GL
-    radii: tuple[int, ...] = (1, 2, 3)
+    radii: tuple[int, ...] = DEFAULT_RADII
     category2_level: str = "coarse"
+
+
+# manifest "options" keys; the ratio is a top-level manifest key
+_OPTION_KEYS = {f.name for f in dataclasses.fields(EvalOptions)} - {"ratio"}
 
 
 @dataclass
@@ -56,13 +64,16 @@ class RunManifest:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         opts = doc.get("options", {})
+        unknown = set(opts) - _OPTION_KEYS
+        if unknown:
+            raise InputError(f"unknown manifest options {sorted(unknown)}")
         options = EvalOptions(
             ratio=int(doc["ratio"]),
             ergas_factor=opts.get("ergas_factor"),
             block_size=int(opts.get("block_size", 8)),
             gl=int(opts.get("gl", DEFAULT_GL)),
-            radii=tuple(opts.get("radii", (1, 2, 3))),
-            category2_level=opts.get("category2_case", "coarse"),
+            radii=tuple(opts.get("radii", DEFAULT_RADII)),
+            category2_level=opts.get("category2_level", "coarse"),
         )
         cands = [Candidate(
             id=c["id"], path=c["path"], method=c.get("method", ""),
@@ -76,49 +87,68 @@ class RunManifest:
                    candidates=cands, options=options)
 
 
-def evaluate_candidate(reference: MultibandImage, candidate: MultibandImage,
+@dataclass
+class ImageFeatures:
+    """One image's quality indicators, computed once and compared to many."""
+
+    image: MultibandImage
+    stats: list[tuple[float, ...]]               # summary_stats per band
+    texture: list[tuple[float, float, float]]    # GLCM3 features per band
+    labels: LabelMapStack
+    aura_mean: float
+    contour: np.ndarray                          # cross-aura plane > 0
+
+
+def image_features(img: MultibandImage, opts: EvalOptions) -> ImageFeatures:
+    """Per-band moments and texture, label stack and cross-aura contour."""
+    rings = RingSpec(opts.radii)
+    stats = [summary_stats(img.band(b), opts.gl).as_tuple()
+             for b in range(img.bands)]
+    # the quantizer's range check runs before the costlier texture work
+    labels = quantize_spectral(img)
+    texture = [band_texture(img.band(b), opts.gl, rings)
+               for b in range(img.bands)]
+    plane, aura_mean = cross_aura(labels)
+    return ImageFeatures(image=img, stats=stats, texture=texture,
+                         labels=labels, aura_mean=aura_mean,
+                         contour=plane > 0)
+
+
+def evaluate_candidate(reference: ImageFeatures, candidate: MultibandImage,
                        opts: EvalOptions, candidate_id: str = "",
                        process: dict | None = None) -> QiRecord:
     """Collect every product cost for one candidate against the reference."""
-    if reference.samples.shape != candidate.samples.shape:
+    if reference.image.samples.shape != candidate.samples.shape:
         raise InputError("reference/candidate shape mismatch")
-    rings = RingSpec(opts.radii)
+    cand = image_features(candidate, opts)
 
-    cat1 = {}
-    ref_stats = [summary_stats(reference.band(b), opts.gl).as_tuple()
-                 for b in range(reference.bands)]
-    cand_stats = [summary_stats(candidate.band(b), opts.gl).as_tuple()
-                  for b in range(candidate.bands)]
     names = ("mean", "std", "skewness", "kurtosis", "entropy")
-    for i, name in enumerate(names):
-        cat1[name] = mdb_cost([s[i] for s in ref_stats],
-                              [s[i] for s in cand_stats])
+    cat1 = {name: mdb_cost([s[i] for s in reference.stats],
+                           [s[i] for s in cand.stats])
+            for i, name in enumerate(names)}
 
-    stack_ref = quantize_spectral(reference)
-    stack_cand = quantize_spectral(candidate)
     cat2 = {
         "post_class_change": float(post_classification_change_count(
-            stack_ref, stack_cand, opts.category2_level)),
-        "inverse_pcc": inverse_pcc_cost(reference, candidate),
+            reference.labels, cand.labels, opts.category2_level)),
+        "inverse_pcc": inverse_pcc_cost(reference.image, candidate),
     }
 
     contrast = energy = lne = 0.0
-    for b in range(reference.bands):
-        dc, de, dl = glcm3_cost(reference.band(b), candidate.band(b),
-                                gl=opts.gl, rings=rings)
+    for ref_tex, cand_tex in zip(reference.texture, cand.texture):
+        dc, de, dl = (abs(x - y) for x, y in zip(ref_tex, cand_tex))
         contrast += dc
         energy += de
         lne += dl
-    nb = reference.bands
+    nb = candidate.bands
     cat3 = {
         "glcm_contrast": contrast / nb,
         "glcm_energy": energy / nb,
         "glcm_lne": lne / nb,
-        "cross_aura": abs(cross_aura(stack_ref)[1]
-                          - cross_aura(stack_cand)[1]),
+        "cross_aura": abs(reference.aura_mean - cand.aura_mean),
     }
 
-    cat4 = {"binary_contour": binary_contour_cost(stack_ref, stack_cand)}
+    cat4 = {"binary_contour": binary_contour_cost(reference.contour,
+                                                  cand.contour)}
     process = process or {}
     return QiRecord(
         candidate_id=candidate_id, category1=cat1, category2=cat2,
@@ -151,12 +181,12 @@ def _max_workers() -> int:
 
 
 def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
-    """Evaluate all candidates, aggregate, write ranks.csv + report.json."""
+    """Featurize the reference once, evaluate all candidates, aggregate,
+    write ranks.csv + report.json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reference = load_image(manifest.reference)
-    opts = manifest.options
-    opts.ratio = manifest.ratio
+    opts = dataclasses.replace(manifest.options, ratio=manifest.ratio)
+    reference = image_features(load_image(manifest.reference), opts)
 
     def one(cand: Candidate) -> QiRecord:
         img = load_image(cand.path)

@@ -71,17 +71,18 @@ def quantize_spectral(img: MultibandImage) -> LabelMapStack:
         raise InputError("samples outside plausible reflectance range")
     s = np.clip(s, 0.0, 1.0)
 
-    digits = np.zeros(s.shape[:2] + (_CODE_BANDS,), dtype=np.int64)
+    # at most 64 labels: uint8 keeps a held stack at a byte per pixel
+    digits = np.zeros(s.shape[:2] + (_CODE_BANDS,), dtype=np.uint8)
     for t in _FINE_THRESHOLDS:
-        digits += (s[:, :, :_CODE_BANDS] > t).astype(np.int64)
+        digits += s[:, :, :_CODE_BANDS] > t
 
-    fine = np.zeros(s.shape[:2], dtype=np.int64)
+    fine = np.zeros(s.shape[:2], dtype=np.uint8)
     for b in range(_CODE_BANDS):
         fine = fine * 4 + digits[:, :, b]
 
     n_fine = 4**_CODE_BANDS
     # fine digit d in {0..3} merges to d // 2; base-2 code over merged digits
-    inter_table = np.zeros(n_fine, dtype=np.int64)
+    inter_table = np.zeros(n_fine, dtype=np.uint8)
     for code in range(n_fine):
         rem, val = code, 0
         for b in range(_CODE_BANDS):
@@ -91,7 +92,8 @@ def quantize_spectral(img: MultibandImage) -> LabelMapStack:
         inter_table[code] = val
     n_inter = 2**_CODE_BANDS
     # coarse keeps only the leading (first-band) bit
-    coarse_table = np.arange(n_inter) // 2**(_CODE_BANDS - 1)
+    coarse_table = (np.arange(n_inter, dtype=np.uint8)
+                    // 2**(_CODE_BANDS - 1))
 
     intermediate = inter_table[fine]
     coarse = coarse_table[intermediate]
@@ -115,7 +117,7 @@ def post_classification_change_count(stack_a: LabelMapStack,
 def _aura_plane(labels: np.ndarray) -> np.ndarray:
     """Per-pixel count of existing 8-neighbors with a different label."""
     h, w = labels.shape
-    count = np.zeros((h, w), dtype=np.int64)
+    count = np.zeros((h, w), dtype=np.uint8)  # at most 8, 24 over levels
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):
             if dy == 0 and dx == 0:
@@ -137,11 +139,8 @@ def cross_aura(stack: LabelMapStack) -> tuple[np.ndarray, float]:
     return plane, float(plane.mean())
 
 
-def binary_contour_cost(stack_a: LabelMapStack,
-                        stack_b: LabelMapStack) -> float:
-    """Mean absolute difference of the binarized contour planes."""
-    if stack_a.shape != stack_b.shape:
+def binary_contour_cost(plane_a: np.ndarray, plane_b: np.ndarray) -> float:
+    """Mean absolute difference of two cross-aura planes, binarized."""
+    if plane_a.shape != plane_b.shape:
         raise InputError("dimension mismatch")
-    bin_a = cross_aura(stack_a)[0] > 0
-    bin_b = cross_aura(stack_b)[0] > 0
-    return float(np.mean(bin_a != bin_b))
+    return float(np.mean((plane_a > 0) != (plane_b > 0)))

@@ -9,7 +9,7 @@ import benchmark_fixture as bm
 from test_glcm3 import oracle_counts
 from panqa.fusion import FusionConfig, pansharpen
 from panqa.glcm3 import RingSpec, tims_glcm
-from panqa.pipeline import EvalOptions, evaluate_candidate
+from panqa.pipeline import EvalOptions, evaluate_candidate, image_features
 from panqa.protocol import (QiRecord, aggregate, category_sum,
                             combine_partial_ranks, srcc, zscore)
 from panqa.raster import MultibandImage
@@ -173,12 +173,13 @@ def test_criterion_5_end_to_end_dominance():
     ms_ll = degrade(ms_l, ratio, k_ms)                    # 16x16 input
 
     opts = EvalOptions(ratio=ratio)
+    reference = image_features(ms_l, opts)
     records = []
     for method in ("pca", "cn", "atwt"):
         fused, meta = pansharpen(ms_ll, pan_l, FusionConfig(method=method))
-        records.append(evaluate_candidate(ms_l, fused, opts,
+        records.append(evaluate_candidate(reference, fused, opts,
                                           candidate_id=method, process=meta))
-    records.append(evaluate_candidate(ms_l, ms_l, opts,
+    records.append(evaluate_candidate(reference, ms_l, opts,
                                       candidate_id="oracle"))
     table = aggregate(records, include_process=False)
     oracle = table.candidate_ids.index("oracle")

@@ -1,9 +1,11 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from panqa import pipeline, quantizer
 from panqa.cli import main
 from panqa.raster import MultibandImage, load_image, save_image
 
@@ -171,6 +173,47 @@ def test_rank_pipeline_and_determinism(scene):
         rows = list(csv.DictReader(fh))
     assert [r["candidate"] for r in rows] == ["pca", "cn", "atwt"]
     assert all(r["PPFR case B"] for r in rows)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` wherever a panqa module binds it; return the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.split(".")[0] == "panqa":
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_rank_featurizes_each_image_once(scene, monkeypatch):
+    for method in ("pca", "cn", "atwt"):
+        main(["fuse", "--method", method, "--ms", str(scene / "ms_l"),
+              "--pan", str(scene / "pan"),
+              "--out", str(scene / f"fused_{method}")])
+    manifest = {"reference": str(scene / "ms"), "ratio": 4,
+                "candidates": [{"id": m, "path": str(scene / f"fused_{m}")}
+                               for m in ("pca", "cn", "atwt")]}
+    mpath = scene / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+
+    monkeypatch.delenv("PANQA_THREADS", raising=False)
+    features = count_calls(monkeypatch, pipeline.image_features)
+    auras = count_calls(monkeypatch, quantizer.cross_aura)
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(scene / "serial")]) == 0
+    assert (len(features), len(auras)) == (4, 4)
+
+    monkeypatch.setenv("PANQA_THREADS", "2")
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(scene / "pooled")]) == 0
+    assert ((scene / "serial" / "ranks.csv").read_bytes()
+            == (scene / "pooled" / "ranks.csv").read_bytes())
 
 
 def test_srcc_subcommand(tmp_path, capsys):

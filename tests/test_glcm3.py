@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panqa.errors import DegeneracyError, InputError
 from panqa.glcm3 import (Glcm3, RingSpec, autocorr_stats, glcm3_cost,
@@ -32,6 +35,20 @@ def oracle_counts(labels, radii, gl):
                     lo, hi = min(g1, g2), max(g1, g2)
                     counts[center, lo, hi] += 1
     return counts
+
+
+@st.composite
+def label_planes(draw):
+    """(labels, radii, gl): strictly increasing radii, a plane with at
+    least one valid center, gl in [2, 48]."""
+    radii = tuple(sorted(draw(st.sets(st.integers(1, 4), min_size=1,
+                                      max_size=3))))
+    gl = draw(st.integers(2, 48))
+    side = 2 * radii[-1] + 1
+    shape = (draw(st.integers(side, side + 6)),
+             draw(st.integers(side, side + 6)))
+    labels = draw(arrays(np.int64, shape, elements=st.integers(0, gl - 1)))
+    return labels, radii, gl
 
 
 class TestQuantize:
@@ -74,6 +91,16 @@ class TestTimsGlcm:
             m = tims_glcm(labels, RingSpec(radii), gl=gl)
             want = oracle_counts(labels, radii, gl)
             assert np.array_equal(m.counts, want)
+
+    # gl 40 is the largest whose flat triple index fits uint16; 41 is not
+    @settings(max_examples=60, deadline=None)
+    @given(case=label_planes())
+    @example(case=(np.full((7, 7), 39), (1, 2, 3), 40))
+    @example(case=(np.full((7, 8), 40), (1, 2, 3), 41))
+    def test_matches_oracle_property(self, case):
+        labels, radii, gl = case
+        m = tims_glcm(labels, RingSpec(radii), gl=gl)
+        assert np.array_equal(m.counts, oracle_counts(labels, radii, gl))
 
     def test_normalization(self, rng):
         labels = rng.integers(0, 8, size=(12, 12))

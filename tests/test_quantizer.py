@@ -140,18 +140,21 @@ class TestCrossAura:
 class TestBinaryContour:
     def test_zero_on_identity(self, rng):
         stack = quantize_spectral(MultibandImage(rng.random((6, 6, 3))))
-        assert binary_contour_cost(stack, stack) == 0.0
+        plane = cross_aura(stack)[0]
+        assert binary_contour_cost(plane, plane) == 0.0
 
     def test_full_disagreement(self):
         yy, xx = np.indices((6, 6))
         checker = np.where((yy + xx) % 2 == 0, 0.1, 0.9)
-        sa = quantize_spectral(image(np.full((6, 6), 0.1)))
-        sb = quantize_spectral(image(checker))
+        sa = cross_aura(quantize_spectral(image(np.full((6, 6), 0.1))))[0]
+        sb = cross_aura(quantize_spectral(image(checker)))[0]
         assert binary_contour_cost(sa, sb) == 1.0
 
     def test_symmetric_and_bounded(self, rng):
-        sa = quantize_spectral(MultibandImage(rng.random((8, 8, 3))))
-        sb = quantize_spectral(MultibandImage(rng.random((8, 8, 3))))
+        sa = cross_aura(quantize_spectral(
+            MultibandImage(rng.random((8, 8, 3)))))[0]
+        sb = cross_aura(quantize_spectral(
+            MultibandImage(rng.random((8, 8, 3)))))[0]
         cost = binary_contour_cost(sa, sb)
         assert cost == binary_contour_cost(sb, sa)
         assert 0.0 <= cost <= 1.0
@@ -161,6 +164,6 @@ class TestBinaryContour:
         yy, xx = np.indices((6, 6))
         checker = np.where((yy + xx) % 2 == 0, 0.1, 0.9)
         swapped = np.where((yy + xx) % 2 == 0, 0.9, 0.1)
-        sa = quantize_spectral(image(checker))
-        sb = quantize_spectral(image(swapped))
+        sa = cross_aura(quantize_spectral(image(checker)))[0]
+        sb = cross_aura(quantize_spectral(image(swapped)))[0]
         assert binary_contour_cost(sa, sb) == 0.0

@@ -1,7 +1,11 @@
+import math
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panqa.errors import DegeneracyError, InputError
 from panqa.raster import MultibandImage
@@ -41,6 +45,27 @@ class TestSummaryStats:
     def test_gl_too_small(self):
         with pytest.raises(InputError):
             summary_stats(np.ones(4), gl=1)
+
+
+def power_moments(x):
+    """Skewness and kurtosis through np.power, the direct formulas."""
+    c = x - x.mean()
+    std = math.sqrt(np.mean(c**2))
+    return np.mean(c**3) / std**3, np.mean(c**4) / std**4
+
+
+# calibrated 16-bit samples; at most 256 of them bound the kurtosis by 256
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 16), st.integers(1, 16)),
+              elements=st.integers(0, 65535).map(lambda dn: dn / 65535)))
+def test_moments_match_power_reference(band):
+    s = summary_stats(band)
+    if s.std == 0.0:
+        assert (s.skewness, s.kurtosis) == (0.0, 0.0)
+        return
+    skew, kurt = power_moments(band.ravel())
+    assert abs(s.skewness - skew) <= 1e-12
+    assert abs(s.kurtosis - kurt) <= 1e-12
 
 
 class TestMdb:
