@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 
 import numpy as np
@@ -17,12 +16,13 @@ from . import quantizer as quant_mod
 from .errors import DegeneracyError, InputError, PanqaError
 from .fusion import FUSION_METHODS, FusionConfig, pansharpen
 from .pipeline import (EvalOptions, RunManifest, classic_metrics,
-                       evaluate_candidate, image_features, run_manifest)
+                       evaluate_candidate, image_features, run_manifest,
+                       write_json)
 from .protocol import srcc
 from .raster import MultibandImage, load_image, save_image
 from .resample import (DEFAULT_MTF_GAIN_MS, UPSAMPLE_METHODS, degrade,
                        mtf_gaussian_kernel)
-from .spectral import BlockSpec, qnr
+from .spectral import DEFAULT_BLOCK, BlockSpec, qnr
 from .synth import synth_scene
 
 
@@ -54,9 +54,7 @@ def cmd_fuse(args) -> int:
     fused, meta = pansharpen(ms, pan.band(0), cfg)
     save_image(fused, args.out)
     if args.process_meta:
-        with open(args.process_meta, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+        write_json(args.process_meta, meta)
     return 0
 
 
@@ -75,9 +73,7 @@ def cmd_eval(args) -> int:
         "category4": record.category4,
         "classic": classic_metrics(reference, candidate, opts),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, doc, sort_keys=True)
     return 0
 
 
@@ -89,10 +85,7 @@ def cmd_qnr(args) -> int:
     pan_l = degrade(pan, args.ratio, kernel).band(0)
     value, d_lambda, d_s = qnr(ms, fused, pan.band(0), pan_l,
                                blocks=BlockSpec(args.block_size))
-    doc = {"qnr": value, "d_lambda": d_lambda, "d_s": d_s}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, {"qnr": value, "d_lambda": d_lambda, "d_s": d_s})
     return 0
 
 
@@ -102,11 +95,8 @@ def cmd_glcm3(args) -> int:
     matrix = glcm3_mod.tims_glcm(labels, glcm3_mod.RingSpec(args.radii),
                                  gl=args.gl)
     contrast, energy, lne = glcm3_mod.glcm3_features(matrix)
-    doc = {"contrast": contrast, "energy": energy, "lne": lne,
-           "total_tuples": matrix.total_tuples}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, {"contrast": contrast, "energy": energy, "lne": lne,
+                          "total_tuples": matrix.total_tuples})
     if args.dump_matrix:
         d, r, c = np.nonzero(matrix.counts)
         with open(args.dump_matrix, "w", newline="", encoding="utf-8") as fh:
@@ -118,33 +108,14 @@ def cmd_glcm3(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    img = load_image(args.input)
-    stack = quant_mod.quantize_spectral(img)
-    planes = np.stack([stack.fine, stack.intermediate, stack.coarse], axis=2)
-    save_image(MultibandImage(planes.astype(np.float64),
-                              band_names=["fine", "intermediate", "coarse"]),
-               args.out, sample_type="u16")
+    quant_mod.save_stack(quant_mod.quantize_spectral(load_image(args.input)),
+                         args.out)
     return 0
 
 
-def _load_stack(path) -> quant_mod.LabelMapStack:
-    img = load_image(path)
-    if img.bands != 3:
-        raise InputError("label stack image must have 3 bands")
-    fine = img.band(0).astype(np.int64)
-    inter = img.band(1).astype(np.int64)
-    coarse = img.band(2).astype(np.int64)
-    # level counts are fixed by the reference quantizer's code books
-    return quant_mod.LabelMapStack(
-        fine=fine, intermediate=inter, coarse=coarse,
-        level_counts=(64, 8, 2),
-        merge_fine_to_intermediate=np.zeros(0, dtype=np.int64),
-        merge_intermediate_to_coarse=np.zeros(0, dtype=np.int64))
-
-
 def cmd_contours(args) -> int:
-    stack_a = _load_stack(args.a)
-    stack_b = _load_stack(args.b)
+    stack_a = quant_mod.load_stack(args.a)
+    stack_b = quant_mod.load_stack(args.b)
     plane_a, mean_a = quant_mod.cross_aura(stack_a)
     plane_b, mean_b = quant_mod.cross_aura(stack_b)
     doc = {
@@ -156,9 +127,7 @@ def cmd_contours(args) -> int:
         "post_class_change_coarse": quant_mod.post_classification_change_count(
             stack_a, stack_b, "coarse"),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, doc)
     return 0
 
 
@@ -226,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="all product costs + classic metrics")
     p.add_argument("--reference", required=True)
     p.add_argument("--candidate", required=True)
-    p.add_argument("--ratio", type=int, default=4)
+    p.add_argument("--ratio", type=int, default=EvalOptions.ratio)
     p.add_argument("--ergas-factor", type=float, default=None)
-    p.add_argument("--block-size", type=int, default=8)
+    p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK)
     p.add_argument("--gl", type=int, default=glcm3_mod.DEFAULT_GL)
     p.add_argument("--radii", type=_radii, default=glcm3_mod.DEFAULT_RADII)
     p.add_argument("--out", required=True)
@@ -238,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ms", required=True)
     p.add_argument("--pan", required=True)
     p.add_argument("--fused", required=True)
-    p.add_argument("--ratio", type=int, default=4)
+    p.add_argument("--ratio", type=int, default=EvalOptions.ratio)
     p.add_argument("--mtf-gain", type=float, default=DEFAULT_MTF_GAIN_MS)
-    p.add_argument("--block-size", type=int, default=8)
+    p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_qnr)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegeneracyError, InputError
 from .raster import MultibandImage
-from .resample import upsample
+from .resample import mirror_filter, upsample
 
 FUSION_METHODS = ("pca", "cn", "atwt")
 
@@ -105,26 +105,6 @@ def pansharpen_cn(ms: MultibandImage, pan: np.ndarray,
 _B3 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
-def _atrous_smooth(plane: np.ndarray, step: int) -> np.ndarray:
-    """Separable B3-spline smoothing with taps dilated by step, mirrored."""
-    out = plane
-    for axis in (0, 1):
-        n = out.shape[axis]
-        acc = np.zeros_like(out)
-        base = np.arange(n)
-        for k, w in enumerate(_B3):
-            idx = base + (k - 2) * step
-            if n == 1:
-                src = np.zeros_like(idx)
-            else:
-                period = 2 * (n - 1)
-                idx = np.abs(idx) % period
-                src = np.where(idx >= n, period - idx, idx)
-            acc += w * np.take(out, src, axis=axis)
-        out = acc
-    return out
-
-
 def pansharpen_atwt(ms: MultibandImage, pan: np.ndarray,
                     cfg: FusionConfig) -> MultibandImage:
     """Add the pan image's a-trous detail planes to every upsampled band."""
@@ -135,7 +115,7 @@ def pansharpen_atwt(ms: MultibandImage, pan: np.ndarray,
     pan = np.asarray(pan, dtype=np.float64)
     smooth = pan
     for level in range(cfg.wavelet_levels):
-        smooth = _atrous_smooth(smooth, 2**level)
+        smooth = mirror_filter(smooth, _B3, 2**level)
     detail = pan - smooth
     fused = up.samples + detail[:, :, None]
     return MultibandImage(fused, band_names=ms.band_names)

@@ -7,9 +7,6 @@ opposite ring positions are paired, their two gray levels sorted, and the
 (depth, row, col) array over the quantized gray levels and normalize to a
 probability distribution, from which contrast, energy and large-number
 emphasis are computed.
-
-Also provides the toroidal image-wide 1st/2nd/3rd-order autocorrelation
-statistics used as a translation-invariance sanity check.
 """
 
 from __future__ import annotations
@@ -142,37 +139,3 @@ def band_texture(band: np.ndarray, gl: int = DEFAULT_GL,
     return glcm3_features(tims_glcm(quantize_gray_levels(band, gl), rings,
                                     gl=gl))
 
-
-def glcm3_cost(band_a: np.ndarray, band_b: np.ndarray,
-               gl: int = DEFAULT_GL, rings: RingSpec | None = None
-               ) -> tuple[float, float, float]:
-    """Absolute per-feature differences between the two bands' matrices."""
-    a = np.asarray(band_a)
-    b = np.asarray(band_b)
-    if a.shape != b.shape:
-        raise InputError("shape mismatch")
-    return tuple(abs(x - y) for x, y in zip(band_texture(a, gl, rings),
-                                            band_texture(b, gl, rings)))
-
-
-def _toroidal_shift(plane: np.ndarray, n: int, m: int) -> np.ndarray:
-    # value at (c, r) becomes plane[(c + n) mod W, (r + m) mod H], with
-    # axis 1 = columns (c) and axis 0 = rows (r)
-    return np.roll(np.roll(plane, -m, axis=0), -n, axis=1)
-
-
-def autocorr_stats(band: np.ndarray,
-                   order2_offsets=((0, 0),),
-                   order3_offsets=((1, 0, 0, 1),)
-                   ) -> tuple[float, list[float], list[float]]:
-    """Image-wide mean, 2nd- and 3rd-order toroidal autocorrelations."""
-    x = np.asarray(band, dtype=np.float64)
-    if x.ndim != 2:
-        raise InputError("band must be 2-D")
-    a1 = float(x.mean())
-    a2 = [float(np.mean(x * _toroidal_shift(x, n, m)))
-          for n, m in order2_offsets]
-    a3 = [float(np.mean(x * _toroidal_shift(x, n1, m1)
-                        * _toroidal_shift(x, n2, m2)))
-          for n1, m1, n2, m2 in order3_offsets]
-    return a1, a2, a3

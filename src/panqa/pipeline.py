@@ -21,22 +21,33 @@ import numpy as np
 
 from .errors import InputError
 from .glcm3 import DEFAULT_GL, DEFAULT_RADII, RingSpec, band_texture
-from .protocol import QiRecord, RankTable, aggregate
-from .quantizer import (LabelMapStack, binary_contour_cost, cross_aura,
-                        post_classification_change_count, quantize_spectral)
+from .protocol import (CATEGORY1_KEYS, CATEGORY3_KEYS, QiRecord, RankTable,
+                       aggregate)
+from .quantizer import (LEVELS, LabelMapStack, binary_contour_cost,
+                        cross_aura, post_classification_change_count,
+                        quantize_spectral)
 from .raster import MultibandImage, load_image
-from .spectral import (BlockSpec, ergas, inverse_pcc_cost, mdb_cost, q4,
-                       sam_mean, summary_stats)
+from .spectral import (DEFAULT_BLOCK, BlockSpec, ergas, inverse_pcc_cost,
+                       mdb_cost, q4, sam_mean, summary_stats)
 
 
 @dataclass
 class EvalOptions:
     ratio: int = 4
     ergas_factor: float | None = None
-    block_size: int = 8
+    block_size: int = DEFAULT_BLOCK
     gl: int = DEFAULT_GL
     radii: tuple[int, ...] = DEFAULT_RADII
     category2_level: str = "coarse"
+
+    def __post_init__(self):
+        # manifest values arrive as JSON numbers and lists
+        self.ratio, self.block_size, self.gl = (
+            int(self.ratio), int(self.block_size), int(self.gl))
+        self.radii = tuple(self.radii)
+        if self.category2_level not in LEVELS:
+            raise InputError(
+                f"unknown category2_level {self.category2_level!r}")
 
 
 # manifest "options" keys; the ratio is a top-level manifest key
@@ -67,14 +78,7 @@ class RunManifest:
         unknown = set(opts) - _OPTION_KEYS
         if unknown:
             raise InputError(f"unknown manifest options {sorted(unknown)}")
-        options = EvalOptions(
-            ratio=int(doc["ratio"]),
-            ergas_factor=opts.get("ergas_factor"),
-            block_size=int(opts.get("block_size", 8)),
-            gl=int(opts.get("gl", DEFAULT_GL)),
-            radii=tuple(opts.get("radii", DEFAULT_RADII)),
-            category2_level=opts.get("category2_level", "coarse"),
-        )
+        options = EvalOptions(ratio=doc["ratio"], **opts)
         cands = [Candidate(
             id=c["id"], path=c["path"], method=c.get("method", ""),
             wall_seconds=float(c.get("wall_seconds", 0.0)),
@@ -122,10 +126,9 @@ def evaluate_candidate(reference: ImageFeatures, candidate: MultibandImage,
         raise InputError("reference/candidate shape mismatch")
     cand = image_features(candidate, opts)
 
-    names = ("mean", "std", "skewness", "kurtosis", "entropy")
     cat1 = {name: mdb_cost([s[i] for s in reference.stats],
                            [s[i] for s in cand.stats])
-            for i, name in enumerate(names)}
+            for i, name in enumerate(CATEGORY1_KEYS)}
 
     cat2 = {
         "post_class_change": float(post_classification_change_count(
@@ -133,19 +136,11 @@ def evaluate_candidate(reference: ImageFeatures, candidate: MultibandImage,
         "inverse_pcc": inverse_pcc_cost(reference.image, candidate),
     }
 
-    contrast = energy = lne = 0.0
-    for ref_tex, cand_tex in zip(reference.texture, cand.texture):
-        dc, de, dl = (abs(x - y) for x, y in zip(ref_tex, cand_tex))
-        contrast += dc
-        energy += de
-        lne += dl
-    nb = candidate.bands
-    cat3 = {
-        "glcm_contrast": contrast / nb,
-        "glcm_energy": energy / nb,
-        "glcm_lne": lne / nb,
-        "cross_aura": abs(reference.aura_mean - cand.aura_mean),
-    }
+    *texture_keys, aura_key = CATEGORY3_KEYS
+    cat3 = {name: mdb_cost([t[i] for t in reference.texture],
+                           [t[i] for t in cand.texture])
+            for i, name in enumerate(texture_keys)}
+    cat3[aura_key] = abs(reference.aura_mean - cand.aura_mean)
 
     cat4 = {"binary_contour": binary_contour_cost(reference.contour,
                                                   cand.contour)}
@@ -177,7 +172,7 @@ def _max_workers() -> int:
         n = int(env)
     except ValueError:
         n = 0
-    return max(1, n) if n else 1
+    return max(1, n)
 
 
 def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
@@ -242,6 +237,13 @@ def write_rank_csv(table: RankTable, path) -> None:
                             + [_fmt(fn(table, i)) for _, fn in _CSV_COLUMNS])
 
 
+def write_json(path, doc: dict, sort_keys: bool = False) -> None:
+    """Write doc as 2-space indented JSON plus a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def write_report(records: list[QiRecord], table: RankTable, path) -> None:
     doc = {
         "candidates": [{
@@ -252,20 +254,9 @@ def write_report(records: list[QiRecord], table: RankTable, path) -> None:
             "category4": r.category4,
             "process": r.process,
         } for r in records],
-        "ranks": {
-            "pdpr": table.pdpr,
-            "pspr1": table.pspr1,
-            "pspr2": table.pspr2,
-            "sum_case_a": table.sum_case_a,
-            "pdfr_case_a": table.pdfr_case_a,
-            "sum_case_c": table.sum_case_c,
-            "pdfr_case_c": table.pdfr_case_c,
-            "sum_case_b": table.sum_case_b,
-            "ppfr_case_b": table.ppfr_case_b,
-            "sum_case_d": table.sum_case_d,
-            "ppfr_case_d": table.ppfr_case_d,
-        },
+        "ranks": {f.name: getattr(table, f.name)
+                  for f in dataclasses.fields(table)
+                  if f.name not in ("candidate_ids", "dropped_columns")},
+        "dropped_columns": table.dropped_columns,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, sort_keys=True)

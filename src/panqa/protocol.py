@@ -60,6 +60,7 @@ class RankTable:
     ppfr_case_b: list[int] | None = None
     sum_case_d: list[int] | None = None
     ppfr_case_d: list[int] | None = None
+    # degenerate QI columns left out of a category sum, "category<n>.<cost>"
     dropped_columns: list[str] = field(default_factory=list)
 
 
@@ -106,9 +107,9 @@ def _standardized_sum(columns: dict[str, list[float]]
     return total, dropped
 
 
-def category_sum(records: list[QiRecord], category: int,
-                 case: str = "with_ipcc") -> np.ndarray:
-    """Per-candidate sum of standardized costs for one category."""
+def _category_columns(records: list[QiRecord], category: int,
+                      case: str) -> dict[str, list[float]]:
+    """One category's cost columns, keyed by cost name."""
     if len(records) < 2:
         raise InputError("need at least 2 candidates")
     if case not in ("with_ipcc", "without_ipcc"):
@@ -120,8 +121,13 @@ def category_sum(records: list[QiRecord], category: int,
     keys = list(getattr(records[0], group_name).keys())
     if category == 2 and case == "without_ipcc":
         keys = [k for k in keys if k != "inverse_pcc"]
-    columns = {k: [getattr(r, group_name)[k] for r in records] for k in keys}
-    total, _ = _standardized_sum(columns)
+    return {k: [getattr(r, group_name)[k] for r in records] for k in keys}
+
+
+def category_sum(records: list[QiRecord], category: int,
+                 case: str = "with_ipcc") -> np.ndarray:
+    """Per-candidate sum of standardized costs for one category."""
+    total, _ = _standardized_sum(_category_columns(records, category, case))
     return total
 
 
@@ -164,12 +170,20 @@ def aggregate(records: list[QiRecord],
     if len(set(ids)) != len(ids):
         raise InputError("duplicate candidate ids")
 
+    dropped = []
+
+    def partial_rank(category: int, case: str = "with_ipcc") -> list[int]:
+        total, lost = _standardized_sum(
+            _category_columns(records, category, case))
+        dropped.extend(f"category{category}.{key}" for key in lost)
+        return rank(total)
+
     pdpr = {
-        "category1": rank(category_sum(records, 1)),
-        "category2_i": rank(category_sum(records, 2, "with_ipcc")),
-        "category2_ii": rank(category_sum(records, 2, "without_ipcc")),
-        "category3": rank(category_sum(records, 3)),
-        "category4": rank(category_sum(records, 4)),
+        "category1": partial_rank(1),
+        "category2_i": partial_rank(2, "with_ipcc"),
+        "category2_ii": partial_rank(2, "without_ipcc"),
+        "category3": partial_rank(3),
+        "category4": partial_rank(4),
     }
     pspr1 = pspr2 = None
     if include_process:
@@ -179,6 +193,8 @@ def aggregate(records: list[QiRecord],
         pdpr["category1"], pdpr["category2_i"], pdpr["category2_ii"],
         pdpr["category3"], pdpr["category4"], pspr1, pspr2)
     return RankTable(candidate_ids=ids, pdpr=pdpr, pspr1=pspr1, pspr2=pspr2,
+                     # category 2's shared columns are standardized twice
+                     dropped_columns=list(dict.fromkeys(dropped)),
                      **combined)
 
 

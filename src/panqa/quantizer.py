@@ -3,8 +3,10 @@
 The quantizer is a deliberately simple stand-in for a prior-knowledge
 rule base: a context-free per-pixel threshold code on calibrated
 reflectance, delivered at three nested quantization levels (fine,
-intermediate, coarse) linked by explicit merge tables. Any labeler with
-the same interface can replace it.
+intermediate, coarse). The code book is fixed: 64 fine, 8 intermediate
+and 2 coarse labels, linked by constant merge tables. A label stack is
+the three co-registered planes, and is saved as a three-band image. Any
+labeler with the same interface can replace it.
 
 Downstream measures: post-classification change counting, the three-level
 8-adjacency cross-aura contour intensity (0..24), and the binarized
@@ -18,14 +20,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .raster import MultibandImage
+from .raster import MultibandImage, load_image, save_image
 
-# per-band reflectance thresholds for the fine 4-bin code
+# per-band reflectance thresholds for the fine 4-bin code; all lie in
+# (0, 1), so a sample outside [0, 1] codes as if clipped to it
 _FINE_THRESHOLDS = (0.25, 0.5, 0.75)
 # bands entering the product code; 4^3 = 64 fine labels
 _CODE_BANDS = 3
 
 LEVELS = ("fine", "intermediate", "coarse")
+
+# A fine digit d in {0..3} merges to its high bit d // 2, so intermediate
+# bit b is fine bit 2b+1: a base-2 code over the merged digits.
+_FINE_TO_INTERMEDIATE = sum(
+    (np.arange(4**_CODE_BANDS) >> (2 * b + 1) & 1) << b
+    for b in range(_CODE_BANDS)).astype(np.uint8)
+# coarse keeps only the leading (first-band) bit
+_INTERMEDIATE_TO_COARSE = (np.arange(2**_CODE_BANDS, dtype=np.uint8)
+                           >> (_CODE_BANDS - 1))
+# labels per level, in LEVELS order
+_CODE_BOOK_SIZES = (_FINE_TO_INTERMEDIATE.size, _INTERMEDIATE_TO_COARSE.size,
+                    2)
 
 
 @dataclass
@@ -35,17 +50,11 @@ class LabelMapStack:
     fine: np.ndarray
     intermediate: np.ndarray
     coarse: np.ndarray
-    level_counts: tuple[int, int, int]
-    merge_fine_to_intermediate: np.ndarray
-    merge_intermediate_to_coarse: np.ndarray
 
     def __post_init__(self):
         if not (self.fine.shape == self.intermediate.shape
                 == self.coarse.shape):
             raise InputError("label planes must share dimensions")
-        if not (self.level_counts[0] > self.level_counts[1]
-                > self.level_counts[2]):
-            raise InputError("level counts must strictly decrease")
 
     def level(self, name: str) -> np.ndarray:
         if name not in LEVELS:
@@ -69,7 +78,6 @@ def quantize_spectral(img: MultibandImage) -> LabelMapStack:
     s = img.samples
     if s.min() < -0.01 or s.max() > 1.5:
         raise InputError("samples outside plausible reflectance range")
-    s = np.clip(s, 0.0, 1.0)
 
     # at most 64 labels: uint8 keeps a held stack at a byte per pixel
     digits = np.zeros(s.shape[:2] + (_CODE_BANDS,), dtype=np.uint8)
@@ -79,30 +87,34 @@ def quantize_spectral(img: MultibandImage) -> LabelMapStack:
     fine = np.zeros(s.shape[:2], dtype=np.uint8)
     for b in range(_CODE_BANDS):
         fine = fine * 4 + digits[:, :, b]
+    intermediate = _FINE_TO_INTERMEDIATE[fine]
+    return LabelMapStack(fine=fine, intermediate=intermediate,
+                         coarse=_INTERMEDIATE_TO_COARSE[intermediate])
 
-    n_fine = 4**_CODE_BANDS
-    # fine digit d in {0..3} merges to d // 2; base-2 code over merged digits
-    inter_table = np.zeros(n_fine, dtype=np.uint8)
-    for code in range(n_fine):
-        rem, val = code, 0
-        for b in range(_CODE_BANDS):
-            digit = rem // 4**(_CODE_BANDS - 1 - b)
-            rem %= 4**(_CODE_BANDS - 1 - b)
-            val = val * 2 + digit // 2
-        inter_table[code] = val
-    n_inter = 2**_CODE_BANDS
-    # coarse keeps only the leading (first-band) bit
-    coarse_table = (np.arange(n_inter, dtype=np.uint8)
-                    // 2**(_CODE_BANDS - 1))
 
-    intermediate = inter_table[fine]
-    coarse = coarse_table[intermediate]
-    return LabelMapStack(
-        fine=fine, intermediate=intermediate, coarse=coarse,
-        level_counts=(n_fine, n_inter, 2),
-        merge_fine_to_intermediate=inter_table,
-        merge_intermediate_to_coarse=coarse_table,
-    )
+def save_stack(stack: LabelMapStack, path) -> None:
+    """Write the three label planes as a u16 image, one band per level."""
+    planes = np.stack([stack.level(name) for name in LEVELS], axis=2)
+    save_image(MultibandImage(planes.astype(np.float64),
+                              band_names=list(LEVELS)),
+               path, sample_type="u16")
+
+
+def load_stack(path) -> LabelMapStack:
+    """Read a stack written by save_stack; every label must be an integer
+    in its level's code book."""
+    img = load_image(path)
+    if img.bands != len(LEVELS):
+        raise InputError("label stack image must have 3 bands")
+    planes = []
+    for b, (name, size) in enumerate(zip(LEVELS, _CODE_BOOK_SIZES)):
+        plane = img.samples[:, :, b]
+        if np.any(plane != np.floor(plane)):
+            raise InputError(f"non-integral {name} labels")
+        if plane.min() < 0 or plane.max() >= size:
+            raise InputError(f"{name} labels outside [0, {size})")
+        planes.append(plane.astype(np.uint8))
+    return LabelMapStack(*planes)
 
 
 def post_classification_change_count(stack_a: LabelMapStack,

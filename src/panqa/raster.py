@@ -177,7 +177,3 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
         json.dump(doc, fh)
     payload.tofile(raw_path)
 
-
-def band(img: MultibandImage, b: int) -> np.ndarray:
-    """Functional alias for MultibandImage.band."""
-    return img.band(b)

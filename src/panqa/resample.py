@@ -7,7 +7,8 @@ the nearest/bilinear/bicubic resamplers used to bring the multi-spectral
 bands up to the panchromatic grid before fusion.
 
 All border handling is mirror padding (edge pixel not repeated) and all
-kernels have unit DC gain.
+kernels have unit DC gain. mirror_filter() is the one separable
+mirror-boundary filter, shared by degrade() and the a-trous fuser.
 """
 
 from __future__ import annotations
@@ -93,20 +94,23 @@ def _mirror_indices(n: int, idx: np.ndarray) -> np.ndarray:
     return np.where(idx >= n, period - idx, idx)
 
 
-def _correlate_axis(plane: np.ndarray, kernel: MtfKernel, axis: int
-                    ) -> np.ndarray:
-    taps, a = kernel.taps, kernel.anchor
-    n = plane.shape[axis]
-    out = np.zeros_like(plane)
-    base = np.arange(n)
-    for t in range(taps.size):
-        src = _mirror_indices(n, base + t - a)
-        out += taps[t] * np.take(plane, src, axis=axis)
+def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1
+                  ) -> np.ndarray:
+    """Separable mirror-padded correlation of a plane with 1-D taps, along
+    axis 0 then axis 1. The anchor is tap (len(taps)-1)//2 and tap t reads
+    the sample (t - anchor)*step away, so step > 1 dilates the taps
+    (a-trous)."""
+    anchor = (len(taps) - 1) // 2
+    out = plane
+    for axis in (0, 1):
+        n = out.shape[axis]
+        acc = np.zeros_like(out)
+        base = np.arange(n)
+        for t, w in enumerate(taps):
+            src = _mirror_indices(n, base + (t - anchor) * step)
+            acc += w * np.take(out, src, axis=axis)
+        out = acc
     return out
-
-
-def _filter_plane(plane: np.ndarray, kernel: MtfKernel) -> np.ndarray:
-    return _correlate_axis(_correlate_axis(plane, kernel, 0), kernel, 1)
 
 
 def degrade(img: MultibandImage, ratio: int,
@@ -123,7 +127,7 @@ def degrade(img: MultibandImage, ratio: int,
     phase = (ratio - 1) // 2
     planes = []
     for b in range(img.bands):
-        f = _filter_plane(img.samples[:, :, b], kernel)
+        f = mirror_filter(img.samples[:, :, b], kernel.taps)
         planes.append(f[phase::ratio, phase::ratio])
     return MultibandImage(np.stack(planes, axis=2), band_names=img.band_names)
 

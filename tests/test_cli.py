@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import sys
 
 import numpy as np
@@ -136,6 +137,31 @@ def test_quantize_contours_roundtrip(scene):
     with open(out, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc["post_class_change_coarse"] > 0
+
+    saved = quantizer.load_stack(stack_a)
+    want = quantizer.quantize_spectral(img)
+    for level in quantizer.LEVELS:
+        assert np.array_equal(saved.level(level), want.level(level))
+
+
+@pytest.mark.parametrize("band, value, sample_type, message", [
+    (0, 2.5, "f32", "non-integral fine"),
+    (0, 300.0, "u16", r"fine labels outside \[0, 64\)"),
+    (1, 8.0, "u16", r"intermediate labels outside \[0, 8\)"),
+    (2, 2.0, "u16", r"coarse labels outside \[0, 2\)"),
+])
+def test_contours_rejects_invalid_stack(tmp_path, capsys, band, value,
+                                        sample_type, message):
+    good = np.zeros((6, 6, 3))
+    bad = good.copy()
+    bad[3, 2, band] = value
+    save_image(MultibandImage(good), tmp_path / "good", sample_type="u16")
+    save_image(MultibandImage(bad), tmp_path / "bad", sample_type=sample_type)
+    assert main(["contours", "--a", str(tmp_path / "good"),
+                 "--b", str(tmp_path / "bad"),
+                 "--out", str(tmp_path / "c.json")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_rank_pipeline_and_determinism(scene):

@@ -3,8 +3,12 @@ import json
 import pytest
 
 from panqa.errors import InputError
-from panqa.pipeline import Candidate, EvalOptions, RunManifest, run_manifest
+from panqa.cli import build_parser
+from panqa.pipeline import (Candidate, EvalOptions, RunManifest, run_manifest,
+                            write_report)
+from panqa.protocol import QiRecord, aggregate
 from panqa.raster import MultibandImage, save_image
+from panqa.spectral import DEFAULT_BLOCK
 
 
 def write_manifest(path, options):
@@ -41,3 +45,38 @@ def test_run_manifest_leaves_options_unchanged(tmp_path, rng):
     run_manifest(manifest, tmp_path / "out")
     assert manifest.options == EvalOptions(ratio=2, gl=8)
     assert (tmp_path / "out" / "ranks.csv").exists()
+
+
+def test_from_json_rejects_unknown_category2_level(tmp_path):
+    path = write_manifest(tmp_path / "m.json", {"category2_level": "fin"})
+    with pytest.raises(InputError, match="category2_level 'fin'"):
+        RunManifest.from_json(path)
+
+
+def test_defaults_have_one_definition(tmp_path):
+    assert EvalOptions().block_size == DEFAULT_BLOCK
+    opts = RunManifest.from_json(write_manifest(tmp_path / "m.json",
+                                                {})).options
+    assert opts == EvalOptions(ratio=4)
+    parser = build_parser()
+    for command in (["eval", "--reference", "r", "--candidate", "c"],
+                    ["qnr", "--ms", "m", "--pan", "p", "--fused", "f"]):
+        args = parser.parse_args(command + ["--out", "o"])
+        assert (args.ratio, args.block_size) == (EvalOptions.ratio,
+                                                 DEFAULT_BLOCK)
+
+
+def test_report_lists_dropped_columns(tmp_path):
+    records = [QiRecord(candidate_id=c, category1={"mean": v},
+                        category2={"post_class_change": v},
+                        category3={"cross_aura": v},
+                        category4={"binary_contour": 0.5},
+                        process={"wall_seconds": v, "n_free_parameters": 1})
+               for c, v in (("a", 1.0), ("b", 2.0), ("c", 4.0))]
+    with pytest.warns(UserWarning, match="binary_contour"):
+        table = aggregate(records)
+    write_report(records, table, tmp_path / "report.json")
+    report = json.loads((tmp_path / "report.json").read_text("utf-8"))
+    assert report["dropped_columns"] == ["category4.binary_contour"]
+    assert "dropped_columns" not in report["ranks"]
+    assert report["ranks"]["pdfr_case_a"] == [1, 2, 3]

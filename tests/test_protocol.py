@@ -144,6 +144,17 @@ class TestAggregate:
         assert table.pspr1 is None and table.ppfr_case_b is None
         assert table.pdfr_case_c == rank(table.sum_case_c)
 
+    def test_dropped_columns_named_with_category(self):
+        records = [make_record(f"c{i}", i) for i in range(3)]
+        for r in records:
+            r.category4["binary_contour"] = 0.25
+            r.category2["post_class_change"] = 0.0
+        with pytest.warns(UserWarning):
+            table = aggregate(records)
+        assert table.dropped_columns == ["category2.post_class_change",
+                                         "category4.binary_contour"]
+        assert table.pdpr["category4"] == [1, 1, 1]
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
             aggregate([make_record("x", 0), make_record("x", 1)])

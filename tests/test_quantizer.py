@@ -3,7 +3,9 @@ import pytest
 
 from panqa.errors import InputError
 from panqa.raster import MultibandImage
-from panqa.quantizer import (LabelMapStack, binary_contour_cost, cross_aura,
+from panqa.quantizer import (_CODE_BOOK_SIZES, _FINE_TO_INTERMEDIATE,
+                             _INTERMEDIATE_TO_COARSE, binary_contour_cost,
+                             cross_aura,
                              post_classification_change_count,
                              quantize_spectral)
 
@@ -24,7 +26,7 @@ class TestQuantize:
 
     def test_level_counts(self, rng):
         stack = quantize_spectral(MultibandImage(rng.random((4, 4, 3))))
-        assert stack.level_counts == (64, 8, 2)
+        assert _CODE_BOOK_SIZES == (64, 8, 2)
         assert stack.fine.max() < 64
         assert stack.intermediate.max() < 8
         assert stack.coarse.max() < 2
@@ -42,12 +44,18 @@ class TestQuantize:
         assert stack.coarse.ravel().tolist() == [0, 0, 1, 1]
 
     def test_merge_tables_consistent(self, rng):
+        # a fine base-4 digit d merges to d // 2 of a base-2 code; coarse
+        # keeps the leading (first-band) bit
+        for code in range(64):
+            digits = (code // 16, code // 4 % 4, code % 4)
+            want = sum(d // 2 * 2**(2 - b) for b, d in enumerate(digits))
+            assert _FINE_TO_INTERMEDIATE[code] == want
+        assert _INTERMEDIATE_TO_COARSE.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
         stack = quantize_spectral(MultibandImage(rng.random((8, 8, 3))))
-        assert np.array_equal(
-            stack.intermediate, stack.merge_fine_to_intermediate[stack.fine])
-        assert np.array_equal(
-            stack.coarse,
-            stack.merge_intermediate_to_coarse[stack.intermediate])
+        assert np.array_equal(stack.intermediate,
+                              _FINE_TO_INTERMEDIATE[stack.fine])
+        assert np.array_equal(stack.coarse,
+                              _INTERMEDIATE_TO_COARSE[stack.intermediate])
 
     def test_only_first_three_bands_used(self, rng):
         base = rng.random((6, 6, 3))
@@ -63,11 +71,11 @@ class TestQuantize:
         with pytest.raises(InputError, match="reflectance"):
             quantize_spectral(MultibandImage(np.full((2, 2, 3), 2.0)))
 
-    def test_level_count_ordering_enforced(self):
-        z = np.zeros((2, 2), dtype=np.int64)
-        with pytest.raises(InputError):
-            LabelMapStack(z, z, z, (8, 8, 2), np.zeros(8, dtype=np.int64),
-                          np.zeros(8, dtype=np.int64))
+    def test_overshoot_codes_as_clipped(self, rng):
+        img = MultibandImage(rng.uniform(-0.01, 1.5, (8, 8, 3)))
+        clipped = MultibandImage(np.clip(img.samples, 0.0, 1.0))
+        assert np.array_equal(quantize_spectral(img).fine,
+                              quantize_spectral(clipped).fine)
 
 
 class TestChangeCount:

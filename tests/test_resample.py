@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panqa.errors import InputError
 from panqa.raster import MultibandImage
 from panqa.resample import (MtfKernel, box_kernel, degrade, identity_kernel,
-                            mtf_gaussian_kernel, upsample)
+                            mirror_filter, mtf_gaussian_kernel, upsample)
 
 
 def mirror(n, i):
@@ -156,3 +159,33 @@ def test_upsample_shapes(random_image):
     for method in ("nearest", "bilinear", "bicubic"):
         out = upsample(img, 3, method)
         assert out.samples.shape == (9, 15, 2)
+
+
+def padded_filter(plane, taps, step):
+    """Separable correlation on an np.pad(mode="reflect") border."""
+    anchor = (len(taps) - 1) // 2
+    out = plane
+    for axis in (0, 1):
+        n = out.shape[axis]
+        width = [(0, 0), (0, 0)]
+        width[axis] = (anchor * step, (len(taps) - 1 - anchor) * step)
+        padded = np.pad(out, width, mode="reflect")
+        out = sum(w * np.take(padded, np.arange(n) + t * step, axis=axis)
+                  for t, w in enumerate(taps))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(plane=st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+           lambda shape: arrays(np.float64, shape,
+                                elements=st.floats(-1e3, 1e3))),
+       taps=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7),
+       step=st.sampled_from([1, 2, 4]))
+@example(plane=np.arange(6.0)[None, :], taps=[1.0, 4.0, 6.0, 4.0, 1.0],
+         step=4)
+@example(plane=np.arange(5.0)[:, None], taps=[0.5, 0.5], step=2)
+def test_mirror_filter_matches_reflect_pad(plane, taps, step):
+    got = mirror_filter(plane, np.array(taps), step)
+    want = padded_filter(plane, np.array(taps), step)
+    assert got.shape == plane.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
