@@ -54,6 +54,14 @@ class EvalOptions:
 _OPTION_KEYS = {f.name for f in dataclasses.fields(EvalOptions)} - {"ratio"}
 
 
+def _require_keys(doc, keys, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise InputError(f"{what} is missing key {key!r}")
+
+
 @dataclass
 class Candidate:
     id: str
@@ -74,6 +82,11 @@ class RunManifest:
     def from_json(cls, path) -> "RunManifest":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        _require_keys(doc, ("reference", "ratio", "candidates"), "manifest")
+        if not isinstance(doc["candidates"], list):
+            raise InputError("manifest candidates must be a JSON list")
+        for n, c in enumerate(doc["candidates"]):
+            _require_keys(c, ("id", "path"), f"manifest candidate {n}")
         opts = doc.get("options", {})
         unknown = set(opts) - _OPTION_KEYS
         if unknown:

@@ -90,15 +90,14 @@ def rank(values, lower_is_better: bool = True) -> list[int]:
 
 def _standardized_sum(columns: dict[str, list[float]]
                       ) -> tuple[np.ndarray, list[str]]:
-    """Sum of z-scored columns; degenerate columns dropped with a warning."""
+    """Sum of z-scored columns and the keys of the degenerate columns left
+    out of it."""
     total = None
     dropped = []
     for key, col in columns.items():
         try:
             z = zscore(col)
         except DegeneracyError:
-            warnings.warn(f"dropping degenerate QI column {key!r}",
-                          stacklevel=3)
             dropped.append(key)
             continue
         total = z if total is None else total + z
@@ -126,9 +125,16 @@ def _category_columns(records: list[QiRecord], category: int,
 
 def category_sum(records: list[QiRecord], category: int,
                  case: str = "with_ipcc") -> np.ndarray:
-    """Per-candidate sum of standardized costs for one category."""
-    total, _ = _standardized_sum(_category_columns(records, category, case))
+    """Per-candidate sum of standardized costs for one category; each
+    degenerate column is dropped with a warning."""
+    total, lost = _standardized_sum(_category_columns(records, category, case))
+    _warn_dropped([f"category{category}.{key}" for key in lost])
     return total
+
+
+def _warn_dropped(names: list[str]) -> None:
+    for name in names:
+        warnings.warn(f"dropping degenerate QI column {name!r}", stacklevel=3)
 
 
 def combine_partial_ranks(pdpr1, pdpr2_i, pdpr2_ii, pdpr3, pdpr4,
@@ -189,12 +195,14 @@ def aggregate(records: list[QiRecord],
     if include_process:
         pspr1 = rank([r.process["wall_seconds"] for r in records])
         pspr2 = rank([r.process["n_free_parameters"] for r in records])
+    # category 2's shared columns are standardized twice: warn once
+    dropped = list(dict.fromkeys(dropped))
+    _warn_dropped(dropped)
     combined = combine_partial_ranks(
         pdpr["category1"], pdpr["category2_i"], pdpr["category2_ii"],
         pdpr["category3"], pdpr["category4"], pspr1, pspr2)
     return RankTable(candidate_ids=ids, pdpr=pdpr, pspr1=pspr1, pspr2=pspr2,
-                     # category 2's shared columns are standardized twice
-                     dropped_columns=list(dict.fromkeys(dropped)),
+                     dropped_columns=dropped,
                      **combined)
 
 

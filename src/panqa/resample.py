@@ -8,7 +8,8 @@ bands up to the panchromatic grid before fusion.
 
 All border handling is mirror padding (edge pixel not repeated) and all
 kernels have unit DC gain. mirror_filter() is the one separable
-mirror-boundary filter, shared by degrade() and the a-trous fuser.
+mirror-boundary filter, shared by degrade() and the a-trous fuser;
+degrade() asks it for the decimated samples only.
 """
 
 from __future__ import annotations
@@ -94,18 +95,21 @@ def _mirror_indices(n: int, idx: np.ndarray) -> np.ndarray:
     return np.where(idx >= n, period - idx, idx)
 
 
-def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1
-                  ) -> np.ndarray:
+def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
+                  keep: slice = slice(None)) -> np.ndarray:
     """Separable mirror-padded correlation of a plane with 1-D taps, along
     axis 0 then axis 1. The anchor is tap (len(taps)-1)//2 and tap t reads
     the sample (t - anchor)*step away, so step > 1 dilates the taps
-    (a-trous)."""
+    (a-trous). Only the output positions selected by keep along each axis
+    are computed; each equals the same sample of the full output."""
     anchor = (len(taps) - 1) // 2
     out = plane
     for axis in (0, 1):
         n = out.shape[axis]
-        acc = np.zeros_like(out)
-        base = np.arange(n)
+        base = np.arange(n)[keep]
+        shape = list(out.shape)
+        shape[axis] = base.size
+        acc = np.zeros(shape, dtype=out.dtype)
         for t, w in enumerate(taps):
             src = _mirror_indices(n, base + (t - anchor) * step)
             acc += w * np.take(out, src, axis=axis)
@@ -115,7 +119,10 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1
 
 def degrade(img: MultibandImage, ratio: int,
             kernel: MtfKernel | None = None) -> MultibandImage:
-    """Low-pass with the kernel, then decimate by ratio (centered phase)."""
+    """Low-pass with the kernel, then decimate by ratio (centered phase).
+
+    Only the kept samples are filtered; they equal those of filtering the
+    whole plane and then decimating, bit for bit."""
     if ratio < 1:
         raise InputError("ratio must be >= 1")
     if img.height % ratio or img.width % ratio:
@@ -124,11 +131,10 @@ def degrade(img: MultibandImage, ratio: int,
     if kernel is None:
         kernel = (identity_kernel() if ratio == 1
                   else mtf_gaussian_kernel(ratio, DEFAULT_MTF_GAIN_MS))
-    phase = (ratio - 1) // 2
-    planes = []
-    for b in range(img.bands):
-        f = mirror_filter(img.samples[:, :, b], kernel.taps)
-        planes.append(f[phase::ratio, phase::ratio])
+    keep = slice((ratio - 1) // 2, None, ratio)
+    planes = [mirror_filter(np.ascontiguousarray(img.samples[:, :, b]),
+                            kernel.taps, keep=keep)
+              for b in range(img.bands)]
     return MultibandImage(np.stack(planes, axis=2), band_names=img.band_names)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,6 +157,50 @@ def _block_view(plane: np.ndarray, bl: int) -> np.ndarray:
     return v.transpose(0, 2, 1, 3).reshape(nby, nbx, bl * bl)
 
 
+class _BlockMoments(NamedTuple):
+    tiled: np.ndarray      # the plane cropped to its full blocks
+    mean: np.ndarray       # (nby, nbx)
+    centred: np.ndarray    # (nby, nbx, bl*bl) block samples minus the mean
+    var: np.ndarray        # (nby, nbx) population variance
+
+
+def _block_moments(plane: np.ndarray, bl: int) -> _BlockMoments:
+    """Moments of a plane's full BL x BL blocks; Q, Q4 and QNR all take
+    their block moments from here."""
+    x = np.asarray(plane, dtype=np.float64)
+    blocks = _block_view(x, bl)
+    m = blocks.mean(axis=2)
+    c = blocks - m[:, :, None]
+    nby, nbx = m.shape
+    return _BlockMoments(x[:nby * bl, :nbx * bl], m, c,
+                         np.mean(c**2, axis=2))
+
+
+def _identical_blocks(a: _BlockMoments, b: _BlockMoments) -> np.ndarray:
+    """Per block, whether all samples of a and b are equal."""
+    bl = a.tiled.shape[0] // a.mean.shape[0]
+    return np.all(_block_view(a.tiled == b.tiled, bl), axis=2)
+
+
+def _block_cov(a: _BlockMoments, b: _BlockMoments) -> np.ndarray:
+    """Per-block covariance; symmetric bit for bit, since it multiplies the
+    centred samples elementwise."""
+    return np.mean(a.centred * b.centred, axis=2)
+
+
+def _q_blocks(a: _BlockMoments, b: _BlockMoments, cov: np.ndarray) -> float:
+    """Block-averaged Q of the ordered pair (a, b). The numerator is not
+    symmetric in its last bit, so (b, a) needs its own call."""
+    mx, vx, my, vy = a.mean, a.var, b.mean, b.var
+    denom = (vx + vy) * (mx**2 + my**2)
+    good = denom > 0
+    q = np.where(good, np.divide(4.0 * cov * mx * my, denom,
+                                 out=np.zeros_like(denom), where=good), 0.0)
+    if not good.all():
+        q = np.where(good, q, np.where(_identical_blocks(a, b), 1.0, 0.0))
+    return float(q.mean())
+
+
 def q_index(band_a: np.ndarray, band_b: np.ndarray,
             blocks: BlockSpec | None = None) -> float:
     """Universal quality index, averaged over non-overlapping blocks.
@@ -164,22 +209,11 @@ def q_index(band_a: np.ndarray, band_b: np.ndarray,
     score 1 when identical, else 0.
     """
     blocks = blocks or BlockSpec()
-    x = _block_view(np.asarray(band_a, dtype=np.float64), blocks.block_size)
-    y = _block_view(np.asarray(band_b, dtype=np.float64), blocks.block_size)
-    if x.shape != y.shape:
+    a = _block_moments(band_a, blocks.block_size)
+    b = _block_moments(band_b, blocks.block_size)
+    if a.mean.shape != b.mean.shape:
         raise InputError("shape mismatch")
-    mx = x.mean(axis=2)
-    my = y.mean(axis=2)
-    vx = np.mean((x - mx[:, :, None])**2, axis=2)
-    vy = np.mean((y - my[:, :, None])**2, axis=2)
-    cov = np.mean((x - mx[:, :, None]) * (y - my[:, :, None]), axis=2)
-    denom = (vx + vy) * (mx**2 + my**2)
-    good = denom > 0
-    q = np.where(good, np.divide(4.0 * cov * mx * my, denom,
-                                 out=np.zeros_like(denom), where=good), 0.0)
-    identical = np.all(x == y, axis=2)
-    q = np.where(good, q, np.where(identical, 1.0, 0.0))
-    return float(q.mean())
+    return _q_blocks(a, b, _block_cov(a, b))
 
 
 def _qmul(a, b):
@@ -200,27 +234,26 @@ def q4(img_a: MultibandImage, img_b: MultibandImage,
         raise InputError("shape mismatch")
     blocks = blocks or BlockSpec()
     bl = blocks.block_size
-    za = [_block_view(img_a.band(c), bl) for c in range(4)]
-    zb = [_block_view(img_b.band(c), bl) for c in range(4)]
-    ma = [z.mean(axis=2) for z in za]
-    mb = [z.mean(axis=2) for z in zb]
-    da = [z - m[:, :, None] for z, m in zip(za, ma)]
-    db = [z - m[:, :, None] for z, m in zip(zb, mb)]
+    mom_a = [_block_moments(img_a.band(c), bl) for c in range(4)]
+    mom_b = [_block_moments(img_b.band(c), bl) for c in range(4)]
+    da = [m.centred for m in mom_a]
+    db = [m.centred for m in mom_b]
     # quaternion cross-covariance: mean of (za - mean) * conj(zb - mean)
     prod = _qmul(da, (db[0], -db[1], -db[2], -db[3]))
     cov_mod = np.sqrt(sum(p.mean(axis=2)**2 for p in prod))
-    va = sum(np.mean(d**2, axis=2) for d in da)
-    vb = sum(np.mean(d**2, axis=2) for d in db)
-    na2 = sum(m**2 for m in ma)
-    nb2 = sum(m**2 for m in mb)
+    va = sum(m.var for m in mom_a)
+    vb = sum(m.var for m in mom_b)
+    na2 = sum(m.mean**2 for m in mom_a)
+    nb2 = sum(m.mean**2 for m in mom_b)
     denom = (va + vb) * (na2 + nb2)
     good = denom > 0
     q = np.where(good,
                  np.divide(4.0 * cov_mod * np.sqrt(na2 * nb2), denom,
                            out=np.zeros_like(denom), where=good), 0.0)
-    identical = np.all([np.all(a == b, axis=2) for a, b in zip(za, zb)],
-                       axis=0)
-    q = np.where(good, q, np.where(identical, 1.0, 0.0))
+    if not good.all():
+        identical = np.all([_identical_blocks(a, b)
+                            for a, b in zip(mom_a, mom_b)], axis=0)
+        q = np.where(good, q, np.where(identical, 1.0, 0.0))
     return float(q.mean())
 
 
@@ -244,21 +277,35 @@ def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
     if fused_h.bands != ms_l.bands:
         raise InputError("band count mismatch")
     nb = ms_l.bands
+    bl = blocks.block_size
+    ms = [_block_moments(ms_l.band(b), bl) for b in range(nb)]
+    fused = [_block_moments(fused_h.band(b), bl) for b in range(nb)]
 
+    def inter_band_q(mom):
+        # one covariance per unordered pair, one Q per ordered pair
+        qs = {}
+        for i in range(nb):
+            for j in range(i + 1, nb):
+                cov = _block_cov(mom[i], mom[j])
+                qs[i, j] = _q_blocks(mom[i], mom[j], cov)
+                qs[j, i] = _q_blocks(mom[j], mom[i], cov)
+        return qs
+
+    q_ms, q_fused = inter_band_q(ms), inter_band_q(fused)
     acc = 0.0
     for i in range(nb):
         for j in range(nb):
             if i == j:
                 continue
-            d = (q_index(ms_l.band(i), ms_l.band(j), blocks)
-                 - q_index(fused_h.band(i), fused_h.band(j), blocks))
-            acc += abs(d)**p
+            acc += abs(q_ms[i, j] - q_fused[i, j])**p
     d_lambda = min((acc / (nb * (nb - 1)))**(1.0 / p), 1.0)
 
+    pan_hm = _block_moments(pan_h, bl)
+    pan_lm = _block_moments(pan_l, bl)
     acc = 0.0
     for b in range(nb):
-        d = (q_index(fused_h.band(b), pan_h, blocks)
-             - q_index(ms_l.band(b), pan_l, blocks))
+        d = (_q_blocks(fused[b], pan_hm, _block_cov(fused[b], pan_hm))
+             - _q_blocks(ms[b], pan_lm, _block_cov(ms[b], pan_lm)))
         acc += abs(d)**q
     d_s = min((acc / nb)**(1.0 / q), 1.0)
 

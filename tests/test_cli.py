@@ -201,6 +201,41 @@ def test_rank_pipeline_and_determinism(scene):
     assert all(r["PPFR case B"] for r in rows)
 
 
+@pytest.mark.parametrize("key", ["reference", "ratio", "candidates", "id",
+                                 "path"])
+def test_rank_manifest_missing_key(tmp_path, capsys, key):
+    manifest = {"reference": "ms", "ratio": 4,
+                "candidates": [{"id": "a", "path": "a"},
+                               {"id": "b", "path": "b"}]}
+    if key in manifest:
+        del manifest[key]
+        where = "manifest"
+    else:
+        del manifest["candidates"][1][key]
+        where = "manifest candidate 1"
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert (capsys.readouterr().err.strip()
+            == f"error: {where} is missing key {key!r}")
+
+
+@pytest.mark.parametrize("candidates, message", [
+    ({"id": "a", "path": "a"}, "manifest candidates must be a JSON list"),
+    (["a"], "manifest candidate 0 must be a JSON object"),
+])
+def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
+                                            message):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"reference": "ms", "ratio": 4,
+                                 "candidates": candidates}),
+                     encoding="utf-8")
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def count_calls(monkeypatch, fn) -> list:
     """Wrap ``fn`` wherever a panqa module binds it; return the call log."""
     calls = []

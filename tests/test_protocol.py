@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,18 @@ class TestAggregate:
         assert table.dropped_columns == ["category2.post_class_change",
                                          "category4.binary_contour"]
         assert table.pdpr["category4"] == [1, 1, 1]
+
+    def test_one_warning_per_dropped_column(self):
+        records = [make_record(f"c{i}", i) for i in range(3)]
+        for r in records:
+            r.category4["binary_contour"] = 0.25
+            r.category2["post_class_change"] = 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            aggregate(records)
+        assert [str(w.message) for w in caught] == [
+            "dropping degenerate QI column 'category2.post_class_change'",
+            "dropping degenerate QI column 'category4.binary_contour'"]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError, match="duplicate"):

@@ -189,3 +189,31 @@ def test_mirror_filter_matches_reflect_pad(plane, taps, step):
     want = padded_filter(plane, np.array(taps), step)
     assert got.shape == plane.shape
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), ratio=st.integers(1, 5), bands=st.integers(1, 3),
+       band_sequential=st.booleans(), gaussian=st.booleans(),
+       gain=st.floats(0.05, 0.95))
+def test_degrade_equals_filter_then_decimate(data, ratio, bands,
+                                             band_sequential, gaussian, gain):
+    # planes from ratio x ratio up, interleaved or band-sequential samples
+    h = ratio * data.draw(st.integers(1, 4), label="block rows")
+    w = ratio * data.draw(st.integers(1, 4), label="block cols")
+    shape = (bands, h, w) if band_sequential else (h, w, bands)
+    samples = data.draw(arrays(np.float64, shape,
+                               elements=st.floats(-1e3, 1e3)))
+    if band_sequential:
+        samples = samples.transpose(1, 2, 0)
+    # the Gaussian needs ratio >= 2; box kernels of even ratio have even
+    # length
+    kernel = (mtf_gaussian_kernel(ratio, gain) if gaussian and ratio > 1
+              else box_kernel(ratio))
+    img = MultibandImage(samples)
+    got = degrade(img, ratio, kernel)
+    phase = (ratio - 1) // 2
+    assert got.samples.shape == (h // ratio, w // ratio, bands)
+    for b in range(bands):
+        full = mirror_filter(img.samples[:, :, b], kernel.taps)
+        assert np.array_equal(got.samples[:, :, b],
+                              full[phase::ratio, phase::ratio])

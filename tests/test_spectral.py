@@ -244,6 +244,12 @@ class TestQnr:
         assert d_lambda == pytest.approx(0.0, abs=1e-9)
         assert value == pytest.approx(1.0, abs=1e-9)
 
+    def test_block_constant_pair_matches_reference(self, rng):
+        ms, fused, pan_h, pan_l = self.block_constant_pair(rng)
+        assert (qnr(ms, fused, pan_h, pan_l, p=2.0, q=0.5,
+                    blocks=BlockSpec(2))
+                == qnr_reference(ms, fused, pan_h, pan_l, 2.0, 0.5, 2))
+
     def test_bounds_random(self, rng):
         ms = MultibandImage(rng.random((16, 16, 3)))
         fused = MultibandImage(rng.random((32, 32, 3)))
@@ -259,3 +265,126 @@ class TestQnr:
         fused = MultibandImage(rng.random((16, 16, 3)))
         with pytest.raises(InputError):
             qnr(ms, fused, rng.random((8, 8)), rng.random((8, 8)))
+
+
+def block_view(plane, bl):
+    h, w = plane.shape
+    nby, nbx = h // bl, w // bl
+    v = plane[:nby * bl, :nbx * bl].reshape(nby, bl, nbx, bl)
+    return v.transpose(0, 2, 1, 3).reshape(nby, nbx, bl * bl)
+
+
+def q_index_reference(band_a, band_b, bl):
+    """Q from scratch for each pair, as one q_index call computed it before
+    block moments were shared."""
+    x = block_view(np.asarray(band_a, dtype=np.float64), bl)
+    y = block_view(np.asarray(band_b, dtype=np.float64), bl)
+    mx = x.mean(axis=2)
+    my = y.mean(axis=2)
+    vx = np.mean((x - mx[:, :, None])**2, axis=2)
+    vy = np.mean((y - my[:, :, None])**2, axis=2)
+    cov = np.mean((x - mx[:, :, None]) * (y - my[:, :, None]), axis=2)
+    denom = (vx + vy) * (mx**2 + my**2)
+    good = denom > 0
+    q = np.where(good, np.divide(4.0 * cov * mx * my, denom,
+                                 out=np.zeros_like(denom), where=good), 0.0)
+    identical = np.all(x == y, axis=2)
+    q = np.where(good, q, np.where(identical, 1.0, 0.0))
+    return float(q.mean())
+
+
+def qnr_reference(ms, fused, pan_h, pan_l, p, q, bl):
+    """The QNR double loop over independent Q evaluations."""
+    nb = ms.bands
+    acc = 0.0
+    for i in range(nb):
+        for j in range(nb):
+            if i != j:
+                d = (q_index_reference(ms.band(i), ms.band(j), bl)
+                     - q_index_reference(fused.band(i), fused.band(j), bl))
+                acc += abs(d)**p
+    d_lambda = min((acc / (nb * (nb - 1)))**(1.0 / p), 1.0)
+    acc = 0.0
+    for b in range(nb):
+        d = (q_index_reference(fused.band(b), pan_h, bl)
+             - q_index_reference(ms.band(b), pan_l, bl))
+        acc += abs(d)**q
+    d_s = min((acc / nb)**(1.0 / q), 1.0)
+    return (1.0 - d_lambda) * (1.0 - d_s), d_lambda, d_s
+
+
+def random_planes(seed, shape, levels):
+    """Uniform samples, or a few levels so that blocks are often constant
+    or equal across bands."""
+    r = np.random.default_rng(seed)
+    if levels:
+        return r.integers(0, levels, shape) / levels
+    return r.random(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bands=st.integers(2, 4),
+       low=st.tuples(st.integers(2, 11), st.integers(2, 11)),
+       ratio=st.integers(1, 4), bl=st.integers(2, 5),
+       levels=st.sampled_from([0, 2, 3]),
+       p=st.sampled_from([1.0, 0.5, 2.0, 3.0]),
+       q=st.sampled_from([1.0, 0.5, 2.0, 3.0]))
+def test_qnr_matches_pairwise_q_reference(seed, bands, low, ratio, bl,
+                                          levels, p, q):
+    h, w = max(low[0], bl), max(low[1], bl)
+    ms = MultibandImage(random_planes(seed, (h, w, bands), levels))
+    fused = MultibandImage(random_planes(seed + 1,
+                                         (h * ratio, w * ratio, bands),
+                                         levels))
+    pan_h = random_planes(seed + 2, (h * ratio, w * ratio), levels)
+    pan_l = random_planes(seed + 3, (h, w), levels)
+    got = qnr(ms, fused, pan_h, pan_l, p=p, q=q, blocks=BlockSpec(bl))
+    assert got == qnr_reference(ms, fused, pan_h, pan_l, p, q, bl)
+    assert (q_index(fused.band(0), fused.band(1), BlockSpec(bl))
+            == q_index_reference(fused.band(0), fused.band(1), bl))
+
+
+def q4_reference(img_a, img_b, bl):
+    """Q4 with every block moment computed in place."""
+    za = [block_view(img_a.band(c), bl) for c in range(4)]
+    zb = [block_view(img_b.band(c), bl) for c in range(4)]
+    ma = [z.mean(axis=2) for z in za]
+    mb = [z.mean(axis=2) for z in zb]
+    da = [z - m[:, :, None] for z, m in zip(za, ma)]
+    db = [z - m[:, :, None] for z, m in zip(zb, mb)]
+    a0, a1, a2, a3 = da
+    b0, b1, b2, b3 = db[0], -db[1], -db[2], -db[3]
+    prod = (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+    cov_mod = np.sqrt(sum(p.mean(axis=2)**2 for p in prod))
+    va = sum(np.mean(d**2, axis=2) for d in da)
+    vb = sum(np.mean(d**2, axis=2) for d in db)
+    na2 = sum(m**2 for m in ma)
+    nb2 = sum(m**2 for m in mb)
+    denom = (va + vb) * (na2 + nb2)
+    good = denom > 0
+    q = np.where(good,
+                 np.divide(4.0 * cov_mod * np.sqrt(na2 * nb2), denom,
+                           out=np.zeros_like(denom), where=good), 0.0)
+    identical = np.all([np.all(a == b, axis=2) for a, b in zip(za, zb)],
+                       axis=0)
+    q = np.where(good, q, np.where(identical, 1.0, 0.0))
+    return float(q.mean())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(2, 17), st.integers(2, 17)),
+       bl=st.integers(2, 5), levels=st.sampled_from([0, 2, 3]),
+       shared_bands=st.integers(0, 4))
+def test_q4_matches_reference(seed, shape, bl, levels, shared_bands):
+    h, w = max(shape[0], bl), max(shape[1], bl)
+    a = random_planes(seed, (h, w, 4), levels)
+    b = random_planes(seed + 1, (h, w, 4), levels)
+    # equal leading bands give identical blocks where the rest are flat
+    b[:, :, :shared_bands] = a[:, :, :shared_bands]
+    img_a, img_b = MultibandImage(a), MultibandImage(b)
+    assert (q4(img_a, img_b, BlockSpec(bl))
+            == q4_reference(img_a, img_b, bl))
