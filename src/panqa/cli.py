@@ -20,8 +20,8 @@ from .pipeline import (EvalOptions, RunManifest, classic_metrics,
                        write_json)
 from .protocol import srcc
 from .raster import MultibandImage, load_image, save_image
-from .resample import (DEFAULT_MTF_GAIN_MS, UPSAMPLE_METHODS, degrade,
-                       mtf_gaussian_kernel)
+from .resample import (DEFAULT_MTF_GAIN_MS, DEFAULT_MTF_GAIN_PAN,
+                       UPSAMPLE_METHODS, degrade, mtf_gaussian_kernel)
 from .spectral import DEFAULT_BLOCK, BlockSpec, qnr
 from .synth import synth_scene
 
@@ -66,13 +66,8 @@ def cmd_eval(args) -> int:
                        radii=args.radii)
     record = evaluate_candidate(image_features(reference, opts), candidate,
                                 opts, candidate_id=args.candidate)
-    doc = {
-        "category1": record.category1,
-        "category2": record.category2,
-        "category3": record.category3,
-        "category4": record.category4,
-        "classic": classic_metrics(reference, candidate, opts),
-    }
+    doc = {**record.categories(), "clipped_fraction": record.clipped_fraction,
+           "classic": classic_metrics(reference, candidate, opts)}
     write_json(args.out, doc, sort_keys=True)
     return 0
 
@@ -208,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pan", required=True)
     p.add_argument("--fused", required=True)
     p.add_argument("--ratio", type=int, default=EvalOptions.ratio)
-    p.add_argument("--mtf-gain", type=float, default=DEFAULT_MTF_GAIN_MS)
+    # the gain of the PAN degrade, the only image qnr degrades
+    p.add_argument("--mtf-gain", type=float, default=DEFAULT_MTF_GAIN_PAN)
     p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_qnr)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import InputError
 from .glcm3 import DEFAULT_GL, DEFAULT_RADII, RingSpec, band_texture
-from .protocol import (CATEGORY1_KEYS, CATEGORY3_KEYS, QiRecord, RankTable,
-                       aggregate)
+from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
+                       process_costs)
 from .quantizer import (LEVELS, LabelMapStack, binary_contour_cost,
                         cross_aura, post_classification_change_count,
                         quantize_spectral)
@@ -66,15 +66,12 @@ def _require_keys(doc, keys, what: str) -> None:
 class Candidate:
     id: str
     path: str
-    method: str = ""
-    wall_seconds: float = 0.0
-    n_free_parameters: int = 1
+    process: dict = field(default_factory=dict)   # read by process_costs
 
 
 @dataclass
 class RunManifest:
     reference: str
-    ratio: int
     candidates: list[Candidate]
     options: EvalOptions = field(default_factory=EvalOptions)
 
@@ -92,16 +89,14 @@ class RunManifest:
         if unknown:
             raise InputError(f"unknown manifest options {sorted(unknown)}")
         options = EvalOptions(ratio=doc["ratio"], **opts)
-        cands = [Candidate(
-            id=c["id"], path=c["path"], method=c.get("method", ""),
-            wall_seconds=float(c.get("wall_seconds", 0.0)),
-            n_free_parameters=int(c.get("n_free_parameters", 1)),
-        ) for c in doc["candidates"]]
+        cands = [Candidate(id=c["id"], path=c["path"],
+                           process=process_costs(c))
+                 for c in doc["candidates"]]
         ids = [c.id for c in cands]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate candidate ids in manifest")
-        return cls(reference=doc["reference"], ratio=int(doc["ratio"]),
-                   candidates=cands, options=options)
+        return cls(reference=doc["reference"], candidates=cands,
+                   options=options)
 
 
 @dataclass
@@ -138,32 +133,29 @@ def evaluate_candidate(reference: ImageFeatures, candidate: MultibandImage,
     if reference.image.samples.shape != candidate.samples.shape:
         raise InputError("reference/candidate shape mismatch")
     cand = image_features(candidate, opts)
-
-    cat1 = {name: mdb_cost([s[i] for s in reference.stats],
-                           [s[i] for s in cand.stats])
-            for i, name in enumerate(CATEGORY1_KEYS)}
-
-    cat2 = {
-        "post_class_change": float(post_classification_change_count(
+    # each category's values in its CATEGORY_KEYS order
+    values = (
+        _mdb_costs(reference.stats, cand.stats),
+        [float(post_classification_change_count(
             reference.labels, cand.labels, opts.category2_level)),
-        "inverse_pcc": inverse_pcc_cost(reference.image, candidate),
-    }
+         inverse_pcc_cost(reference.image, candidate)],
+        _mdb_costs(reference.texture, cand.texture)
+        + [abs(reference.aura_mean - cand.aura_mean)],
+        [binary_contour_cost(reference.contour, cand.contour)],
+    )
+    costs = {name: dict(zip(keys, vals, strict=True))
+             for (name, keys), vals in zip(CATEGORY_KEYS.items(), values,
+                                           strict=True)}
+    s = candidate.samples
+    return QiRecord(candidate_id=candidate_id, process=process or {},
+                    clipped_fraction=float(np.mean((s < 0.0) | (s > 1.0))),
+                    **costs)
 
-    *texture_keys, aura_key = CATEGORY3_KEYS
-    cat3 = {name: mdb_cost([t[i] for t in reference.texture],
-                           [t[i] for t in cand.texture])
-            for i, name in enumerate(texture_keys)}
-    cat3[aura_key] = abs(reference.aura_mean - cand.aura_mean)
 
-    cat4 = {"binary_contour": binary_contour_cost(reference.contour,
-                                                  cand.contour)}
-    process = process or {}
-    return QiRecord(
-        candidate_id=candidate_id, category1=cat1, category2=cat2,
-        category3=cat3, category4=cat4,
-        process={"wall_seconds": float(process.get("wall_seconds", 0.0)),
-                 "n_free_parameters": int(process.get("n_free_parameters",
-                                                      1))})
+def _mdb_costs(ref_rows, cand_rows) -> list[float]:
+    """mdb_cost of each feature column; a row holds one band's features."""
+    return [mdb_cost(ref, cand)
+            for ref, cand in zip(zip(*ref_rows), zip(*cand_rows))]
 
 
 def classic_metrics(reference: MultibandImage, candidate: MultibandImage,
@@ -193,15 +185,12 @@ def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
     write ranks.csv + report.json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    opts = dataclasses.replace(manifest.options, ratio=manifest.ratio)
+    opts = manifest.options
     reference = image_features(load_image(manifest.reference), opts)
 
     def one(cand: Candidate) -> QiRecord:
-        img = load_image(cand.path)
-        return evaluate_candidate(
-            reference, img, opts, candidate_id=cand.id,
-            process={"wall_seconds": cand.wall_seconds,
-                     "n_free_parameters": cand.n_free_parameters})
+        return evaluate_candidate(reference, load_image(cand.path), opts,
+                                  candidate_id=cand.id, process=cand.process)
 
     workers = _max_workers()
     if workers > 1:
@@ -210,7 +199,7 @@ def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
     else:
         records = [one(c) for c in manifest.candidates]
 
-    table = aggregate(records, include_process=True)
+    table = aggregate(records)
     write_rank_csv(table, out_dir / "ranks.csv")
     write_report(records, table, out_dir / "report.json")
     return table
@@ -222,23 +211,17 @@ _CSV_COLUMNS = (
     ("SPCTRL&SPTL1(ii) PDPR", lambda t, i: t.pdpr["category2_ii"][i]),
     ("SPCTRL&SPTL2 PDPR", lambda t, i: t.pdpr["category3"][i]),
     ("SPCTRL&SPTL1&SPTL2 PDPR", lambda t, i: t.pdpr["category4"][i]),
-    ("PSPR1", lambda t, i: t.pspr1[i] if t.pspr1 else ""),
-    ("PSPR2", lambda t, i: t.pspr2[i] if t.pspr2 else ""),
+    ("PSPR1", lambda t, i: t.pspr1[i]),
+    ("PSPR2", lambda t, i: t.pspr2[i]),
     ("Sum case A", lambda t, i: t.sum_case_a[i]),
     ("PDFR case A", lambda t, i: t.pdfr_case_a[i]),
     ("Sum case C", lambda t, i: t.sum_case_c[i]),
     ("PDFR case C", lambda t, i: t.pdfr_case_c[i]),
-    ("Sum case B", lambda t, i: t.sum_case_b[i] if t.sum_case_b else ""),
-    ("PPFR case B", lambda t, i: t.ppfr_case_b[i] if t.ppfr_case_b else ""),
-    ("Sum case D", lambda t, i: t.sum_case_d[i] if t.sum_case_d else ""),
-    ("PPFR case D", lambda t, i: t.ppfr_case_d[i] if t.ppfr_case_d else ""),
+    ("Sum case B", lambda t, i: t.sum_case_b[i]),
+    ("PPFR case B", lambda t, i: t.ppfr_case_b[i]),
+    ("Sum case D", lambda t, i: t.sum_case_d[i]),
+    ("PPFR case D", lambda t, i: t.ppfr_case_d[i]),
 )
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 def write_rank_csv(table: RankTable, path) -> None:
@@ -247,7 +230,7 @@ def write_rank_csv(table: RankTable, path) -> None:
         writer.writerow(["candidate"] + [name for name, _ in _CSV_COLUMNS])
         for i in range(len(table.candidate_ids)):
             writer.writerow([table.candidate_ids[i]]
-                            + [_fmt(fn(table, i)) for _, fn in _CSV_COLUMNS])
+                            + [fn(table, i) for _, fn in _CSV_COLUMNS])
 
 
 def write_json(path, doc: dict, sort_keys: bool = False) -> None:
@@ -259,14 +242,10 @@ def write_json(path, doc: dict, sort_keys: bool = False) -> None:
 
 def write_report(records: list[QiRecord], table: RankTable, path) -> None:
     doc = {
-        "candidates": [{
-            "id": r.candidate_id,
-            "category1": r.category1,
-            "category2": r.category2,
-            "category3": r.category3,
-            "category4": r.category4,
-            "process": r.process,
-        } for r in records],
+        "candidates": [{"id": r.candidate_id, **r.categories(),
+                        "process": r.process,
+                        "clipped_fraction": r.clipped_fraction}
+                       for r in records],
         "ranks": {f.name: getattr(table, f.name)
                   for f in dataclasses.fields(table)
                   if f.name not in ("candidate_ids", "dropped_columns")},

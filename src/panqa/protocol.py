@@ -21,8 +21,21 @@ import numpy as np
 
 from .errors import DegeneracyError, InputError
 
-CATEGORY1_KEYS = ("mean", "std", "skewness", "kurtosis", "entropy")
-CATEGORY3_KEYS = ("glcm_contrast", "glcm_energy", "glcm_lne", "cross_aura")
+# The cost keys of each product category, in the order their z-scores are
+# summed. Cases C/D leave category 2's inverse_pcc column out.
+CATEGORY_KEYS = {
+    "category1": ("mean", "std", "skewness", "kurtosis", "entropy"),
+    "category2": ("post_class_change", "inverse_pcc"),
+    "category3": ("glcm_contrast", "glcm_energy", "glcm_lne", "cross_aura"),
+    "category4": ("binary_contour",),
+}
+
+
+def process_costs(meta: dict) -> dict[str, float]:
+    """The two process costs read from meta (a manifest candidate or fuser
+    metadata); a missing one defaults to 0 s and 1 free parameter."""
+    return {"wall_seconds": float(meta.get("wall_seconds", 0.0)),
+            "n_free_parameters": int(meta.get("n_free_parameters", 1))}
 
 
 @dataclass
@@ -30,36 +43,42 @@ class QiRecord:
     """All scalar costs collected for one candidate. Lower is better."""
 
     candidate_id: str
-    category1: dict[str, float]   # five summary-statistic costs
-    category2: dict[str, float]   # post_class_change, inverse_pcc
-    category3: dict[str, float]   # three texture costs + cross-aura
-    category4: dict[str, float]   # binary_contour
-    process: dict[str, float]     # wall_seconds, n_free_parameters
+    category1: dict[str, float]   # keyed as in CATEGORY_KEYS
+    category2: dict[str, float]
+    category3: dict[str, float]
+    category4: dict[str, float]
+    process: dict[str, float]     # read through process_costs
+    # share of the candidate's samples outside [0, 1]; not a cost
+    clipped_fraction: float = 0.0
 
     def __post_init__(self):
-        for group in (self.category1, self.category2, self.category3,
-                      self.category4, self.process):
+        self.process = process_costs(self.process)
+        for group in [*self.categories().values(), self.process]:
             for key, val in group.items():
                 if not math.isfinite(val):
                     raise InputError(f"non-finite cost {key}")
-        if self.process.get("n_free_parameters", 1) < 1:
+        if self.process["n_free_parameters"] < 1:
             raise InputError("n_free_parameters must be >= 1")
+
+    def categories(self) -> dict[str, dict[str, float]]:
+        """The four product-cost groups, keyed by category name."""
+        return {name: getattr(self, name) for name in CATEGORY_KEYS}
 
 
 @dataclass
 class RankTable:
     candidate_ids: list[str]
     pdpr: dict[str, list[int]]        # per category key -> ranks
-    pspr1: list[int] | None
-    pspr2: list[int] | None
+    pspr1: list[int]
+    pspr2: list[int]
     sum_case_a: list[int]
     pdfr_case_a: list[int]
     sum_case_c: list[int]
     pdfr_case_c: list[int]
-    sum_case_b: list[int] | None = None
-    ppfr_case_b: list[int] | None = None
-    sum_case_d: list[int] | None = None
-    ppfr_case_d: list[int] | None = None
+    sum_case_b: list[int]
+    ppfr_case_b: list[int]
+    sum_case_d: list[int]
+    ppfr_case_d: list[int]
     # degenerate QI columns left out of a category sum, "category<n>.<cost>"
     dropped_columns: list[str] = field(default_factory=list)
 
@@ -113,12 +132,11 @@ def _category_columns(records: list[QiRecord], category: int,
         raise InputError("need at least 2 candidates")
     if case not in ("with_ipcc", "without_ipcc"):
         raise InputError(f"unknown case {case!r}")
-    group_name = {1: "category1", 2: "category2", 3: "category3",
-                  4: "category4"}.get(category)
-    if group_name is None:
+    group_name = f"category{category}"
+    if group_name not in CATEGORY_KEYS:
         raise InputError(f"unknown category {category}")
     keys = list(getattr(records[0], group_name).keys())
-    if category == 2 and case == "without_ipcc":
+    if case == "without_ipcc":
         keys = [k for k in keys if k != "inverse_pcc"]
     return {k: [getattr(r, group_name)[k] for r in records] for k in keys}
 
@@ -138,37 +156,27 @@ def _warn_dropped(names: list[str]) -> None:
 
 
 def combine_partial_ranks(pdpr1, pdpr2_i, pdpr2_ii, pdpr3, pdpr4,
-                          pspr1=None, pspr2=None) -> dict[str, list[int]]:
+                          pspr1, pspr2) -> dict[str, list[int]]:
     """Rank-combination stage: sums of partial ranks and final ranks for
-    cases A/C (product) and, when process ranks are given, B/D."""
+    cases A/C (product only) and B/D (product and process)."""
     cols = [np.asarray(c, dtype=np.int64)
-            for c in (pdpr1, pdpr2_i, pdpr2_ii, pdpr3, pdpr4)]
+            for c in (pdpr1, pdpr2_i, pdpr2_ii, pdpr3, pdpr4, pspr1, pspr2)]
     if len({c.size for c in cols}) != 1:
         raise InputError("partial rank columns differ in length")
-    p1, p2i, p2ii, p3, p4 = cols
-    out = {}
+    p1, p2i, p2ii, p3, p4, s1, s2 = cols
     sum_a = p1 + p2i + p3 + p4
     sum_c = p1 + p2ii + p3 + p4
-    out["sum_case_a"] = list(map(int, sum_a))
-    out["pdfr_case_a"] = rank(sum_a)
-    out["sum_case_c"] = list(map(int, sum_c))
-    out["pdfr_case_c"] = rank(sum_c)
-    if pspr1 is not None and pspr2 is not None:
-        s1 = np.asarray(pspr1, dtype=np.int64)
-        s2 = np.asarray(pspr2, dtype=np.int64)
-        if s1.size != p1.size or s2.size != p1.size:
-            raise InputError("process rank columns differ in length")
-        sum_b = sum_a + s1 + s2
-        sum_d = sum_c + s1 + s2
-        out["sum_case_b"] = list(map(int, sum_b))
-        out["ppfr_case_b"] = rank(sum_b)
-        out["sum_case_d"] = list(map(int, sum_d))
-        out["ppfr_case_d"] = rank(sum_d)
-    return out
+    sum_b = sum_a + s1 + s2
+    sum_d = sum_c + s1 + s2
+    return {
+        "sum_case_a": list(map(int, sum_a)), "pdfr_case_a": rank(sum_a),
+        "sum_case_c": list(map(int, sum_c)), "pdfr_case_c": rank(sum_c),
+        "sum_case_b": list(map(int, sum_b)), "ppfr_case_b": rank(sum_b),
+        "sum_case_d": list(map(int, sum_d)), "ppfr_case_d": rank(sum_d),
+    }
 
 
-def aggregate(records: list[QiRecord],
-              include_process: bool = True) -> RankTable:
+def aggregate(records: list[QiRecord]) -> RankTable:
     """Full aggregation: z-score, category sums, partial and final ranks."""
     if len(records) < 2:
         raise InputError("need at least 2 candidates")
@@ -191,10 +199,8 @@ def aggregate(records: list[QiRecord],
         "category3": partial_rank(3),
         "category4": partial_rank(4),
     }
-    pspr1 = pspr2 = None
-    if include_process:
-        pspr1 = rank([r.process["wall_seconds"] for r in records])
-        pspr2 = rank([r.process["n_free_parameters"] for r in records])
+    pspr1 = rank([r.process["wall_seconds"] for r in records])
+    pspr2 = rank([r.process["n_free_parameters"] for r in records])
     # category 2's shared columns are standardized twice: warn once
     dropped = list(dict.fromkeys(dropped))
     _warn_dropped(dropped)

@@ -76,9 +76,6 @@ def quantize_spectral(img: MultibandImage) -> LabelMapStack:
     if img.bands < _CODE_BANDS:
         raise InputError("quantizer needs at least 3 bands")
     s = img.samples
-    if s.min() < -0.01 or s.max() > 1.5:
-        raise InputError("samples outside plausible reflectance range")
-
     # at most 64 labels: uint8 keeps a held stack at a byte per pixel
     digits = np.zeros(s.shape[:2] + (_CODE_BANDS,), dtype=np.uint8)
     for t in _FINE_THRESHOLDS:

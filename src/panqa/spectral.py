@@ -188,17 +188,24 @@ def _block_cov(a: _BlockMoments, b: _BlockMoments) -> np.ndarray:
     return np.mean(a.centred * b.centred, axis=2)
 
 
+def _q_ratio_mean(num: np.ndarray, denom: np.ndarray, identical) -> float:
+    """Mean over blocks of num / denom. A block whose denom is not positive
+    scores 1 where identical() marks its samples equal in both images, else
+    0; identical is called only when such a block exists."""
+    good = denom > 0
+    q = np.where(good, np.divide(num, denom, out=np.zeros_like(denom),
+                                 where=good), 0.0)
+    if not good.all():
+        q = np.where(good, q, np.where(identical(), 1.0, 0.0))
+    return float(q.mean())
+
+
 def _q_blocks(a: _BlockMoments, b: _BlockMoments, cov: np.ndarray) -> float:
     """Block-averaged Q of the ordered pair (a, b). The numerator is not
     symmetric in its last bit, so (b, a) needs its own call."""
     mx, vx, my, vy = a.mean, a.var, b.mean, b.var
-    denom = (vx + vy) * (mx**2 + my**2)
-    good = denom > 0
-    q = np.where(good, np.divide(4.0 * cov * mx * my, denom,
-                                 out=np.zeros_like(denom), where=good), 0.0)
-    if not good.all():
-        q = np.where(good, q, np.where(_identical_blocks(a, b), 1.0, 0.0))
-    return float(q.mean())
+    return _q_ratio_mean(4.0 * cov * mx * my, (vx + vy) * (mx**2 + my**2),
+                         lambda: _identical_blocks(a, b))
 
 
 def q_index(band_a: np.ndarray, band_b: np.ndarray,
@@ -245,16 +252,10 @@ def q4(img_a: MultibandImage, img_b: MultibandImage,
     vb = sum(m.var for m in mom_b)
     na2 = sum(m.mean**2 for m in mom_a)
     nb2 = sum(m.mean**2 for m in mom_b)
-    denom = (va + vb) * (na2 + nb2)
-    good = denom > 0
-    q = np.where(good,
-                 np.divide(4.0 * cov_mod * np.sqrt(na2 * nb2), denom,
-                           out=np.zeros_like(denom), where=good), 0.0)
-    if not good.all():
-        identical = np.all([_identical_blocks(a, b)
-                            for a, b in zip(mom_a, mom_b)], axis=0)
-        q = np.where(good, q, np.where(identical, 1.0, 0.0))
-    return float(q.mean())
+    return _q_ratio_mean(
+        4.0 * cov_mod * np.sqrt(na2 * nb2), (va + vb) * (na2 + nb2),
+        lambda: np.all([_identical_blocks(a, b)
+                        for a, b in zip(mom_a, mom_b)], axis=0))
 
 
 def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
@@ -277,6 +278,8 @@ def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
     if fused_h.bands != ms_l.bands:
         raise InputError("band count mismatch")
     nb = ms_l.bands
+    if nb < 2:
+        raise InputError("qnr needs at least 2 bands")
     bl = blocks.block_size
     ms = [_block_moments(ms_l.band(b), bl) for b in range(nb)]
     fused = [_block_moments(fused_h.band(b), bl) for b in range(nb)]

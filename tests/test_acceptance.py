@@ -181,7 +181,7 @@ def test_criterion_5_end_to_end_dominance():
                                           candidate_id=method, process=meta))
     records.append(evaluate_candidate(reference, ms_l, opts,
                                       candidate_id="oracle"))
-    table = aggregate(records, include_process=False)
+    table = aggregate(records)
     oracle = table.candidate_ids.index("oracle")
     elapsed = time.perf_counter() - start
     ok = (table.pdfr_case_a[oracle] == 1 and table.pdfr_case_c[oracle] == 1

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from panqa import pipeline, quantizer
-from panqa.cli import main
+from panqa.cli import build_parser, main
 from panqa.raster import MultibandImage, load_image, save_image
+from panqa.resample import DEFAULT_MTF_GAIN_PAN, degrade, mtf_gaussian_kernel
+from panqa.spectral import qnr
 
 
 @pytest.fixture
@@ -63,7 +65,7 @@ def test_fuse_and_eval(scene, method):
     with open(report, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert set(doc) == {"category1", "category2", "category3", "category4",
-                        "classic"}
+                        "clipped_fraction", "classic"}
     assert set(doc["classic"]) == {"sam_degrees", "ergas", "q4"}
     assert doc["classic"]["ergas"] > 0
 
@@ -86,14 +88,66 @@ def test_qnr_subcommand(scene):
     main(["fuse", "--method", "cn", "--ms", str(scene / "ms_l"),
           "--pan", str(scene / "pan"), "--out", str(fused)])
     out = scene / "qnr.json"
-    assert main(["qnr", "--ms", str(scene / "ms_l"),
-                 "--pan", str(scene / "pan"), "--fused", str(fused),
-                 "--out", str(out)]) == 0
+    argv = ["qnr", "--ms", str(scene / "ms_l"), "--pan", str(scene / "pan"),
+            "--fused", str(fused), "--out", str(out)]
+    assert build_parser().parse_args(argv).mtf_gain == DEFAULT_MTF_GAIN_PAN
+    assert main(argv) == 0
     with open(out, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert 0.0 <= doc["qnr"] <= 1.0
     assert 0.0 <= doc["d_lambda"] <= 1.0
     assert 0.0 <= doc["d_s"] <= 1.0
+    pan = load_image(scene / "pan")
+    pan_l = degrade(pan, 4, mtf_gaussian_kernel(4, DEFAULT_MTF_GAIN_PAN))
+    want = qnr(load_image(scene / "ms_l"), load_image(fused), pan.band(0),
+               pan_l.band(0))
+    assert (doc["qnr"], doc["d_lambda"], doc["d_s"]) == want
+
+
+def test_qnr_single_band_is_input_error(tmp_path, capsys, rng):
+    for name, size in (("ms", 8), ("pan", 32), ("fused", 32)):
+        save_image(MultibandImage(rng.uniform(0.1, 0.9, (size, size, 1))),
+                   tmp_path / name)
+    assert main(["qnr", "--ms", str(tmp_path / "ms"),
+                 "--pan", str(tmp_path / "pan"),
+                 "--fused", str(tmp_path / "fused"),
+                 "--out", str(tmp_path / "qnr.json")]) == 2
+    assert "at least 2 bands" in capsys.readouterr().err
+    assert not (tmp_path / "qnr.json").exists()
+
+
+# the README quick start, command for command, with its example manifest
+README_MANIFEST = {
+    "reference": "ms",
+    "ratio": 4,
+    "candidates": [
+        {"id": "pca", "path": "fused_pca", "wall_seconds": 0.8,
+         "n_free_parameters": 1},
+        {"id": "cn", "path": "fused_cn", "wall_seconds": 0.5,
+         "n_free_parameters": 1},
+    ],
+    "options": {"gl": 32, "block_size": 8},
+}
+
+
+def test_readme_quickstart(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(README_MANIFEST),
+                                            encoding="utf-8")
+    commands = [
+        "synth --seed 7 --width 256 --height 256 --out-ms ms --out-pan pan",
+        "degrade --input ms --ratio 4 --out ms_l",
+        "degrade --input pan --ratio 4 --mtf-gain 0.15 --out pan_l",
+        *(f"fuse --method {m} --ms ms_l --pan pan --out fused_{m}"
+          for m in ("pca", "cn", "atwt")),
+        "eval --reference ms --candidate fused_pca --out eval_pca.json",
+        "qnr --ms ms_l --pan pan --fused fused_pca --out qnr.json",
+        "rank --manifest manifest.json --out-dir results/",
+    ]
+    codes = {cmd: main(cmd.split()) for cmd in commands}
+    codes["srcc"] = main(["srcc", "--table", "results/ranks.csv",
+                          "--col-a", "PDFR case A", "--col-b", "PDFR case C"])
+    assert codes == dict.fromkeys(codes, 0), capsys.readouterr().err
 
 
 def test_glcm3_subcommand(scene):

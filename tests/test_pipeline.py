@@ -38,11 +38,12 @@ def test_run_manifest_leaves_options_unchanged(tmp_path, rng):
         save_image(MultibandImage(rng.uniform(0.1, 0.9, (12, 12, 4))),
                    tmp_path / name)
     manifest = RunManifest(
-        reference=str(tmp_path / "ref"), ratio=4,
+        reference=str(tmp_path / "ref"),
         candidates=[Candidate(id=c, path=str(tmp_path / c))
                     for c in ("a", "b")],
         options=EvalOptions(ratio=2, gl=8))
-    run_manifest(manifest, tmp_path / "out")
+    with pytest.warns(UserWarning, match="category4.binary_contour"):
+        run_manifest(manifest, tmp_path / "out")
     assert manifest.options == EvalOptions(ratio=2, gl=8)
     assert (tmp_path / "out" / "ranks.csv").exists()
 

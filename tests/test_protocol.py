@@ -1,13 +1,18 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import benchmark_fixture as bm
 from panqa.errors import DegeneracyError, InputError
-from panqa.protocol import (QiRecord, aggregate, bin_subjective_scores,
-                            category_sum, combine_partial_ranks, rank, srcc,
-                            winner_label, zscore)
+from panqa.protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
+                            bin_subjective_scores, category_sum,
+                            combine_partial_ranks, rank, srcc, winner_label,
+                            zscore)
 
 
 def make_record(cid, seed):
@@ -63,6 +68,18 @@ class TestRank:
     def test_published_category_sums(self):
         assert rank(bm.CAT1_SUM) == bm.CAT1_PDPR
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 3), st.floats(allow_nan=False)),
+                    min_size=1, max_size=12))
+    def test_rank_counts_strictly_better_values(self, values):
+        low, high = rank(values), rank(values, lower_is_better=False)
+        for i, x in enumerate(values):
+            assert low[i] == 1 + sum(y < x for y in values)
+            assert high[i] == 1 + sum(y > x for y in values)
+            for j, y in enumerate(values):
+                if x == y:
+                    assert (low[i], high[i]) == (low[j], high[j])
+
 
 class TestCategorySum:
     def test_single_column_equals_zscore(self):
@@ -105,12 +122,11 @@ class TestCombine:
     def test_published_product_cases(self):
         out = combine_partial_ranks(
             bm.CAT1_PDPR, bm.CAT2_PDPR_WITH, bm.CAT2_PDPR_WITHOUT,
-            bm.CAT3_PDPR, bm.CAT4_PDPR)
+            bm.CAT3_PDPR, bm.CAT4_PDPR, bm.PSPR1, bm.PSPR2)
         assert out["sum_case_a"] == bm.SUM_CASE_A
         assert out["pdfr_case_a"] == bm.PDFR_CASE_A
         assert out["sum_case_c"] == bm.SUM_CASE_C
         assert out["pdfr_case_c"] == bm.PDFR_CASE_C
-        assert "sum_case_b" not in out
 
     def test_published_process_cases(self):
         out = combine_partial_ranks(
@@ -123,7 +139,11 @@ class TestCombine:
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
-            combine_partial_ranks([1, 2], [1, 2], [1, 2], [1, 2], [1])
+            combine_partial_ranks([1, 2], [1, 2], [1, 2], [1, 2], [1],
+                                  [1, 2], [1, 2])
+        with pytest.raises(InputError):
+            combine_partial_ranks([1, 2], [1, 2], [1, 2], [1, 2], [1, 2],
+                                  [1, 2], [1])
 
 
 class TestAggregate:
@@ -139,12 +159,6 @@ class TestAggregate:
             table.pdpr["category3"], table.pdpr["category4"])]
         assert table.sum_case_a == want
         assert table.pdfr_case_a == rank(want)
-
-    def test_without_process(self):
-        records = [make_record(f"c{i}", i) for i in range(4)]
-        table = aggregate(records, include_process=False)
-        assert table.pspr1 is None and table.ppfr_case_b is None
-        assert table.pdfr_case_c == rank(table.sum_case_c)
 
     def test_dropped_columns_named_with_category(self):
         records = [make_record(f"c{i}", i) for i in range(3)]
@@ -168,6 +182,36 @@ class TestAggregate:
         assert [str(w.message) for w in caught] == [
             "dropping degenerate QI column 'category2.post_class_change'",
             "dropping degenerate QI column 'category4.binary_contour'"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_permutation_equivariant(self, data):
+        # 2, 4 or 8 candidates with small integer costs keep every mean and
+        # squared deviation exact, so no z-score depends on the order numpy
+        # sums the candidates in, and a tie cannot break by rounding
+        n = data.draw(st.sampled_from([2, 4, 8]))
+        cost = st.integers(0, 3).map(float)
+        records = [QiRecord(
+            candidate_id=f"c{i}",
+            process={"wall_seconds": data.draw(cost),
+                     "n_free_parameters": data.draw(st.integers(1, 3))},
+            **{name: {key: data.draw(cost) for key in keys}
+               for name, keys in CATEGORY_KEYS.items()})
+            for i in range(n)]
+        perm = data.draw(st.permutations(range(n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = aggregate(records)
+            permuted = aggregate([records[p] for p in perm])
+        for f in dataclasses.fields(RankTable):
+            got, want = getattr(permuted, f.name), getattr(table, f.name)
+            if f.name == "dropped_columns":
+                assert got == want
+            elif f.name == "pdpr":
+                assert got == {k: [col[p] for p in perm]
+                               for k, col in want.items()}
+            else:
+                assert got == [want[p] for p in perm], f.name
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError, match="duplicate"):

@@ -4,7 +4,8 @@ import pytest
 from panqa.errors import InputError
 from panqa.raster import MultibandImage
 from panqa.quantizer import (_CODE_BOOK_SIZES, _FINE_TO_INTERMEDIATE,
-                             _INTERMEDIATE_TO_COARSE, binary_contour_cost,
+                             _INTERMEDIATE_TO_COARSE, LEVELS,
+                             binary_contour_cost,
                              cross_aura,
                              post_classification_change_count,
                              quantize_spectral)
@@ -67,15 +68,15 @@ class TestQuantize:
         with pytest.raises(InputError):
             quantize_spectral(MultibandImage(rng.random((4, 4, 2))))
 
-    def test_range_checked(self):
-        with pytest.raises(InputError, match="reflectance"):
-            quantize_spectral(MultibandImage(np.full((2, 2, 3), 2.0)))
-
     def test_overshoot_codes_as_clipped(self, rng):
-        img = MultibandImage(rng.uniform(-0.01, 1.5, (8, 8, 3)))
-        clipped = MultibandImage(np.clip(img.samples, 0.0, 1.0))
-        assert np.array_equal(quantize_spectral(img).fine,
-                              quantize_spectral(clipped).fine)
+        samples = rng.uniform(-1.0, 2.0, (8, 8, 3))
+        samples[0, 0] = [-1e6, 1e6, 0.0]
+        samples[0, 1] = [1.0, 2.0, -0.5]
+        img = MultibandImage(samples)
+        clipped = MultibandImage(np.clip(samples, 0.0, 1.0))
+        got, want = quantize_spectral(img), quantize_spectral(clipped)
+        for level in LEVELS:
+            assert np.array_equal(got.level(level), want.level(level))
 
 
 class TestChangeCount:
