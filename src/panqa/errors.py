@@ -14,3 +14,12 @@ class InputError(PanqaError):
 
 class DegeneracyError(PanqaError):
     """Numeric degeneracy: zero variance, empty support, rank deficiency."""
+
+
+def checked(convert, value, key: str):
+    """convert(value); a value of the wrong type raises InputError naming
+    key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise InputError(f"wrong type for {key}: {value!r}") from None

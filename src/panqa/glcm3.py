@@ -87,7 +87,8 @@ def _half_ring_offsets(radius: int) -> list[tuple[int, int]]:
 def tims_glcm(labels: np.ndarray, rings: RingSpec | None = None,
               gl: int | None = None) -> Glcm3:
     """Accumulate (center, sorted opposite-pair) triples over all valid
-    centers at every ring radius, then normalize."""
+    centers at every ring radius, then normalize. Pairs are counted in
+    ring order and the table folded onto row <= col once at the end."""
     rings = rings or RingSpec()
     lab = np.asarray(labels)
     if lab.ndim != 2:
@@ -101,20 +102,25 @@ def tims_glcm(labels: np.ndarray, rings: RingSpec | None = None,
     if h < 2 * rmax + 1 or w < 2 * rmax + 1:
         raise InputError("image too small: no valid centers")
 
-    # every flat index (center*gl + low)*gl + high is below gl**3
+    # every flat index (center*gl + p)*gl + q is below gl**3; the ordered
+    # (p, q) counts are folded onto row <= col once, after every offset
     lab = lab.astype(np.uint16 if gl**3 <= 65536 else np.intp)
     center_term = lab[rmax:h - rmax, rmax:w - rmax] * (gl * gl)
+    lab_gl = lab * gl
+    flat = np.empty_like(center_term)
     counts = np.zeros(gl * gl * gl, dtype=np.int64)
     for radius in rings.radii:
         for dy, dx in _half_ring_offsets(radius):
-            p = lab[rmax + dy:h - rmax + dy, rmax + dx:w - rmax + dx]
-            q = lab[rmax - dy:h - rmax - dy, rmax - dx:w - rmax - dx]
-            flat = np.minimum(p, q)
-            flat *= gl
-            flat += np.maximum(p, q)
-            flat += center_term
+            np.add(center_term,
+                   lab_gl[rmax + dy:h - rmax + dy, rmax + dx:w - rmax + dx],
+                   out=flat)
+            flat += lab[rmax - dy:h - rmax - dy, rmax - dx:w - rmax - dx]
             counts += np.bincount(flat.ravel(), minlength=gl**3)
-    return Glcm3(gl=gl, counts=counts.reshape(gl, gl, gl))
+    ordered = counts.reshape(gl, gl, gl)
+    folded = np.triu(ordered + ordered.transpose(0, 2, 1), 1)
+    diag = np.arange(gl)
+    folded[:, diag, diag] = ordered[:, diag, diag]
+    return Glcm3(gl=gl, counts=folded)
 
 
 def glcm3_features(m: Glcm3) -> tuple[float, float, float]:

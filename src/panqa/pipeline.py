@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, PanqaError, checked
 from .glcm3 import DEFAULT_GL, DEFAULT_RADII, RingSpec, band_texture
 from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
                        process_costs)
@@ -42,9 +42,13 @@ class EvalOptions:
 
     def __post_init__(self):
         # manifest values arrive as JSON numbers and lists
-        self.ratio, self.block_size, self.gl = (
-            int(self.ratio), int(self.block_size), int(self.gl))
-        self.radii = tuple(self.radii)
+        for key in ("ratio", "block_size", "gl"):
+            setattr(self, key, checked(int, getattr(self, key), key))
+        if self.ergas_factor is not None:
+            self.ergas_factor = checked(float, self.ergas_factor,
+                                        "ergas_factor")
+        self.radii = checked(lambda r: tuple(int(v) for v in r), self.radii,
+                             "radii")
         if self.category2_level not in LEVELS:
             raise InputError(
                 f"unknown category2_level {self.category2_level!r}")
@@ -89,9 +93,15 @@ class RunManifest:
         if unknown:
             raise InputError(f"unknown manifest options {sorted(unknown)}")
         options = EvalOptions(ratio=doc["ratio"], **opts)
-        cands = [Candidate(id=c["id"], path=c["path"],
-                           process=process_costs(c))
-                 for c in doc["candidates"]]
+        cands = []
+        for c in doc["candidates"]:
+            try:
+                process = process_costs(c)
+            except InputError as exc:
+                raise InputError(
+                    f"manifest candidate {c['id']!r}: {exc}") from None
+            cands.append(Candidate(id=c["id"], path=c["path"],
+                                   process=process))
         ids = [c.id for c in cands]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate candidate ids in manifest")
@@ -189,8 +199,13 @@ def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
     reference = image_features(load_image(manifest.reference), opts)
 
     def one(cand: Candidate) -> QiRecord:
-        return evaluate_candidate(reference, load_image(cand.path), opts,
-                                  candidate_id=cand.id, process=cand.process)
+        # the first failing candidate ends the run, named by its id
+        try:
+            return evaluate_candidate(reference, load_image(cand.path), opts,
+                                      candidate_id=cand.id,
+                                      process=cand.process)
+        except (PanqaError, OSError) as exc:
+            raise type(exc)(f"candidate {cand.id!r}: {exc}") from exc
 
     workers = _max_workers()
     if workers > 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError
+from .errors import DegeneracyError, InputError, checked
 
 # The cost keys of each product category, in the order their z-scores are
 # summed. Cases C/D leave category 2's inverse_pcc column out.
@@ -34,8 +34,10 @@ CATEGORY_KEYS = {
 def process_costs(meta: dict) -> dict[str, float]:
     """The two process costs read from meta (a manifest candidate or fuser
     metadata); a missing one defaults to 0 s and 1 free parameter."""
-    return {"wall_seconds": float(meta.get("wall_seconds", 0.0)),
-            "n_free_parameters": int(meta.get("n_free_parameters", 1))}
+    return {"wall_seconds": checked(float, meta.get("wall_seconds", 0.0),
+                                    "wall_seconds"),
+            "n_free_parameters": checked(int, meta.get("n_free_parameters", 1),
+                                         "n_free_parameters")}
 
 
 @dataclass

@@ -5,6 +5,12 @@ An image on disk is a pair of files sharing a base name: ``<name>.json``
 sequential, row-major within each band, little endian. Calibration is
 affine per band: sample = DN * gain + offset. In memory everything is
 float64, shaped (height, width, bands).
+
+load_image() calibrates the decoded planes in place (multiply, then add:
+the same two roundings as DN * gain + offset). save_image() inverts the
+calibration into one C-contiguous band-sequential float64 buffer, so the
+payload goes to disk as one block whatever the memory order of the
+samples.
 """
 
 from __future__ import annotations
@@ -130,9 +136,8 @@ def load_image(path) -> MultibandImage:
     planes = raw.astype(np.float64).reshape(hdr.bands, hdr.height, hdr.width)
     if hdr.nodata is not None and np.any(planes == hdr.nodata):
         raise InputError("nodata pixels present; dense rasters required")
-    gain = np.asarray(hdr.gain, dtype=np.float64)[:, None, None]
-    offset = np.asarray(hdr.offset, dtype=np.float64)[:, None, None]
-    planes = planes * gain + offset
+    planes *= np.asarray(hdr.gain, dtype=np.float64)[:, None, None]
+    planes += np.asarray(hdr.offset, dtype=np.float64)[:, None, None]
     if not np.isfinite(planes).all():
         raise InputError("non-finite values after calibration")
     return MultibandImage(np.moveaxis(planes, 0, 2), band_names=hdr.band_names)
@@ -154,10 +159,12 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
     if len(gain) != b or len(offset) != b:
         raise InputError("gain/offset length must equal band count")
 
-    planes = np.moveaxis(img.samples, 2, 0)
-    g = np.asarray(gain, dtype=np.float64)[:, None, None]
-    o = np.asarray(offset, dtype=np.float64)[:, None, None]
-    dn = (planes - o) / g
+    # one C-contiguous band-sequential buffer, so the payload is a single
+    # block write and not one write per sample
+    dn = np.empty((b, img.height, img.width))
+    np.subtract(np.moveaxis(img.samples, 2, 0),
+                np.asarray(offset, dtype=np.float64)[:, None, None], out=dn)
+    dn /= np.asarray(gain, dtype=np.float64)[:, None, None]
     dtype = _DTYPES[sample_type]
     if sample_type in ("u8", "u16"):
         info = np.iinfo(dtype)

@@ -9,7 +9,8 @@ bands up to the panchromatic grid before fusion.
 All border handling is mirror padding (edge pixel not repeated) and all
 kernels have unit DC gain. mirror_filter() is the one separable
 mirror-boundary filter, shared by degrade() and the a-trous fuser;
-degrade() asks it for the decimated samples only.
+degrade() asks it for the decimated samples only. It mirror pads each
+axis once and reads every tap as a strided view of the padded block.
 """
 
 from __future__ import annotations
@@ -100,19 +101,32 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
     """Separable mirror-padded correlation of a plane with 1-D taps, along
     axis 0 then axis 1. The anchor is tap (len(taps)-1)//2 and tap t reads
     the sample (t - anchor)*step away, so step > 1 dilates the taps
-    (a-trous). Only the output positions selected by keep along each axis
-    are computed; each equals the same sample of the full output."""
+    (a-trous). Only the output positions selected by keep (a slice with a
+    positive step) along each axis are computed; each equals the same
+    sample of the full output.
+
+    Each axis is mirror padded once, over the extent the kept outputs
+    read; every tap is then a strided view of the padded block."""
     anchor = (len(taps) - 1) // 2
     out = plane
     for axis in (0, 1):
         n = out.shape[axis]
-        base = np.arange(n)[keep]
+        start, stop, stride = keep.indices(n)
+        m = len(range(start, stop, stride))
+        # padded[i] is the mirrored sample at start - anchor*step + i, so
+        # tap t of output k reads padded[t*step + k*stride]
+        lo = start - anchor * step
+        span = (m - 1) * stride + (len(taps) - 1) * step + 1
+        padded = np.take(out, _mirror_indices(n, np.arange(lo, lo + span)),
+                         axis=axis)
         shape = list(out.shape)
-        shape[axis] = base.size
+        shape[axis] = m
         acc = np.zeros(shape, dtype=out.dtype)
+        index = [slice(None), slice(None)]
         for t, w in enumerate(taps):
-            src = _mirror_indices(n, base + (t - anchor) * step)
-            acc += w * np.take(out, src, axis=axis)
+            index[axis] = slice(t * step, t * step + (m - 1) * stride + 1,
+                                stride)
+            acc += w * padded[tuple(index)]
         out = acc
     return out
 

@@ -290,6 +290,50 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda m: m.update(ratio="four"), "wrong type for ratio: 'four'"),
+    (lambda m: m["candidates"][1].update(n_free_parameters="one"),
+     "manifest candidate 'b': wrong type for n_free_parameters: 'one'"),
+    (lambda m: m["candidates"][0].update(wall_seconds=[1]),
+     "manifest candidate 'a': wrong type for wall_seconds: [1]"),
+    (lambda m: m.update(options={"gl": None}), "wrong type for gl: None"),
+    (lambda m: m.update(options={"radii": 3}), "wrong type for radii: 3"),
+])
+def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
+    manifest = {"reference": "ms", "ratio": 4,
+                "candidates": [{"id": "a", "path": "a"},
+                               {"id": "b", "path": "b"}]}
+    change(manifest)
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_rank_missing_candidate_names_id(scene, monkeypatch, capsys,
+                                         threads):
+    if threads is None:
+        monkeypatch.delenv("PANQA_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PANQA_THREADS", threads)
+    manifest = {"reference": str(scene / "ms"), "ratio": 4,
+                "candidates": [{"id": "self", "path": str(scene / "ms")},
+                               {"id": "ghost", "path": str(scene / "gone")},
+                               {"id": "again", "path": str(scene / "ms")}]}
+    mpath = scene / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    out = scene / "out"
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(out)]) == 2
+    assert (capsys.readouterr().err.strip()
+            == f"error: candidate 'ghost': missing header {scene / 'gone'}"
+               ".json")
+    assert not (out / "ranks.csv").exists()
+    assert not (out / "report.json").exists()
+
+
 def count_calls(monkeypatch, fn) -> list:
     """Wrap ``fn`` wherever a panqa module binds it; return the call log."""
     calls = []

@@ -264,6 +264,32 @@ class TestSrcc:
         with pytest.raises(InputError):
             srcc([1, 2], [1, 2, 3])
 
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          min_size=2, max_size=12))
+    def test_tied_values_match_average_rank_pearson(self, pairs):
+        # values from {0..3}, so most draws tie; tied values share the
+        # mean of the positions they occupy
+        a, b = (np.array(col, dtype=np.float64) for col in zip(*pairs))
+
+        def average_ranks(x):
+            below = (x[None, :] < x[:, None]).sum(axis=1)
+            equal = (x[None, :] == x[:, None]).sum(axis=1)
+            return below + (equal + 1) / 2.0
+
+        ra, rb = average_ranks(a), average_ranks(b)
+        if np.ptp(ra) == 0 or np.ptp(rb) == 0:
+            with pytest.raises(DegeneracyError):
+                srcc(a, b)
+            return
+        want = np.corrcoef(ra, rb)[0, 1]
+        got = srcc(a, b)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert srcc(b, a) == got
+        # a strictly increasing map keeps every tie and every order
+        assert srcc(np.exp(a), 10.0 * b - 7.0) == pytest.approx(got,
+                                                                 abs=1e-12)
+
 
 class TestSubjective:
     def test_winner_label_dual(self):

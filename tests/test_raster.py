@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panqa.errors import InputError
 from panqa.raster import MultibandImage, load_image, save_image
@@ -102,3 +107,73 @@ def test_unknown_sample_type(tmp_path):
     path = write_pair(tmp_path, "e", hdr, [1.0], "<f8")
     with pytest.raises(InputError):
         load_image(path)
+
+
+def encode_by_formula(samples, sample_type, gain, offset):
+    """Band-sequential payload bytes by the formula (planes - o) / g, then
+    the integral types' range check and rint; None where it rejects."""
+    dtype = {"u8": "<u1", "u16": "<u2", "f32": "<f4"}[sample_type]
+    planes = np.moveaxis(samples, 2, 0)
+    dn = (planes - np.array(offset)[:, None, None]) \
+        / np.array(gain)[:, None, None]
+    if sample_type != "f32":
+        info = np.iinfo(dtype)
+        if np.any(dn < info.min) or np.any(dn > info.max):
+            return None
+        dn = np.rint(dn)
+    return dn.astype(dtype)
+
+
+_DN_MAX = {"u8": 255, "u16": 65535}
+
+
+@st.composite
+def stored_images(draw):
+    """(sample_type, gain, offset, planes): calibrated DNs of the type,
+    shaped (bands, height, width)."""
+    sample_type = draw(st.sampled_from(["u8", "u16", "f32"]))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+             draw(st.integers(1, 6)))
+    elements = (st.floats(-1e4, 1e4, width=32) if sample_type == "f32"
+                else st.integers(0, _DN_MAX[sample_type]))
+    dn = draw(arrays(np.float64, shape, elements=elements))
+    b = shape[0]
+    gain = draw(st.lists(st.just(1.0) | st.floats(0.01, 100.0)
+                         | st.floats(-100.0, -0.01), min_size=b, max_size=b))
+    offset = draw(st.lists(st.just(0.0) | st.floats(-100.0, 100.0),
+                           min_size=b, max_size=b))
+    planes = dn * np.array(gain)[:, None, None]
+    planes += np.array(offset)[:, None, None]
+    return sample_type, gain, offset, planes
+
+
+@settings(max_examples=120, deadline=None)
+@given(stored=stored_images())
+def test_save_load_round_trip(stored):
+    sample_type, gain, offset, planes = stored
+    layouts = {"interleaved": np.ascontiguousarray(planes.transpose(1, 2, 0)),
+               "band_sequential": planes.transpose(1, 2, 0)}
+    samples = layouts["interleaved"]
+    want = encode_by_formula(samples, sample_type, gain, offset)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if want is None:
+            # the range check runs before rint, so an edge DN whose inverse
+            # calibration lands a rounding error outside the range is
+            # refused, by the formula and by save_image alike
+            with pytest.raises(InputError, match="out of range"):
+                save_image(MultibandImage(samples), tmp / "a", sample_type,
+                           gain, offset)
+            return
+        for name, layout in layouts.items():
+            save_image(MultibandImage(layout), tmp / name, sample_type, gain,
+                       offset)
+            assert (tmp / f"{name}.raw").read_bytes() == want.tobytes()
+        back = load_image(tmp / "band_sequential")
+    # the samples the stored DNs represent, calibrated as DN * g + o
+    stored_samples = np.moveaxis(want.astype(np.float64), 0, 2)
+    stored_samples = stored_samples * np.array(gain) + np.array(offset)
+    assert np.array_equal(back.samples, stored_samples)
+    if sample_type != "f32" or (set(gain) == {1.0} and set(offset) == {0.0}):
+        # integral DNs, and f32 DNs with identity calibration, come back
+        assert np.array_equal(back.samples, samples)

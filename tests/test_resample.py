@@ -217,3 +217,43 @@ def test_degrade_equals_filter_then_decimate(data, ratio, bands,
         full = mirror_filter(img.samples[:, :, b], kernel.taps)
         assert np.array_equal(got.samples[:, :, b],
                               full[phase::ratio, phase::ratio])
+
+
+def take_per_tap_filter(plane, taps, step, keep):
+    """mirror_filter as one fancy-index take per tap, kept as the
+    bit-exact reference for the pad-once implementation."""
+    anchor = (len(taps) - 1) // 2
+    out = plane
+    for axis in (0, 1):
+        n = out.shape[axis]
+        base = np.arange(n)[keep]
+        shape = list(out.shape)
+        shape[axis] = base.size
+        acc = np.zeros(shape, dtype=out.dtype)
+        for t, w in enumerate(taps):
+            src = np.array([mirror(n, int(i))
+                            for i in base + (t - anchor) * step], dtype=int)
+            acc += w * np.take(out, src, axis=axis)
+        out = acc
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(plane=st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+           lambda shape: arrays(np.float64, shape,
+                                elements=st.floats(-1e3, 1e3))),
+       taps=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7),
+       step=st.sampled_from([1, 2, 4]), ratio=st.integers(1, 5),
+       keep_all=st.booleans())
+@example(plane=np.arange(1.0, 10.0).reshape(3, 3), taps=[1.0, 2.0, 3.0],
+         step=4, ratio=2, keep_all=False)
+def test_mirror_filter_bit_identical_to_take_per_tap(plane, taps, step,
+                                                     ratio, keep_all):
+    # the pad (up to 6 * step samples) is often longer than the plane
+    keep = slice(None) if keep_all else slice((ratio - 1) // 2, None, ratio)
+    taps = np.array(taps)
+    got = mirror_filter(plane, taps, step, keep)
+    want = take_per_tap_filter(plane, taps, step, keep)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
