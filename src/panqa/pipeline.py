@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, PanqaError, checked
+from .errors import InputError, PanqaError, checked, read_json
 from .glcm3 import DEFAULT_GL, DEFAULT_RADII, RingSpec, band_texture
 from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
                        process_costs)
@@ -81,8 +81,7 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, path) -> "RunManifest":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path, "manifest")
         _require_keys(doc, ("reference", "ratio", "candidates"), "manifest")
         if not isinstance(doc["candidates"], list):
             raise InputError("manifest candidates must be a JSON list")
@@ -182,17 +181,23 @@ def classic_metrics(reference: MultibandImage, candidate: MultibandImage,
 
 
 def _max_workers() -> int:
+    """PANQA_THREADS, an integer >= 1; unset or empty means one thread."""
     env = os.environ.get("PANQA_THREADS", "")
+    if not env:
+        return 1
     try:
         n = int(env)
     except ValueError:
         n = 0
-    return max(1, n)
+    if n < 1:
+        raise InputError(f"PANQA_THREADS must be an integer >= 1: {env!r}")
+    return n
 
 
 def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
     """Featurize the reference once, evaluate all candidates, aggregate,
     write ranks.csv + report.json."""
+    workers = _max_workers()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     opts = manifest.options
@@ -207,7 +212,6 @@ def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
         except (PanqaError, OSError) as exc:
             raise type(exc)(f"candidate {cand.id!r}: {exc}") from exc
 
-    workers = _max_workers()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(one, manifest.candidates))
@@ -220,32 +224,11 @@ def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
     return table
 
 
-_CSV_COLUMNS = (
-    ("SPCTRL PDPR", lambda t, i: t.pdpr["category1"][i]),
-    ("SPCTRL&SPTL1(i) PDPR", lambda t, i: t.pdpr["category2_i"][i]),
-    ("SPCTRL&SPTL1(ii) PDPR", lambda t, i: t.pdpr["category2_ii"][i]),
-    ("SPCTRL&SPTL2 PDPR", lambda t, i: t.pdpr["category3"][i]),
-    ("SPCTRL&SPTL1&SPTL2 PDPR", lambda t, i: t.pdpr["category4"][i]),
-    ("PSPR1", lambda t, i: t.pspr1[i]),
-    ("PSPR2", lambda t, i: t.pspr2[i]),
-    ("Sum case A", lambda t, i: t.sum_case_a[i]),
-    ("PDFR case A", lambda t, i: t.pdfr_case_a[i]),
-    ("Sum case C", lambda t, i: t.sum_case_c[i]),
-    ("PDFR case C", lambda t, i: t.pdfr_case_c[i]),
-    ("Sum case B", lambda t, i: t.sum_case_b[i]),
-    ("PPFR case B", lambda t, i: t.ppfr_case_b[i]),
-    ("Sum case D", lambda t, i: t.sum_case_d[i]),
-    ("PPFR case D", lambda t, i: t.ppfr_case_d[i]),
-)
-
-
 def write_rank_csv(table: RankTable, path) -> None:
+    cols = table.columns()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["candidate"] + [name for name, _ in _CSV_COLUMNS])
-        for i in range(len(table.candidate_ids)):
-            writer.writerow([table.candidate_ids[i]]
-                            + [fn(table, i) for _, fn in _CSV_COLUMNS])
+        csv.writer(fh).writerows([["candidate", *cols],
+                                  *zip(table.candidate_ids, *cols.values())])
 
 
 def write_json(path, doc: dict, sort_keys: bool = False) -> None:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,31 @@ CATEGORY_KEYS = {
     "category2": ("post_class_change", "inverse_pcc"),
     "category3": ("glcm_contrast", "glcm_energy", "glcm_lne", "cross_aura"),
     "category4": ("binary_contour",),
+}
+
+
+class PartialRank(NamedTuple):
+    """One partial-rank (PDPR) column: the category whose costs it sums,
+    those cost keys in summing order, and its ranks.csv header."""
+
+    category: str
+    keys: tuple[str, ...]
+    header: str
+
+
+# The five partial-rank columns, in ranks.csv order, which is also the
+# order of combine_partial_ranks's arguments
+PARTIAL_RANKS = {
+    "category1": PartialRank("category1", CATEGORY_KEYS["category1"],
+                             "SPCTRL PDPR"),
+    "category2_i": PartialRank("category2", CATEGORY_KEYS["category2"],
+                               "SPCTRL&SPTL1(i) PDPR"),
+    "category2_ii": PartialRank("category2", ("post_class_change",),
+                                "SPCTRL&SPTL1(ii) PDPR"),
+    "category3": PartialRank("category3", CATEGORY_KEYS["category3"],
+                             "SPCTRL&SPTL2 PDPR"),
+    "category4": PartialRank("category4", CATEGORY_KEYS["category4"],
+                             "SPCTRL&SPTL1&SPTL2 PDPR"),
 }
 
 
@@ -55,6 +81,10 @@ class QiRecord:
 
     def __post_init__(self):
         self.process = process_costs(self.process)
+        for name, group in self.categories().items():
+            unknown = set(group) - set(CATEGORY_KEYS[name])
+            if unknown:
+                raise InputError(f"unknown {name} costs {sorted(unknown)}")
         for group in [*self.categories().values(), self.process]:
             for key, val in group.items():
                 if not math.isfinite(val):
@@ -67,22 +97,35 @@ class QiRecord:
         return {name: getattr(self, name) for name in CATEGORY_KEYS}
 
 
+def _csv(header: str):
+    """A RankTable rank column written to ranks.csv under header."""
+    return field(metadata={"csv": header})
+
+
 @dataclass
 class RankTable:
     candidate_ids: list[str]
-    pdpr: dict[str, list[int]]        # per category key -> ranks
-    pspr1: list[int]
-    pspr2: list[int]
-    sum_case_a: list[int]
-    pdfr_case_a: list[int]
-    sum_case_c: list[int]
-    pdfr_case_c: list[int]
-    sum_case_b: list[int]
-    ppfr_case_b: list[int]
-    sum_case_d: list[int]
-    ppfr_case_d: list[int]
+    pdpr: dict[str, list[int]]        # per PARTIAL_RANKS column -> ranks
+    pspr1: list[int] = _csv("PSPR1")
+    pspr2: list[int] = _csv("PSPR2")
+    sum_case_a: list[int] = _csv("Sum case A")
+    pdfr_case_a: list[int] = _csv("PDFR case A")
+    sum_case_c: list[int] = _csv("Sum case C")
+    pdfr_case_c: list[int] = _csv("PDFR case C")
+    sum_case_b: list[int] = _csv("Sum case B")
+    ppfr_case_b: list[int] = _csv("PPFR case B")
+    sum_case_d: list[int] = _csv("Sum case D")
+    ppfr_case_d: list[int] = _csv("PPFR case D")
     # degenerate QI columns left out of a category sum, "category<n>.<cost>"
     dropped_columns: list[str] = field(default_factory=list)
+
+    def columns(self) -> dict[str, list[int]]:
+        """Every rank column keyed by its ranks.csv header, in file order."""
+        cols = {col.header: self.pdpr[name]
+                for name, col in PARTIAL_RANKS.items()}
+        cols.update((f.metadata["csv"], getattr(self, f.name))
+                    for f in fields(self) if "csv" in f.metadata)
+        return cols
 
 
 def zscore(values) -> np.ndarray:
@@ -109,52 +152,27 @@ def rank(values, lower_is_better: bool = True) -> list[int]:
     return [int(v) for v in 1 + better.sum(axis=1)]
 
 
-def _standardized_sum(columns: dict[str, list[float]]
-                      ) -> tuple[np.ndarray, list[str]]:
-    """Sum of z-scored columns and the keys of the degenerate columns left
-    out of it."""
-    total = None
-    dropped = []
-    for key, col in columns.items():
-        try:
-            z = zscore(col)
-        except DegeneracyError:
-            dropped.append(key)
-            continue
-        total = z if total is None else total + z
-    if total is None:
-        total = np.zeros(len(next(iter(columns.values()))))
-    return total, dropped
-
-
-def _category_columns(records: list[QiRecord], category: int,
-                      case: str) -> dict[str, list[float]]:
-    """One category's cost columns, keyed by cost name."""
+def category_sum(records: list[QiRecord], column: str
+                 ) -> tuple[np.ndarray, list[str]]:
+    """Per-candidate sum of the standardized costs of one PARTIAL_RANKS
+    column, and the "category<n>.<cost>" names of the degenerate costs left
+    out of it. A cost key the records do not hold is skipped."""
+    if column not in PARTIAL_RANKS:
+        raise InputError(f"unknown partial-rank column {column!r}")
     if len(records) < 2:
         raise InputError("need at least 2 candidates")
-    if case not in ("with_ipcc", "without_ipcc"):
-        raise InputError(f"unknown case {case!r}")
-    group_name = f"category{category}"
-    if group_name not in CATEGORY_KEYS:
-        raise InputError(f"unknown category {category}")
-    keys = list(getattr(records[0], group_name).keys())
-    if case == "without_ipcc":
-        keys = [k for k in keys if k != "inverse_pcc"]
-    return {k: [getattr(r, group_name)[k] for r in records] for k in keys}
-
-
-def category_sum(records: list[QiRecord], category: int,
-                 case: str = "with_ipcc") -> np.ndarray:
-    """Per-candidate sum of standardized costs for one category; each
-    degenerate column is dropped with a warning."""
-    total, lost = _standardized_sum(_category_columns(records, category, case))
-    _warn_dropped([f"category{category}.{key}" for key in lost])
-    return total
-
-
-def _warn_dropped(names: list[str]) -> None:
-    for name in names:
-        warnings.warn(f"dropping degenerate QI column {name!r}", stacklevel=3)
+    category, keys, _ = PARTIAL_RANKS[column]
+    groups = [getattr(r, category) for r in records]
+    total = np.zeros(len(records))
+    dropped = []
+    for key in keys:
+        if key not in groups[0]:
+            continue
+        try:
+            total = total + zscore([g[key] for g in groups])
+        except DegeneracyError:
+            dropped.append(f"{category}.{key}")
+    return total, dropped
 
 
 def combine_partial_ranks(pdpr1, pdpr2_i, pdpr2_ii, pdpr3, pdpr4,
@@ -179,39 +197,24 @@ def combine_partial_ranks(pdpr1, pdpr2_i, pdpr2_ii, pdpr3, pdpr4,
 
 
 def aggregate(records: list[QiRecord]) -> RankTable:
-    """Full aggregation: z-score, category sums, partial and final ranks."""
-    if len(records) < 2:
-        raise InputError("need at least 2 candidates")
+    """Full aggregation: z-score, category sums, partial and final ranks.
+    Each degenerate cost left out of a sum is warned about once."""
     ids = [r.candidate_id for r in records]
     if len(set(ids)) != len(ids):
         raise InputError("duplicate candidate ids")
-
-    dropped = []
-
-    def partial_rank(category: int, case: str = "with_ipcc") -> list[int]:
-        total, lost = _standardized_sum(
-            _category_columns(records, category, case))
-        dropped.extend(f"category{category}.{key}" for key in lost)
-        return rank(total)
-
-    pdpr = {
-        "category1": partial_rank(1),
-        "category2_i": partial_rank(2, "with_ipcc"),
-        "category2_ii": partial_rank(2, "without_ipcc"),
-        "category3": partial_rank(3),
-        "category4": partial_rank(4),
-    }
+    pdpr, dropped = {}, {}
+    for column in PARTIAL_RANKS:
+        total, lost = category_sum(records, column)
+        pdpr[column] = rank(total)
+        # category 2's shared costs are standardized twice: keep one name
+        dropped.update(dict.fromkeys(lost))
+    for name in dropped:
+        warnings.warn(f"dropping degenerate QI column {name!r}", stacklevel=2)
     pspr1 = rank([r.process["wall_seconds"] for r in records])
     pspr2 = rank([r.process["n_free_parameters"] for r in records])
-    # category 2's shared columns are standardized twice: warn once
-    dropped = list(dict.fromkeys(dropped))
-    _warn_dropped(dropped)
-    combined = combine_partial_ranks(
-        pdpr["category1"], pdpr["category2_i"], pdpr["category2_ii"],
-        pdpr["category3"], pdpr["category4"], pspr1, pspr2)
     return RankTable(candidate_ids=ids, pdpr=pdpr, pspr1=pspr1, pspr2=pspr2,
-                     dropped_columns=dropped,
-                     **combined)
+                     dropped_columns=list(dropped),
+                     **combine_partial_ranks(*pdpr.values(), pspr1, pspr2))
 
 
 def srcc(ranks_a, ranks_b) -> float:

@@ -21,13 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, checked, read_json
 
 _DTYPES = {
     "u8": np.dtype("<u1"),
     "u16": np.dtype("<u2"),
     "f32": np.dtype("<f4"),
 }
+
+# DN slack of the u8/u16 range check, which runs before rint: it absorbs
+# the rounding of the inverse calibration (about 1e-11 DN for gains in
+# [0.01, 100] and offsets in [-100, 100]) and still refuses -0.1 as u8
+DN_TOLERANCE = 1e-6
 
 _HEADER_KEYS = {"width", "height", "bands", "dtype", "gain", "offset",
                 "nodata", "band_names"}
@@ -95,6 +100,10 @@ class ImageHeader:
             raise InputError("gain/offset length must equal band count")
 
 
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
 def _paths(path) -> tuple[Path, Path]:
     p = Path(path)
     if p.suffix in (".json", ".raw"):
@@ -109,22 +118,27 @@ def load_image(path) -> MultibandImage:
         raise InputError(f"missing header {hdr_path}")
     if not raw_path.exists():
         raise InputError(f"missing payload {raw_path}")
-    with open(hdr_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(hdr_path, "header")
+    if not isinstance(doc, dict):
+        raise InputError(f"header {hdr_path} must be a JSON object")
     unknown = set(doc) - _HEADER_KEYS
     if unknown:
         raise InputError(f"unknown header keys {sorted(unknown)}")
     try:
         hdr = ImageHeader(
-            width=int(doc["width"]), height=int(doc["height"]),
-            bands=int(doc["bands"]), sample_type=doc["dtype"],
-            gain=list(doc.get("gain") or []),
-            offset=list(doc.get("offset") or []),
+            width=checked(int, doc["width"], "width"),
+            height=checked(int, doc["height"], "height"),
+            bands=checked(int, doc["bands"], "bands"),
+            sample_type=doc["dtype"],
+            gain=checked(_floats, doc.get("gain") or [], "gain"),
+            offset=checked(_floats, doc.get("offset") or [], "offset"),
             nodata=doc.get("nodata"),
             band_names=doc.get("band_names"),
         )
     except KeyError as exc:
         raise InputError(f"header missing key {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"header {hdr_path}: {exc}") from None
 
     dtype = _DTYPES[hdr.sample_type]
     raw = np.fromfile(raw_path, dtype=dtype)
@@ -148,7 +162,8 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
     """Write <name>.json/.raw, inverting the affine calibration if given.
 
     f32 storage round-trips bit-exactly for float32-representable samples.
-    Integral storage raises on values outside the representable range.
+    Integral storage raises on values more than DN_TOLERANCE outside the
+    representable range.
     """
     if sample_type not in _DTYPES:
         raise InputError(f"unknown sample_type {sample_type!r}")
@@ -168,7 +183,8 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
     dtype = _DTYPES[sample_type]
     if sample_type in ("u8", "u16"):
         info = np.iinfo(dtype)
-        if np.any(dn < info.min) or np.any(dn > info.max):
+        if (np.any(dn < info.min - DN_TOLERANCE)
+                or np.any(dn > info.max + DN_TOLERANCE)):
             raise InputError(
                 f"sample out of range for {sample_type} after inverse "
                 "calibration")

@@ -114,7 +114,8 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
         start, stop, stride = keep.indices(n)
         m = len(range(start, stop, stride))
         # padded[i] is the mirrored sample at start - anchor*step + i, so
-        # tap t of output k reads padded[t*step + k*stride]
+        # tap t of output k < m reads padded[t*step + k*stride]; with m = 0
+        # the span may be negative and every tap slice is empty
         lo = start - anchor * step
         span = (m - 1) * stride + (len(taps) - 1) * step + 1
         padded = np.take(out, _mirror_indices(n, np.arange(lo, lo + span)),
@@ -124,8 +125,7 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
         acc = np.zeros(shape, dtype=out.dtype)
         index = [slice(None), slice(None)]
         for t, w in enumerate(taps):
-            index[axis] = slice(t * step, t * step + (m - 1) * stride + 1,
-                                stride)
+            index[axis] = slice(t * step, t * step + m * stride, stride)
             acc += w * padded[tuple(index)]
         out = acc
     return out

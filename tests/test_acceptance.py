@@ -155,7 +155,8 @@ def test_criterion_4_metric_invariants():
                        "glcm_lne": 0.0, "cross_aura": 0.0},
             category4={"binary_contour": 0.0},
             process={"wall_seconds": 1.0, "n_free_parameters": 1}))
-    total = category_sum(records, 1)
+    total, dropped = category_sum(records, "category1")
+    checks.append(dropped == [])
     checks.append(abs(np.var(total) - len(names)) <= tol)
 
     ok = all(checks)

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,44 @@ def test_rank_pipeline_and_determinism(scene):
     assert all(r["PPFR case B"] for r in rows)
 
 
+RANKS_CSV_HEADER = [
+    "candidate", "SPCTRL PDPR", "SPCTRL&SPTL1(i) PDPR",
+    "SPCTRL&SPTL1(ii) PDPR", "SPCTRL&SPTL2 PDPR", "SPCTRL&SPTL1&SPTL2 PDPR",
+    "PSPR1", "PSPR2", "Sum case A", "PDFR case A", "Sum case C",
+    "PDFR case C", "Sum case B", "PPFR case B", "Sum case D", "PPFR case D"]
+
+
+def test_rank_output_schema(scene):
+    manifest = {"reference": str(scene / "ms"), "ratio": 4,
+                "candidates": [{"id": "self", "path": str(scene / "ms"),
+                                "wall_seconds": 0.2},
+                               {"id": "noisy", "path": str(scene / "noisy")}],
+                "options": {"gl": 8}}
+    img = load_image(scene / "ms")
+    noise = np.random.default_rng(5).normal(0.0, 0.05, img.samples.shape)
+    save_image(MultibandImage(img.samples + noise), scene / "noisy")
+    mpath = scene / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    with warnings.catch_warnings():
+        # the schema holds whether or not a column is degenerate
+        warnings.simplefilter("ignore")
+        assert main(["rank", "--manifest", str(mpath),
+                     "--out-dir", str(scene / "out")]) == 0
+    with open(scene / "out" / "ranks.csv", newline="",
+              encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == RANKS_CSV_HEADER
+    assert [r[0] for r in rows[1:]] == ["self", "noisy"]
+    report = json.loads((scene / "out" / "report.json").read_text("utf-8"))
+    assert list(report) == ["candidates", "dropped_columns", "ranks"]
+    assert list(report["ranks"]) == [
+        "pdfr_case_a", "pdfr_case_c", "pdpr", "ppfr_case_b", "ppfr_case_d",
+        "pspr1", "pspr2", "sum_case_a", "sum_case_b", "sum_case_c",
+        "sum_case_d"]
+    assert list(report["ranks"]["pdpr"]) == [
+        "category1", "category2_i", "category2_ii", "category3", "category4"]
+
+
 @pytest.mark.parametrize("key", ["reference", "ratio", "candidates", "id",
                                  "path"])
 def test_rank_manifest_missing_key(tmp_path, capsys, key):
@@ -402,6 +441,58 @@ def test_mos_subcommand(tmp_path, capsys):
     assert main(["mos", "--scores", str(scores)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("good,A")
+
+
+GOOD_HEADER = {"width": 2, "height": 2, "bands": 1, "dtype": "u8",
+               "gain": [1.0], "offset": [0.0]}
+
+
+@pytest.mark.parametrize("header, message", [
+    ("{bad", "malformed header {path}: Expecting property name"),
+    (json.dumps(dict(GOOD_HEADER, width="sixteen")),
+     "header {path}: wrong type for width: 'sixteen'"),
+    (json.dumps(dict(GOOD_HEADER, gain="abcd")),
+     "header {path}: wrong type for gain: 'abcd'"),
+    ("[2, 2]", "header {path} must be a JSON object"),
+])
+def test_degrade_malformed_header(tmp_path, capsys, header, message):
+    (tmp_path / "img.json").write_text(header, encoding="utf-8")
+    (tmp_path / "img.raw").write_bytes(bytes(4))
+    assert main(["degrade", "--input", str(tmp_path / "img"), "--ratio", "2",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(
+        "error: " + message.format(path=tmp_path / "img.json"))
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_rank_manifest_not_json(tmp_path, capsys):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(README_MANIFEST)[:-1], encoding="utf-8")
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: malformed manifest {mpath}: Expecting ',' delimiter")
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+def test_rank_rejects_bad_thread_count(scene, monkeypatch, capsys, threads):
+    manifest = {"reference": str(scene / "ms"), "ratio": 4,
+                "candidates": [{"id": c, "path": str(scene / "ms")}
+                               for c in ("a", "b")]}
+    mpath = scene / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    monkeypatch.setenv("PANQA_THREADS", threads)
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(scene / "out")]) == 2
+    assert (capsys.readouterr().err.strip()
+            == f"error: PANQA_THREADS must be an integer >= 1: {threads!r}")
+    assert not (scene / "out").exists()
+
+
+def test_empty_thread_count_means_one(monkeypatch):
+    monkeypatch.setenv("PANQA_THREADS", "")
+    assert pipeline._max_workers() == 1
 
 
 def test_exit_code_missing_input(tmp_path):

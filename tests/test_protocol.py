@@ -85,12 +85,14 @@ class TestCategorySum:
     def test_single_column_equals_zscore(self):
         records = [make_record(f"c{i}", i) for i in range(5)]
         vals = [r.category4["binary_contour"] for r in records]
-        assert np.allclose(category_sum(records, 4), zscore(vals), atol=1e-12)
+        total, dropped = category_sum(records, "category4")
+        assert np.allclose(total, zscore(vals), atol=1e-12)
+        assert dropped == []
 
     def test_case_without_ipcc_single_column(self):
         records = [make_record(f"c{i}", i) for i in range(5)]
         vals = [r.category2["post_class_change"] for r in records]
-        got = category_sum(records, 2, "without_ipcc")
+        got, _ = category_sum(records, "category2_ii")
         assert np.allclose(got, zscore(vals), atol=1e-12)
 
     def test_sum_is_sum_of_zscores(self):
@@ -98,24 +100,27 @@ class TestCategorySum:
         want = sum(zscore([r.category1[k] for r in records])
                    for k in ("mean", "std", "skewness", "kurtosis",
                              "entropy"))
-        assert np.allclose(category_sum(records, 1), want, atol=1e-12)
+        got, _ = category_sum(records, "category1")
+        assert np.allclose(got, want, atol=1e-12)
 
     def test_degenerate_column_dropped_with_warning(self):
         records = [make_record(f"c{i}", i) for i in range(4)]
         for r in records:
             r.category1["entropy"] = 1.0
-        with pytest.warns(UserWarning, match="entropy"):
-            got = category_sum(records, 1)
+        got, dropped = category_sum(records, "category1")
+        assert dropped == ["category1.entropy"]
         want = sum(zscore([r.category1[k] for r in records])
                    for k in ("mean", "std", "skewness", "kurtosis"))
         assert np.allclose(got, want, atol=1e-12)
+        with pytest.warns(UserWarning, match="category1.entropy"):
+            aggregate(records)
 
     def test_validation(self):
         records = [make_record("a", 0), make_record("b", 1)]
         with pytest.raises(InputError):
-            category_sum(records, 5)
+            category_sum(records, "category5")
         with pytest.raises(InputError):
-            category_sum(records[:1], 1)
+            category_sum(records[:1], "category1")
 
 
 class TestCombine:
@@ -151,7 +156,8 @@ class TestAggregate:
         records = [make_record(f"c{i}", i) for i in range(6)]
         table = aggregate(records)
         assert table.candidate_ids == [r.candidate_id for r in records]
-        assert table.pdpr["category1"] == rank(category_sum(records, 1))
+        assert table.pdpr["category1"] == rank(
+            category_sum(records, "category1")[0])
         assert table.pspr1 == rank([r.process["wall_seconds"]
                                     for r in records])
         want = [a + b + c + d for a, b, c, d in zip(
@@ -216,6 +222,13 @@ class TestAggregate:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
             aggregate([make_record("x", 0), make_record("x", 1)])
+
+    def test_unknown_cost_key_rejected(self):
+        # category_sum reads only the keys CATEGORY_KEYS names, so an
+        # unknown one would otherwise be left out without a word
+        with pytest.raises(InputError, match=r"unknown category1 .*'men'"):
+            QiRecord(candidate_id="a", category1={"men": 1.0}, category2={},
+                     category3={}, category4={}, process={})
 
     def test_record_validation(self):
         with pytest.raises(InputError):

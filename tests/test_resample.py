@@ -247,6 +247,9 @@ def take_per_tap_filter(plane, taps, step, keep):
        keep_all=st.booleans())
 @example(plane=np.arange(1.0, 10.0).reshape(3, 3), taps=[1.0, 2.0, 3.0],
          step=4, ratio=2, keep_all=False)
+# keep selects no sample: neither tap slice may wrap round to the end
+@example(plane=np.zeros((1, 1)), taps=[0.0] * 5, step=2, ratio=3,
+         keep_all=False)
 def test_mirror_filter_bit_identical_to_take_per_tap(plane, taps, step,
                                                      ratio, keep_all):
     # the pad (up to 6 * step samples) is often longer than the plane
