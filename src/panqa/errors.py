@@ -4,6 +4,7 @@ The CLI maps InputError to exit code 2 and DegeneracyError to exit code 3.
 """
 
 import json
+import numbers
 
 
 class PanqaError(Exception):
@@ -18,13 +19,21 @@ class DegeneracyError(PanqaError):
     """Numeric degeneracy: zero variance, empty support, rank deficiency."""
 
 
-def checked(convert, value, key: str):
-    """convert(value); a value of the wrong type raises InputError naming
+def checked(kind, value, key: str):
+    """value as a kind (int or float) number. A string, a boolean or, for
+    int, a number with a fraction (4.5, not 4.0) raises InputError naming
     key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise InputError(f"wrong type for {key}: {value!r}") from None
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or (kind is int and value % 1 != 0)):
+        raise InputError(f"wrong type for {key}: {value!r}")
+    return kind(value)
+
+
+def checked_list(kind, values, key: str) -> list:
+    """checked() of each item of a list or tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise InputError(f"wrong type for {key}: {values!r}")
+    return [checked(kind, v, key) for v in values]
 
 
 def read_json(path, what: str):

@@ -4,9 +4,10 @@ For every interior pixel (the triple center), each radius contributes the
 square ring of positions at that Chebyshev distance; diametrically
 opposite ring positions are paired, their two gray levels sorted, and the
 (center, low, high) triple counted. The counts live in an upper-triangular
-(depth, row, col) array over the quantized gray levels and normalize to a
+(depth, row, col) array over the gray levels and normalize to a
 probability distribution, from which contrast, energy and large-number
-emphasis are computed.
+emphasis are computed. quantize_gray_levels() is the one min-max binning;
+the band's entropy (spectral.summary_stats) counts the same map.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def _half_ring_offsets(radius: int) -> list[tuple[int, int]]:
     return offs
 
 
-def tims_glcm(labels: np.ndarray, rings: RingSpec | None = None,
-              gl: int | None = None) -> Glcm3:
+def tims_glcm(labels: np.ndarray, rings: RingSpec | None = None, *,
+              gl: int) -> Glcm3:
     """Accumulate (center, sorted opposite-pair) triples over all valid
     centers at every ring radius, then normalize. Pairs are counted in
     ring order and the table folded onto row <= col once at the end."""
@@ -93,8 +94,6 @@ def tims_glcm(labels: np.ndarray, rings: RingSpec | None = None,
     lab = np.asarray(labels)
     if lab.ndim != 2:
         raise InputError("labels must be a 2-D plane")
-    if gl is None:
-        gl = int(lab.max()) + 1
     if lab.min() < 0 or lab.max() >= gl:
         raise InputError("labels outside [0, gl)")
     rmax = max(rings.radii)
@@ -135,13 +134,4 @@ def glcm3_features(m: Glcm3) -> tuple[float, float, float]:
     energy = float(np.sum(p**2))
     lne = float(np.sum((d**2 + r**2 + c**2) * p))
     return contrast, energy, lne
-
-
-def band_texture(band: np.ndarray, gl: int = DEFAULT_GL,
-                 rings: RingSpec | None = None
-                 ) -> tuple[float, float, float]:
-    """(contrast, energy, lne) of one band: gray levels -> triples ->
-    features."""
-    return glcm3_features(tims_glcm(quantize_gray_levels(band, gl), rings,
-                                    gl=gl))
 

@@ -19,16 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, PanqaError, checked, read_json
-from .glcm3 import DEFAULT_GL, DEFAULT_RADII, RingSpec, band_texture
+from .errors import InputError, PanqaError, checked, checked_list, read_json
+from .glcm3 import (DEFAULT_GL, DEFAULT_RADII, RingSpec, glcm3_features,
+                    quantize_gray_levels, tims_glcm)
 from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
                        process_costs)
 from .quantizer import (LEVELS, LabelMapStack, binary_contour_cost,
                         cross_aura, post_classification_change_count,
                         quantize_spectral)
 from .raster import MultibandImage, load_image
-from .spectral import (DEFAULT_BLOCK, BlockSpec, ergas, inverse_pcc_cost,
-                       mdb_cost, q4, sam_mean, summary_stats)
+from .spectral import (DEFAULT_BLOCK, BlockSpec, SummaryStats, ergas,
+                       inverse_pcc_cost, mdb_cost, q4, sam_mean, summary_stats)
 
 
 @dataclass
@@ -47,8 +48,7 @@ class EvalOptions:
         if self.ergas_factor is not None:
             self.ergas_factor = checked(float, self.ergas_factor,
                                         "ergas_factor")
-        self.radii = checked(lambda r: tuple(int(v) for v in r), self.radii,
-                             "radii")
+        self.radii = tuple(checked_list(int, self.radii, "radii"))
         if self.category2_level not in LEVELS:
             raise InputError(
                 f"unknown category2_level {self.category2_level!r}")
@@ -113,7 +113,7 @@ class ImageFeatures:
     """One image's quality indicators, computed once and compared to many."""
 
     image: MultibandImage
-    stats: list[tuple[float, ...]]               # summary_stats per band
+    stats: list[SummaryStats]                    # per band
     texture: list[tuple[float, float, float]]    # GLCM3 features per band
     labels: LabelMapStack
     aura_mean: float
@@ -121,14 +121,16 @@ class ImageFeatures:
 
 
 def image_features(img: MultibandImage, opts: EvalOptions) -> ImageFeatures:
-    """Per-band moments and texture, label stack and cross-aura contour."""
+    """Per-band moments and texture, both from one gray-level map per band,
+    and the label stack and its cross-aura contour."""
     rings = RingSpec(opts.radii)
-    stats = [summary_stats(img.band(b), opts.gl).as_tuple()
-             for b in range(img.bands)]
-    # the quantizer's range check runs before the costlier texture work
     labels = quantize_spectral(img)
-    texture = [band_texture(img.band(b), opts.gl, rings)
-               for b in range(img.bands)]
+    stats, texture = [], []
+    for b in range(img.bands):
+        band = img.band(b)
+        levels = quantize_gray_levels(band, opts.gl)
+        stats.append(summary_stats(band, levels))
+        texture.append(glcm3_features(tims_glcm(levels, rings, gl=opts.gl)))
     plane, aura_mean = cross_aura(labels)
     return ImageFeatures(image=img, stats=stats, texture=texture,
                          labels=labels, aura_mean=aura_mean,

@@ -16,12 +16,12 @@ samples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, checked, read_json
+from .errors import InputError, checked, checked_list, read_json
 
 _DTYPES = {
     "u8": np.dtype("<u1"),
@@ -80,28 +80,36 @@ class MultibandImage:
 
 @dataclass
 class ImageHeader:
+    """A header's fields as read from JSON, checked and converted here."""
+
     width: int
     height: int
     bands: int
     sample_type: str
-    gain: list[float] = field(default_factory=list)
-    offset: list[float] = field(default_factory=list)
+    gain: list[float] | None = None      # None or [] means all 1.0
+    offset: list[float] | None = None    # None or [] means all 0.0
     nodata: float | None = None
     band_names: list[str] | None = None
 
     def __post_init__(self):
+        for key in ("width", "height", "bands"):
+            setattr(self, key, checked(int, getattr(self, key), key))
         if self.sample_type not in _DTYPES:
             raise InputError(f"unknown sample_type {self.sample_type!r}")
-        if not self.gain:
-            self.gain = [1.0] * self.bands
-        if not self.offset:
-            self.offset = [0.0] * self.bands
+        for key, default in (("gain", 1.0), ("offset", 0.0)):
+            values = getattr(self, key)
+            setattr(self, key, [default] * self.bands if values in (None, [])
+                    else checked_list(float, values, key))
         if len(self.gain) != self.bands or len(self.offset) != self.bands:
             raise InputError("gain/offset length must equal band count")
-
-
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+        if self.nodata is not None:
+            self.nodata = checked(float, self.nodata, "nodata")
+        names = self.band_names
+        if names is not None and not (
+                isinstance(names, list) and len(names) == self.bands
+                and all(isinstance(n, str) for n in names)):
+            raise InputError(f"band_names must be null or a list of "
+                             f"{self.bands} strings: {names!r}")
 
 
 def _paths(path) -> tuple[Path, Path]:
@@ -126,13 +134,9 @@ def load_image(path) -> MultibandImage:
         raise InputError(f"unknown header keys {sorted(unknown)}")
     try:
         hdr = ImageHeader(
-            width=checked(int, doc["width"], "width"),
-            height=checked(int, doc["height"], "height"),
-            bands=checked(int, doc["bands"], "bands"),
-            sample_type=doc["dtype"],
-            gain=checked(_floats, doc.get("gain") or [], "gain"),
-            offset=checked(_floats, doc.get("offset") or [], "offset"),
-            nodata=doc.get("nodata"),
+            width=doc["width"], height=doc["height"], bands=doc["bands"],
+            sample_type=doc["dtype"], gain=doc.get("gain"),
+            offset=doc.get("offset"), nodata=doc.get("nodata"),
             band_names=doc.get("band_names"),
         )
     except KeyError as exc:

@@ -1,9 +1,10 @@
 """Spectral comparison metrics and first-category summary statistics.
 
-Covers the per-band histogram moments (mean, std, skewness, kurtosis,
-entropy), Minkowski-1 cross-band cost aggregation, Pearson correlation,
-SAM, ERGAS, the block-wise universal quality index Q, its four-band
-quaternion extension Q4, and the no-reference QNR/D_lambda/D_s triple.
+Covers the per-band moments (mean, std, skewness, kurtosis) and the
+entropy of the band's gray-level map from glcm3.quantize_gray_levels,
+Minkowski-1 cross-band cost aggregation, Pearson correlation, SAM, ERGAS,
+the block-wise universal quality index Q, its four-band quaternion
+extension Q4, and the no-reference QNR/D_lambda/D_s triple.
 
 All moments use the population (N-divisor) convention so that downstream
 z-score standardization behaves exactly.
@@ -18,23 +19,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .glcm3 import DEFAULT_GL
 from .raster import MultibandImage
 
 DEFAULT_BLOCK = 8
 
 
-@dataclass
-class SummaryStats:
+class SummaryStats(NamedTuple):
     mean: float
     std: float
     skewness: float
     kurtosis: float
     entropy_bits: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.mean, self.std, self.skewness, self.kurtosis,
-                self.entropy_bits)
 
 
 @dataclass
@@ -47,13 +42,14 @@ class BlockSpec:
             raise InputError("block_size must be >= 2")
 
 
-def summary_stats(band: np.ndarray, gl: int = DEFAULT_GL) -> SummaryStats:
-    """Population moments plus min-max binned Shannon entropy (bits)."""
-    if gl < 2:
-        raise InputError("gl must be >= 2")
+def summary_stats(band: np.ndarray, levels: np.ndarray) -> SummaryStats:
+    """Population moments plus the Shannon entropy (bits) of levels, the
+    band's gray-level map from quantize_gray_levels."""
     x = np.asarray(band, dtype=np.float64).ravel()
     if x.size == 0:
         raise InputError("empty band")
+    if np.shape(levels) != np.shape(band):
+        raise InputError("levels must map every sample of the band")
     mean = x.mean()
     centered = x - mean
     # chained products: np.power for cubes and fourth powers is far slower
@@ -65,13 +61,10 @@ def summary_stats(band: np.ndarray, gl: int = DEFAULT_GL) -> SummaryStats:
     else:
         skew = np.mean(sq * centered) / std**3
         kurt = np.mean(sq * sq) / std**4
-    lo, hi = x.min(), x.max()
-    if hi == lo:
-        entropy = 0.0
-    else:
-        counts, _ = np.histogram(x, bins=gl, range=(lo, hi))
-        p = counts[counts > 0] / x.size
-        entropy = float(-(p * np.log2(p)).sum())
+    counts = np.bincount(np.ravel(levels))
+    p = counts[counts > 0] / x.size
+    # 0.0 - sum, not -sum: a constant band's entropy is +0.0, not -0.0
+    entropy = float(0.0 - (p * np.log2(p)).sum())
     return SummaryStats(float(mean), std, float(skew), float(kurt), entropy)
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from panqa import pipeline, quantizer
+from panqa import glcm3, pipeline, quantizer
 from panqa.cli import build_parser, main
 from panqa.raster import MultibandImage, load_image, save_image
 from panqa.resample import DEFAULT_MTF_GAIN_PAN, degrade, mtf_gaussian_kernel
@@ -337,6 +337,16 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
      "manifest candidate 'a': wrong type for wall_seconds: [1]"),
     (lambda m: m.update(options={"gl": None}), "wrong type for gl: None"),
     (lambda m: m.update(options={"radii": 3}), "wrong type for radii: 3"),
+    (lambda m: m.update(options={"gl": 31.7}), "wrong type for gl: 31.7"),
+    (lambda m: m.update(options={"radii": [1.5, 2.9]}),
+     "wrong type for radii: 1.5"),
+    (lambda m: m.update(options={"radii": "123"}),
+     "wrong type for radii: '123'"),
+    (lambda m: m.update(ratio="4"), "wrong type for ratio: '4'"),
+    (lambda m: m.update(options={"block_size": True}),
+     "wrong type for block_size: True"),
+    (lambda m: m["candidates"][0].update(wall_seconds="0.8"),
+     "manifest candidate 'a': wrong type for wall_seconds: '0.8'"),
 ])
 def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
     manifest = {"reference": "ms", "ratio": 4,
@@ -403,9 +413,11 @@ def test_rank_featurizes_each_image_once(scene, monkeypatch):
     monkeypatch.delenv("PANQA_THREADS", raising=False)
     features = count_calls(monkeypatch, pipeline.image_features)
     auras = count_calls(monkeypatch, quantizer.cross_aura)
+    gray_maps = count_calls(monkeypatch, glcm3.quantize_gray_levels)
     assert main(["rank", "--manifest", str(mpath),
                  "--out-dir", str(scene / "serial")]) == 0
     assert (len(features), len(auras)) == (4, 4)
+    assert len(gray_maps) == 4 * 4     # one per band of each 4-band image
 
     monkeypatch.setenv("PANQA_THREADS", "2")
     assert main(["rank", "--manifest", str(mpath),
@@ -454,6 +466,18 @@ GOOD_HEADER = {"width": 2, "height": 2, "bands": 1, "dtype": "u8",
     (json.dumps(dict(GOOD_HEADER, gain="abcd")),
      "header {path}: wrong type for gain: 'abcd'"),
     ("[2, 2]", "header {path} must be a JSON object"),
+    (json.dumps(dict(GOOD_HEADER, width=8.7)),
+     "header {path}: wrong type for width: 8.7"),
+    (json.dumps(dict(GOOD_HEADER, height=True)),
+     "header {path}: wrong type for height: True"),
+    (json.dumps(dict(GOOD_HEADER, gain=["1.0"])),
+     "header {path}: wrong type for gain: '1.0'"),
+    (json.dumps(dict(GOOD_HEADER, offset=[False])),
+     "header {path}: wrong type for offset: False"),
+    (json.dumps(dict(GOOD_HEADER, nodata="abc")),
+     "header {path}: wrong type for nodata: 'abc'"),
+    (json.dumps(dict(GOOD_HEADER, band_names=5)),
+     "header {path}: band_names must be null or a list of 1 strings: 5"),
 ])
 def test_degrade_malformed_header(tmp_path, capsys, header, message):
     (tmp_path / "img.json").write_text(header, encoding="utf-8")

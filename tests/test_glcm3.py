@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panqa.errors import DegeneracyError, InputError
-from panqa.glcm3 import (Glcm3, RingSpec, band_texture, glcm3_features,
+from panqa.glcm3 import (Glcm3, RingSpec, glcm3_features,
                          quantize_gray_levels, tims_glcm)
 
 
@@ -118,7 +118,8 @@ class TestTimsGlcm:
 
     def test_too_small(self):
         with pytest.raises(InputError, match="too small"):
-            tims_glcm(np.zeros((4, 4), dtype=np.int64), RingSpec((1, 2, 3)))
+            tims_glcm(np.zeros((4, 4), dtype=np.int64), RingSpec((1, 2, 3)),
+                      gl=4)
 
     def test_bad_radii(self):
         with pytest.raises(InputError):
@@ -168,4 +169,5 @@ class TestCost:
                 float(np.sum(((d - r)**2 + (r - c)**2 + (d - c)**2) * p)),
                 float(np.sum(p**2)),
                 float(np.sum((d**2 + r**2 + c**2) * p)))
-            assert band_texture(band, gl=4) == want
+            levels = quantize_gray_levels(band, 4)
+            assert glcm3_features(tims_glcm(levels, gl=4)) == want

@@ -54,6 +54,15 @@ def test_from_json_rejects_unknown_category2_level(tmp_path):
         RunManifest.from_json(path)
 
 
+def test_integral_floats_are_ints(tmp_path):
+    path = write_manifest(tmp_path / "m.json",
+                          {"gl": 8.0, "block_size": 4.0, "radii": [1.0, 2]})
+    opts = RunManifest.from_json(path).options
+    assert opts == EvalOptions(ratio=4, gl=8, block_size=4, radii=(1, 2))
+    assert all(type(v) is int
+               for v in (opts.gl, opts.block_size, *opts.radii))
+
+
 def test_defaults_have_one_definition(tmp_path):
     assert EvalOptions().block_size == DEFAULT_BLOCK
     opts = RunManifest.from_json(write_manifest(tmp_path / "m.json",

@@ -37,6 +37,15 @@ def test_load_gain_offset(tmp_path):
     assert img.samples[0, 0, 1] == pytest.approx(2.0)
 
 
+def test_load_integral_float_size_and_band_names(tmp_path):
+    hdr = {"width": 2.0, "height": 1, "bands": 2, "dtype": "u8",
+           "band_names": ["red", "nir"]}
+    path = write_pair(tmp_path, "w", hdr, [1, 2, 3, 4], "<u1")
+    img = load_image(path)
+    assert img.samples.shape == (1, 2, 2)
+    assert img.band_names == ["red", "nir"]
+
+
 def test_load_length_mismatch(tmp_path):
     hdr = {"width": 2, "height": 2, "bands": 1, "dtype": "u8",
            "gain": [1.0], "offset": [0.0], "nodata": None,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panqa.errors import DegeneracyError, InputError
+from panqa.glcm3 import quantize_gray_levels
 from panqa.raster import MultibandImage
 from panqa.resample import upsample
 from panqa.spectral import (BlockSpec, ergas, inverse_pcc_cost, mdb_cost,
@@ -18,20 +19,42 @@ EVEN_PERMS = [p for p in permutations(range(4))
                      if p[j] > p[i]) % 2 == 0]
 
 
+def stats(band, gl=32):
+    """summary_stats of band with its gray-level map at gl levels."""
+    return summary_stats(band, quantize_gray_levels(band, gl))
+
+
 class TestSummaryStats:
     def test_constant_band(self):
-        s = summary_stats(np.full((4, 4), 2.0))
+        s = stats(np.full((4, 4), 2.0))
         assert (s.std, s.skewness, s.kurtosis, s.entropy_bits) == (0, 0, 0, 0)
         assert s.mean == 2.0
+
+    def test_constant_band_entropy_is_positive_zero(self):
+        e = stats(np.full((4, 4), 2.0)).entropy_bits
+        assert math.copysign(1.0, e) == 1.0
 
     def test_equiprobable_entropy(self):
         # exactly one sample per bin of a 32-bin histogram -> 5 bits
         band = np.linspace(0.0, 1.0, 32)
-        s = summary_stats(band, gl=32)
+        s = stats(band, gl=32)
         assert s.entropy_bits == pytest.approx(5.0, abs=1e-12)
 
+    def test_entropy_counts_the_gray_level_map(self):
+        # 0.178125 - 1 ulp lies just below np.histogram's edge 19, so a
+        # histogram gives each sample its own bin (2 bits); floor binning
+        # puts it in level 19 with 0.18, three levels (1.5 bits)
+        band = np.array([0.0, 0.17812499999999998, 0.18, 0.3])
+        levels = quantize_gray_levels(band, 32)
+        assert levels.tolist() == [0, 19, 19, 31]
+        assert summary_stats(band, levels).entropy_bits == 1.5
+
+    def test_levels_shape_checked(self):
+        with pytest.raises(InputError, match="levels"):
+            summary_stats(np.ones(4), np.zeros(3, dtype=np.int64))
+
     def test_two_point_moments(self):
-        s = summary_stats(np.array([0.0, 0.0, 1.0, 1.0]))
+        s = stats(np.array([0.0, 0.0, 1.0, 1.0]))
         assert s.mean == 0.5
         assert s.std == 0.5
         assert s.skewness == 0.0
@@ -39,12 +62,8 @@ class TestSummaryStats:
 
     def test_entropy_bounds(self, rng):
         for _ in range(20):
-            s = summary_stats(rng.random(100), gl=32)
+            s = stats(rng.random(100), gl=32)
             assert 0.0 <= s.entropy_bits <= 5.0
-
-    def test_gl_too_small(self):
-        with pytest.raises(InputError):
-            summary_stats(np.ones(4), gl=1)
 
 
 def power_moments(x):
@@ -59,7 +78,7 @@ def power_moments(x):
 @given(arrays(np.float64, st.tuples(st.integers(1, 16), st.integers(1, 16)),
               elements=st.integers(0, 65535).map(lambda dn: dn / 65535)))
 def test_moments_match_power_reference(band):
-    s = summary_stats(band)
+    s = stats(band)
     if s.std == 0.0:
         assert (s.skewness, s.kurtosis) == (0.0, 0.0)
         return
