@@ -20,13 +20,18 @@ class DegeneracyError(PanqaError):
 
 
 def checked(kind, value, key: str):
-    """value as a kind (int or float) number. A string, a boolean or, for
-    int, a number with a fraction (4.5, not 4.0) raises InputError naming
-    key."""
+    """value as a kind (int or float) number. A string, a boolean, for
+    int a number with a fraction (4.5, not 4.0), or for float an integer
+    too large for one raises InputError naming key."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or (kind is int and value % 1 != 0)):
         raise InputError(f"wrong type for {key}: {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise InputError(
+            f"out of range for {key}: an integer too large for a float"
+        ) from None
 
 
 def checked_list(kind, values, key: str) -> list:

@@ -4,6 +4,13 @@ additive a-trous wavelet detail injection.
 These are deliberately plain textbook fusers; they exist to feed the
 evaluation harness with distinguishable candidates, not to compete with
 production algorithms.
+
+Each fuser owns the upsampled image it starts from. CN scales and ATWT
+adds into its band planes in place, and the fused image is a new
+MultibandImage over that same buffer, so its samples are checked again.
+PCA drops it once it holds the (pixels, bands) copy it centres in place;
+each later step frees what it consumed, so PCA holds at most two images
+at once.
 """
 
 from __future__ import annotations
@@ -71,9 +78,13 @@ def pansharpen_pca(ms: MultibandImage, pan: np.ndarray,
         raise InputError("PCA fusion needs at least two bands")
     up = upsample(ms, ratio, cfg.resampler)
     h, w, b = up.samples.shape
-    x = up.samples.reshape(-1, b)
+    # a C-ordered (pixels, bands) copy: the covariance and the projections
+    # round by memory order
+    x = np.ascontiguousarray(up.samples.reshape(-1, b))
+    del up
     mean = x.mean(axis=0)
-    cov = np.cov(x - mean, rowvar=False, bias=True)
+    x -= mean
+    cov = np.cov(x, rowvar=False, bias=True)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
@@ -82,11 +93,13 @@ def pansharpen_pca(ms: MultibandImage, pan: np.ndarray,
     # fix eigenvector sign so component sums are non-negative
     signs = np.where(evecs.sum(axis=0) < 0, -1.0, 1.0)
     evecs = evecs * signs
-    pcs = (x - mean) @ evecs
-    pc1 = pcs[:, 0].reshape(h, w)
+    pcs = x @ evecs
+    del x
     pcs[:, 0] = _match_mean_std(np.asarray(pan, dtype=np.float64),
-                                pc1).ravel()
-    fused = pcs @ evecs.T + mean
+                                pcs[:, 0].reshape(h, w)).ravel()
+    fused = pcs @ evecs.T
+    del pcs
+    fused += mean
     return MultibandImage(fused.reshape(h, w, b), band_names=ms.band_names)
 
 
@@ -98,8 +111,9 @@ def pansharpen_cn(ms: MultibandImage, pan: np.ndarray,
     intensity = up.samples.mean(axis=2)
     matched = _match_mean_std(np.asarray(pan, dtype=np.float64), intensity)
     scale = matched / np.maximum(intensity, _EPS)
-    fused = up.samples * scale[:, :, None]
-    return MultibandImage(fused, band_names=ms.band_names)
+    for plane in up.planes:
+        plane *= scale
+    return MultibandImage.from_planes(up.planes, band_names=ms.band_names)
 
 
 _B3 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -111,14 +125,17 @@ def pansharpen_atwt(ms: MultibandImage, pan: np.ndarray,
     ratio = _check_shapes(ms, pan)
     if cfg.wavelet_levels > int(np.log2(max(ratio, 1))) + 2:
         raise InputError("wavelet_levels too large for this scale ratio")
-    up = upsample(ms, ratio, cfg.resampler)
     pan = np.asarray(pan, dtype=np.float64)
     smooth = pan
     for level in range(cfg.wavelet_levels):
         smooth = mirror_filter(smooth, _B3, 2**level)
     detail = pan - smooth
-    fused = up.samples + detail[:, :, None]
-    return MultibandImage(fused, band_names=ms.band_names)
+    del smooth
+    # upsampled only now, so the filter's temporaries never meet it
+    up = upsample(ms, ratio, cfg.resampler)
+    for plane in up.planes:
+        plane += detail
+    return MultibandImage.from_planes(up.planes, band_names=ms.band_names)
 
 
 _DISPATCH = {

@@ -62,15 +62,25 @@ class Glcm3:
 
 def quantize_gray_levels(band: np.ndarray, gl: int = DEFAULT_GL
                          ) -> np.ndarray:
-    """Linear min-max binning into {0..gl-1}; constant bands map to 0."""
+    """Linear min-max binning into {0..gl-1}; constant bands map to 0.
+
+    The map is of the narrowest unsigned type that holds gl - 1: uint8 up
+    to gl = 256, uint16 up to 65536."""
     if gl < 2:
         raise InputError("gl must be >= 2")
     x = np.asarray(band, dtype=np.float64)
+    dtype = np.min_scalar_type(gl - 1)
     lo, hi = x.min(), x.max()
     if hi == lo:
-        return np.zeros(x.shape, dtype=np.int64)
-    levels = np.floor(gl * (x - lo) / (hi - lo)).astype(np.int64)
-    return np.minimum(levels, gl - 1)
+        return np.zeros(x.shape, dtype=dtype)
+    # floor(gl * (x - lo) / (hi - lo)), one float temporary; the top
+    # sample reaches gl and is clamped before the map narrows
+    levels = x - lo
+    levels *= gl
+    levels /= hi - lo
+    np.floor(levels, out=levels)
+    np.minimum(levels, gl - 1, out=levels)
+    return levels.astype(dtype)
 
 
 def _half_ring_offsets(radius: int) -> list[tuple[int, int]]:

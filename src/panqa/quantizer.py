@@ -91,9 +91,9 @@ def quantize_spectral(img: MultibandImage) -> LabelMapStack:
 
 def save_stack(stack: LabelMapStack, path) -> None:
     """Write the three label planes as a u16 image, one band per level."""
-    planes = np.stack([stack.level(name) for name in LEVELS], axis=2)
-    save_image(MultibandImage(planes.astype(np.float64),
-                              band_names=list(LEVELS)),
+    planes = np.array([stack.level(name) for name in LEVELS],
+                      dtype=np.float64)
+    save_image(MultibandImage.from_planes(planes, band_names=list(LEVELS)),
                path, sample_type="u16")
 
 

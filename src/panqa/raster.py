@@ -3,14 +3,20 @@
 An image on disk is a pair of files sharing a base name: ``<name>.json``
 (the header) and ``<name>.raw`` (the payload). The payload is band
 sequential, row-major within each band, little endian. Calibration is
-affine per band: sample = DN * gain + offset. In memory everything is
-float64, shaped (height, width, bands).
+affine per band: sample = DN * gain + offset.
 
-load_image() calibrates the decoded planes in place (multiply, then add:
-the same two roundings as DN * gain + offset). save_image() inverts the
-calibration into one C-contiguous band-sequential float64 buffer, so the
-payload goes to disk as one block whatever the memory order of the
-samples.
+In memory an image is held as on disk: one C-contiguous float64 buffer of
+(bands, height, width) planes, seen through MultibandImage.samples as a
+(height, width, bands) view. MultibandImage.from_planes() wraps such a
+buffer without a copy, so a producer fills one plane at a time and the
+image is never held twice; any other samples array is copied into this
+layout once.
+
+load_image() reads, converts and calibrates the payload one band at a
+time into that buffer (multiply, then add: the same two roundings as
+DN * gain + offset). save_image() inverts the calibration one band at a
+time through one reused float64 plane into the payload, which is built
+whole in its storage type before anything is written.
 """
 
 from __future__ import annotations
@@ -40,22 +46,40 @@ _HEADER_KEYS = {"width", "height", "bands", "dtype", "gain", "offset",
 
 @dataclass
 class MultibandImage:
-    """Calibrated raster; samples has shape (height, width, bands)."""
+    """Calibrated raster; samples has shape (height, width, bands) and is a
+    view of the band-sequential buffer planes."""
 
     samples: np.ndarray
     band_names: list[str] | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.samples, dtype=np.float64)
+        a = np.asarray(self.samples)
         if a.ndim == 2:
             a = a[:, :, None]
         if a.ndim != 3:
             raise InputError("samples must be a 2-D or 3-D array")
         if a.shape[0] < 1 or a.shape[1] < 1 or a.shape[2] < 1:
             raise InputError("empty image")
-        if not np.isfinite(a).all():
+        # a copy only when the samples are not float64 planes already
+        planes = np.asarray(np.moveaxis(a, 2, 0), dtype=np.float64,
+                            order="C")
+        # band by band, so the check holds one plane's mask at a time
+        if not all(np.isfinite(p).all() for p in planes):
             raise InputError("non-finite samples")
-        self.samples = a
+        self.samples = np.moveaxis(planes, 0, 2)
+
+    @classmethod
+    def from_planes(cls, planes: np.ndarray,
+                    band_names: list[str] | None = None
+                    ) -> MultibandImage:
+        """The image of a (bands, height, width) float64 buffer, which it
+        holds without a copy when the buffer is C-contiguous."""
+        return cls(np.moveaxis(planes, 0, 2), band_names)
+
+    @property
+    def planes(self) -> np.ndarray:
+        """The (bands, height, width) buffer behind samples."""
+        return np.moveaxis(self.samples, 2, 0)
 
     @property
     def height(self) -> int:
@@ -73,7 +97,7 @@ class MultibandImage:
         """The (height, width) plane of band b. Read-only view."""
         if not 0 <= b < self.bands:
             raise InputError(f"band index {b} out of range [0, {self.bands})")
-        plane = self.samples[:, :, b]
+        plane = self.planes[b]
         plane.flags.writeable = False
         return plane
 
@@ -145,20 +169,25 @@ def load_image(path) -> MultibandImage:
         raise InputError(f"header {hdr_path}: {exc}") from None
 
     dtype = _DTYPES[hdr.sample_type]
-    raw = np.fromfile(raw_path, dtype=dtype)
-    expected = hdr.width * hdr.height * hdr.bands
-    if raw.size != expected:
+    # the exact byte count: a trailing partial sample is refused too
+    expected = hdr.width * hdr.height * hdr.bands * dtype.itemsize
+    size = raw_path.stat().st_size
+    if size != expected:
         raise InputError(
-            f"length mismatch: payload has {raw.size} samples, "
-            f"header implies {expected}")
-    planes = raw.astype(np.float64).reshape(hdr.bands, hdr.height, hdr.width)
-    if hdr.nodata is not None and np.any(planes == hdr.nodata):
-        raise InputError("nodata pixels present; dense rasters required")
-    planes *= np.asarray(hdr.gain, dtype=np.float64)[:, None, None]
-    planes += np.asarray(hdr.offset, dtype=np.float64)[:, None, None]
-    if not np.isfinite(planes).all():
-        raise InputError("non-finite values after calibration")
-    return MultibandImage(np.moveaxis(planes, 0, 2), band_names=hdr.band_names)
+            f"length mismatch: payload has {size} bytes, header implies "
+            f"{expected}")
+    planes = np.empty((hdr.bands, hdr.height, hdr.width))
+    with open(raw_path, "rb") as fh:
+        for plane, gain, offset in zip(planes.reshape(hdr.bands, -1),
+                                       hdr.gain, hdr.offset):
+            plane[:] = np.fromfile(fh, dtype=dtype, count=plane.size)
+            if hdr.nodata is not None and np.any(plane == hdr.nodata):
+                raise InputError(
+                    "nodata pixels present; dense rasters required")
+            plane *= gain
+            plane += offset
+    # MultibandImage refuses non-finite samples, as from a gain overflow
+    return MultibandImage.from_planes(planes, band_names=hdr.band_names)
 
 
 def save_image(img: MultibandImage, path, sample_type: str = "f32",
@@ -178,22 +207,25 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
     if len(gain) != b or len(offset) != b:
         raise InputError("gain/offset length must equal band count")
 
-    # one C-contiguous band-sequential buffer, so the payload is a single
-    # block write and not one write per sample
-    dn = np.empty((b, img.height, img.width))
-    np.subtract(np.moveaxis(img.samples, 2, 0),
-                np.asarray(offset, dtype=np.float64)[:, None, None], out=dn)
-    dn /= np.asarray(gain, dtype=np.float64)[:, None, None]
+    # the payload is built whole, one band at a time through one float64
+    # plane, so a refused band leaves nothing written
     dtype = _DTYPES[sample_type]
-    if sample_type in ("u8", "u16"):
-        info = np.iinfo(dtype)
-        if (np.any(dn < info.min - DN_TOLERANCE)
-                or np.any(dn > info.max + DN_TOLERANCE)):
-            raise InputError(
-                f"sample out of range for {sample_type} after inverse "
-                "calibration")
-        dn = np.rint(dn)
-    payload = dn.astype(dtype)
+    payload = np.empty((b, img.height, img.width), dtype=dtype)
+    dn = np.empty((img.height, img.width))
+    for plane, out, g, o in zip(img.planes, payload,
+                                np.asarray(gain, dtype=np.float64),
+                                np.asarray(offset, dtype=np.float64)):
+        np.subtract(plane, o, out=dn)
+        dn /= g
+        if sample_type in ("u8", "u16"):
+            info = np.iinfo(dtype)
+            if (np.any(dn < info.min - DN_TOLERANCE)
+                    or np.any(dn > info.max + DN_TOLERANCE)):
+                raise InputError(
+                    f"sample out of range for {sample_type} after inverse "
+                    "calibration")
+            np.rint(dn, out=dn)
+        out[...] = dn
 
     doc = {
         "width": img.width, "height": img.height, "bands": b,

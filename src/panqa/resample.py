@@ -11,6 +11,10 @@ kernels have unit DC gain. mirror_filter() is the one separable
 mirror-boundary filter, shared by degrade() and the a-trous fuser;
 degrade() asks it for the decimated samples only. It mirror pads each
 axis once and reads every tap as a strided view of the padded block.
+
+degrade() and upsample() write each output band into one preallocated
+(bands, height, width) buffer and wrap it with MultibandImage.from_planes,
+so the result is never stacked from a list of separate planes.
 """
 
 from __future__ import annotations
@@ -146,10 +150,10 @@ def degrade(img: MultibandImage, ratio: int,
         kernel = (identity_kernel() if ratio == 1
                   else mtf_gaussian_kernel(ratio, DEFAULT_MTF_GAIN_MS))
     keep = slice((ratio - 1) // 2, None, ratio)
-    planes = [mirror_filter(np.ascontiguousarray(img.samples[:, :, b]),
-                            kernel.taps, keep=keep)
-              for b in range(img.bands)]
-    return MultibandImage(np.stack(planes, axis=2), band_names=img.band_names)
+    planes = np.empty((img.bands, img.height // ratio, img.width // ratio))
+    for src, out in zip(img.planes, planes):
+        out[...] = mirror_filter(src, kernel.taps, keep=keep)
+    return MultibandImage.from_planes(planes, band_names=img.band_names)
 
 
 def _interp_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
@@ -184,12 +188,17 @@ def upsample(img: MultibandImage, ratio: int, method: str = "bicubic"
         raise InputError(f"unknown method {method!r}")
     if ratio < 1:
         raise InputError("ratio must be >= 1")
+    h, w = img.height, img.width
+    planes = np.empty((img.bands, h * ratio, w * ratio))
     if ratio == 1:
-        return MultibandImage(img.samples.copy(), band_names=img.band_names)
-    if method == "nearest":
-        out = np.repeat(np.repeat(img.samples, ratio, axis=0), ratio, axis=1)
-        return MultibandImage(out, band_names=img.band_names)
-    my = _interp_matrix(img.height, ratio, method)
-    mx = _interp_matrix(img.width, ratio, method)
-    planes = [my @ img.samples[:, :, b] @ mx.T for b in range(img.bands)]
-    return MultibandImage(np.stack(planes, axis=2), band_names=img.band_names)
+        planes[...] = img.planes
+    elif method == "nearest":
+        # each sample broadcast over its ratio x ratio block, no repeats
+        planes.reshape(img.bands, h, ratio, w, ratio)[...] = \
+            img.planes[:, :, None, :, None]
+    else:
+        my = _interp_matrix(h, ratio, method)
+        mxt = _interp_matrix(w, ratio, method).T
+        for src, out in zip(img.planes, planes):
+            np.matmul(my @ src, mxt, out=out)
+    return MultibandImage.from_planes(planes, band_names=img.band_names)

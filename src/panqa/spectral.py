@@ -163,7 +163,12 @@ def _block_moments(plane: np.ndarray, bl: int) -> _BlockMoments:
     x = np.asarray(plane, dtype=np.float64)
     blocks = _block_view(x, bl)
     m = blocks.mean(axis=2)
-    c = blocks - m[:, :, None]
+    if np.may_share_memory(blocks, x):
+        c = blocks - m[:, :, None]
+    else:
+        # the block view had to copy: centre that copy in place
+        c = blocks
+        c -= m[:, :, None]
     nby, nbx = m.shape
     return _BlockMoments(x[:nby * bl, :nbx * bl], m, c,
                          np.mean(c**2, axis=2))
@@ -216,13 +221,16 @@ def q_index(band_a: np.ndarray, band_b: np.ndarray,
     return _q_blocks(a, b, _block_cov(a, b))
 
 
-def _qmul(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+# the Hamilton product a * conj(b) with conj's signs written out: per
+# component, the signed terms a[i] * b[j] in the order they are summed.
+# x * (-y) is -(x * y) and x - (-y) is x + y in every rounding, so this
+# is bit for bit the product with a negated copy of b.
+_CONJ_PRODUCT = (
+    ((1, 0, 0), (1, 1, 1), (1, 2, 2), (1, 3, 3)),
+    ((-1, 0, 1), (1, 1, 0), (-1, 2, 3), (1, 3, 2)),
+    ((-1, 0, 2), (1, 1, 3), (1, 2, 0), (-1, 3, 1)),
+    ((-1, 0, 3), (-1, 1, 2), (1, 2, 1), (1, 3, 0)),
+)
 
 
 def q4(img_a: MultibandImage, img_b: MultibandImage,
@@ -238,9 +246,19 @@ def q4(img_a: MultibandImage, img_b: MultibandImage,
     mom_b = [_block_moments(img_b.band(c), bl) for c in range(4)]
     da = [m.centred for m in mom_a]
     db = [m.centred for m in mom_b]
-    # quaternion cross-covariance: mean of (za - mean) * conj(zb - mean)
-    prod = _qmul(da, (db[0], -db[1], -db[2], -db[3]))
-    cov_mod = np.sqrt(sum(p.mean(axis=2)**2 for p in prod))
+    # quaternion cross-covariance: the block mean of each component of
+    # (za - mean) * conj(zb - mean), built one at a time in two buffers
+    comp, term = np.empty_like(da[0]), np.empty_like(da[0])
+    cov_means = []
+    for (sign, i, j), *rest in _CONJ_PRODUCT:
+        np.multiply(da[i], db[j], out=comp)
+        if sign < 0:
+            np.negative(comp, out=comp)
+        for sign, i, j in rest:
+            np.multiply(da[i], db[j], out=term)
+            (np.add if sign > 0 else np.subtract)(comp, term, out=comp)
+        cov_means.append(comp.mean(axis=2))
+    cov_mod = np.sqrt(sum(m**2 for m in cov_means))
     va = sum(m.var for m in mom_a)
     vb = sum(m.var for m in mom_b)
     na2 = sum(m.mean**2 for m in mom_a)

@@ -347,6 +347,9 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
      "wrong type for block_size: True"),
     (lambda m: m["candidates"][0].update(wall_seconds="0.8"),
      "manifest candidate 'a': wrong type for wall_seconds: '0.8'"),
+    (lambda m: m["candidates"][0].update(wall_seconds=10**400),
+     "manifest candidate 'a': out of range for wall_seconds: an integer "
+     "too large for a float"),
 ])
 def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
     manifest = {"reference": "ms", "ratio": 4,
@@ -478,6 +481,9 @@ GOOD_HEADER = {"width": 2, "height": 2, "bands": 1, "dtype": "u8",
      "header {path}: wrong type for nodata: 'abc'"),
     (json.dumps(dict(GOOD_HEADER, band_names=5)),
      "header {path}: band_names must be null or a list of 1 strings: 5"),
+    (json.dumps(dict(GOOD_HEADER, gain=[10**400])),
+     "header {path}: out of range for gain: an integer too large for a "
+     "float"),
 ])
 def test_degrade_malformed_header(tmp_path, capsys, header, message):
     (tmp_path / "img.json").write_text(header, encoding="utf-8")

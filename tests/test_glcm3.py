@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from panqa.errors import DegeneracyError, InputError
 from panqa.glcm3 import (Glcm3, RingSpec, glcm3_features,
                          quantize_gray_levels, tims_glcm)
+from panqa.spectral import summary_stats
 
 
 def oracle_counts(labels, radii, gl):
@@ -67,6 +68,26 @@ class TestQuantize:
     def test_gl_too_small(self):
         with pytest.raises(InputError):
             quantize_gray_levels(np.ones((2, 2)), 1)
+
+    @pytest.mark.parametrize("gl, dtype", [(2, np.uint8), (256, np.uint8),
+                                           (257, np.uint16)])
+    def test_narrowest_type(self, gl, dtype):
+        band = np.array([[0.0, 0.3], [0.7, 1.0]])
+        levels = quantize_gray_levels(band, gl)
+        assert levels.dtype == dtype
+        # the top sample is clamped to gl - 1 before narrowing, not wrapped
+        assert levels[1, 1] == gl - 1
+        assert quantize_gray_levels(np.ones((2, 2)), gl).dtype == dtype
+
+    @pytest.mark.parametrize("gl", [2, 32, 64, 256, 257])
+    def test_narrow_map_counts_as_int64(self, rng, gl):
+        band = rng.random((24, 24))
+        levels = quantize_gray_levels(band, gl)
+        wide = levels.astype(np.int64)
+        assert summary_stats(band, levels) == summary_stats(band, wide)
+        if gl <= 64:  # the (gl, gl, gl) table is 134 MB at gl 256
+            assert np.array_equal(tims_glcm(levels, gl=gl).counts,
+                                  tims_glcm(wide, gl=gl).counts)
 
 
 class TestTimsGlcm:

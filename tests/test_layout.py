@@ -1,0 +1,240 @@
+"""The band-sequential image layout, from load to save.
+
+Producers fill one (bands, height, width) buffer and the fusers work in
+place on the upsampled one. The hypothesis tests hold every result equal,
+bit for bit, to reference copies of the earlier code that stacked
+per-band results and copied whole images; the tracemalloc tests bound how
+many image-sized buffers each step holds at once.
+"""
+
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from panqa.errors import InputError
+from panqa.fusion import (_B3, FusionConfig, _match_mean_std, pansharpen,
+                          pansharpen_atwt, pansharpen_cn, pansharpen_pca)
+from panqa.raster import MultibandImage, load_image, save_image
+from panqa.resample import _interp_matrix, mirror_filter, upsample
+from test_raster import encode_by_formula
+
+def stacked_upsample(img, ratio, method):
+    """upsample() as it stacked per-band results into an interleaved
+    (height, width, bands) array."""
+    if ratio == 1:
+        return img.samples.copy()
+    if method == "nearest":
+        return np.repeat(np.repeat(img.samples, ratio, axis=0), ratio,
+                         axis=1)
+    my = _interp_matrix(img.height, ratio, method)
+    mx = _interp_matrix(img.width, ratio, method)
+    return np.stack([my @ img.samples[:, :, b] @ mx.T
+                     for b in range(img.bands)], axis=2)
+
+
+def stacked_pca(ms, pan, cfg):
+    up = stacked_upsample(ms, pan.shape[0] // ms.height, cfg.resampler)
+    h, w, b = up.shape
+    x = up.reshape(-1, b)
+    mean = x.mean(axis=0)
+    cov = np.cov(x - mean, rowvar=False, bias=True)
+    evals, evecs = np.linalg.eigh(cov)
+    evecs = evecs[:, np.argsort(evals)[::-1]]
+    evecs = evecs * np.where(evecs.sum(axis=0) < 0, -1.0, 1.0)
+    pcs = (x - mean) @ evecs
+    pcs[:, 0] = _match_mean_std(pan, pcs[:, 0].reshape(h, w)).ravel()
+    return (pcs @ evecs.T + mean).reshape(h, w, b)
+
+
+def stacked_cn(ms, pan, cfg):
+    up = stacked_upsample(ms, pan.shape[0] // ms.height, cfg.resampler)
+    intensity = up.mean(axis=2)
+    matched = _match_mean_std(pan, intensity)
+    return up * (matched / np.maximum(intensity, 1e-12))[:, :, None]
+
+
+def stacked_atwt(ms, pan, cfg):
+    up = stacked_upsample(ms, pan.shape[0] // ms.height, cfg.resampler)
+    smooth = pan
+    for level in range(cfg.wavelet_levels):
+        smooth = mirror_filter(smooth, _B3, 2**level)
+    return up + (pan - smooth)[:, :, None]
+
+
+def is_band_sequential(img):
+    return img.planes.flags.c_contiguous
+
+
+_STACKED_FUSERS = {"pca": (pansharpen_pca, stacked_pca),
+                   "cn": (pansharpen_cn, stacked_cn),
+                   "atwt": (pansharpen_atwt, stacked_atwt)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bands=st.integers(2, 5),
+       ratio=st.integers(2, 4), h=st.integers(2, 7), w=st.integers(2, 7),
+       method=st.sampled_from(["nearest", "bilinear", "bicubic"]),
+       interleaved=st.booleans())
+def test_upsample_equals_stacked(seed, bands, ratio, h, w, method,
+                                 interleaved):
+    samples = np.random.default_rng(seed).random((h, w, bands))
+    if not interleaved:
+        samples = np.moveaxis(np.ascontiguousarray(
+            np.moveaxis(samples, 2, 0)), 0, 2)
+    img = MultibandImage(samples)
+    for r in (1, ratio):
+        up = upsample(img, r, method)
+        assert is_band_sequential(up)
+        assert np.array_equal(up.samples, stacked_upsample(img, r, method))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bands=st.integers(2, 5),
+       ratio=st.integers(2, 4), h=st.integers(2, 7), w=st.integers(2, 7),
+       method=st.sampled_from(["pca", "cn", "atwt"]),
+       resampler=st.sampled_from(["nearest", "bilinear", "bicubic"]),
+       levels=st.integers(1, 2))
+def test_fusers_equal_stacked(seed, bands, ratio, h, w, method, resampler,
+                              levels):
+    rng = np.random.default_rng(seed)
+    ms = MultibandImage(rng.uniform(0.1, 0.9, (h, w, bands)))
+    pan = rng.uniform(0.1, 0.9, (h * ratio, w * ratio))
+    cfg = FusionConfig(method=method, resampler=resampler,
+                       wavelet_levels=levels)
+    fuser, stacked = _STACKED_FUSERS[method]
+    fused = fuser(ms, pan, cfg)
+    assert is_band_sequential(fused)
+    assert np.array_equal(fused.samples, stacked(ms, pan, cfg))
+
+
+@st.composite
+def images_to_store(draw):
+    """(samples, sample_type, gain, offset) with 2-5 bands; the samples are
+    drawn over a range a little wider than the integral types hold, so
+    the range check refuses some images."""
+    sample_type = draw(st.sampled_from(["u8", "u16", "f32"]))
+    bands = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = {"u8": 255.0, "u16": 65535.0, "f32": 1e4}[sample_type]
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)), bands)
+    gain = rng.uniform(0.5, 2.0, bands)
+    offset = rng.uniform(-10.0, 10.0, bands)
+    dn = rng.uniform(-0.02 * top, 1.01 * top, shape)
+    if draw(st.booleans()):
+        dn = np.clip(np.rint(dn), 0, top)
+    samples = dn * gain + offset
+    if draw(st.booleans()):
+        samples = np.moveaxis(np.ascontiguousarray(
+            np.moveaxis(samples, 2, 0)), 0, 2)
+    return samples, sample_type, list(gain), list(offset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stored=images_to_store())
+def test_save_image_equals_stacked(stored):
+    samples, sample_type, gain, offset = stored
+    # the payload as built from one whole-image float64 DN buffer
+    want = encode_by_formula(samples, sample_type, gain, offset)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "img"
+        if want is None:
+            with pytest.raises(InputError, match="out of range"):
+                save_image(MultibandImage(samples), path, sample_type, gain,
+                           offset)
+            # a refused band leaves neither file behind
+            assert not list(Path(tmp).iterdir())
+        else:
+            save_image(MultibandImage(samples), path, sample_type, gain,
+                       offset)
+            assert path.with_suffix(".raw").read_bytes() == want.tobytes()
+            assert is_band_sequential(load_image(path))
+
+
+def test_image_wraps_band_sequential_planes_without_copy():
+    planes = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
+    img = MultibandImage.from_planes(planes)
+    assert np.shares_memory(img.samples, planes)
+    assert np.array_equal(img.samples, np.moveaxis(planes, 0, 2))
+    # interleaved or non-float64 samples are copied into planes, once
+    interleaved = np.moveaxis(planes, 0, 2).copy()
+    img = MultibandImage(interleaved)
+    assert is_band_sequential(img)
+    assert not np.shares_memory(img.samples, interleaved)
+    assert np.array_equal(img.samples, interleaved)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, the most bytes fn's allocations held at once)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+H = W = 256
+BANDS = 4
+PLANE = H * W * 8   # one float64 band
+
+
+@pytest.mark.parametrize("sample_type, itemsize", [("u16", 2), ("f32", 4)])
+def test_save_image_footprint(tmp_path, rng, sample_type, itemsize):
+    img = MultibandImage(rng.uniform(0.0, 1.0, (H, W, BANDS)))
+    payload = H * W * BANDS * itemsize
+    _, peak = traced_peak(save_image, img, tmp_path / "img", sample_type,
+                          gain=[1e-4] * BANDS if sample_type == "u16"
+                          else None)
+    assert peak < payload + 1.5 * PLANE
+
+
+@pytest.mark.parametrize("sample_type, itemsize", [("u16", 2), ("f32", 4)])
+def test_load_image_footprint(tmp_path, rng, sample_type, itemsize):
+    save_image(MultibandImage(rng.uniform(0.0, 1.0, (H, W, BANDS))),
+               tmp_path / "img", sample_type,
+               gain=[1e-4] * BANDS if sample_type == "u16" else None)
+    img, peak = traced_peak(load_image, tmp_path / "img")
+    assert is_band_sequential(img)
+    assert peak < BANDS * PLANE + 1.5 * H * W * itemsize
+
+
+@pytest.mark.parametrize("method", ["nearest", "bilinear", "bicubic"])
+def test_upsample_footprint(rng, method):
+    ratio = 4
+    ms = MultibandImage(rng.random((H // ratio, W // ratio, BANDS)))
+    up, peak = traced_peak(upsample, ms, ratio, method)
+    # the output, the interpolation matrices and one (H, W / ratio)
+    # product: within one plane of the output
+    assert peak < up.samples.nbytes + PLANE
+
+
+@pytest.mark.parametrize("method, planes", [("cn", 5), ("atwt", 2)])
+def test_fuser_footprint(rng, method, planes):
+    ratio = 4
+    ms = MultibandImage(rng.uniform(0.1, 0.9, (H // ratio, W // ratio,
+                                               BANDS)))
+    pan = rng.uniform(0.1, 0.9, (H, W))
+    (fused, _), peak = traced_peak(pansharpen, ms, pan,
+                                   FusionConfig(method=method,
+                                                resampler="bicubic"))
+    # the fused image is the upsampled buffer. Beside it CN holds
+    # pan-sized planes (intensity, matched pan, scale and a temporary),
+    # ATWT only its detail plane; its filter runs before the upsample
+    assert peak < fused.samples.nbytes + planes * PLANE
+
+
+def test_pca_footprint(rng):
+    ratio = 4
+    ms = MultibandImage(rng.uniform(0.1, 0.9, (H // ratio, W // ratio,
+                                               BANDS)))
+    pan = rng.uniform(0.1, 0.9, (H, W))
+    (fused, _), peak = traced_peak(pansharpen, ms, pan,
+                                   FusionConfig(method="pca"))
+    # two images at once (the centred copy and the covariance's copy, or
+    # the components and the fused result) and pan-sized temporaries
+    assert peak < 2 * fused.samples.nbytes + 3 * PLANE

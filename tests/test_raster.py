@@ -53,6 +53,11 @@ def test_load_length_mismatch(tmp_path):
     path = write_pair(tmp_path, "c", hdr, [1, 2, 3], "<u1")
     with pytest.raises(InputError, match="length mismatch"):
         load_image(path)
+    # a trailing partial sample: u16 samples 1 and 2, then one odd byte
+    hdr = dict(hdr, width=2, height=1, dtype="u16")
+    path = write_pair(tmp_path, "p", hdr, [1, 0, 2, 0, 9], "<u1")
+    with pytest.raises(InputError, match="length mismatch"):
+        load_image(path)
 
 
 def test_load_rejects_nodata(tmp_path):

@@ -407,3 +407,14 @@ def test_q4_matches_reference(seed, shape, bl, levels, shared_bands):
     img_a, img_b = MultibandImage(a), MultibandImage(b)
     assert (q4(img_a, img_b, BlockSpec(bl))
             == q4_reference(img_a, img_b, bl))
+
+
+@pytest.mark.parametrize("width", [8, 20])
+def test_q_index_leaves_writeable_planes_alone(rng, width):
+    # at width == block size the block view is the plane itself, so the
+    # moments must centre a copy; wider planes centre their block copy
+    a, b = rng.random((16, width)), rng.random((16, width))
+    a_before, b_before = a.copy(), b.copy()
+    want = q_index_reference(a_before, b_before, 8)
+    assert q_index(a, b, BlockSpec(8)) == want
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
