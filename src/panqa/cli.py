@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -18,16 +19,25 @@ from .fusion import FUSION_METHODS, FusionConfig, pansharpen
 from .pipeline import (EvalOptions, RunManifest, classic_metrics,
                        evaluate_candidate, image_features, run_manifest,
                        write_json)
-from .protocol import srcc
-from .raster import MultibandImage, load_image, save_image
+from .protocol import bin_subjective_scores, srcc
+from .raster import MultibandImage, load_image, raster_paths, save_image
 from .resample import (DEFAULT_MTF_GAIN_MS, DEFAULT_MTF_GAIN_PAN,
                        UPSAMPLE_METHODS, degrade, mtf_gaussian_kernel)
-from .spectral import DEFAULT_BLOCK, BlockSpec, qnr
+from .spectral import DEFAULT_BLOCK, qnr
 from .synth import synth_scene
 
 
 def _radii(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
+
+
+def _number(cell, line: int, column) -> float:
+    """A CSV cell as a float, or an InputError naming its line and column."""
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        raise InputError(f"line {line}, column {column}: not a number: "
+                         f"{cell!r}") from None
 
 
 def cmd_synth(args) -> int:
@@ -39,12 +49,16 @@ def cmd_synth(args) -> int:
 
 def cmd_degrade(args) -> int:
     img = load_image(args.input)
-    kernel = mtf_gaussian_kernel(args.ratio, args.mtf_gain)
-    save_image(degrade(img, args.ratio, kernel), args.out)
+    taps = mtf_gaussian_kernel(args.ratio, args.mtf_gain)
+    save_image(degrade(img, args.ratio, taps), args.out)
     return 0
 
 
 def cmd_fuse(args) -> int:
+    if args.process_meta and Path(args.process_meta).resolve() in {
+            p.resolve() for p in raster_paths(args.out)}:
+        raise InputError(f"--process-meta {args.process_meta} would "
+                         f"overwrite the fused image {args.out}")
     ms = load_image(args.ms)
     pan = load_image(args.pan)
     if pan.bands != 1:
@@ -76,10 +90,10 @@ def cmd_qnr(args) -> int:
     ms = load_image(args.ms)
     pan = load_image(args.pan)
     fused = load_image(args.fused)
-    kernel = mtf_gaussian_kernel(args.ratio, args.mtf_gain)
-    pan_l = degrade(pan, args.ratio, kernel).band(0)
+    taps = mtf_gaussian_kernel(args.ratio, args.mtf_gain)
+    pan_l = degrade(pan, args.ratio, taps).band(0)
     value, d_lambda, d_s = qnr(ms, fused, pan.band(0), pan_l,
-                               blocks=BlockSpec(args.block_size))
+                               block_size=args.block_size)
     write_json(args.out, {"qnr": value, "d_lambda": d_lambda, "d_s": d_s})
     return 0
 
@@ -87,8 +101,7 @@ def cmd_qnr(args) -> int:
 def cmd_glcm3(args) -> int:
     img = load_image(args.input)
     labels = glcm3_mod.quantize_gray_levels(img.band(args.band), args.gl)
-    matrix = glcm3_mod.tims_glcm(labels, glcm3_mod.RingSpec(args.radii),
-                                 gl=args.gl)
+    matrix = glcm3_mod.tims_glcm(labels, args.radii, gl=args.gl)
     contrast, energy, lne = glcm3_mod.glcm3_features(matrix)
     write_json(args.out, {"contrast": contrast, "energy": energy, "lne": lne,
                           "total_tuples": matrix.total_tuples})
@@ -136,8 +149,10 @@ def cmd_srcc(args) -> int:
     with open(args.table, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     try:
-        col_a = [float(r[args.col_a]) for r in rows]
-        col_b = [float(r[args.col_b]) for r in rows]
+        # data rows start on line 2, below the header
+        col_a, col_b = [[_number(r[col], line, repr(col))
+                         for line, r in enumerate(rows, 2)]
+                        for col in (args.col_a, args.col_b)]
     except KeyError as exc:
         raise InputError(f"column {exc} not in table") from exc
     print(f"{srcc(col_a, col_b):.4f}")
@@ -145,11 +160,13 @@ def cmd_srcc(args) -> int:
 
 
 def cmd_mos(args) -> int:
-    from .protocol import bin_subjective_scores
     with open(args.scores, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    if len({len(r) for r in rows}) > 1:
+        raise InputError("rows differ in their number of cells")
     ids = [r[0] for r in rows]
-    matrix = [[float(v) for v in r[1:]] for r in rows]
+    matrix = [[_number(v, line, col) for col, v in enumerate(r[1:], 2)]
+              for line, r in enumerate(rows, 1)]
     labels = bin_subjective_scores(matrix)
     for cid, label in zip(ids, labels):
         print(f"{cid},{label}")

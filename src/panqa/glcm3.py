@@ -23,21 +23,6 @@ DEFAULT_RADII = (1, 2, 3)
 
 
 @dataclass
-class RingSpec:
-    radii: tuple[int, ...] = DEFAULT_RADII
-
-    def __post_init__(self):
-        r = tuple(int(v) for v in self.radii)
-        if not r or r[0] < 1 or any(b <= a for a, b in zip(r, r[1:])):
-            raise InputError("radii must be strictly increasing, min >= 1")
-        self.radii = r
-
-    @property
-    def window_size(self) -> int:
-        return 2 * max(self.radii) + 1
-
-
-@dataclass
 class Glcm3:
     """Normalized triple co-occurrence counts, row <= col."""
 
@@ -95,18 +80,20 @@ def _half_ring_offsets(radius: int) -> list[tuple[int, int]]:
     return offs
 
 
-def tims_glcm(labels: np.ndarray, rings: RingSpec | None = None, *,
-              gl: int) -> Glcm3:
+def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
+              *, gl: int) -> Glcm3:
     """Accumulate (center, sorted opposite-pair) triples over all valid
     centers at every ring radius, then normalize. Pairs are counted in
     ring order and the table folded onto row <= col once at the end."""
-    rings = rings or RingSpec()
+    radii = tuple(int(v) for v in radii)
+    if not radii or radii[0] < 1 or radii != tuple(sorted(set(radii))):
+        raise InputError("radii must be strictly increasing, min >= 1")
     lab = np.asarray(labels)
     if lab.ndim != 2:
         raise InputError("labels must be a 2-D plane")
     if lab.min() < 0 or lab.max() >= gl:
         raise InputError("labels outside [0, gl)")
-    rmax = max(rings.radii)
+    rmax = radii[-1]
     h, w = lab.shape
     if h < 2 * rmax + 1 or w < 2 * rmax + 1:
         raise InputError("image too small: no valid centers")
@@ -118,7 +105,7 @@ def tims_glcm(labels: np.ndarray, rings: RingSpec | None = None, *,
     lab_gl = lab * gl
     flat = np.empty_like(center_term)
     counts = np.zeros(gl * gl * gl, dtype=np.int64)
-    for radius in rings.radii:
+    for radius in radii:
         for dy, dx in _half_ring_offsets(radius):
             np.add(center_term,
                    lab_gl[rmax + dy:h - rmax + dy, rmax + dx:w - rmax + dx],

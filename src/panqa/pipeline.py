@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, PanqaError, checked, checked_list, read_json
-from .glcm3 import (DEFAULT_GL, DEFAULT_RADII, RingSpec, glcm3_features,
+from .glcm3 import (DEFAULT_GL, DEFAULT_RADII, glcm3_features,
                     quantize_gray_levels, tims_glcm)
 from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
                        process_costs)
@@ -28,8 +28,8 @@ from .quantizer import (LEVELS, LabelMapStack, binary_contour_cost,
                         cross_aura, post_classification_change_count,
                         quantize_spectral)
 from .raster import MultibandImage, load_image
-from .spectral import (DEFAULT_BLOCK, BlockSpec, SummaryStats, ergas,
-                       inverse_pcc_cost, mdb_cost, q4, sam_mean, summary_stats)
+from .spectral import (DEFAULT_BLOCK, SummaryStats, ergas, inverse_pcc_cost,
+                       mdb_cost, q4, sam_mean, summary_stats)
 
 
 @dataclass
@@ -56,14 +56,21 @@ class EvalOptions:
 
 # manifest "options" keys; the ratio is a top-level manifest key
 _OPTION_KEYS = {f.name for f in dataclasses.fields(EvalOptions)} - {"ratio"}
+# the optional keys of a manifest candidate: those `panqa fuse
+# --process-meta` writes, so a candidate may merge its fuser's meta file
+_CANDIDATE_KEYS = {"method", "resampler", "wall_seconds", "n_free_parameters"}
 
 
-def _require_keys(doc, keys, what: str) -> None:
+def _require_keys(doc, keys, what: str, allowed=()) -> None:
+    """doc must be a JSON object with every key of keys, others in allowed."""
     if not isinstance(doc, dict):
         raise InputError(f"{what} must be a JSON object")
     for key in keys:
         if key not in doc:
             raise InputError(f"{what} is missing key {key!r}")
+    unknown = set(doc).difference(keys, allowed)
+    if unknown:
+        raise InputError(f"{what} has unknown keys {sorted(unknown)}")
 
 
 @dataclass
@@ -82,15 +89,15 @@ class RunManifest:
     @classmethod
     def from_json(cls, path) -> "RunManifest":
         doc = read_json(path, "manifest")
-        _require_keys(doc, ("reference", "ratio", "candidates"), "manifest")
+        _require_keys(doc, ("reference", "ratio", "candidates"), "manifest",
+                      ("options",))
         if not isinstance(doc["candidates"], list):
             raise InputError("manifest candidates must be a JSON list")
         for n, c in enumerate(doc["candidates"]):
-            _require_keys(c, ("id", "path"), f"manifest candidate {n}")
+            _require_keys(c, ("id", "path"), f"manifest candidate {n}",
+                          _CANDIDATE_KEYS)
         opts = doc.get("options", {})
-        unknown = set(opts) - _OPTION_KEYS
-        if unknown:
-            raise InputError(f"unknown manifest options {sorted(unknown)}")
+        _require_keys(opts, (), "manifest options", _OPTION_KEYS)
         options = EvalOptions(ratio=doc["ratio"], **opts)
         cands = []
         for c in doc["candidates"]:
@@ -123,14 +130,14 @@ class ImageFeatures:
 def image_features(img: MultibandImage, opts: EvalOptions) -> ImageFeatures:
     """Per-band moments and texture, both from one gray-level map per band,
     and the label stack and its cross-aura contour."""
-    rings = RingSpec(opts.radii)
     labels = quantize_spectral(img)
     stats, texture = [], []
     for b in range(img.bands):
         band = img.band(b)
         levels = quantize_gray_levels(band, opts.gl)
         stats.append(summary_stats(band, levels))
-        texture.append(glcm3_features(tims_glcm(levels, rings, gl=opts.gl)))
+        texture.append(glcm3_features(
+            tims_glcm(levels, opts.radii, gl=opts.gl)))
     plane, aura_mean = cross_aura(labels)
     return ImageFeatures(image=img, stats=stats, texture=texture,
                          labels=labels, aura_mean=aura_mean,
@@ -178,7 +185,7 @@ def classic_metrics(reference: MultibandImage, candidate: MultibandImage,
         "ergas": ergas(reference, candidate, opts.ratio, opts.ergas_factor),
     }
     if reference.bands == 4:
-        out["q4"] = q4(reference, candidate, BlockSpec(opts.block_size))
+        out["q4"] = q4(reference, candidate, opts.block_size)
     return out
 
 

@@ -60,10 +60,14 @@ PARTIAL_RANKS = {
 def process_costs(meta: dict) -> dict[str, float]:
     """The two process costs read from meta (a manifest candidate or fuser
     metadata); a missing one defaults to 0 s and 1 free parameter."""
-    return {"wall_seconds": checked(float, meta.get("wall_seconds", 0.0),
-                                    "wall_seconds"),
-            "n_free_parameters": checked(int, meta.get("n_free_parameters", 1),
-                                         "n_free_parameters")}
+    wall = checked(float, meta.get("wall_seconds", 0.0), "wall_seconds")
+    if not 0.0 <= wall < math.inf:
+        raise InputError(f"wall_seconds must be finite and >= 0: {wall!r}")
+    n_free = checked(int, meta.get("n_free_parameters", 1),
+                     "n_free_parameters")
+    if n_free < 1:
+        raise InputError("n_free_parameters must be >= 1")
+    return {"wall_seconds": wall, "n_free_parameters": n_free}
 
 
 @dataclass
@@ -85,12 +89,10 @@ class QiRecord:
             unknown = set(group) - set(CATEGORY_KEYS[name])
             if unknown:
                 raise InputError(f"unknown {name} costs {sorted(unknown)}")
-        for group in [*self.categories().values(), self.process]:
+        for group in self.categories().values():
             for key, val in group.items():
                 if not math.isfinite(val):
                     raise InputError(f"non-finite cost {key}")
-        if self.process["n_free_parameters"] < 1:
-            raise InputError("n_free_parameters must be >= 1")
 
     def categories(self) -> dict[str, dict[str, float]]:
         """The four product-cost groups, keyed by category name."""

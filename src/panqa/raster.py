@@ -136,7 +136,8 @@ class ImageHeader:
                              f"{self.bands} strings: {names!r}")
 
 
-def _paths(path) -> tuple[Path, Path]:
+def raster_paths(path) -> tuple[Path, Path]:
+    """(header, payload) files of a raster; a .json/.raw suffix is dropped."""
     p = Path(path)
     if p.suffix in (".json", ".raw"):
         p = p.with_suffix("")
@@ -145,7 +146,7 @@ def _paths(path) -> tuple[Path, Path]:
 
 def load_image(path) -> MultibandImage:
     """Load and radiometrically calibrate a raster from <name>.json/.raw."""
-    hdr_path, raw_path = _paths(path)
+    hdr_path, raw_path = raster_paths(path)
     if not hdr_path.exists():
         raise InputError(f"missing header {hdr_path}")
     if not raw_path.exists():
@@ -200,7 +201,7 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
     """
     if sample_type not in _DTYPES:
         raise InputError(f"unknown sample_type {sample_type!r}")
-    hdr_path, raw_path = _paths(path)
+    hdr_path, raw_path = raster_paths(path)
     b = img.bands
     gain = [1.0] * b if gain is None else list(gain)
     offset = [0.0] * b if offset is None else list(offset)

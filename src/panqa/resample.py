@@ -19,8 +19,6 @@ so the result is never stacked from a list of separate planes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -32,40 +30,9 @@ DEFAULT_MTF_GAIN_PAN = 0.15
 UPSAMPLE_METHODS = ("nearest", "bilinear", "bicubic")
 
 
-@dataclass
-class MtfKernel:
-    """Separable low-pass filter: 1-D taps applied along both axes.
-
-    The anchor (filter origin) is tap index (len-1)//2, which for the
-    even-length box kernel aligns a decimation at offset (r-1)//2 with
-    r x r input blocks.
-    """
-
-    taps: np.ndarray
-    ratio: int
-    mtf_gain: float
-
-    def __post_init__(self):
-        t = np.asarray(self.taps, dtype=np.float64)
-        if t.ndim != 1 or t.size < 1:
-            raise InputError("taps must be a non-empty 1-D array")
-        if abs(t.sum() - 1.0) > 1e-12:
-            raise InputError("taps must sum to 1 (unit DC gain)")
-        self.taps = t
-
-    @property
-    def anchor(self) -> int:
-        return (self.taps.size - 1) // 2
-
-    def transfer(self, freq: float) -> float:
-        """Discrete-time transfer magnitude at the given frequency
-        (cycles per high-resolution pixel), evaluated about the anchor."""
-        n = np.arange(self.taps.size) - self.anchor
-        return float(np.abs(np.sum(self.taps * np.exp(-2j * np.pi * freq * n))))
-
-
-def mtf_gaussian_kernel(ratio: int, mtf_gain: float) -> MtfKernel:
-    """Gaussian whose transfer equals mtf_gain at f = 1/(2*ratio)."""
+def mtf_gaussian_kernel(ratio: int, mtf_gain: float) -> np.ndarray:
+    """Unit-sum Gaussian taps whose transfer equals mtf_gain at
+    f = 1/(2*ratio)."""
     if ratio < 2:
         raise InputError("ratio must be >= 2")
     if not 0.0 < mtf_gain < 1.0:
@@ -76,19 +43,7 @@ def mtf_gaussian_kernel(ratio: int, mtf_gain: float) -> MtfKernel:
     n = np.arange(-radius, radius + 1)
     taps = np.exp(-(n**2) / (2.0 * sigma**2))
     taps /= taps.sum()
-    return MtfKernel(taps=taps, ratio=ratio, mtf_gain=mtf_gain)
-
-
-def box_kernel(ratio: int) -> MtfKernel:
-    """Plain block average over ratio taps (used by the consistency check)."""
-    if ratio < 1:
-        raise InputError("ratio must be >= 1")
-    return MtfKernel(taps=np.full(ratio, 1.0 / ratio), ratio=max(ratio, 1),
-                     mtf_gain=1.0)
-
-
-def identity_kernel() -> MtfKernel:
-    return MtfKernel(taps=np.array([1.0]), ratio=1, mtf_gain=1.0)
+    return taps
 
 
 def _mirror_indices(n: int, idx: np.ndarray) -> np.ndarray:
@@ -136,8 +91,10 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
 
 
 def degrade(img: MultibandImage, ratio: int,
-            kernel: MtfKernel | None = None) -> MultibandImage:
-    """Low-pass with the kernel, then decimate by ratio (centered phase).
+            taps: np.ndarray | None = None) -> MultibandImage:
+    """Low-pass with the separable taps (anchor (len-1)//2, unit sum),
+    then decimate by ratio (centered phase). taps default to the MS
+    Gaussian, or to no filter at ratio 1.
 
     Only the kept samples are filtered; they equal those of filtering the
     whole plane and then decimating, bit for bit."""
@@ -146,13 +103,18 @@ def degrade(img: MultibandImage, ratio: int,
     if img.height % ratio or img.width % ratio:
         raise InputError(
             f"dimensions {img.height}x{img.width} not divisible by {ratio}")
-    if kernel is None:
-        kernel = (identity_kernel() if ratio == 1
-                  else mtf_gaussian_kernel(ratio, DEFAULT_MTF_GAIN_MS))
+    if taps is None:
+        taps = (np.ones(1) if ratio == 1
+                else mtf_gaussian_kernel(ratio, DEFAULT_MTF_GAIN_MS))
+    taps = np.asarray(taps, dtype=np.float64)
+    if taps.ndim != 1 or taps.size < 1:
+        raise InputError("taps must be a non-empty 1-D array")
+    if abs(taps.sum() - 1.0) > 1e-12:
+        raise InputError("taps must sum to 1 (unit DC gain)")
     keep = slice((ratio - 1) // 2, None, ratio)
     planes = np.empty((img.bands, img.height // ratio, img.width // ratio))
     for src, out in zip(img.planes, planes):
-        out[...] = mirror_filter(src, kernel.taps, keep=keep)
+        out[...] = mirror_filter(src, taps, keep=keep)
     return MultibandImage.from_planes(planes, band_names=img.band_names)
 
 

@@ -13,7 +13,6 @@ z-score standardization behaves exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,16 +29,6 @@ class SummaryStats(NamedTuple):
     skewness: float
     kurtosis: float
     entropy_bits: float
-
-
-@dataclass
-class BlockSpec:
-    """Non-overlapping BL x BL tiling; partial edge blocks are dropped."""
-    block_size: int = DEFAULT_BLOCK
-
-    def __post_init__(self):
-        if self.block_size < 2:
-            raise InputError("block_size must be >= 2")
 
 
 def summary_stats(band: np.ndarray, levels: np.ndarray) -> SummaryStats:
@@ -141,7 +130,10 @@ def ergas(reference: MultibandImage, test: MultibandImage, ratio: int,
 
 
 def _block_view(plane: np.ndarray, bl: int) -> np.ndarray:
-    """(nby, nbx, bl*bl) view of the full blocks, partials dropped."""
+    """(nby, nbx, bl*bl) view of the non-overlapping bl x bl blocks;
+    partial edge blocks are dropped."""
+    if bl < 2:
+        raise InputError("block_size must be >= 2")
     h, w = plane.shape
     nby, nbx = h // bl, w // bl
     if nby == 0 or nbx == 0:
@@ -207,15 +199,14 @@ def _q_blocks(a: _BlockMoments, b: _BlockMoments, cov: np.ndarray) -> float:
 
 
 def q_index(band_a: np.ndarray, band_b: np.ndarray,
-            blocks: BlockSpec | None = None) -> float:
+            block_size: int = DEFAULT_BLOCK) -> float:
     """Universal quality index, averaged over non-overlapping blocks.
 
     Per block: 4*cov*mx*my / ((vx+vy)*(mx^2+my^2)); degenerate blocks
     score 1 when identical, else 0.
     """
-    blocks = blocks or BlockSpec()
-    a = _block_moments(band_a, blocks.block_size)
-    b = _block_moments(band_b, blocks.block_size)
+    a = _block_moments(band_a, block_size)
+    b = _block_moments(band_b, block_size)
     if a.mean.shape != b.mean.shape:
         raise InputError("shape mismatch")
     return _q_blocks(a, b, _block_cov(a, b))
@@ -234,16 +225,14 @@ _CONJ_PRODUCT = (
 
 
 def q4(img_a: MultibandImage, img_b: MultibandImage,
-       blocks: BlockSpec | None = None) -> float:
+       block_size: int = DEFAULT_BLOCK) -> float:
     """Quaternion quality index for 4-band images, block averaged."""
     if img_a.bands != 4 or img_b.bands != 4:
         raise InputError("q4 requires exactly 4 bands")
     if img_a.samples.shape != img_b.samples.shape:
         raise InputError("shape mismatch")
-    blocks = blocks or BlockSpec()
-    bl = blocks.block_size
-    mom_a = [_block_moments(img_a.band(c), bl) for c in range(4)]
-    mom_b = [_block_moments(img_b.band(c), bl) for c in range(4)]
+    mom_a = [_block_moments(img_a.band(c), block_size) for c in range(4)]
+    mom_b = [_block_moments(img_b.band(c), block_size) for c in range(4)]
     da = [m.centred for m in mom_a]
     db = [m.centred for m in mom_b]
     # quaternion cross-covariance: the block mean of each component of
@@ -271,7 +260,7 @@ def q4(img_a: MultibandImage, img_b: MultibandImage,
 
 def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
         pan_degraded_l: np.ndarray, alpha: float = 1.0, beta: float = 1.0,
-        p: float = 1.0, q: float = 1.0, blocks: BlockSpec | None = None
+        p: float = 1.0, q: float = 1.0, block_size: int = DEFAULT_BLOCK
         ) -> tuple[float, float, float]:
     """No-reference quality: returns (QNR, D_lambda, D_s).
 
@@ -279,7 +268,6 @@ def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
     band-vs-pan Q values. Both power means are clamped to [0, 1] because a
     Q difference can reach magnitude 2.
     """
-    blocks = blocks or BlockSpec()
     pan_h = np.asarray(pan_h, dtype=np.float64)
     pan_l = np.asarray(pan_degraded_l, dtype=np.float64)
     if fused_h.samples.shape[:2] != pan_h.shape:
@@ -291,9 +279,8 @@ def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
     nb = ms_l.bands
     if nb < 2:
         raise InputError("qnr needs at least 2 bands")
-    bl = blocks.block_size
-    ms = [_block_moments(ms_l.band(b), bl) for b in range(nb)]
-    fused = [_block_moments(fused_h.band(b), bl) for b in range(nb)]
+    ms = [_block_moments(ms_l.band(b), block_size) for b in range(nb)]
+    fused = [_block_moments(fused_h.band(b), block_size) for b in range(nb)]
 
     def inter_band_q(mom):
         # one covariance per unordered pair, one Q per ordered pair
@@ -314,8 +301,8 @@ def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
             acc += abs(q_ms[i, j] - q_fused[i, j])**p
     d_lambda = min((acc / (nb * (nb - 1)))**(1.0 / p), 1.0)
 
-    pan_hm = _block_moments(pan_h, bl)
-    pan_lm = _block_moments(pan_l, bl)
+    pan_hm = _block_moments(pan_h, block_size)
+    pan_lm = _block_moments(pan_l, block_size)
     acc = 0.0
     for b in range(nb):
         d = (_q_blocks(fused[b], pan_hm, _block_cov(fused[b], pan_hm))

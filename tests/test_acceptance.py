@@ -8,15 +8,14 @@ import pytest
 import benchmark_fixture as bm
 from test_glcm3 import oracle_counts
 from panqa.fusion import FusionConfig, pansharpen
-from panqa.glcm3 import RingSpec, quantize_gray_levels, tims_glcm
+from panqa.glcm3 import quantize_gray_levels, tims_glcm
 from panqa.pipeline import EvalOptions, evaluate_candidate, image_features
 from panqa.protocol import (QiRecord, aggregate, category_sum,
                             combine_partial_ranks, srcc, zscore)
 from panqa.raster import MultibandImage
 from panqa.resample import (DEFAULT_MTF_GAIN_MS, DEFAULT_MTF_GAIN_PAN,
                             degrade, mtf_gaussian_kernel, upsample)
-from panqa.spectral import BlockSpec, ergas, q4, q_index, qnr, sam_mean, \
-    summary_stats
+from panqa.spectral import ergas, q4, q_index, qnr, sam_mean, summary_stats
 from panqa.synth import synth_scene
 
 
@@ -84,7 +83,7 @@ def test_criterion_3_glcm_oracle_equivalence():
     for trial in range(100):
         gl = (4, 8)[trial % 2]
         labels = rng.integers(0, gl, size=(16, 16))
-        got = tims_glcm(labels, RingSpec(radii), gl=gl).counts
+        got = tims_glcm(labels, radii, gl=gl).counts
         want = oracle_counts(labels, radii, gl)
         if not np.array_equal(got, want):
             mismatches += 1
@@ -127,7 +126,7 @@ def test_criterion_4_metric_invariants():
     pan_l = np.repeat(np.repeat(rng.random((4, 4)), bl, axis=0), bl, axis=1)
     fused = upsample(ms, 4, "nearest")
     pan_h = np.repeat(np.repeat(pan_l, 4, axis=0), 4, axis=1)
-    value, d_lambda, d_s = qnr(ms, fused, pan_h, pan_l, blocks=BlockSpec(2))
+    value, d_lambda, d_s = qnr(ms, fused, pan_h, pan_l, block_size=2)
     checks.append(abs(value - 1.0) <= tol and abs(d_lambda) <= tol
                   and abs(d_s) <= tol)
     # entropy bounds

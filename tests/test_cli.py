@@ -350,6 +350,20 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
     (lambda m: m["candidates"][0].update(wall_seconds=10**400),
      "manifest candidate 'a': out of range for wall_seconds: an integer "
      "too large for a float"),
+    # unknown keys at every level, and process costs out of range, are
+    # refused as the manifest is read, before any image is loaded
+    (lambda m: m.update(optoins={"gl": 8}),
+     "manifest has unknown keys ['optoins']"),
+    (lambda m: m["candidates"][1].update(wall_second=9.0),
+     "manifest candidate 1 has unknown keys ['wall_second']"),
+    (lambda m: m.update(options={"gll": 8}),
+     "manifest options has unknown keys ['gll']"),
+    (lambda m: m.update(options=[8]),
+     "manifest options must be a JSON object"),
+    (lambda m: m["candidates"][1].update(n_free_parameters=0),
+     "manifest candidate 'b': n_free_parameters must be >= 1"),
+    (lambda m: m["candidates"][0].update(wall_seconds=-5),
+     "manifest candidate 'a': wall_seconds must be finite and >= 0: -5.0"),
 ])
 def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
     manifest = {"reference": "ms", "ratio": 4,
@@ -542,3 +556,57 @@ def test_exit_code_degenerate(tmp_path):
     assert main(["eval", "--reference", str(tmp_path / "flat"),
                  "--candidate", str(tmp_path / "flat"),
                  "--out", str(tmp_path / "r.json")]) == 3
+
+
+def test_srcc_non_number_cell(tmp_path, capsys):
+    table = tmp_path / "ranks.csv"
+    table.write_text("candidate,x,y\nc0,1,2\nc1,abc,1\n", encoding="utf-8")
+    assert main(["srcc", "--table", str(table), "--col-a", "x",
+                 "--col-b", "y"]) == 2
+    assert (capsys.readouterr().err.strip()
+            == "error: line 3, column 'x': not a number: 'abc'")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("good,1.0,1.1\nbad,5.0,abc\n", "line 2, column 3: not a number: 'abc'"),
+    ("good,1.0,1.1\nbad,5.0\n", "rows differ in their number of cells"),
+])
+def test_mos_malformed_scores(tmp_path, capsys, text, message):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(text, encoding="utf-8")
+    assert main(["mos", "--scores", str(scores)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("meta", ["fused.json", "fused.raw",
+                                  "sub/../fused.json"])
+def test_fuse_refuses_meta_over_output(scene, capsys, meta):
+    (scene / "sub").mkdir()
+    out = scene / "fused"
+    assert main(["fuse", "--method", "cn", "--ms", str(scene / "ms_l"),
+                 "--pan", str(scene / "pan"), "--out", str(out),
+                 "--process-meta", str(scene / meta)]) == 2
+    assert "would overwrite the fused image" in capsys.readouterr().err
+    assert not (scene / "fused.json").exists()
+    assert not (scene / "fused.raw").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["qnr", "--ms", "ms_l", "--pan", "pan", "--fused", "ms", "--block-size",
+     "1", "--out", "qnr.json"],
+    ["eval", "--reference", "ms", "--candidate", "ms", "--block-size", "1",
+     "--out", "eval.json"],
+])
+def test_block_size_below_two(scene, monkeypatch, capsys, argv):
+    # the truth ms stands in for a fused image on the PAN grid
+    monkeypatch.chdir(scene)
+    assert main(argv) == 2
+    assert (capsys.readouterr().err.strip()
+            == "error: block_size must be >= 2")
+
+
+def test_glcm3_radii_not_increasing(scene, capsys):
+    assert main(["glcm3", "--input", str(scene / "ms"), "--radii", "2,1",
+                 "--out", str(scene / "glcm.json")]) == 2
+    assert (capsys.readouterr().err.strip()
+            == "error: radii must be strictly increasing, min >= 1")

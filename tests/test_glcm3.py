@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panqa.errors import DegeneracyError, InputError
-from panqa.glcm3 import (Glcm3, RingSpec, glcm3_features,
-                         quantize_gray_levels, tims_glcm)
+from panqa.glcm3 import (Glcm3, glcm3_features, quantize_gray_levels,
+                         tims_glcm)
 from panqa.spectral import summary_stats
 
 
@@ -93,14 +93,14 @@ class TestQuantize:
 class TestTimsGlcm:
     def test_constant_plane(self):
         labels = np.zeros((7, 7), dtype=np.int64)
-        m = tims_glcm(labels, RingSpec((1, 2, 3)), gl=4)
+        m = tims_glcm(labels, (1, 2, 3), gl=4)
         assert m.counts[0, 0, 0] == m.total_tuples
         contrast, energy, lne = glcm3_features(m)
         assert (contrast, energy, lne) == (0.0, 1.0, 0.0)
 
     def test_tuple_count(self):
         labels = np.arange(49).reshape(7, 7) % 5
-        m = tims_glcm(labels, RingSpec((1, 2, 3)), gl=5)
+        m = tims_glcm(labels, (1, 2, 3), gl=5)
         # one valid center, 4r pairs per radius
         assert m.total_tuples == 1 * (4 + 8 + 12)
 
@@ -109,7 +109,7 @@ class TestTimsGlcm:
         for trial in range(10):
             gl = (4, 8)[trial % 2]
             labels = rng.integers(0, gl, size=(16, 16))
-            m = tims_glcm(labels, RingSpec(radii), gl=gl)
+            m = tims_glcm(labels, radii, gl=gl)
             want = oracle_counts(labels, radii, gl)
             assert np.array_equal(m.counts, want)
 
@@ -120,12 +120,12 @@ class TestTimsGlcm:
     @example(case=(np.full((7, 8), 40), (1, 2, 3), 41))
     def test_matches_oracle_property(self, case):
         labels, radii, gl = case
-        m = tims_glcm(labels, RingSpec(radii), gl=gl)
+        m = tims_glcm(labels, radii, gl=gl)
         assert np.array_equal(m.counts, oracle_counts(labels, radii, gl))
 
     def test_normalization(self, rng):
         labels = rng.integers(0, 8, size=(12, 12))
-        m = tims_glcm(labels, RingSpec((1, 2)), gl=8)
+        m = tims_glcm(labels, (1, 2), gl=8)
         assert m.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
         d, r, c = np.nonzero(m.counts)
         assert np.all(r <= c)
@@ -139,15 +139,14 @@ class TestTimsGlcm:
 
     def test_too_small(self):
         with pytest.raises(InputError, match="too small"):
-            tims_glcm(np.zeros((4, 4), dtype=np.int64), RingSpec((1, 2, 3)),
+            tims_glcm(np.zeros((4, 4), dtype=np.int64), (1, 2, 3),
                       gl=4)
 
     def test_bad_radii(self):
-        with pytest.raises(InputError):
-            RingSpec((2, 1))
-        with pytest.raises(InputError):
-            RingSpec((0, 1))
-        assert RingSpec((1, 2, 3)).window_size == 7
+        labels = np.zeros((7, 7), dtype=np.int64)
+        for radii in ((2, 1), (0, 1), ()):
+            with pytest.raises(InputError, match="strictly increasing"):
+                tims_glcm(labels, radii, gl=4)
 
 
 class TestFeatures:

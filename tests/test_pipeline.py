@@ -4,9 +4,10 @@ import pytest
 
 from panqa.errors import InputError
 from panqa.cli import build_parser
+from panqa.fusion import FusionConfig, pansharpen
 from panqa.pipeline import (Candidate, EvalOptions, RunManifest, run_manifest,
                             write_report)
-from panqa.protocol import QiRecord, aggregate
+from panqa.protocol import QiRecord, aggregate, process_costs
 from panqa.raster import MultibandImage, save_image
 from panqa.spectral import DEFAULT_BLOCK
 
@@ -90,3 +91,17 @@ def test_report_lists_dropped_columns(tmp_path):
     assert report["dropped_columns"] == ["category4.binary_contour"]
     assert "dropped_columns" not in report["ranks"]
     assert report["ranks"]["pdfr_case_a"] == [1, 2, 3]
+
+
+def test_candidate_may_carry_fuser_meta(tmp_path, rng):
+    # a candidate entry may be a `panqa fuse --process-meta` file plus its
+    # id and path
+    ms = MultibandImage(rng.uniform(0.1, 0.9, (8, 8, 4)))
+    _, meta = pansharpen(ms, rng.uniform(0.1, 0.9, (32, 32)),
+                         FusionConfig(method="cn"))
+    doc = {"reference": "ref", "ratio": 4,
+           "candidates": [{"id": "cn", "path": "cn", **meta}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cand, = RunManifest.from_json(path).candidates
+    assert cand.process == process_costs(meta)

@@ -11,8 +11,8 @@ import benchmark_fixture as bm
 from panqa.errors import DegeneracyError, InputError
 from panqa.protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
                             bin_subjective_scores, category_sum,
-                            combine_partial_ranks, rank, srcc, winner_label,
-                            zscore)
+                            combine_partial_ranks, process_costs, rank, srcc,
+                            winner_label, zscore)
 
 
 def make_record(cid, seed):
@@ -327,3 +327,22 @@ class TestSubjective:
     def test_validation(self):
         with pytest.raises(InputError):
             bin_subjective_scores(np.ones((3, 1)))
+
+
+class TestProcessCosts:
+    def test_defaults(self):
+        assert process_costs({}) == {"wall_seconds": 0.0,
+                                     "n_free_parameters": 1}
+
+    @pytest.mark.parametrize("meta, message", [
+        ({"n_free_parameters": 0}, "n_free_parameters must be >= 1"),
+        ({"wall_seconds": -5}, "wall_seconds must be finite and >= 0"),
+        ({"wall_seconds": float("inf")}, "wall_seconds must be finite"),
+        ({"wall_seconds": float("nan")}, "wall_seconds must be finite"),
+    ])
+    def test_refused(self, meta, message):
+        with pytest.raises(InputError, match=message):
+            process_costs(meta)
+        with pytest.raises(InputError, match=message):
+            QiRecord(candidate_id="a", category1={}, category2={},
+                     category3={}, category4={}, process=meta)

@@ -11,8 +11,8 @@ from panqa.errors import DegeneracyError, InputError
 from panqa.glcm3 import quantize_gray_levels
 from panqa.raster import MultibandImage
 from panqa.resample import upsample
-from panqa.spectral import (BlockSpec, ergas, inverse_pcc_cost, mdb_cost,
-                            pcc, q4, q_index, qnr, sam_mean, summary_stats)
+from panqa.spectral import (ergas, inverse_pcc_cost, mdb_cost, pcc, q4,
+                            q_index, qnr, sam_mean, summary_stats)
 
 EVEN_PERMS = [p for p in permutations(range(4))
               if sum(1 for i in range(4) for j in range(i)
@@ -208,7 +208,7 @@ class TestQIndex:
 
     def test_too_small(self):
         with pytest.raises(InputError, match="smaller than one"):
-            q_index(np.ones((4, 4)), np.ones((4, 4)), BlockSpec(8))
+            q_index(np.ones((4, 4)), np.ones((4, 4)), 8)
 
 
 class TestQ4:
@@ -258,7 +258,7 @@ class TestQnr:
     def test_zero_distortion_construction(self, rng):
         ms, fused, pan_h, pan_l = self.block_constant_pair(rng)
         value, d_lambda, d_s = qnr(ms, fused, pan_h, pan_l,
-                                   blocks=BlockSpec(2))
+                                   block_size=2)
         assert d_s == pytest.approx(0.0, abs=1e-9)
         assert d_lambda == pytest.approx(0.0, abs=1e-9)
         assert value == pytest.approx(1.0, abs=1e-9)
@@ -266,7 +266,7 @@ class TestQnr:
     def test_block_constant_pair_matches_reference(self, rng):
         ms, fused, pan_h, pan_l = self.block_constant_pair(rng)
         assert (qnr(ms, fused, pan_h, pan_l, p=2.0, q=0.5,
-                    blocks=BlockSpec(2))
+                    block_size=2)
                 == qnr_reference(ms, fused, pan_h, pan_l, 2.0, 0.5, 2))
 
     def test_bounds_random(self, rng):
@@ -357,9 +357,9 @@ def test_qnr_matches_pairwise_q_reference(seed, bands, low, ratio, bl,
                                          levels))
     pan_h = random_planes(seed + 2, (h * ratio, w * ratio), levels)
     pan_l = random_planes(seed + 3, (h, w), levels)
-    got = qnr(ms, fused, pan_h, pan_l, p=p, q=q, blocks=BlockSpec(bl))
+    got = qnr(ms, fused, pan_h, pan_l, p=p, q=q, block_size=bl)
     assert got == qnr_reference(ms, fused, pan_h, pan_l, p, q, bl)
-    assert (q_index(fused.band(0), fused.band(1), BlockSpec(bl))
+    assert (q_index(fused.band(0), fused.band(1), bl)
             == q_index_reference(fused.band(0), fused.band(1), bl))
 
 
@@ -405,7 +405,7 @@ def test_q4_matches_reference(seed, shape, bl, levels, shared_bands):
     # equal leading bands give identical blocks where the rest are flat
     b[:, :, :shared_bands] = a[:, :, :shared_bands]
     img_a, img_b = MultibandImage(a), MultibandImage(b)
-    assert (q4(img_a, img_b, BlockSpec(bl))
+    assert (q4(img_a, img_b, bl)
             == q4_reference(img_a, img_b, bl))
 
 
@@ -416,5 +416,13 @@ def test_q_index_leaves_writeable_planes_alone(rng, width):
     a, b = rng.random((16, width)), rng.random((16, width))
     a_before, b_before = a.copy(), b.copy()
     want = q_index_reference(a_before, b_before, 8)
-    assert q_index(a, b, BlockSpec(8)) == want
+    assert q_index(a, b, 8) == want
     assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+
+def test_block_size_below_two_refused(random_image):
+    img = random_image(8, 8, 4)
+    for call in (lambda: q4(img, img, block_size=1),
+                 lambda: q_index(img.band(0), img.band(0), 1)):
+        with pytest.raises(InputError, match="block_size must be >= 2"):
+            call()
