@@ -73,11 +73,11 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    reference = load_image(args.reference)
-    candidate = load_image(args.candidate)
     opts = EvalOptions(ratio=args.ratio, ergas_factor=args.ergas_factor,
                        block_size=args.block_size, gl=args.gl,
                        radii=args.radii)
+    reference = load_image(args.reference)
+    candidate = load_image(args.candidate)
     record = evaluate_candidate(image_features(reference, opts), candidate,
                                 opts, candidate_id=args.candidate)
     doc = {**record.categories(), "clipped_fraction": record.clipped_fraction,

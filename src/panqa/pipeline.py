@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,9 +44,16 @@ class EvalOptions:
         # manifest values arrive as JSON numbers and lists
         for key in ("ratio", "block_size", "gl"):
             setattr(self, key, checked(int, getattr(self, key), key))
+        if self.ratio < 1:
+            raise InputError(f"ratio must be >= 1: {self.ratio!r}")
+        if self.block_size < 2:
+            raise InputError("block_size must be >= 2")
         if self.ergas_factor is not None:
             self.ergas_factor = checked(float, self.ergas_factor,
                                         "ergas_factor")
+            if not 0.0 < self.ergas_factor < math.inf:
+                raise InputError("ergas_factor must be finite and > 0: "
+                                 f"{self.ergas_factor!r}")
         self.radii = tuple(checked_list(int, self.radii, "radii"))
         if self.category2_level not in LEVELS:
             raise InputError(
@@ -189,44 +195,22 @@ def classic_metrics(reference: MultibandImage, candidate: MultibandImage,
     return out
 
 
-def _max_workers() -> int:
-    """PANQA_THREADS, an integer >= 1; unset or empty means one thread."""
-    env = os.environ.get("PANQA_THREADS", "")
-    if not env:
-        return 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise InputError(f"PANQA_THREADS must be an integer >= 1: {env!r}")
-    return n
-
-
 def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
-    """Featurize the reference once, evaluate all candidates, aggregate,
-    write ranks.csv + report.json."""
-    workers = _max_workers()
+    """Featurize the reference once, evaluate the candidates in manifest
+    order, aggregate, write ranks.csv + report.json. The first failing
+    candidate ends the run, named by its id, and nothing is written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     opts = manifest.options
     reference = image_features(load_image(manifest.reference), opts)
-
-    def one(cand: Candidate) -> QiRecord:
-        # the first failing candidate ends the run, named by its id
+    records = []
+    for cand in manifest.candidates:
         try:
-            return evaluate_candidate(reference, load_image(cand.path), opts,
-                                      candidate_id=cand.id,
-                                      process=cand.process)
+            records.append(evaluate_candidate(
+                reference, load_image(cand.path), opts,
+                candidate_id=cand.id, process=cand.process))
         except (PanqaError, OSError) as exc:
             raise type(exc)(f"candidate {cand.id!r}: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, manifest.candidates))
-    else:
-        records = [one(c) for c in manifest.candidates]
-
     table = aggregate(records)
     write_rank_csv(table, out_dir / "ranks.csv")
     write_report(records, table, out_dir / "report.json")

@@ -158,7 +158,8 @@ def category_sum(records: list[QiRecord], column: str
                  ) -> tuple[np.ndarray, list[str]]:
     """Per-candidate sum of the standardized costs of one PARTIAL_RANKS
     column, and the "category<n>.<cost>" names of the degenerate costs left
-    out of it. A cost key the records do not hold is skipped."""
+    out of it. A cost key no record holds is skipped; one that only some
+    records hold raises InputError naming the first candidate without it."""
     if column not in PARTIAL_RANKS:
         raise InputError(f"unknown partial-rank column {column!r}")
     if len(records) < 2:
@@ -168,8 +169,13 @@ def category_sum(records: list[QiRecord], column: str
     total = np.zeros(len(records))
     dropped = []
     for key in keys:
-        if key not in groups[0]:
+        lacking = [r.candidate_id for r, g in zip(records, groups)
+                   if key not in g]
+        if len(lacking) == len(records):
             continue
+        if lacking:
+            raise InputError(
+                f"candidate {lacking[0]!r} has no {category}.{key} cost")
         try:
             total = total + zscore([g[key] for g in groups])
         except DegeneracyError:

@@ -32,11 +32,14 @@ UPSAMPLE_METHODS = ("nearest", "bilinear", "bicubic")
 
 def mtf_gaussian_kernel(ratio: int, mtf_gain: float) -> np.ndarray:
     """Unit-sum Gaussian taps whose transfer equals mtf_gain at
-    f = 1/(2*ratio)."""
-    if ratio < 2:
-        raise InputError("ratio must be >= 2")
+    f = 1/(2*ratio); at ratio 1, which keeps every sample, the single
+    tap [1.0], that is no filter."""
+    if ratio < 1:
+        raise InputError("ratio must be >= 1")
     if not 0.0 < mtf_gain < 1.0:
         raise InputError("mtf_gain must lie in (0, 1)")
+    if ratio == 1:
+        return np.ones(1)
     f_nyq = 1.0 / (2.0 * ratio)
     sigma = np.sqrt(-np.log(mtf_gain) / (2.0 * np.pi**2 * f_nyq**2))
     radius = int(np.ceil(4.0 * sigma))
@@ -94,7 +97,7 @@ def degrade(img: MultibandImage, ratio: int,
             taps: np.ndarray | None = None) -> MultibandImage:
     """Low-pass with the separable taps (anchor (len-1)//2, unit sum),
     then decimate by ratio (centered phase). taps default to the MS
-    Gaussian, or to no filter at ratio 1.
+    Gaussian, which is no filter at ratio 1.
 
     Only the kept samples are filtered; they equal those of filtering the
     whole plane and then decimating, bit for bit."""
@@ -104,8 +107,7 @@ def degrade(img: MultibandImage, ratio: int,
         raise InputError(
             f"dimensions {img.height}x{img.width} not divisible by {ratio}")
     if taps is None:
-        taps = (np.ones(1) if ratio == 1
-                else mtf_gaussian_kernel(ratio, DEFAULT_MTF_GAIN_MS))
+        taps = mtf_gaussian_kernel(ratio, DEFAULT_MTF_GAIN_MS)
     taps = np.asarray(taps, dtype=np.float64)
     if taps.ndim != 1 or taps.size < 1:
         raise InputError("taps must be a non-empty 1-D array")

@@ -364,6 +364,12 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
      "manifest candidate 'b': n_free_parameters must be >= 1"),
     (lambda m: m["candidates"][0].update(wall_seconds=-5),
      "manifest candidate 'a': wall_seconds must be finite and >= 0: -5.0"),
+    # options out of range, though panqa rank itself reads none of them
+    (lambda m: m.update(ratio=0), "ratio must be >= 1: 0"),
+    (lambda m: m.update(options={"block_size": 1}),
+     "block_size must be >= 2"),
+    (lambda m: m.update(options={"ergas_factor": -3}),
+     "ergas_factor must be finite and > 0: -3.0"),
 ])
 def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
     manifest = {"reference": "ms", "ratio": 4,
@@ -377,13 +383,7 @@ def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
-@pytest.mark.parametrize("threads", [None, "2"])
-def test_rank_missing_candidate_names_id(scene, monkeypatch, capsys,
-                                         threads):
-    if threads is None:
-        monkeypatch.delenv("PANQA_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("PANQA_THREADS", threads)
+def test_rank_missing_candidate_names_id(scene, capsys):
     manifest = {"reference": str(scene / "ms"), "ratio": 4,
                 "candidates": [{"id": "self", "path": str(scene / "ms")},
                                {"id": "ghost", "path": str(scene / "gone")},
@@ -427,20 +427,13 @@ def test_rank_featurizes_each_image_once(scene, monkeypatch):
     mpath = scene / "manifest.json"
     mpath.write_text(json.dumps(manifest), encoding="utf-8")
 
-    monkeypatch.delenv("PANQA_THREADS", raising=False)
     features = count_calls(monkeypatch, pipeline.image_features)
     auras = count_calls(monkeypatch, quantizer.cross_aura)
     gray_maps = count_calls(monkeypatch, glcm3.quantize_gray_levels)
     assert main(["rank", "--manifest", str(mpath),
-                 "--out-dir", str(scene / "serial")]) == 0
+                 "--out-dir", str(scene / "out")]) == 0
     assert (len(features), len(auras)) == (4, 4)
     assert len(gray_maps) == 4 * 4     # one per band of each 4-band image
-
-    monkeypatch.setenv("PANQA_THREADS", "2")
-    assert main(["rank", "--manifest", str(mpath),
-                 "--out-dir", str(scene / "pooled")]) == 0
-    assert ((scene / "serial" / "ranks.csv").read_bytes()
-            == (scene / "pooled" / "ranks.csv").read_bytes())
 
 
 def test_srcc_subcommand(tmp_path, capsys):
@@ -519,24 +512,25 @@ def test_rank_manifest_not_json(tmp_path, capsys):
         f"error: malformed manifest {mpath}: Expecting ',' delimiter")
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
-def test_rank_rejects_bad_thread_count(scene, monkeypatch, capsys, threads):
+def test_rank_ignores_panqa_threads(scene, monkeypatch):
+    # candidates are scored on one serial path and PANQA_THREADS is not
+    # read, so even a value that is no number leaves ranks.csv unchanged
+    assert main(["fuse", "--method", "cn", "--ms", str(scene / "ms_l"),
+                 "--pan", str(scene / "pan"),
+                 "--out", str(scene / "fused_cn")]) == 0
     manifest = {"reference": str(scene / "ms"), "ratio": 4,
-                "candidates": [{"id": c, "path": str(scene / "ms")}
-                               for c in ("a", "b")]}
+                "candidates": [{"id": "self", "path": str(scene / "ms")},
+                               {"id": "cn", "path": str(scene / "fused_cn")}]}
     mpath = scene / "manifest.json"
     mpath.write_text(json.dumps(manifest), encoding="utf-8")
-    monkeypatch.setenv("PANQA_THREADS", threads)
+    monkeypatch.delenv("PANQA_THREADS", raising=False)
     assert main(["rank", "--manifest", str(mpath),
-                 "--out-dir", str(scene / "out")]) == 2
-    assert (capsys.readouterr().err.strip()
-            == f"error: PANQA_THREADS must be an integer >= 1: {threads!r}")
-    assert not (scene / "out").exists()
-
-
-def test_empty_thread_count_means_one(monkeypatch):
-    monkeypatch.setenv("PANQA_THREADS", "")
-    assert pipeline._max_workers() == 1
+                 "--out-dir", str(scene / "unset")]) == 0
+    monkeypatch.setenv("PANQA_THREADS", "abc")
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(scene / "abc")]) == 0
+    assert ((scene / "unset" / "ranks.csv").read_bytes()
+            == (scene / "abc" / "ranks.csv").read_bytes())
 
 
 def test_exit_code_missing_input(tmp_path):
@@ -603,6 +597,27 @@ def test_block_size_below_two(scene, monkeypatch, capsys, argv):
     assert main(argv) == 2
     assert (capsys.readouterr().err.strip()
             == "error: block_size must be >= 2")
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--ratio", "0"], "ratio must be >= 1: 0"),
+    (["--ergas-factor", "nan"], "ergas_factor must be finite and > 0: nan"),
+    (["--ergas-factor", "0"], "ergas_factor must be finite and > 0: 0.0"),
+])
+def test_eval_option_out_of_range(tmp_path, capsys, option, message):
+    # refused before either image is read: neither exists
+    assert main(["eval", "--reference", str(tmp_path / "ref"),
+                 "--candidate", str(tmp_path / "cand"), *option,
+                 "--out", str(tmp_path / "eval.json")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_degrade_ratio_one_copies(scene):
+    assert main(["degrade", "--input", str(scene / "ms"), "--ratio", "1",
+                 "--out", str(scene / "copy")]) == 0
+    assert np.array_equal(load_image(scene / "copy").samples,
+                          load_image(scene / "ms").samples)
 
 
 def test_glcm3_radii_not_increasing(scene, capsys):

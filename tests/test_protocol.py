@@ -115,6 +115,19 @@ class TestCategorySum:
         with pytest.warns(UserWarning, match="category1.entropy"):
             aggregate(records)
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_cost_held_by_some_records(self, order):
+        records = [QiRecord("a", {"mean": 1.0}, {}, {}, {}, {}),
+                   QiRecord("b", {}, {}, {}, {}, {})][::order]
+        with pytest.raises(InputError,
+                           match=r"candidate 'b' has no category1\.mean"):
+            aggregate(records)
+        # a key no record holds is skipped
+        for r in records:
+            r.category1 = {}
+        total, dropped = category_sum(records, "category1")
+        assert total.tolist() == [0.0, 0.0] and dropped == []
+
     def test_validation(self):
         records = [make_record("a", 0), make_record("b", 1)]
         with pytest.raises(InputError):

@@ -66,6 +66,14 @@ def test_kernel_transfer_at_nyquist():
         assert transfer(k, 1 / (2 * ratio)) == pytest.approx(gain, rel=0.02)
 
 
+def test_kernel_ratio_one_is_no_filter():
+    assert np.array_equal(mtf_gaussian_kernel(1, 0.3), np.ones(1))
+    with pytest.raises(InputError, match="mtf_gain"):
+        mtf_gaussian_kernel(1, 1.0)
+    with pytest.raises(InputError, match="ratio must be >= 1"):
+        mtf_gaussian_kernel(0, 0.3)
+
+
 def test_kernel_invalid_gain():
     with pytest.raises(InputError):
         mtf_gaussian_kernel(4, 1.0)
