@@ -20,6 +20,9 @@ from .errors import DegeneracyError, InputError
 
 DEFAULT_GL = 32
 DEFAULT_RADII = (1, 2, 3)
+# the (gl, gl, gl) int64 count table is 134 MB at 256 levels, the most
+# that a uint8 gray-level map holds
+MAX_GL = 256
 
 
 @dataclass
@@ -80,14 +83,23 @@ def _half_ring_offsets(radius: int) -> list[tuple[int, int]]:
     return offs
 
 
+def check_glcm3_options(gl: int, radii) -> tuple[int, ...]:
+    """The radii as a tuple of ints, once gl lies in [2, MAX_GL] and the
+    radii increase strictly from at least 1; else InputError."""
+    if not 2 <= gl <= MAX_GL:
+        raise InputError(f"gl must be in [2, {MAX_GL}]: {gl!r}")
+    radii = tuple(int(v) for v in radii)
+    if not radii or radii[0] < 1 or radii != tuple(sorted(set(radii))):
+        raise InputError("radii must be strictly increasing, min >= 1")
+    return radii
+
+
 def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
               *, gl: int) -> Glcm3:
     """Accumulate (center, sorted opposite-pair) triples over all valid
     centers at every ring radius, then normalize. Pairs are counted in
     ring order and the table folded onto row <= col once at the end."""
-    radii = tuple(int(v) for v in radii)
-    if not radii or radii[0] < 1 or radii != tuple(sorted(set(radii))):
-        raise InputError("radii must be strictly increasing, min >= 1")
+    radii = check_glcm3_options(gl, radii)
     lab = np.asarray(labels)
     if lab.ndim != 2:
         raise InputError("labels must be a 2-D plane")

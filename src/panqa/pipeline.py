@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, PanqaError, checked, checked_list, read_json
-from .glcm3 import (DEFAULT_GL, DEFAULT_RADII, glcm3_features,
-                    quantize_gray_levels, tims_glcm)
+from .glcm3 import (DEFAULT_GL, DEFAULT_RADII, check_glcm3_options,
+                    glcm3_features, quantize_gray_levels, tims_glcm)
 from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
                        process_costs)
 from .quantizer import (LEVELS, LabelMapStack, binary_contour_cost,
@@ -54,7 +54,8 @@ class EvalOptions:
             if not 0.0 < self.ergas_factor < math.inf:
                 raise InputError("ergas_factor must be finite and > 0: "
                                  f"{self.ergas_factor!r}")
-        self.radii = tuple(checked_list(int, self.radii, "radii"))
+        self.radii = check_glcm3_options(
+            self.gl, checked_list(int, self.radii, "radii"))
         if self.category2_level not in LEVELS:
             raise InputError(
                 f"unknown category2_level {self.category2_level!r}")

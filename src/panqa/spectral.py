@@ -22,6 +22,12 @@ from .raster import MultibandImage
 
 DEFAULT_BLOCK = 8
 
+# Q, Q4, QNR and SAM read their inputs one strip of rows at a time: the
+# bytes of one strip's samples across every plane the function holds.
+# qnr at 1024x1024 ran alike from 1 to 16 MiB; it was slower at 256 KiB,
+# from per-strip overhead, and at 64 MiB, one strip for the whole image
+_STRIP_BYTES = 4 << 20
+
 
 class SummaryStats(NamedTuple):
     mean: float
@@ -89,25 +95,38 @@ def inverse_pcc_cost(img_a: MultibandImage, img_b: MultibandImage) -> float:
     return float(np.mean(vals))
 
 
+def _strip_rows(width: int, planes: int, unit: int = 1) -> int:
+    """Rows per strip: the largest multiple of unit, and at least unit,
+    whose float64 samples in that many planes of this width fit
+    _STRIP_BYTES."""
+    return unit * max(1, _STRIP_BYTES // (8 * planes * width * unit))
+
+
 def sam_mean(img_a: MultibandImage, img_b: MultibandImage
              ) -> tuple[float, np.ndarray]:
     """Mean spectral angle in degrees plus the per-pixel angle map.
 
     Pixels where either spectral vector is all-zero are NaN in the map and
-    excluded from the mean.
+    excluded from the mean. The map is filled one strip of pixel rows at a
+    time; the mean is taken over the whole map.
     """
     if img_a.samples.shape != img_b.samples.shape:
         raise InputError("shape mismatch")
-    a, b = img_a.samples, img_b.samples
-    dot = np.sum(a * b, axis=2)
-    na = np.linalg.norm(a, axis=2)
-    nb = np.linalg.norm(b, axis=2)
-    valid = (na > 0) & (nb > 0)
+    h, w, bands = img_a.samples.shape
+    angle = np.full((h, w), np.nan)
+    valid = np.empty((h, w), dtype=bool)
+    step = _strip_rows(w, 2 * bands)
+    for r in range(0, h, step):
+        a, b = img_a.samples[r:r + step], img_b.samples[r:r + step]
+        dot = np.sum(a * b, axis=2)
+        na = np.linalg.norm(a, axis=2)
+        nb = np.linalg.norm(b, axis=2)
+        ok = valid[r:r + step]
+        np.logical_and(na > 0, nb > 0, out=ok)
+        cosv = np.clip(dot[ok] / (na[ok] * nb[ok]), -1.0, 1.0)
+        angle[r:r + step][ok] = np.degrees(np.arccos(cosv))
     if not valid.any():
         raise DegeneracyError("all pixels have a zero spectral vector")
-    angle = np.full(dot.shape, np.nan)
-    cosv = np.clip(dot[valid] / (na[valid] * nb[valid]), -1.0, 1.0)
-    angle[valid] = np.degrees(np.arccos(cosv))
     return float(angle[valid].mean()), angle
 
 
@@ -132,12 +151,8 @@ def ergas(reference: MultibandImage, test: MultibandImage, ratio: int,
 def _block_view(plane: np.ndarray, bl: int) -> np.ndarray:
     """(nby, nbx, bl*bl) view of the non-overlapping bl x bl blocks;
     partial edge blocks are dropped."""
-    if bl < 2:
-        raise InputError("block_size must be >= 2")
     h, w = plane.shape
     nby, nbx = h // bl, w // bl
-    if nby == 0 or nbx == 0:
-        raise InputError(f"image smaller than one {bl}x{bl} block")
     v = plane[:nby * bl, :nbx * bl].reshape(nby, bl, nbx, bl)
     return v.transpose(0, 2, 1, 3).reshape(nby, nbx, bl * bl)
 
@@ -151,7 +166,7 @@ class _BlockMoments(NamedTuple):
 
 def _block_moments(plane: np.ndarray, bl: int) -> _BlockMoments:
     """Moments of a plane's full BL x BL blocks; Q, Q4 and QNR all take
-    their block moments from here."""
+    their block moments from here, one strip of block rows at a time."""
     x = np.asarray(plane, dtype=np.float64)
     blocks = _block_view(x, bl)
     m = blocks.mean(axis=2)
@@ -178,24 +193,62 @@ def _block_cov(a: _BlockMoments, b: _BlockMoments) -> np.ndarray:
     return np.mean(a.centred * b.centred, axis=2)
 
 
-def _q_ratio_mean(num: np.ndarray, denom: np.ndarray, identical) -> float:
-    """Mean over blocks of num / denom. A block whose denom is not positive
-    scores 1 where identical() marks its samples equal in both images, else
-    0; identical is called only when such a block exists."""
+def _q_ratio_map(num: np.ndarray, denom: np.ndarray, identical
+                 ) -> np.ndarray:
+    """Per block, num / denom. A block whose denom is not positive scores
+    1 where identical() marks its samples equal in both images, else 0;
+    identical is called only when such a block exists."""
     good = denom > 0
     q = np.where(good, np.divide(num, denom, out=np.zeros_like(denom),
                                  where=good), 0.0)
     if not good.all():
         q = np.where(good, q, np.where(identical(), 1.0, 0.0))
-    return float(q.mean())
+    return q
 
 
-def _q_blocks(a: _BlockMoments, b: _BlockMoments, cov: np.ndarray) -> float:
-    """Block-averaged Q of the ordered pair (a, b). The numerator is not
+def _q_map(a: _BlockMoments, b: _BlockMoments, cov: np.ndarray
+           ) -> np.ndarray:
+    """Per-block Q of the ordered pair (a, b). The numerator is not
     symmetric in its last bit, so (b, a) needs its own call."""
     mx, vx, my, vy = a.mean, a.var, b.mean, b.var
-    return _q_ratio_mean(4.0 * cov * mx * my, (vx + vy) * (mx**2 + my**2),
-                         lambda: _identical_blocks(a, b))
+    return _q_ratio_map(4.0 * cov * mx * my, (vx + vy) * (mx**2 + my**2),
+                        lambda: _identical_blocks(a, b))
+
+
+def _pair_maps(mom: list[_BlockMoments], pairs) -> dict:
+    """The Q map of each ordered pair (i, j) of mom; the covariance of
+    {i, j} is taken once for both orders."""
+    maps, covs = {}, {}
+    for i, j in pairs:
+        key = min(i, j), max(i, j)
+        if key not in covs:
+            covs[key] = _block_cov(mom[i], mom[j])
+        maps[i, j] = _q_map(mom[i], mom[j], covs[key])
+    return maps
+
+
+def _q_strips(planes, bl: int, score) -> dict:
+    """Block-averaged Q values of planes whose block grids match.
+
+    The planes are read one strip of whole block rows at a time, about
+    _STRIP_BYTES of samples across all of them; score(moments) maps one
+    strip's block moments, in plane order, to a dict of its per-block Q
+    maps. Returns each key's mean over its whole (nby, nbx) map.
+    """
+    if bl < 2:
+        raise InputError("block_size must be >= 2")
+    planes = [np.asarray(p) for p in planes]
+    grids = [(p.shape[0] // bl, p.shape[1] // bl) for p in planes]
+    if any(0 in g for g in grids):
+        raise InputError(f"image smaller than one {bl}x{bl} block")
+    if len(set(grids)) > 1:
+        raise InputError("shape mismatch")
+    nby, nbx = grids[0]
+    step = _strip_rows(nbx * bl, len(planes), bl)
+    strips = [score([_block_moments(p[r:r + step], bl) for p in planes])
+              for r in range(0, nby * bl, step)]
+    return {key: float(np.concatenate([s[key] for s in strips]).mean())
+            for key in strips[0]}
 
 
 def q_index(band_a: np.ndarray, band_b: np.ndarray,
@@ -205,11 +258,8 @@ def q_index(band_a: np.ndarray, band_b: np.ndarray,
     Per block: 4*cov*mx*my / ((vx+vy)*(mx^2+my^2)); degenerate blocks
     score 1 when identical, else 0.
     """
-    a = _block_moments(band_a, block_size)
-    b = _block_moments(band_b, block_size)
-    if a.mean.shape != b.mean.shape:
-        raise InputError("shape mismatch")
-    return _q_blocks(a, b, _block_cov(a, b))
+    return _q_strips([band_a, band_b], block_size,
+                     lambda mom: _pair_maps(mom, [(0, 1)]))[0, 1]
 
 
 # the Hamilton product a * conj(b) with conj's signs written out: per
@@ -224,15 +274,9 @@ _CONJ_PRODUCT = (
 )
 
 
-def q4(img_a: MultibandImage, img_b: MultibandImage,
-       block_size: int = DEFAULT_BLOCK) -> float:
-    """Quaternion quality index for 4-band images, block averaged."""
-    if img_a.bands != 4 or img_b.bands != 4:
-        raise InputError("q4 requires exactly 4 bands")
-    if img_a.samples.shape != img_b.samples.shape:
-        raise InputError("shape mismatch")
-    mom_a = [_block_moments(img_a.band(c), block_size) for c in range(4)]
-    mom_b = [_block_moments(img_b.band(c), block_size) for c in range(4)]
+def _q4_map(mom_a: list[_BlockMoments], mom_b: list[_BlockMoments]
+            ) -> np.ndarray:
+    """Per-block Q4 of two 4-band images' block moments."""
     da = [m.centred for m in mom_a]
     db = [m.centred for m in mom_b]
     # quaternion cross-covariance: the block mean of each component of
@@ -252,10 +296,22 @@ def q4(img_a: MultibandImage, img_b: MultibandImage,
     vb = sum(m.var for m in mom_b)
     na2 = sum(m.mean**2 for m in mom_a)
     nb2 = sum(m.mean**2 for m in mom_b)
-    return _q_ratio_mean(
+    return _q_ratio_map(
         4.0 * cov_mod * np.sqrt(na2 * nb2), (va + vb) * (na2 + nb2),
         lambda: np.all([_identical_blocks(a, b)
                         for a, b in zip(mom_a, mom_b)], axis=0))
+
+
+def q4(img_a: MultibandImage, img_b: MultibandImage,
+       block_size: int = DEFAULT_BLOCK) -> float:
+    """Quaternion quality index for 4-band images, block averaged."""
+    if img_a.bands != 4 or img_b.bands != 4:
+        raise InputError("q4 requires exactly 4 bands")
+    if img_a.samples.shape != img_b.samples.shape:
+        raise InputError("shape mismatch")
+    planes = [img.band(c) for img in (img_a, img_b) for c in range(4)]
+    return _q_strips(planes, block_size,
+                     lambda mom: {"q4": _q4_map(mom[:4], mom[4:])})["q4"]
 
 
 def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
@@ -279,20 +335,15 @@ def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
     nb = ms_l.bands
     if nb < 2:
         raise InputError("qnr needs at least 2 bands")
-    ms = [_block_moments(ms_l.band(b), block_size) for b in range(nb)]
-    fused = [_block_moments(fused_h.band(b), block_size) for b in range(nb)]
+    # every ordered band pair (i, j), and each band against the pan (b, nb)
+    pairs = [(i, j) for i in range(nb) for j in range(nb + 1) if i != j]
 
-    def inter_band_q(mom):
-        # one covariance per unordered pair, one Q per ordered pair
-        qs = {}
-        for i in range(nb):
-            for j in range(i + 1, nb):
-                cov = _block_cov(mom[i], mom[j])
-                qs[i, j] = _q_blocks(mom[i], mom[j], cov)
-                qs[j, i] = _q_blocks(mom[j], mom[i], cov)
-        return qs
+    def pair_qs(img, pan):
+        planes = [img.band(b) for b in range(nb)] + [pan]
+        return _q_strips(planes, block_size,
+                         lambda mom: _pair_maps(mom, pairs))
 
-    q_ms, q_fused = inter_band_q(ms), inter_band_q(fused)
+    q_ms, q_fused = pair_qs(ms_l, pan_l), pair_qs(fused_h, pan_h)
     acc = 0.0
     for i in range(nb):
         for j in range(nb):
@@ -301,13 +352,9 @@ def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
             acc += abs(q_ms[i, j] - q_fused[i, j])**p
     d_lambda = min((acc / (nb * (nb - 1)))**(1.0 / p), 1.0)
 
-    pan_hm = _block_moments(pan_h, block_size)
-    pan_lm = _block_moments(pan_l, block_size)
     acc = 0.0
     for b in range(nb):
-        d = (_q_blocks(fused[b], pan_hm, _block_cov(fused[b], pan_hm))
-             - _q_blocks(ms[b], pan_lm, _block_cov(ms[b], pan_lm)))
-        acc += abs(d)**q
+        acc += abs(q_fused[b, nb] - q_ms[b, nb])**q
     d_s = min((acc / nb)**(1.0 / q), 1.0)
 
     value = (1.0 - d_lambda)**alpha * (1.0 - d_s)**beta

@@ -370,6 +370,13 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
      "block_size must be >= 2"),
     (lambda m: m.update(options={"ergas_factor": -3}),
      "ergas_factor must be finite and > 0: -3.0"),
+    (lambda m: m.update(options={"gl": 1}), "gl must be in [2, 256]: 1"),
+    (lambda m: m.update(options={"gl": 70000}),
+     "gl must be in [2, 256]: 70000"),
+    (lambda m: m.update(options={"radii": [3, 2]}),
+     "radii must be strictly increasing, min >= 1"),
+    (lambda m: m.update(options={"radii": [0, 1]}),
+     "radii must be strictly increasing, min >= 1"),
 ])
 def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
     manifest = {"reference": "ms", "ratio": 4,
@@ -603,6 +610,9 @@ def test_block_size_below_two(scene, monkeypatch, capsys, argv):
     (["--ratio", "0"], "ratio must be >= 1: 0"),
     (["--ergas-factor", "nan"], "ergas_factor must be finite and > 0: nan"),
     (["--ergas-factor", "0"], "ergas_factor must be finite and > 0: 0.0"),
+    (["--gl", "1"], "gl must be in [2, 256]: 1"),
+    (["--gl", "257"], "gl must be in [2, 256]: 257"),
+    (["--radii", "3,2"], "radii must be strictly increasing, min >= 1"),
 ])
 def test_eval_option_out_of_range(tmp_path, capsys, option, message):
     # refused before either image is read: neither exists
@@ -625,3 +635,13 @@ def test_glcm3_radii_not_increasing(scene, capsys):
                  "--out", str(scene / "glcm.json")]) == 2
     assert (capsys.readouterr().err.strip()
             == "error: radii must be strictly increasing, min >= 1")
+
+
+def test_glcm3_gl_too_large(scene, capsys):
+    # refused before the (gl, gl, gl) table is allocated: at 70000 levels
+    # it would take petabytes
+    assert main(["glcm3", "--input", str(scene / "ms"), "--gl", "70000",
+                 "--out", str(scene / "glcm.json")]) == 2
+    assert (capsys.readouterr().err.strip()
+            == "error: gl must be in [2, 256]: 70000")
+    assert not (scene / "glcm.json").exists()

@@ -148,6 +148,13 @@ class TestTimsGlcm:
             with pytest.raises(InputError, match="strictly increasing"):
                 tims_glcm(labels, radii, gl=4)
 
+    @pytest.mark.parametrize("gl", [1, 257, 70000])
+    def test_gl_out_of_range(self, gl):
+        # refused before the (gl, gl, gl) count table is allocated
+        labels = np.zeros((7, 7), dtype=np.int64)
+        with pytest.raises(InputError, match=r"gl must be in \[2, 256\]"):
+            tims_glcm(labels, gl=gl)
+
 
 class TestFeatures:
     def test_single_offdiagonal_cell(self):

@@ -1,5 +1,6 @@
 import math
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from panqa import spectral
 from panqa.errors import DegeneracyError, InputError
 from panqa.glcm3 import quantize_gray_levels
 from panqa.raster import MultibandImage
 from panqa.resample import upsample
 from panqa.spectral import (ergas, inverse_pcc_cost, mdb_cost, pcc, q4,
                             q_index, qnr, sam_mean, summary_stats)
+from test_layout import traced_peak
+
+# the default strip budget, and one small enough that every strip is a
+# single block row (or pixel row)
+BUDGETS = (spectral._STRIP_BYTES, 1)
+
+
+def at_budgets(fn, *args, **kwargs):
+    """fn's result at each strip budget of BUDGETS."""
+    results = []
+    for budget in BUDGETS:
+        with mock.patch.object(spectral, "_STRIP_BYTES", budget):
+            results.append(fn(*args, **kwargs))
+    return results
+
 
 EVEN_PERMS = [p for p in permutations(range(4))
               if sum(1 for i in range(4) for j in range(i)
@@ -357,10 +374,12 @@ def test_qnr_matches_pairwise_q_reference(seed, bands, low, ratio, bl,
                                          levels))
     pan_h = random_planes(seed + 2, (h * ratio, w * ratio), levels)
     pan_l = random_planes(seed + 3, (h, w), levels)
-    got = qnr(ms, fused, pan_h, pan_l, p=p, q=q, block_size=bl)
-    assert got == qnr_reference(ms, fused, pan_h, pan_l, p, q, bl)
-    assert (q_index(fused.band(0), fused.band(1), bl)
-            == q_index_reference(fused.band(0), fused.band(1), bl))
+    want = qnr_reference(ms, fused, pan_h, pan_l, p, q, bl)
+    assert (at_budgets(qnr, ms, fused, pan_h, pan_l, p=p, q=q, block_size=bl)
+            == [want] * len(BUDGETS))
+    want = q_index_reference(fused.band(0), fused.band(1), bl)
+    assert (at_budgets(q_index, fused.band(0), fused.band(1), bl)
+            == [want] * len(BUDGETS))
 
 
 def q4_reference(img_a, img_b, bl):
@@ -405,8 +424,8 @@ def test_q4_matches_reference(seed, shape, bl, levels, shared_bands):
     # equal leading bands give identical blocks where the rest are flat
     b[:, :, :shared_bands] = a[:, :, :shared_bands]
     img_a, img_b = MultibandImage(a), MultibandImage(b)
-    assert (q4(img_a, img_b, bl)
-            == q4_reference(img_a, img_b, bl))
+    assert (at_budgets(q4, img_a, img_b, bl)
+            == [q4_reference(img_a, img_b, bl)] * len(BUDGETS))
 
 
 @pytest.mark.parametrize("width", [8, 20])
@@ -426,3 +445,105 @@ def test_block_size_below_two_refused(random_image):
                  lambda: q_index(img.band(0), img.band(0), 1)):
         with pytest.raises(InputError, match="block_size must be >= 2"):
             call()
+
+
+def strip_planes(seed, shape, levels, flat_cols, shared):
+    """Two arrays of random_planes whose first flat_cols columns are
+    constant: the same constant in both when shared, so that Q scores
+    those blocks, in every strip, by its identical-blocks fallback."""
+    a = random_planes(seed, shape, levels)
+    b = random_planes(seed + 1, shape, levels)
+    a[:, :flat_cols] = 0.5
+    b[:, :flat_cols] = 0.5 if shared else 0.25
+    return a, b
+
+
+strip_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    # block rows of several strips, and heights and widths that leave a
+    # partial edge block
+    shape=st.tuples(st.integers(2, 29), st.integers(2, 23)),
+    bl=st.integers(2, 5), levels=st.sampled_from([0, 2, 3]),
+    flat_cols=st.integers(0, 6), shared=st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(**strip_cases)
+def test_q_index_and_q4_match_across_strip_budgets(seed, shape, bl, levels,
+                                                   flat_cols, shared):
+    h, w = max(shape[0], bl), max(shape[1], bl)
+    a, b = strip_planes(seed, (h, w, 4), levels, flat_cols, shared)
+    img_a, img_b = MultibandImage(a), MultibandImage(b)
+    one, per_row = at_budgets(q4, img_a, img_b, bl)
+    assert one == per_row
+    one, per_row = at_budgets(q_index, a[:, :, 0], b[:, :, 0], bl)
+    assert one == per_row
+
+
+@settings(max_examples=40, deadline=None)
+@given(**strip_cases, ratio=st.integers(1, 3), bands=st.integers(2, 4),
+       p=st.floats(0.25, 4.0), q=st.floats(0.25, 4.0))
+def test_qnr_matches_across_strip_budgets(seed, shape, bl, levels,
+                                          flat_cols, shared, ratio, bands,
+                                          p, q):
+    h, w = max(shape[0], bl), max(shape[1], bl)
+    ms, pan_l = strip_planes(seed, (h, w, bands), levels, flat_cols, shared)
+    fused, pan_h = strip_planes(seed + 2, (h * ratio, w * ratio, bands),
+                                levels, flat_cols * ratio, shared)
+    one, per_row = at_budgets(qnr, MultibandImage(ms),
+                              MultibandImage(fused), pan_h[:, :, 0],
+                              pan_l[:, :, 0], p=p, q=q, block_size=bl)
+    assert one == per_row
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(1, 19), st.integers(1, 13)),
+       bands=st.integers(1, 4), levels=st.sampled_from([0, 2, 3]),
+       zero_from=st.integers(1, 19))
+def test_sam_matches_across_strip_budgets(seed, shape, bands, levels,
+                                          zero_from):
+    # zero spectral vectors only in rows past the first: a later strip
+    # once every strip is one pixel row
+    a = random_planes(seed, shape + (bands,), levels)
+    b = random_planes(seed + 1, shape + (bands,), levels)
+    a[zero_from:, ::2] = 0.0
+    b[zero_from:, 1::3] = 0.0
+    a[0, 0] = b[0, 0] = 1.0
+    (one, map_one), (per_row, map_per_row) = at_budgets(
+        sam_mean, MultibandImage(a), MultibandImage(b))
+    assert one == per_row
+    assert np.array_equal(map_one, map_per_row, equal_nan=True)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_sam_all_zero_refused_at_every_budget(budget):
+    a = np.ones((5, 3, 2))
+    a[2:] = 0.0
+    b = np.ones((5, 3, 2))
+    b[:2] = 0.0
+    with mock.patch.object(spectral, "_STRIP_BYTES", budget):
+        with pytest.raises(DegeneracyError, match="zero spectral vector"):
+            sam_mean(MultibandImage(a), MultibandImage(b))
+
+
+MiB = 1 << 20
+
+
+@pytest.mark.parametrize("metric", [q4, sam_mean])
+def test_classic_metric_footprint(rng, metric):
+    # one 512x512 4-band pair is 16 MiB; the metric holds a strip of each
+    # and its per-block or per-pixel maps, not whole-image copies
+    a = MultibandImage(rng.random((512, 512, 4)))
+    b = MultibandImage(rng.random((512, 512, 4)))
+    _, peak = traced_peak(metric, a, b)
+    assert peak < 10 * MiB
+
+
+def test_qnr_footprint(rng):
+    # a 1024x1024 fused image is 32 MiB: stay within half of one
+    ms = MultibandImage(rng.random((256, 256, 4)))
+    fused = MultibandImage(rng.random((1024, 1024, 4)))
+    _, peak = traced_peak(qnr, ms, fused, rng.random((1024, 1024)),
+                          rng.random((256, 256)))
+    assert peak < 16 * MiB
