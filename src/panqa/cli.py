@@ -99,6 +99,7 @@ def cmd_qnr(args) -> int:
 
 
 def cmd_glcm3(args) -> int:
+    glcm3_mod.check_glcm3_options(args.gl, args.radii)
     img = load_image(args.input)
     labels = glcm3_mod.quantize_gray_levels(img.band(args.band), args.gl)
     matrix = glcm3_mod.tims_glcm(labels, args.radii, gl=args.gl)

@@ -48,19 +48,20 @@ class Glcm3:
         return self.counts / self.total_tuples
 
 
+def _check_gl(gl: int) -> None:
+    if not 2 <= gl <= MAX_GL:
+        raise InputError(f"gl must be in [2, {MAX_GL}]: {gl!r}")
+
+
 def quantize_gray_levels(band: np.ndarray, gl: int = DEFAULT_GL
                          ) -> np.ndarray:
-    """Linear min-max binning into {0..gl-1}; constant bands map to 0.
-
-    The map is of the narrowest unsigned type that holds gl - 1: uint8 up
-    to gl = 256, uint16 up to 65536."""
-    if gl < 2:
-        raise InputError("gl must be >= 2")
+    """Linear min-max binning into a uint8 map of {0..gl-1}, gl in
+    [2, MAX_GL]; constant bands map to 0."""
+    _check_gl(gl)
     x = np.asarray(band, dtype=np.float64)
-    dtype = np.min_scalar_type(gl - 1)
     lo, hi = x.min(), x.max()
     if hi == lo:
-        return np.zeros(x.shape, dtype=dtype)
+        return np.zeros(x.shape, dtype=np.uint8)
     # floor(gl * (x - lo) / (hi - lo)), one float temporary; the top
     # sample reaches gl and is clamped before the map narrows
     levels = x - lo
@@ -68,7 +69,7 @@ def quantize_gray_levels(band: np.ndarray, gl: int = DEFAULT_GL
     levels /= hi - lo
     np.floor(levels, out=levels)
     np.minimum(levels, gl - 1, out=levels)
-    return levels.astype(dtype)
+    return levels.astype(np.uint8)
 
 
 def _half_ring_offsets(radius: int) -> list[tuple[int, int]]:
@@ -86,8 +87,7 @@ def _half_ring_offsets(radius: int) -> list[tuple[int, int]]:
 def check_glcm3_options(gl: int, radii) -> tuple[int, ...]:
     """The radii as a tuple of ints, once gl lies in [2, MAX_GL] and the
     radii increase strictly from at least 1; else InputError."""
-    if not 2 <= gl <= MAX_GL:
-        raise InputError(f"gl must be in [2, {MAX_GL}]: {gl!r}")
+    _check_gl(gl)
     radii = tuple(int(v) for v in radii)
     if not radii or radii[0] < 1 or radii != tuple(sorted(set(radii))):
         raise InputError("radii must be strictly increasing, min >= 1")

@@ -151,19 +151,30 @@ def image_features(img: MultibandImage, opts: EvalOptions) -> ImageFeatures:
                          contour=plane > 0)
 
 
+def _same_samples(a: MultibandImage, b: MultibandImage) -> bool:
+    """Whether two images of one shape hold equal samples; the first row of
+    each plane settles most unequal pairs."""
+    pa, pb = a.planes, b.planes
+    return np.array_equal(pa[:, 0], pb[:, 0]) and np.array_equal(pa, pb)
+
+
 def evaluate_candidate(reference: ImageFeatures, candidate: MultibandImage,
                        opts: EvalOptions, candidate_id: str = "",
                        process: dict | None = None) -> QiRecord:
-    """Collect every product cost for one candidate against the reference."""
+    """Collect every product cost for one candidate against the reference,
+    which image_features computed with the same opts. A candidate whose
+    samples equal the reference's shares its features."""
     if reference.image.samples.shape != candidate.samples.shape:
         raise InputError("reference/candidate shape mismatch")
-    cand = image_features(candidate, opts)
+    cand = (reference if _same_samples(reference.image, candidate)
+            else image_features(candidate, opts))
     # each category's values in its CATEGORY_KEYS order
     values = (
         _mdb_costs(reference.stats, cand.stats),
         [float(post_classification_change_count(
             reference.labels, cand.labels, opts.category2_level)),
-         inverse_pcc_cost(reference.image, candidate)],
+         inverse_pcc_cost(reference.image, candidate, reference.stats,
+                          cand.stats)],
         _mdb_costs(reference.texture, cand.texture)
         + [abs(reference.aura_mean - cand.aura_mean)],
         [binary_contour_cost(reference.contour, cand.contour)],

@@ -75,15 +75,14 @@ def quantize_spectral(img: MultibandImage) -> LabelMapStack:
     """
     if img.bands < _CODE_BANDS:
         raise InputError("quantizer needs at least 3 bands")
-    s = img.samples
-    # at most 64 labels: uint8 keeps a held stack at a byte per pixel
-    digits = np.zeros(s.shape[:2] + (_CODE_BANDS,), dtype=np.uint8)
-    for t in _FINE_THRESHOLDS:
-        digits += s[:, :, :_CODE_BANDS] > t
-
-    fine = np.zeros(s.shape[:2], dtype=np.uint8)
-    for b in range(_CODE_BANDS):
-        fine = fine * 4 + digits[:, :, b]
+    # at most 64 labels: uint8 keeps a held stack at a byte per pixel; the
+    # base-4 code is built in place, each band's digit added bin by bin
+    fine = np.zeros((img.height, img.width), dtype=np.uint8)
+    above = np.empty(fine.shape, dtype=bool)
+    for plane in img.planes[:_CODE_BANDS]:
+        fine *= 4
+        for t in _FINE_THRESHOLDS:
+            fine += np.greater(plane, t, out=above)
     intermediate = _FINE_TO_INTERMEDIATE[fine]
     return LabelMapStack(fine=fine, intermediate=intermediate,
                          coarse=_INTERMEDIATE_TO_COARSE[intermediate])

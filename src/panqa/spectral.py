@@ -47,15 +47,16 @@ def summary_stats(band: np.ndarray, levels: np.ndarray) -> SummaryStats:
         raise InputError("levels must map every sample of the band")
     mean = x.mean()
     centered = x - mean
-    # chained products: np.power for cubes and fourth powers is far slower
+    # chained products: np.power for cubes and fourth powers is far slower;
+    # the cube goes into the centred buffer, the fourth power into sq
     sq = centered * centered
     var = np.mean(sq)
     std = math.sqrt(var)
     if std == 0.0:
         skew = kurt = 0.0
     else:
-        skew = np.mean(sq * centered) / std**3
-        kurt = np.mean(sq * sq) / std**4
+        skew = np.mean(np.multiply(sq, centered, out=centered)) / std**3
+        kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
     counts = np.bincount(np.ravel(levels))
     p = counts[counts > 0] / x.size
     # 0.0 - sum, not -sum: a constant band's entropy is +0.0, not -0.0
@@ -72,25 +73,33 @@ def mdb_cost(stats_a, stats_b) -> float:
     return float(np.mean(np.abs(a - b)))
 
 
-def pcc(band_a: np.ndarray, band_b: np.ndarray) -> float:
-    """Pearson correlation with population normalization."""
+def pcc(band_a: np.ndarray, band_b: np.ndarray, stats_a: SummaryStats,
+        stats_b: SummaryStats) -> float:
+    """Pearson correlation with population normalization. stats_a and
+    stats_b are the bands' summary_stats, whose mean and std are the ones
+    a Pearson correlation computes."""
     x = np.asarray(band_a, dtype=np.float64).ravel()
     y = np.asarray(band_b, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise InputError("shape mismatch")
-    xc, yc = x - x.mean(), y - y.mean()
-    sx = math.sqrt(np.mean(xc**2))
-    sy = math.sqrt(np.mean(yc**2))
-    if sx == 0.0 or sy == 0.0:
+    if stats_a.std == 0.0 or stats_b.std == 0.0:
         raise DegeneracyError("zero variance")
-    return float(np.mean(xc * yc) / (sx * sy))
+    # the centred x becomes the product in place
+    xc = x - stats_a.mean
+    xc *= y - stats_b.mean
+    return float(np.mean(xc) / (stats_a.std * stats_b.std))
 
 
-def inverse_pcc_cost(img_a: MultibandImage, img_b: MultibandImage) -> float:
-    """Mean over bands of (1 - PCC)."""
+def inverse_pcc_cost(img_a: MultibandImage, img_b: MultibandImage,
+                     stats_a: list[SummaryStats],
+                     stats_b: list[SummaryStats]) -> float:
+    """Mean over bands of (1 - PCC); stats_a and stats_b hold each
+    image's per-band summary_stats."""
     if img_a.samples.shape != img_b.samples.shape:
         raise InputError("shape mismatch")
-    vals = [1.0 - pcc(img_a.band(b), img_b.band(b))
+    if not len(stats_a) == len(stats_b) == img_a.bands:
+        raise InputError("one SummaryStats per band required")
+    vals = [1.0 - pcc(img_a.band(b), img_b.band(b), stats_a[b], stats_b[b])
             for b in range(img_a.bands)]
     return float(np.mean(vals))
 

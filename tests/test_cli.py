@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import shutil
 import sys
 import warnings
 
@@ -428,9 +429,13 @@ def test_rank_featurizes_each_image_once(scene, monkeypatch):
         main(["fuse", "--method", method, "--ms", str(scene / "ms_l"),
               "--pan", str(scene / "pan"),
               "--out", str(scene / f"fused_{method}")])
+    # the oracle is a byte copy of the reference: it shares its features
+    for ext in (".json", ".raw"):
+        shutil.copyfile(scene / f"ms{ext}", scene / f"oracle{ext}")
     manifest = {"reference": str(scene / "ms"), "ratio": 4,
                 "candidates": [{"id": m, "path": str(scene / f"fused_{m}")}
-                               for m in ("pca", "cn", "atwt")]}
+                               for m in ("pca", "cn", "atwt")]
+                + [{"id": "oracle", "path": str(scene / "oracle")}]}
     mpath = scene / "manifest.json"
     mpath.write_text(json.dumps(manifest), encoding="utf-8")
 
@@ -635,6 +640,17 @@ def test_glcm3_radii_not_increasing(scene, capsys):
                  "--out", str(scene / "glcm.json")]) == 2
     assert (capsys.readouterr().err.strip()
             == "error: radii must be strictly increasing, min >= 1")
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--gl", "300"], "gl must be in [2, 256]: 300"),
+    (["--radii", "0,1"], "radii must be strictly increasing, min >= 1")])
+def test_glcm3_options_checked_before_read(tmp_path, capsys, option,
+                                           message):
+    # the input does not exist: the option is refused first
+    assert main(["glcm3", "--input", str(tmp_path / "gone"), *option,
+                 "--out", str(tmp_path / "glcm.json")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
 def test_glcm3_gl_too_large(scene, capsys):

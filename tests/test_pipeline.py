@@ -1,15 +1,20 @@
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from panqa import pipeline
 from panqa.errors import InputError
 from panqa.cli import build_parser
 from panqa.fusion import FusionConfig, pansharpen
-from panqa.pipeline import (Candidate, EvalOptions, RunManifest, run_manifest,
+from panqa.pipeline import (Candidate, EvalOptions, RunManifest,
+                            evaluate_candidate, image_features, run_manifest,
                             write_report)
 from panqa.protocol import QiRecord, aggregate, process_costs
 from panqa.raster import MultibandImage, save_image
 from panqa.spectral import DEFAULT_BLOCK
+from test_cli import count_calls
 
 
 def write_manifest(path, options):
@@ -105,3 +110,35 @@ def test_candidate_may_carry_fuser_meta(tmp_path, rng):
     path.write_text(json.dumps(doc), encoding="utf-8")
     cand, = RunManifest.from_json(path).candidates
     assert cand.process == process_costs(meta)
+
+
+def fresh_record(reference, candidate, opts):
+    """evaluate_candidate with the candidate featurized afresh."""
+    with mock.patch.object(pipeline, "_same_samples", lambda a, b: False):
+        return evaluate_candidate(reference, candidate, opts, "c")
+
+
+def test_candidate_equal_to_reference_reuses_its_features(rng,
+                                                          monkeypatch):
+    opts = EvalOptions(gl=8)
+    ref = MultibandImage(rng.uniform(-0.1, 1.1, (16, 16, 4)))
+    reference = image_features(ref, opts)
+    oracle = MultibandImage(ref.samples.copy())
+    want = fresh_record(reference, oracle, opts)
+    calls = count_calls(monkeypatch, pipeline.image_features)
+    record = evaluate_candidate(reference, oracle, opts, "c")
+    assert calls == []
+    assert record == want
+
+
+@pytest.mark.parametrize("pixel", [(0, 5, 2), (15, 15, 3)])
+def test_candidate_one_sample_off_is_featurized(rng, monkeypatch, pixel):
+    # one sample off in the first row, then in the last
+    opts = EvalOptions(gl=8)
+    ref = MultibandImage(rng.uniform(0.1, 0.9, (16, 16, 4)))
+    reference = image_features(ref, opts)
+    samples = ref.samples.copy()
+    samples[pixel] = np.nextafter(samples[pixel], 1.0)
+    calls = count_calls(monkeypatch, pipeline.image_features)
+    evaluate_candidate(reference, MultibandImage(samples), opts, "c")
+    assert len(calls) == 1

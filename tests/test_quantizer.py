@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panqa.errors import InputError
 from panqa.raster import MultibandImage
@@ -15,6 +18,36 @@ def image(values):
     """Broadcast a (H, W) plane of reflectances to a 3-band image."""
     plane = np.asarray(values, dtype=np.float64)
     return MultibandImage(np.repeat(plane[:, :, None], 3, axis=2))
+
+
+def digit_stack_fine(img):
+    """The fine code through a (h, w, 3) stack of per-band digits, each
+    counting the thresholds its sample exceeds."""
+    s = img.samples
+    digits = np.zeros(s.shape[:2] + (3,), dtype=np.uint8)
+    for t in (0.25, 0.5, 0.75):
+        digits += s[:, :, :3] > t
+    fine = np.zeros(s.shape[:2], dtype=np.uint8)
+    for b in range(3):
+        fine = fine * 4 + digits[:, :, b]
+    return fine
+
+
+# samples outside [0, 1], exactly on a threshold, and constant bands
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9),
+                                    st.integers(3, 5)),
+              elements=st.one_of(st.sampled_from([0.25, 0.5, 0.75]),
+                                 st.floats(-2.0, 3.0))))
+def test_fine_code_matches_digit_stack(samples):
+    img = MultibandImage(samples)
+    stack = quantize_spectral(img)
+    assert stack.fine.dtype == np.uint8
+    assert np.array_equal(stack.fine, digit_stack_fine(img))
+    assert np.array_equal(stack.intermediate,
+                          _FINE_TO_INTERMEDIATE[stack.fine])
+    assert np.array_equal(stack.coarse,
+                          _INTERMEDIATE_TO_COARSE[stack.intermediate])
 
 
 class TestQuantize:

@@ -120,26 +120,119 @@ class TestMdb:
             mdb_cost([1.0], [1.0, 2.0])
 
 
+def pcc_of(x, y):
+    """pcc of two bands with their own summary_stats."""
+    return pcc(x, y, stats(x), stats(y))
+
+
 class TestPcc:
     def test_self(self, rng):
         x = rng.random(50)
-        assert pcc(x, x) == pytest.approx(1.0)
+        assert pcc_of(x, x) == pytest.approx(1.0)
 
     def test_affine_insensitive(self, rng):
         x = rng.random(50)
-        assert pcc(x, 3.0 * x + 2.0) == pytest.approx(1.0)
+        assert pcc_of(x, 3.0 * x + 2.0) == pytest.approx(1.0)
 
     def test_anticorrelation(self):
-        assert pcc(np.array([1.0, 2, 3]),
-                   np.array([3.0, 2, 1])) == pytest.approx(-1.0)
+        assert pcc_of(np.array([1.0, 2, 3]),
+                      np.array([3.0, 2, 1])) == pytest.approx(-1.0)
 
     def test_constant_raises(self):
         with pytest.raises(DegeneracyError, match="zero variance"):
-            pcc(np.ones(4), np.arange(4.0))
+            pcc_of(np.ones(4), np.arange(4.0))
 
     def test_inverse_cost_zero_on_identity(self, random_image):
         img = random_image()
-        assert inverse_pcc_cost(img, img) == pytest.approx(0.0, abs=1e-12)
+        band_stats = [stats(img.band(b)) for b in range(img.bands)]
+        assert inverse_pcc_cost(img, img, band_stats,
+                                band_stats) == pytest.approx(0.0, abs=1e-12)
+
+    def test_inverse_cost_needs_stats_per_band(self, random_image):
+        img = random_image()
+        band_stats = [stats(img.band(b)) for b in range(img.bands)]
+        with pytest.raises(InputError, match="one SummaryStats per band"):
+            inverse_pcc_cost(img, img, band_stats, band_stats[:-1])
+
+
+def raw_pcc(x, y):
+    """Pearson correlation from the raw bands alone: both means and
+    standard deviations computed here."""
+    x, y = x.ravel(), y.ravel()
+    xc, yc = x - x.mean(), y - y.mean()
+    sx = math.sqrt(np.mean(xc**2))
+    sy = math.sqrt(np.mean(yc**2))
+    if sx == 0.0 or sy == 0.0:
+        raise DegeneracyError("zero variance")
+    return float(np.mean(xc * yc) / (sx * sy))
+
+
+def chained_moments(x):
+    """Skewness and kurtosis from fresh chained products of the centred
+    samples, each product a new array."""
+    x = x.ravel()
+    centered = x - x.mean()
+    sq = centered * centered
+    std = math.sqrt(np.mean(sq))
+    if std == 0.0:
+        return 0.0, 0.0
+    return (float(np.mean(sq * centered) / std**3),
+            float(np.mean(sq * sq) / std**4))
+
+
+# samples outside [0, 1] too; a shape of 1 sample or a one-value fill makes
+# a constant band
+bands = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+    lambda shape: st.tuples(*[arrays(
+        np.float64, shape,
+        elements=st.one_of(st.just(0.5), st.floats(-4.0, 4.0)))] * 2))
+
+
+def same(a, b) -> bool:
+    """a == b, where NaN equals NaN: both formulas give NaN alike when a
+    tiny standard deviation underflows in std**3 or std**4."""
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=bands)
+def test_pcc_matches_raw_band_reference(pair):
+    x, y = pair
+    with np.errstate(all="ignore"):
+        try:
+            want = raw_pcc(x, y)
+        except DegeneracyError:
+            with pytest.raises(DegeneracyError, match="zero variance"):
+                pcc_of(x, y)
+            return
+        assert same(pcc_of(x, y), want)
+
+
+@pytest.mark.parametrize("constant", ["a", "b", "both"])
+def test_pcc_zero_variance_either_side(rng, constant):
+    # constants whose mean is exact, so the centred band is all zero
+    x, y = rng.uniform(-1.0, 2.0, (2, 6, 5))
+    if constant in ("a", "both"):
+        x = np.full_like(x, 0.25)
+    if constant in ("b", "both"):
+        y = np.full_like(y, -1.5)
+    with pytest.raises(DegeneracyError, match="zero variance"):
+        raw_pcc(x, y)
+    with pytest.raises(DegeneracyError, match="zero variance"):
+        pcc_of(x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=bands)
+def test_moments_match_chained_reference(pair):
+    band = pair[0]
+    with np.errstate(all="ignore"):
+        s = stats(band)
+        want = chained_moments(band)
+    x = band.ravel()
+    assert s.mean == x.mean()
+    assert s.std == math.sqrt(np.mean((x - x.mean())**2))
+    assert same([s.skewness, s.kurtosis], want)
 
 
 class TestSam:
