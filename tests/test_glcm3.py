@@ -76,18 +76,28 @@ class TestQuantize:
         with pytest.raises(InputError, match=r"gl must be in \[2, 256\]"):
             quantize_gray_levels(np.ones((2, 2)), gl)
 
-    @pytest.mark.parametrize("gl, dtype", [(2, np.uint8), (256, np.uint8)])
+    @pytest.mark.parametrize("gl, dtype", [(2, np.uint8), (256, np.uint8),
+                                           (257, np.uint16)])
     def test_narrowest_type(self, gl, dtype):
         band = np.array([[0.0, 0.3], [0.7, 1.0]])
+        if dtype != np.uint8:
+            # a gl whose levels need a wider map than uint8 is refused
+            with pytest.raises(InputError, match=r"gl must be in \[2, 256\]"):
+                quantize_gray_levels(band, gl)
+            return
         levels = quantize_gray_levels(band, gl)
         assert levels.dtype == dtype
         # the top sample is clamped to gl - 1 before narrowing, not wrapped
         assert levels[1, 1] == gl - 1
         assert quantize_gray_levels(np.ones((2, 2)), gl).dtype == dtype
 
-    @pytest.mark.parametrize("gl", [2, 32, 64, 256])
+    @pytest.mark.parametrize("gl", [2, 32, 64, 256, 257])
     def test_narrow_map_counts_as_int64(self, rng, gl):
         band = rng.random((24, 24))
+        if gl > 256:  # no narrow map beyond uint8: refused before binning
+            with pytest.raises(InputError, match=r"gl must be in \[2, 256\]"):
+                quantize_gray_levels(band, gl)
+            return
         levels = quantize_gray_levels(band, gl)
         wide = levels.astype(np.int64)
         assert summary_stats(band, levels) == summary_stats(band, wide)
