@@ -29,6 +29,10 @@ DEFAULT_MTF_GAIN_PAN = 0.15
 
 UPSAMPLE_METHODS = ("nearest", "bilinear", "bicubic")
 
+# mirror_filter's strip buffer: one strip of axis-0 results, padded along
+# axis 1, stays in cache while every axis-1 tap reads it.
+_FILTER_STRIP_BYTES = 256 * 1024
+
 
 def mtf_gaussian_kernel(ratio: int, mtf_gain: float) -> np.ndarray:
     """Unit-sum Gaussian taps whose transfer equals mtf_gain at
@@ -67,29 +71,48 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
     positive step) along each axis are computed; each equals the same
     sample of the full output.
 
-    Each axis is mirror padded once, over the extent the kept outputs
-    read; every tap is then a strided view of the padded block."""
-    anchor = (len(taps) - 1) // 2
-    out = plane
-    for axis in (0, 1):
-        n = out.shape[axis]
-        start, stop, stride = keep.indices(n)
-        m = len(range(start, stop, stride))
-        # padded[i] is the mirrored sample at start - anchor*step + i, so
-        # tap t of output k < m reads padded[t*step + k*stride]; with m = 0
-        # the span may be negative and every tap slice is empty
-        lo = start - anchor * step
-        span = (m - 1) * stride + (len(taps) - 1) * step + 1
-        padded = np.take(out, _mirror_indices(n, np.arange(lo, lo + span)),
-                         axis=axis)
-        shape = list(out.shape)
-        shape[axis] = m
-        acc = np.zeros(shape, dtype=out.dtype)
-        index = [slice(None), slice(None)]
+    The output is filled one strip of rows at a time. The strip's axis-0
+    result goes into a buffer of about _FILTER_STRIP_BYTES, mirror padded
+    along axis 1, which the axis-1 taps then read while it is in cache.
+    On each axis, every output sample is the sum from zero of
+    taps[t] * sample in tap order, as a whole-plane pass forms it."""
+    n0, n1 = plane.shape
+    r0, r1 = (range(*keep.indices(n)) for n in plane.shape)
+    out = np.zeros((len(r0), len(r1)), dtype=plane.dtype)
+    if out.size == 0:
+        return out
+    first = -((len(taps) - 1) // 2) * step   # the offset tap 0 reads
+    reach = (len(taps) - 1) * step           # from tap 0 to the last tap
+    # a buf row holds input columns 0 .. n1-1 from column left on, and
+    # mirror images on either side out to the columns the taps read
+    left = max(0, -(r1.start + first))
+    width = left + max(n1, r1[-1] + first + reach + 1)
+    pads = np.r_[0:left, left + n1:width]
+    mirrored = _mirror_indices(n1, pads - left) + left
+    rows = max(1, _FILTER_STRIP_BYTES // (width * out.itemsize))
+    buf = np.empty((rows, width), dtype=plane.dtype)
+    # contiguous, the sums and products run faster than on views of buf
+    acc0 = np.empty((rows, n1), dtype=plane.dtype)
+    tmp = np.empty(rows * n1, dtype=np.result_type(plane, taps))
+    for k0 in range(0, len(r0), rows):
+        m = min(rows, len(r0) - k0)
+        # the input rows the strip reads, copied only where they mirror
+        lo, span = r0[k0] + first, (m - 1) * r0.step + reach + 1
+        src = (plane[lo:lo + span] if 0 <= lo and lo + span <= n0 else
+               plane[_mirror_indices(n0, np.arange(lo, lo + span))])
+        acc, prod = acc0[:m], tmp[:m * n1].reshape(m, n1)
+        acc[...] = 0
         for t, w in enumerate(taps):
-            index[axis] = slice(t * step, t * step + m * stride, stride)
-            acc += w * padded[tuple(index)]
-        out = acc
+            acc += np.multiply(w, src[t * step:t * step + m * r0.step:r0.step],
+                               out=prod)
+        strip = buf[:m]
+        strip[:, left:left + n1] = acc
+        strip[:, pads] = strip[:, mirrored]
+        acc, prod = out[k0:k0 + m], tmp[:m * len(r1)].reshape(m, len(r1))
+        for t, w in enumerate(taps):
+            c = left + r1.start + first + t * step
+            acc += np.multiply(w, strip[:, c:c + len(r1) * r1.step:r1.step],
+                               out=prod)
     return out
 
 
@@ -161,8 +184,25 @@ def upsample(img: MultibandImage, ratio: int, method: str = "bicubic"
         planes.reshape(img.bands, h, ratio, w, ratio)[...] = \
             img.planes[:, :, None, :, None]
     else:
-        my = _interp_matrix(h, ratio, method)
-        mxt = _interp_matrix(w, ratio, method).T
+        # out = my @ src @ mx.T, one output tile per pair of row blocks
+        my = _row_blocks(_interp_matrix(h, ratio, method))
+        mx = _row_blocks(_interp_matrix(w, ratio, method))
         for src, out in zip(img.planes, planes):
-            np.matmul(my @ src, mxt, out=out)
+            for rows, cols, wy in my:
+                part = wy @ src[cols]
+                for rows_x, cols_x, wx in mx:
+                    np.matmul(part[:, cols_x], wx.T, out=out[rows, rows_x])
     return MultibandImage.from_planes(planes, band_names=img.band_names)
+
+
+def _row_blocks(mat: np.ndarray, height: int = 64) -> list:
+    """mat cut into blocks of height rows, each as (rows, cols, weights):
+    the block's rows, the range of columns that holds its nonzero
+    weights, and the block over those columns."""
+    blocks = []
+    for r0 in range(0, mat.shape[0], height):
+        rows = slice(r0, r0 + height)
+        nonzero = np.flatnonzero(mat[rows].any(axis=0))
+        cols = slice(nonzero[0], nonzero[-1] + 1)
+        blocks.append((rows, cols, mat[rows, cols]))
+    return blocks
