@@ -48,20 +48,37 @@ def summary_stats(band: np.ndarray, levels: np.ndarray) -> SummaryStats:
     mean = x.mean()
     centered = x - mean
     # chained products: np.power for cubes and fourth powers is far slower;
-    # the cube goes into the centred buffer, the fourth power into sq
-    sq = centered * centered
-    var = np.mean(sq)
-    std = math.sqrt(var)
-    if std == 0.0:
-        skew = kurt = 0.0
-    else:
-        skew = np.mean(np.multiply(sq, centered, out=centered)) / std**3
-        kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
+    # the cube goes into the centred buffer, the fourth power into sq.
+    # Where std**4 leaves the normal range, or a power of the deviations
+    # overflows, the moments come from the scaled deviations instead
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq = centered * centered
+        std = np.sqrt(np.mean(sq))
+        skew = kurt = math.nan
+        if np.finfo(np.float64).tiny <= std**4 < math.inf:
+            skew = np.mean(np.multiply(sq, centered, out=centered)) / std**3
+            kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
+    if not (math.isfinite(skew) and math.isfinite(kurt)):
+        skew, kurt = _scaled_moments(x - mean)
     counts = np.bincount(np.ravel(levels))
     p = counts[counts > 0] / x.size
     # 0.0 - sum, not -sum: a constant band's entropy is +0.0, not -0.0
     entropy = float(0.0 - (p * np.log2(p)).sum())
-    return SummaryStats(float(mean), std, float(skew), float(kurt), entropy)
+    return SummaryStats(float(mean), float(std), float(skew), float(kurt),
+                        entropy)
+
+
+def _scaled_moments(centered: np.ndarray) -> tuple[float, float]:
+    """Skewness and kurtosis of the deviations scaled to a largest
+    magnitude of 1, where no power of them or of their std under- or
+    overflows; 0 and 0 for a band with no deviation."""
+    scale = np.max(np.abs(centered))
+    if scale == 0.0:
+        return 0.0, 0.0
+    z = centered / scale
+    sq = z * z
+    var = np.mean(sq)
+    return float(np.mean(sq * z) / var**1.5), float(np.mean(sq * sq) / var**2)
 
 
 def mdb_cost(stats_a, stats_b) -> float:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -189,8 +189,8 @@ bands = st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
 
 
 def same(a, b) -> bool:
-    """a == b, where NaN equals NaN: both formulas give NaN alike when a
-    tiny standard deviation underflows in std**3 or std**4."""
+    """a == b, where NaN equals NaN: both formulas give NaN alike when the
+    product of two tiny standard deviations underflows."""
     return np.array_equal(a, b, equal_nan=True)
 
 
@@ -232,7 +232,38 @@ def test_moments_match_chained_reference(pair):
     x = band.ravel()
     assert s.mean == x.mean()
     assert s.std == math.sqrt(np.mean((x - x.mean())**2))
-    assert same([s.skewness, s.kurtosis], want)
+    if s.std**4 >= np.finfo(np.float64).tiny or not np.any(x - x.mean()):
+        assert same([s.skewness, s.kurtosis], want)
+    else:
+        # std**4 underflows, and the chained formula with it: the moments
+        # come from the scaled deviations (test_moments_are_scale_free)
+        assert math.isfinite(s.skewness) and math.isfinite(s.kurtosis)
+
+
+def no_levels(band):
+    return np.zeros(np.shape(band), dtype=np.uint8)
+
+
+def test_moments_where_std_underflows():
+    # std**4 underflows to 0: the kurtosis was NaN, with a RuntimeWarning
+    band = np.array([[4.18573233e-86, 0.0]])
+    s = summary_stats(band, no_levels(band))
+    assert (s.skewness, s.kurtosis) == (0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(band=arrays(np.float64, st.integers(2, 40),
+                   elements=st.floats(-1.0, 1.0)),
+       k=st.integers(-300, 300))
+def test_moments_are_scale_free(band, k):
+    # from deviations whose squares underflow (k below about -160) to
+    # squares that overflow (k above about 150)
+    assume(np.ptp(band) >= 0.1)
+    want = summary_stats(band, no_levels(band))
+    got = summary_stats(band * 10.0**k, no_levels(band))
+    assert math.isfinite(got.skewness) and math.isfinite(got.kurtosis)
+    assert got.skewness == pytest.approx(want.skewness, rel=1e-9, abs=1e-12)
+    assert got.kurtosis == pytest.approx(want.kurtosis, rel=1e-9)
 
 
 class TestSam:
