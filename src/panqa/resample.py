@@ -9,8 +9,10 @@ bands up to the panchromatic grid before fusion.
 All border handling is mirror padding (edge pixel not repeated) and all
 kernels have unit DC gain. mirror_filter() is the one separable
 mirror-boundary filter, shared by degrade() and the a-trous fuser;
-degrade() asks it for the decimated samples only. It mirror pads each
-axis once and reads every tap as a strided view of the padded block.
+degrade() asks it for the decimated samples only. It filters one strip
+of output rows at a time, in cache, and bit-identically for any strip
+height. upsample() multiplies each block of interpolation-matrix rows
+over its nonzero columns only.
 
 degrade() and upsample() write each output band into one preallocated
 (bands, height, width) buffer and wrap it with MultibandImage.from_planes,
@@ -29,8 +31,11 @@ DEFAULT_MTF_GAIN_PAN = 0.15
 
 UPSAMPLE_METHODS = ("nearest", "bilinear", "bicubic")
 
-# mirror_filter's strip buffer: one strip of axis-0 results, padded along
-# axis 1, stays in cache while every axis-1 tap reads it.
+# bytes of mirror_filter's padded strip buffer; its axis-0 sums and tap
+# products take about as much again each. Best of 8 calls on a 1024^2
+# plane (2-vCPU Xeon, numpy 2.4.6), ATWT smoothing / PAN degrade: 64 KiB
+# 49.8 / 17.9 ms, 128 KiB 41.1 / 13.0, 256 KiB 31.4 / 12.4, 512 KiB
+# 38.0 / 14.5.
 _FILTER_STRIP_BYTES = 256 * 1024
 
 
@@ -71,11 +76,10 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
     positive step) along each axis are computed; each equals the same
     sample of the full output.
 
-    The output is filled one strip of rows at a time. The strip's axis-0
-    result goes into a buffer of about _FILTER_STRIP_BYTES, mirror padded
-    along axis 1, which the axis-1 taps then read while it is in cache.
-    On each axis, every output sample is the sum from zero of
-    taps[t] * sample in tap order, as a whole-plane pass forms it."""
+    Each strip of output rows is filtered along axis 0 into a buffer,
+    mirror padded along axis 1 and filtered from there while in cache.
+    On each axis every sample is the sum from zero of taps[t] * sample,
+    in tap order, as a whole-plane pass forms it."""
     n0, n1 = plane.shape
     r0, r1 = (range(*keep.indices(n)) for n in plane.shape)
     out = np.zeros((len(r0), len(r1)), dtype=plane.dtype)
@@ -84,7 +88,7 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
     first = -((len(taps) - 1) // 2) * step   # the offset tap 0 reads
     reach = (len(taps) - 1) * step           # from tap 0 to the last tap
     # a buf row holds input columns 0 .. n1-1 from column left on, and
-    # mirror images on either side out to the columns the taps read
+    # their mirror images on either side out to the columns the taps read
     left = max(0, -(r1.start + first))
     width = left + max(n1, r1[-1] + first + reach + 1)
     pads = np.r_[0:left, left + n1:width]
@@ -198,7 +202,9 @@ def upsample(img: MultibandImage, ratio: int, method: str = "bicubic"
 def _row_blocks(mat: np.ndarray, height: int = 64) -> list:
     """mat cut into blocks of height rows, each as (rows, cols, weights):
     the block's rows, the range of columns that holds its nonzero
-    weights, and the block over those columns."""
+    weights, and the block over those columns. A 4-band 256^2 -> 1024^2
+    bicubic upsample took 51.1, 37.1, 37.9 and 51.2 ms at 32, 64, 128
+    and 256 rows (best of 10, 1 BLAS thread, as at _FILTER_STRIP_BYTES)."""
     blocks = []
     for r0 in range(0, mat.shape[0], height):
         rows = slice(r0, r0 + height)
