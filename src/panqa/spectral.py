@@ -13,6 +13,7 @@ z-score standardization behaves exactly.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -49,13 +50,17 @@ def summary_stats(band: np.ndarray, levels: np.ndarray) -> SummaryStats:
     centered = x - mean
     # chained products: np.power for cubes and fourth powers is far slower;
     # the cube goes into the centred buffer, the fourth power into sq.
-    # Where std**4 leaves the normal range, or a power of the deviations
+    # Where std**4 is not a normal double, or a power of the deviations
     # overflows, the moments come from the scaled deviations instead
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sq = centered * centered
-        std = np.sqrt(np.mean(sq))
+        std = math.sqrt(np.mean(sq))
         skew = kurt = math.nan
-        if np.finfo(np.float64).tiny <= std**4 < math.inf:
+        try:
+            normal = std**4 >= sys.float_info.min
+        except OverflowError:  # std**4 beyond the largest double
+            normal = False
+        if normal:
             skew = np.mean(np.multiply(sq, centered, out=centered)) / std**3
             kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
     if not (math.isfinite(skew) and math.isfinite(kurt)):
@@ -64,8 +69,7 @@ def summary_stats(band: np.ndarray, levels: np.ndarray) -> SummaryStats:
     p = counts[counts > 0] / x.size
     # 0.0 - sum, not -sum: a constant band's entropy is +0.0, not -0.0
     entropy = float(0.0 - (p * np.log2(p)).sum())
-    return SummaryStats(float(mean), float(std), float(skew), float(kurt),
-                        entropy)
+    return SummaryStats(float(mean), std, float(skew), float(kurt), entropy)
 
 
 def _scaled_moments(centered: np.ndarray) -> tuple[float, float]:
