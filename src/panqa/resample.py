@@ -97,7 +97,7 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
     buf = np.empty((rows, width), dtype=plane.dtype)
     # contiguous, the sums and products run faster than on views of buf
     acc0 = np.empty((rows, n1), dtype=plane.dtype)
-    tmp = np.empty(rows * n1, dtype=np.result_type(plane, taps))
+    tmp = np.empty(rows * n1, dtype=np.result_type(plane, *taps))
     for k0 in range(0, len(r0), rows):
         m = min(rows, len(r0) - k0)
         # the input rows the strip reads, copied only where they mirror

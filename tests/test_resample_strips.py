@@ -83,6 +83,21 @@ def test_mirror_filter_in_strips_equals_pad_once(plane, taps, step, start,
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("as_list", [False, True])
+def test_mirror_filter_taps_and_dtypes_as_before(rng, dtype, as_list):
+    # each product takes the type of tap times sample, as w * x did
+    plane = rng.random((9, 7)).astype(dtype)
+    taps = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
+    taps = taps.tolist() if as_list else taps
+    keep = slice(1, None, 2)
+    with mock.patch.object(resample, "_FILTER_STRIP_BYTES", 1):
+        got = mirror_filter(plane, taps, 2, keep)
+    want = pad_once_filter(plane, taps, 2, keep)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
 @pytest.mark.parametrize("ratio", [2, 3, 4, 5])
 def test_upsample_banded_matches_dense_product(rng, ratio, method):
