@@ -199,15 +199,15 @@ def upsample(img: MultibandImage, ratio: int, method: str = "bicubic"
     return MultibandImage.from_planes(planes, band_names=img.band_names)
 
 
-def _row_blocks(mat: np.ndarray, height: int = 64) -> list:
-    """mat cut into blocks of height rows, each as (rows, cols, weights):
+def _row_blocks(mat: np.ndarray) -> list:
+    """mat cut into blocks of 64 rows, each as (rows, cols, weights):
     the block's rows, the range of columns that holds its nonzero
     weights, and the block over those columns. A 4-band 256^2 -> 1024^2
     bicubic upsample took 51.1, 37.1, 37.9 and 51.2 ms at 32, 64, 128
     and 256 rows (best of 10, 1 BLAS thread, as at _FILTER_STRIP_BYTES)."""
     blocks = []
-    for r0 in range(0, mat.shape[0], height):
-        rows = slice(r0, r0 + height)
+    for r0 in range(0, mat.shape[0], 64):
+        rows = slice(r0, r0 + 64)
         nonzero = np.flatnonzero(mat[rows].any(axis=0))
         cols = slice(nonzero[0], nonzero[-1] + 1)
         blocks.append((rows, cols, mat[rows, cols]))

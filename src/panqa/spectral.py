@@ -56,11 +56,7 @@ def summary_stats(band: np.ndarray, levels: np.ndarray) -> SummaryStats:
         sq = centered * centered
         std = math.sqrt(np.mean(sq))
         skew = kurt = math.nan
-        try:
-            normal = std**4 >= sys.float_info.min
-        except OverflowError:  # std**4 beyond the largest double
-            normal = False
-        if normal:
+        if sys.float_info.min <= np.float64(std)**4 < math.inf:
             skew = np.mean(np.multiply(sq, centered, out=centered)) / std**3
             kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
     if not (math.isfinite(skew) and math.isfinite(kurt)):
@@ -81,8 +77,8 @@ def _scaled_moments(centered: np.ndarray) -> tuple[float, float]:
         return 0.0, 0.0
     z = centered / scale
     sq = z * z
-    var = np.mean(sq)
-    return float(np.mean(sq * z) / var**1.5), float(np.mean(sq * sq) / var**2)
+    std = math.sqrt(np.mean(sq))
+    return float(np.mean(sq * z) / std**3), float(np.mean(sq * sq) / std**4)
 
 
 def mdb_cost(stats_a, stats_b) -> float:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -222,8 +222,18 @@ def test_pcc_zero_variance_either_side(rng, constant):
         pcc_of(x, y)
 
 
+def tiny(*samples):
+    band = np.array([samples])
+    return band, band
+
+
 @settings(max_examples=150, deadline=None)
 @given(pair=bands)
+# std**4 is 0; subnormal, with a finite chained kurtosis; 0 with every
+# square underflowing, where the chained formula sees a constant band
+@example(pair=tiny(4.18573233e-86, 0.0))
+@example(pair=tiny(3e-78, 0.0, -1e-78))
+@example(pair=tiny(5e-324, 0.0, 0.0))
 def test_moments_match_chained_reference(pair):
     band = pair[0]
     with np.errstate(all="ignore"):
@@ -236,8 +246,20 @@ def test_moments_match_chained_reference(pair):
         assert same([s.skewness, s.kurtosis], want)
     else:
         # std**4 underflows, and the chained formula with it: the moments
-        # come from the scaled deviations (test_moments_are_scale_free)
-        assert math.isfinite(s.skewness) and math.isfinite(s.kurtosis)
+        # are the chained formula's on the deviations scaled to a largest
+        # magnitude of 1
+        assert same([s.skewness, s.kurtosis], scaled_moments(x))
+
+
+def scaled_moments(x):
+    """Skewness and kurtosis by chained products of the centred samples
+    divided by their largest magnitude."""
+    centered = x - x.mean()
+    z = centered / np.max(np.abs(centered))
+    sq = z * z
+    std = math.sqrt(np.mean(sq))
+    return (float(np.mean(sq * z) / std**3),
+            float(np.mean(sq * sq) / std**4))
 
 
 def no_levels(band):
