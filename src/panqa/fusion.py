@@ -5,12 +5,12 @@ These are deliberately plain textbook fusers; they exist to feed the
 evaluation harness with distinguishable candidates, not to compete with
 production algorithms.
 
-Each fuser owns the upsampled image it starts from. CN scales and ATWT
-adds into its band planes in place, and the fused image is a new
-MultibandImage over that same buffer, so its samples are checked again.
-PCA drops it once it holds the (pixels, bands) copy it centres in place;
-each later step frees what it consumed, so PCA holds at most two images
-at once.
+All three inject detail into the upsampled image they own, in place:
+CN scales its planes, ATWT adds the pan's detail, PCA adds to band b
+v1[b] * (matched_pan - PC1), v1 the first principal axis and PC1 the
+centred bands' projection on it (PC1 substitution and back-projection,
+up to float64 rounding: 1e-10 relative at most on synthetic scenes).
+Each fused image wraps that buffer, whose samples it checks again.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class FusionConfig:
         return _FREE_PARAMETERS[self.method]
 
 
-def _check_shapes(ms: MultibandImage, pan: np.ndarray) -> int:
+def _check_shapes(ms: MultibandImage, pan: np.ndarray
+                  ) -> tuple[int, np.ndarray]:
     pan = np.asarray(pan, dtype=np.float64)
     if pan.ndim != 2:
         raise InputError("pan must be a single 2-D band")
@@ -58,7 +59,7 @@ def _check_shapes(ms: MultibandImage, pan: np.ndarray) -> int:
     ratio = pan.shape[0] // ms.height
     if pan.shape[1] // ms.width != ratio:
         raise InputError("pan/ms ratio differs between axes")
-    return ratio
+    return ratio, pan
 
 
 def _match_mean_std(src: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -72,44 +73,36 @@ def _match_mean_std(src: np.ndarray, target: np.ndarray) -> np.ndarray:
 def pansharpen_pca(ms: MultibandImage, pan: np.ndarray,
                    cfg: FusionConfig) -> MultibandImage:
     """Component substitution: swap the first principal component for the
-    mean/std-matched pan band."""
-    ratio = _check_shapes(ms, pan)
+    mean/std-matched pan band, by injection into the upsampled bands."""
+    ratio, pan = _check_shapes(ms, pan)
     if ms.bands < 2:
         raise InputError("PCA fusion needs at least two bands")
     up = upsample(ms, ratio, cfg.resampler)
-    h, w, b = up.samples.shape
-    # a C-ordered (pixels, bands) copy: the covariance and the projections
-    # round by memory order
-    x = np.ascontiguousarray(up.samples.reshape(-1, b))
-    del up
-    mean = x.mean(axis=0)
-    x -= mean
-    cov = np.cov(x, rowvar=False, bias=True)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-    if evals[0] < _EPS:
+    x = up.planes.reshape(ms.bands, -1)   # a view of the buffer
+    mean = x.mean(axis=1)
+    x -= mean[:, None]
+    evals, evecs = np.linalg.eigh((x @ x.T) / x.shape[1])
+    top = np.argsort(evals)[-1]   # first in descending order
+    if evals[top] < _EPS:
         raise DegeneracyError("rank-deficient: all bands constant")
-    # fix eigenvector sign so component sums are non-negative
-    signs = np.where(evecs.sum(axis=0) < 0, -1.0, 1.0)
-    evecs = evecs * signs
-    pcs = x @ evecs
-    del x
-    pcs[:, 0] = _match_mean_std(np.asarray(pan, dtype=np.float64),
-                                pcs[:, 0].reshape(h, w)).ravel()
-    fused = pcs @ evecs.T
-    del pcs
-    fused += mean
-    return MultibandImage(fused.reshape(h, w, b), band_names=ms.band_names)
+    # the sign that makes the component sum non-negative
+    v1 = -evecs[:, top] if evecs[:, top].sum() < 0 else evecs[:, top]
+    pc1 = (v1 @ x).reshape(up.planes.shape[1:])
+    detail = _match_mean_std(pan, pc1)
+    detail -= pc1
+    for v, m, plane in zip(v1, mean, up.planes):
+        plane += v * detail
+        plane += m
+    return MultibandImage.from_planes(up.planes, band_names=ms.band_names)
 
 
 def pansharpen_cn(ms: MultibandImage, pan: np.ndarray,
                   cfg: FusionConfig) -> MultibandImage:
     """Brovey-style intensity scaling: fused = up * matched_pan / intensity."""
-    ratio = _check_shapes(ms, pan)
+    ratio, pan = _check_shapes(ms, pan)
     up = upsample(ms, ratio, cfg.resampler)
     intensity = up.samples.mean(axis=2)
-    matched = _match_mean_std(np.asarray(pan, dtype=np.float64), intensity)
+    matched = _match_mean_std(pan, intensity)
     scale = matched / np.maximum(intensity, _EPS)
     for plane in up.planes:
         plane *= scale
@@ -122,10 +115,9 @@ _B3 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 def pansharpen_atwt(ms: MultibandImage, pan: np.ndarray,
                     cfg: FusionConfig) -> MultibandImage:
     """Add the pan image's a-trous detail planes to every upsampled band."""
-    ratio = _check_shapes(ms, pan)
+    ratio, pan = _check_shapes(ms, pan)
     if cfg.wavelet_levels > int(np.log2(max(ratio, 1))) + 2:
         raise InputError("wavelet_levels too large for this scale ratio")
-    pan = np.asarray(pan, dtype=np.float64)
     smooth = pan
     for level in range(cfg.wavelet_levels):
         smooth = mirror_filter(smooth, _B3, 2**level)

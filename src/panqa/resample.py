@@ -31,11 +31,11 @@ DEFAULT_MTF_GAIN_PAN = 0.15
 
 UPSAMPLE_METHODS = ("nearest", "bilinear", "bicubic")
 
-# bytes of mirror_filter's padded strip buffer; its axis-0 sums and tap
-# products take about as much again each. Best of 8 calls on a 1024^2
-# plane (2-vCPU Xeon, numpy 2.4.6), ATWT smoothing / PAN degrade: 64 KiB
-# 49.8 / 17.9 ms, 128 KiB 41.1 / 13.0, 256 KiB 31.4 / 12.4, 512 KiB
-# 38.0 / 14.5.
+# bytes of mirror_filter's padded strip buffer and mirrored input rows;
+# its axis-0 sums and tap products take about as much again each. Best
+# of 8 calls on a 1024^2 plane (2-vCPU Xeon, numpy 2.4.6), ATWT
+# smoothing / PAN degrade: 64 KiB 49.8 / 17.9 ms, 128 KiB 41.1 / 13.0,
+# 256 KiB 31.4 / 12.4, 512 KiB 38.0 / 14.5.
 _FILTER_STRIP_BYTES = 256 * 1024
 
 
@@ -98,17 +98,23 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
     # contiguous, the sums and products run faster than on views of buf
     acc0 = np.empty((rows, n1), dtype=plane.dtype)
     tmp = np.empty(rows * n1, dtype=np.result_type(plane, *taps))
-    for k0 in range(0, len(r0), rows):
-        m = min(rows, len(r0) - k0)
-        # the input rows the strip reads, copied only where they mirror
-        lo, span = r0[k0] + first, (m - 1) * r0.step + reach + 1
-        src = (plane[lo:lo + span] if 0 <= lo and lo + span <= n0 else
+    mirror_rows = max(1, (_FILTER_STRIP_BYTES // (n1 * plane.itemsize)
+                          - reach - 1) // r0.step + 1)
+    k0 = 0
+    while k0 < len(r0):
+        lo = r0[k0] + first
+        # how many output rows from k0 on read only rows inside the plane
+        inside = (n0 - lo - reach - 1) // r0.step + 1 if lo >= 0 else 0
+        m = min(rows, len(r0) - k0, inside if inside > 0 else mirror_rows)
+        span = (m - 1) * r0.step + reach + 1
+        src = (plane[lo:lo + span] if inside > 0 else
                plane[_mirror_indices(n0, np.arange(lo, lo + span))])
         acc, prod = acc0[:m], tmp[:m * n1].reshape(m, n1)
         acc[...] = 0
         for t, w in enumerate(taps):
             acc += np.multiply(w, src[t * step:t * step + m * r0.step:r0.step],
                                out=prod)
+        del src   # so that two mirrored copies are never held at once
         strip = buf[:m]
         strip[:, left:left + n1] = acc
         strip[:, pads] = strip[:, mirrored]
@@ -117,6 +123,7 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
             c = left + r1.start + first + t * step
             acc += np.multiply(w, strip[:, c:c + len(r1) * r1.step:r1.step],
                                out=prod)
+        k0 += m
     return out
 
 

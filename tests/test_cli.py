@@ -127,6 +127,8 @@ README_MANIFEST = {
          "n_free_parameters": 1},
         {"id": "cn", "path": "fused_cn", "wall_seconds": 0.5,
          "n_free_parameters": 1},
+        {"id": "atwt", "path": "fused_atwt", "wall_seconds": 0.6,
+         "n_free_parameters": 2},
     ],
     "options": {"gl": 32, "block_size": 8},
 }

@@ -3,8 +3,10 @@
 Producers fill one (bands, height, width) buffer and the fusers work in
 place on the upsampled one. The hypothesis tests hold every result equal,
 bit for bit, to reference copies of the earlier code that stacked
-per-band results and copied whole images; the tracemalloc tests bound how
-many image-sized buffers each step holds at once.
+per-band results and copied whole images; PCA, whose injection form
+rounds differently from the projection round trip kept here, is held
+within 1e-9. The tracemalloc tests bound how many image-sized buffers
+each step holds at once.
 """
 
 import tempfile
@@ -70,9 +72,12 @@ def is_band_sequential(img):
     return img.planes.flags.c_contiguous
 
 
-_STACKED_FUSERS = {"pca": (pansharpen_pca, stacked_pca),
-                   "cn": (pansharpen_cn, stacked_cn),
-                   "atwt": (pansharpen_atwt, stacked_atwt)}
+# (fuser, reference, absolute tolerance): 0 is bit for bit. PCA gets the
+# 1e-9 that test_fusion holds it to; 20,000 seeded draws over these
+# ranges differed from the reference by at most 3.2e-14
+_STACKED_FUSERS = {"pca": (pansharpen_pca, stacked_pca, 1e-9),
+                   "cn": (pansharpen_cn, stacked_cn, 0.0),
+                   "atwt": (pansharpen_atwt, stacked_atwt, 0.0)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,10 +111,11 @@ def test_fusers_equal_stacked(seed, bands, ratio, h, w, method, resampler,
     pan = rng.uniform(0.1, 0.9, (h * ratio, w * ratio))
     cfg = FusionConfig(method=method, resampler=resampler,
                        wavelet_levels=levels)
-    fuser, stacked = _STACKED_FUSERS[method]
+    fuser, stacked, atol = _STACKED_FUSERS[method]
     fused = fuser(ms, pan, cfg)
     assert is_band_sequential(fused)
-    assert np.array_equal(fused.samples, stacked(ms, pan, cfg))
+    np.testing.assert_allclose(fused.samples, stacked(ms, pan, cfg), rtol=0,
+                               atol=atol)
 
 
 @st.composite
@@ -213,7 +219,8 @@ def test_upsample_footprint(rng, method):
     assert peak < up.samples.nbytes + PLANE
 
 
-@pytest.mark.parametrize("method, planes", [("cn", 5), ("atwt", 2)])
+@pytest.mark.parametrize("method, planes", [("cn", 5), ("atwt", 2),
+                                            ("pca", 4)])
 def test_fuser_footprint(rng, method, planes):
     ratio = 4
     ms = MultibandImage(rng.uniform(0.1, 0.9, (H // ratio, W // ratio,
@@ -224,17 +231,6 @@ def test_fuser_footprint(rng, method, planes):
                                                 resampler="bicubic"))
     # the fused image is the upsampled buffer. Beside it CN holds
     # pan-sized planes (intensity, matched pan, scale and a temporary),
-    # ATWT only its detail plane; its filter runs before the upsample
+    # ATWT only its detail plane; its filter runs before the upsample.
+    # PCA holds PC1 and the mean/std matching's two temporaries of it
     assert peak < fused.samples.nbytes + planes * PLANE
-
-
-def test_pca_footprint(rng):
-    ratio = 4
-    ms = MultibandImage(rng.uniform(0.1, 0.9, (H // ratio, W // ratio,
-                                               BANDS)))
-    pan = rng.uniform(0.1, 0.9, (H, W))
-    (fused, _), peak = traced_peak(pansharpen, ms, pan,
-                                   FusionConfig(method="pca"))
-    # two images at once (the centred copy and the covariance's copy, or
-    # the components and the fused result) and pan-sized temporaries
-    assert peak < 2 * fused.samples.nbytes + 3 * PLANE

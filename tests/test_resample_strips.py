@@ -121,6 +121,8 @@ def test_upsample_banded_matches_dense_product(rng, ratio, method):
 @pytest.mark.parametrize("taps, step, keep", [
     (_B3, 2, slice(None)),                               # a-trous level
     (mtf_gaussian_kernel(4, 0.15), 1, slice(1, None, 4)),  # PAN degrade
+    (mtf_gaussian_kernel(8, 0.3), 1, slice(3, None, 8)),   # MS degrades,
+    (mtf_gaussian_kernel(16, 0.3), 1, slice(7, None, 16)),  # longer taps
 ])
 def test_mirror_filter_footprint(rng, taps, step, keep):
     n = 1024
@@ -132,11 +134,11 @@ def test_mirror_filter_footprint(rng, taps, step, keep):
     finally:
         tracemalloc.stop()
     budget = resample._FILTER_STRIP_BYTES
-    stride = keep.step or 1
     reach = (len(taps) - 1) * step
     # beside the output: the padded strip, its axis-0 sums and the
-    # products, and at the two border strips a mirrored copy of the input
-    # rows the strip reads; nothing grows with the plane's height, and a
-    # whole padded copy of the plane (8 MiB) would not fit
-    bound = 3 * budget + stride * budget + (reach + 1) * n * 8 + 64 * 1024
+    # products, and at a border strip a mirrored copy of the input rows
+    # it reads, within the budget unless one output row's reach + 1 rows
+    # exceed it; nothing grows with the plane's height or the decimation,
+    # and a whole padded copy of the plane (8 MiB) would not fit
+    bound = 3 * budget + max(budget, (reach + 1) * n * 8) + 64 * 1024
     assert peak < out.nbytes + bound
