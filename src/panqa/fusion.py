@@ -11,6 +11,14 @@ v1[b] * (matched_pan - PC1), v1 the first principal axis and PC1 the
 centred bands' projection on it (PC1 substitution and back-projection,
 up to float64 rounding: 1e-10 relative at most on synthetic scenes).
 Each fused image wraps that buffer, whose samples it checks again.
+
+Beside that buffer and the pan, each fuser holds at most two pan-sized
+float64 work planes at once: CN the intensity and the scale (the
+matched pan, divided in place by the clamped intensity); PCA PC1 and
+the detail, with PC1's buffer reused for each band's v1[b] * detail;
+ATWT two smooth planes of the pan, or a smooth one and the detail,
+and only the detail once it upsamples. The mean/std matching takes its
+moments before it allocates its one output plane.
 """
 
 from __future__ import annotations
@@ -63,11 +71,15 @@ def _check_shapes(ms: MultibandImage, pan: np.ndarray
 
 
 def _match_mean_std(src: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Affine-map src so its global mean/std equal target's."""
-    s_std = src.std()
+    """Affine-map src so its global mean/std equal target's, in one new
+    array; every moment is taken before it is allocated."""
+    t_mean, t_std, s_std = target.mean(), target.std(), src.std()
     if s_std < _EPS:
-        return np.full_like(src, target.mean())
-    return (src - src.mean()) * (target.std() / s_std) + target.mean()
+        return np.full_like(src, t_mean)
+    out = src - src.mean()
+    out *= t_std / s_std
+    out += t_mean
+    return out
 
 
 def pansharpen_pca(ms: MultibandImage, pan: np.ndarray,
@@ -91,7 +103,7 @@ def pansharpen_pca(ms: MultibandImage, pan: np.ndarray,
     detail = _match_mean_std(pan, pc1)
     detail -= pc1
     for v, m, plane in zip(v1, mean, up.planes):
-        plane += v * detail
+        plane += np.multiply(v, detail, out=pc1)   # pc1 is spent
         plane += m
     return MultibandImage.from_planes(up.planes, band_names=ms.band_names)
 
@@ -102,8 +114,8 @@ def pansharpen_cn(ms: MultibandImage, pan: np.ndarray,
     ratio, pan = _check_shapes(ms, pan)
     up = upsample(ms, ratio, cfg.resampler)
     intensity = up.samples.mean(axis=2)
-    matched = _match_mean_std(pan, intensity)
-    scale = matched / np.maximum(intensity, _EPS)
+    scale = _match_mean_std(pan, intensity)
+    scale /= np.maximum(intensity, _EPS, out=intensity)
     for plane in up.planes:
         plane *= scale
     return MultibandImage.from_planes(up.planes, band_names=ms.band_names)

@@ -14,9 +14,11 @@ layout once.
 
 load_image() reads, converts and calibrates the payload one band at a
 time into that buffer (multiply, then add: the same two roundings as
-DN * gain + offset). save_image() inverts the calibration one band at a
-time through one reused float64 plane into the payload, which is built
-whole in its storage type before anything is written.
+DN * gain + offset). save_image() builds the payload whole in its
+storage type before anything is written: it inverts the calibration of
+each band one strip of _STRIP_SAMPLES samples at a time, through one
+reused float64 buffer of that size (256 KiB), so the only image-sized
+array it adds is the payload itself.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ _DTYPES = {
     "u16": np.dtype("<u2"),
     "f32": np.dtype("<f4"),
 }
+
+# samples per strip of save_image's float64 conversion buffer
+_STRIP_SAMPLES = 32768
 
 # DN slack of the u8/u16 range check, which runs before rint: it absorbs
 # the rounding of the inverse calibration (about 1e-11 DN for gains in
@@ -195,9 +200,13 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
                gain=None, offset=None) -> None:
     """Write <name>.json/.raw, inverting the affine calibration if given.
 
-    f32 storage round-trips bit-exactly for float32-representable samples.
-    Integral storage raises on values more than DN_TOLERANCE outside the
-    representable range.
+    f32 storage round-trips bit-exactly for float32-representable samples,
+    and raises on a sample whose DN lies beyond float32's range. Integral
+    storage raises on values more than DN_TOLERANCE outside the
+    representable range. Each band is converted one strip at a time
+    through one float64 buffer of _STRIP_SAMPLES samples into the
+    payload, which is written only once every band is in it, so a
+    refused sample leaves no file written.
     """
     if sample_type not in _DTYPES:
         raise InputError(f"unknown sample_type {sample_type!r}")
@@ -208,25 +217,33 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
     if len(gain) != b or len(offset) != b:
         raise InputError("gain/offset length must equal band count")
 
-    # the payload is built whole, one band at a time through one float64
-    # plane, so a refused band leaves nothing written
     dtype = _DTYPES[sample_type]
-    payload = np.empty((b, img.height, img.width), dtype=dtype)
-    dn = np.empty((img.height, img.width))
-    for plane, out, g, o in zip(img.planes, payload,
-                                np.asarray(gain, dtype=np.float64),
-                                np.asarray(offset, dtype=np.float64)):
-        np.subtract(plane, o, out=dn)
-        dn /= g
-        if sample_type in ("u8", "u16"):
-            info = np.iinfo(dtype)
-            if (np.any(dn < info.min - DN_TOLERANCE)
-                    or np.any(dn > info.max + DN_TOLERANCE)):
-                raise InputError(
-                    f"sample out of range for {sample_type} after inverse "
-                    "calibration")
-            np.rint(dn, out=dn)
-        out[...] = dn
+    if sample_type != "f32":
+        lo = np.iinfo(dtype).min - DN_TOLERANCE
+        hi = np.iinfo(dtype).max + DN_TOLERANCE
+    size = img.height * img.width
+    payload = np.empty((b, size), dtype=dtype)
+    buf = np.empty(min(size, _STRIP_SAMPLES))
+    # an overflow to inf, in the arithmetic or the cast, is refused below
+    with np.errstate(over="ignore"):
+        for k, (plane, out, g, o) in enumerate(zip(
+                img.planes.reshape(b, size), payload,
+                np.asarray(gain, dtype=np.float64),
+                np.asarray(offset, dtype=np.float64))):
+            refused = (f"band {k}: sample out of range for {sample_type} "
+                       "after inverse calibration")
+            for start in range(0, size, _STRIP_SAMPLES):
+                stop = min(start + _STRIP_SAMPLES, size)
+                dn = buf[:stop - start]
+                np.subtract(plane[start:stop], o, out=dn)
+                dn /= g
+                if sample_type != "f32":
+                    if np.any(dn < lo) or np.any(dn > hi):
+                        raise InputError(refused)
+                    np.rint(dn, out=dn)
+                out[start:stop] = dn
+                if sample_type == "f32" and np.isinf(out[start:stop]).any():
+                    raise InputError(refused)
 
     doc = {
         "width": img.width, "height": img.height, "bands": b,
@@ -236,4 +253,3 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
     with open(hdr_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     payload.tofile(raw_path)
-

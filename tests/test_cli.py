@@ -517,6 +517,23 @@ def test_degrade_malformed_header(tmp_path, capsys, header, message):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_degrade_f32_overflow_refused(tmp_path, capsys):
+    # DN 1e30 at gain 1e10 loads as 1e40, beyond float32's range: the
+    # degraded image cannot be saved as f32, and nothing is written
+    header = {"width": 4, "height": 4, "bands": 1, "dtype": "f32",
+              "gain": [1e10], "offset": [0.0]}
+    (tmp_path / "big.json").write_text(json.dumps(header), encoding="utf-8")
+    np.full(16, 1e30, dtype="<f4").tofile(tmp_path / "big.raw")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["degrade", "--input", str(tmp_path / "big"),
+                     "--ratio", "2", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: band 0: sample out of range for f32")
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.raw").exists()
+
+
 def test_rank_manifest_not_json(tmp_path, capsys):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps(README_MANIFEST)[:-1], encoding="utf-8")

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +82,40 @@ def test_f32_round_trip(tmp_path, rng):
 
 def test_u8_out_of_range(tmp_path):
     img = MultibandImage(np.array([[[-0.1]]]))
-    with pytest.raises(InputError, match="out of range"):
+    with pytest.raises(InputError, match="band 0: sample out of range"):
         save_image(img, tmp_path / "neg", sample_type="u8")
+    assert not (tmp_path / "neg.json").exists()
+    assert not (tmp_path / "neg.raw").exists()
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("sample, gain", [
+    (1e40, 1.0), (-1e40, 1.0),
+    # halfway between float32's largest value and 2**128: rounds to inf
+    (F32_MAX + 2.0**103, 1.0),
+    # finite, but the inverse calibration overflows float64
+    (1e300, 1e-10),
+])
+def test_f32_overflow_refused(tmp_path, sample, gain):
+    img = MultibandImage(np.array([[[0.5, sample]]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError,
+                           match="band 1: sample out of range for f32"):
+            save_image(img, tmp_path / "big", "f32", gain=[1.0, gain])
+    assert not (tmp_path / "big.json").exists()
+    assert not (tmp_path / "big.raw").exists()
+
+
+def test_f32_top_of_range_saved(tmp_path):
+    # just below the halfway point a DN rounds down to float32's maximum
+    below = np.nextafter(F32_MAX + 2.0**103, 0.0)
+    save_image(MultibandImage(np.array([[[F32_MAX, -below]]])),
+               tmp_path / "top", "f32")
+    assert load_image(tmp_path / "top").samples.ravel().tolist() == [
+        F32_MAX, -F32_MAX]
 
 
 def test_top_dn_saved_under_rounding_gain(tmp_path):
