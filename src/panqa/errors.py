@@ -41,6 +41,18 @@ def checked_list(kind, values, key: str) -> list:
     return [checked(kind, v, key) for v in values]
 
 
+def require_keys(doc, keys, what: str, allowed=()) -> None:
+    """doc must be a JSON object with every key of keys, others in allowed."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise InputError(f"{what} is missing key {key!r}")
+    unknown = set(doc).difference(keys, allowed)
+    if unknown:
+        raise InputError(f"{what} has unknown keys {sorted(unknown)}")
+
+
 def read_json(path, what: str):
     """The JSON document in the file at path; one that does not decode
     raises InputError naming what it is and the file."""

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, PanqaError, checked, checked_list, read_json
+from .errors import (InputError, PanqaError, checked, checked_list, read_json,
+                     require_keys)
 from .glcm3 import (DEFAULT_GL, DEFAULT_RADII, check_glcm3_options,
                     glcm3_features, quantize_gray_levels, tims_glcm)
 from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
@@ -68,18 +69,6 @@ _OPTION_KEYS = {f.name for f in dataclasses.fields(EvalOptions)} - {"ratio"}
 _CANDIDATE_KEYS = {"method", "resampler", "wall_seconds", "n_free_parameters"}
 
 
-def _require_keys(doc, keys, what: str, allowed=()) -> None:
-    """doc must be a JSON object with every key of keys, others in allowed."""
-    if not isinstance(doc, dict):
-        raise InputError(f"{what} must be a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise InputError(f"{what} is missing key {key!r}")
-    unknown = set(doc).difference(keys, allowed)
-    if unknown:
-        raise InputError(f"{what} has unknown keys {sorted(unknown)}")
-
-
 @dataclass
 class Candidate:
     id: str
@@ -96,15 +85,15 @@ class RunManifest:
     @classmethod
     def from_json(cls, path) -> "RunManifest":
         doc = read_json(path, "manifest")
-        _require_keys(doc, ("reference", "ratio", "candidates"), "manifest",
-                      ("options",))
+        require_keys(doc, ("reference", "ratio", "candidates"), "manifest",
+                     ("options",))
         if not isinstance(doc["candidates"], list):
             raise InputError("manifest candidates must be a JSON list")
         for n, c in enumerate(doc["candidates"]):
-            _require_keys(c, ("id", "path"), f"manifest candidate {n}",
-                          _CANDIDATE_KEYS)
+            require_keys(c, ("id", "path"), f"manifest candidate {n}",
+                         _CANDIDATE_KEYS)
         opts = doc.get("options", {})
-        _require_keys(opts, (), "manifest options", _OPTION_KEYS)
+        require_keys(opts, (), "manifest options", _OPTION_KEYS)
         options = EvalOptions(ratio=doc["ratio"], **opts)
         cands = []
         for c in doc["candidates"]:

@@ -256,15 +256,20 @@ def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def bin_subjective_scores(scores, n_bins: int = 7,
-                          dual_fraction: float = 0.10) -> list[str]:
+# bins of the standardized subjective-score range, labeled from 'A'
+N_BINS = 7
+# a runner-up bin within this fraction of the winner's count: a dual label
+DUAL_FRACTION = 0.10
+
+
+def bin_subjective_scores(scores) -> list[str]:
     """Winner-take-all letter labels from a candidates x subjects score
     matrix (lower scores better).
 
     Each subject's scores are standardized across candidates, the pooled
-    standardized range is split into n_bins equal-width bins labeled from
+    standardized range is split into N_BINS equal-width bins labeled from
     'A', and each candidate is labeled with its most populated bin. A
-    runner-up bin within dual_fraction of the winner count yields a dual
+    runner-up bin within DUAL_FRACTION of the winner count yields a dual
     label ordered best-first.
     """
     m = np.asarray(scores, dtype=np.float64)
@@ -274,23 +279,23 @@ def bin_subjective_scores(scores, n_bins: int = 7,
     lo, hi = z.min(), z.max()
     if hi == lo:
         raise DegeneracyError("degenerate score distribution")
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, N_BINS + 1)
     labels = []
     for c in range(m.shape[0]):
         idx = np.clip(np.searchsorted(edges, z[c], side="right") - 1,
-                      0, n_bins - 1)
-        counts = np.bincount(idx, minlength=n_bins)
-        labels.append(winner_label(counts, dual_fraction))
+                      0, N_BINS - 1)
+        counts = np.bincount(idx, minlength=N_BINS)
+        labels.append(winner_label(counts))
     return labels
 
 
-def winner_label(counts, dual_fraction: float = 0.10) -> str:
-    """Letter of the most populated bin; runner-up within dual_fraction of
+def winner_label(counts) -> str:
+    """Letter of the most populated bin; runner-up within DUAL_FRACTION of
     the winner count gives a dual label like "B/C", best-first."""
     counts = np.asarray(counts)
     order = np.argsort(-counts, kind="stable")
     best, second = int(order[0]), int(order[1])
-    if counts[second] > counts[best] * (1.0 - dual_fraction):
+    if counts[second] > counts[best] * (1.0 - DUAL_FRACTION):
         lo_bin, hi_bin = sorted((best, second))
         return f"{chr(ord('A') + lo_bin)}/{chr(ord('A') + hi_bin)}"
     return chr(ord("A") + best)

@@ -4,7 +4,9 @@ The quantizer is a deliberately simple stand-in for a prior-knowledge
 rule base: a context-free per-pixel threshold code on calibrated
 reflectance, delivered at three nested quantization levels (fine,
 intermediate, coarse). The code book is fixed: 64 fine, 8 intermediate
-and 2 coarse labels, linked by constant merge tables. A label stack is
+and 2 coarse labels, all three built in one pass over the bands. A fine
+digit d in {0..3} merges to the intermediate digit d // 2, and coarse is
+the first band's intermediate digit. A label stack is
 the three co-registered planes, and is saved as a three-band image. Any
 labeler with the same interface can replace it.
 
@@ -30,17 +32,8 @@ _CODE_BANDS = 3
 
 LEVELS = ("fine", "intermediate", "coarse")
 
-# A fine digit d in {0..3} merges to its high bit d // 2, so intermediate
-# bit b is fine bit 2b+1: a base-2 code over the merged digits.
-_FINE_TO_INTERMEDIATE = sum(
-    (np.arange(4**_CODE_BANDS) >> (2 * b + 1) & 1) << b
-    for b in range(_CODE_BANDS)).astype(np.uint8)
-# coarse keeps only the leading (first-band) bit
-_INTERMEDIATE_TO_COARSE = (np.arange(2**_CODE_BANDS, dtype=np.uint8)
-                           >> (_CODE_BANDS - 1))
 # labels per level, in LEVELS order
-_CODE_BOOK_SIZES = (_FINE_TO_INTERMEDIATE.size, _INTERMEDIATE_TO_COARSE.size,
-                    2)
+_CODE_BOOK_SIZES = (4**_CODE_BANDS, 2**_CODE_BANDS, 2)
 
 
 @dataclass
@@ -75,17 +68,20 @@ def quantize_spectral(img: MultibandImage) -> LabelMapStack:
     """
     if img.bands < _CODE_BANDS:
         raise InputError("quantizer needs at least 3 bands")
-    # at most 64 labels: uint8 keeps a held stack at a byte per pixel; the
-    # base-4 code is built in place, each band's digit added bin by bin
+    # at most 64 labels: uint8 keeps a held stack at a byte per pixel; both
+    # codes are built in place, each band's fine digit added bin by bin and
+    # its merged digit d // 2 (above the middle threshold) beside it
     fine = np.zeros((img.height, img.width), dtype=np.uint8)
+    intermediate = np.zeros(fine.shape, dtype=np.uint8)
     above = np.empty(fine.shape, dtype=bool)
     for plane in img.planes[:_CODE_BANDS]:
         fine *= 4
         for t in _FINE_THRESHOLDS:
             fine += np.greater(plane, t, out=above)
-    intermediate = _FINE_TO_INTERMEDIATE[fine]
+        intermediate *= 2
+        intermediate += np.greater(plane, _FINE_THRESHOLDS[1], out=above)
     return LabelMapStack(fine=fine, intermediate=intermediate,
-                         coarse=_INTERMEDIATE_TO_COARSE[intermediate])
+                         coarse=intermediate >> (_CODE_BANDS - 1))
 
 
 def save_stack(stack: LabelMapStack, path) -> None:

@@ -12,6 +12,11 @@ buffer without a copy, so a producer fills one plane at a time and the
 image is never held twice; any other samples array is copied into this
 layout once.
 
+ImageHeader is the header's one definition, its fields named as the JSON
+keys: load_image() builds it from the JSON object and save_image() writes
+it, so every header saved is one that loads. It refuses a gain or offset
+that is not finite, and a gain of 0, before any sample is converted.
+
 load_image() reads, converts and calibrates the payload one band at a
 time into that buffer (multiply, then add: the same two roundings as
 DN * gain + offset). save_image() builds the payload whole in its
@@ -24,12 +29,14 @@ array it adds is the payload itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, checked, checked_list, read_json
+from .errors import (InputError, checked, checked_list, read_json,
+                     require_keys)
 
 _DTYPES = {
     "u8": np.dtype("<u1"),
@@ -44,9 +51,6 @@ _STRIP_SAMPLES = 32768
 # the rounding of the inverse calibration (about 1e-11 DN for gains in
 # [0.01, 100] and offsets in [-100, 100]) and still refuses -0.1 as u8
 DN_TOLERANCE = 1e-6
-
-_HEADER_KEYS = {"width", "height", "bands", "dtype", "gain", "offset",
-                "nodata", "band_names"}
 
 
 @dataclass
@@ -109,12 +113,13 @@ class MultibandImage:
 
 @dataclass
 class ImageHeader:
-    """A header's fields as read from JSON, checked and converted here."""
+    """A header's fields, named and ordered as its JSON keys; checked and
+    converted here, for the header read and the header written alike."""
 
     width: int
     height: int
     bands: int
-    sample_type: str
+    dtype: str
     gain: list[float] | None = None      # None or [] means all 1.0
     offset: list[float] | None = None    # None or [] means all 0.0
     nodata: float | None = None
@@ -123,14 +128,19 @@ class ImageHeader:
     def __post_init__(self):
         for key in ("width", "height", "bands"):
             setattr(self, key, checked(int, getattr(self, key), key))
-        if self.sample_type not in _DTYPES:
-            raise InputError(f"unknown sample_type {self.sample_type!r}")
+        if self.dtype not in _DTYPES:
+            raise InputError(f"unknown dtype {self.dtype!r}")
         for key, default in (("gain", 1.0), ("offset", 0.0)):
             values = getattr(self, key)
             setattr(self, key, [default] * self.bands if values in (None, [])
                     else checked_list(float, values, key))
         if len(self.gain) != self.bands or len(self.offset) != self.bands:
             raise InputError("gain/offset length must equal band count")
+        # a gain of 0 loses the DNs, and its inverse divides by zero
+        if not all(map(math.isfinite, self.gain)) or 0.0 in self.gain:
+            raise InputError(f"gain must be finite and nonzero: {self.gain}")
+        if not all(map(math.isfinite, self.offset)):
+            raise InputError(f"offset must be finite: {self.offset}")
         if self.nodata is not None:
             self.nodata = checked(float, self.nodata, "nodata")
         names = self.band_names
@@ -157,24 +167,15 @@ def load_image(path) -> MultibandImage:
     if not raw_path.exists():
         raise InputError(f"missing payload {raw_path}")
     doc = read_json(hdr_path, "header")
-    if not isinstance(doc, dict):
-        raise InputError(f"header {hdr_path} must be a JSON object")
-    unknown = set(doc) - _HEADER_KEYS
-    if unknown:
-        raise InputError(f"unknown header keys {sorted(unknown)}")
+    keys = fields(ImageHeader)
+    require_keys(doc, [f.name for f in keys if f.default is MISSING],
+                 f"header {hdr_path}", [f.name for f in keys])
     try:
-        hdr = ImageHeader(
-            width=doc["width"], height=doc["height"], bands=doc["bands"],
-            sample_type=doc["dtype"], gain=doc.get("gain"),
-            offset=doc.get("offset"), nodata=doc.get("nodata"),
-            band_names=doc.get("band_names"),
-        )
-    except KeyError as exc:
-        raise InputError(f"header missing key {exc}") from exc
+        hdr = ImageHeader(**doc)
     except InputError as exc:
         raise InputError(f"header {hdr_path}: {exc}") from None
 
-    dtype = _DTYPES[hdr.sample_type]
+    dtype = _DTYPES[hdr.dtype]
     # the exact byte count: a trailing partial sample is refused too
     expected = hdr.width * hdr.height * hdr.bands * dtype.itemsize
     size = raw_path.stat().st_size
@@ -200,6 +201,10 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
                gain=None, offset=None) -> None:
     """Write <name>.json/.raw, inverting the affine calibration if given.
 
+    gain and offset are sequences of one number per band (None: 1 and 0).
+    The header is built and checked as an ImageHeader first, so a header
+    that load_image() would refuse is never written.
+
     f32 storage round-trips bit-exactly for float32-representable samples,
     and raises on a sample whose DN lies beyond float32's range. Integral
     storage raises on values more than DN_TOLERANCE outside the
@@ -208,15 +213,12 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
     payload, which is written only once every band is in it, so a
     refused sample leaves no file written.
     """
-    if sample_type not in _DTYPES:
-        raise InputError(f"unknown sample_type {sample_type!r}")
+    hdr = ImageHeader(img.width, img.height, img.bands, sample_type,
+                      gain=None if gain is None else list(gain),
+                      offset=None if offset is None else list(offset),
+                      band_names=img.band_names)
     hdr_path, raw_path = raster_paths(path)
     b = img.bands
-    gain = [1.0] * b if gain is None else list(gain)
-    offset = [0.0] * b if offset is None else list(offset)
-    if len(gain) != b or len(offset) != b:
-        raise InputError("gain/offset length must equal band count")
-
     dtype = _DTYPES[sample_type]
     if sample_type != "f32":
         lo = np.iinfo(dtype).min - DN_TOLERANCE
@@ -227,9 +229,7 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
     # an overflow to inf, in the arithmetic or the cast, is refused below
     with np.errstate(over="ignore"):
         for k, (plane, out, g, o) in enumerate(zip(
-                img.planes.reshape(b, size), payload,
-                np.asarray(gain, dtype=np.float64),
-                np.asarray(offset, dtype=np.float64))):
+                img.planes.reshape(b, size), payload, hdr.gain, hdr.offset)):
             refused = (f"band {k}: sample out of range for {sample_type} "
                        "after inverse calibration")
             for start in range(0, size, _STRIP_SAMPLES):
@@ -245,11 +245,6 @@ def save_image(img: MultibandImage, path, sample_type: str = "f32",
                 if sample_type == "f32" and np.isinf(out[start:stop]).any():
                     raise InputError(refused)
 
-    doc = {
-        "width": img.width, "height": img.height, "bands": b,
-        "dtype": sample_type, "gain": gain, "offset": offset,
-        "nodata": None, "band_names": img.band_names,
-    }
     with open(hdr_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump(asdict(hdr), fh)
     payload.tofile(raw_path)

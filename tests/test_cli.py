@@ -505,6 +505,17 @@ GOOD_HEADER = {"width": 2, "height": 2, "bands": 1, "dtype": "u8",
     (json.dumps(dict(GOOD_HEADER, gain=[10**400])),
      "header {path}: out of range for gain: an integer too large for a "
      "float"),
+    # a gain of 0 would load every sample as the offset
+    (json.dumps(dict(GOOD_HEADER, gain=[0.0])),
+     "header {path}: gain must be finite and nonzero: [0.0]"),
+    (json.dumps(dict(GOOD_HEADER, gain=[float("inf")])),
+     "header {path}: gain must be finite and nonzero: [inf]"),
+    (json.dumps(dict(GOOD_HEADER, offset=[float("nan")])),
+     "header {path}: offset must be finite: [nan]"),
+    (json.dumps({k: v for k, v in GOOD_HEADER.items() if k != "width"}),
+     "header {path} is missing key 'width'"),
+    (json.dumps(dict(GOOD_HEADER, colour="red")),
+     "header {path} has unknown keys ['colour']"),
 ])
 def test_degrade_malformed_header(tmp_path, capsys, header, message):
     (tmp_path / "img.json").write_text(header, encoding="utf-8")
@@ -515,6 +526,7 @@ def test_degrade_malformed_header(tmp_path, capsys, header, message):
     assert err.startswith(
         "error: " + message.format(path=tmp_path / "img.json"))
     assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out.raw").exists()
 
 
 def test_degrade_f32_overflow_refused(tmp_path, capsys):

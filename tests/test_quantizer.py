@@ -6,8 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from panqa.errors import InputError
 from panqa.raster import MultibandImage
-from panqa.quantizer import (_CODE_BOOK_SIZES, _FINE_TO_INTERMEDIATE,
-                             _INTERMEDIATE_TO_COARSE, LEVELS,
+from panqa.quantizer import (_CODE_BOOK_SIZES, LEVELS,
                              binary_contour_cost,
                              cross_aura,
                              post_classification_change_count,
@@ -20,17 +19,21 @@ def image(values):
     return MultibandImage(np.repeat(plane[:, :, None], 3, axis=2))
 
 
-def digit_stack_fine(img):
-    """The fine code through a (h, w, 3) stack of per-band digits, each
-    counting the thresholds its sample exceeds."""
+def digit_stack_codes(img):
+    """(fine, intermediate, coarse) through a (h, w, 3) stack of per-band
+    digits, each counting the thresholds its sample exceeds: fine is the
+    base-4 code of the digits d, intermediate the base-2 code of the
+    merged digits d // 2, and coarse the first band's merged digit."""
     s = img.samples
     digits = np.zeros(s.shape[:2] + (3,), dtype=np.uint8)
     for t in (0.25, 0.5, 0.75):
         digits += s[:, :, :3] > t
     fine = np.zeros(s.shape[:2], dtype=np.uint8)
+    intermediate = np.zeros(s.shape[:2], dtype=np.uint8)
     for b in range(3):
         fine = fine * 4 + digits[:, :, b]
-    return fine
+        intermediate = intermediate * 2 + digits[:, :, b] // 2
+    return fine, intermediate, digits[:, :, 0] // 2
 
 
 # samples outside [0, 1], exactly on a threshold, and constant bands
@@ -42,12 +45,9 @@ def digit_stack_fine(img):
 def test_fine_code_matches_digit_stack(samples):
     img = MultibandImage(samples)
     stack = quantize_spectral(img)
-    assert stack.fine.dtype == np.uint8
-    assert np.array_equal(stack.fine, digit_stack_fine(img))
-    assert np.array_equal(stack.intermediate,
-                          _FINE_TO_INTERMEDIATE[stack.fine])
-    assert np.array_equal(stack.coarse,
-                          _INTERMEDIATE_TO_COARSE[stack.intermediate])
+    for name, want in zip(LEVELS, digit_stack_codes(img)):
+        assert stack.level(name).dtype == np.uint8
+        assert np.array_equal(stack.level(name), want)
 
 
 class TestQuantize:
@@ -77,19 +77,21 @@ class TestQuantize:
         assert stack.intermediate.ravel().tolist() == [0, 0, 7, 7]
         assert stack.coarse.ravel().tolist() == [0, 0, 1, 1]
 
-    def test_merge_tables_consistent(self, rng):
-        # a fine base-4 digit d merges to d // 2 of a base-2 code; coarse
-        # keeps the leading (first-band) bit
-        for code in range(64):
-            digits = (code // 16, code // 4 % 4, code % 4)
-            want = sum(d // 2 * 2**(2 - b) for b, d in enumerate(digits))
-            assert _FINE_TO_INTERMEDIATE[code] == want
-        assert _INTERMEDIATE_TO_COARSE.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
-        stack = quantize_spectral(MultibandImage(rng.random((8, 8, 3))))
-        assert np.array_equal(stack.intermediate,
-                              _FINE_TO_INTERMEDIATE[stack.fine])
-        assert np.array_equal(stack.coarse,
-                              _INTERMEDIATE_TO_COARSE[stack.intermediate])
+    def test_merge_tables_consistent(self):
+        # the levels nest: a fine base-4 digit d merges to d // 2 of a
+        # base-2 code, and coarse keeps the leading (first-band) bit;
+        # samples at 0.1/0.3/0.6/0.9 give digits 0/1/2/3, and the 64
+        # pixels take every combination, so every fine code is checked
+        grid = np.meshgrid(*[[0.1, 0.3, 0.6, 0.9]] * 3, indexing="ij")
+        stack = quantize_spectral(MultibandImage(
+            np.stack(grid, axis=-1).reshape(8, 8, 3)))
+        fine = stack.fine.astype(int)
+        assert sorted(fine.ravel().tolist()) == list(range(64))
+        digits = (fine // 16, fine // 4 % 4, fine % 4)
+        want = sum(d // 2 * 2**(2 - b) for b, d in enumerate(digits))
+        assert np.array_equal(stack.intermediate, want)
+        assert np.array_equal(stack.coarse, stack.intermediate >> 2)
+        assert np.array_equal(stack.coarse, digits[0] // 2)
 
     def test_only_first_three_bands_used(self, rng):
         base = rng.random((6, 6, 3))

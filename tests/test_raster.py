@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -126,6 +127,22 @@ def test_top_dn_saved_under_rounding_gain(tmp_path):
     assert load_image(tmp_path / "top").samples.ravel().tolist() == [178.5]
 
 
+@pytest.mark.parametrize("gain, offset", [
+    ([0.0], None), ([-0.0], None), ([math.inf], None), ([math.nan], None),
+    (None, [-math.inf]), (None, [math.nan]),
+], ids=["gain-0", "gain-minus-0", "gain-inf", "gain-nan", "offset-minus-inf",
+        "offset-nan"])
+def test_save_refuses_bad_calibration(tmp_path, gain, offset):
+    # refused by the header, before any sample is divided by the gain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="must be finite"):
+            save_image(MultibandImage(np.array([[[0.5]]])), tmp_path / "g",
+                       "f32", gain=gain, offset=offset)
+    assert not (tmp_path / "g.json").exists()
+    assert not (tmp_path / "g.raw").exists()
+
+
 def test_calibration_is_affine(tmp_path, rng):
     dn = rng.integers(0, 255, size=(3, 5, 2))
     hdr_raw = {"width": 5, "height": 3, "bands": 2, "dtype": "u8",
@@ -233,3 +250,72 @@ def test_save_load_round_trip(stored):
     if sample_type != "f32" or (set(gain) == {1.0} and set(offset) == {0.0}):
         # integral DNs, and f32 DNs with identity calibration, come back
         assert np.array_equal(back.samples, samples)
+
+
+def _finite(values):
+    return all(math.isfinite(v) for v in values)
+
+
+@st.composite
+def header_arguments(draw):
+    """(sample_type, gain, offset, band_names, bands): save_image's header
+    arguments, valid or not; gain and offset are None or lists."""
+    bands = draw(st.integers(1, 3))
+    sample_type = draw(st.sampled_from(["u8", "u16", "f32", "f64", "U8"]))
+    special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+    gain = draw(st.none() | st.lists(
+        special | st.floats(0.01, 100.0) | st.floats(-100.0, -0.01),
+        min_size=bands, max_size=bands))
+    offset = draw(st.none() | st.lists(special | st.floats(-100.0, 100.0),
+                                       min_size=bands, max_size=bands))
+    names = draw(st.none() | st.lists(st.text(max_size=4), min_size=bands,
+                                      max_size=bands)
+                 | st.lists(st.text(max_size=4), min_size=bands + 1,
+                            max_size=bands + 1)
+                 | st.lists(st.integers(), min_size=bands, max_size=bands)
+                 | st.just(5) | st.just("rgb"))
+    return sample_type, gain, offset, names, bands
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=header_arguments(),
+       container=st.sampled_from([list, tuple, np.array]),
+       dn=st.integers(0, 200))
+def test_saved_header_loads(args, container, dn):
+    """save_image either refuses its header arguments, writing nothing, or
+    writes a header that load_image reads back with the same fields."""
+    sample_type, gain, offset, names, bands = args
+    valid = (sample_type in ("u8", "u16", "f32")
+             and (gain is None or (_finite(gain) and 0.0 not in gain))
+             and (offset is None or _finite(offset))
+             and (names is None or (isinstance(names, list)
+                                    and len(names) == bands
+                                    and all(isinstance(n, str)
+                                            for n in names))))
+    want_gain = [1.0] * bands if gain is None else gain
+    want_offset = [0.0] * bands if offset is None else offset
+    # samples whose DNs are all dn, under a calibration that is valid
+    samples = np.full((2, 3, bands), float(dn))
+    if valid:
+        samples = samples * np.array(want_gain) + np.array(want_offset)
+    img = MultibandImage(samples, band_names=names)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(tmp) / "img"
+        try:
+            save_image(img, path, sample_type,
+                       None if gain is None else container(gain),
+                       None if offset is None else container(offset))
+        except InputError:
+            assert not valid
+            assert not any(Path(tmp).iterdir())
+            return
+        assert valid
+        back = load_image(path)
+        header = json.loads(path.with_suffix(".json").read_text())
+    assert header == {"width": 3, "height": 2, "bands": bands,
+                      "dtype": sample_type, "gain": want_gain,
+                      "offset": want_offset, "nodata": None,
+                      "band_names": names}
+    assert back.samples.shape == (2, 3, bands)
+    assert back.band_names == names
