@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -32,12 +33,16 @@ def _radii(text: str) -> tuple[int, ...]:
 
 
 def _number(cell, line: int, column) -> float:
-    """A CSV cell as a float, or an InputError naming its line and column."""
+    """A CSV cell as a finite float, or an InputError naming its line and
+    column."""
     try:
-        return float(cell)
+        value = float(cell)
     except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
         raise InputError(f"line {line}, column {column}: not a number: "
-                         f"{cell!r}") from None
+                         f"{cell!r}")
+    return value
 
 
 def cmd_synth(args) -> int:

@@ -142,16 +142,13 @@ def zscore(values) -> np.ndarray:
     return (x - x.mean()) / std
 
 
-def rank(values, lower_is_better: bool = True) -> list[int]:
-    """Competition ranking: 1 + number of strictly better values."""
+def rank(values) -> list[int]:
+    """Competition ranking, lower is better: 1 + number of strictly
+    smaller values."""
     x = np.asarray(values, dtype=np.float64)
     if x.size < 1:
         raise InputError("empty value list")
-    if lower_is_better:
-        better = x[None, :] < x[:, None]
-    else:
-        better = x[None, :] > x[:, None]
-    return [int(v) for v in 1 + better.sum(axis=1)]
+    return [int(v) for v in 1 + (x[None, :] < x[:, None]).sum(axis=1)]
 
 
 def category_sum(records: list[QiRecord], column: str

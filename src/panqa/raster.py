@@ -53,6 +53,16 @@ _STRIP_SAMPLES = 32768
 DN_TOLERANCE = 1e-6
 
 
+def _check_band_names(names, bands: int) -> None:
+    """Refuses band names other than None or a list of one string per
+    band, in memory and in a header alike."""
+    if names is not None and not (
+            isinstance(names, list) and len(names) == bands
+            and all(isinstance(n, str) for n in names)):
+        raise InputError(f"band_names must be null or a list of "
+                         f"{bands} strings: {names!r}")
+
+
 @dataclass
 class MultibandImage:
     """Calibrated raster; samples has shape (height, width, bands) and is a
@@ -69,6 +79,7 @@ class MultibandImage:
             raise InputError("samples must be a 2-D or 3-D array")
         if a.shape[0] < 1 or a.shape[1] < 1 or a.shape[2] < 1:
             raise InputError("empty image")
+        _check_band_names(self.band_names, a.shape[2])
         # a copy only when the samples are not float64 planes already
         planes = np.asarray(np.moveaxis(a, 2, 0), dtype=np.float64,
                             order="C")
@@ -143,12 +154,7 @@ class ImageHeader:
             raise InputError(f"offset must be finite: {self.offset}")
         if self.nodata is not None:
             self.nodata = checked(float, self.nodata, "nodata")
-        names = self.band_names
-        if names is not None and not (
-                isinstance(names, list) and len(names) == self.bands
-                and all(isinstance(n, str) for n in names)):
-            raise InputError(f"band_names must be null or a list of "
-                             f"{self.bands} strings: {names!r}")
+        _check_band_names(self.band_names, self.bands)
 
 
 def raster_paths(path) -> tuple[Path, Path]:

@@ -4,7 +4,10 @@ Covers the per-band moments (mean, std, skewness, kurtosis) and the
 entropy of the band's gray-level map from glcm3.quantize_gray_levels,
 Minkowski-1 cross-band cost aggregation, Pearson correlation, SAM, ERGAS,
 the block-wise universal quality index Q, its four-band quaternion
-extension Q4, and the no-reference QNR/D_lambda/D_s triple.
+extension Q4, and the no-reference QNR/D_lambda/D_s triple with all its
+exponents 1. Q, Q4 and QNR read their block moments from _moment_strips,
+one strip at a time; _q_maps gives a pair's Q in both orders from one
+covariance, bit-identical to two separate evaluations.
 
 All moments use the population (N-divisor) convention so that downstream
 z-score standardization behaves exactly.
@@ -191,8 +194,7 @@ class _BlockMoments(NamedTuple):
 
 
 def _block_moments(plane: np.ndarray, bl: int) -> _BlockMoments:
-    """Moments of a plane's full BL x BL blocks; Q, Q4 and QNR all take
-    their block moments from here, one strip of block rows at a time."""
+    """Moments of a plane's full bl x bl blocks."""
     x = np.asarray(plane, dtype=np.float64)
     blocks = _block_view(x, bl)
     m = blocks.mean(axis=2)
@@ -207,60 +209,38 @@ def _block_moments(plane: np.ndarray, bl: int) -> _BlockMoments:
                          np.mean(c**2, axis=2))
 
 
-def _identical_blocks(a: _BlockMoments, b: _BlockMoments) -> np.ndarray:
-    """Per block, whether all samples of a and b are equal."""
-    bl = a.tiled.shape[0] // a.mean.shape[0]
-    return np.all(_block_view(a.tiled == b.tiled, bl), axis=2)
-
-
-def _block_cov(a: _BlockMoments, b: _BlockMoments) -> np.ndarray:
-    """Per-block covariance; symmetric bit for bit, since it multiplies the
-    centred samples elementwise."""
-    return np.mean(a.centred * b.centred, axis=2)
-
-
-def _q_ratio_map(num: np.ndarray, denom: np.ndarray, identical
+def _q_ratio_map(num: np.ndarray, denom: np.ndarray,
+                 mom_a: list[_BlockMoments], mom_b: list[_BlockMoments]
                  ) -> np.ndarray:
     """Per block, num / denom. A block whose denom is not positive scores
-    1 where identical() marks its samples equal in both images, else 0;
-    identical is called only when such a block exists."""
+    1 where every plane of mom_a equals its plane of mom_b there, else 0;
+    the planes are compared only when such a block exists."""
     good = denom > 0
-    q = np.where(good, np.divide(num, denom, out=np.zeros_like(denom),
-                                 where=good), 0.0)
+    q = np.divide(num, denom, out=np.zeros_like(denom), where=good)
     if not good.all():
-        q = np.where(good, q, np.where(identical(), 1.0, 0.0))
+        bl = mom_a[0].tiled.shape[0] // good.shape[0]
+        same = [_block_view(a.tiled == b.tiled, bl).all(axis=2)
+                for a, b in zip(mom_a, mom_b)]
+        q[~good & np.all(same, axis=0)] = 1.0
     return q
 
 
-def _q_map(a: _BlockMoments, b: _BlockMoments, cov: np.ndarray
-           ) -> np.ndarray:
-    """Per-block Q of the ordered pair (a, b). The numerator is not
-    symmetric in its last bit, so (b, a) needs its own call."""
-    mx, vx, my, vy = a.mean, a.var, b.mean, b.var
-    return _q_ratio_map(4.0 * cov * mx * my, (vx + vy) * (mx**2 + my**2),
-                        lambda: _identical_blocks(a, b))
+def _q_maps(a: _BlockMoments, b: _BlockMoments):
+    """Yields the per-block Q of the ordered pair (a, b), then of (b, a),
+    from one 4*cov and one denominator, both symmetric bit for bit; the
+    numerator is not, so each order keeps its own product. (b, a) is
+    computed only when it is asked for."""
+    cov4 = 4.0 * np.mean(a.centred * b.centred, axis=2)
+    denom = (a.var + b.var) * (a.mean**2 + b.mean**2)
+    yield _q_ratio_map(cov4 * a.mean * b.mean, denom, [a], [b])
+    yield _q_ratio_map(cov4 * b.mean * a.mean, denom, [b], [a])
 
 
-def _pair_maps(mom: list[_BlockMoments], pairs) -> dict:
-    """The Q map of each ordered pair (i, j) of mom; the covariance of
-    {i, j} is taken once for both orders."""
-    maps, covs = {}, {}
-    for i, j in pairs:
-        key = min(i, j), max(i, j)
-        if key not in covs:
-            covs[key] = _block_cov(mom[i], mom[j])
-        maps[i, j] = _q_map(mom[i], mom[j], covs[key])
-    return maps
-
-
-def _q_strips(planes, bl: int, score) -> dict:
-    """Block-averaged Q values of planes whose block grids match.
-
-    The planes are read one strip of whole block rows at a time, about
-    _STRIP_BYTES of samples across all of them; score(moments) maps one
-    strip's block moments, in plane order, to a dict of its per-block Q
-    maps. Returns each key's mean over its whole (nby, nbx) map.
-    """
+def _moment_strips(planes, bl: int):
+    """Yields the _block_moments of planes whose block grids match, one
+    list in plane order per strip of whole block rows, about _STRIP_BYTES
+    of samples across all the planes. Each list is emptied before the next
+    strip is read, so only one strip's moments are held at a time."""
     if bl < 2:
         raise InputError("block_size must be >= 2")
     planes = [np.asarray(p) for p in planes]
@@ -271,10 +251,10 @@ def _q_strips(planes, bl: int, score) -> dict:
         raise InputError("shape mismatch")
     nby, nbx = grids[0]
     step = _strip_rows(nbx * bl, len(planes), bl)
-    strips = [score([_block_moments(p[r:r + step], bl) for p in planes])
-              for r in range(0, nby * bl, step)]
-    return {key: float(np.concatenate([s[key] for s in strips]).mean())
-            for key in strips[0]}
+    for r in range(0, nby * bl, step):
+        mom = [_block_moments(p[r:r + step], bl) for p in planes]
+        yield mom
+        mom.clear()
 
 
 def q_index(band_a: np.ndarray, band_b: np.ndarray,
@@ -284,8 +264,9 @@ def q_index(band_a: np.ndarray, band_b: np.ndarray,
     Per block: 4*cov*mx*my / ((vx+vy)*(mx^2+my^2)); degenerate blocks
     score 1 when identical, else 0.
     """
-    return _q_strips([band_a, band_b], block_size,
-                     lambda mom: _pair_maps(mom, [(0, 1)]))[0, 1]
+    maps = [next(_q_maps(*mom))
+            for mom in _moment_strips([band_a, band_b], block_size)]
+    return float(np.concatenate(maps).mean())
 
 
 # the Hamilton product a * conj(b) with conj's signs written out: per
@@ -322,10 +303,8 @@ def _q4_map(mom_a: list[_BlockMoments], mom_b: list[_BlockMoments]
     vb = sum(m.var for m in mom_b)
     na2 = sum(m.mean**2 for m in mom_a)
     nb2 = sum(m.mean**2 for m in mom_b)
-    return _q_ratio_map(
-        4.0 * cov_mod * np.sqrt(na2 * nb2), (va + vb) * (na2 + nb2),
-        lambda: np.all([_identical_blocks(a, b)
-                        for a, b in zip(mom_a, mom_b)], axis=0))
+    return _q_ratio_map(4.0 * cov_mod * np.sqrt(na2 * nb2),
+                        (va + vb) * (na2 + nb2), mom_a, mom_b)
 
 
 def q4(img_a: MultibandImage, img_b: MultibandImage,
@@ -336,19 +315,19 @@ def q4(img_a: MultibandImage, img_b: MultibandImage,
     if img_a.samples.shape != img_b.samples.shape:
         raise InputError("shape mismatch")
     planes = [img.band(c) for img in (img_a, img_b) for c in range(4)]
-    return _q_strips(planes, block_size,
-                     lambda mom: {"q4": _q4_map(mom[:4], mom[4:])})["q4"]
+    maps = [_q4_map(mom[:4], mom[4:])
+            for mom in _moment_strips(planes, block_size)]
+    return float(np.concatenate(maps).mean())
 
 
 def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
-        pan_degraded_l: np.ndarray, alpha: float = 1.0, beta: float = 1.0,
-        p: float = 1.0, q: float = 1.0, block_size: int = DEFAULT_BLOCK
+        pan_degraded_l: np.ndarray, block_size: int = DEFAULT_BLOCK
         ) -> tuple[float, float, float]:
     """No-reference quality: returns (QNR, D_lambda, D_s).
 
-    D_lambda compares inter-band Q values at the two scales; D_s compares
-    band-vs-pan Q values. Both power means are clamped to [0, 1] because a
-    Q difference can reach magnitude 2.
+    D_lambda is the mean absolute difference of the inter-band Q values
+    at the two scales, D_s that of the band-vs-pan Q values; both are
+    clamped to [0, 1], as a Q difference can reach magnitude 2.
     """
     pan_h = np.asarray(pan_h, dtype=np.float64)
     pan_l = np.asarray(pan_degraded_l, dtype=np.float64)
@@ -361,27 +340,33 @@ def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
     nb = ms_l.bands
     if nb < 2:
         raise InputError("qnr needs at least 2 bands")
-    # every ordered band pair (i, j), and each band against the pan (b, nb)
-    pairs = [(i, j) for i in range(nb) for j in range(nb + 1) if i != j]
 
     def pair_qs(img, pan):
-        planes = [img.band(b) for b in range(nb)] + [pan]
-        return _q_strips(planes, block_size,
-                         lambda mom: _pair_maps(mom, pairs))
+        """Mean Q of every ordered band pair (i, j), and of each band
+        against the pan, (b, nb), at one scale."""
+        strips = []
+        for mom in _moment_strips([img.band(b) for b in range(nb)] + [pan],
+                                  block_size):
+            q = {}
+            for i in range(nb):
+                q[i, nb] = next(_q_maps(mom[i], mom[nb]))
+                for j in range(i + 1, nb):
+                    q[i, j], q[j, i] = _q_maps(mom[i], mom[j])
+            strips.append(q)
+        return {key: float(np.concatenate([q[key] for q in strips]).mean())
+                for key in strips[0]}
 
     q_ms, q_fused = pair_qs(ms_l, pan_l), pair_qs(fused_h, pan_h)
+    # running sums: from Python 3.12 on, builtin sum() compensates
+    # its rounding, which would change the last bits
     acc = 0.0
     for i in range(nb):
         for j in range(nb):
-            if i == j:
-                continue
-            acc += abs(q_ms[i, j] - q_fused[i, j])**p
-    d_lambda = min((acc / (nb * (nb - 1)))**(1.0 / p), 1.0)
-
+            if i != j:
+                acc += abs(q_ms[i, j] - q_fused[i, j])
+    d_lambda = min(acc / (nb * (nb - 1)), 1.0)
     acc = 0.0
     for b in range(nb):
-        acc += abs(q_fused[b, nb] - q_ms[b, nb])**q
-    d_s = min((acc / nb)**(1.0 / q), 1.0)
-
-    value = (1.0 - d_lambda)**alpha * (1.0 - d_s)**beta
-    return float(value), float(d_lambda), float(d_s)
+        acc += abs(q_fused[b, nb] - q_ms[b, nb])
+    d_s = min(acc / nb, 1.0)
+    return (1.0 - d_lambda) * (1.0 - d_s), d_lambda, d_s

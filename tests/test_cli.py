@@ -595,17 +595,23 @@ def test_exit_code_degenerate(tmp_path):
                  "--out", str(tmp_path / "r.json")]) == 3
 
 
-def test_srcc_non_number_cell(tmp_path, capsys):
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf"])
+def test_srcc_non_number_cell(tmp_path, capsys, cell):
     table = tmp_path / "ranks.csv"
-    table.write_text("candidate,x,y\nc0,1,2\nc1,abc,1\n", encoding="utf-8")
+    table.write_text(f"candidate,x,y\nc0,1,2\nc1,{cell},1\nc2,3,3\n",
+                     encoding="utf-8")
     assert main(["srcc", "--table", str(table), "--col-a", "x",
                  "--col-b", "y"]) == 2
     assert (capsys.readouterr().err.strip()
-            == "error: line 3, column 'x': not a number: 'abc'")
+            == f"error: line 3, column 'x': not a number: '{cell}'")
 
 
 @pytest.mark.parametrize("text, message", [
     ("good,1.0,1.1\nbad,5.0,abc\n", "line 2, column 3: not a number: 'abc'"),
+    ("good,1.0,nan\nbad,5.0,4.0\n", "line 1, column 3: not a number: 'nan'"),
+    ("good,inf,1.1\nbad,5.0,4.0\n", "line 1, column 2: not a number: 'inf'"),
+    ("good,1.0,1.1\nbad,-inf,4.0\n",
+     "line 2, column 2: not a number: '-inf'"),
     ("good,1.0,1.1\nbad,5.0\n", "rows differ in their number of cells"),
 ])
 def test_mos_malformed_scores(tmp_path, capsys, text, message):

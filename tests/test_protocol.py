@@ -58,10 +58,6 @@ class TestRank:
     def test_competition_ties(self):
         assert rank([3.1, 2.0, 2.0, 5.0]) == [3, 1, 1, 4]
 
-    def test_higher_is_better(self):
-        assert rank([3.1, 2.0, 2.0, 5.0], lower_is_better=False) \
-            == [2, 3, 3, 1]
-
     def test_all_tied(self):
         assert rank([7.0, 7.0, 7.0]) == [1, 1, 1]
 
@@ -72,13 +68,12 @@ class TestRank:
     @given(st.lists(st.one_of(st.integers(-3, 3), st.floats(allow_nan=False)),
                     min_size=1, max_size=12))
     def test_rank_counts_strictly_better_values(self, values):
-        low, high = rank(values), rank(values, lower_is_better=False)
+        ranks = rank(values)
         for i, x in enumerate(values):
-            assert low[i] == 1 + sum(y < x for y in values)
-            assert high[i] == 1 + sum(y > x for y in values)
+            assert ranks[i] == 1 + sum(y < x for y in values)
             for j, y in enumerate(values):
                 if x == y:
-                    assert (low[i], high[i]) == (low[j], high[j])
+                    assert ranks[i] == ranks[j]
 
 
 class TestCategorySum:

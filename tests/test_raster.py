@@ -172,6 +172,16 @@ def test_non_finite_rejected():
         MultibandImage(np.array([[[np.nan]]]))
 
 
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c", "d"], "abc",
+                                   ["a", "b", 3]])
+def test_band_names_checked_in_memory(names):
+    with pytest.raises(InputError) as exc:
+        MultibandImage(np.random.default_rng(0).random((16, 16, 3)),
+                       band_names=names)
+    assert str(exc.value) == (f"band_names must be null or a list of 3 "
+                              f"strings: {names!r}")
+
+
 def test_unknown_sample_type(tmp_path):
     hdr = {"width": 1, "height": 1, "bands": 1, "dtype": "f64",
            "gain": [1.0], "offset": [0.0], "nodata": None,
@@ -282,8 +292,9 @@ def header_arguments(draw):
        container=st.sampled_from([list, tuple, np.array]),
        dn=st.integers(0, 200))
 def test_saved_header_loads(args, container, dn):
-    """save_image either refuses its header arguments, writing nothing, or
-    writes a header that load_image reads back with the same fields."""
+    """MultibandImage and save_image either refuse the header arguments,
+    writing nothing, or write a header that load_image reads back with the
+    same fields."""
     sample_type, gain, offset, names, bands = args
     valid = (sample_type in ("u8", "u16", "f32")
              and (gain is None or (_finite(gain) and 0.0 not in gain))
@@ -298,11 +309,12 @@ def test_saved_header_loads(args, container, dn):
     samples = np.full((2, 3, bands), float(dn))
     if valid:
         samples = samples * np.array(want_gain) + np.array(want_offset)
-    img = MultibandImage(samples, band_names=names)
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         path = Path(tmp) / "img"
         try:
+            # the image itself refuses bad band names
+            img = MultibandImage(samples, band_names=names)
             save_image(img, path, sample_type,
                        None if gain is None else container(gain),
                        None if offset is None else container(offset))

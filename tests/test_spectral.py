@@ -428,9 +428,8 @@ class TestQnr:
 
     def test_block_constant_pair_matches_reference(self, rng):
         ms, fused, pan_h, pan_l = self.block_constant_pair(rng)
-        assert (qnr(ms, fused, pan_h, pan_l, p=2.0, q=0.5,
-                    block_size=2)
-                == qnr_reference(ms, fused, pan_h, pan_l, 2.0, 0.5, 2))
+        assert (qnr(ms, fused, pan_h, pan_l, block_size=2)
+                == qnr_reference(ms, fused, pan_h, pan_l, 2))
 
     def test_bounds_random(self, rng):
         ms = MultibandImage(rng.random((16, 16, 3)))
@@ -475,7 +474,7 @@ def q_index_reference(band_a, band_b, bl):
     return float(q.mean())
 
 
-def qnr_reference(ms, fused, pan_h, pan_l, p, q, bl):
+def qnr_reference(ms, fused, pan_h, pan_l, bl):
     """The QNR double loop over independent Q evaluations."""
     nb = ms.bands
     acc = 0.0
@@ -484,14 +483,14 @@ def qnr_reference(ms, fused, pan_h, pan_l, p, q, bl):
             if i != j:
                 d = (q_index_reference(ms.band(i), ms.band(j), bl)
                      - q_index_reference(fused.band(i), fused.band(j), bl))
-                acc += abs(d)**p
-    d_lambda = min((acc / (nb * (nb - 1)))**(1.0 / p), 1.0)
+                acc += abs(d)
+    d_lambda = min(acc / (nb * (nb - 1)), 1.0)
     acc = 0.0
     for b in range(nb):
         d = (q_index_reference(fused.band(b), pan_h, bl)
              - q_index_reference(ms.band(b), pan_l, bl))
-        acc += abs(d)**q
-    d_s = min((acc / nb)**(1.0 / q), 1.0)
+        acc += abs(d)
+    d_s = min(acc / nb, 1.0)
     return (1.0 - d_lambda) * (1.0 - d_s), d_lambda, d_s
 
 
@@ -508,11 +507,9 @@ def random_planes(seed, shape, levels):
 @given(seed=st.integers(0, 2**32 - 1), bands=st.integers(2, 4),
        low=st.tuples(st.integers(2, 11), st.integers(2, 11)),
        ratio=st.integers(1, 4), bl=st.integers(2, 5),
-       levels=st.sampled_from([0, 2, 3]),
-       p=st.sampled_from([1.0, 0.5, 2.0, 3.0]),
-       q=st.sampled_from([1.0, 0.5, 2.0, 3.0]))
+       levels=st.sampled_from([0, 2, 3]))
 def test_qnr_matches_pairwise_q_reference(seed, bands, low, ratio, bl,
-                                          levels, p, q):
+                                          levels):
     h, w = max(low[0], bl), max(low[1], bl)
     ms = MultibandImage(random_planes(seed, (h, w, bands), levels))
     fused = MultibandImage(random_planes(seed + 1,
@@ -520,8 +517,8 @@ def test_qnr_matches_pairwise_q_reference(seed, bands, low, ratio, bl,
                                          levels))
     pan_h = random_planes(seed + 2, (h * ratio, w * ratio), levels)
     pan_l = random_planes(seed + 3, (h, w), levels)
-    want = qnr_reference(ms, fused, pan_h, pan_l, p, q, bl)
-    assert (at_budgets(qnr, ms, fused, pan_h, pan_l, p=p, q=q, block_size=bl)
+    want = qnr_reference(ms, fused, pan_h, pan_l, bl)
+    assert (at_budgets(qnr, ms, fused, pan_h, pan_l, block_size=bl)
             == [want] * len(BUDGETS))
     want = q_index_reference(fused.band(0), fused.band(1), bl)
     assert (at_budgets(q_index, fused.band(0), fused.band(1), bl)
@@ -627,18 +624,16 @@ def test_q_index_and_q4_match_across_strip_budgets(seed, shape, bl, levels,
 
 
 @settings(max_examples=40, deadline=None)
-@given(**strip_cases, ratio=st.integers(1, 3), bands=st.integers(2, 4),
-       p=st.floats(0.25, 4.0), q=st.floats(0.25, 4.0))
+@given(**strip_cases, ratio=st.integers(1, 3), bands=st.integers(2, 4))
 def test_qnr_matches_across_strip_budgets(seed, shape, bl, levels,
-                                          flat_cols, shared, ratio, bands,
-                                          p, q):
+                                          flat_cols, shared, ratio, bands):
     h, w = max(shape[0], bl), max(shape[1], bl)
     ms, pan_l = strip_planes(seed, (h, w, bands), levels, flat_cols, shared)
     fused, pan_h = strip_planes(seed + 2, (h * ratio, w * ratio, bands),
                                 levels, flat_cols * ratio, shared)
     one, per_row = at_budgets(qnr, MultibandImage(ms),
                               MultibandImage(fused), pan_h[:, :, 0],
-                              pan_l[:, :, 0], p=p, q=q, block_size=bl)
+                              pan_l[:, :, 0], block_size=bl)
     assert one == per_row
 
 
