@@ -587,6 +587,19 @@ def test_exit_code_bad_ratio(scene):
                  "--out", str(scene / "bad")]) == 2
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--seed", "-1"], "seed must be 0 or more, not -1"),
+    (["--width", "-4"], "width must be a positive multiple of 4, not -4"),
+    (["--height", "0"], "height must be a positive multiple of 4, not 0"),
+    (["--width", "6"], "width must be a positive multiple of 4, not 6"),
+])
+def test_synth_bad_argument(tmp_path, capsys, option, message):
+    assert main(["synth", *option, "--out-ms", str(tmp_path / "ms"),
+                 "--out-pan", str(tmp_path / "pan")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (tmp_path / "ms.json").exists()
+
+
 def test_exit_code_degenerate(tmp_path):
     flat = MultibandImage(np.full((16, 16, 4), 0.5))
     save_image(flat, tmp_path / "flat")
