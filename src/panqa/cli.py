@@ -45,6 +45,14 @@ def _number(cell, line: int, column) -> float:
     return value
 
 
+def _load_pan(path) -> MultibandImage:
+    """The PAN image at path, which must have exactly one band."""
+    pan = load_image(path)
+    if pan.bands != 1:
+        raise InputError("pan image must have exactly one band")
+    return pan
+
+
 def cmd_synth(args) -> int:
     ms, pan = synth_scene(args.seed, args.width, args.height)
     save_image(ms, args.out_ms)
@@ -65,9 +73,7 @@ def cmd_fuse(args) -> int:
         raise InputError(f"--process-meta {args.process_meta} would "
                          f"overwrite the fused image {args.out}")
     ms = load_image(args.ms)
-    pan = load_image(args.pan)
-    if pan.bands != 1:
-        raise InputError("pan image must have exactly one band")
+    pan = _load_pan(args.pan)
     cfg = FusionConfig(method=args.method, resampler=args.resample,
                        wavelet_levels=args.levels)
     fused, meta = pansharpen(ms, pan.band(0), cfg)
@@ -93,7 +99,7 @@ def cmd_eval(args) -> int:
 
 def cmd_qnr(args) -> int:
     ms = load_image(args.ms)
-    pan = load_image(args.pan)
+    pan = _load_pan(args.pan)
     fused = load_image(args.fused)
     taps = mtf_gaussian_kernel(args.ratio, args.mtf_gain)
     pan_l = degrade(pan, args.ratio, taps).band(0)
@@ -204,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=FUSION_METHODS, required=True)
     p.add_argument("--ms", required=True)
     p.add_argument("--pan", required=True)
-    p.add_argument("--resample", choices=UPSAMPLE_METHODS, default="bicubic")
-    p.add_argument("--levels", type=int, default=2)
+    p.add_argument("--resample", choices=UPSAMPLE_METHODS,
+                   default=FusionConfig.resampler)
+    p.add_argument("--levels", type=int, default=FusionConfig.wavelet_levels)
     p.add_argument("--out", required=True)
     p.add_argument("--process-meta", default="")
     p.set_defaults(func=cmd_fuse)

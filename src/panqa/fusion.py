@@ -52,10 +52,6 @@ class FusionConfig:
         if self.wavelet_levels < 1:
             raise InputError("wavelet_levels must be >= 1")
 
-    @property
-    def declared_free_parameters(self) -> int:
-        return _FREE_PARAMETERS[self.method]
-
 
 def _check_shapes(ms: MultibandImage, pan: np.ndarray
                   ) -> tuple[int, np.ndarray]:
@@ -158,6 +154,6 @@ def pansharpen(ms: MultibandImage, pan: np.ndarray, cfg: FusionConfig
         "method": cfg.method,
         "resampler": cfg.resampler,
         "wall_seconds": time.perf_counter() - t0,
-        "n_free_parameters": cfg.declared_free_parameters,
+        "n_free_parameters": _FREE_PARAMETERS[cfg.method],
     }
     return fused, meta

@@ -69,6 +69,12 @@ _OPTION_KEYS = {f.name for f in dataclasses.fields(EvalOptions)} - {"ratio"}
 _CANDIDATE_KEYS = {"method", "resampler", "wall_seconds", "n_free_parameters"}
 
 
+def _check_str(doc: dict, key: str, where: str = "") -> None:
+    """doc[key] must be a JSON string; where prefixes the message."""
+    if not isinstance(doc[key], str):
+        raise InputError(f"{where}wrong type for {key}: {doc[key]!r}")
+
+
 @dataclass
 class Candidate:
     id: str
@@ -87,11 +93,14 @@ class RunManifest:
         doc = read_json(path, "manifest")
         require_keys(doc, ("reference", "ratio", "candidates"), "manifest",
                      ("options",))
+        _check_str(doc, "reference")
         if not isinstance(doc["candidates"], list):
             raise InputError("manifest candidates must be a JSON list")
         for n, c in enumerate(doc["candidates"]):
             require_keys(c, ("id", "path"), f"manifest candidate {n}",
                          _CANDIDATE_KEYS)
+            _check_str(c, "id", f"manifest candidate {n}: ")
+            _check_str(c, "path", f"manifest candidate {n}: ")
         opts = doc.get("options", {})
         require_keys(opts, (), "manifest options", _OPTION_KEYS)
         options = EvalOptions(ratio=doc["ratio"], **opts)
@@ -186,9 +195,8 @@ def _mdb_costs(ref_rows, cand_rows) -> list[float]:
 def classic_metrics(reference: MultibandImage, candidate: MultibandImage,
                     opts: EvalOptions) -> dict:
     """SAM / ERGAS / Q4 comparison report entries."""
-    sam_deg, _ = sam_mean(reference, candidate)
     out = {
-        "sam_degrees": sam_deg,
+        "sam_degrees": sam_mean(reference, candidate),
         "ergas": ergas(reference, candidate, opts.ratio, opts.ergas_factor),
     }
     if reference.bands == 4:

@@ -158,8 +158,11 @@ class ImageHeader:
 
 
 def raster_paths(path) -> tuple[Path, Path]:
-    """(header, payload) files of a raster; a .json/.raw suffix is dropped."""
+    """(header, payload) files of a raster; a .json/.raw suffix is dropped.
+    A path with no file name ('', '.', a root) raises InputError."""
     p = Path(path)
+    if not p.name:
+        raise InputError(f"raster path has no file name: {str(path)!r}")
     if p.suffix in (".json", ".raw"):
         p = p.with_suffix("")
     return p.with_suffix(".json"), p.with_suffix(".raw")

@@ -2,12 +2,13 @@
 
 Covers the per-band moments (mean, std, skewness, kurtosis) and the
 entropy of the band's gray-level map from glcm3.quantize_gray_levels,
-Minkowski-1 cross-band cost aggregation, Pearson correlation, SAM, ERGAS,
-the block-wise universal quality index Q, its four-band quaternion
-extension Q4, and the no-reference QNR/D_lambda/D_s triple with all its
-exponents 1. Q, Q4 and QNR read their block moments from _moment_strips,
-one strip at a time; _q_maps gives a pair's Q in both orders from one
-covariance, bit-identical to two separate evaluations.
+Minkowski-1 cross-band cost aggregation, Pearson correlation, SAM over
+the pixels with two nonzero spectral vectors, ERGAS, the block-wise
+universal quality index Q, its four-band quaternion extension Q4, and the
+no-reference QNR/D_lambda/D_s triple with all its exponents 1. Q, Q4 and
+QNR read their block moments from _moment_strips, one strip at a time;
+_q_maps gives a pair's Q in both orders from one covariance,
+bit-identical to two separate evaluations.
 
 All moments use the population (N-divisor) convention so that downstream
 z-score standardization behaves exactly.
@@ -131,32 +132,30 @@ def _strip_rows(width: int, planes: int, unit: int = 1) -> int:
     return unit * max(1, _STRIP_BYTES // (8 * planes * width * unit))
 
 
-def sam_mean(img_a: MultibandImage, img_b: MultibandImage
-             ) -> tuple[float, np.ndarray]:
-    """Mean spectral angle in degrees plus the per-pixel angle map.
-
-    Pixels where either spectral vector is all-zero are NaN in the map and
-    excluded from the mean. The map is filled one strip of pixel rows at a
-    time; the mean is taken over the whole map.
-    """
+def sam_mean(img_a: MultibandImage, img_b: MultibandImage) -> float:
+    """Mean spectral angle in degrees over the pixels whose spectral
+    vectors are both nonzero. One strip of pixel rows at a time, the dot
+    product and both squared norms are summed band by band; the mean is
+    taken once, over every strip's kept angles in row order."""
     if img_a.samples.shape != img_b.samples.shape:
         raise InputError("shape mismatch")
-    h, w, bands = img_a.samples.shape
-    angle = np.full((h, w), np.nan)
-    valid = np.empty((h, w), dtype=bool)
-    step = _strip_rows(w, 2 * bands)
-    for r in range(0, h, step):
-        a, b = img_a.samples[r:r + step], img_b.samples[r:r + step]
-        dot = np.sum(a * b, axis=2)
-        na = np.linalg.norm(a, axis=2)
-        nb = np.linalg.norm(b, axis=2)
-        ok = valid[r:r + step]
-        np.logical_and(na > 0, nb > 0, out=ok)
-        cosv = np.clip(dot[ok] / (na[ok] * nb[ok]), -1.0, 1.0)
-        angle[r:r + step][ok] = np.degrees(np.arccos(cosv))
-    if not valid.any():
+    step = _strip_rows(img_a.width, 2 * img_a.bands)
+    kept = []
+    for r in range(0, img_a.height, step):
+        pa, pb = img_a.planes[:, r:r + step], img_b.planes[:, r:r + step]
+        dot, na2, nb2 = pa[0] * pb[0], pa[0] * pa[0], pb[0] * pb[0]
+        for a, b in zip(pa[1:], pb[1:]):
+            dot += a * b
+            na2 += a * a
+            nb2 += b * b
+        ok = (na2 > 0) & (nb2 > 0)
+        cosv = np.clip(dot[ok] / (np.sqrt(na2[ok]) * np.sqrt(nb2[ok])),
+                       -1.0, 1.0)
+        kept.append(np.degrees(np.arccos(cosv)))
+    angles = np.concatenate(kept)
+    if not angles.size:
         raise DegeneracyError("all pixels have a zero spectral vector")
-    return float(angle[valid].mean()), angle
+    return float(angles.mean())
 
 
 def ergas(reference: MultibandImage, test: MultibandImage, ratio: int,
@@ -269,35 +268,18 @@ def q_index(band_a: np.ndarray, band_b: np.ndarray,
     return float(np.concatenate(maps).mean())
 
 
-# the Hamilton product a * conj(b) with conj's signs written out: per
-# component, the signed terms a[i] * b[j] in the order they are summed.
-# x * (-y) is -(x * y) and x - (-y) is x + y in every rounding, so this
-# is bit for bit the product with a negated copy of b.
-_CONJ_PRODUCT = (
-    ((1, 0, 0), (1, 1, 1), (1, 2, 2), (1, 3, 3)),
-    ((-1, 0, 1), (1, 1, 0), (-1, 2, 3), (1, 3, 2)),
-    ((-1, 0, 2), (1, 1, 3), (1, 2, 0), (-1, 3, 1)),
-    ((-1, 0, 3), (-1, 1, 2), (1, 2, 1), (1, 3, 0)),
-)
-
-
 def _q4_map(mom_a: list[_BlockMoments], mom_b: list[_BlockMoments]
             ) -> np.ndarray:
     """Per-block Q4 of two 4-band images' block moments."""
-    da = [m.centred for m in mom_a]
-    db = [m.centred for m in mom_b]
-    # quaternion cross-covariance: the block mean of each component of
-    # (za - mean) * conj(zb - mean), built one at a time in two buffers
-    comp, term = np.empty_like(da[0]), np.empty_like(da[0])
-    cov_means = []
-    for (sign, i, j), *rest in _CONJ_PRODUCT:
-        np.multiply(da[i], db[j], out=comp)
-        if sign < 0:
-            np.negative(comp, out=comp)
-        for sign, i, j in rest:
-            np.multiply(da[i], db[j], out=term)
-            (np.add if sign > 0 else np.subtract)(comp, term, out=comp)
-        cov_means.append(comp.mean(axis=2))
+    a0, a1, a2, a3 = (m.centred for m in mom_a)
+    b0, b1, b2, b3 = (m.centred for m in mom_b)
+    # the block means of the components of (za - mean) * conj(zb - mean),
+    # one at a time; (-x) * y is -(x * y) in every rounding, so each is
+    # bit for bit the Hamilton product with a negated copy of b
+    cov_means = (np.mean(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3, axis=2),
+                 np.mean(-a0 * b1 + a1 * b0 - a2 * b3 + a3 * b2, axis=2),
+                 np.mean(-a0 * b2 + a1 * b3 + a2 * b0 - a3 * b1, axis=2),
+                 np.mean(-a0 * b3 - a1 * b2 + a2 * b1 + a3 * b0, axis=2))
     cov_mod = np.sqrt(sum(m**2 for m in cov_means))
     va = sum(m.var for m in mom_a)
     vb = sum(m.var for m in mom_b)

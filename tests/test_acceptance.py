@@ -100,9 +100,9 @@ def test_criterion_4_metric_invariants():
     checks = []
 
     # SAM: zero on identity, scale invariance
-    checks.append(abs(sam_mean(a, a)[0]) <= 1e-6)
-    checks.append(abs(sam_mean(a, b)[0]
-                      - sam_mean(a, MultibandImage(2.5 * b.samples))[0])
+    checks.append(abs(sam_mean(a, a)) <= 1e-6)
+    checks.append(abs(sam_mean(a, b)
+                      - sam_mean(a, MultibandImage(2.5 * b.samples)))
                   <= tol)
     # ERGAS: zero on identity, residual linearity
     checks.append(ergas(a, a, 4) == 0.0)

@@ -118,6 +118,28 @@ def test_qnr_single_band_is_input_error(tmp_path, capsys, rng):
     assert not (tmp_path / "qnr.json").exists()
 
 
+def test_qnr_multiband_pan_is_input_error(scene, capsys):
+    # the 4-band MS passed as the PAN is refused, not cut to its band 0
+    out = scene / "qnr.json"
+    assert main(["qnr", "--ms", str(scene / "ms_l"),
+                 "--pan", str(scene / "ms"), "--fused", str(scene / "ms"),
+                 "--out", str(out)]) == 2
+    assert (capsys.readouterr().err.strip()
+            == "error: pan image must have exactly one band")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["degrade", "--input", "ms", "--ratio", "4", "--out", ""],
+    ["eval", "--reference", "", "--candidate", "ms", "--out", "eval.json"],
+])
+def test_empty_raster_path_is_input_error(scene, capsys, monkeypatch, argv):
+    monkeypatch.chdir(scene)
+    assert main(argv) == 2
+    assert (capsys.readouterr().err.strip()
+            == "error: raster path has no file name: ''")
+
+
 # the README quick start, command for command, with its example manifest
 README_MANIFEST = {
     "reference": "ms",
@@ -380,6 +402,15 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
      "radii must be strictly increasing, min >= 1"),
     (lambda m: m.update(options={"radii": [0, 1]}),
      "radii must be strictly increasing, min >= 1"),
+    # raster paths and ids are JSON strings, and a path names a file
+    (lambda m: m.update(reference=5), "wrong type for reference: 5"),
+    (lambda m: m["candidates"][1].update(path=7),
+     "manifest candidate 1: wrong type for path: 7"),
+    (lambda m: m["candidates"][0].update(id=["x"]),
+     "manifest candidate 0: wrong type for id: ['x']"),
+    (lambda m: m["candidates"][1].update(id=3),
+     "manifest candidate 1: wrong type for id: 3"),
+    (lambda m: m.update(reference=""), "raster path has no file name: ''"),
 ])
 def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
     manifest = {"reference": "ms", "ratio": 4,

@@ -88,7 +88,7 @@ def test_cn_zero_sam_against_upsampled(rng):
     masked_up = MultibandImage(np.where(pos[:, :, None], up.samples, 1.0))
     masked_fused = MultibandImage(
         np.where(pos[:, :, None], fused.samples, 1.0))
-    mean_deg, _ = sam_mean(masked_up, masked_fused)
+    mean_deg = sam_mean(masked_up, masked_fused)
     assert mean_deg < 1e-6
 
 

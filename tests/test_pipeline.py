@@ -80,6 +80,10 @@ def test_defaults_have_one_definition(tmp_path):
         args = parser.parse_args(command + ["--out", "o"])
         assert (args.ratio, args.block_size) == (EvalOptions.ratio,
                                                  DEFAULT_BLOCK)
+    args = parser.parse_args(["fuse", "--method", "atwt", "--ms", "m",
+                              "--pan", "p", "--out", "o"])
+    assert FusionConfig(args.method, args.resample,
+                        args.levels) == FusionConfig("atwt")
 
 
 def test_report_lists_dropped_columns(tmp_path):

@@ -291,32 +291,28 @@ def test_moments_are_scale_free(band, k):
 class TestSam:
     def test_identical(self, random_image):
         img = random_image()
-        mean_deg, amap = sam_mean(img, img)
-        assert mean_deg == pytest.approx(0.0, abs=1e-6)
-        assert amap.shape == (16, 16)
+        assert sam_mean(img, img) == pytest.approx(0.0, abs=1e-6)
 
     def test_orthogonal(self):
         a = MultibandImage(np.array([[[1.0, 0.0]]]))
         b = MultibandImage(np.array([[[0.0, 1.0]]]))
-        assert sam_mean(a, b)[0] == pytest.approx(90.0)
+        assert sam_mean(a, b) == pytest.approx(90.0)
 
     def test_45_degrees(self):
         a = MultibandImage(np.array([[[1.0, 1.0]]]))
         b = MultibandImage(np.array([[[1.0, 0.0]]]))
-        assert sam_mean(a, b)[0] == pytest.approx(45.0)
+        assert sam_mean(a, b) == pytest.approx(45.0)
 
     def test_scale_invariance(self, random_image):
         a, b = random_image(), random_image()
-        base = sam_mean(a, b)[0]
-        scaled = sam_mean(a, MultibandImage(7.3 * b.samples))[0]
+        base = sam_mean(a, b)
+        scaled = sam_mean(a, MultibandImage(7.3 * b.samples))
         assert scaled == base
 
     def test_zero_pixels_excluded(self):
         a = MultibandImage(np.array([[[1.0, 1.0], [0.0, 0.0]]]))
         b = MultibandImage(np.array([[[1.0, 0.0], [1.0, 1.0]]]))
-        mean_deg, amap = sam_mean(a, b)
-        assert np.isnan(amap[0, 1])
-        assert mean_deg == pytest.approx(45.0)
+        assert sam_mean(a, b) == pytest.approx(45.0)
 
 
 class TestErgas:
@@ -525,8 +521,8 @@ def test_qnr_matches_pairwise_q_reference(seed, bands, low, ratio, bl,
             == [want] * len(BUDGETS))
 
 
-def q4_reference(img_a, img_b, bl):
-    """Q4 with every block moment computed in place."""
+def q4_reference_map(img_a, img_b, bl):
+    """Per-block Q4 with every block moment computed in place."""
     za = [block_view(img_a.band(c), bl) for c in range(4)]
     zb = [block_view(img_b.band(c), bl) for c in range(4)]
     ma = [z.mean(axis=2) for z in za]
@@ -551,8 +547,12 @@ def q4_reference(img_a, img_b, bl):
                            out=np.zeros_like(denom), where=good), 0.0)
     identical = np.all([np.all(a == b, axis=2) for a, b in zip(za, zb)],
                        axis=0)
-    q = np.where(good, q, np.where(identical, 1.0, 0.0))
-    return float(q.mean())
+    return np.where(good, q, np.where(identical, 1.0, 0.0))
+
+
+def q4_reference(img_a, img_b, bl):
+    """Q4, the mean of the per-block reference map."""
+    return float(q4_reference_map(img_a, img_b, bl).mean())
 
 
 @settings(max_examples=40, deadline=None)
@@ -569,6 +569,23 @@ def test_q4_matches_reference(seed, shape, bl, levels, shared_bands):
     img_a, img_b = MultibandImage(a), MultibandImage(b)
     assert (at_budgets(q4, img_a, img_b, bl)
             == [q4_reference(img_a, img_b, bl)] * len(BUDGETS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(2, 17), st.integers(2, 17)),
+       bl=st.integers(2, 5), levels=st.sampled_from([0, 2, 3]))
+def test_q4_blocks_match_reference(seed, shape, bl, levels):
+    # per block, where a term summed out of order shows far more often
+    # than in the mean over all blocks
+    h, w = max(shape[0], bl), max(shape[1], bl)
+    img_a = MultibandImage(random_planes(seed, (h, w, 4), levels))
+    img_b = MultibandImage(random_planes(seed + 1, (h, w, 4), levels))
+    planes = [img.band(c) for img in (img_a, img_b) for c in range(4)]
+    # one strip at the default budget: the map covers the whole image
+    mom = next(spectral._moment_strips(planes, bl))
+    assert np.array_equal(spectral._q4_map(mom[:4], mom[4:]),
+                          q4_reference_map(img_a, img_b, bl))
 
 
 @pytest.mark.parametrize("width", [8, 20])
@@ -651,10 +668,41 @@ def test_sam_matches_across_strip_budgets(seed, shape, bands, levels,
     a[zero_from:, ::2] = 0.0
     b[zero_from:, 1::3] = 0.0
     a[0, 0] = b[0, 0] = 1.0
-    (one, map_one), (per_row, map_per_row) = at_budgets(
-        sam_mean, MultibandImage(a), MultibandImage(b))
+    one, per_row = at_budgets(sam_mean, MultibandImage(a), MultibandImage(b))
     assert one == per_row
-    assert np.array_equal(map_one, map_per_row, equal_nan=True)
+
+
+def sam_reference(img_a, img_b):
+    """Mean SAM in degrees from the per-pixel formula on the (h, w, bands)
+    views, over the pixels whose spectral vectors are both nonzero."""
+    a, b = img_a.samples, img_b.samples
+    dot = np.sum(a * b, axis=2)
+    na = np.linalg.norm(a, axis=2)
+    nb = np.linalg.norm(b, axis=2)
+    ok = (na > 0) & (nb > 0)
+    cosv = np.clip(dot[ok] / (na[ok] * nb[ok]), -1.0, 1.0)
+    return float(np.degrees(np.arccos(cosv)).mean())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(1, 19), st.integers(1, 13)),
+       bands=st.integers(1, 4), levels=st.sampled_from([0, 2, 3]),
+       zero_from=st.integers(1, 19), scale=st.integers(-6, 6))
+def test_sam_matches_pixel_reference(seed, shape, bands, levels, zero_from,
+                                     scale):
+    # samples in [-0.2, 1.2], band 0 scaled by 10**scale so that the band
+    # order of the sums shows; zero spectral vectors only past the first
+    # row, so in later strips once every strip is one pixel row
+    a = 1.4 * random_planes(seed, shape + (bands,), levels) - 0.2
+    b = 1.4 * random_planes(seed + 1, shape + (bands,), levels) - 0.2
+    a[:, :, 0] *= 10.0**scale
+    a[zero_from:, ::2] = 0.0
+    b[zero_from:, 1::3] = 0.0
+    a[0, 0] = b[0, 0] = 1.0
+    img_a, img_b = MultibandImage(a), MultibandImage(b)
+    assert (at_budgets(sam_mean, img_a, img_b)
+            == [sam_reference(img_a, img_b)] * len(BUDGETS))
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
