@@ -16,7 +16,7 @@ import numpy as np
 from . import glcm3 as glcm3_mod
 from . import quantizer as quant_mod
 from .errors import DegeneracyError, InputError, PanqaError
-from .fusion import FUSION_METHODS, FusionConfig, pansharpen
+from .fusion import FUSION_METHODS, FusionConfig, check_shapes, pansharpen
 from .pipeline import (EvalOptions, RunManifest, classic_metrics,
                        evaluate_candidate, image_features, run_manifest,
                        write_json)
@@ -101,9 +101,9 @@ def cmd_qnr(args) -> int:
     ms = load_image(args.ms)
     pan = _load_pan(args.pan)
     fused = load_image(args.fused)
-    taps = mtf_gaussian_kernel(args.ratio, args.mtf_gain)
-    pan_l = degrade(pan, args.ratio, taps).band(0)
-    value, d_lambda, d_s = qnr(ms, fused, pan.band(0), pan_l,
+    ratio, pan_h = check_shapes(ms, pan.band(0))
+    pan_l = degrade(pan, ratio, mtf_gaussian_kernel(ratio, args.mtf_gain))
+    value, d_lambda, d_s = qnr(ms, fused, pan_h, pan_l.band(0),
                                block_size=args.block_size)
     write_json(args.out, {"qnr": value, "d_lambda": d_lambda, "d_s": d_s})
     return 0
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ms", required=True)
     p.add_argument("--pan", required=True)
     p.add_argument("--fused", required=True)
-    p.add_argument("--ratio", type=int, default=EvalOptions.ratio)
     # the gain of the PAN degrade, the only image qnr degrades
     p.add_argument("--mtf-gain", type=float, default=DEFAULT_MTF_GAIN_PAN)
     p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK)

@@ -32,11 +32,6 @@ from .errors import DegeneracyError, InputError
 from .raster import MultibandImage
 from .resample import mirror_filter, upsample
 
-FUSION_METHODS = ("pca", "cn", "atwt")
-
-# tuning knobs a user must pick for each method, reported as a process cost
-_FREE_PARAMETERS = {"pca": 1, "cn": 1, "atwt": 2}
-
 _EPS = 1e-12
 
 
@@ -53,8 +48,9 @@ class FusionConfig:
             raise InputError("wavelet_levels must be >= 1")
 
 
-def _check_shapes(ms: MultibandImage, pan: np.ndarray
-                  ) -> tuple[int, np.ndarray]:
+def check_shapes(ms: MultibandImage, pan: np.ndarray
+                 ) -> tuple[int, np.ndarray]:
+    """Check pan against ms; returns (PAN/MS ratio, pan as float64)."""
     pan = np.asarray(pan, dtype=np.float64)
     if pan.ndim != 2:
         raise InputError("pan must be a single 2-D band")
@@ -82,7 +78,7 @@ def pansharpen_pca(ms: MultibandImage, pan: np.ndarray,
                    cfg: FusionConfig) -> MultibandImage:
     """Component substitution: swap the first principal component for the
     mean/std-matched pan band, by injection into the upsampled bands."""
-    ratio, pan = _check_shapes(ms, pan)
+    ratio, pan = check_shapes(ms, pan)
     if ms.bands < 2:
         raise InputError("PCA fusion needs at least two bands")
     up = upsample(ms, ratio, cfg.resampler)
@@ -107,7 +103,7 @@ def pansharpen_pca(ms: MultibandImage, pan: np.ndarray,
 def pansharpen_cn(ms: MultibandImage, pan: np.ndarray,
                   cfg: FusionConfig) -> MultibandImage:
     """Brovey-style intensity scaling: fused = up * matched_pan / intensity."""
-    ratio, pan = _check_shapes(ms, pan)
+    ratio, pan = check_shapes(ms, pan)
     up = upsample(ms, ratio, cfg.resampler)
     intensity = up.samples.mean(axis=2)
     scale = _match_mean_std(pan, intensity)
@@ -123,7 +119,7 @@ _B3 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 def pansharpen_atwt(ms: MultibandImage, pan: np.ndarray,
                     cfg: FusionConfig) -> MultibandImage:
     """Add the pan image's a-trous detail planes to every upsampled band."""
-    ratio, pan = _check_shapes(ms, pan)
+    ratio, pan = check_shapes(ms, pan)
     if cfg.wavelet_levels > int(np.log2(max(ratio, 1))) + 2:
         raise InputError("wavelet_levels too large for this scale ratio")
     smooth = pan
@@ -138,22 +134,26 @@ def pansharpen_atwt(ms: MultibandImage, pan: np.ndarray,
     return MultibandImage.from_planes(up.planes, band_names=ms.band_names)
 
 
-_DISPATCH = {
-    "pca": pansharpen_pca,
-    "cn": pansharpen_cn,
-    "atwt": pansharpen_atwt,
+# each method's fuser and its free parameters: the tuning knobs a user
+# must pick, reported as a process cost
+_FUSERS = {
+    "pca": (pansharpen_pca, 1),
+    "cn": (pansharpen_cn, 1),
+    "atwt": (pansharpen_atwt, 2),
 }
+FUSION_METHODS = tuple(_FUSERS)
 
 
 def pansharpen(ms: MultibandImage, pan: np.ndarray, cfg: FusionConfig
                ) -> tuple[MultibandImage, dict]:
     """Run the configured fuser; returns (fused, process metadata)."""
+    fuse, n_free_parameters = _FUSERS[cfg.method]
     t0 = time.perf_counter()
-    fused = _DISPATCH[cfg.method](ms, pan, cfg)
+    fused = fuse(ms, pan, cfg)
     meta = {
         "method": cfg.method,
         "resampler": cfg.resampler,
         "wall_seconds": time.perf_counter() - t0,
-        "n_free_parameters": _FREE_PARAMETERS[cfg.method],
+        "n_free_parameters": n_free_parameters,
     }
     return fused, meta

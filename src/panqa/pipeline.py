@@ -101,6 +101,9 @@ class RunManifest:
                          _CANDIDATE_KEYS)
             _check_str(c, "id", f"manifest candidate {n}: ")
             _check_str(c, "path", f"manifest candidate {n}: ")
+        if len(doc["candidates"]) < 2:
+            raise InputError("manifest needs at least 2 candidates, has "
+                             f"{len(doc['candidates'])}")
         opts = doc.get("options", {})
         require_keys(opts, (), "manifest options", _OPTION_KEYS)
         options = EvalOptions(ratio=doc["ratio"], **opts)
@@ -208,8 +211,6 @@ def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
     """Featurize the reference once, evaluate the candidates in manifest
     order, aggregate, write ranks.csv + report.json. The first failing
     candidate ends the run, named by its id, and nothing is written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     opts = manifest.options
     reference = image_features(load_image(manifest.reference), opts)
     records = []
@@ -221,6 +222,8 @@ def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
         except (PanqaError, OSError) as exc:
             raise type(exc)(f"candidate {cand.id!r}: {exc}") from exc
     table = aggregate(records)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_rank_csv(table, out_dir / "ranks.csv")
     write_report(records, table, out_dir / "report.json")
     return table

@@ -142,13 +142,23 @@ def zscore(values) -> np.ndarray:
     return (x - x.mean()) / std
 
 
+def _positions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's first and past-last position among the sorted values,
+    so equal values share both. A NaN has no position: InputError."""
+    if np.isnan(x).any():
+        raise InputError("cannot rank a NaN value")
+    ordered = np.sort(x)
+    return (np.searchsorted(ordered, x, side="left"),
+            np.searchsorted(ordered, x, side="right"))
+
+
 def rank(values) -> list[int]:
     """Competition ranking, lower is better: 1 + number of strictly
     smaller values."""
     x = np.asarray(values, dtype=np.float64)
     if x.size < 1:
         raise InputError("empty value list")
-    return [int(v) for v in 1 + (x[None, :] < x[:, None]).sum(axis=1)]
+    return [int(v) for v in 1 + _positions(x)[0]]
 
 
 def category_sum(records: list[QiRecord], column: str
@@ -223,34 +233,20 @@ def aggregate(records: list[QiRecord]) -> RankTable:
 
 
 def srcc(ranks_a, ranks_b) -> float:
-    """Tie-corrected Spearman correlation: Pearson on fractional ranks."""
+    """Tie-corrected Spearman correlation: Pearson on tie-averaged ranks."""
     a = np.asarray(ranks_a, dtype=np.float64)
     b = np.asarray(ranks_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise InputError("rank vectors must be 1-D and equal length")
     if a.size < 2:
         raise InputError("need at least 2 ranks")
-    fa = _fractional_ranks(a)
-    fb = _fractional_ranks(b)
+    fa, fb = ((first + past_last + 1) / 2.0
+              for first, past_last in (_positions(a), _positions(b)))
     da, db = fa - fa.mean(), fb - fb.mean()
     denom = math.sqrt(np.sum(da**2) * np.sum(db**2))
     if denom == 0.0:
         raise DegeneracyError("zero rank variance")
     return float(np.sum(da * db) / denom)
-
-
-def _fractional_ranks(x: np.ndarray) -> np.ndarray:
-    """Average (fractional) ranks, ties sharing their mean position."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 # bins of the standardized subjective-score range, labeled from 'A'

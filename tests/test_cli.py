@@ -106,6 +106,49 @@ def test_qnr_subcommand(scene):
     assert (doc["qnr"], doc["d_lambda"], doc["d_s"]) == want
 
 
+def test_qnr_takes_its_ratio_from_the_images(tmp_path):
+    # a ratio-2 pair: the PAN is degraded at the ratio of the two shapes
+    assert main(["synth", "--seed", "7", "--width", "64", "--height", "64",
+                 "--out-ms", str(tmp_path / "ms"),
+                 "--out-pan", str(tmp_path / "pan")]) == 0
+    assert main(["degrade", "--input", str(tmp_path / "ms"), "--ratio", "2",
+                 "--out", str(tmp_path / "ms_l")]) == 0
+    assert main(["fuse", "--method", "cn", "--ms", str(tmp_path / "ms_l"),
+                 "--pan", str(tmp_path / "pan"),
+                 "--out", str(tmp_path / "fused")]) == 0
+    out = tmp_path / "qnr.json"
+    assert main(["qnr", "--ms", str(tmp_path / "ms_l"),
+                 "--pan", str(tmp_path / "pan"),
+                 "--fused", str(tmp_path / "fused"), "--out", str(out)]) == 0
+    pan = load_image(tmp_path / "pan")
+    pan_l = degrade(pan, 2, mtf_gaussian_kernel(2, DEFAULT_MTF_GAIN_PAN))
+    want = qnr(load_image(tmp_path / "ms_l"), load_image(tmp_path / "fused"),
+               pan.band(0), pan_l.band(0))
+    doc = json.loads(out.read_text("utf-8"))
+    assert (doc["qnr"], doc["d_lambda"], doc["d_s"]) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuse", "--method", "cn", "--ms", "ms_l", "--pan", "pan",
+     "--out", "out"],
+    ["qnr", "--ms", "ms_l", "--pan", "pan", "--fused", "ms",
+     "--out", "out.json"],
+])
+def test_pan_not_a_multiple_of_ms(tmp_path, monkeypatch, capsys, rng, argv):
+    # 30 is no multiple of 8: fuse and qnr refuse the pair alike
+    save_image(MultibandImage(rng.uniform(0.1, 0.9, (8, 8, 4))),
+               tmp_path / "ms_l")
+    save_image(MultibandImage(rng.uniform(0.1, 0.9, (30, 30, 1))),
+               tmp_path / "pan")
+    save_image(MultibandImage(rng.uniform(0.1, 0.9, (30, 30, 4))),
+               tmp_path / "ms")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert (capsys.readouterr().err.strip()
+            == "error: pan dimensions must be integer multiples of ms")
+    assert not any(tmp_path.glob("out*"))
+
+
 def test_qnr_single_band_is_input_error(tmp_path, capsys, rng):
     for name, size in (("ms", 8), ("pan", 32), ("fused", 32)):
         save_image(MultibandImage(rng.uniform(0.1, 0.9, (size, size, 1))),
@@ -411,6 +454,11 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
     (lambda m: m["candidates"][1].update(id=3),
      "manifest candidate 1: wrong type for id: 3"),
     (lambda m: m.update(reference=""), "raster path has no file name: ''"),
+    # the protocol z-scores costs across candidates: one is not enough
+    (lambda m: m.update(candidates=[]),
+     "manifest needs at least 2 candidates, has 0"),
+    (lambda m: m["candidates"].pop(),
+     "manifest needs at least 2 candidates, has 1"),
 ])
 def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
     manifest = {"reference": "ms", "ratio": 4,
@@ -422,6 +470,8 @@ def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
     assert main(["rank", "--manifest", str(mpath),
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
+    # a failed run writes nothing, not even its --out-dir
+    assert not (tmp_path / "out").exists()
 
 
 def test_rank_missing_candidate_names_id(scene, capsys):
@@ -437,8 +487,22 @@ def test_rank_missing_candidate_names_id(scene, capsys):
     assert (capsys.readouterr().err.strip()
             == f"error: candidate 'ghost': missing header {scene / 'gone'}"
                ".json")
-    assert not (out / "ranks.csv").exists()
-    assert not (out / "report.json").exists()
+    assert not out.exists()
+
+
+def test_rank_one_candidate_refused_before_featurizing(scene, monkeypatch,
+                                                       capsys):
+    manifest = {"reference": str(scene / "ms"), "ratio": 4,
+                "candidates": [{"id": "self", "path": str(scene / "ms")}]}
+    mpath = scene / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    calls = count_calls(monkeypatch, pipeline.image_features)
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(scene / "out")]) == 2
+    assert (capsys.readouterr().err.strip()
+            == "error: manifest needs at least 2 candidates, has 1")
+    assert calls == []
+    assert not (scene / "out").exists()
 
 
 def count_calls(monkeypatch, fn) -> list:

@@ -19,7 +19,7 @@ from test_cli import count_calls
 
 def write_manifest(path, options):
     doc = {"reference": "ref", "ratio": 4,
-           "candidates": [{"id": "cand", "path": "cand"}],
+           "candidates": [{"id": "a", "path": "a"}, {"id": "b", "path": "b"}],
            "options": options}
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
@@ -75,11 +75,13 @@ def test_defaults_have_one_definition(tmp_path):
                                                 {})).options
     assert opts == EvalOptions(ratio=4)
     parser = build_parser()
-    for command in (["eval", "--reference", "r", "--candidate", "c"],
-                    ["qnr", "--ms", "m", "--pan", "p", "--fused", "f"]):
-        args = parser.parse_args(command + ["--out", "o"])
-        assert (args.ratio, args.block_size) == (EvalOptions.ratio,
-                                                 DEFAULT_BLOCK)
+    args = parser.parse_args(["eval", "--reference", "r", "--candidate", "c",
+                              "--out", "o"])
+    assert (args.ratio, args.block_size) == (EvalOptions.ratio, DEFAULT_BLOCK)
+    # qnr takes its ratio from the images
+    args = parser.parse_args(["qnr", "--ms", "m", "--pan", "p", "--fused",
+                              "f", "--out", "o"])
+    assert args.block_size == DEFAULT_BLOCK
     args = parser.parse_args(["fuse", "--method", "atwt", "--ms", "m",
                               "--pan", "p", "--out", "o"])
     assert FusionConfig(args.method, args.resample,
@@ -109,10 +111,11 @@ def test_candidate_may_carry_fuser_meta(tmp_path, rng):
     _, meta = pansharpen(ms, rng.uniform(0.1, 0.9, (32, 32)),
                          FusionConfig(method="cn"))
     doc = {"reference": "ref", "ratio": 4,
-           "candidates": [{"id": "cn", "path": "cn", **meta}]}
+           "candidates": [{"id": "cn", "path": "cn", **meta},
+                          {"id": "pca", "path": "pca"}]}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    cand, = RunManifest.from_json(path).candidates
+    cand, _ = RunManifest.from_json(path).candidates
     assert cand.process == process_costs(meta)
 
 

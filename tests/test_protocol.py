@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -74,6 +75,14 @@ class TestRank:
             for j, y in enumerate(values):
                 if x == y:
                     assert ranks[i] == ranks[j]
+
+
+    @pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0],
+                                        [1.0, 2.0, math.nan], [math.nan]])
+    def test_nan_refused(self, values):
+        # a NaN is neither smaller nor larger than anything: it has no rank
+        with pytest.raises(InputError, match="cannot rank a NaN value"):
+            rank(values)
 
 
 class TestCategorySum:
@@ -245,6 +254,26 @@ class TestAggregate:
                 category2={}, category3={}, category4={}, process={})
 
 
+# integers tie often; -0.0 ties with 0.0, and each infinity with itself
+TIED_VALUES = st.one_of(st.integers(-3, 3).map(float),
+                        st.sampled_from([-0.0, math.inf, -math.inf]))
+
+
+def reference_fractional_ranks(x: np.ndarray) -> np.ndarray:
+    """Average ranks by walking the stably sorted values: each run of equal
+    values shares the mean of the positions it occupies."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestSrcc:
     def test_identical(self):
         assert srcc([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(1.0)
@@ -310,6 +339,27 @@ class TestSrcc:
         # a strictly increasing map keeps every tie and every order
         assert srcc(np.exp(a), 10.0 * b - 7.0) == pytest.approx(got,
                                                                  abs=1e-12)
+
+
+    @pytest.mark.parametrize("a, b", [([1, math.nan, 3], [1, 2, 3]),
+                                      ([1, 2, 3], [3, 2, math.nan])])
+    def test_nan_refused(self, a, b):
+        with pytest.raises(InputError, match="cannot rank a NaN value"):
+            srcc(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(TIED_VALUES, TIED_VALUES), min_size=2,
+                          max_size=12))
+    def test_equals_pearson_on_reference_ranks(self, pairs):
+        a, b = (np.array(col, dtype=np.float64) for col in zip(*pairs))
+        ra, rb = reference_fractional_ranks(a), reference_fractional_ranks(b)
+        da, db = ra - ra.mean(), rb - rb.mean()
+        denom = math.sqrt(np.sum(da**2) * np.sum(db**2))
+        if denom == 0.0:
+            with pytest.raises(DegeneracyError):
+                srcc(a, b)
+            return
+        assert srcc(a, b) == float(np.sum(da * db) / denom)
 
 
 class TestSubjective:
