@@ -5,6 +5,13 @@ turns a featurized reference and a candidate image into the full battery of
 scalar costs; run_manifest() featurizes the reference once, evaluates every
 candidate of a run manifest, aggregates the costs into rank tables for
 cases A-D and serializes ranks.csv / report.json.
+
+Images are touched only through band(b), so an image may be a
+MultibandImage in memory or a raster.RasterFile on disk. run_manifest()
+holds the reference loaded and passes each candidate as a RasterFile, so a
+candidate is never held whole: each of its bands is read once to
+featurize it and once more for the PCC, and band 0 once more to compare
+it with the reference.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ from .glcm3 import (DEFAULT_GL, DEFAULT_RADII, check_glcm3_options,
                     glcm3_features, quantize_gray_levels, tims_glcm)
 from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
                        process_costs)
-from .quantizer import (LEVELS, LabelMapStack, binary_contour_cost,
-                        cross_aura, post_classification_change_count,
-                        quantize_spectral)
-from .raster import MultibandImage, load_image
+from .quantizer import (LEVELS, LabelMapStack, SpectralCoder,
+                        binary_contour_cost, cross_aura,
+                        post_classification_change_count)
+from .raster import MultibandImage, RasterFile, load_image
 from .spectral import (DEFAULT_BLOCK, SummaryStats, ergas, inverse_pcc_cost,
                        mdb_cost, q4, sam_mean, summary_stats)
 
@@ -127,45 +134,60 @@ class RunManifest:
 class ImageFeatures:
     """One image's quality indicators, computed once and compared to many."""
 
-    image: MultibandImage
+    image: MultibandImage | RasterFile
     stats: list[SummaryStats]                    # per band
     texture: list[tuple[float, float, float]]    # GLCM3 features per band
     labels: LabelMapStack
     aura_mean: float
     contour: np.ndarray                          # cross-aura plane > 0
+    clipped: int                                 # samples outside [0, 1]
 
 
-def image_features(img: MultibandImage, opts: EvalOptions) -> ImageFeatures:
-    """Per-band moments and texture, both from one gray-level map per band,
-    and the label stack and its cross-aura contour."""
-    labels = quantize_spectral(img)
-    stats, texture = [], []
+def image_features(img: MultibandImage | RasterFile,
+                   opts: EvalOptions) -> ImageFeatures:
+    """One pass over the bands, each read once: its moments and texture,
+    both from one gray-level map, its digits of the spectral label code,
+    and its samples outside [0, 1]; then the label stack's cross-aura
+    contour."""
+    coder = SpectralCoder(img.bands, img.height, img.width)
+    stats, texture, clipped = [], [], 0
     for b in range(img.bands):
         band = img.band(b)
+        coder.add(band)
+        clipped += int(np.count_nonzero((band < 0.0) | (band > 1.0)))
         levels = quantize_gray_levels(band, opts.gl)
         stats.append(summary_stats(band, levels))
+        # the texture reads the levels alone: a read band is freed first
+        del band
         texture.append(glcm3_features(
             tims_glcm(levels, opts.radii, gl=opts.gl)))
+    labels = coder.stack()
     plane, aura_mean = cross_aura(labels)
     return ImageFeatures(image=img, stats=stats, texture=texture,
                          labels=labels, aura_mean=aura_mean,
-                         contour=plane > 0)
+                         contour=plane > 0, clipped=clipped)
 
 
-def _same_samples(a: MultibandImage, b: MultibandImage) -> bool:
-    """Whether two images of one shape hold equal samples; the first row of
-    each plane settles most unequal pairs."""
-    pa, pb = a.planes, b.planes
-    return np.array_equal(pa[:, 0], pb[:, 0]) and np.array_equal(pa, pb)
+def _shape(img: MultibandImage | RasterFile) -> tuple[int, int, int]:
+    return img.bands, img.height, img.width
 
 
-def evaluate_candidate(reference: ImageFeatures, candidate: MultibandImage,
+def _same_samples(a: MultibandImage | RasterFile,
+                  b: MultibandImage | RasterFile) -> bool:
+    """Whether two images of one shape hold equal samples, compared band by
+    band; band 0 settles most unequal pairs."""
+    return all(np.array_equal(a.band(k), b.band(k)) for k in range(a.bands))
+
+
+def evaluate_candidate(reference: ImageFeatures,
+                       candidate: MultibandImage | RasterFile,
                        opts: EvalOptions, candidate_id: str = "",
                        process: dict | None = None) -> QiRecord:
     """Collect every product cost for one candidate against the reference,
-    which image_features computed with the same opts. A candidate whose
-    samples equal the reference's shares its features."""
-    if reference.image.samples.shape != candidate.samples.shape:
+    which image_features computed with the same opts. The candidate, a
+    MultibandImage or a RasterFile, is read through band(b) alone. A
+    candidate whose samples equal the reference's shares its features."""
+    if _shape(reference.image) != _shape(candidate):
         raise InputError("reference/candidate shape mismatch")
     cand = (reference if _same_samples(reference.image, candidate)
             else image_features(candidate, opts))
@@ -183,9 +205,10 @@ def evaluate_candidate(reference: ImageFeatures, candidate: MultibandImage,
     costs = {name: dict(zip(keys, vals, strict=True))
              for (name, keys), vals in zip(CATEGORY_KEYS.items(), values,
                                            strict=True)}
-    s = candidate.samples
+    # the count over the samples, as np.mean of their mask gives it
     return QiRecord(candidate_id=candidate_id, process=process or {},
-                    clipped_fraction=float(np.mean((s < 0.0) | (s > 1.0))),
+                    clipped_fraction=cand.clipped / math.prod(
+                        _shape(candidate)),
                     **costs)
 
 
@@ -209,15 +232,17 @@ def classic_metrics(reference: MultibandImage, candidate: MultibandImage,
 
 def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
     """Featurize the reference once, evaluate the candidates in manifest
-    order, aggregate, write ranks.csv + report.json. The first failing
-    candidate ends the run, named by its id, and nothing is written."""
+    order, aggregate, write ranks.csv + report.json. The reference is
+    held loaded; each candidate is read from its RasterFile one band at a
+    time. The first failing candidate ends the run, named by its id, and
+    nothing is written."""
     opts = manifest.options
     reference = image_features(load_image(manifest.reference), opts)
     records = []
     for cand in manifest.candidates:
         try:
             records.append(evaluate_candidate(
-                reference, load_image(cand.path), opts,
+                reference, RasterFile(cand.path), opts,
                 candidate_id=cand.id, process=cand.process))
         except (PanqaError, OSError) as exc:
             raise type(exc)(f"candidate {cand.id!r}: {exc}") from exc

@@ -4,11 +4,12 @@ The quantizer is a deliberately simple stand-in for a prior-knowledge
 rule base: a context-free per-pixel threshold code on calibrated
 reflectance, delivered at three nested quantization levels (fine,
 intermediate, coarse). The code book is fixed: 64 fine, 8 intermediate
-and 2 coarse labels, all three built in one pass over the bands. A fine
-digit d in {0..3} merges to the intermediate digit d // 2, and coarse is
-the first band's intermediate digit. A label stack is
-the three co-registered planes, and is saved as a three-band image. Any
-labeler with the same interface can replace it.
+and 2 coarse labels, all three built in one pass over the bands by
+SpectralCoder, which takes one band at a time. A fine digit d in {0..3}
+merges to the intermediate digit d // 2, and coarse is the first band's
+intermediate digit. A label stack is the three co-registered planes, and
+is saved as a three-band image. Any labeler with the same interface can
+replace it.
 
 Downstream measures: post-classification change counting, the three-level
 8-adjacency cross-aura contour intensity (0..24), and the binarized
@@ -59,6 +60,37 @@ class LabelMapStack:
         return self.fine.shape
 
 
+class SpectralCoder:
+    """quantize_spectral's label codes, built one band at a time: add()
+    each band of the image in order, then take stack(). Bands past the
+    third add nothing."""
+
+    def __init__(self, bands: int, height: int, width: int):
+        if bands < _CODE_BANDS:
+            raise InputError("quantizer needs at least 3 bands")
+        # at most 64 labels: uint8 keeps a held stack at a byte per pixel
+        self.fine = np.zeros((height, width), dtype=np.uint8)
+        self.intermediate = np.zeros(self.fine.shape, dtype=np.uint8)
+        self._above = np.empty(self.fine.shape, dtype=bool)
+        self._added = 0
+
+    def add(self, plane: np.ndarray) -> None:
+        """Add the next band's fine digit, bin by bin, and beside it its
+        merged digit d // 2 (above the middle threshold), in place."""
+        if self._added < _CODE_BANDS:
+            self.fine *= 4
+            for t in _FINE_THRESHOLDS:
+                self.fine += np.greater(plane, t, out=self._above)
+            self.intermediate *= 2
+            self.intermediate += np.greater(plane, _FINE_THRESHOLDS[1],
+                                            out=self._above)
+        self._added += 1
+
+    def stack(self) -> LabelMapStack:
+        return LabelMapStack(fine=self.fine, intermediate=self.intermediate,
+                             coarse=self.intermediate >> (_CODE_BANDS - 1))
+
+
 def quantize_spectral(img: MultibandImage) -> LabelMapStack:
     """Context-free per-pixel labeling of a reflectance image (B >= 3).
 
@@ -66,22 +98,10 @@ def quantize_spectral(img: MultibandImage) -> LabelMapStack:
     bands. Intermediate: the same code with bins merged pairwise (base-2).
     Coarse: the first band's 2-bin digit alone.
     """
-    if img.bands < _CODE_BANDS:
-        raise InputError("quantizer needs at least 3 bands")
-    # at most 64 labels: uint8 keeps a held stack at a byte per pixel; both
-    # codes are built in place, each band's fine digit added bin by bin and
-    # its merged digit d // 2 (above the middle threshold) beside it
-    fine = np.zeros((img.height, img.width), dtype=np.uint8)
-    intermediate = np.zeros(fine.shape, dtype=np.uint8)
-    above = np.empty(fine.shape, dtype=bool)
-    for plane in img.planes[:_CODE_BANDS]:
-        fine *= 4
-        for t in _FINE_THRESHOLDS:
-            fine += np.greater(plane, t, out=above)
-        intermediate *= 2
-        intermediate += np.greater(plane, _FINE_THRESHOLDS[1], out=above)
-    return LabelMapStack(fine=fine, intermediate=intermediate,
-                         coarse=intermediate >> (_CODE_BANDS - 1))
+    coder = SpectralCoder(img.bands, img.height, img.width)
+    for b in range(_CODE_BANDS):
+        coder.add(img.band(b))
+    return coder.stack()
 
 
 def save_stack(stack: LabelMapStack, path) -> None:

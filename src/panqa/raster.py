@@ -17,13 +17,21 @@ keys: load_image() builds it from the JSON object and save_image() writes
 it, so every header saved is one that loads. It refuses a gain or offset
 that is not finite, and a gain of 0, before any sample is converted.
 
-load_image() reads, converts and calibrates the payload one band at a
-time into that buffer (multiply, then add: the same two roundings as
-DN * gain + offset). save_image() builds the payload whole in its
-storage type before anything is written: it inverts the calibration of
-each band one strip of _STRIP_SAMPLES samples at a time, through one
-reused float64 buffer of that size (256 KiB), so the only image-sized
-array it adds is the payload itself.
+RasterFile is an image left on disk. It checks the header and the payload
+size when it opens, and offers MultibandImage's read-only band interface
+(bands, height, width, band_names, band(b)); each band(b) reads band b
+alone, so a caller that goes band by band holds one band, never the
+image. Every read goes through one per-plane helper, which converts,
+refuses nodata and calibrates one band (multiply, then add: the same two
+roundings as DN * gain + offset); load_image() fills its buffer with it,
+one band at a time. A payload that ends early is a length mismatch
+naming the file, and both refuse non-finite samples.
+
+save_image() builds the payload whole in its storage type before
+anything is written: it inverts the calibration of each band one strip
+of _STRIP_SAMPLES samples at a time, through one reused float64 buffer
+of that size (256 KiB), so the only image-sized array it adds is the
+payload itself.
 """
 
 from __future__ import annotations
@@ -51,6 +59,16 @@ _STRIP_SAMPLES = 32768
 # the rounding of the inverse calibration (about 1e-11 DN for gains in
 # [0.01, 100] and offsets in [-100, 100]) and still refuses -0.1 as u8
 DN_TOLERANCE = 1e-6
+
+
+def _check_finite(plane: np.ndarray) -> None:
+    if not np.isfinite(plane).all():
+        raise InputError("non-finite samples")
+
+
+def _check_band_index(b: int, bands: int) -> None:
+    if not 0 <= b < bands:
+        raise InputError(f"band index {b} out of range [0, {bands})")
 
 
 def _check_band_names(names, bands: int) -> None:
@@ -84,8 +102,8 @@ class MultibandImage:
         planes = np.asarray(np.moveaxis(a, 2, 0), dtype=np.float64,
                             order="C")
         # band by band, so the check holds one plane's mask at a time
-        if not all(np.isfinite(p).all() for p in planes):
-            raise InputError("non-finite samples")
+        for p in planes:
+            _check_finite(p)
         self.samples = np.moveaxis(planes, 0, 2)
 
     @classmethod
@@ -115,8 +133,7 @@ class MultibandImage:
 
     def band(self, b: int) -> np.ndarray:
         """The (height, width) plane of band b. Read-only view."""
-        if not 0 <= b < self.bands:
-            raise InputError(f"band index {b} out of range [0, {self.bands})")
+        _check_band_index(b, self.bands)
         plane = self.planes[b]
         plane.flags.writeable = False
         return plane
@@ -168,42 +185,80 @@ def raster_paths(path) -> tuple[Path, Path]:
     return p.with_suffix(".json"), p.with_suffix(".raw")
 
 
-def load_image(path) -> MultibandImage:
-    """Load and radiometrically calibrate a raster from <name>.json/.raw."""
-    hdr_path, raw_path = raster_paths(path)
-    if not hdr_path.exists():
-        raise InputError(f"missing header {hdr_path}")
-    if not raw_path.exists():
-        raise InputError(f"missing payload {raw_path}")
-    doc = read_json(hdr_path, "header")
-    keys = fields(ImageHeader)
-    require_keys(doc, [f.name for f in keys if f.default is MISSING],
-                 f"header {hdr_path}", [f.name for f in keys])
-    try:
-        hdr = ImageHeader(**doc)
-    except InputError as exc:
-        raise InputError(f"header {hdr_path}: {exc}") from None
+class RasterFile:
+    """A raster on disk, read one band at a time. Opening checks the header
+    and the payload size; band(b) reads, calibrates and checks band b
+    alone, and closes the file before it returns."""
 
-    dtype = _DTYPES[hdr.dtype]
-    # the exact byte count: a trailing partial sample is refused too
-    expected = hdr.width * hdr.height * hdr.bands * dtype.itemsize
-    size = raw_path.stat().st_size
-    if size != expected:
-        raise InputError(
-            f"length mismatch: payload has {size} bytes, header implies "
-            f"{expected}")
-    planes = np.empty((hdr.bands, hdr.height, hdr.width))
-    with open(raw_path, "rb") as fh:
-        for plane, gain, offset in zip(planes.reshape(hdr.bands, -1),
-                                       hdr.gain, hdr.offset):
-            plane[:] = np.fromfile(fh, dtype=dtype, count=plane.size)
-            if hdr.nodata is not None and np.any(plane == hdr.nodata):
-                raise InputError(
-                    "nodata pixels present; dense rasters required")
-            plane *= gain
-            plane += offset
+    def __init__(self, path):
+        hdr_path, self.payload_path = raster_paths(path)
+        if not hdr_path.exists():
+            raise InputError(f"missing header {hdr_path}")
+        if not self.payload_path.exists():
+            raise InputError(f"missing payload {self.payload_path}")
+        doc = read_json(hdr_path, "header")
+        keys = fields(ImageHeader)
+        require_keys(doc, [f.name for f in keys if f.default is MISSING],
+                     f"header {hdr_path}", [f.name for f in keys])
+        try:
+            self.header = hdr = ImageHeader(**doc)
+        except InputError as exc:
+            raise InputError(f"header {hdr_path}: {exc}") from None
+        self.bands, self.height, self.width = hdr.bands, hdr.height, hdr.width
+        self.band_names = hdr.band_names
+        self._dtype = _DTYPES[hdr.dtype]
+        self._plane_bytes = self.height * self.width * self._dtype.itemsize
+        # the exact byte count: a trailing partial sample is refused too
+        expected = self.bands * self._plane_bytes
+        size = self.payload_path.stat().st_size
+        if size != expected:
+            raise InputError(
+                f"length mismatch: payload has {size} bytes, header implies "
+                f"{expected}")
+
+    def band(self, b: int) -> np.ndarray:
+        """The calibrated (height, width) plane of band b, read from the
+        payload now; read-only, as MultibandImage.band's view is."""
+        _check_band_index(b, self.bands)
+        plane = np.empty((self.height, self.width))
+        with open(self.payload_path, "rb") as fh:
+            fh.seek(b * self._plane_bytes)
+            self._read_plane(fh, b, plane)
+        _check_finite(plane)
+        plane.flags.writeable = False
+        return plane
+
+    def _read_plane(self, fh, b: int, plane: np.ndarray) -> None:
+        """Fill the float64 plane with band b, read from fh's position:
+        convert, refuse nodata, multiply by the gain, add the offset."""
+        hdr = self.header
+        flat = plane.reshape(-1)
+        dn = np.fromfile(fh, dtype=self._dtype, count=flat.size)
+        # the payload was checked on opening, but a file can change since
+        if dn.size != flat.size:
+            raise InputError(
+                f"length mismatch: payload {self.payload_path} ends inside "
+                f"band {b}, header implies "
+                f"{self.bands * self._plane_bytes} bytes")
+        flat[:] = dn
+        if hdr.nodata is not None and np.any(flat == hdr.nodata):
+            raise InputError("nodata pixels present; dense rasters required")
+        # an overflow to inf is refused as a non-finite sample
+        with np.errstate(over="ignore"):
+            flat *= hdr.gain[b]
+            flat += hdr.offset[b]
+
+
+def load_image(path) -> MultibandImage:
+    """Load and radiometrically calibrate a raster from <name>.json/.raw,
+    one band at a time through RasterFile's plane reader."""
+    raster = RasterFile(path)
+    planes = np.empty((raster.bands, raster.height, raster.width))
+    with open(raster.payload_path, "rb") as fh:
+        for b, plane in enumerate(planes):
+            raster._read_plane(fh, b, plane)
     # MultibandImage refuses non-finite samples, as from a gain overflow
-    return MultibandImage.from_planes(planes, band_names=hdr.band_names)
+    return MultibandImage.from_planes(planes, band_names=raster.band_names)
 
 
 def save_image(img: MultibandImage, path, sample_type: str = "f32",

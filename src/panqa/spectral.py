@@ -50,39 +50,48 @@ def summary_stats(band: np.ndarray, levels: np.ndarray) -> SummaryStats:
         raise InputError("empty band")
     if np.shape(levels) != np.shape(band):
         raise InputError("levels must map every sample of the band")
-    mean = x.mean()
-    centered = x - mean
-    # chained products: np.power for cubes and fourth powers is far slower;
-    # the cube goes into the centred buffer, the fourth power into sq.
-    # Where std**4 is not a normal double, or a power of the deviations
-    # overflows, the moments come from the scaled deviations instead
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sq = centered * centered
-        std = math.sqrt(np.mean(sq))
-        skew = kurt = math.nan
-        if sys.float_info.min <= np.float64(std)**4 < math.inf:
-            skew = np.mean(np.multiply(sq, centered, out=centered)) / std**3
-            kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
-    if not (math.isfinite(skew) and math.isfinite(kurt)):
-        skew, kurt = _scaled_moments(x - mean)
+    # the levels first: bincount's intp copy of the map is freed before
+    # the two float64 planes of the moments exist
     counts = np.bincount(np.ravel(levels))
     p = counts[counts > 0] / x.size
     # 0.0 - sum, not -sum: a constant band's entropy is +0.0, not -0.0
     entropy = float(0.0 - (p * np.log2(p)).sum())
+    mean = x.mean()
+    centered = x - mean
+    # chained products: np.power for cubes and fourth powers is far slower;
+    # the cube goes into the centred buffer, the fourth power into sq.
+    # Where the variance or std**4 is not a normal double, or a power of
+    # the deviations overflows, the moments come from the scaled
+    # deviations instead
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq = centered * centered
+        var = np.mean(sq)
+        std = skew = kurt = math.nan
+        if sys.float_info.min <= var < math.inf:
+            std = math.sqrt(var)
+            if sys.float_info.min <= np.float64(std)**4 < math.inf:
+                skew = np.mean(np.multiply(sq, centered, out=centered)) \
+                    / std**3
+                kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
+    if not (math.isfinite(skew) and math.isfinite(kurt)):
+        scaled_std, skew, kurt = _scaled_moments(x - mean)
+        if math.isnan(std):
+            std = scaled_std
     return SummaryStats(float(mean), std, float(skew), float(kurt), entropy)
 
 
-def _scaled_moments(centered: np.ndarray) -> tuple[float, float]:
-    """Skewness and kurtosis of the deviations scaled to a largest
+def _scaled_moments(centered: np.ndarray) -> tuple[float, float, float]:
+    """Std, skewness and kurtosis from the deviations scaled to a largest
     magnitude of 1, where no power of them or of their std under- or
-    overflows; 0 and 0 for a band with no deviation."""
+    overflows; all 0 for a band with no deviation."""
     scale = np.max(np.abs(centered))
     if scale == 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     z = centered / scale
     sq = z * z
     std = math.sqrt(np.mean(sq))
-    return float(np.mean(sq * z) / std**3), float(np.mean(sq * sq) / std**4)
+    return (float(scale * std), float(np.mean(sq * z) / std**3),
+            float(np.mean(sq * sq) / std**4))
 
 
 def mdb_cost(stats_a, stats_b) -> float:
@@ -115,8 +124,10 @@ def inverse_pcc_cost(img_a: MultibandImage, img_b: MultibandImage,
                      stats_a: list[SummaryStats],
                      stats_b: list[SummaryStats]) -> float:
     """Mean over bands of (1 - PCC); stats_a and stats_b hold each
-    image's per-band summary_stats."""
-    if img_a.samples.shape != img_b.samples.shape:
+    image's per-band summary_stats. The images are read band by band, so
+    either may be a raster.RasterFile."""
+    if ((img_a.bands, img_a.height, img_a.width)
+            != (img_b.bands, img_b.height, img_b.width)):
         raise InputError("shape mismatch")
     if not len(stats_a) == len(stats_b) == img_a.bands:
         raise InputError("one SummaryStats per band required")

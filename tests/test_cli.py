@@ -10,7 +10,7 @@ import pytest
 
 from panqa import glcm3, pipeline, quantizer
 from panqa.cli import build_parser, main
-from panqa.raster import MultibandImage, load_image, save_image
+from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.resample import DEFAULT_MTF_GAIN_PAN, degrade, mtf_gaussian_kernel
 from panqa.spectral import qnr
 
@@ -487,6 +487,35 @@ def test_rank_missing_candidate_names_id(scene, capsys):
     assert (capsys.readouterr().err.strip()
             == f"error: candidate 'ghost': missing header {scene / 'gone'}"
                ".json")
+    assert not out.exists()
+
+
+def test_rank_candidate_shrunk_after_opening(scene, monkeypatch, capsys):
+    # the payload passes the size check when it is opened, then loses its
+    # last sample: that band is refused, not read short
+    ms = load_image(scene / "ms")
+    save_image(MultibandImage(ms.samples * 0.9), scene / "dim")
+    payload = scene / "dim.raw"
+
+    class Shrinking(RasterFile):
+        def __init__(self, path):
+            super().__init__(path)
+            if self.payload_path == payload:
+                with open(payload, "r+b") as fh:
+                    fh.truncate(payload.stat().st_size - 4)
+
+    monkeypatch.setattr(pipeline, "RasterFile", Shrinking)
+    manifest = {"reference": str(scene / "ms"), "ratio": 4,
+                "candidates": [{"id": "self", "path": str(scene / "ms")},
+                               {"id": "dim", "path": str(scene / "dim")}]}
+    mpath = scene / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    out = scene / "out"
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: candidate 'dim': length mismatch: payload {payload} ends "
+        f"inside band 3, header implies {4 * 64 * 64 * 4} bytes")
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ within 1e-9. The tracemalloc tests bound how many image-sized buffers
 each step holds at once.
 """
 
+import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -21,9 +22,11 @@ from hypothesis import strategies as st
 from panqa.errors import InputError
 from panqa.fusion import (_B3, FusionConfig, _match_mean_std, pansharpen,
                           pansharpen_atwt, pansharpen_cn, pansharpen_pca)
+from panqa.pipeline import Candidate, EvalOptions, RunManifest, run_manifest
 from panqa.raster import (_STRIP_SAMPLES, MultibandImage, load_image,
                           save_image)
 from panqa.resample import _interp_matrix, mirror_filter, upsample
+from panqa.synth import synth_scene
 from test_raster import encode_by_formula
 
 def stacked_upsample(img, ratio, method):
@@ -257,3 +260,27 @@ def test_fuser_footprint(rng, method, planes):
     # PC1 and the detail, ATWT the detail (its filter runs before the
     # upsample); the mean/std matching's moment temporaries come first
     assert peak < fused.samples.nbytes + planes * PLANE
+
+
+def test_run_manifest_footprint(tmp_path, rng):
+    # the reference is held loaded, with its features; each candidate is
+    # read from disk one band at a time, so beside the reference a run
+    # holds one candidate band and its moment temporaries. Loading each
+    # candidate whole peaked at 12.0 planes, streaming it at 8.0
+    ref = synth_scene(0, W, H)[0].samples
+    save_image(MultibandImage(ref), tmp_path / "ref")
+    for ext in (".json", ".raw"):
+        shutil.copyfile(tmp_path / f"ref{ext}", tmp_path / f"oracle{ext}")
+    ids = ["oracle"]
+    for sigma in (0.01, 0.03, 0.1):
+        ids.append(f"noise{sigma}")
+        save_image(MultibandImage(ref + rng.normal(0.0, sigma, ref.shape)),
+                   tmp_path / ids[-1])
+    del ref
+    manifest = RunManifest(
+        reference=str(tmp_path / "ref"),
+        candidates=[Candidate(id=c, path=str(tmp_path / c)) for c in ids],
+        options=EvalOptions())
+    table, peak = traced_peak(run_manifest, manifest, tmp_path / "out")
+    assert table.pdfr_case_a[0] == 1
+    assert peak < 10 * PLANE, peak / PLANE

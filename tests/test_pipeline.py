@@ -1,8 +1,13 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panqa import pipeline
 from panqa.errors import InputError
@@ -12,7 +17,7 @@ from panqa.pipeline import (Candidate, EvalOptions, RunManifest,
                             evaluate_candidate, image_features, run_manifest,
                             write_report)
 from panqa.protocol import QiRecord, aggregate, process_costs
-from panqa.raster import MultibandImage, save_image
+from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.spectral import DEFAULT_BLOCK
 from test_cli import count_calls
 
@@ -149,3 +154,71 @@ def test_candidate_one_sample_off_is_featurized(rng, monkeypatch, pixel):
     calls = count_calls(monkeypatch, pipeline.image_features)
     evaluate_candidate(reference, MultibandImage(samples), opts, "c")
     assert len(calls) == 1
+
+
+# a 4-band reference with samples outside [0, 1] and on its ends, saved
+# as f32
+_REFERENCE = np.random.default_rng(7).uniform(-0.1, 1.1, (12, 12, 4)) \
+    .astype(np.float32).astype(np.float64)
+_REFERENCE[0, 0], _REFERENCE[0, 1] = 0.0, 1.0
+# (sample type, DN range, gain range) of a stored candidate; its samples
+# reach from about -0.2 to above 1
+_STORED = {"u8": ("<u1", 255, (1e-3, 5e-3)),
+           "u16": ("<u2", 65535, (1e-5, 2e-5)),
+           "f32": ("<f4", 1.0, (0.5, 1.5))}
+
+
+@st.composite
+def candidate_files(draw):
+    """(kind, writer): writer(ref_path, path) stores a candidate at path."""
+    kind = draw(st.sampled_from(["u8", "u16", "f32", "copy", "leading"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "copy":
+        def write(ref, path):
+            for ext in (".json", ".raw"):
+                shutil.copyfile(ref.with_suffix(ext), path.with_suffix(ext))
+    elif kind == "leading":
+        # equal to the reference in its first 1 to 3 bands only
+        same = draw(st.integers(1, 3))
+
+        def write(ref, path):
+            samples = _REFERENCE.copy()
+            samples[:, :, same:] += np.random.default_rng(seed).normal(
+                0.0, 0.05, samples[:, :, same:].shape)
+            save_image(MultibandImage(samples), path)
+    else:
+        dtype, top, (lo, hi) = _STORED[kind]
+        gain = draw(st.lists(st.floats(lo, hi), min_size=4, max_size=4))
+        offset = draw(st.lists(st.floats(-0.2, 0.2), min_size=4,
+                               max_size=4))
+
+        def write(ref, path):
+            dn = np.random.default_rng(seed).uniform(0.0, top, (4, 12, 12))
+            path.with_suffix(".json").write_text(json.dumps(
+                {"width": 12, "height": 12, "bands": 4, "dtype": kind,
+                 "gain": gain, "offset": offset}))
+            dn.astype(dtype).tofile(path.with_suffix(".raw"))
+    return kind, write
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=candidate_files())
+def test_raster_file_candidate_scores_as_loaded(case):
+    # read band by band from disk or loaded whole, a candidate gets the
+    # same record, its clipped_fraction the mean of its mask exactly
+    kind, write = case
+    opts = EvalOptions(gl=8)
+    with tempfile.TemporaryDirectory() as tmp:
+        ref_path, path = Path(tmp) / "ref", Path(tmp) / "cand"
+        save_image(MultibandImage(_REFERENCE), ref_path)
+        write(ref_path, path)
+        reference = image_features(load_image(ref_path), opts)
+        loaded = load_image(path)
+        want = evaluate_candidate(reference, loaded, opts, "c")
+        got = evaluate_candidate(reference, RasterFile(path), opts, "c")
+    assert got == want
+    if kind == "copy":
+        assert got == evaluate_candidate(reference, reference.image, opts,
+                                         "c")
+    s = loaded.samples
+    assert want.clipped_fraction == float(np.mean((s < 0.0) | (s > 1.0)))

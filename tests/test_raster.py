@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panqa.errors import InputError
-from panqa.raster import DN_TOLERANCE, MultibandImage, load_image, save_image
+from panqa.raster import (DN_TOLERANCE, ImageHeader, MultibandImage,
+                          RasterFile, load_image, raster_paths, save_image)
 
 
 def write_pair(tmp_path, name, header, payload, dtype):
@@ -331,3 +332,103 @@ def test_saved_header_loads(args, container, dn):
                       "band_names": names}
     assert back.samples.shape == (2, 3, bands)
     assert back.band_names == names
+
+
+def whole_payload_reader(path):
+    """load_image as it was before RasterFile: every band read from one
+    open file, converted, checked for nodata and calibrated in place, and
+    the non-finite check left to MultibandImage."""
+    hdr_path, raw_path = raster_paths(path)
+    hdr = ImageHeader(**json.loads(hdr_path.read_text()))
+    dtype = {"u8": "<u1", "u16": "<u2", "f32": "<f4"}[hdr.dtype]
+    planes = np.empty((hdr.bands, hdr.height, hdr.width))
+    with open(raw_path, "rb") as fh:
+        for plane, gain, offset in zip(planes.reshape(hdr.bands, -1),
+                                       hdr.gain, hdr.offset):
+            plane[:] = np.fromfile(fh, dtype=dtype, count=plane.size)
+            if hdr.nodata is not None and np.any(plane == hdr.nodata):
+                raise InputError(
+                    "nodata pixels present; dense rasters required")
+            plane *= gain
+            plane += offset
+    return MultibandImage.from_planes(planes, band_names=hdr.band_names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stored=stored_images(), named=st.booleans())
+def test_readers_match_the_whole_payload_reader(stored, named):
+    sample_type, gain, offset, planes = stored
+    names = [f"b{k}" for k in range(len(planes))] if named else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "img"
+        save_image(MultibandImage.from_planes(planes, names), path,
+                   sample_type, gain, offset)
+        want = whole_payload_reader(path)
+        got = load_image(path)
+        raster = RasterFile(path)
+        bands = [raster.band(b) for b in range(raster.bands)]
+    # bit for bit, so a -0.0 for a 0.0 is a difference too
+    assert got.planes.tobytes() == want.planes.tobytes()
+    assert got.band_names == want.band_names == raster.band_names
+    assert ((raster.bands, raster.height, raster.width)
+            == (want.bands, want.height, want.width))
+    for plane, want_plane in zip(bands, want.planes):
+        assert plane.tobytes() == want_plane.tobytes()
+        assert plane.shape == want_plane.shape
+        assert not plane.flags.writeable
+
+
+_GOOD = {"width": 3, "height": 2, "bands": 2, "dtype": "f32"}
+
+
+@pytest.mark.parametrize("header, payload", [
+    (None, [0.5] * 12),                              # no header
+    (_GOOD, None),                                   # no payload
+    (_GOOD, [0.5] * 11),                             # a sample short
+    (_GOOD, [0.5] * 13),                             # a sample long
+    (dict(_GOOD, nodata=7), [0.5] * 8 + [7] * 4),    # nodata in band 1
+    (_GOOD, [0.5] * 7 + [math.inf] * 5),             # inf in band 1
+    (dict(_GOOD, gain=[1.0, 1e300]), [0.5] * 6 + [1e30] * 6),  # overflow
+], ids=["no-header", "no-payload", "short", "long", "nodata", "inf",
+        "gain-overflow"])
+def test_raster_file_refuses_as_load_image(tmp_path, header, payload):
+    if header is not None:
+        (tmp_path / "r.json").write_text(json.dumps(header))
+    if payload is not None:
+        np.asarray(payload, dtype="<f4").tofile(tmp_path / "r.raw")
+    with pytest.raises(InputError) as want:
+        load_image(tmp_path / "r")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as got:
+            raster = RasterFile(tmp_path / "r")
+            for b in range(raster.bands):
+                raster.band(b)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("keep, band", [(0, 0), (13, 1), (23, 1)])
+def test_payload_shrunk_after_opening(tmp_path, keep, band):
+    # a 2-band u16 payload of 24 bytes, cut to keep bytes once opened: the
+    # band it cuts into is refused, never returned short or uninitialized
+    path = write_pair(tmp_path, "s", dict(_GOOD, dtype="u16"), range(12),
+                      "<u2")
+    raster = RasterFile(path)
+    with open(tmp_path / "s.raw", "r+b") as fh:
+        fh.truncate(keep)
+    for b in range(band):
+        assert raster.band(b).ravel().tolist() == list(range(6 * b,
+                                                             6 * b + 6))
+    with pytest.raises(InputError) as exc:
+        raster.band(band)
+    assert str(exc.value) == (f"length mismatch: payload {tmp_path / 's.raw'}"
+                              f" ends inside band {band}, header implies 24"
+                              " bytes")
+
+
+def test_raster_file_band_range(tmp_path):
+    raster = RasterFile(write_pair(tmp_path, "r", _GOOD, [0.5] * 12, "<f4"))
+    for b in (-1, 2):
+        with pytest.raises(InputError, match=rf"band index {b} out of range"
+                                             r" \[0, 2\)"):
+            raster.band(b)

@@ -155,13 +155,27 @@ class TestPcc:
             inverse_pcc_cost(img, img, band_stats, band_stats[:-1])
 
 
+def reference_std(x):
+    """Population std: the root of the mean squared deviation where that
+    mean is a normal double, else from the deviations scaled to a largest
+    magnitude of 1, as their squares under- or overflow; 0 for none."""
+    centered = x.ravel() - x.mean()
+    var = np.mean(centered**2)
+    if np.finfo(np.float64).tiny <= var < math.inf:
+        return math.sqrt(var)
+    scale = np.max(np.abs(centered))
+    if scale == 0.0:
+        return 0.0
+    z = centered / scale
+    return float(scale * math.sqrt(np.mean(z * z)))
+
+
 def raw_pcc(x, y):
     """Pearson correlation from the raw bands alone: both means and
     standard deviations computed here."""
     x, y = x.ravel(), y.ravel()
     xc, yc = x - x.mean(), y - y.mean()
-    sx = math.sqrt(np.mean(xc**2))
-    sy = math.sqrt(np.mean(yc**2))
+    sx, sy = reference_std(x), reference_std(y)
     if sx == 0.0 or sy == 0.0:
         raise DegeneracyError("zero variance")
     return float(np.mean(xc * yc) / (sx * sy))
@@ -241,7 +255,7 @@ def test_moments_match_chained_reference(pair):
         want = chained_moments(band)
     x = band.ravel()
     assert s.mean == x.mean()
-    assert s.std == math.sqrt(np.mean((x - x.mean())**2))
+    assert s.std == reference_std(x)
     if s.std**4 >= np.finfo(np.float64).tiny or not np.any(x - x.mean()):
         assert same([s.skewness, s.kurtosis], want)
     else:
@@ -277,15 +291,21 @@ def test_moments_where_std_underflows():
 @given(band=arrays(np.float64, st.integers(2, 40),
                    elements=st.floats(-1.0, 1.0)),
        k=st.integers(-300, 300))
+@example(band=np.linspace(-1.0, 1.0, 50) ** 3, k=-200)
 def test_moments_are_scale_free(band, k):
     # from deviations whose squares underflow (k below about -160) to
     # squares that overflow (k above about 150)
     assume(np.ptp(band) >= 0.1)
     want = summary_stats(band, no_levels(band))
     got = summary_stats(band * 10.0**k, no_levels(band))
+    assert got.std == pytest.approx(want.std * 10.0**k, rel=1e-12)
     assert math.isfinite(got.skewness) and math.isfinite(got.kurtosis)
     assert got.skewness == pytest.approx(want.skewness, rel=1e-9, abs=1e-12)
     assert got.kurtosis == pytest.approx(want.kurtosis, rel=1e-9)
+    # a band and its scaled copy correlate fully, where the scaled band's
+    # std was 0 ("zero variance") or inf
+    assert pcc(band, band * 10.0**k, want, got) == pytest.approx(1.0,
+                                                                 rel=1e-12)
 
 
 class TestSam:
@@ -727,6 +747,15 @@ def test_classic_metric_footprint(rng, metric):
     b = MultibandImage(rng.random((512, 512, 4)))
     _, peak = traced_peak(metric, a, b)
     assert peak < 10 * MiB
+
+
+def test_summary_stats_footprint(rng):
+    # the centred band and its squares; the levels' intp copy for the
+    # entropy counts is freed before they are made
+    band = rng.random((256, 256))
+    levels = quantize_gray_levels(band, 32)
+    _, peak = traced_peak(summary_stats, band, levels)
+    assert peak < 2.2 * band.nbytes, peak / band.nbytes
 
 
 def test_qnr_footprint(rng):
