@@ -21,7 +21,8 @@ from .pipeline import (EvalOptions, RunManifest, classic_metrics,
                        evaluate_candidate, image_features, run_manifest,
                        write_json)
 from .protocol import bin_subjective_scores, srcc
-from .raster import MultibandImage, load_image, raster_paths, save_image
+from .raster import (MultibandImage, RasterFile, load_image, raster_paths,
+                     save_image)
 from .resample import (DEFAULT_MTF_GAIN_MS, DEFAULT_MTF_GAIN_PAN,
                        UPSAMPLE_METHODS, degrade, mtf_gaussian_kernel)
 from .spectral import DEFAULT_BLOCK, qnr
@@ -87,8 +88,9 @@ def cmd_eval(args) -> int:
     opts = EvalOptions(ratio=args.ratio, ergas_factor=args.ergas_factor,
                        block_size=args.block_size, gl=args.gl,
                        radii=args.radii)
-    reference = load_image(args.reference)
-    candidate = load_image(args.candidate)
+    # both read from disk a band or a strip at a time, never held whole
+    reference = RasterFile(args.reference)
+    candidate = RasterFile(args.candidate)
     record = evaluate_candidate(image_features(reference, opts), candidate,
                                 opts, candidate_id=args.candidate)
     doc = {**record.categories(), "clipped_fraction": record.clipped_fraction,
@@ -100,7 +102,7 @@ def cmd_eval(args) -> int:
 def cmd_qnr(args) -> int:
     ms = load_image(args.ms)
     pan = _load_pan(args.pan)
-    fused = load_image(args.fused)
+    fused = RasterFile(args.fused)
     ratio, pan_h = check_shapes(ms, pan.band(0))
     pan_l = degrade(pan, ratio, mtf_gaussian_kernel(ratio, args.mtf_gain))
     value, d_lambda, d_s = qnr(ms, fused, pan_h, pan_l.band(0),
@@ -111,8 +113,8 @@ def cmd_qnr(args) -> int:
 
 def cmd_glcm3(args) -> int:
     glcm3_mod.check_glcm3_options(args.gl, args.radii)
-    img = load_image(args.input)
-    labels = glcm3_mod.quantize_gray_levels(img.band(args.band), args.gl)
+    band = RasterFile(args.input).band(args.band)
+    labels = glcm3_mod.quantize_gray_levels(band, args.gl)
     matrix = glcm3_mod.tims_glcm(labels, args.radii, gl=args.gl)
     contrast, energy, lne = glcm3_mod.glcm3_features(matrix)
     write_json(args.out, {"contrast": contrast, "energy": energy, "lne": lne,
@@ -128,7 +130,7 @@ def cmd_glcm3(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    quant_mod.save_stack(quant_mod.quantize_spectral(load_image(args.input)),
+    quant_mod.save_stack(quant_mod.quantize_spectral(RasterFile(args.input)),
                          args.out)
     return 0
 

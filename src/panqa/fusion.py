@@ -105,7 +105,7 @@ def pansharpen_cn(ms: MultibandImage, pan: np.ndarray,
     """Brovey-style intensity scaling: fused = up * matched_pan / intensity."""
     ratio, pan = check_shapes(ms, pan)
     up = upsample(ms, ratio, cfg.resampler)
-    intensity = up.samples.mean(axis=2)
+    intensity = up.planes.mean(axis=0)
     scale = _match_mean_std(pan, intensity)
     scale /= np.maximum(intensity, _EPS, out=intensity)
     for plane in up.planes:

@@ -6,12 +6,15 @@ scalar costs; run_manifest() featurizes the reference once, evaluates every
 candidate of a run manifest, aggregates the costs into rank tables for
 cases A-D and serializes ranks.csv / report.json.
 
-Images are touched only through band(b), so an image may be a
+Images are touched only through raster.Image's shape and rows(b, start,
+stop) (band(b) is the whole-band case), so an image may be a
 MultibandImage in memory or a raster.RasterFile on disk. run_manifest()
-holds the reference loaded and passes each candidate as a RasterFile, so a
-candidate is never held whole: each of its bands is read once to
-featurize it and once more for the PCC, and band 0 once more to compare
-it with the reference.
+holds the reference loaded, as every candidate is compared with it, and
+passes each candidate as a RasterFile, so a candidate is never held
+whole: each of its bands is read once, to featurize it and to take its
+PCC with the reference's band, and band 0 once more to compare it with
+the reference. `panqa eval` passes both images as RasterFiles, to
+classic_metrics too, and so holds neither whole.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
 from .quantizer import (LEVELS, LabelMapStack, SpectralCoder,
                         binary_contour_cost, cross_aura,
                         post_classification_change_count)
-from .raster import MultibandImage, RasterFile, load_image
+from .raster import Image, RasterFile, check_shape, load_image
 from .spectral import (DEFAULT_BLOCK, SummaryStats, ergas, inverse_pcc_cost,
-                       mdb_cost, q4, sam_mean, summary_stats)
+                       mdb_cost, pcc, q4, sam_mean, summary_stats)
 
 
 @dataclass
@@ -134,29 +137,34 @@ class RunManifest:
 class ImageFeatures:
     """One image's quality indicators, computed once and compared to many."""
 
-    image: MultibandImage | RasterFile
+    image: Image
     stats: list[SummaryStats]                    # per band
     texture: list[tuple[float, float, float]]    # GLCM3 features per band
     labels: LabelMapStack
     aura_mean: float
     contour: np.ndarray                          # cross-aura plane > 0
     clipped: int                                 # samples outside [0, 1]
+    pccs: list[float]   # per band, with the reference's; [] without one
 
 
-def image_features(img: MultibandImage | RasterFile,
-                   opts: EvalOptions) -> ImageFeatures:
+def image_features(img: Image, opts: EvalOptions,
+                   reference: ImageFeatures | None = None) -> ImageFeatures:
     """One pass over the bands, each read once: its moments and texture,
     both from one gray-level map, its digits of the spectral label code,
-    and its samples outside [0, 1]; then the label stack's cross-aura
-    contour."""
-    coder = SpectralCoder(img.bands, img.height, img.width)
-    stats, texture, clipped = [], [], 0
+    its samples outside [0, 1] and, given the features of a reference of
+    its shape, its PCC with the reference's band; then the label stack's
+    cross-aura contour."""
+    coder = SpectralCoder(*img.shape)
+    stats, texture, pccs, clipped = [], [], [], 0
     for b in range(img.bands):
         band = img.band(b)
         coder.add(band)
         clipped += int(np.count_nonzero((band < 0.0) | (band > 1.0)))
         levels = quantize_gray_levels(band, opts.gl)
         stats.append(summary_stats(band, levels))
+        if reference is not None:
+            pccs.append(pcc(reference.image.band(b), band,
+                            reference.stats[b], stats[b]))
         # the texture reads the levels alone: a read band is freed first
         del band
         texture.append(glcm3_features(
@@ -165,39 +173,40 @@ def image_features(img: MultibandImage | RasterFile,
     plane, aura_mean = cross_aura(labels)
     return ImageFeatures(image=img, stats=stats, texture=texture,
                          labels=labels, aura_mean=aura_mean,
-                         contour=plane > 0, clipped=clipped)
+                         contour=plane > 0, clipped=clipped, pccs=pccs)
 
 
-def _shape(img: MultibandImage | RasterFile) -> tuple[int, int, int]:
-    return img.bands, img.height, img.width
-
-
-def _same_samples(a: MultibandImage | RasterFile,
-                  b: MultibandImage | RasterFile) -> bool:
+def _same_samples(a: Image, b: Image) -> bool:
     """Whether two images of one shape hold equal samples, compared band by
-    band; band 0 settles most unequal pairs."""
-    return all(np.array_equal(a.band(k), b.band(k)) for k in range(a.bands))
+    band once the first row of band 0 is; that row settles most unequal
+    pairs."""
+    return (np.array_equal(a.rows(0, 0, 1), b.rows(0, 0, 1))
+            and all(np.array_equal(a.band(k), b.band(k))
+                    for k in range(a.bands)))
 
 
-def evaluate_candidate(reference: ImageFeatures,
-                       candidate: MultibandImage | RasterFile,
+def evaluate_candidate(reference: ImageFeatures, candidate: Image,
                        opts: EvalOptions, candidate_id: str = "",
                        process: dict | None = None) -> QiRecord:
     """Collect every product cost for one candidate against the reference,
     which image_features computed with the same opts. The candidate, a
     MultibandImage or a RasterFile, is read through band(b) alone. A
-    candidate whose samples equal the reference's shares its features."""
-    if _shape(reference.image) != _shape(candidate):
-        raise InputError("reference/candidate shape mismatch")
-    cand = (reference if _same_samples(reference.image, candidate)
-            else image_features(candidate, opts))
+    candidate whose samples equal the reference's shares its features,
+    and its PCCs are each reference band's with itself."""
+    check_shape(candidate, reference.image.shape)
+    if _same_samples(reference.image, candidate):
+        ref = reference.image
+        cand = dataclasses.replace(reference, pccs=[
+            pcc(ref.band(b), ref.band(b), s, s)
+            for b, s in enumerate(reference.stats)])
+    else:
+        cand = image_features(candidate, opts, reference)
     # each category's values in its CATEGORY_KEYS order
     values = (
         _mdb_costs(reference.stats, cand.stats),
         [float(post_classification_change_count(
             reference.labels, cand.labels, opts.category2_level)),
-         inverse_pcc_cost(reference.image, candidate, reference.stats,
-                          cand.stats)],
+         inverse_pcc_cost(cand.pccs)],
         _mdb_costs(reference.texture, cand.texture)
         + [abs(reference.aura_mean - cand.aura_mean)],
         [binary_contour_cost(reference.contour, cand.contour)],
@@ -208,7 +217,7 @@ def evaluate_candidate(reference: ImageFeatures,
     # the count over the samples, as np.mean of their mask gives it
     return QiRecord(candidate_id=candidate_id, process=process or {},
                     clipped_fraction=cand.clipped / math.prod(
-                        _shape(candidate)),
+                        candidate.shape),
                     **costs)
 
 
@@ -218,9 +227,10 @@ def _mdb_costs(ref_rows, cand_rows) -> list[float]:
             for ref, cand in zip(zip(*ref_rows), zip(*cand_rows))]
 
 
-def classic_metrics(reference: MultibandImage, candidate: MultibandImage,
+def classic_metrics(reference: Image, candidate: Image,
                     opts: EvalOptions) -> dict:
-    """SAM / ERGAS / Q4 comparison report entries."""
+    """SAM / ERGAS / Q4 comparison report entries; each metric reads the
+    images through rows(), so either may be a RasterFile."""
     out = {
         "sam_degrees": sam_mean(reference, candidate),
         "ergas": ergas(reference, candidate, opts.ratio, opts.ergas_factor),

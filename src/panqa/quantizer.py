@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .raster import MultibandImage, load_image, save_image
+from .raster import Image, MultibandImage, RasterFile, save_image
 
 # per-band reflectance thresholds for the fine 4-bin code; all lie in
 # (0, 1), so a sample outside [0, 1] codes as if clipped to it
@@ -91,12 +91,13 @@ class SpectralCoder:
                              coarse=self.intermediate >> (_CODE_BANDS - 1))
 
 
-def quantize_spectral(img: MultibandImage) -> LabelMapStack:
+def quantize_spectral(img: Image) -> LabelMapStack:
     """Context-free per-pixel labeling of a reflectance image (B >= 3).
 
     Fine: base-4 product code over per-band thresholds on the first three
     bands. Intermediate: the same code with bins merged pairwise (base-2).
-    Coarse: the first band's 2-bin digit alone.
+    Coarse: the first band's 2-bin digit alone. The image is read band
+    by band, so it may be a raster.RasterFile.
     """
     coder = SpectralCoder(img.bands, img.height, img.width)
     for b in range(_CODE_BANDS):
@@ -113,14 +114,14 @@ def save_stack(stack: LabelMapStack, path) -> None:
 
 
 def load_stack(path) -> LabelMapStack:
-    """Read a stack written by save_stack; every label must be an integer
-    in its level's code book."""
-    img = load_image(path)
+    """Read a stack written by save_stack, one plane at a time; every label
+    must be an integer in its level's code book."""
+    img = RasterFile(path)
     if img.bands != len(LEVELS):
         raise InputError("label stack image must have 3 bands")
     planes = []
     for b, (name, size) in enumerate(zip(LEVELS, _CODE_BOOK_SIZES)):
-        plane = img.samples[:, :, b]
+        plane = img.band(b)
         if np.any(plane != np.floor(plane)):
             raise InputError(f"non-integral {name} labels")
         if plane.min() < 0 or plane.max() >= size:

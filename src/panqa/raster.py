@@ -17,15 +17,21 @@ keys: load_image() builds it from the JSON object and save_image() writes
 it, so every header saved is one that loads. It refuses a gain or offset
 that is not finite, and a gain of 0, before any sample is converted.
 
-RasterFile is an image left on disk. It checks the header and the payload
-size when it opens, and offers MultibandImage's read-only band interface
-(bands, height, width, band_names, band(b)); each band(b) reads band b
-alone, so a caller that goes band by band holds one band, never the
-image. Every read goes through one per-plane helper, which converts,
-refuses nodata and calibrates one band (multiply, then add: the same two
-roundings as DN * gain + offset); load_image() fills its buffer with it,
-one band at a time. A payload that ends early is a length mismatch
-naming the file, and both refuse non-finite samples.
+Both image kinds share one read interface, the Image base: shape, the
+(bands, height, width) triple, and rows(b, start, stop), the calibrated
+rows [start, stop) of band b as a read-only (stop - start, width)
+float64 array; band(b) is rows(b, 0, height), and check_shape() is the
+one shape comparison. A MultibandImage returns views of its buffer.
+RasterFile is an image left on disk: it checks the header and the
+payload size when it opens, and each rows() call seeks to those rows and
+reads them alone, so a caller that goes strip by strip or band by band
+holds that strip or band, never the image. Every read goes through one
+per-plane helper, which reads the DNs one strip of _STRIP_SAMPLES at a
+time into one reused buffer, converts, refuses nodata, calibrates
+(multiply, then add: the same two roundings as DN * gain + offset) and
+refuses non-finite samples; load_image() fills its buffer with it, one
+band at a time. A payload that ends early is a length mismatch naming
+the file.
 
 save_image() builds the payload whole in its storage type before
 anything is written: it inverts the calibration of each band one strip
@@ -52,7 +58,8 @@ _DTYPES = {
     "f32": np.dtype("<f4"),
 }
 
-# samples per strip of save_image's float64 conversion buffer
+# samples per strip of save_image's float64 conversion buffer and of
+# the DN buffer every read goes through
 _STRIP_SAMPLES = 32768
 
 # DN slack of the u8/u16 range check, which runs before rint: it absorbs
@@ -66,9 +73,16 @@ def _check_finite(plane: np.ndarray) -> None:
         raise InputError("non-finite samples")
 
 
-def _check_band_index(b: int, bands: int) -> None:
+def _check_rows(shape: tuple[int, int, int], b: int, start: int,
+                stop: int) -> None:
+    """Refuses a band index or a row range [start, stop) outside an image
+    of this (bands, height, width) shape."""
+    bands, height, _ = shape
     if not 0 <= b < bands:
         raise InputError(f"band index {b} out of range [0, {bands})")
+    if not 0 <= start <= stop <= height:
+        raise InputError(f"rows [{start}, {stop}) out of range "
+                         f"[0, {height})")
 
 
 def _check_band_names(names, bands: int) -> None:
@@ -81,8 +95,39 @@ def _check_band_names(names, bands: int) -> None:
                          f"{bands} strings: {names!r}")
 
 
+def check_shape(img, shape: tuple[int, int, int]) -> None:
+    """Refuses an image whose (bands, height, width), or an array whose
+    shape, is not shape."""
+    if img.shape != tuple(shape):
+        raise InputError(f"shape mismatch: {img.shape} against "
+                         f"{tuple(shape)}")
+
+
+class Image:
+    """The read interface both image kinds share. A subclass gives shape,
+    its (bands, height, width), and rows(b, start, stop), the calibrated
+    rows [start, stop) of band b as a read-only (stop - start, width)
+    float64 array."""
+
+    @property
+    def bands(self) -> int:
+        return self.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.shape[2]
+
+    def band(self, b: int) -> np.ndarray:
+        """The (height, width) plane of band b: rows(b, 0, height)."""
+        return self.rows(b, 0, self.height)
+
+
 @dataclass
-class MultibandImage:
+class MultibandImage(Image):
     """Calibrated raster; samples has shape (height, width, bands) and is a
     view of the band-sequential buffer planes."""
 
@@ -120,23 +165,15 @@ class MultibandImage:
         return np.moveaxis(self.samples, 2, 0)
 
     @property
-    def height(self) -> int:
-        return self.samples.shape[0]
+    def shape(self) -> tuple[int, int, int]:
+        return self.planes.shape
 
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def bands(self) -> int:
-        return self.samples.shape[2]
-
-    def band(self, b: int) -> np.ndarray:
-        """The (height, width) plane of band b. Read-only view."""
-        _check_band_index(b, self.bands)
-        plane = self.planes[b]
-        plane.flags.writeable = False
-        return plane
+    def rows(self, b: int, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop) of band b. Read-only view."""
+        _check_rows(self.shape, b, start, stop)
+        view = self.planes[b, start:stop]
+        view.flags.writeable = False
+        return view
 
 
 @dataclass
@@ -185,10 +222,10 @@ def raster_paths(path) -> tuple[Path, Path]:
     return p.with_suffix(".json"), p.with_suffix(".raw")
 
 
-class RasterFile:
-    """A raster on disk, read one band at a time. Opening checks the header
-    and the payload size; band(b) reads, calibrates and checks band b
-    alone, and closes the file before it returns."""
+class RasterFile(Image):
+    """A raster on disk, read a strip of rows at a time. Opening checks the
+    header and the payload size; rows(b, start, stop) reads, calibrates
+    and checks those rows alone, and closes the file before it returns."""
 
     def __init__(self, path):
         hdr_path, self.payload_path = raster_paths(path)
@@ -204,10 +241,11 @@ class RasterFile:
             self.header = hdr = ImageHeader(**doc)
         except InputError as exc:
             raise InputError(f"header {hdr_path}: {exc}") from None
-        self.bands, self.height, self.width = hdr.bands, hdr.height, hdr.width
+        self.shape = hdr.bands, hdr.height, hdr.width
         self.band_names = hdr.band_names
         self._dtype = _DTYPES[hdr.dtype]
-        self._plane_bytes = self.height * self.width * self._dtype.itemsize
+        self._row_bytes = self.width * self._dtype.itemsize
+        self._plane_bytes = self.height * self._row_bytes
         # the exact byte count: a trailing partial sample is refused too
         expected = self.bands * self._plane_bytes
         size = self.payload_path.stat().st_size
@@ -216,48 +254,58 @@ class RasterFile:
                 f"length mismatch: payload has {size} bytes, header implies "
                 f"{expected}")
 
-    def band(self, b: int) -> np.ndarray:
-        """The calibrated (height, width) plane of band b, read from the
-        payload now; read-only, as MultibandImage.band's view is."""
-        _check_band_index(b, self.bands)
-        plane = np.empty((self.height, self.width))
+    def rows(self, b: int, start: int, stop: int) -> np.ndarray:
+        """The calibrated rows [start, stop) of band b, read from the
+        payload now; read-only, as MultibandImage's views are."""
+        _check_rows(self.shape, b, start, stop)
+        out = np.empty((stop - start, self.width))
         with open(self.payload_path, "rb") as fh:
-            fh.seek(b * self._plane_bytes)
-            self._read_plane(fh, b, plane)
-        _check_finite(plane)
-        plane.flags.writeable = False
-        return plane
+            fh.seek(b * self._plane_bytes + start * self._row_bytes)
+            self._read_plane(fh, b, out)
+        out.flags.writeable = False
+        return out
 
     def _read_plane(self, fh, b: int, plane: np.ndarray) -> None:
-        """Fill the float64 plane with band b, read from fh's position:
-        convert, refuse nodata, multiply by the gain, add the offset."""
+        """Fill the C-contiguous float64 array plane with samples of band
+        b, read from fh's position one strip of _STRIP_SAMPLES DNs at a
+        time through one reused buffer, so a read adds no array the size
+        of its DNs: convert, refuse nodata, multiply by the gain, add the
+        offset, refuse non-finite samples."""
         hdr = self.header
         flat = plane.reshape(-1)
-        dn = np.fromfile(fh, dtype=self._dtype, count=flat.size)
-        # the payload was checked on opening, but a file can change since
-        if dn.size != flat.size:
-            raise InputError(
-                f"length mismatch: payload {self.payload_path} ends inside "
-                f"band {b}, header implies "
-                f"{self.bands * self._plane_bytes} bytes")
-        flat[:] = dn
-        if hdr.nodata is not None and np.any(flat == hdr.nodata):
-            raise InputError("nodata pixels present; dense rasters required")
+        buf = np.empty(min(flat.size, _STRIP_SAMPLES), dtype=self._dtype)
         # an overflow to inf is refused as a non-finite sample
         with np.errstate(over="ignore"):
-            flat *= hdr.gain[b]
-            flat += hdr.offset[b]
+            for start in range(0, flat.size, _STRIP_SAMPLES):
+                out = flat[start:start + _STRIP_SAMPLES]
+                dn = buf[:out.size]
+                # the payload was checked on opening, but a file can
+                # change since
+                if fh.readinto(dn) != dn.nbytes:
+                    raise InputError(
+                        f"length mismatch: payload {self.payload_path} ends "
+                        f"inside band {b}, header implies "
+                        f"{self.bands * self._plane_bytes} bytes")
+                out[:] = dn
+                if hdr.nodata is not None and np.any(out == hdr.nodata):
+                    raise InputError(
+                        "nodata pixels present; dense rasters required")
+                # a gain of 1 is exact: no sample changes when it is skipped
+                if hdr.gain[b] != 1.0:
+                    out *= hdr.gain[b]
+                out += hdr.offset[b]
+                _check_finite(out)
 
 
 def load_image(path) -> MultibandImage:
     """Load and radiometrically calibrate a raster from <name>.json/.raw,
-    one band at a time through RasterFile's plane reader."""
+    one band at a time through RasterFile's plane reader, which refuses
+    non-finite samples, as from a gain overflow."""
     raster = RasterFile(path)
     planes = np.empty((raster.bands, raster.height, raster.width))
     with open(raster.payload_path, "rb") as fh:
         for b, plane in enumerate(planes):
             raster._read_plane(fh, b, plane)
-    # MultibandImage refuses non-finite samples, as from a gain overflow
     return MultibandImage.from_planes(planes, band_names=raster.band_names)
 
 

@@ -5,10 +5,15 @@ entropy of the band's gray-level map from glcm3.quantize_gray_levels,
 Minkowski-1 cross-band cost aggregation, Pearson correlation, SAM over
 the pixels with two nonzero spectral vectors, ERGAS, the block-wise
 universal quality index Q, its four-band quaternion extension Q4, and the
-no-reference QNR/D_lambda/D_s triple with all its exponents 1. Q, Q4 and
-QNR read their block moments from _moment_strips, one strip at a time;
-_q_maps gives a pair's Q in both orders from one covariance,
-bit-identical to two separate evaluations.
+no-reference QNR/D_lambda/D_s triple with all its exponents 1.
+
+Images are read through raster.Image's rows(b, start, stop) alone, so
+each may be a MultibandImage in memory or a raster.RasterFile on disk,
+and no function holds a whole image: SAM reads one strip of rows of
+every band at a time, ERGAS one band at a time, and Q, Q4 and QNR read
+their block moments from _moment_strips, one strip at a time. Every shape
+is compared by raster.check_shape. _q_maps gives a pair's Q in both
+orders from one covariance, bit-identical to two separate evaluations.
 
 All moments use the population (N-divisor) convention so that downstream
 z-score standardization behaves exactly.
@@ -18,20 +23,25 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .raster import MultibandImage
+from .raster import Image, check_shape
 
 DEFAULT_BLOCK = 8
 
-# Q, Q4, QNR and SAM read their inputs one strip of rows at a time: the
-# bytes of one strip's samples across every plane the function holds.
-# qnr at 1024x1024 ran alike from 1 to 16 MiB; it was slower at 256 KiB,
-# from per-strip overhead, and at 64 MiB, one strip for the whole image
-_STRIP_BYTES = 4 << 20
+# Q, Q4, QNR and SAM read their inputs one strip of rows at a time, and
+# pcc forms its product one strip at a time: the bytes of one strip's
+# samples across every plane the function reads. qnr of in-memory images
+# at 1024x1024 ran alike from 1 to 16 MiB, slower at 256 KiB from per-
+# strip overhead and at 64 MiB. Read from disk, a 512x512 eval faulted
+# in 14.5k pages per op at 4 MiB, 6.5k at 2 MiB and 6.1k at 1 MiB, as
+# larger strips went back to the OS between strips; 1 MiB raised the
+# peak RSS of the fuse and qnr chain at 1024x1024 by about 2 MB
+_STRIP_BYTES = 2 << 20
 
 
 class SummaryStats(NamedTuple):
@@ -114,26 +124,18 @@ def pcc(band_a: np.ndarray, band_b: np.ndarray, stats_a: SummaryStats,
         raise InputError("shape mismatch")
     if stats_a.std == 0.0 or stats_b.std == 0.0:
         raise DegeneracyError("zero variance")
-    # the centred x becomes the product in place
+    # the centred x becomes the product in place, one strip of y's
+    # deviations at a time, so no second band-sized temporary exists
     xc = x - stats_a.mean
-    xc *= y - stats_b.mean
+    step = _strip_rows(1, 2)
+    for s in range(0, xc.size, step):
+        xc[s:s + step] *= y[s:s + step] - stats_b.mean
     return float(np.mean(xc) / (stats_a.std * stats_b.std))
 
 
-def inverse_pcc_cost(img_a: MultibandImage, img_b: MultibandImage,
-                     stats_a: list[SummaryStats],
-                     stats_b: list[SummaryStats]) -> float:
-    """Mean over bands of (1 - PCC); stats_a and stats_b hold each
-    image's per-band summary_stats. The images are read band by band, so
-    either may be a raster.RasterFile."""
-    if ((img_a.bands, img_a.height, img_a.width)
-            != (img_b.bands, img_b.height, img_b.width)):
-        raise InputError("shape mismatch")
-    if not len(stats_a) == len(stats_b) == img_a.bands:
-        raise InputError("one SummaryStats per band required")
-    vals = [1.0 - pcc(img_a.band(b), img_b.band(b), stats_a[b], stats_b[b])
-            for b in range(img_a.bands)]
-    return float(np.mean(vals))
+def inverse_pcc_cost(pccs: list[float]) -> float:
+    """Mean over bands of (1 - PCC), given each band's pcc."""
+    return float(np.mean([1.0 - p for p in pccs]))
 
 
 def _strip_rows(width: int, planes: int, unit: int = 1) -> int:
@@ -143,19 +145,34 @@ def _strip_rows(width: int, planes: int, unit: int = 1) -> int:
     return unit * max(1, _STRIP_BYTES // (8 * planes * width * unit))
 
 
-def sam_mean(img_a: MultibandImage, img_b: MultibandImage) -> float:
+def _band_rows(img: Image) -> list:
+    """One row reader per band of img: reader(start, stop) is
+    img.rows(b, start, stop)."""
+    return [partial(img.rows, b) for b in range(img.bands)]
+
+
+def _array_rows(plane: np.ndarray):
+    """The row reader of a 2-D array: reader(start, stop) is its rows
+    [start, stop)."""
+    return lambda start, stop: plane[start:stop]
+
+
+def sam_mean(img_a: Image, img_b: Image) -> float:
     """Mean spectral angle in degrees over the pixels whose spectral
-    vectors are both nonzero. One strip of pixel rows at a time, the dot
-    product and both squared norms are summed band by band; the mean is
-    taken once, over every strip's kept angles in row order."""
-    if img_a.samples.shape != img_b.samples.shape:
-        raise InputError("shape mismatch")
-    step = _strip_rows(img_a.width, 2 * img_a.bands)
+    vectors are both nonzero. One strip of pixel rows at a time, read
+    through rows(), the dot product and both squared norms are summed
+    band by band; the mean is taken once, over every strip's kept angles
+    in row order."""
+    check_shape(img_b, img_a.shape)
+    bands, height, width = img_a.shape
+    step = _strip_rows(width, 2 * bands)
     kept = []
-    for r in range(0, img_a.height, step):
-        pa, pb = img_a.planes[:, r:r + step], img_b.planes[:, r:r + step]
-        dot, na2, nb2 = pa[0] * pb[0], pa[0] * pa[0], pb[0] * pb[0]
-        for a, b in zip(pa[1:], pb[1:]):
+    for r in range(0, height, step):
+        stop = min(r + step, height)
+        a, b = img_a.rows(0, r, stop), img_b.rows(0, r, stop)
+        dot, na2, nb2 = a * b, a * a, b * b
+        for k in range(1, bands):
+            a, b = img_a.rows(k, r, stop), img_b.rows(k, r, stop)
             dot += a * b
             na2 += a * a
             nb2 += b * b
@@ -169,20 +186,27 @@ def sam_mean(img_a: MultibandImage, img_b: MultibandImage) -> float:
     return float(angles.mean())
 
 
-def ergas(reference: MultibandImage, test: MultibandImage, ratio: int,
+def ergas(reference: Image, test: Image, ratio: int,
           factor: float | None = None) -> float:
-    """Relative dimensionless global error; factor defaults to 1/ratio."""
-    if reference.samples.shape != test.samples.shape:
-        raise InputError("shape mismatch")
+    """Relative dimensionless global error; factor defaults to 1/ratio.
+    Each reference band is read whole, for its mean; each test band a
+    strip at a time, into one difference plane reused for every band."""
+    check_shape(test, reference.shape)
+    bands, height, width = reference.shape
     if factor is None:
         factor = 1.0 / ratio
+    step = _strip_rows(width, 2)
+    diff = np.empty((height, width))
     acc = 0.0
-    for b in range(reference.bands):
+    for b in range(bands):
         ref = reference.band(b)
         mean = ref.mean()
         if mean == 0.0:
             raise DegeneracyError(f"zero reference mean in band {b}")
-        rmse2 = np.mean((ref - test.band(b))**2)
+        for r in range(0, height, step):
+            stop = min(r + step, height)
+            np.subtract(ref[r:stop], test.rows(b, r, stop), out=diff[r:stop])
+        rmse2 = np.mean(np.multiply(diff, diff, out=diff))
         acc += rmse2 / mean**2
     return float(100.0 * factor * math.sqrt(acc / reference.bands))
 
@@ -197,15 +221,17 @@ def _block_view(plane: np.ndarray, bl: int) -> np.ndarray:
 
 
 class _BlockMoments(NamedTuple):
-    tiled: np.ndarray      # the plane cropped to its full blocks
+    tiled: Callable[[], np.ndarray]   # reads the full blocks' rows again
     mean: np.ndarray       # (nby, nbx)
     centred: np.ndarray    # (nby, nbx, bl*bl) block samples minus the mean
     var: np.ndarray        # (nby, nbx) population variance
 
 
-def _block_moments(plane: np.ndarray, bl: int) -> _BlockMoments:
-    """Moments of a plane's full bl x bl blocks."""
-    x = np.asarray(plane, dtype=np.float64)
+def _block_moments(read, start: int, stop: int, bl: int) -> _BlockMoments:
+    """Moments of the full bl x bl blocks of the rows [start, stop) that
+    read(start, stop) gives. The rows are not held: the rare degenerate
+    block that needs its samples reads them again."""
+    x = np.asarray(read(start, stop), dtype=np.float64)
     blocks = _block_view(x, bl)
     m = blocks.mean(axis=2)
     if np.may_share_memory(blocks, x):
@@ -214,9 +240,10 @@ def _block_moments(plane: np.ndarray, bl: int) -> _BlockMoments:
         # the block view had to copy: centre that copy in place
         c = blocks
         c -= m[:, :, None]
-    nby, nbx = m.shape
-    return _BlockMoments(x[:nby * bl, :nbx * bl], m, c,
-                         np.mean(c**2, axis=2))
+    nbx = m.shape[1]
+    return _BlockMoments(
+        lambda: np.asarray(read(start, stop), dtype=np.float64)[:, :nbx * bl],
+        m, c, np.mean(c**2, axis=2))
 
 
 def _q_ratio_map(num: np.ndarray, denom: np.ndarray,
@@ -228,9 +255,11 @@ def _q_ratio_map(num: np.ndarray, denom: np.ndarray,
     good = denom > 0
     q = np.divide(num, denom, out=np.zeros_like(denom), where=good)
     if not good.all():
-        bl = mom_a[0].tiled.shape[0] // good.shape[0]
-        same = [_block_view(a.tiled == b.tiled, bl).all(axis=2)
-                for a, b in zip(mom_a, mom_b)]
+        same = []
+        for a, b in zip(mom_a, mom_b):
+            eq = a.tiled() == b.tiled()
+            same.append(_block_view(eq, eq.shape[0] // good.shape[0])
+                        .all(axis=2))
         q[~good & np.all(same, axis=0)] = 1.0
     return q
 
@@ -246,36 +275,37 @@ def _q_maps(a: _BlockMoments, b: _BlockMoments):
     yield _q_ratio_map(cov4 * b.mean * a.mean, denom, [b], [a])
 
 
-def _moment_strips(planes, bl: int):
-    """Yields the _block_moments of planes whose block grids match, one
-    list in plane order per strip of whole block rows, about _STRIP_BYTES
-    of samples across all the planes. Each list is emptied before the next
-    strip is read, so only one strip's moments are held at a time."""
+def _moment_strips(readers, height: int, width: int, bl: int):
+    """Yields the _block_moments of planes of one height and width, one
+    list in reader order per strip of whole block rows, about _STRIP_BYTES
+    of samples across all the planes; reader(start, stop) gives a plane's
+    rows [start, stop). Each list is emptied before the next strip is
+    read, so only one strip's moments are held at a time, and no rows."""
     if bl < 2:
         raise InputError("block_size must be >= 2")
-    planes = [np.asarray(p) for p in planes]
-    grids = [(p.shape[0] // bl, p.shape[1] // bl) for p in planes]
-    if any(0 in g for g in grids):
+    nby, nbx = height // bl, width // bl
+    if nby == 0 or nbx == 0:
         raise InputError(f"image smaller than one {bl}x{bl} block")
-    if len(set(grids)) > 1:
-        raise InputError("shape mismatch")
-    nby, nbx = grids[0]
-    step = _strip_rows(nbx * bl, len(planes), bl)
+    step = _strip_rows(nbx * bl, len(readers), bl)
     for r in range(0, nby * bl, step):
-        mom = [_block_moments(p[r:r + step], bl) for p in planes]
+        stop = min(r + step, nby * bl)
+        mom = [_block_moments(read, r, stop, bl) for read in readers]
         yield mom
         mom.clear()
 
 
 def q_index(band_a: np.ndarray, band_b: np.ndarray,
             block_size: int = DEFAULT_BLOCK) -> float:
-    """Universal quality index, averaged over non-overlapping blocks.
+    """Universal quality index of two 2-D arrays of one shape, averaged
+    over non-overlapping blocks.
 
     Per block: 4*cov*mx*my / ((vx+vy)*(mx^2+my^2)); degenerate blocks
     score 1 when identical, else 0.
     """
-    maps = [next(_q_maps(*mom))
-            for mom in _moment_strips([band_a, band_b], block_size)]
+    a, b = np.asarray(band_a), np.asarray(band_b)
+    check_shape(b, a.shape)
+    maps = [next(_q_maps(*mom)) for mom in _moment_strips(
+        [_array_rows(a), _array_rows(b)], *a.shape, block_size)]
     return float(np.concatenate(maps).mean())
 
 
@@ -300,37 +330,34 @@ def _q4_map(mom_a: list[_BlockMoments], mom_b: list[_BlockMoments]
                         (va + vb) * (na2 + nb2), mom_a, mom_b)
 
 
-def q4(img_a: MultibandImage, img_b: MultibandImage,
-       block_size: int = DEFAULT_BLOCK) -> float:
+def q4(img_a: Image, img_b: Image, block_size: int = DEFAULT_BLOCK
+       ) -> float:
     """Quaternion quality index for 4-band images, block averaged."""
     if img_a.bands != 4 or img_b.bands != 4:
         raise InputError("q4 requires exactly 4 bands")
-    if img_a.samples.shape != img_b.samples.shape:
-        raise InputError("shape mismatch")
-    planes = [img.band(c) for img in (img_a, img_b) for c in range(4)]
-    maps = [_q4_map(mom[:4], mom[4:])
-            for mom in _moment_strips(planes, block_size)]
+    check_shape(img_b, img_a.shape)
+    maps = [_q4_map(mom[:4], mom[4:]) for mom in _moment_strips(
+        _band_rows(img_a) + _band_rows(img_b), img_a.height, img_a.width,
+        block_size)]
     return float(np.concatenate(maps).mean())
 
 
-def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
+def qnr(ms_l: Image, fused_h: Image, pan_h: np.ndarray,
         pan_degraded_l: np.ndarray, block_size: int = DEFAULT_BLOCK
         ) -> tuple[float, float, float]:
     """No-reference quality: returns (QNR, D_lambda, D_s).
 
     D_lambda is the mean absolute difference of the inter-band Q values
     at the two scales, D_s that of the band-vs-pan Q values; both are
-    clamped to [0, 1], as a Q difference can reach magnitude 2.
+    clamped to [0, 1], as a Q difference can reach magnitude 2. The
+    images are read a strip at a time, the pans sliced.
     """
     pan_h = np.asarray(pan_h, dtype=np.float64)
     pan_l = np.asarray(pan_degraded_l, dtype=np.float64)
-    if fused_h.samples.shape[:2] != pan_h.shape:
-        raise InputError("fused/pan shape mismatch at high resolution")
-    if ms_l.samples.shape[:2] != pan_l.shape:
-        raise InputError("ms/pan shape mismatch at low resolution")
-    if fused_h.bands != ms_l.bands:
-        raise InputError("band count mismatch")
     nb = ms_l.bands
+    # the fused image has the MS bands on the grid of the pan
+    check_shape(fused_h, (nb, *pan_h.shape))
+    check_shape(ms_l, (nb, *pan_l.shape))
     if nb < 2:
         raise InputError("qnr needs at least 2 bands")
 
@@ -338,8 +365,8 @@ def qnr(ms_l: MultibandImage, fused_h: MultibandImage, pan_h: np.ndarray,
         """Mean Q of every ordered band pair (i, j), and of each band
         against the pan, (b, nb), at one scale."""
         strips = []
-        for mom in _moment_strips([img.band(b) for b in range(nb)] + [pan],
-                                  block_size):
+        for mom in _moment_strips(_band_rows(img) + [_array_rows(pan)],
+                                  *pan.shape, block_size):
             q = {}
             for i in range(nb):
                 q[i, nb] = next(_q_maps(mom[i], mom[nb]))

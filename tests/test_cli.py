@@ -13,6 +13,7 @@ from panqa.cli import build_parser, main
 from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.resample import DEFAULT_MTF_GAIN_PAN, degrade, mtf_gaussian_kernel
 from panqa.spectral import qnr
+from test_layout import traced_peak
 
 
 @pytest.fixture
@@ -83,6 +84,23 @@ def test_eval_identity_costs_zero(scene, tmp_path):
         for val in doc[group].values():
             assert val == pytest.approx(0.0, abs=1e-9)
     assert doc["classic"]["q4"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_eval_holds_neither_image(tmp_path):
+    # a 512x512 4-band image is 8.4 MB as float64: panqa eval reads the
+    # reference and the candidate from disk a band or a strip at a time.
+    # Loading both whole peaked at 23.6 MB, streaming both at 9.5 MB
+    ms, pan, fused = (str(tmp_path / name) for name in ("ms", "pan", "f"))
+    assert main(["synth", "--width", "512", "--height", "512",
+                 "--out-ms", ms, "--out-pan", pan]) == 0
+    assert main(["degrade", "--input", ms, "--ratio", "4",
+                 "--out", ms + "_l"]) == 0
+    assert main(["fuse", "--method", "pca", "--ms", ms + "_l", "--pan", pan,
+                 "--out", fused]) == 0
+    rc, peak = traced_peak(main, ["eval", "--reference", ms, "--candidate",
+                                  fused, "--out", str(tmp_path / "e.json")])
+    assert rc == 0
+    assert peak < 12e6, peak / 1e6
 
 
 def test_qnr_subcommand(scene):

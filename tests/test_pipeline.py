@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panqa import pipeline
+from panqa import pipeline, spectral
 from panqa.errors import InputError
 from panqa.cli import build_parser
 from panqa.fusion import FusionConfig, pansharpen
 from panqa.pipeline import (Candidate, EvalOptions, RunManifest,
-                            evaluate_candidate, image_features, run_manifest,
-                            write_report)
+                            classic_metrics, evaluate_candidate,
+                            image_features, run_manifest, write_report)
 from panqa.protocol import QiRecord, aggregate, process_costs
 from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.spectral import DEFAULT_BLOCK
@@ -222,3 +222,26 @@ def test_raster_file_candidate_scores_as_loaded(case):
                                          "c")
     s = loaded.samples
     assert want.clipped_fraction == float(np.mean((s < 0.0) | (s > 1.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=candidate_files(), budget=st.sampled_from([1, 4 << 20]))
+def test_files_score_as_loaded_images(case, budget):
+    # the reference and the candidate both read from disk, as panqa eval
+    # reads them, give the record and the classic metrics of the loaded
+    # images, float for float, whether the metrics read one block row or
+    # the whole image per strip
+    kind, write = case
+    opts = EvalOptions(gl=8)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(spectral, "_STRIP_BYTES", budget):
+        ref_path, path = Path(tmp) / "ref", Path(tmp) / "cand"
+        save_image(MultibandImage(_REFERENCE), ref_path)
+        write(ref_path, path)
+        ref, cand = load_image(ref_path), load_image(path)
+        want = (evaluate_candidate(image_features(ref, opts), cand, opts, "c"),
+                classic_metrics(ref, cand, opts))
+        ref, cand = RasterFile(ref_path), RasterFile(path)
+        got = (evaluate_candidate(image_features(ref, opts), cand, opts, "c"),
+               classic_metrics(ref, cand, opts))
+    assert got == want

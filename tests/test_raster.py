@@ -3,6 +3,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from panqa import raster
 from panqa.errors import InputError
 from panqa.raster import (DN_TOLERANCE, ImageHeader, MultibandImage,
                           RasterFile, load_image, raster_paths, save_image)
@@ -426,9 +428,71 @@ def test_payload_shrunk_after_opening(tmp_path, keep, band):
                               " bytes")
 
 
-def test_raster_file_band_range(tmp_path):
-    raster = RasterFile(write_pair(tmp_path, "r", _GOOD, [0.5] * 12, "<f4"))
-    for b in (-1, 2):
-        with pytest.raises(InputError, match=rf"band index {b} out of range"
-                                             r" \[0, 2\)"):
-            raster.band(b)
+@pytest.mark.parametrize("b, start, stop, message", [
+    (-1, 0, 2, r"band index -1 out of range \[0, 2\)"),
+    (2, 0, 2, r"band index 2 out of range \[0, 2\)"),
+    (0, -1, 1, r"rows \[-1, 1\) out of range \[0, 2\)"),
+    (1, 1, 3, r"rows \[1, 3\) out of range \[0, 2\)"),
+    (1, 2, 1, r"rows \[2, 1\) out of range \[0, 2\)"),
+])
+def test_rows_out_of_range_on_both_image_kinds(tmp_path, b, start, stop,
+                                               message):
+    path = write_pair(tmp_path, "r", _GOOD, [0.5] * 12, "<f4")
+    for img in (RasterFile(path), load_image(path)):
+        with pytest.raises(InputError, match=message):
+            img.rows(b, start, stop)
+        if start == 0:
+            with pytest.raises(InputError, match=message):
+                img.band(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stored=stored_images(), chunk=st.sampled_from([1, 5, 32768]),
+       data=st.data())
+def test_rows_read_as_the_loaded_band(stored, chunk, data):
+    # a row range of any band, read through DN buffers of 1, 5 or the
+    # default number of samples, is the loaded band's rows bit for bit
+    sample_type, gain, offset, planes = stored
+    bands, height, _ = planes.shape
+    b = data.draw(st.integers(0, bands - 1))
+    start = data.draw(st.integers(0, height))
+    stop = data.draw(st.integers(start, height))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "img"
+        save_image(MultibandImage.from_planes(planes), path, sample_type,
+                   gain, offset)
+        want = whole_payload_reader(path).band(b)[start:stop]
+        loaded = load_image(path)
+        with mock.patch.object(raster, "_STRIP_SAMPLES", chunk):
+            got = RasterFile(path).rows(b, start, stop)
+            assert load_image(path).planes.tobytes() == loaded.planes.tobytes()
+    for rows in (got, loaded.rows(b, start, stop)):
+        assert rows.shape == (stop - start, planes.shape[2])
+        assert rows.tobytes() == want.tobytes()
+        assert not rows.flags.writeable
+    assert got.tobytes() == loaded.band(b)[start:stop].tobytes()
+
+
+@pytest.mark.parametrize("keep, ok_rows, cut_rows", [
+    (18, (0, 0, 1), (1, 1, 2)),     # band 1, row 1 is cut
+    (13, (0, 0, 2), (1, 0, 1)),     # band 1 is gone
+    (5, (0, 1, 1), (0, 0, 1)),      # band 0, row 0 is cut
+])
+def test_rows_of_a_payload_cut_after_opening(tmp_path, keep, ok_rows,
+                                             cut_rows):
+    # a 2-band 2x3 u16 payload of 24 bytes, cut to keep bytes once opened:
+    # rows before the cut are read, rows across it are refused
+    path = write_pair(tmp_path, "s", dict(_GOOD, dtype="u16"), range(12),
+                      "<u2")
+    img = RasterFile(path)
+    with open(tmp_path / "s.raw", "r+b") as fh:
+        fh.truncate(keep)
+    b, start, stop = ok_rows
+    assert img.rows(b, start, stop).ravel().tolist() == list(
+        range(6 * b + 3 * start, 6 * b + 3 * stop))
+    b = cut_rows[0]
+    with pytest.raises(InputError) as exc:
+        img.rows(*cut_rows)
+    assert str(exc.value) == (f"length mismatch: payload {tmp_path / 's.raw'}"
+                              f" ends inside band {b}, header implies 24"
+                              " bytes")

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from panqa import spectral
 from panqa.errors import DegeneracyError, InputError
 from panqa.glcm3 import quantize_gray_levels
-from panqa.raster import MultibandImage
+from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.resample import upsample
 from panqa.spectral import (ergas, inverse_pcc_cost, mdb_cost, pcc, q4,
                             q_index, qnr, sam_mean, summary_stats)
@@ -144,15 +144,12 @@ class TestPcc:
 
     def test_inverse_cost_zero_on_identity(self, random_image):
         img = random_image()
-        band_stats = [stats(img.band(b)) for b in range(img.bands)]
-        assert inverse_pcc_cost(img, img, band_stats,
-                                band_stats) == pytest.approx(0.0, abs=1e-12)
+        pccs = [pcc_of(img.band(b), img.band(b)) for b in range(img.bands)]
+        assert inverse_pcc_cost(pccs) == pytest.approx(0.0, abs=1e-12)
 
-    def test_inverse_cost_needs_stats_per_band(self, random_image):
-        img = random_image()
-        band_stats = [stats(img.band(b)) for b in range(img.bands)]
-        with pytest.raises(InputError, match="one SummaryStats per band"):
-            inverse_pcc_cost(img, img, band_stats, band_stats[:-1])
+    def test_inverse_cost_is_the_mean_of_one_minus_pcc(self):
+        # (0 + 0.5 + 2) / 3, every term exact in binary
+        assert inverse_pcc_cost([1.0, 0.5, -1.0]) == 2.5 / 3
 
 
 def reference_std(x):
@@ -219,7 +216,10 @@ def test_pcc_matches_raw_band_reference(pair):
             with pytest.raises(DegeneracyError, match="zero variance"):
                 pcc_of(x, y)
             return
-        assert same(pcc_of(x, y), want)
+        # the product is formed one strip of y at a time: one sample per
+        # strip at the smallest budget
+        for got in at_budgets(pcc_of, x, y):
+            assert same(got, want)
 
 
 @pytest.mark.parametrize("constant", ["a", "b", "both"])
@@ -463,6 +463,21 @@ class TestQnr:
         with pytest.raises(InputError):
             qnr(ms, fused, rng.random((8, 8)), rng.random((8, 8)))
 
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_files_score_as_loaded_images(self, tmp_path, rng, budget):
+        # the fused and MS images read from disk a strip at a time, as
+        # panqa qnr reads the fused one, or loaded: the same floats
+        save_image(MultibandImage(rng.random((8, 8, 4))), tmp_path / "ms")
+        save_image(MultibandImage(rng.random((32, 32, 4))), tmp_path / "f")
+        pan_h, pan_l = rng.random((32, 32)), rng.random((8, 8))
+        with mock.patch.object(spectral, "_STRIP_BYTES", budget):
+            want = qnr(load_image(tmp_path / "ms"), load_image(tmp_path / "f"),
+                       pan_h, pan_l, 2)
+            assert qnr(load_image(tmp_path / "ms"), RasterFile(tmp_path / "f"),
+                       pan_h, pan_l, 2) == want
+            assert qnr(RasterFile(tmp_path / "ms"), RasterFile(tmp_path / "f"),
+                       pan_h, pan_l, 2) == want
+
 
 def block_view(plane, bl):
     h, w = plane.shape
@@ -601,9 +616,9 @@ def test_q4_blocks_match_reference(seed, shape, bl, levels):
     h, w = max(shape[0], bl), max(shape[1], bl)
     img_a = MultibandImage(random_planes(seed, (h, w, 4), levels))
     img_b = MultibandImage(random_planes(seed + 1, (h, w, 4), levels))
-    planes = [img.band(c) for img in (img_a, img_b) for c in range(4)]
+    readers = spectral._band_rows(img_a) + spectral._band_rows(img_b)
     # one strip at the default budget: the map covers the whole image
-    mom = next(spectral._moment_strips(planes, bl))
+    mom = next(spectral._moment_strips(readers, h, w, bl))
     assert np.array_equal(spectral._q4_map(mom[:4], mom[4:]),
                           q4_reference_map(img_a, img_b, bl))
 
