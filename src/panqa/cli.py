@@ -88,8 +88,9 @@ def cmd_eval(args) -> int:
     opts = EvalOptions(ratio=args.ratio, ergas_factor=args.ergas_factor,
                        block_size=args.block_size, gl=args.gl,
                        radii=args.radii)
-    # both read from disk a band or a strip at a time, never held whole
-    reference = RasterFile(args.reference)
+    # the reference is loaded, as features, PCC, SAM, ERGAS and Q4 each
+    # read it; the candidate is read from disk a band or a strip at a time
+    reference = load_image(args.reference)
     candidate = RasterFile(args.candidate)
     record = evaluate_candidate(image_features(reference, opts), candidate,
                                 opts, candidate_id=args.candidate)

@@ -12,9 +12,9 @@ MultibandImage in memory or a raster.RasterFile on disk. run_manifest()
 holds the reference loaded, as every candidate is compared with it, and
 passes each candidate as a RasterFile, so a candidate is never held
 whole: each of its bands is read once, to featurize it and to take its
-PCC with the reference's band, and band 0 once more to compare it with
-the reference. `panqa eval` passes both images as RasterFiles, to
-classic_metrics too, and so holds neither whole.
+PCC with the reference's band, and the first row of band 0 once more to
+compare it with the reference. `panqa eval` does the same, and passes
+the candidate as a RasterFile to classic_metrics too.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -144,27 +145,25 @@ class ImageFeatures:
     aura_mean: float
     contour: np.ndarray                          # cross-aura plane > 0
     clipped: int                                 # samples outside [0, 1]
-    pccs: list[float]   # per band, with the reference's; [] without one
 
 
 def image_features(img: Image, opts: EvalOptions,
-                   reference: ImageFeatures | None = None) -> ImageFeatures:
+                   per_band: Callable | None = None) -> ImageFeatures:
     """One pass over the bands, each read once: its moments and texture,
-    both from one gray-level map, its digits of the spectral label code,
-    its samples outside [0, 1] and, given the features of a reference of
-    its shape, its PCC with the reference's band; then the label stack's
-    cross-aura contour."""
+    both from one gray-level map, its digits of the spectral label code
+    and its samples outside [0, 1]; then the label stack's cross-aura
+    contour. per_band(b, band, stats), when given, is called with each
+    band read and its summary_stats."""
     coder = SpectralCoder(*img.shape)
-    stats, texture, pccs, clipped = [], [], [], 0
+    stats, texture, clipped = [], [], 0
     for b in range(img.bands):
         band = img.band(b)
         coder.add(band)
         clipped += int(np.count_nonzero((band < 0.0) | (band > 1.0)))
         levels = quantize_gray_levels(band, opts.gl)
         stats.append(summary_stats(band, levels))
-        if reference is not None:
-            pccs.append(pcc(reference.image.band(b), band,
-                            reference.stats[b], stats[b]))
+        if per_band is not None:
+            per_band(b, band, stats[b])
         # the texture reads the levels alone: a read band is freed first
         del band
         texture.append(glcm3_features(
@@ -173,7 +172,7 @@ def image_features(img: Image, opts: EvalOptions,
     plane, aura_mean = cross_aura(labels)
     return ImageFeatures(image=img, stats=stats, texture=texture,
                          labels=labels, aura_mean=aura_mean,
-                         contour=plane > 0, clipped=clipped, pccs=pccs)
+                         contour=plane > 0, clipped=clipped)
 
 
 def _same_samples(a: Image, b: Image) -> bool:
@@ -190,23 +189,29 @@ def evaluate_candidate(reference: ImageFeatures, candidate: Image,
                        process: dict | None = None) -> QiRecord:
     """Collect every product cost for one candidate against the reference,
     which image_features computed with the same opts. The candidate, a
-    MultibandImage or a RasterFile, is read through band(b) alone. A
-    candidate whose samples equal the reference's shares its features,
-    and its PCCs are each reference band's with itself."""
-    check_shape(candidate, reference.image.shape)
-    if _same_samples(reference.image, candidate):
-        ref = reference.image
-        cand = dataclasses.replace(reference, pccs=[
-            pcc(ref.band(b), ref.band(b), s, s)
-            for b, s in enumerate(reference.stats)])
+    MultibandImage or a RasterFile, is read through shape and rows(): each
+    band once, to featurize it and to take its PCC with the reference's
+    band. A candidate whose samples equal the reference's shares its
+    features, and its PCCs are each reference band's with itself."""
+    ref = reference.image
+    check_shape(candidate, ref.shape)
+    pccs = []
+
+    def take_pcc(b: int, band: np.ndarray, stats: SummaryStats) -> None:
+        pccs.append(pcc(ref.band(b), band, reference.stats[b], stats))
+
+    if _same_samples(ref, candidate):
+        cand = reference
+        for b, stats in enumerate(reference.stats):
+            take_pcc(b, ref.band(b), stats)
     else:
-        cand = image_features(candidate, opts, reference)
+        cand = image_features(candidate, opts, take_pcc)
     # each category's values in its CATEGORY_KEYS order
     values = (
         _mdb_costs(reference.stats, cand.stats),
         [float(post_classification_change_count(
             reference.labels, cand.labels, opts.category2_level)),
-         inverse_pcc_cost(cand.pccs)],
+         inverse_pcc_cost(pccs)],
         _mdb_costs(reference.texture, cand.texture)
         + [abs(reference.aura_mean - cand.aura_mean)],
         [binary_contour_cost(reference.contour, cand.contour)],

@@ -26,12 +26,12 @@ RasterFile is an image left on disk: it checks the header and the
 payload size when it opens, and each rows() call seeks to those rows and
 reads them alone, so a caller that goes strip by strip or band by band
 holds that strip or band, never the image. Every read goes through one
-per-plane helper, which reads the DNs one strip of _STRIP_SAMPLES at a
-time into one reused buffer, converts, refuses nodata, calibrates
-(multiply, then add: the same two roundings as DN * gain + offset) and
-refuses non-finite samples; load_image() fills its buffer with it, one
-band at a time. A payload that ends early is a length mismatch naming
-the file.
+helper, which converts, refuses nodata and calibrates the rows it reads
+(multiply, then add: the same two roundings as DN * gain + offset);
+load_image() fills its buffer with it, one band at a time. Both then
+refuse non-finite samples, rows() in the rows it read and
+MultibandImage in each plane it holds. A payload that ends early is a
+length mismatch naming the file.
 
 save_image() builds the payload whole in its storage type before
 anything is written: it inverts the calibration of each band one strip
@@ -58,8 +58,7 @@ _DTYPES = {
     "f32": np.dtype("<f4"),
 }
 
-# samples per strip of save_image's float64 conversion buffer and of
-# the DN buffer every read goes through
+# samples per strip of save_image's float64 conversion buffer
 _STRIP_SAMPLES = 32768
 
 # DN slack of the u8/u16 range check, which runs before rint: it absorbs
@@ -262,50 +261,41 @@ class RasterFile(Image):
         with open(self.payload_path, "rb") as fh:
             fh.seek(b * self._plane_bytes + start * self._row_bytes)
             self._read_plane(fh, b, out)
+        _check_finite(out)
         out.flags.writeable = False
         return out
 
     def _read_plane(self, fh, b: int, plane: np.ndarray) -> None:
-        """Fill the C-contiguous float64 array plane with samples of band
-        b, read from fh's position one strip of _STRIP_SAMPLES DNs at a
-        time through one reused buffer, so a read adds no array the size
-        of its DNs: convert, refuse nodata, multiply by the gain, add the
-        offset, refuse non-finite samples."""
+        """Fill the float64 array plane with samples of band b, read from
+        fh's position: convert, refuse nodata, multiply by the gain, add
+        the offset."""
         hdr = self.header
         flat = plane.reshape(-1)
-        buf = np.empty(min(flat.size, _STRIP_SAMPLES), dtype=self._dtype)
+        dn = np.fromfile(fh, dtype=self._dtype, count=flat.size)
+        # the payload was checked on opening, but a file can change since
+        if dn.size != flat.size:
+            raise InputError(
+                f"length mismatch: payload {self.payload_path} ends inside "
+                f"band {b}, header implies "
+                f"{self.bands * self._plane_bytes} bytes")
+        flat[:] = dn
+        if hdr.nodata is not None and np.any(flat == hdr.nodata):
+            raise InputError("nodata pixels present; dense rasters required")
         # an overflow to inf is refused as a non-finite sample
         with np.errstate(over="ignore"):
-            for start in range(0, flat.size, _STRIP_SAMPLES):
-                out = flat[start:start + _STRIP_SAMPLES]
-                dn = buf[:out.size]
-                # the payload was checked on opening, but a file can
-                # change since
-                if fh.readinto(dn) != dn.nbytes:
-                    raise InputError(
-                        f"length mismatch: payload {self.payload_path} ends "
-                        f"inside band {b}, header implies "
-                        f"{self.bands * self._plane_bytes} bytes")
-                out[:] = dn
-                if hdr.nodata is not None and np.any(out == hdr.nodata):
-                    raise InputError(
-                        "nodata pixels present; dense rasters required")
-                # a gain of 1 is exact: no sample changes when it is skipped
-                if hdr.gain[b] != 1.0:
-                    out *= hdr.gain[b]
-                out += hdr.offset[b]
-                _check_finite(out)
+            flat *= hdr.gain[b]
+            flat += hdr.offset[b]
 
 
 def load_image(path) -> MultibandImage:
     """Load and radiometrically calibrate a raster from <name>.json/.raw,
-    one band at a time through RasterFile's plane reader, which refuses
-    non-finite samples, as from a gain overflow."""
+    one band at a time through RasterFile's plane reader."""
     raster = RasterFile(path)
     planes = np.empty((raster.bands, raster.height, raster.width))
     with open(raster.payload_path, "rb") as fh:
         for b, plane in enumerate(planes):
             raster._read_plane(fh, b, plane)
+    # MultibandImage refuses non-finite samples, as from a gain overflow
     return MultibandImage.from_planes(planes, band_names=raster.band_names)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,15 +33,11 @@ from .raster import Image, check_shape
 
 DEFAULT_BLOCK = 8
 
-# Q, Q4, QNR and SAM read their inputs one strip of rows at a time, and
-# pcc forms its product one strip at a time: the bytes of one strip's
-# samples across every plane the function reads. qnr of in-memory images
-# at 1024x1024 ran alike from 1 to 16 MiB, slower at 256 KiB from per-
-# strip overhead and at 64 MiB. Read from disk, a 512x512 eval faulted
-# in 14.5k pages per op at 4 MiB, 6.5k at 2 MiB and 6.1k at 1 MiB, as
-# larger strips went back to the OS between strips; 1 MiB raised the
-# peak RSS of the fuse and qnr chain at 1024x1024 by about 2 MB
-_STRIP_BYTES = 2 << 20
+# Q, Q4, QNR and SAM read their inputs one strip of rows at a time: the
+# bytes of one strip's samples across every plane the function reads.
+# qnr at 1024x1024 ran alike from 1 to 16 MiB; it was slower at 256 KiB,
+# from per-strip overhead, and at 64 MiB, one strip for the whole image
+_STRIP_BYTES = 4 << 20
 
 
 class SummaryStats(NamedTuple):
@@ -124,12 +120,9 @@ def pcc(band_a: np.ndarray, band_b: np.ndarray, stats_a: SummaryStats,
         raise InputError("shape mismatch")
     if stats_a.std == 0.0 or stats_b.std == 0.0:
         raise DegeneracyError("zero variance")
-    # the centred x becomes the product in place, one strip of y's
-    # deviations at a time, so no second band-sized temporary exists
+    # the centred x becomes the product in place
     xc = x - stats_a.mean
-    step = _strip_rows(1, 2)
-    for s in range(0, xc.size, step):
-        xc[s:s + step] *= y[s:s + step] - stats_b.mean
+    xc *= y - stats_b.mean
     return float(np.mean(xc) / (stats_a.std * stats_b.std))
 
 
@@ -189,24 +182,17 @@ def sam_mean(img_a: Image, img_b: Image) -> float:
 def ergas(reference: Image, test: Image, ratio: int,
           factor: float | None = None) -> float:
     """Relative dimensionless global error; factor defaults to 1/ratio.
-    Each reference band is read whole, for its mean; each test band a
-    strip at a time, into one difference plane reused for every band."""
+    The images are read one band at a time."""
     check_shape(test, reference.shape)
-    bands, height, width = reference.shape
     if factor is None:
         factor = 1.0 / ratio
-    step = _strip_rows(width, 2)
-    diff = np.empty((height, width))
     acc = 0.0
-    for b in range(bands):
+    for b in range(reference.bands):
         ref = reference.band(b)
         mean = ref.mean()
         if mean == 0.0:
             raise DegeneracyError(f"zero reference mean in band {b}")
-        for r in range(0, height, step):
-            stop = min(r + step, height)
-            np.subtract(ref[r:stop], test.rows(b, r, stop), out=diff[r:stop])
-        rmse2 = np.mean(np.multiply(diff, diff, out=diff))
+        rmse2 = np.mean((ref - test.band(b))**2)
         acc += rmse2 / mean**2
     return float(100.0 * factor * math.sqrt(acc / reference.bands))
 
@@ -221,17 +207,15 @@ def _block_view(plane: np.ndarray, bl: int) -> np.ndarray:
 
 
 class _BlockMoments(NamedTuple):
-    tiled: Callable[[], np.ndarray]   # reads the full blocks' rows again
+    tiled: np.ndarray      # the strip's rows cropped to its full blocks
     mean: np.ndarray       # (nby, nbx)
     centred: np.ndarray    # (nby, nbx, bl*bl) block samples minus the mean
     var: np.ndarray        # (nby, nbx) population variance
 
 
-def _block_moments(read, start: int, stop: int, bl: int) -> _BlockMoments:
-    """Moments of the full bl x bl blocks of the rows [start, stop) that
-    read(start, stop) gives. The rows are not held: the rare degenerate
-    block that needs its samples reads them again."""
-    x = np.asarray(read(start, stop), dtype=np.float64)
+def _block_moments(rows: np.ndarray, bl: int) -> _BlockMoments:
+    """Moments of the full bl x bl blocks of a strip of rows."""
+    x = np.asarray(rows, dtype=np.float64)
     blocks = _block_view(x, bl)
     m = blocks.mean(axis=2)
     if np.may_share_memory(blocks, x):
@@ -240,10 +224,9 @@ def _block_moments(read, start: int, stop: int, bl: int) -> _BlockMoments:
         # the block view had to copy: centre that copy in place
         c = blocks
         c -= m[:, :, None]
-    nbx = m.shape[1]
-    return _BlockMoments(
-        lambda: np.asarray(read(start, stop), dtype=np.float64)[:, :nbx * bl],
-        m, c, np.mean(c**2, axis=2))
+    nby, nbx = m.shape
+    return _BlockMoments(x[:nby * bl, :nbx * bl], m, c,
+                         np.mean(c**2, axis=2))
 
 
 def _q_ratio_map(num: np.ndarray, denom: np.ndarray,
@@ -255,11 +238,9 @@ def _q_ratio_map(num: np.ndarray, denom: np.ndarray,
     good = denom > 0
     q = np.divide(num, denom, out=np.zeros_like(denom), where=good)
     if not good.all():
-        same = []
-        for a, b in zip(mom_a, mom_b):
-            eq = a.tiled() == b.tiled()
-            same.append(_block_view(eq, eq.shape[0] // good.shape[0])
-                        .all(axis=2))
+        bl = mom_a[0].tiled.shape[0] // good.shape[0]
+        same = [_block_view(a.tiled == b.tiled, bl).all(axis=2)
+                for a, b in zip(mom_a, mom_b)]
         q[~good & np.all(same, axis=0)] = 1.0
     return q
 
@@ -280,7 +261,7 @@ def _moment_strips(readers, height: int, width: int, bl: int):
     list in reader order per strip of whole block rows, about _STRIP_BYTES
     of samples across all the planes; reader(start, stop) gives a plane's
     rows [start, stop). Each list is emptied before the next strip is
-    read, so only one strip's moments are held at a time, and no rows."""
+    read, so only one strip's rows and moments are held at a time."""
     if bl < 2:
         raise InputError("block_size must be >= 2")
     nby, nbx = height // bl, width // bl
@@ -289,7 +270,7 @@ def _moment_strips(readers, height: int, width: int, bl: int):
     step = _strip_rows(nbx * bl, len(readers), bl)
     for r in range(0, nby * bl, step):
         stop = min(r + step, nby * bl)
-        mom = [_block_moments(read, r, stop, bl) for read in readers]
+        mom = [_block_moments(read(r, stop), bl) for read in readers]
         yield mom
         mom.clear()
 

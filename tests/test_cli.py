@@ -86,10 +86,11 @@ def test_eval_identity_costs_zero(scene, tmp_path):
     assert doc["classic"]["q4"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_eval_holds_neither_image(tmp_path):
-    # a 512x512 4-band image is 8.4 MB as float64: panqa eval reads the
-    # reference and the candidate from disk a band or a strip at a time.
-    # Loading both whole peaked at 23.6 MB, streaming both at 9.5 MB
+def test_eval_holds_no_whole_candidate(tmp_path):
+    # a 512x512 4-band image is 8.4 MB as float64: panqa eval loads the
+    # reference and reads the candidate from disk a band or a strip at a
+    # time. Loading both whole peaked at 23.6 MB, streaming the candidate
+    # at 16.9 MB
     ms, pan, fused = (str(tmp_path / name) for name in ("ms", "pan", "f"))
     assert main(["synth", "--width", "512", "--height", "512",
                  "--out-ms", ms, "--out-pan", pan]) == 0
@@ -100,7 +101,7 @@ def test_eval_holds_neither_image(tmp_path):
     rc, peak = traced_peak(main, ["eval", "--reference", ms, "--candidate",
                                   fused, "--out", str(tmp_path / "e.json")])
     assert rc == 0
-    assert peak < 12e6, peak / 1e6
+    assert peak < 18e6, peak / 1e6
 
 
 def test_qnr_subcommand(scene):

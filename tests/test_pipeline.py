@@ -227,10 +227,9 @@ def test_raster_file_candidate_scores_as_loaded(case):
 @settings(max_examples=30, deadline=None)
 @given(case=candidate_files(), budget=st.sampled_from([1, 4 << 20]))
 def test_files_score_as_loaded_images(case, budget):
-    # the reference and the candidate both read from disk, as panqa eval
-    # reads them, give the record and the classic metrics of the loaded
-    # images, float for float, whether the metrics read one block row or
-    # the whole image per strip
+    # the reference and the candidate both read from disk give the record
+    # and the classic metrics of the loaded images, float for float,
+    # whether the metrics read one block row or the whole image per strip
     kind, write = case
     opts = EvalOptions(gl=8)
     with tempfile.TemporaryDirectory() as tmp, \
