@@ -57,7 +57,7 @@ def _load_pan(path) -> MultibandImage:
 def cmd_synth(args) -> int:
     ms, pan = synth_scene(args.seed, args.width, args.height)
     save_image(ms, args.out_ms)
-    save_image(MultibandImage(pan), args.out_pan)
+    save_image(MultibandImage(pan[None]), args.out_pan)
     return 0
 
 

@@ -97,7 +97,7 @@ def pansharpen_pca(ms: MultibandImage, pan: np.ndarray,
     for v, m, plane in zip(v1, mean, up.planes):
         plane += np.multiply(v, detail, out=pc1)   # pc1 is spent
         plane += m
-    return MultibandImage.from_planes(up.planes, band_names=ms.band_names)
+    return MultibandImage(up.planes, band_names=ms.band_names)
 
 
 def pansharpen_cn(ms: MultibandImage, pan: np.ndarray,
@@ -110,7 +110,7 @@ def pansharpen_cn(ms: MultibandImage, pan: np.ndarray,
     scale /= np.maximum(intensity, _EPS, out=intensity)
     for plane in up.planes:
         plane *= scale
-    return MultibandImage.from_planes(up.planes, band_names=ms.band_names)
+    return MultibandImage(up.planes, band_names=ms.band_names)
 
 
 _B3 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -131,7 +131,7 @@ def pansharpen_atwt(ms: MultibandImage, pan: np.ndarray,
     up = upsample(ms, ratio, cfg.resampler)
     for plane in up.planes:
         plane += detail
-    return MultibandImage.from_planes(up.planes, band_names=ms.band_names)
+    return MultibandImage(up.planes, band_names=ms.band_names)
 
 
 # each method's fuser and its free parameters: the tuning knobs a user

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .raster import Image, MultibandImage, RasterFile, save_image
+from .raster import (Image, MultibandImage, RasterFile, check_shape,
+                     save_image)
 
 # per-band reflectance thresholds for the fine 4-bin code; all lie in
 # (0, 1), so a sample outside [0, 1] codes as if clipped to it
@@ -46,9 +47,8 @@ class LabelMapStack:
     coarse: np.ndarray
 
     def __post_init__(self):
-        if not (self.fine.shape == self.intermediate.shape
-                == self.coarse.shape):
-            raise InputError("label planes must share dimensions")
+        check_shape(self.intermediate, self.fine.shape)
+        check_shape(self.coarse, self.fine.shape)
 
     def level(self, name: str) -> np.ndarray:
         if name not in LEVELS:
@@ -109,7 +109,7 @@ def save_stack(stack: LabelMapStack, path) -> None:
     """Write the three label planes as a u16 image, one band per level."""
     planes = np.array([stack.level(name) for name in LEVELS],
                       dtype=np.float64)
-    save_image(MultibandImage.from_planes(planes, band_names=list(LEVELS)),
+    save_image(MultibandImage(planes, band_names=list(LEVELS)),
                path, sample_type="u16")
 
 
@@ -134,8 +134,7 @@ def post_classification_change_count(stack_a: LabelMapStack,
                                      stack_b: LabelMapStack,
                                      level: str = "coarse") -> int:
     """Number of pixels whose labels differ at the chosen level."""
-    if stack_a.shape != stack_b.shape:
-        raise InputError("dimension mismatch")
+    check_shape(stack_b, stack_a.shape)
     return int(np.count_nonzero(stack_a.level(level) != stack_b.level(level)))
 
 
@@ -166,6 +165,5 @@ def cross_aura(stack: LabelMapStack) -> tuple[np.ndarray, float]:
 
 def binary_contour_cost(plane_a: np.ndarray, plane_b: np.ndarray) -> float:
     """Mean absolute difference of two cross-aura planes, binarized."""
-    if plane_a.shape != plane_b.shape:
-        raise InputError("dimension mismatch")
+    check_shape(plane_b, plane_a.shape)
     return float(np.mean((plane_a > 0) != (plane_b > 0)))

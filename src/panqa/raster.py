@@ -5,17 +5,17 @@ An image on disk is a pair of files sharing a base name: ``<name>.json``
 sequential, row-major within each band, little endian. Calibration is
 affine per band: sample = DN * gain + offset.
 
-In memory an image is held as on disk: one C-contiguous float64 buffer of
-(bands, height, width) planes, seen through MultibandImage.samples as a
-(height, width, bands) view. MultibandImage.from_planes() wraps such a
-buffer without a copy, so a producer fills one plane at a time and the
-image is never held twice; any other samples array is copied into this
-layout once.
+In memory an image is held as on disk: MultibandImage.planes is one
+C-contiguous float64 buffer of (bands, height, width) planes. The
+constructor holds such a buffer without a copy, so a producer fills one
+plane at a time and the image is never held twice; any other 3-D array
+is copied into this layout once.
 
 ImageHeader is the header's one definition, its fields named as the JSON
 keys: load_image() builds it from the JSON object and save_image() writes
-it, so every header saved is one that loads. It refuses a gain or offset
-that is not finite, and a gain of 0, before any sample is converted.
+it, so every header saved is one that loads. It refuses a width, height
+or band count below 1, a gain or offset that is not finite, and a gain
+of 0, before any sample is converted.
 
 Both image kinds share one read interface, the Image base: shape, the
 (bands, height, width) triple, and rows(b, start, stop), the calibrated
@@ -94,9 +94,9 @@ def _check_band_names(names, bands: int) -> None:
                          f"{bands} strings: {names!r}")
 
 
-def check_shape(img, shape: tuple[int, int, int]) -> None:
+def check_shape(img, shape: tuple[int, ...]) -> None:
     """Refuses an image whose (bands, height, width), or an array whose
-    shape, is not shape."""
+    shape, is not shape, naming both."""
     if img.shape != tuple(shape):
         raise InputError(f"shape mismatch: {img.shape} against "
                          f"{tuple(shape)}")
@@ -127,41 +127,24 @@ class Image:
 
 @dataclass
 class MultibandImage(Image):
-    """Calibrated raster; samples has shape (height, width, bands) and is a
-    view of the band-sequential buffer planes."""
+    """Calibrated raster: planes is its C-contiguous float64 buffer of
+    (bands, height, width) planes."""
 
-    samples: np.ndarray
+    planes: np.ndarray
     band_names: list[str] | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.samples)
-        if a.ndim == 2:
-            a = a[:, :, None]
+        a = np.asarray(self.planes)
         if a.ndim != 3:
-            raise InputError("samples must be a 2-D or 3-D array")
-        if a.shape[0] < 1 or a.shape[1] < 1 or a.shape[2] < 1:
+            raise InputError("planes must be a 3-D array")
+        if a.size == 0:
             raise InputError("empty image")
-        _check_band_names(self.band_names, a.shape[2])
-        # a copy only when the samples are not float64 planes already
-        planes = np.asarray(np.moveaxis(a, 2, 0), dtype=np.float64,
-                            order="C")
+        _check_band_names(self.band_names, a.shape[0])
+        # a copy only when the planes are not C-contiguous float64 already
+        self.planes = np.ascontiguousarray(a, dtype=np.float64)
         # band by band, so the check holds one plane's mask at a time
-        for p in planes:
+        for p in self.planes:
             _check_finite(p)
-        self.samples = np.moveaxis(planes, 0, 2)
-
-    @classmethod
-    def from_planes(cls, planes: np.ndarray,
-                    band_names: list[str] | None = None
-                    ) -> MultibandImage:
-        """The image of a (bands, height, width) float64 buffer, which it
-        holds without a copy when the buffer is C-contiguous."""
-        return cls(np.moveaxis(planes, 0, 2), band_names)
-
-    @property
-    def planes(self) -> np.ndarray:
-        """The (bands, height, width) buffer behind samples."""
-        return np.moveaxis(self.samples, 2, 0)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -191,7 +174,10 @@ class ImageHeader:
 
     def __post_init__(self):
         for key in ("width", "height", "bands"):
-            setattr(self, key, checked(int, getattr(self, key), key))
+            value = checked(int, getattr(self, key), key)
+            if value < 1:
+                raise InputError(f"{key} must be at least 1: {value}")
+            setattr(self, key, value)
         if self.dtype not in _DTYPES:
             raise InputError(f"unknown dtype {self.dtype!r}")
         for key, default in (("gain", 1.0), ("offset", 0.0)):
@@ -296,7 +282,7 @@ def load_image(path) -> MultibandImage:
         for b, plane in enumerate(planes):
             raster._read_plane(fh, b, plane)
     # MultibandImage refuses non-finite samples, as from a gain overflow
-    return MultibandImage.from_planes(planes, band_names=raster.band_names)
+    return MultibandImage(planes, band_names=raster.band_names)
 
 
 def save_image(img: MultibandImage, path, sample_type: str = "f32",

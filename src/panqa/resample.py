@@ -15,8 +15,8 @@ height. upsample() multiplies each block of interpolation-matrix rows
 over its nonzero columns only.
 
 degrade() and upsample() write each output band into one preallocated
-(bands, height, width) buffer and wrap it with MultibandImage.from_planes,
-so the result is never stacked from a list of separate planes.
+(bands, height, width) buffer, which the returned image holds without a
+copy, so the result is never stacked from a list of separate planes.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def degrade(img: MultibandImage, ratio: int,
     planes = np.empty((img.bands, img.height // ratio, img.width // ratio))
     for src, out in zip(img.planes, planes):
         out[...] = mirror_filter(src, taps, keep=keep)
-    return MultibandImage.from_planes(planes, band_names=img.band_names)
+    return MultibandImage(planes, band_names=img.band_names)
 
 
 def _interp_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
@@ -203,7 +203,7 @@ def upsample(img: MultibandImage, ratio: int, method: str = "bicubic"
                 part = wy @ src[cols]
                 for rows_x, cols_x, wx in mx:
                     np.matmul(part[:, cols_x], wx.T, out=out[rows, rows_x])
-    return MultibandImage.from_planes(planes, band_names=img.band_names)
+    return MultibandImage(planes, band_names=img.band_names)
 
 
 def _row_blocks(mat: np.ndarray) -> list:

@@ -114,10 +114,10 @@ def pcc(band_a: np.ndarray, band_b: np.ndarray, stats_a: SummaryStats,
     """Pearson correlation with population normalization. stats_a and
     stats_b are the bands' summary_stats, whose mean and std are the ones
     a Pearson correlation computes."""
-    x = np.asarray(band_a, dtype=np.float64).ravel()
-    y = np.asarray(band_b, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise InputError("shape mismatch")
+    x = np.asarray(band_a, dtype=np.float64)
+    y = np.asarray(band_b, dtype=np.float64)
+    check_shape(y, x.shape)
+    x, y = x.ravel(), y.ravel()
     if stats_a.std == 0.0 or stats_b.std == 0.0:
         raise DegeneracyError("zero variance")
     # the centred x becomes the product in place

@@ -97,5 +97,4 @@ def synth_scene(seed: int, width: int, height: int
     lo, hi = 0.02, 0.98
     np.clip(planes, lo, hi, out=planes)
     np.clip(pan, lo, hi, out=pan)
-    return MultibandImage.from_planes(
-        planes, band_names=["b1", "b2", "b3", "b4"]), pan
+    return MultibandImage(planes, band_names=["b1", "b2", "b3", "b4"]), pan

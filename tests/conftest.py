@@ -17,5 +17,6 @@ def rng():
 @pytest.fixture
 def random_image(rng):
     def make(height=16, width=16, bands=4, lo=0.1, hi=0.9):
-        return MultibandImage(rng.uniform(lo, hi, (height, width, bands)))
+        samples = rng.uniform(lo, hi, (height, width, bands))
+        return MultibandImage(np.moveaxis(samples, 2, 0))
     return make

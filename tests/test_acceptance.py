@@ -95,20 +95,20 @@ def test_criterion_3_glcm_oracle_equivalence():
 def test_criterion_4_metric_invariants():
     rng = np.random.default_rng(99)
     tol = 1e-9
-    a = MultibandImage(rng.random((32, 32, 4)))
-    b = MultibandImage(rng.random((32, 32, 4)))
+    a = MultibandImage(np.moveaxis(rng.random((32, 32, 4)), 2, 0))
+    b = MultibandImage(np.moveaxis(rng.random((32, 32, 4)), 2, 0))
     checks = []
 
     # SAM: zero on identity, scale invariance
     checks.append(abs(sam_mean(a, a)) <= 1e-6)
     checks.append(abs(sam_mean(a, b)
-                      - sam_mean(a, MultibandImage(2.5 * b.samples)))
+                      - sam_mean(a, MultibandImage(2.5 * b.planes)))
                   <= tol)
     # ERGAS: zero on identity, residual linearity
     checks.append(ergas(a, a, 4) == 0.0)
-    resid = 0.01 * rng.standard_normal(a.samples.shape)
-    e1 = ergas(a, MultibandImage(a.samples + resid), 4)
-    e3 = ergas(a, MultibandImage(a.samples + 3.0 * resid), 4)
+    resid = np.moveaxis(0.01 * rng.standard_normal((32, 32, 4)), 2, 0)
+    e1 = ergas(a, MultibandImage(a.planes + resid), 4)
+    e3 = ergas(a, MultibandImage(a.planes + 3.0 * resid), 4)
     checks.append(abs(e3 - 3.0 * e1) <= tol * max(1.0, e3))
     # Q: one on identity, symmetry
     x, y = rng.random((16, 16)), rng.random((16, 16))
@@ -116,13 +116,14 @@ def test_criterion_4_metric_invariants():
     checks.append(abs(q_index(x, y) - q_index(y, x)) <= tol)
     # Q4: one on identity, bounded
     checks.append(abs(q4(a, a) - 1.0) <= tol)
-    checks.append(all(0.0 <= q4(MultibandImage(rng.random((8, 8, 4))),
-                                MultibandImage(rng.random((8, 8, 4)))) <= 1.0
-                      for _ in range(20)))
+    checks.append(all(
+        0.0 <= q4(MultibandImage(np.moveaxis(rng.random((8, 8, 4)), 2, 0)),
+                  MultibandImage(np.moveaxis(rng.random((8, 8, 4)), 2, 0)))
+        <= 1.0 for _ in range(20)))
     # QNR: exactly one under the zero-distortion construction
     bl = 2
     ms = MultibandImage(np.repeat(np.repeat(
-        rng.random((4, 4, 4)), bl, axis=0), bl, axis=1))
+        np.moveaxis(rng.random((4, 4, 4)), 2, 0), bl, axis=1), bl, axis=2))
     pan_l = np.repeat(np.repeat(rng.random((4, 4)), bl, axis=0), bl, axis=1)
     fused = upsample(ms, 4, "nearest")
     pan_h = np.repeat(np.repeat(pan_l, 4, axis=0), 4, axis=1)
@@ -171,7 +172,7 @@ def test_criterion_5_end_to_end_dominance():
     k_ms = mtf_gaussian_kernel(ratio, DEFAULT_MTF_GAIN_MS)
     k_pan = mtf_gaussian_kernel(ratio, DEFAULT_MTF_GAIN_PAN)
     ms_l = degrade(ms, ratio, k_ms)                       # 64x64 reference
-    pan_l = degrade(MultibandImage(pan), ratio, k_pan).band(0)
+    pan_l = degrade(MultibandImage(pan[None]), ratio, k_pan).band(0)
     ms_ll = degrade(ms_l, ratio, k_ms)                    # 16x16 input
 
     opts = EvalOptions(ratio=ratio)

@@ -36,16 +36,16 @@ def test_synth_shapes_and_determinism(tmp_path):
                      "--out-pan", str(tmp_path / f"pan{name}")]) == 0
     ms = load_image(tmp_path / "msa")
     pan = load_image(tmp_path / "pana")
-    assert ms.samples.shape == (24, 32, 4)
-    assert pan.samples.shape == (24, 32, 1)
-    assert np.array_equal(ms.samples, load_image(tmp_path / "msb").samples)
+    assert ms.planes.shape == (4, 24, 32)
+    assert pan.planes.shape == (1, 24, 32)
+    assert np.array_equal(ms.planes, load_image(tmp_path / "msb").planes)
     assert (tmp_path / "msa.json").exists()
     assert (tmp_path / "msa.raw").exists()
 
 
 def test_degrade_shape(scene):
     out = load_image(scene / "ms_l")
-    assert out.samples.shape == (16, 16, 4)
+    assert out.planes.shape == (4, 16, 16)
 
 
 @pytest.mark.parametrize("method", ["pca", "cn", "atwt"])
@@ -56,7 +56,7 @@ def test_fuse_and_eval(scene, method):
                  "--pan", str(scene / "pan"), "--out", str(fused),
                  "--process-meta", str(meta)]) == 0
     img = load_image(fused)
-    assert img.samples.shape == (64, 64, 4)
+    assert img.planes.shape == (4, 64, 64)
     with open(meta, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc["method"] == method
@@ -155,12 +155,11 @@ def test_qnr_takes_its_ratio_from_the_images(tmp_path):
 ])
 def test_pan_not_a_multiple_of_ms(tmp_path, monkeypatch, capsys, rng, argv):
     # 30 is no multiple of 8: fuse and qnr refuse the pair alike
-    save_image(MultibandImage(rng.uniform(0.1, 0.9, (8, 8, 4))),
-               tmp_path / "ms_l")
-    save_image(MultibandImage(rng.uniform(0.1, 0.9, (30, 30, 1))),
-               tmp_path / "pan")
-    save_image(MultibandImage(rng.uniform(0.1, 0.9, (30, 30, 4))),
-               tmp_path / "ms")
+    for name, shape in (("ms_l", (8, 8, 4)), ("pan", (30, 30, 1)),
+                        ("ms", (30, 30, 4))):
+        samples = rng.uniform(0.1, 0.9, shape)
+        save_image(MultibandImage(np.moveaxis(samples, 2, 0)),
+                   tmp_path / name)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert (capsys.readouterr().err.strip()
@@ -170,7 +169,7 @@ def test_pan_not_a_multiple_of_ms(tmp_path, monkeypatch, capsys, rng, argv):
 
 def test_qnr_single_band_is_input_error(tmp_path, capsys, rng):
     for name, size in (("ms", 8), ("pan", 32), ("fused", 32)):
-        save_image(MultibandImage(rng.uniform(0.1, 0.9, (size, size, 1))),
+        save_image(MultibandImage(rng.uniform(0.1, 0.9, (1, size, size))),
                    tmp_path / name)
     assert main(["qnr", "--ms", str(tmp_path / "ms"),
                  "--pan", str(tmp_path / "pan"),
@@ -260,7 +259,7 @@ def test_quantize_contours_roundtrip(scene):
                  "--out", str(stack_a)]) == 0
     # perturbed copy flips some labels
     img = load_image(scene / "ms")
-    shifted = MultibandImage(np.clip(img.samples + 0.08, 0.0, 1.0))
+    shifted = MultibandImage(np.clip(img.planes + 0.08, 0.0, 1.0))
     save_image(shifted, scene / "ms_shift")
     assert main(["quantize", "--input", str(scene / "ms_shift"),
                  "--out", str(stack_b)]) == 0
@@ -294,9 +293,9 @@ def test_quantize_contours_roundtrip(scene):
 ])
 def test_contours_rejects_invalid_stack(tmp_path, capsys, band, value,
                                         sample_type, message):
-    good = np.zeros((6, 6, 3))
+    good = np.zeros((3, 6, 6))
     bad = good.copy()
-    bad[3, 2, band] = value
+    bad[band, 3, 2] = value
     save_image(MultibandImage(good), tmp_path / "good", sample_type="u16")
     save_image(MultibandImage(bad), tmp_path / "bad", sample_type=sample_type)
     assert main(["contours", "--a", str(tmp_path / "good"),
@@ -304,6 +303,36 @@ def test_contours_rejects_invalid_stack(tmp_path, capsys, band, value,
                  "--out", str(tmp_path / "c.json")]) == 2
     assert re.search(message, capsys.readouterr().err)
     assert not (tmp_path / "c.json").exists()
+
+
+def test_contours_of_two_sizes_names_both_shapes(tmp_path, capsys):
+    for name, width in (("a", 6), ("b", 8)):
+        save_image(MultibandImage(np.zeros((3, 6, width))), tmp_path / name,
+                   sample_type="u16")
+    assert main(["contours", "--a", str(tmp_path / "a"),
+                 "--b", str(tmp_path / "b"),
+                 "--out", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert "(6, 6)" in err and "(6, 8)" in err
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("argv, header, samples, key", [
+    # two negatives multiply to a size the 64-byte payload matches
+    (["degrade", "--input", "r", "--ratio", "2", "--out", "out"],
+     {"width": -4, "height": -4, "bands": 1, "dtype": "f32"}, 16, "width"),
+    (["glcm3", "--input", "r", "--out", "out.json"],
+     {"width": 4, "height": 0, "bands": 1, "dtype": "f32"}, 0, "height"),
+], ids=["degrade-negative", "glcm3-zero-height"])
+def test_header_dimension_below_one_is_input_error(tmp_path, monkeypatch,
+                                                   capsys, argv, header,
+                                                   samples, key):
+    (tmp_path / "r.json").write_text(json.dumps(header))
+    np.zeros(samples, dtype="<f4").tofile(tmp_path / "r.raw")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert f"{key} must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.glob("out*"))
 
 
 def test_rank_pipeline_and_determinism(scene):
@@ -357,8 +386,9 @@ def test_rank_output_schema(scene):
                                {"id": "noisy", "path": str(scene / "noisy")}],
                 "options": {"gl": 8}}
     img = load_image(scene / "ms")
-    noise = np.random.default_rng(5).normal(0.0, 0.05, img.samples.shape)
-    save_image(MultibandImage(img.samples + noise), scene / "noisy")
+    noise = np.random.default_rng(5).normal(0.0, 0.05, (64, 64, 4))
+    save_image(MultibandImage(img.planes + np.moveaxis(noise, 2, 0)),
+               scene / "noisy")
     mpath = scene / "manifest.json"
     mpath.write_text(json.dumps(manifest), encoding="utf-8")
     with warnings.catch_warnings():
@@ -513,7 +543,7 @@ def test_rank_candidate_shrunk_after_opening(scene, monkeypatch, capsys):
     # the payload passes the size check when it is opened, then loses its
     # last sample: that band is refused, not read short
     ms = load_image(scene / "ms")
-    save_image(MultibandImage(ms.samples * 0.9), scene / "dim")
+    save_image(MultibandImage(ms.planes * 0.9), scene / "dim")
     payload = scene / "dim.raw"
 
     class Shrinking(RasterFile):
@@ -744,7 +774,7 @@ def test_synth_bad_argument(tmp_path, capsys, option, message):
 
 
 def test_exit_code_degenerate(tmp_path):
-    flat = MultibandImage(np.full((16, 16, 4), 0.5))
+    flat = MultibandImage(np.full((4, 16, 16), 0.5))
     save_image(flat, tmp_path / "flat")
     assert main(["eval", "--reference", str(tmp_path / "flat"),
                  "--candidate", str(tmp_path / "flat"),
@@ -824,8 +854,8 @@ def test_eval_option_out_of_range(tmp_path, capsys, option, message):
 def test_degrade_ratio_one_copies(scene):
     assert main(["degrade", "--input", str(scene / "ms"), "--ratio", "1",
                  "--out", str(scene / "copy")]) == 0
-    assert np.array_equal(load_image(scene / "copy").samples,
-                          load_image(scene / "ms").samples)
+    assert np.array_equal(load_image(scene / "copy").planes,
+                          load_image(scene / "ms").planes)
 
 
 def test_glcm3_radii_not_increasing(scene, capsys):

@@ -32,14 +32,14 @@ from test_raster import encode_by_formula
 def stacked_upsample(img, ratio, method):
     """upsample() as it stacked per-band results into an interleaved
     (height, width, bands) array."""
+    samples = np.moveaxis(img.planes, 0, 2)
     if ratio == 1:
-        return img.samples.copy()
+        return samples.copy()
     if method == "nearest":
-        return np.repeat(np.repeat(img.samples, ratio, axis=0), ratio,
-                         axis=1)
+        return np.repeat(np.repeat(samples, ratio, axis=0), ratio, axis=1)
     my = _interp_matrix(img.height, ratio, method)
     mx = _interp_matrix(img.width, ratio, method)
-    return np.stack([my @ img.samples[:, :, b] @ mx.T
+    return np.stack([my @ samples[:, :, b] @ mx.T
                      for b in range(img.bands)], axis=2)
 
 
@@ -92,14 +92,15 @@ _STACKED_FUSERS = {"pca": (pansharpen_pca, stacked_pca, 1e-9),
 def test_upsample_equals_stacked(seed, bands, ratio, h, w, method,
                                  interleaved):
     samples = np.random.default_rng(seed).random((h, w, bands))
+    planes = np.moveaxis(samples, 2, 0)
     if not interleaved:
-        samples = np.moveaxis(np.ascontiguousarray(
-            np.moveaxis(samples, 2, 0)), 0, 2)
-    img = MultibandImage(samples)
+        planes = np.ascontiguousarray(planes)
+    img = MultibandImage(planes)
     for r in (1, ratio):
         up = upsample(img, r, method)
         assert is_band_sequential(up)
-        assert np.array_equal(up.samples, stacked_upsample(img, r, method))
+        assert np.array_equal(up.planes, np.moveaxis(
+            stacked_upsample(img, r, method), 2, 0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,22 +112,25 @@ def test_upsample_equals_stacked(seed, bands, ratio, h, w, method,
 def test_fusers_equal_stacked(seed, bands, ratio, h, w, method, resampler,
                               levels):
     rng = np.random.default_rng(seed)
-    ms = MultibandImage(rng.uniform(0.1, 0.9, (h, w, bands)))
+    ms = MultibandImage(np.moveaxis(rng.uniform(0.1, 0.9, (h, w, bands)),
+                                    2, 0))
     pan = rng.uniform(0.1, 0.9, (h * ratio, w * ratio))
     cfg = FusionConfig(method=method, resampler=resampler,
                        wavelet_levels=levels)
     fuser, stacked, atol = _STACKED_FUSERS[method]
     fused = fuser(ms, pan, cfg)
     assert is_band_sequential(fused)
-    np.testing.assert_allclose(fused.samples, stacked(ms, pan, cfg), rtol=0,
-                               atol=atol)
+    np.testing.assert_allclose(fused.planes,
+                               np.moveaxis(stacked(ms, pan, cfg), 2, 0),
+                               rtol=0, atol=atol)
 
 
 @st.composite
 def images_to_store(draw):
-    """(samples, sample_type, gain, offset) with 2-5 bands; the samples are
+    """(planes, sample_type, gain, offset) with 2-5 bands; the samples are
     drawn over a range a little wider than the integral types hold, so
-    the range check refuses some images."""
+    the range check refuses some images. The planes are a view of an
+    interleaved (height, width, bands) buffer, or band-sequential."""
     sample_type = draw(st.sampled_from(["u8", "u16", "f32"]))
     bands = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -137,29 +141,28 @@ def images_to_store(draw):
     dn = rng.uniform(-0.02 * top, 1.01 * top, shape)
     if draw(st.booleans()):
         dn = np.clip(np.rint(dn), 0, top)
-    samples = dn * gain + offset
+    planes = np.moveaxis(dn * gain + offset, 2, 0)
     if draw(st.booleans()):
-        samples = np.moveaxis(np.ascontiguousarray(
-            np.moveaxis(samples, 2, 0)), 0, 2)
-    return samples, sample_type, list(gain), list(offset)
+        planes = np.ascontiguousarray(planes)
+    return planes, sample_type, list(gain), list(offset)
 
 
 @settings(max_examples=100, deadline=None)
 @given(stored=images_to_store())
 def test_save_image_equals_stacked(stored):
-    samples, sample_type, gain, offset = stored
+    planes, sample_type, gain, offset = stored
     # the payload as built from one whole-image float64 DN buffer
-    want = encode_by_formula(samples, sample_type, gain, offset)
+    want = encode_by_formula(planes, sample_type, gain, offset)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "img"
         if want is None:
             with pytest.raises(InputError, match="out of range"):
-                save_image(MultibandImage(samples), path, sample_type, gain,
+                save_image(MultibandImage(planes), path, sample_type, gain,
                            offset)
             # a refused band leaves neither file behind
             assert not list(Path(tmp).iterdir())
         else:
-            save_image(MultibandImage(samples), path, sample_type, gain,
+            save_image(MultibandImage(planes), path, sample_type, gain,
                        offset)
             assert path.with_suffix(".raw").read_bytes() == want.tobytes()
             assert is_band_sequential(load_image(path))
@@ -172,15 +175,16 @@ def test_save_image_strips_equal_formula(tmp_path, rng, sample_type):
     assert 2 * _STRIP_SAMPLES < h * w < 3 * _STRIP_SAMPLES
     top = {"u8": 255.0, "u16": 65535.0, "f32": 1e4}[sample_type]
     gain, offset = [0.7, 1.3], [-2.0, 5.0]
-    samples = rng.uniform(0.0, top, (h, w, 2)) * gain + offset
-    want = encode_by_formula(samples, sample_type, gain, offset)
-    save_image(MultibandImage(samples), tmp_path / "img", sample_type,
+    planes = np.moveaxis(rng.uniform(0.0, top, (h, w, 2)) * gain + offset,
+                         2, 0)
+    want = encode_by_formula(planes, sample_type, gain, offset)
+    save_image(MultibandImage(planes), tmp_path / "img", sample_type,
                gain, offset)
     assert (tmp_path / "img.raw").read_bytes() == want.tobytes()
     # the last sample of the last strip refused: nothing is written
-    samples[-1, -1, -1] = 1e40 if sample_type == "f32" else -10.0
+    planes[-1, -1, -1] = 1e40 if sample_type == "f32" else -10.0
     with pytest.raises(InputError, match="band 1: sample out of range"):
-        save_image(MultibandImage(samples), tmp_path / "bad", sample_type,
+        save_image(MultibandImage(planes), tmp_path / "bad", sample_type,
                    gain, offset)
     assert not (tmp_path / "bad.json").exists()
     assert not (tmp_path / "bad.raw").exists()
@@ -188,15 +192,21 @@ def test_save_image_strips_equal_formula(tmp_path, rng, sample_type):
 
 def test_image_wraps_band_sequential_planes_without_copy():
     planes = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-    img = MultibandImage.from_planes(planes)
-    assert np.shares_memory(img.samples, planes)
-    assert np.array_equal(img.samples, np.moveaxis(planes, 0, 2))
-    # interleaved or non-float64 samples are copied into planes, once
-    interleaved = np.moveaxis(planes, 0, 2).copy()
-    img = MultibandImage(interleaved)
-    assert is_band_sequential(img)
-    assert not np.shares_memory(img.samples, interleaved)
-    assert np.array_equal(img.samples, interleaved)
+    img = MultibandImage(planes)
+    assert np.shares_memory(img.planes, planes)
+    # Fortran-ordered, strided and float32 planes are copied, once, into
+    # C-contiguous float64 planes
+    for other in (np.asfortranarray(planes),
+                  np.arange(48.0).reshape(2, 3, 8)[:, :, ::2],
+                  planes.astype(np.float32)):
+        img = MultibandImage(other)
+        assert is_band_sequential(img)
+        assert img.planes.dtype == np.float64
+        assert not np.shares_memory(img.planes, other)
+        assert np.array_equal(img.planes, other)
+    for bad in (planes[0], planes[None], np.empty((2, 0, 4))):
+        with pytest.raises(InputError):
+            MultibandImage(bad)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -216,7 +226,8 @@ PLANE = H * W * 8   # one float64 band
 
 @pytest.mark.parametrize("sample_type, itemsize", [("u16", 2), ("f32", 4)])
 def test_save_image_footprint(tmp_path, rng, sample_type, itemsize):
-    img = MultibandImage(rng.uniform(0.0, 1.0, (H, W, BANDS)))
+    img = MultibandImage(np.moveaxis(rng.uniform(0.0, 1.0, (H, W, BANDS)),
+                                     2, 0))
     payload = H * W * BANDS * itemsize
     _, peak = traced_peak(save_image, img, tmp_path / "img", sample_type,
                           gain=[1e-4] * BANDS if sample_type == "u16"
@@ -227,7 +238,8 @@ def test_save_image_footprint(tmp_path, rng, sample_type, itemsize):
 
 @pytest.mark.parametrize("sample_type, itemsize", [("u16", 2), ("f32", 4)])
 def test_load_image_footprint(tmp_path, rng, sample_type, itemsize):
-    save_image(MultibandImage(rng.uniform(0.0, 1.0, (H, W, BANDS))),
+    samples = rng.uniform(0.0, 1.0, (H, W, BANDS))
+    save_image(MultibandImage(np.moveaxis(samples, 2, 0)),
                tmp_path / "img", sample_type,
                gain=[1e-4] * BANDS if sample_type == "u16" else None)
     img, peak = traced_peak(load_image, tmp_path / "img")
@@ -238,19 +250,20 @@ def test_load_image_footprint(tmp_path, rng, sample_type, itemsize):
 @pytest.mark.parametrize("method", ["nearest", "bilinear", "bicubic"])
 def test_upsample_footprint(rng, method):
     ratio = 4
-    ms = MultibandImage(rng.random((H // ratio, W // ratio, BANDS)))
+    ms = MultibandImage(np.moveaxis(
+        rng.random((H // ratio, W // ratio, BANDS)), 2, 0))
     up, peak = traced_peak(upsample, ms, ratio, method)
     # the output, the interpolation matrices and one (H, W / ratio)
     # product: within one plane of the output
-    assert peak < up.samples.nbytes + PLANE
+    assert peak < up.planes.nbytes + PLANE
 
 
 @pytest.mark.parametrize("method, planes", [("cn", 3), ("atwt", 2),
                                             ("pca", 3)])
 def test_fuser_footprint(rng, method, planes):
     ratio = 4
-    ms = MultibandImage(rng.uniform(0.1, 0.9, (H // ratio, W // ratio,
-                                               BANDS)))
+    ms = MultibandImage(np.moveaxis(
+        rng.uniform(0.1, 0.9, (H // ratio, W // ratio, BANDS)), 2, 0))
     pan = rng.uniform(0.1, 0.9, (H, W))
     (fused, _), peak = traced_peak(pansharpen, ms, pan,
                                    FusionConfig(method=method,
@@ -259,7 +272,7 @@ def test_fuser_footprint(rng, method, planes):
     # at most two pan-sized planes: CN the intensity and the scale, PCA
     # PC1 and the detail, ATWT the detail (its filter runs before the
     # upsample); the mean/std matching's moment temporaries come first
-    assert peak < fused.samples.nbytes + planes * PLANE
+    assert peak < fused.planes.nbytes + planes * PLANE
 
 
 def test_run_manifest_footprint(tmp_path, rng):
@@ -267,14 +280,15 @@ def test_run_manifest_footprint(tmp_path, rng):
     # read from disk one band at a time, so beside the reference a run
     # holds one candidate band and its moment temporaries. Loading each
     # candidate whole peaked at 12.0 planes, streaming it at 8.0
-    ref = synth_scene(0, W, H)[0].samples
+    ref = synth_scene(0, W, H)[0].planes
     save_image(MultibandImage(ref), tmp_path / "ref")
     for ext in (".json", ".raw"):
         shutil.copyfile(tmp_path / f"ref{ext}", tmp_path / f"oracle{ext}")
     ids = ["oracle"]
     for sigma in (0.01, 0.03, 0.1):
         ids.append(f"noise{sigma}")
-        save_image(MultibandImage(ref + rng.normal(0.0, sigma, ref.shape)),
+        noise = rng.normal(0.0, sigma, (H, W, BANDS))
+        save_image(MultibandImage(ref + np.moveaxis(noise, 2, 0)),
                    tmp_path / ids[-1])
     del ref
     manifest = RunManifest(

@@ -46,7 +46,8 @@ def test_from_json_rejects_unknown_option(tmp_path):
 
 def test_run_manifest_leaves_options_unchanged(tmp_path, rng):
     for name in ("ref", "a", "b"):
-        save_image(MultibandImage(rng.uniform(0.1, 0.9, (12, 12, 4))),
+        samples = rng.uniform(0.1, 0.9, (12, 12, 4))
+        save_image(MultibandImage(np.moveaxis(samples, 2, 0)),
                    tmp_path / name)
     manifest = RunManifest(
         reference=str(tmp_path / "ref"),
@@ -112,7 +113,7 @@ def test_report_lists_dropped_columns(tmp_path):
 def test_candidate_may_carry_fuser_meta(tmp_path, rng):
     # a candidate entry may be a `panqa fuse --process-meta` file plus its
     # id and path
-    ms = MultibandImage(rng.uniform(0.1, 0.9, (8, 8, 4)))
+    ms = MultibandImage(np.moveaxis(rng.uniform(0.1, 0.9, (8, 8, 4)), 2, 0))
     _, meta = pansharpen(ms, rng.uniform(0.1, 0.9, (32, 32)),
                          FusionConfig(method="cn"))
     doc = {"reference": "ref", "ratio": 4,
@@ -133,9 +134,10 @@ def fresh_record(reference, candidate, opts):
 def test_candidate_equal_to_reference_reuses_its_features(rng,
                                                           monkeypatch):
     opts = EvalOptions(gl=8)
-    ref = MultibandImage(rng.uniform(-0.1, 1.1, (16, 16, 4)))
+    ref = MultibandImage(np.moveaxis(rng.uniform(-0.1, 1.1, (16, 16, 4)),
+                                     2, 0))
     reference = image_features(ref, opts)
-    oracle = MultibandImage(ref.samples.copy())
+    oracle = MultibandImage(ref.planes.copy())
     want = fresh_record(reference, oracle, opts)
     calls = count_calls(monkeypatch, pipeline.image_features)
     record = evaluate_candidate(reference, oracle, opts, "c")
@@ -143,24 +145,26 @@ def test_candidate_equal_to_reference_reuses_its_features(rng,
     assert record == want
 
 
-@pytest.mark.parametrize("pixel", [(0, 5, 2), (15, 15, 3)])
+@pytest.mark.parametrize("pixel", [(2, 0, 5), (3, 15, 15)])
 def test_candidate_one_sample_off_is_featurized(rng, monkeypatch, pixel):
     # one sample off in the first row, then in the last
     opts = EvalOptions(gl=8)
-    ref = MultibandImage(rng.uniform(0.1, 0.9, (16, 16, 4)))
+    ref = MultibandImage(np.moveaxis(rng.uniform(0.1, 0.9, (16, 16, 4)),
+                                     2, 0))
     reference = image_features(ref, opts)
-    samples = ref.samples.copy()
-    samples[pixel] = np.nextafter(samples[pixel], 1.0)
+    planes = ref.planes.copy()
+    planes[pixel] = np.nextafter(planes[pixel], 1.0)
     calls = count_calls(monkeypatch, pipeline.image_features)
-    evaluate_candidate(reference, MultibandImage(samples), opts, "c")
+    evaluate_candidate(reference, MultibandImage(planes), opts, "c")
     assert len(calls) == 1
 
 
 # a 4-band reference with samples outside [0, 1] and on its ends, saved
 # as f32
-_REFERENCE = np.random.default_rng(7).uniform(-0.1, 1.1, (12, 12, 4)) \
-    .astype(np.float32).astype(np.float64)
-_REFERENCE[0, 0], _REFERENCE[0, 1] = 0.0, 1.0
+_REFERENCE = np.moveaxis(
+    np.random.default_rng(7).uniform(-0.1, 1.1, (12, 12, 4))
+    .astype(np.float32).astype(np.float64), 2, 0)
+_REFERENCE[:, 0, 0], _REFERENCE[:, 0, 1] = 0.0, 1.0
 # (sample type, DN range, gain range) of a stored candidate; its samples
 # reach from about -0.2 to above 1
 _STORED = {"u8": ("<u1", 255, (1e-3, 5e-3)),
@@ -182,10 +186,11 @@ def candidate_files(draw):
         same = draw(st.integers(1, 3))
 
         def write(ref, path):
-            samples = _REFERENCE.copy()
-            samples[:, :, same:] += np.random.default_rng(seed).normal(
-                0.0, 0.05, samples[:, :, same:].shape)
-            save_image(MultibandImage(samples), path)
+            planes = _REFERENCE.copy()
+            noise = np.random.default_rng(seed).normal(
+                0.0, 0.05, (12, 12, 4 - same))
+            planes[same:] += np.moveaxis(noise, 2, 0)
+            save_image(MultibandImage(planes), path)
     else:
         dtype, top, (lo, hi) = _STORED[kind]
         gain = draw(st.lists(st.floats(lo, hi), min_size=4, max_size=4))
@@ -220,7 +225,7 @@ def test_raster_file_candidate_scores_as_loaded(case):
     if kind == "copy":
         assert got == evaluate_candidate(reference, reference.image, opts,
                                          "c")
-    s = loaded.samples
+    s = loaded.planes
     assert want.clipped_fraction == float(np.mean((s < 0.0) | (s > 1.0)))
 
 

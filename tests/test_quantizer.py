@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from panqa.errors import InputError
 from panqa.raster import MultibandImage
-from panqa.quantizer import (_CODE_BOOK_SIZES, LEVELS,
+from panqa.quantizer import (_CODE_BOOK_SIZES, LEVELS, LabelMapStack,
                              binary_contour_cost,
                              cross_aura,
                              post_classification_change_count,
@@ -16,24 +16,28 @@ from panqa.quantizer import (_CODE_BOOK_SIZES, LEVELS,
 def image(values):
     """Broadcast a (H, W) plane of reflectances to a 3-band image."""
     plane = np.asarray(values, dtype=np.float64)
-    return MultibandImage(np.repeat(plane[:, :, None], 3, axis=2))
+    return MultibandImage(np.repeat(plane[None], 3, axis=0))
+
+
+def drawn_image(rng, shape):
+    """The image of a (height, width, bands) draw of rng.random."""
+    return MultibandImage(np.moveaxis(rng.random(shape), 2, 0))
 
 
 def digit_stack_codes(img):
-    """(fine, intermediate, coarse) through a (h, w, 3) stack of per-band
+    """(fine, intermediate, coarse) through a (3, h, w) stack of per-band
     digits, each counting the thresholds its sample exceeds: fine is the
     base-4 code of the digits d, intermediate the base-2 code of the
     merged digits d // 2, and coarse the first band's merged digit."""
-    s = img.samples
-    digits = np.zeros(s.shape[:2] + (3,), dtype=np.uint8)
+    digits = np.zeros((3, img.height, img.width), dtype=np.uint8)
     for t in (0.25, 0.5, 0.75):
-        digits += s[:, :, :3] > t
-    fine = np.zeros(s.shape[:2], dtype=np.uint8)
-    intermediate = np.zeros(s.shape[:2], dtype=np.uint8)
-    for b in range(3):
-        fine = fine * 4 + digits[:, :, b]
-        intermediate = intermediate * 2 + digits[:, :, b] // 2
-    return fine, intermediate, digits[:, :, 0] // 2
+        digits += img.planes[:3] > t
+    fine = np.zeros(digits.shape[1:], dtype=np.uint8)
+    intermediate = np.zeros(digits.shape[1:], dtype=np.uint8)
+    for d in digits:
+        fine = fine * 4 + d
+        intermediate = intermediate * 2 + d // 2
+    return fine, intermediate, digits[0] // 2
 
 
 # samples outside [0, 1], exactly on a threshold, and constant bands
@@ -43,7 +47,7 @@ def digit_stack_codes(img):
               elements=st.one_of(st.sampled_from([0.25, 0.5, 0.75]),
                                  st.floats(-2.0, 3.0))))
 def test_fine_code_matches_digit_stack(samples):
-    img = MultibandImage(samples)
+    img = MultibandImage(np.moveaxis(samples, 2, 0))
     stack = quantize_spectral(img)
     for name, want in zip(LEVELS, digit_stack_codes(img)):
         assert stack.level(name).dtype == np.uint8
@@ -52,14 +56,14 @@ def test_fine_code_matches_digit_stack(samples):
 
 class TestQuantize:
     def test_deterministic(self, rng):
-        img = MultibandImage(rng.random((8, 8, 4)))
+        img = drawn_image(rng, (8, 8, 4))
         a, b = quantize_spectral(img), quantize_spectral(img)
         assert np.array_equal(a.fine, b.fine)
         assert np.array_equal(a.intermediate, b.intermediate)
         assert np.array_equal(a.coarse, b.coarse)
 
     def test_level_counts(self, rng):
-        stack = quantize_spectral(MultibandImage(rng.random((4, 4, 3))))
+        stack = quantize_spectral(drawn_image(rng, (4, 4, 3)))
         assert _CODE_BOOK_SIZES == (64, 8, 2)
         assert stack.fine.max() < 64
         assert stack.intermediate.max() < 8
@@ -84,7 +88,7 @@ class TestQuantize:
         # pixels take every combination, so every fine code is checked
         grid = np.meshgrid(*[[0.1, 0.3, 0.6, 0.9]] * 3, indexing="ij")
         stack = quantize_spectral(MultibandImage(
-            np.stack(grid, axis=-1).reshape(8, 8, 3)))
+            np.stack(grid).reshape(3, 8, 8)))
         fine = stack.fine.astype(int)
         assert sorted(fine.ravel().tolist()) == list(range(64))
         digits = (fine // 16, fine // 4 % 4, fine % 4)
@@ -94,21 +98,22 @@ class TestQuantize:
         assert np.array_equal(stack.coarse, digits[0] // 2)
 
     def test_only_first_three_bands_used(self, rng):
-        base = rng.random((6, 6, 3))
-        extra = np.concatenate([base, rng.random((6, 6, 2))], axis=2)
+        base = np.moveaxis(rng.random((6, 6, 3)), 2, 0)
+        extra = np.concatenate([base,
+                                np.moveaxis(rng.random((6, 6, 2)), 2, 0)])
         assert np.array_equal(quantize_spectral(MultibandImage(base)).fine,
                               quantize_spectral(MultibandImage(extra)).fine)
 
     def test_band_count_checked(self, rng):
         with pytest.raises(InputError):
-            quantize_spectral(MultibandImage(rng.random((4, 4, 2))))
+            quantize_spectral(drawn_image(rng, (4, 4, 2)))
 
     def test_overshoot_codes_as_clipped(self, rng):
         samples = rng.uniform(-1.0, 2.0, (8, 8, 3))
         samples[0, 0] = [-1e6, 1e6, 0.0]
         samples[0, 1] = [1.0, 2.0, -0.5]
-        img = MultibandImage(samples)
-        clipped = MultibandImage(np.clip(samples, 0.0, 1.0))
+        img = MultibandImage(np.moveaxis(samples, 2, 0))
+        clipped = MultibandImage(np.moveaxis(np.clip(samples, 0.0, 1.0), 2, 0))
         got, want = quantize_spectral(img), quantize_spectral(clipped)
         for level in LEVELS:
             assert np.array_equal(got.level(level), want.level(level))
@@ -116,7 +121,7 @@ class TestQuantize:
 
 class TestChangeCount:
     def test_zero_on_identity(self, rng):
-        stack = quantize_spectral(MultibandImage(rng.random((6, 6, 3))))
+        stack = quantize_spectral(drawn_image(rng, (6, 6, 3)))
         assert post_classification_change_count(stack, stack) == 0
 
     def test_counts_flipped_pixels(self):
@@ -137,10 +142,18 @@ class TestChangeCount:
         assert post_classification_change_count(sa, sb, level="coarse") == 0
 
     def test_dimension_mismatch(self, rng):
-        sa = quantize_spectral(MultibandImage(rng.random((4, 4, 3))))
-        sb = quantize_spectral(MultibandImage(rng.random((5, 4, 3))))
-        with pytest.raises(InputError):
+        sa = quantize_spectral(drawn_image(rng, (4, 4, 3)))
+        sb = quantize_spectral(drawn_image(rng, (5, 4, 3)))
+        with pytest.raises(InputError) as exc:
             post_classification_change_count(sa, sb)
+        assert "(4, 4)" in str(exc.value) and "(5, 4)" in str(exc.value)
+
+
+def test_label_planes_of_two_shapes_refused():
+    fine = np.zeros((4, 4), dtype=np.uint8)
+    with pytest.raises(InputError) as exc:
+        LabelMapStack(fine, fine, np.zeros((4, 5), dtype=np.uint8))
+    assert "(4, 4)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
 class TestCrossAura:
@@ -172,7 +185,7 @@ class TestCrossAura:
 
     def test_bounds(self, rng):
         plane, mean = cross_aura(
-            quantize_spectral(MultibandImage(rng.random((8, 8, 3)))))
+            quantize_spectral(drawn_image(rng, (8, 8, 3))))
         assert plane.min() >= 0 and plane.max() <= 24
         assert 0.0 <= mean <= 24.0
 
@@ -183,7 +196,7 @@ class TestCrossAura:
 
 class TestBinaryContour:
     def test_zero_on_identity(self, rng):
-        stack = quantize_spectral(MultibandImage(rng.random((6, 6, 3))))
+        stack = quantize_spectral(drawn_image(rng, (6, 6, 3)))
         plane = cross_aura(stack)[0]
         assert binary_contour_cost(plane, plane) == 0.0
 
@@ -196,9 +209,9 @@ class TestBinaryContour:
 
     def test_symmetric_and_bounded(self, rng):
         sa = cross_aura(quantize_spectral(
-            MultibandImage(rng.random((8, 8, 3)))))[0]
+            drawn_image(rng, (8, 8, 3))))[0]
         sb = cross_aura(quantize_spectral(
-            MultibandImage(rng.random((8, 8, 3)))))[0]
+            drawn_image(rng, (8, 8, 3))))[0]
         cost = binary_contour_cost(sa, sb)
         assert cost == binary_contour_cost(sb, sa)
         assert 0.0 <= cost <= 1.0
@@ -211,3 +224,8 @@ class TestBinaryContour:
         sa = cross_aura(quantize_spectral(image(checker)))[0]
         sb = cross_aura(quantize_spectral(image(swapped)))[0]
         assert binary_contour_cost(sa, sb) == 0.0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InputError) as exc:
+            binary_contour_cost(np.zeros((4, 4)), np.zeros((3, 4)))
+        assert "(4, 4)" in str(exc.value) and "(3, 4)" in str(exc.value)

@@ -27,7 +27,7 @@ def test_load_identity_calibration(tmp_path):
            "band_names": None}
     path = write_pair(tmp_path, "a", hdr, [0, 255, 10, 20], "<u1")
     img = load_image(path)
-    assert img.samples[:, :, 0].ravel().tolist() == [0, 255, 10, 20]
+    assert img.planes[0].ravel().tolist() == [0, 255, 10, 20]
 
 
 def test_load_gain_offset(tmp_path):
@@ -36,8 +36,8 @@ def test_load_gain_offset(tmp_path):
            "band_names": None}
     path = write_pair(tmp_path, "b", hdr, [100, 200], "<u2")
     img = load_image(path)
-    assert img.samples[0, 0, 0] == pytest.approx(1.0)
-    assert img.samples[0, 0, 1] == pytest.approx(2.0)
+    assert img.planes[0, 0, 0] == pytest.approx(1.0)
+    assert img.planes[1, 0, 0] == pytest.approx(2.0)
 
 
 def test_load_integral_float_size_and_band_names(tmp_path):
@@ -45,7 +45,7 @@ def test_load_integral_float_size_and_band_names(tmp_path):
            "band_names": ["red", "nir"]}
     path = write_pair(tmp_path, "w", hdr, [1, 2, 3, 4], "<u1")
     img = load_image(path)
-    assert img.samples.shape == (1, 2, 2)
+    assert img.planes.shape == (2, 1, 2)
     assert img.band_names == ["red", "nir"]
 
 
@@ -74,10 +74,11 @@ def test_load_rejects_nodata(tmp_path):
 
 def test_f32_round_trip(tmp_path, rng):
     samples = rng.random((4, 4, 3)).astype(np.float32).astype(np.float64)
-    img = MultibandImage(samples, band_names=["r", "g", "b"])
+    img = MultibandImage(np.moveaxis(samples, 2, 0),
+                         band_names=["r", "g", "b"])
     save_image(img, tmp_path / "rt", sample_type="f32")
     back = load_image(tmp_path / "rt")
-    assert np.array_equal(back.samples, img.samples)
+    assert np.array_equal(back.planes, img.planes)
     assert back.band_names == ["r", "g", "b"]
     assert (back.height, back.width, back.bands) == (4, 4, 3)
 
@@ -101,7 +102,7 @@ F32_MAX = float(np.finfo(np.float32).max)
     (1e300, 1e-10),
 ])
 def test_f32_overflow_refused(tmp_path, sample, gain):
-    img = MultibandImage(np.array([[[0.5, sample]]]))
+    img = MultibandImage(np.array([[[0.5]], [[sample]]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError,
@@ -114,9 +115,9 @@ def test_f32_overflow_refused(tmp_path, sample, gain):
 def test_f32_top_of_range_saved(tmp_path):
     # just below the halfway point a DN rounds down to float32's maximum
     below = np.nextafter(F32_MAX + 2.0**103, 0.0)
-    save_image(MultibandImage(np.array([[[F32_MAX, -below]]])),
+    save_image(MultibandImage(np.array([[[F32_MAX]], [[-below]]])),
                tmp_path / "top", "f32")
-    assert load_image(tmp_path / "top").samples.ravel().tolist() == [
+    assert load_image(tmp_path / "top").planes.ravel().tolist() == [
         F32_MAX, -F32_MAX]
 
 
@@ -125,7 +126,7 @@ def test_top_dn_saved_under_rounding_gain(tmp_path):
     save_image(MultibandImage(np.array([[[178.5]]])), tmp_path / "top", "u8",
                gain=[0.7])
     assert (tmp_path / "top.raw").read_bytes() == bytes([255])
-    assert load_image(tmp_path / "top").samples.ravel().tolist() == [178.5]
+    assert load_image(tmp_path / "top").planes.ravel().tolist() == [178.5]
 
 
 @pytest.mark.parametrize("gain, offset", [
@@ -153,17 +154,18 @@ def test_calibration_is_affine(tmp_path, rng):
     flat = np.moveaxis(dn, 2, 0).ravel()
     p_raw = write_pair(tmp_path, "raw", hdr_raw, flat, "<u1")
     p_cal = write_pair(tmp_path, "cal", hdr_cal, flat, "<u1")
-    raw = load_image(p_raw).samples
-    cal = load_image(p_cal).samples
-    expected = raw * np.array([0.5, 2.0]) + np.array([1.0, -3.0])
+    raw = load_image(p_raw).planes
+    cal = load_image(p_cal).planes
+    expected = (raw * np.array([0.5, 2.0])[:, None, None]
+                + np.array([1.0, -3.0])[:, None, None])
     assert np.array_equal(cal, expected)
 
 
 def test_band_views_and_range():
     data = np.arange(8, dtype=np.float64).reshape(2, 2, 2)
     img = MultibandImage(data)
-    assert np.array_equal(img.band(0), data[:, :, 0])
-    assert np.array_equal(img.band(1), data[:, :, 1])
+    assert np.array_equal(img.band(0), data[0])
+    assert np.array_equal(img.band(1), data[1])
     with pytest.raises(InputError):
         img.band(2)
 
@@ -177,8 +179,8 @@ def test_non_finite_rejected():
                                    ["a", "b", 3]])
 def test_band_names_checked_in_memory(names):
     with pytest.raises(InputError) as exc:
-        MultibandImage(np.random.default_rng(0).random((16, 16, 3)),
-                       band_names=names)
+        samples = np.random.default_rng(0).random((16, 16, 3))
+        MultibandImage(np.moveaxis(samples, 2, 0), band_names=names)
     assert str(exc.value) == (f"band_names must be null or a list of 3 "
                               f"strings: {names!r}")
 
@@ -192,12 +194,11 @@ def test_unknown_sample_type(tmp_path):
         load_image(path)
 
 
-def encode_by_formula(samples, sample_type, gain, offset):
+def encode_by_formula(planes, sample_type, gain, offset):
     """Band-sequential payload bytes by the formula (planes - o) / g, then
     the integral types' range check (DN_TOLERANCE wide) and rint; None
     where it rejects."""
     dtype = {"u8": "<u1", "u16": "<u2", "f32": "<f4"}[sample_type]
-    planes = np.moveaxis(samples, 2, 0)
     dn = (planes - np.array(offset)[:, None, None]) \
         / np.array(gain)[:, None, None]
     if sample_type != "f32":
@@ -236,10 +237,10 @@ def stored_images(draw):
 @given(stored=stored_images())
 def test_save_load_round_trip(stored):
     sample_type, gain, offset, planes = stored
-    layouts = {"interleaved": np.ascontiguousarray(planes.transpose(1, 2, 0)),
-               "band_sequential": planes.transpose(1, 2, 0)}
-    samples = layouts["interleaved"]
-    want = encode_by_formula(samples, sample_type, gain, offset)
+    interleaved = np.ascontiguousarray(planes.transpose(1, 2, 0))
+    layouts = {"interleaved": np.moveaxis(interleaved, 2, 0),
+               "band_sequential": planes}
+    want = encode_by_formula(planes, sample_type, gain, offset)
     # every drawn DN is representable: the range check's tolerance absorbs
     # the rounding of the inverse calibration at the edge DNs
     assert want is not None
@@ -255,12 +256,12 @@ def test_save_load_round_trip(stored):
             save_image(back, tmp / "again", sample_type, gain, offset)
             assert (tmp / "again.raw").read_bytes() == want.tobytes()
     # the samples the stored DNs represent, calibrated as DN * g + o
-    stored_samples = np.moveaxis(want.astype(np.float64), 0, 2)
-    stored_samples = stored_samples * np.array(gain) + np.array(offset)
-    assert np.array_equal(back.samples, stored_samples)
+    stored_planes = (want.astype(np.float64) * np.array(gain)[:, None, None]
+                     + np.array(offset)[:, None, None])
+    assert np.array_equal(back.planes, stored_planes)
     if sample_type != "f32" or (set(gain) == {1.0} and set(offset) == {0.0}):
         # integral DNs, and f32 DNs with identity calibration, come back
-        assert np.array_equal(back.samples, samples)
+        assert np.array_equal(back.planes, planes)
 
 
 def _finite(values):
@@ -306,16 +307,17 @@ def test_saved_header_loads(args, container, dn):
                                             for n in names))))
     want_gain = [1.0] * bands if gain is None else gain
     want_offset = [0.0] * bands if offset is None else offset
-    # samples whose DNs are all dn, under a calibration that is valid
-    samples = np.full((2, 3, bands), float(dn))
+    # planes whose DNs are all dn, under a calibration that is valid
+    planes = np.full((bands, 2, 3), float(dn))
     if valid:
-        samples = samples * np.array(want_gain) + np.array(want_offset)
+        planes = (planes * np.array(want_gain)[:, None, None]
+                  + np.array(want_offset)[:, None, None])
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         path = Path(tmp) / "img"
         try:
             # the image itself refuses bad band names
-            img = MultibandImage(samples, band_names=names)
+            img = MultibandImage(planes, band_names=names)
             save_image(img, path, sample_type,
                        None if gain is None else container(gain),
                        None if offset is None else container(offset))
@@ -330,7 +332,7 @@ def test_saved_header_loads(args, container, dn):
                       "dtype": sample_type, "gain": want_gain,
                       "offset": want_offset, "nodata": None,
                       "band_names": names}
-    assert back.samples.shape == (2, 3, bands)
+    assert back.planes.shape == (bands, 2, 3)
     assert back.band_names == names
 
 
@@ -351,7 +353,7 @@ def whole_payload_reader(path):
                     "nodata pixels present; dense rasters required")
             plane *= gain
             plane += offset
-    return MultibandImage.from_planes(planes, band_names=hdr.band_names)
+    return MultibandImage(planes, band_names=hdr.band_names)
 
 
 @settings(max_examples=100, deadline=None)
@@ -361,7 +363,7 @@ def test_readers_match_the_whole_payload_reader(stored, named):
     names = [f"b{k}" for k in range(len(planes))] if named else None
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "img"
-        save_image(MultibandImage.from_planes(planes, names), path,
+        save_image(MultibandImage(planes, names), path,
                    sample_type, gain, offset)
         want = whole_payload_reader(path)
         got = load_image(path)
@@ -405,6 +407,20 @@ def test_raster_file_refuses_as_load_image(tmp_path, header, payload):
             for b in range(raster.bands):
                 raster.band(b)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("open_image", [load_image, RasterFile])
+@pytest.mark.parametrize("header, payload, key", [
+    # two negatives multiply to a size the 64-byte payload matches
+    (dict(_GOOD, width=-4, height=-4, bands=1), [0.5] * 16, "width"),
+    (dict(_GOOD, height=0), [], "height"),
+    (dict(_GOOD, bands=0), [], "bands"),
+], ids=["negative", "zero-height", "zero-bands"])
+def test_header_refuses_dimension_below_one(tmp_path, open_image, header,
+                                            payload, key):
+    write_pair(tmp_path, "r", header, payload, "<f4")
+    with pytest.raises(InputError, match=f"{key} must be at least 1"):
+        open_image(tmp_path / "r")
 
 
 @pytest.mark.parametrize("keep, band", [(0, 0), (13, 1), (23, 1)])
@@ -455,7 +471,7 @@ def test_rows_read_as_the_loaded_band(stored, data):
     stop = data.draw(st.integers(start, height))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "img"
-        save_image(MultibandImage.from_planes(planes), path, sample_type,
+        save_image(MultibandImage(planes), path, sample_type,
                    gain, offset)
         want = whole_payload_reader(path).band(b)[start:stop]
         loaded = load_image(path)

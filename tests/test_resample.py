@@ -79,7 +79,7 @@ def test_kernel_invalid_gain():
         mtf_gaussian_kernel(4, 1.0)
     with pytest.raises(InputError):
         mtf_gaussian_kernel(4, 0.0)
-    img = MultibandImage(np.zeros((4, 4, 1)))
+    img = MultibandImage(np.zeros((1, 4, 4)))
     with pytest.raises(InputError, match=r"taps must sum to 1 \(unit DC"):
         degrade(img, 2, np.array([0.5, 0.6]))
     for bad in (np.ones((1, 1)), np.empty(0)):
@@ -88,20 +88,20 @@ def test_kernel_invalid_gain():
 
 
 def test_degrade_constant_preserved():
-    img = MultibandImage(np.full((8, 8, 2), 3.25))
+    img = MultibandImage(np.full((2, 8, 8), 3.25))
     out = degrade(img, 4, mtf_gaussian_kernel(4, 0.3))
-    assert out.samples.shape == (2, 2, 2)
-    assert np.allclose(out.samples, 3.25, atol=1e-12)
+    assert out.planes.shape == (2, 2, 2)
+    assert np.allclose(out.planes, 3.25, atol=1e-12)
 
 
 def test_degrade_identity():
-    img = MultibandImage(np.arange(16, dtype=np.float64).reshape(4, 4, 1))
+    img = MultibandImage(np.arange(16, dtype=np.float64).reshape(1, 4, 4))
     out = degrade(img, 1)
-    assert np.array_equal(out.samples, img.samples)
+    assert np.array_equal(out.planes, img.planes)
 
 
 def test_degrade_non_divisible():
-    img = MultibandImage(np.zeros((6, 8, 1)))
+    img = MultibandImage(np.zeros((1, 6, 8)))
     with pytest.raises(InputError, match="divisible"):
         degrade(img, 4)
 
@@ -109,8 +109,8 @@ def test_degrade_non_divisible():
 def test_degrade_matches_bruteforce_oracle(rng):
     plane = rng.random((12, 8))
     k = mtf_gaussian_kernel(4, 0.3)
-    img = MultibandImage(plane[:, :, None])
-    got = degrade(img, 4, k).samples[:, :, 0]
+    img = MultibandImage(plane[None])
+    got = degrade(img, 4, k).band(0)
     want = reference_degrade(plane, 4, k)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -120,35 +120,35 @@ def test_degrade_commutes_with_band_selection(random_image):
     k = mtf_gaussian_kernel(2, 0.3)
     whole = degrade(img, 2, k)
     for b in range(3):
-        single = degrade(MultibandImage(img.band(b).copy()), 2, k)
+        single = degrade(MultibandImage(img.band(b)[None]), 2, k)
         assert np.array_equal(whole.band(b), single.band(0))
 
 
 def test_degrade_mean_near_constant(rng):
     # constant plus a tiny perturbation: relative mean shift stays small
     plane = 1.0 + 1e-7 * rng.standard_normal((16, 16))
-    img = MultibandImage(plane[:, :, None])
+    img = MultibandImage(plane[None])
     out = degrade(img, 4, mtf_gaussian_kernel(4, 0.3))
-    assert abs(out.samples.mean() - plane.mean()) / plane.mean() < 1e-6
+    assert abs(out.planes.mean() - plane.mean()) / plane.mean() < 1e-6
 
 
 @pytest.mark.parametrize("ratio", [2, 4])
 def test_consistency_nearest_box_roundtrip_exact(rng, ratio):
-    img = MultibandImage(rng.random((6, 6, 2)))
+    img = MultibandImage(np.moveaxis(rng.random((6, 6, 2)), 2, 0))
     up = upsample(img, ratio, "nearest")
     back = degrade(up, ratio, np.full(ratio, 1 / ratio))
-    assert np.array_equal(back.samples, img.samples)
+    assert np.array_equal(back.planes, img.planes)
 
 
 def test_consistency_roundtrip_ratio3(rng):
-    img = MultibandImage(rng.random((5, 4, 1)))
+    img = MultibandImage(rng.random((1, 5, 4)))
     back = degrade(upsample(img, 3, "nearest"), 3, np.full(3, 1 / 3))
-    assert np.allclose(back.samples, img.samples, atol=1e-12)
+    assert np.allclose(back.planes, img.planes, atol=1e-12)
 
 
 def test_upsample_nearest_blocks():
-    img = MultibandImage(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None])
-    out = upsample(img, 2, "nearest").samples[:, :, 0]
+    img = MultibandImage(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+    out = upsample(img, 2, "nearest").band(0)
     want = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]],
                     dtype=np.float64)
     assert np.array_equal(out, want)
@@ -158,15 +158,15 @@ def test_upsample_nearest_blocks():
 def test_upsample_ratio1_identity(random_image, method):
     img = random_image(5, 7, 2)
     out = upsample(img, 1, method)
-    assert np.array_equal(out.samples, img.samples)
+    assert np.array_equal(out.planes, img.planes)
 
 
 @pytest.mark.parametrize("method", ["bilinear", "bicubic"])
 def test_upsample_constant_preserved(method):
-    img = MultibandImage(np.full((4, 4, 1), 0.7))
+    img = MultibandImage(np.full((1, 4, 4), 0.7))
     out = upsample(img, 4, method)
-    assert out.samples.shape == (16, 16, 1)
-    assert np.allclose(out.samples, 0.7, atol=1e-12)
+    assert out.planes.shape == (1, 16, 16)
+    assert np.allclose(out.planes, 0.7, atol=1e-12)
 
 
 def test_upsample_unknown_method(random_image):
@@ -178,7 +178,7 @@ def test_upsample_shapes(random_image):
     img = random_image(3, 5, 2)
     for method in ("nearest", "bilinear", "bicubic"):
         out = upsample(img, 3, method)
-        assert out.samples.shape == (9, 15, 2)
+        assert out.planes.shape == (2, 9, 15)
 
 
 def padded_filter(plane, taps, step):
@@ -223,20 +223,18 @@ def test_degrade_equals_filter_then_decimate(data, ratio, bands,
     shape = (bands, h, w) if band_sequential else (h, w, bands)
     samples = data.draw(arrays(np.float64, shape,
                                elements=st.floats(-1e3, 1e3)))
-    if band_sequential:
-        samples = samples.transpose(1, 2, 0)
+    planes = samples if band_sequential else np.moveaxis(samples, 2, 0)
     # the Gaussian needs ratio >= 2; box kernels of even ratio have even
     # length
     taps = (mtf_gaussian_kernel(ratio, gain) if gaussian and ratio > 1
             else np.full(ratio, 1 / ratio))
-    img = MultibandImage(samples)
+    img = MultibandImage(planes)
     got = degrade(img, ratio, taps)
     phase = (ratio - 1) // 2
-    assert got.samples.shape == (h // ratio, w // ratio, bands)
+    assert got.planes.shape == (bands, h // ratio, w // ratio)
     for b in range(bands):
-        full = mirror_filter(img.samples[:, :, b], taps)
-        assert np.array_equal(got.samples[:, :, b],
-                              full[phase::ratio, phase::ratio])
+        full = mirror_filter(img.band(b), taps)
+        assert np.array_equal(got.band(b), full[phase::ratio, phase::ratio])
 
 
 def take_per_tap_filter(plane, taps, step, keep):

@@ -103,7 +103,7 @@ def test_mirror_filter_taps_and_dtypes_as_before(rng, dtype, as_list):
 def test_upsample_banded_matches_dense_product(rng, ratio, method):
     # odd sizes whose upsampled axes span 3 or more blocks of 64 rows
     h, w = 131 // ratio + 2, 131 // ratio + 5
-    img = MultibandImage(rng.standard_normal((h, w, 2)))
+    img = MultibandImage(np.moveaxis(rng.standard_normal((h, w, 2)), 2, 0))
     my = _interp_matrix(h, ratio, method)
     mx = _interp_matrix(w, ratio, method)
     assert min(len(_row_blocks(my)), len(_row_blocks(mx))) >= 3

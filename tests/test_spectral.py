@@ -31,6 +31,11 @@ def at_budgets(fn, *args, **kwargs):
     return results
 
 
+def image_of(samples):
+    """The image of a (height, width, bands) array."""
+    return MultibandImage(np.moveaxis(samples, 2, 0))
+
+
 EVEN_PERMS = [p for p in permutations(range(4))
               if sum(1 for i in range(4) for j in range(i)
                      if p[j] > p[i]) % 2 == 0]
@@ -233,6 +238,13 @@ def test_pcc_zero_variance_either_side(rng, constant):
         pcc_of(x, y)
 
 
+def test_pcc_shape_mismatch_names_both_shapes(rng):
+    x, y = rng.random((4, 6)), rng.random((4, 5))
+    with pytest.raises(InputError) as exc:
+        pcc_of(x, y)
+    assert "(4, 6)" in str(exc.value) and "(4, 5)" in str(exc.value)
+
+
 def tiny(*samples):
     band = np.array([samples])
     return band, band
@@ -311,24 +323,24 @@ class TestSam:
         assert sam_mean(img, img) == pytest.approx(0.0, abs=1e-6)
 
     def test_orthogonal(self):
-        a = MultibandImage(np.array([[[1.0, 0.0]]]))
-        b = MultibandImage(np.array([[[0.0, 1.0]]]))
+        a = image_of(np.array([[[1.0, 0.0]]]))
+        b = image_of(np.array([[[0.0, 1.0]]]))
         assert sam_mean(a, b) == pytest.approx(90.0)
 
     def test_45_degrees(self):
-        a = MultibandImage(np.array([[[1.0, 1.0]]]))
-        b = MultibandImage(np.array([[[1.0, 0.0]]]))
+        a = image_of(np.array([[[1.0, 1.0]]]))
+        b = image_of(np.array([[[1.0, 0.0]]]))
         assert sam_mean(a, b) == pytest.approx(45.0)
 
     def test_scale_invariance(self, random_image):
         a, b = random_image(), random_image()
         base = sam_mean(a, b)
-        scaled = sam_mean(a, MultibandImage(7.3 * b.samples))
+        scaled = sam_mean(a, MultibandImage(7.3 * b.planes))
         assert scaled == base
 
     def test_zero_pixels_excluded(self):
-        a = MultibandImage(np.array([[[1.0, 1.0], [0.0, 0.0]]]))
-        b = MultibandImage(np.array([[[1.0, 0.0], [1.0, 1.0]]]))
+        a = image_of(np.array([[[1.0, 1.0], [0.0, 0.0]]]))
+        b = image_of(np.array([[[1.0, 0.0], [1.0, 1.0]]]))
         assert sam_mean(a, b) == pytest.approx(45.0)
 
 
@@ -338,20 +350,20 @@ class TestErgas:
         assert ergas(img, img, 4) == 0.0
 
     def test_hand_value(self):
-        ref = MultibandImage(np.full((4, 4, 1), 100.0))
-        test = MultibandImage(np.full((4, 4, 1), 110.0))
+        ref = image_of(np.full((4, 4, 1), 100.0))
+        test = image_of(np.full((4, 4, 1), 110.0))
         assert ergas(ref, test, 4) == pytest.approx(2.5)
 
     def test_residual_linearity(self, random_image):
         ref = random_image()
-        resid = 0.01 * np.random.default_rng(3).standard_normal(
-            ref.samples.shape)
-        e1 = ergas(ref, MultibandImage(ref.samples + resid), 4)
-        e2 = ergas(ref, MultibandImage(ref.samples + 3.0 * resid), 4)
+        resid = np.moveaxis(0.01 * np.random.default_rng(3).standard_normal(
+            (16, 16, 4)), 2, 0)
+        e1 = ergas(ref, MultibandImage(ref.planes + resid), 4)
+        e2 = ergas(ref, MultibandImage(ref.planes + 3.0 * resid), 4)
         assert e2 == pytest.approx(3.0 * e1, rel=1e-9)
 
     def test_zero_mean_band(self):
-        ref = MultibandImage(np.array([[[-1.0], [1.0]]]))
+        ref = image_of(np.array([[[-1.0], [1.0]]]))
         with pytest.raises(DegeneracyError, match="zero reference mean"):
             ergas(ref, ref, 4)
 
@@ -394,23 +406,25 @@ class TestQ4:
 
     def test_bounds_random_pairs(self, rng):
         for _ in range(200):
-            a = MultibandImage(rng.random((8, 8, 4)))
-            b = MultibandImage(rng.random((8, 8, 4)))
+            a = image_of(rng.random((8, 8, 4)))
+            b = image_of(rng.random((8, 8, 4)))
             v = q4(a, b)
             assert 0.0 <= v <= 1.0
 
     def test_scaling_decreases(self, rng):
-        a = MultibandImage(rng.random((8, 8, 4)) + 0.5)
-        b = MultibandImage(a.samples + 0.05 * rng.random((8, 8, 4)))
-        assert q4(a, MultibandImage(2.0 * b.samples)) < q4(a, b)
+        a = image_of(rng.random((8, 8, 4)) + 0.5)
+        b = MultibandImage(a.planes
+                           + np.moveaxis(0.05 * rng.random((8, 8, 4)), 2, 0))
+        assert q4(a, MultibandImage(2.0 * b.planes)) < q4(a, b)
 
     def test_even_band_permutation_invariance(self, rng):
-        a = MultibandImage(rng.random((16, 16, 4)))
-        b = MultibandImage(a.samples + 0.1 * rng.random((16, 16, 4)))
+        a = image_of(rng.random((16, 16, 4)))
+        b = MultibandImage(a.planes
+                           + np.moveaxis(0.1 * rng.random((16, 16, 4)), 2, 0))
         base = q4(a, b)
         for perm in EVEN_PERMS:
-            pa = MultibandImage(a.samples[:, :, list(perm)])
-            pb = MultibandImage(b.samples[:, :, list(perm)])
+            pa = MultibandImage(a.planes[list(perm)])
+            pb = MultibandImage(b.planes[list(perm)])
             assert abs(q4(pa, pb) - base) < 1e-9
 
     def test_band_count_checked(self, random_image):
@@ -423,7 +437,7 @@ class TestQnr:
         # piecewise-constant low-resolution images on the BL grid make the
         # replicated high-resolution blocks degenerate in exactly the same
         # pattern, so both distortions vanish
-        ms = MultibandImage(np.repeat(np.repeat(
+        ms = image_of(np.repeat(np.repeat(
             rng.random((4, 4, 4)), bl, axis=0), bl, axis=1))
         pan_l = np.repeat(np.repeat(rng.random((4, 4)), bl, axis=0),
                           bl, axis=1)
@@ -445,8 +459,8 @@ class TestQnr:
                 == qnr_reference(ms, fused, pan_h, pan_l, 2))
 
     def test_bounds_random(self, rng):
-        ms = MultibandImage(rng.random((16, 16, 3)))
-        fused = MultibandImage(rng.random((32, 32, 3)))
+        ms = image_of(rng.random((16, 16, 3)))
+        fused = image_of(rng.random((32, 32, 3)))
         pan_h = rng.random((32, 32))
         pan_l = rng.random((16, 16))
         value, d_lambda, d_s = qnr(ms, fused, pan_h, pan_l)
@@ -455,8 +469,8 @@ class TestQnr:
         assert 0.0 <= value <= 1.0
 
     def test_shape_mismatch(self, rng):
-        ms = MultibandImage(rng.random((8, 8, 3)))
-        fused = MultibandImage(rng.random((16, 16, 3)))
+        ms = image_of(rng.random((8, 8, 3)))
+        fused = image_of(rng.random((16, 16, 3)))
         with pytest.raises(InputError):
             qnr(ms, fused, rng.random((8, 8)), rng.random((8, 8)))
 
@@ -468,8 +482,8 @@ class TestQnr:
         # there degenerate, so they compare the samples read
         ms, fused = rng.random((8, 8, 4)), rng.random((32, 32, 4))
         ms[:2, :2], fused[:4, :4] = 0.5, 0.25
-        save_image(MultibandImage(ms), tmp_path / "ms")
-        save_image(MultibandImage(fused), tmp_path / "f")
+        save_image(image_of(ms), tmp_path / "ms")
+        save_image(image_of(fused), tmp_path / "f")
         pan_h, pan_l = rng.random((32, 32)), rng.random((8, 8))
         with mock.patch.object(spectral, "_STRIP_BYTES", budget):
             want = qnr(load_image(tmp_path / "ms"), load_image(tmp_path / "f"),
@@ -543,8 +557,8 @@ def random_planes(seed, shape, levels):
 def test_qnr_matches_pairwise_q_reference(seed, bands, low, ratio, bl,
                                           levels):
     h, w = max(low[0], bl), max(low[1], bl)
-    ms = MultibandImage(random_planes(seed, (h, w, bands), levels))
-    fused = MultibandImage(random_planes(seed + 1,
+    ms = image_of(random_planes(seed, (h, w, bands), levels))
+    fused = image_of(random_planes(seed + 1,
                                          (h * ratio, w * ratio, bands),
                                          levels))
     pan_h = random_planes(seed + 2, (h * ratio, w * ratio), levels)
@@ -602,7 +616,7 @@ def test_q4_matches_reference(seed, shape, bl, levels, shared_bands):
     b = random_planes(seed + 1, (h, w, 4), levels)
     # equal leading bands give identical blocks where the rest are flat
     b[:, :, :shared_bands] = a[:, :, :shared_bands]
-    img_a, img_b = MultibandImage(a), MultibandImage(b)
+    img_a, img_b = image_of(a), image_of(b)
     assert (at_budgets(q4, img_a, img_b, bl)
             == [q4_reference(img_a, img_b, bl)] * len(BUDGETS))
 
@@ -615,8 +629,8 @@ def test_q4_blocks_match_reference(seed, shape, bl, levels):
     # per block, where a term summed out of order shows far more often
     # than in the mean over all blocks
     h, w = max(shape[0], bl), max(shape[1], bl)
-    img_a = MultibandImage(random_planes(seed, (h, w, 4), levels))
-    img_b = MultibandImage(random_planes(seed + 1, (h, w, 4), levels))
+    img_a = image_of(random_planes(seed, (h, w, 4), levels))
+    img_b = image_of(random_planes(seed + 1, (h, w, 4), levels))
     readers = spectral._band_rows(img_a) + spectral._band_rows(img_b)
     # one strip at the default budget: the map covers the whole image
     mom = next(spectral._moment_strips(readers, h, w, bl))
@@ -669,7 +683,7 @@ def test_q_index_and_q4_match_across_strip_budgets(seed, shape, bl, levels,
                                                    flat_cols, shared):
     h, w = max(shape[0], bl), max(shape[1], bl)
     a, b = strip_planes(seed, (h, w, 4), levels, flat_cols, shared)
-    img_a, img_b = MultibandImage(a), MultibandImage(b)
+    img_a, img_b = image_of(a), image_of(b)
     one, per_row = at_budgets(q4, img_a, img_b, bl)
     assert one == per_row
     one, per_row = at_budgets(q_index, a[:, :, 0], b[:, :, 0], bl)
@@ -684,8 +698,8 @@ def test_qnr_matches_across_strip_budgets(seed, shape, bl, levels,
     ms, pan_l = strip_planes(seed, (h, w, bands), levels, flat_cols, shared)
     fused, pan_h = strip_planes(seed + 2, (h * ratio, w * ratio, bands),
                                 levels, flat_cols * ratio, shared)
-    one, per_row = at_budgets(qnr, MultibandImage(ms),
-                              MultibandImage(fused), pan_h[:, :, 0],
+    one, per_row = at_budgets(qnr, image_of(ms),
+                              image_of(fused), pan_h[:, :, 0],
                               pan_l[:, :, 0], block_size=bl)
     assert one == per_row
 
@@ -704,14 +718,14 @@ def test_sam_matches_across_strip_budgets(seed, shape, bands, levels,
     a[zero_from:, ::2] = 0.0
     b[zero_from:, 1::3] = 0.0
     a[0, 0] = b[0, 0] = 1.0
-    one, per_row = at_budgets(sam_mean, MultibandImage(a), MultibandImage(b))
+    one, per_row = at_budgets(sam_mean, image_of(a), image_of(b))
     assert one == per_row
 
 
 def sam_reference(img_a, img_b):
     """Mean SAM in degrees from the per-pixel formula on the (h, w, bands)
     views, over the pixels whose spectral vectors are both nonzero."""
-    a, b = img_a.samples, img_b.samples
+    a, b = (np.moveaxis(img.planes, 0, 2) for img in (img_a, img_b))
     dot = np.sum(a * b, axis=2)
     na = np.linalg.norm(a, axis=2)
     nb = np.linalg.norm(b, axis=2)
@@ -736,7 +750,7 @@ def test_sam_matches_pixel_reference(seed, shape, bands, levels, zero_from,
     a[zero_from:, ::2] = 0.0
     b[zero_from:, 1::3] = 0.0
     a[0, 0] = b[0, 0] = 1.0
-    img_a, img_b = MultibandImage(a), MultibandImage(b)
+    img_a, img_b = image_of(a), image_of(b)
     assert (at_budgets(sam_mean, img_a, img_b)
             == [sam_reference(img_a, img_b)] * len(BUDGETS))
 
@@ -749,7 +763,7 @@ def test_sam_all_zero_refused_at_every_budget(budget):
     b[:2] = 0.0
     with mock.patch.object(spectral, "_STRIP_BYTES", budget):
         with pytest.raises(DegeneracyError, match="zero spectral vector"):
-            sam_mean(MultibandImage(a), MultibandImage(b))
+            sam_mean(image_of(a), image_of(b))
 
 
 MiB = 1 << 20
@@ -759,8 +773,8 @@ MiB = 1 << 20
 def test_classic_metric_footprint(rng, metric):
     # one 512x512 4-band pair is 16 MiB; the metric holds a strip of each
     # and its per-block or per-pixel maps, not whole-image copies
-    a = MultibandImage(rng.random((512, 512, 4)))
-    b = MultibandImage(rng.random((512, 512, 4)))
+    a = image_of(rng.random((512, 512, 4)))
+    b = image_of(rng.random((512, 512, 4)))
     _, peak = traced_peak(metric, a, b)
     assert peak < 10 * MiB
 
@@ -776,8 +790,8 @@ def test_summary_stats_footprint(rng):
 
 def test_qnr_footprint(rng):
     # a 1024x1024 fused image is 32 MiB: stay within half of one
-    ms = MultibandImage(rng.random((256, 256, 4)))
-    fused = MultibandImage(rng.random((1024, 1024, 4)))
+    ms = image_of(rng.random((256, 256, 4)))
+    fused = image_of(rng.random((1024, 1024, 4)))
     _, peak = traced_peak(qnr, ms, fused, rng.random((1024, 1024)),
                           rng.random((256, 256)))
     assert peak < 16 * MiB

@@ -102,7 +102,7 @@ def test_synth_matches_broadcast_formulation(seed, width, height):
     width, height = 4 * width, 4 * height
     ms, pan = synth_scene(seed, width, height)
     ms_ref, pan_ref = broadcast_scene(seed, width, height)
-    assert np.array_equal(ms.samples, ms_ref)
+    assert np.array_equal(ms.planes, np.moveaxis(ms_ref, 2, 0))
     assert np.array_equal(pan, pan_ref)
     assert ms.band_names == ["b1", "b2", "b3", "b4"]
 
