@@ -46,14 +46,6 @@ def _number(cell, line: int, column) -> float:
     return value
 
 
-def _load_pan(path) -> MultibandImage:
-    """The PAN image at path, which must have exactly one band."""
-    pan = load_image(path)
-    if pan.bands != 1:
-        raise InputError("pan image must have exactly one band")
-    return pan
-
-
 def cmd_synth(args) -> int:
     ms, pan = synth_scene(args.seed, args.width, args.height)
     save_image(ms, args.out_ms)
@@ -74,10 +66,11 @@ def cmd_fuse(args) -> int:
         raise InputError(f"--process-meta {args.process_meta} would "
                          f"overwrite the fused image {args.out}")
     ms = load_image(args.ms)
-    pan = _load_pan(args.pan)
+    # the fuser reads the PAN from disk: whole once, then a strip at a time
+    pan = RasterFile(args.pan)
     cfg = FusionConfig(method=args.method, resampler=args.resample,
                        wavelet_levels=args.levels)
-    fused, meta = pansharpen(ms, pan.band(0), cfg)
+    fused, meta = pansharpen(ms, pan, cfg)
     save_image(fused, args.out)
     if args.process_meta:
         write_json(args.process_meta, meta)
@@ -102,11 +95,11 @@ def cmd_eval(args) -> int:
 
 def cmd_qnr(args) -> int:
     ms = load_image(args.ms)
-    pan = _load_pan(args.pan)
+    pan = load_image(args.pan)
+    ratio = check_shapes(ms, pan)
     fused = RasterFile(args.fused)
-    ratio, pan_h = check_shapes(ms, pan.band(0))
     pan_l = degrade(pan, ratio, mtf_gaussian_kernel(ratio, args.mtf_gain))
-    value, d_lambda, d_s = qnr(ms, fused, pan_h, pan_l.band(0),
+    value, d_lambda, d_s = qnr(ms, fused, pan.band(0), pan_l.band(0),
                                block_size=args.block_size)
     write_json(args.out, {"qnr": value, "d_lambda": d_lambda, "d_s": d_s})
     return 0

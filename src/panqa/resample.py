@@ -209,13 +209,14 @@ def upsample(img: MultibandImage, ratio: int, method: str = "bicubic"
 def _row_blocks(mat: np.ndarray) -> list:
     """mat cut into blocks of 64 rows, each as (rows, cols, weights):
     the block's rows, the range of columns that holds its nonzero
-    weights, and the block over those columns. A 4-band 256^2 -> 1024^2
-    bicubic upsample took 51.1, 37.1, 37.9 and 51.2 ms at 32, 64, 128
-    and 256 rows (best of 10, 1 BLAS thread, as at _FILTER_STRIP_BYTES)."""
+    weights, and a copy of the block over those columns, so that no
+    block keeps mat alive. A 4-band 256^2 -> 1024^2 bicubic upsample
+    took 51.1, 37.1, 37.9 and 51.2 ms at 32, 64, 128 and 256 rows (best
+    of 10, 1 BLAS thread, as at _FILTER_STRIP_BYTES)."""
     blocks = []
     for r0 in range(0, mat.shape[0], 64):
         rows = slice(r0, r0 + 64)
         nonzero = np.flatnonzero(mat[rows].any(axis=0))
         cols = slice(nonzero[0], nonzero[-1] + 1)
-        blocks.append((rows, cols, mat[rows, cols]))
+        blocks.append((rows, cols, mat[rows, cols].copy()))
     return blocks

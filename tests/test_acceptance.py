@@ -172,7 +172,7 @@ def test_criterion_5_end_to_end_dominance():
     k_ms = mtf_gaussian_kernel(ratio, DEFAULT_MTF_GAIN_MS)
     k_pan = mtf_gaussian_kernel(ratio, DEFAULT_MTF_GAIN_PAN)
     ms_l = degrade(ms, ratio, k_ms)                       # 64x64 reference
-    pan_l = degrade(MultibandImage(pan[None]), ratio, k_pan).band(0)
+    pan_l = degrade(MultibandImage(pan[None]), ratio, k_pan)
     ms_ll = degrade(ms_l, ratio, k_ms)                    # 16x16 input
 
     opts = EvalOptions(ratio=ratio)

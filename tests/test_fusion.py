@@ -2,13 +2,20 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panqa.errors import DegeneracyError, InputError
-from panqa.fusion import (FusionConfig, pansharpen, pansharpen_atwt,
-                          pansharpen_cn, pansharpen_pca)
+from panqa.fusion import (FusionConfig, _mean_std, pansharpen,
+                          pansharpen_atwt, pansharpen_cn, pansharpen_pca)
 from panqa.raster import MultibandImage
 from panqa.resample import upsample
 from panqa.spectral import sam_mean
+
+
+def pan_image(plane):
+    """A pan plane as the one-band image the fusers take."""
+    return MultibandImage(plane[None])
 
 
 def make_pair(rng, h=8, w=8, bands=4, ratio=2):
@@ -34,14 +41,14 @@ def test_pca_identical_component_substitution(rng):
     cfg = FusionConfig(method="pca", resampler="bilinear")
     up = upsample(ms, 2, "bilinear")
     pan = first_pc(up)
-    fused = pansharpen_pca(ms, pan, cfg)
+    fused = pansharpen_pca(ms, pan_image(pan), cfg)
     assert np.allclose(fused.planes, up.planes, atol=1e-9)
 
 
 def test_pca_shape_and_mean_preservation(rng):
     ms, pan = make_pair(rng, ratio=4)
     cfg = FusionConfig(method="pca", resampler="bicubic")
-    fused = pansharpen_pca(ms, pan, cfg)
+    fused = pansharpen_pca(ms, pan_image(pan), cfg)
     assert fused.planes.shape == (4, 32, 32)
     up = upsample(ms, 4, "bicubic")
     for b in range(4):
@@ -53,7 +60,7 @@ def test_pca_rank_deficient(rng):
     ms = MultibandImage(np.full((3, 4, 4), 0.5))
     pan = rng.random((8, 8))
     with pytest.raises(DegeneracyError, match="rank-deficient"):
-        pansharpen_pca(ms, pan, FusionConfig(method="pca"))
+        pansharpen_pca(ms, pan_image(pan), FusionConfig(method="pca"))
 
 
 def test_cn_identity_when_pan_equals_intensity(rng):
@@ -61,14 +68,14 @@ def test_cn_identity_when_pan_equals_intensity(rng):
     cfg = FusionConfig(method="cn", resampler="bilinear")
     up = upsample(ms, 2, "bilinear")
     pan = up.planes.mean(axis=0)
-    fused = pansharpen_cn(ms, pan, cfg)
+    fused = pansharpen_cn(ms, pan_image(pan), cfg)
     assert np.allclose(fused.planes, up.planes, atol=1e-12)
 
 
 def test_cn_preserves_band_ratios(rng):
     ms, pan = make_pair(rng)
     cfg = FusionConfig(method="cn", resampler="bilinear")
-    fused = pansharpen_cn(ms, pan, cfg)
+    fused = pansharpen_cn(ms, pan_image(pan), cfg)
     up = upsample(ms, 2, "bilinear")
     r_up = up.band(0) / up.band(1)
     r_fused = fused.band(0) / fused.band(1)
@@ -78,7 +85,7 @@ def test_cn_preserves_band_ratios(rng):
 def test_cn_zero_sam_against_upsampled(rng):
     ms, pan = make_pair(rng)
     cfg = FusionConfig(method="cn", resampler="bicubic")
-    fused = pansharpen_cn(ms, pan, cfg)
+    fused = pansharpen_cn(ms, pan_image(pan), cfg)
     up = upsample(ms, 2, "bicubic")
     # negative matched-pan pixels flip the spectral vector; keep the check
     # on pixels with a positive scale factor
@@ -96,7 +103,7 @@ def test_atwt_constant_pan_is_identity(rng):
     ms, _ = make_pair(rng)
     cfg = FusionConfig(method="atwt", resampler="nearest", wavelet_levels=2)
     pan = np.full((16, 16), 0.4)
-    fused = pansharpen_atwt(ms, pan, cfg)
+    fused = pansharpen_atwt(ms, pan_image(pan), cfg)
     up = upsample(ms, 2, "nearest")
     assert np.allclose(fused.planes, up.planes, atol=1e-12)
 
@@ -104,7 +111,7 @@ def test_atwt_constant_pan_is_identity(rng):
 def test_atwt_same_detail_all_bands(rng):
     ms, pan = make_pair(rng)
     cfg = FusionConfig(method="atwt", resampler="bilinear", wavelet_levels=2)
-    fused = pansharpen_atwt(ms, pan, cfg)
+    fused = pansharpen_atwt(ms, pan_image(pan), cfg)
     up = upsample(ms, 2, "bilinear")
     delta = fused.planes - up.planes
     for b in range(1, 4):
@@ -115,8 +122,8 @@ def test_all_fusers_deterministic_and_shaped(rng):
     ms, pan = make_pair(rng)
     for method in ("pca", "cn", "atwt"):
         cfg = FusionConfig(method=method)
-        a, meta = pansharpen(ms, pan, cfg)
-        b, _ = pansharpen(ms, pan, cfg)
+        a, meta = pansharpen(ms, pan_image(pan), cfg)
+        b, _ = pansharpen(ms, pan_image(pan), cfg)
         assert a.planes.shape == (4, 16, 16)
         assert np.array_equal(a.planes, b.planes)
         assert meta["n_free_parameters"] >= 1
@@ -127,10 +134,10 @@ def test_all_fusers_deterministic_and_shaped(rng):
 def test_band_permutation_equivariance(rng, method):
     ms, pan = make_pair(rng)
     cfg = FusionConfig(method=method)
-    base = pansharpen(ms, pan, cfg)[0]
+    base = pansharpen(ms, pan_image(pan), cfg)[0]
     for perm in list(permutations(range(4)))[:6]:
         permuted = MultibandImage(ms.planes[list(perm)])
-        out = pansharpen(permuted, pan, cfg)[0]
+        out = pansharpen(permuted, pan_image(pan), cfg)[0]
         assert np.allclose(out.planes, base.planes[list(perm)], atol=1e-6)
 
 
@@ -145,4 +152,19 @@ def test_atwt_levels_capped(rng):
     ms, pan = make_pair(rng, ratio=2)
     cfg = FusionConfig(method="atwt", wavelet_levels=5)
     with pytest.raises(InputError, match="wavelet_levels"):
-        pansharpen_atwt(ms, pan, cfg)
+        pansharpen_atwt(ms, pan_image(pan), cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 41),
+       w=st.integers(1, 41), exponent=st.integers(-150, 150),
+       constant=st.booleans())
+def test_mean_std_in_place_equals_ndarray(seed, h, w, exponent, constant):
+    # sizes of 1x1, not multiples of 8, and past numpy's 128-sample
+    # pairwise-sum block; magnitudes 1e-150 to 1e150
+    rng = np.random.default_rng(seed)
+    plane = rng.normal(rng.normal(), 1.0, (h, w)) * 10.0**exponent
+    if constant:
+        plane[...] = plane[0, 0]
+    want = plane.mean(), plane.std()
+    assert _mean_std(plane) == want

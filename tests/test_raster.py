@@ -91,6 +91,20 @@ def test_u8_out_of_range(tmp_path):
     assert not (tmp_path / "neg.raw").exists()
 
 
+def test_refused_save_writes_nothing(tmp_path, rng):
+    planes = rng.uniform(0.0, 255.0, (3, 5, 7))
+    save_image(MultibandImage(planes), tmp_path / "img", sample_type="u8")
+    saved = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # refused in its last band, after two bands were written to the
+    # <name>.raw.part file: that goes, and the pair saved before stays
+    planes[-1, -1, -1] = 256.0
+    for name in ("img", "new"):
+        with pytest.raises(InputError, match="band 2: sample out of range"):
+            save_image(MultibandImage(planes), tmp_path / name,
+                       sample_type="u8")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == saved
+
+
 F32_MAX = float(np.finfo(np.float32).max)
 
 
