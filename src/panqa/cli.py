@@ -54,7 +54,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    img = load_image(args.input)
+    # read from disk one band at a time
+    img = RasterFile(args.input)
     taps = mtf_gaussian_kernel(args.ratio, args.mtf_gain)
     save_image(degrade(img, args.ratio, taps), args.out)
     return 0

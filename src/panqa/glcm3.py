@@ -23,6 +23,10 @@ DEFAULT_RADII = (1, 2, 3)
 # the (gl, gl, gl) int64 count table is 134 MB at 256 levels, the most
 # that a uint8 gray-level map holds
 MAX_GL = 256
+# samples per strip of quantize_gray_levels's float64 buffer (256 KiB).
+# A 512^2 band took 0.79 ms at 32768 and 65536 samples, 0.89 ms at 8192
+# and through one band-sized float plane (2-vCPU Xeon, numpy 2.4.6)
+_STRIP_SAMPLES = 32768
 
 
 @dataclass
@@ -56,20 +60,28 @@ def _check_gl(gl: int) -> None:
 def quantize_gray_levels(band: np.ndarray, gl: int = DEFAULT_GL
                          ) -> np.ndarray:
     """Linear min-max binning into a uint8 map of {0..gl-1}, gl in
-    [2, MAX_GL]; constant bands map to 0."""
+    [2, MAX_GL]; constant bands map to 0. The samples are binned in
+    strips of _STRIP_SAMPLES, in row-major order, through one float
+    buffer of that size."""
     _check_gl(gl)
     x = np.asarray(band, dtype=np.float64)
     lo, hi = x.min(), x.max()
+    out = np.zeros(x.shape, dtype=np.uint8)
     if hi == lo:
-        return np.zeros(x.shape, dtype=np.uint8)
-    # floor(gl * (x - lo) / (hi - lo)), one float temporary; the top
-    # sample reaches gl and is clamped before the map narrows
-    levels = x - lo
-    levels *= gl
-    levels /= hi - lo
-    np.floor(levels, out=levels)
-    np.minimum(levels, gl - 1, out=levels)
-    return levels.astype(np.uint8)
+        return out
+    # floor(gl * (x - lo) / (hi - lo)); the top sample reaches gl and is
+    # clamped before the map narrows
+    flat, levels = x.reshape(-1), out.reshape(-1)
+    buf = np.empty(min(flat.size, _STRIP_SAMPLES))
+    for start in range(0, flat.size, _STRIP_SAMPLES):
+        stop = min(start + _STRIP_SAMPLES, flat.size)
+        strip = np.subtract(flat[start:stop], lo, out=buf[:stop - start])
+        strip *= gl
+        strip /= hi - lo
+        np.floor(strip, out=strip)
+        np.minimum(strip, gl - 1, out=strip)
+        levels[start:stop] = strip
+    return out
 
 
 def _half_ring_offsets(radius: int) -> list[tuple[int, int]]:
@@ -111,10 +123,14 @@ def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
         raise InputError("image too small: no valid centers")
 
     # every flat index (center*gl + p)*gl + q is below gl**3; the ordered
-    # (p, q) counts are folded onto row <= col once, after every offset
-    lab = lab.astype(np.uint16 if gl**3 <= 65536 else np.intp)
-    center_term = lab[rmax:h - rmax, rmax:w - rmax] * (gl * gl)
-    lab_gl = lab * gl
+    # (p, q) counts are folded onto row <= col once, after every offset.
+    # The keys are formed in their own type straight from a uint8 map,
+    # which quantize_gray_levels gives and which is not copied
+    lab = lab.astype(np.uint8, copy=False)
+    key = np.uint16 if gl**3 <= 65536 else np.intp
+    center_term = np.multiply(lab[rmax:h - rmax, rmax:w - rmax], gl * gl,
+                              dtype=key)
+    lab_gl = np.multiply(lab, gl, dtype=key)
     flat = np.empty_like(center_term)
     counts = np.zeros(gl * gl * gl, dtype=np.int64)
     for radius in radii:

@@ -15,6 +15,15 @@ whole: each of its bands is read once, to featurize it and to take its
 PCC with the reference's band, and the first row of band 0 once more to
 compare it with the reference. `panqa eval` does the same, and passes
 the candidate as a RasterFile to classic_metrics too.
+
+What featurizing one band holds, beside the reference and the label
+codes: the read band while its label digits, clipped count and uint8
+gray-level map are taken (the map is binned a strip at a time); then,
+the read band freed, its centred samples (band - mean), made once and
+only read. summary_stats holds one band-sized temporary beside them,
+and so does the PCC (the reference band centred, then the product).
+Then the centred copy is freed too, and the GLCM3 counts read the
+gray-level map alone.
 """
 
 from __future__ import annotations
@@ -39,8 +48,9 @@ from .quantizer import (LEVELS, LabelMapStack, SpectralCoder,
                         binary_contour_cost, cross_aura,
                         post_classification_change_count)
 from .raster import Image, RasterFile, check_shape, load_image
-from .spectral import (DEFAULT_BLOCK, SummaryStats, ergas, inverse_pcc_cost,
-                       mdb_cost, pcc, q4, sam_mean, summary_stats)
+from .spectral import (DEFAULT_BLOCK, SummaryStats, centre, ergas,
+                       inverse_pcc_cost, mdb_cost, pcc, q4, sam_mean,
+                       summary_stats)
 
 
 @dataclass
@@ -149,11 +159,13 @@ class ImageFeatures:
 
 def image_features(img: Image, opts: EvalOptions,
                    per_band: Callable | None = None) -> ImageFeatures:
-    """One pass over the bands, each read once: its moments and texture,
-    both from one gray-level map, its digits of the spectral label code
-    and its samples outside [0, 1]; then the label stack's cross-aura
-    contour. per_band(b, band, stats), when given, is called with each
-    band read and its summary_stats."""
+    """One pass over the bands, each read once: its digits of the spectral
+    label code, its samples outside [0, 1] and its gray-level map; then
+    its centred samples, once, and the read band is freed. The moments
+    and per_band read that one centred copy, the texture the gray-level
+    map alone; then the label stack's cross-aura contour. per_band(b,
+    centred, stats), when given, is called with each band's centred
+    samples and its summary_stats."""
     coder = SpectralCoder(*img.shape)
     stats, texture, clipped = [], [], 0
     for b in range(img.bands):
@@ -161,11 +173,13 @@ def image_features(img: Image, opts: EvalOptions,
         coder.add(band)
         clipped += int(np.count_nonzero((band < 0.0) | (band > 1.0)))
         levels = quantize_gray_levels(band, opts.gl)
-        stats.append(summary_stats(band, levels))
-        if per_band is not None:
-            per_band(b, band, stats[b])
-        # the texture reads the levels alone: a read band is freed first
+        centred, mean = centre(band)
         del band
+        stats.append(summary_stats(centred, mean, levels))
+        if per_band is not None:
+            per_band(b, centred, stats[b])
+        # the texture reads the levels alone: the centred copy is freed
+        del centred
         texture.append(glcm3_features(
             tims_glcm(levels, opts.radii, gl=opts.gl)))
     labels = coder.stack()
@@ -197,13 +211,13 @@ def evaluate_candidate(reference: ImageFeatures, candidate: Image,
     check_shape(candidate, ref.shape)
     pccs = []
 
-    def take_pcc(b: int, band: np.ndarray, stats: SummaryStats) -> None:
-        pccs.append(pcc(ref.band(b), band, reference.stats[b], stats))
+    def take_pcc(b: int, centred: np.ndarray, stats: SummaryStats) -> None:
+        pccs.append(pcc(ref.band(b), centred, reference.stats[b], stats))
 
     if _same_samples(ref, candidate):
         cand = reference
         for b, stats in enumerate(reference.stats):
-            take_pcc(b, ref.band(b), stats)
+            take_pcc(b, centre(ref.band(b))[0], stats)
     else:
         cand = image_features(candidate, opts, take_pcc)
     # each category's values in its CATEGORY_KEYS order

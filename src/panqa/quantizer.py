@@ -71,19 +71,20 @@ class SpectralCoder:
         # at most 64 labels: uint8 keeps a held stack at a byte per pixel
         self.fine = np.zeros((height, width), dtype=np.uint8)
         self.intermediate = np.zeros(self.fine.shape, dtype=np.uint8)
-        self._above = np.empty(self.fine.shape, dtype=bool)
         self._added = 0
 
     def add(self, plane: np.ndarray) -> None:
         """Add the next band's fine digit, bin by bin, and beside it its
-        merged digit d // 2 (above the middle threshold), in place."""
+        merged digit d // 2 (above the middle threshold), in place,
+        through one bool mask that is freed on return."""
         if self._added < _CODE_BANDS:
+            above = np.empty(self.fine.shape, dtype=bool)
             self.fine *= 4
             for t in _FINE_THRESHOLDS:
-                self.fine += np.greater(plane, t, out=self._above)
+                self.fine += np.greater(plane, t, out=above)
             self.intermediate *= 2
             self.intermediate += np.greater(plane, _FINE_THRESHOLDS[1],
-                                            out=self._above)
+                                            out=above)
         self._added += 1
 
     def stack(self) -> LabelMapStack:

@@ -17,6 +17,9 @@ over its nonzero columns only.
 degrade() and upsample() write each output band into one preallocated
 (bands, height, width) buffer, which the returned image holds without a
 copy, so the result is never stacked from a list of separate planes.
+degrade() reads its input one band at a time through raster.Image's
+band(b), so `panqa degrade` reads a raster.RasterFile and never holds
+the whole input.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .raster import MultibandImage
+from .raster import Image, MultibandImage
 
 DEFAULT_MTF_GAIN_MS = 0.3
 DEFAULT_MTF_GAIN_PAN = 0.15
@@ -127,13 +130,15 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
     return out
 
 
-def degrade(img: MultibandImage, ratio: int,
+def degrade(img: Image, ratio: int,
             taps: np.ndarray | None = None) -> MultibandImage:
     """Low-pass with the separable taps (anchor (len-1)//2, unit sum),
     then decimate by ratio (centered phase). taps default to the MS
     Gaussian, which is no filter at ratio 1.
 
-    Only the kept samples are filtered; they equal those of filtering the
+    img is read one band at a time through band(b), so it may be a
+    raster.RasterFile, of which one band is held beside the output. Only
+    the kept samples are filtered; they equal those of filtering the
     whole plane and then decimating, bit for bit."""
     if ratio < 1:
         raise InputError("ratio must be >= 1")
@@ -149,8 +154,8 @@ def degrade(img: MultibandImage, ratio: int,
         raise InputError("taps must sum to 1 (unit DC gain)")
     keep = slice((ratio - 1) // 2, None, ratio)
     planes = np.empty((img.bands, img.height // ratio, img.width // ratio))
-    for src, out in zip(img.planes, planes):
-        out[...] = mirror_filter(src, taps, keep=keep)
+    for b, out in enumerate(planes):
+        out[...] = mirror_filter(img.band(b), taps, keep=keep)
     return MultibandImage(planes, band_names=img.band_names)
 
 

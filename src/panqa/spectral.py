@@ -15,6 +15,13 @@ their block moments from _moment_strips, one strip at a time. Every shape
 is compared by raster.check_shape. _q_maps gives a pair's Q in both
 orders from one covariance, bit-identical to two separate evaluations.
 
+A band's moments and its PCC read one copy of its centred samples,
+made once by centre(): summary_stats holds one band-sized temporary
+beside it (c*c, then (c*c)*(c*c), then (c*c)*c, for the deviations c),
+and pcc one (the other band centred, then the product, in place). The
+strips of SAM, Q4 and QNR hold about _STRIP_BYTES of samples (2 MiB),
+below that.
+
 All moments use the population (N-divisor) convention so that downstream
 z-score standardization behaves exactly.
 """
@@ -36,8 +43,10 @@ DEFAULT_BLOCK = 8
 # Q, Q4, QNR and SAM read their inputs one strip of rows at a time: the
 # bytes of one strip's samples across every plane the function reads.
 # qnr at 1024x1024 ran alike from 1 to 16 MiB; it was slower at 256 KiB,
-# from per-strip overhead, and at 64 MiB, one strip for the whole image
-_STRIP_BYTES = 4 << 20
+# from per-strip overhead, and at 64 MiB, one strip for the whole image.
+# At 2 MiB the strips of `panqa eval`'s SAM and Q4 stay below what
+# featurizing one band holds, the band's centred copy and a temporary
+_STRIP_BYTES = 2 << 20
 
 
 class SummaryStats(NamedTuple):
@@ -48,39 +57,53 @@ class SummaryStats(NamedTuple):
     entropy_bits: float
 
 
-def summary_stats(band: np.ndarray, levels: np.ndarray) -> SummaryStats:
-    """Population moments plus the Shannon entropy (bits) of levels, the
-    band's gray-level map from quantize_gray_levels."""
-    x = np.asarray(band, dtype=np.float64).ravel()
+def centre(band: np.ndarray) -> tuple[np.ndarray, float]:
+    """(band - mean, mean): a band's centred samples as float64, the one
+    copy that summary_stats and pcc both read, and its mean."""
+    x = np.asarray(band, dtype=np.float64)
     if x.size == 0:
         raise InputError("empty band")
-    if np.shape(levels) != np.shape(band):
+    mean = x.mean()
+    return x - mean, float(mean)
+
+
+def summary_stats(centred: np.ndarray, mean: float, levels: np.ndarray
+                  ) -> SummaryStats:
+    """Population moments of a band, given its mean and its centred
+    samples from centre(), plus the Shannon entropy (bits) of levels, the
+    band's gray-level map from quantize_gray_levels. The centred samples
+    are only read: beside them one band-sized temporary holds the squared
+    deviations, then their squares, then the cubes."""
+    c = np.asarray(centred, dtype=np.float64)
+    if c.size == 0:
+        raise InputError("empty band")
+    if np.shape(levels) != c.shape:
         raise InputError("levels must map every sample of the band")
     # the levels first: bincount's intp copy of the map is freed before
-    # the two float64 planes of the moments exist
+    # the temporary of the moments exists
     counts = np.bincount(np.ravel(levels))
-    p = counts[counts > 0] / x.size
+    p = counts[counts > 0] / c.size
     # 0.0 - sum, not -sum: a constant band's entropy is +0.0, not -0.0
     entropy = float(0.0 - (p * np.log2(p)).sum())
-    mean = x.mean()
-    centered = x - mean
-    # chained products: np.power for cubes and fourth powers is far slower;
-    # the cube goes into the centred buffer, the fourth power into sq.
+    # chained products: np.power for cubes and fourth powers is far slower.
+    # The fourth powers are the squares squared in place; the squares are
+    # formed once more for the cubes, so the centred samples stay intact.
     # Where the variance or std**4 is not a normal double, or a power of
     # the deviations overflows, the moments come from the scaled
     # deviations instead
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sq = centered * centered
-        var = np.mean(sq)
+        tmp = c * c
+        var = np.mean(tmp)
         std = skew = kurt = math.nan
         if sys.float_info.min <= var < math.inf:
             std = math.sqrt(var)
             if sys.float_info.min <= np.float64(std)**4 < math.inf:
-                skew = np.mean(np.multiply(sq, centered, out=centered)) \
-                    / std**3
-                kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
+                kurt = np.mean(np.multiply(tmp, tmp, out=tmp)) / std**4
+                np.multiply(c, c, out=tmp)
+                skew = np.mean(np.multiply(tmp, c, out=tmp)) / std**3
+        del tmp
     if not (math.isfinite(skew) and math.isfinite(kurt)):
-        scaled_std, skew, kurt = _scaled_moments(x - mean)
+        scaled_std, skew, kurt = _scaled_moments(c)
         if math.isnan(std):
             std = scaled_std
     return SummaryStats(float(mean), std, float(skew), float(kurt), entropy)
@@ -109,20 +132,20 @@ def mdb_cost(stats_a, stats_b) -> float:
     return float(np.mean(np.abs(a - b)))
 
 
-def pcc(band_a: np.ndarray, band_b: np.ndarray, stats_a: SummaryStats,
+def pcc(band_a: np.ndarray, centred_b: np.ndarray, stats_a: SummaryStats,
         stats_b: SummaryStats) -> float:
-    """Pearson correlation with population normalization. stats_a and
+    """Pearson correlation with population normalization of band_a and a
+    band b given by its centred samples from centre(). stats_a and
     stats_b are the bands' summary_stats, whose mean and std are the ones
-    a Pearson correlation computes."""
+    a Pearson correlation computes. One band-sized temporary is held:
+    band_a centred, which becomes the product in place."""
     x = np.asarray(band_a, dtype=np.float64)
-    y = np.asarray(band_b, dtype=np.float64)
-    check_shape(y, x.shape)
-    x, y = x.ravel(), y.ravel()
+    yc = np.asarray(centred_b, dtype=np.float64)
+    check_shape(yc, x.shape)
     if stats_a.std == 0.0 or stats_b.std == 0.0:
         raise DegeneracyError("zero variance")
-    # the centred x becomes the product in place
     xc = x - stats_a.mean
-    xc *= y - stats_b.mean
+    xc *= yc
     return float(np.mean(xc) / (stats_a.std * stats_b.std))
 
 
@@ -154,12 +177,14 @@ def sam_mean(img_a: Image, img_b: Image) -> float:
     """Mean spectral angle in degrees over the pixels whose spectral
     vectors are both nonzero. One strip of pixel rows at a time, read
     through rows(), the dot product and both squared norms are summed
-    band by band; the mean is taken once, over every strip's kept angles
-    in row order."""
+    band by band; the strip's kept angles fill the next part of one
+    angle buffer, in row order, and the mean is taken once, over the
+    filled part."""
     check_shape(img_b, img_a.shape)
     bands, height, width = img_a.shape
     step = _strip_rows(width, 2 * bands)
-    kept = []
+    angles = np.empty(height * width)
+    n = 0
     for r in range(0, height, step):
         stop = min(r + step, height)
         a, b = img_a.rows(0, r, stop), img_b.rows(0, r, stop)
@@ -172,11 +197,11 @@ def sam_mean(img_a: Image, img_b: Image) -> float:
         ok = (na2 > 0) & (nb2 > 0)
         cosv = np.clip(dot[ok] / (np.sqrt(na2[ok]) * np.sqrt(nb2[ok])),
                        -1.0, 1.0)
-        kept.append(np.degrees(np.arccos(cosv)))
-    angles = np.concatenate(kept)
-    if not angles.size:
+        np.degrees(np.arccos(cosv, out=cosv), out=angles[n:n + cosv.size])
+        n += cosv.size
+    if not n:
         raise DegeneracyError("all pixels have a zero spectral vector")
-    return float(angles.mean())
+    return float(angles[:n].mean())
 
 
 def ergas(reference: Image, test: Image, ratio: int,

@@ -1,13 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from panqa import glcm3
 from panqa.errors import DegeneracyError, InputError
 from panqa.glcm3 import (Glcm3, glcm3_features, quantize_gray_levels,
                          tims_glcm)
-from panqa.spectral import summary_stats
+from panqa.spectral import centre, summary_stats
 
 
 def oracle_counts(labels, radii, gl):
@@ -100,10 +103,44 @@ class TestQuantize:
             return
         levels = quantize_gray_levels(band, gl)
         wide = levels.astype(np.int64)
-        assert summary_stats(band, levels) == summary_stats(band, wide)
+        assert (summary_stats(*centre(band), levels)
+                == summary_stats(*centre(band), wide))
         if gl <= 64:  # the (gl, gl, gl) table is 134 MB at gl 256
             assert np.array_equal(tims_glcm(levels, gl=gl).counts,
                                   tims_glcm(wide, gl=gl).counts)
+
+
+def whole_plane_levels(band, gl):
+    """The binning formula through one band-sized float plane:
+    floor(gl * (x - lo) / (hi - lo)), clamped to gl - 1; 0 for a
+    constant band."""
+    x = np.asarray(band, dtype=np.float64)
+    lo, hi = x.min(), x.max()
+    if hi == lo:
+        return np.zeros(x.shape, dtype=np.uint8)
+    levels = x - lo
+    levels *= gl
+    levels /= hi - lo
+    np.floor(levels, out=levels)
+    np.minimum(levels, gl - 1, out=levels)
+    return levels.astype(np.uint8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(band=arrays(np.float64, st.tuples(st.integers(1, 30),
+                                         st.integers(1, 30)),
+                   elements=st.one_of(st.just(0.5), st.floats(-1e6, 1e6))),
+       gl=st.integers(2, 256), strip=st.integers(2, 64))
+# the strip quantize_gray_levels uses, over two and a bit strips
+@example(band=np.random.default_rng(0).random((181, 363)), gl=256,
+         strip=glcm3._STRIP_SAMPLES)
+def test_strip_binning_equals_whole_plane(band, gl, strip):
+    # sizes that are not a multiple of the strip: a part strip at the end
+    assume(band.size % strip)
+    with mock.patch.object(glcm3, "_STRIP_SAMPLES", strip):
+        got = quantize_gray_levels(band, gl)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, whole_plane_levels(band, gl))
 
 
 class TestTimsGlcm:

@@ -312,8 +312,10 @@ def test_fuse_holds_no_pan(tmp_path, rng, method):
 def test_run_manifest_footprint(tmp_path, rng):
     # the reference is held loaded, with its features; each candidate is
     # read from disk one band at a time, so beside the reference a run
-    # holds one candidate band and its moment temporaries. Loading each
-    # candidate whole peaked at 12.0 planes, streaming it at 8.0
+    # holds that band's centred copy and one temporary, or its GLCM3 keys
+    # and counts (the 32^3 count tables weigh at this size). Loading each
+    # candidate whole peaked at 12.0 planes, streaming it at 8.0, and one
+    # centred copy for the moments and the PCC at 7.6
     ref = synth_scene(0, W, H)[0].planes
     save_image(MultibandImage(ref), tmp_path / "ref")
     for ext in (".json", ".raw"):
@@ -331,4 +333,21 @@ def test_run_manifest_footprint(tmp_path, rng):
         options=EvalOptions())
     table, peak = traced_peak(run_manifest, manifest, tmp_path / "out")
     assert table.pdfr_case_a[0] == 1
-    assert peak < 10 * PLANE, peak / PLANE
+    assert peak < 7.8 * PLANE, peak / PLANE
+
+
+def test_eval_footprint(tmp_path, rng):
+    ref = synth_scene(0, W, H)[0].planes
+    save_image(MultibandImage(ref), tmp_path / "ref")
+    noise = rng.normal(0.0, 0.03, ref.shape)
+    save_image(MultibandImage(ref + noise), tmp_path / "cand")
+    del ref, noise
+    argv = ["eval", "--reference", str(tmp_path / "ref"), "--candidate",
+            str(tmp_path / "cand"), "--out", str(tmp_path / "e.json")]
+    assert main(argv) == 0   # untraced first, so lazy imports are not held
+    code, peak = traced_peak(main, argv)
+    assert code == 0
+    # beside the loaded reference (4 planes) Q4 holds its strips of 2 MiB
+    # (4 planes of samples here) and their block moments: 11.3 planes.
+    # With 4 MiB strips, one strip for the whole image, it held 18.4
+    assert peak < 12 * PLANE, peak / PLANE

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panqa.errors import InputError
-from panqa.raster import MultibandImage
+from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.resample import (degrade, mirror_filter, mtf_gaussian_kernel,
                             upsample)
 
@@ -122,6 +122,28 @@ def test_degrade_commutes_with_band_selection(random_image):
     for b in range(3):
         single = degrade(MultibandImage(img.band(b)[None]), 2, k)
         assert np.array_equal(whole.band(b), single.band(0))
+
+
+@pytest.mark.parametrize("sample_type, gain", [("f32", None),
+                                               ("u16", [1e-4, 2e-4, 5e-5])])
+def test_degrade_of_raster_file_equals_loaded(tmp_path, rng, sample_type,
+                                              gain):
+    # read from disk one band at a time, as `panqa degrade` does, the
+    # output and its saved bytes are those of the loaded image's
+    img = MultibandImage(rng.uniform(0.0, 1.0, (3, 24, 32)),
+                         band_names=["b", "g", "r"])
+    save_image(img, tmp_path / "ms", sample_type, gain=gain)
+    for ratio in (1, 2, 4):
+        taps = mtf_gaussian_kernel(ratio, 0.3)
+        saved = []
+        for name, src in (("file", RasterFile(tmp_path / "ms")),
+                          ("loaded", load_image(tmp_path / "ms"))):
+            out = degrade(src, ratio, taps)
+            assert out.band_names == ["b", "g", "r"]
+            save_image(out, tmp_path / name)
+            saved.append([(tmp_path / f"{name}{ext}").read_bytes()
+                          for ext in (".json", ".raw")])
+        assert saved[0] == saved[1]
 
 
 def test_degrade_mean_near_constant(rng):

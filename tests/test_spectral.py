@@ -13,8 +13,8 @@ from panqa.errors import DegeneracyError, InputError
 from panqa.glcm3 import quantize_gray_levels
 from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.resample import upsample
-from panqa.spectral import (ergas, inverse_pcc_cost, mdb_cost, pcc, q4,
-                            q_index, qnr, sam_mean, summary_stats)
+from panqa.spectral import (centre, ergas, inverse_pcc_cost, mdb_cost, pcc,
+                            q4, q_index, qnr, sam_mean, summary_stats)
 from test_layout import traced_peak
 
 # the default strip budget, and one small enough that every strip is a
@@ -43,7 +43,7 @@ EVEN_PERMS = [p for p in permutations(range(4))
 
 def stats(band, gl=32):
     """summary_stats of band with its gray-level map at gl levels."""
-    return summary_stats(band, quantize_gray_levels(band, gl))
+    return summary_stats(*centre(band), quantize_gray_levels(band, gl))
 
 
 class TestSummaryStats:
@@ -69,11 +69,11 @@ class TestSummaryStats:
         band = np.array([0.0, 0.17812499999999998, 0.18, 0.3])
         levels = quantize_gray_levels(band, 32)
         assert levels.tolist() == [0, 19, 19, 31]
-        assert summary_stats(band, levels).entropy_bits == 1.5
+        assert summary_stats(*centre(band), levels).entropy_bits == 1.5
 
     def test_levels_shape_checked(self):
         with pytest.raises(InputError, match="levels"):
-            summary_stats(np.ones(4), np.zeros(3, dtype=np.int64))
+            summary_stats(*centre(np.ones(4)), np.zeros(3, dtype=np.int64))
 
     def test_two_point_moments(self):
         s = stats(np.array([0.0, 0.0, 1.0, 1.0]))
@@ -127,7 +127,7 @@ class TestMdb:
 
 def pcc_of(x, y):
     """pcc of two bands with their own summary_stats."""
-    return pcc(x, y, stats(x), stats(y))
+    return pcc(x, centre(y)[0], stats(x), stats(y))
 
 
 class TestPcc:
@@ -292,7 +292,7 @@ def no_levels(band):
 def test_moments_where_std_underflows():
     # std**4 underflows to 0: the kurtosis was NaN, with a RuntimeWarning
     band = np.array([[4.18573233e-86, 0.0]])
-    s = summary_stats(band, no_levels(band))
+    s = summary_stats(*centre(band), no_levels(band))
     assert (s.skewness, s.kurtosis) == (0.0, 1.0)
 
 
@@ -305,16 +305,91 @@ def test_moments_are_scale_free(band, k):
     # from deviations whose squares underflow (k below about -160) to
     # squares that overflow (k above about 150)
     assume(np.ptp(band) >= 0.1)
-    want = summary_stats(band, no_levels(band))
-    got = summary_stats(band * 10.0**k, no_levels(band))
+    want = summary_stats(*centre(band), no_levels(band))
+    got = summary_stats(*centre(band * 10.0**k), no_levels(band))
     assert got.std == pytest.approx(want.std * 10.0**k, rel=1e-12)
     assert math.isfinite(got.skewness) and math.isfinite(got.kurtosis)
     assert got.skewness == pytest.approx(want.skewness, rel=1e-9, abs=1e-12)
     assert got.kurtosis == pytest.approx(want.kurtosis, rel=1e-9)
     # a band and its scaled copy correlate fully, where the scaled band's
     # std was 0 ("zero variance") or inf
-    assert pcc(band, band * 10.0**k, want, got) == pytest.approx(1.0,
-                                                                 rel=1e-12)
+    assert pcc(band, centre(band * 10.0**k)[0], want,
+               got) == pytest.approx(1.0, rel=1e-12)
+
+
+def earlier_summary_stats(band, levels):
+    """summary_stats as it was when it took the band itself and centred
+    it anew, its cube written over the centred copy."""
+    x = np.asarray(band, dtype=np.float64).ravel()
+    counts = np.bincount(np.ravel(levels))
+    p = counts[counts > 0] / x.size
+    entropy = float(0.0 - (p * np.log2(p)).sum())
+    mean = x.mean()
+    centered = x - mean
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq = centered * centered
+        var = np.mean(sq)
+        std = skew = kurt = math.nan
+        if np.finfo(np.float64).tiny <= var < math.inf:
+            std = math.sqrt(var)
+            if np.finfo(np.float64).tiny <= np.float64(std)**4 < math.inf:
+                skew = np.mean(np.multiply(sq, centered, out=centered)) \
+                    / std**3
+                kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
+    if not (math.isfinite(skew) and math.isfinite(kurt)):
+        scaled_std, skew, kurt = spectral._scaled_moments(x - mean)
+        if math.isnan(std):
+            std = scaled_std
+    return spectral.SummaryStats(float(mean), std, float(skew), float(kurt),
+                                 entropy)
+
+
+def earlier_pcc(band_a, band_b, stats_a, stats_b):
+    """pcc as it was when it took both bands and centred each anew."""
+    x, y = band_a.ravel(), band_b.ravel()
+    if stats_a.std == 0.0 or stats_b.std == 0.0:
+        raise DegeneracyError("zero variance")
+    xc = x - stats_a.mean
+    xc *= y - stats_b.mean
+    return float(np.mean(xc) / (stats_a.std * stats_b.std))
+
+
+def bits(values):
+    """The float64 bit patterns of values, for a bit-for-bit comparison."""
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+# 1e-160: squared deviations underflow; 1e150: std**4 overflows. Both take
+# the scaled path
+MAGNITUDES = st.sampled_from((1.0, 1e-160, 1e150))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=bands, scales=st.tuples(MAGNITUDES, MAGNITUDES))
+# constant bands: an exact mean, and 0.3, whose mean rounds
+@example(pair=(np.full((3, 5), 0.25), np.full((3, 5), 0.3)),
+         scales=(1.0, 1.0))
+@example(pair=(np.full((3, 5), 0.3), np.linspace(0.0, 1.0, 15).reshape(3, 5)),
+         scales=(1e150, 1e-160))
+def test_shared_centred_samples_match_earlier_formulas(pair, scales):
+    x, y = (band * scale for band, scale in zip(pair, scales))
+    with np.errstate(all="ignore"):
+        levels = [quantize_gray_levels(band, 32) for band in (x, y)]
+        want = [earlier_summary_stats(band, lv)
+                for band, lv in zip((x, y), levels)]
+        (cx, mx), (cy, my) = centre(x), centre(y)
+        got = [summary_stats(cx, mx, levels[0]),
+               summary_stats(cy, my, levels[1])]
+        assert bits(got) == bits(want)
+        # the moments only read the centred samples, which pcc reads next
+        assert bits(cy) == bits(y - y.mean())
+        try:
+            want_pcc = earlier_pcc(x, y, *want)
+        except DegeneracyError:
+            with pytest.raises(DegeneracyError, match="zero variance"):
+                pcc(x, cy, *got)
+            return
+        assert bits(pcc(x, cy, *got)) == bits(want_pcc)
 
 
 class TestSam:
@@ -780,12 +855,19 @@ def test_classic_metric_footprint(rng, metric):
 
 
 def test_summary_stats_footprint(rng):
-    # the centred band and its squares; the levels' intp copy for the
-    # entropy counts is freed before they are made
+    # beside the centred band, which it only reads, one band-sized
+    # temporary: the squares, their squares, the cubes. The levels' intp
+    # copy for the entropy counts is freed before it is made. The band
+    # and its centred copy in one call held 2.0 planes
     band = rng.random((256, 256))
     levels = quantize_gray_levels(band, 32)
-    _, peak = traced_peak(summary_stats, band, levels)
-    assert peak < 2.2 * band.nbytes, peak / band.nbytes
+    centred, mean = centre(band)
+    _, peak = traced_peak(summary_stats, centred, mean, levels)
+    assert peak < 1.1 * band.nbytes, peak / band.nbytes
+    # pcc holds one temporary too: the other band centred, then the product
+    stats = summary_stats(centred, mean, levels)
+    _, peak = traced_peak(pcc, band, centred, stats, stats)
+    assert peak < 1.1 * band.nbytes, peak / band.nbytes
 
 
 def test_qnr_footprint(rng):
