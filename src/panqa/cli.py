@@ -142,7 +142,7 @@ def cmd_contours(args) -> int:
         "binary_contour_cost": quant_mod.binary_contour_cost(plane_a,
                                                              plane_b),
         "post_class_change_coarse": quant_mod.post_classification_change_count(
-            stack_a, stack_b, "coarse"),
+            stack_a.coarse, stack_b.coarse),
     }
     write_json(args.out, doc)
     return 0

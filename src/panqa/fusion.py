@@ -21,7 +21,8 @@ and std are taken in that plane, in place and bit-identical to
 ndarray.std(), and the plane is then rebuilt by the call that made it.
 The matched pan, PCA's detail, CN's scale and ATWT's detail are formed a
 strip at a time, with the elementwise operations of a whole-plane pass
-in its order, so each sample is the one that pass gives.
+in its order, so each sample is the one that pass gives. The strips come
+from raster.row_strips and raster.STRIP_BYTES.
 """
 
 from __future__ import annotations
@@ -32,16 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .raster import Image, MultibandImage
+from .raster import Image, MultibandImage, row_strips
 from .resample import mirror_filter, upsample
 
 _EPS = 1e-12
-
-# rows per strip of the pan that a fuser matches and injects: 256 KiB of
-# float64 at 1024 columns. The median CPU time of a 1024^2 PCA fuse
-# (2-vCPU Xeon, 1 BLAS thread) was flat from 16 to 128 rows (96-98 ms)
-# and 11% higher at 8
-_STRIP_ROWS = 32
 
 
 @dataclass
@@ -80,23 +75,23 @@ def _mean_std(plane: np.ndarray) -> tuple[float, float]:
 
 
 def _matched_strips(pan: Image, pan_stats, target_stats):
-    """(rows, matched) for each strip of _STRIP_ROWS pan rows: their slice
-    and those rows mapped affinely so that the whole pan's mean and std
-    become the target's (a constant pan maps to the target's mean).
+    """(rows, matched) for each row_strips() strip of pan rows: their
+    slice and those rows mapped affinely so that the whole pan's mean and
+    std become the target's (a constant pan maps to the target's mean).
     matched is one buffer, refilled for each strip."""
     s_mean, s_std = pan_stats
     t_mean, t_std = target_stats
-    buf = np.empty((min(_STRIP_ROWS, pan.height), pan.width))
-    for start in range(0, pan.height, _STRIP_ROWS):
-        rows = slice(start, min(start + _STRIP_ROWS, pan.height))
-        out = buf[:rows.stop - start]
+    strips = list(row_strips(pan.height, 8 * pan.width))
+    buf = np.empty((strips[0][1], pan.width))
+    for start, stop in strips:
+        out = buf[:stop - start]
         if s_std < _EPS:
             out[...] = t_mean
         else:
-            np.subtract(pan.rows(0, rows.start, rows.stop), s_mean, out=out)
+            np.subtract(pan.rows(0, start, stop), s_mean, out=out)
             out *= t_std / s_std
             out += t_mean
-        yield rows, out
+        yield slice(start, stop), out
 
 
 def pansharpen_pca(ms: MultibandImage, pan: Image,
@@ -161,11 +156,10 @@ def pansharpen_atwt(ms: MultibandImage, pan: Image,
         smooth = mirror_filter(smooth, _B3, 2**level)
     # upsampled only now, so the filter's temporaries never meet it
     up = upsample(ms, ratio, cfg.resampler)
-    for start in range(0, up.height, _STRIP_ROWS):
-        detail = smooth[start:start + _STRIP_ROWS]
-        np.subtract(pan.rows(0, start, start + len(detail)), detail,
-                    out=detail)
-        for plane in up.planes[:, start:start + len(detail)]:
+    for start, stop in row_strips(up.height, 8 * up.width):
+        detail = smooth[start:stop]
+        np.subtract(pan.rows(0, start, stop), detail, out=detail)
+        for plane in up.planes[:, start:stop]:
             plane += detail
     return MultibandImage(up.planes, band_names=ms.band_names)
 

@@ -7,7 +7,8 @@ opposite ring positions are paired, their two gray levels sorted, and the
 (depth, row, col) array over the gray levels and normalize to a
 probability distribution, from which contrast, energy and large-number
 emphasis are computed. quantize_gray_levels() is the one min-max binning;
-the band's entropy (spectral.summary_stats) counts the same map.
+the band's entropy (spectral.summary_stats) counts the same map, binned
+in raster.row_strips runs of raster.STRIP_BYTES of float64 samples.
 """
 
 from __future__ import annotations
@@ -17,16 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, InputError
+from .raster import row_strips
 
 DEFAULT_GL = 32
 DEFAULT_RADII = (1, 2, 3)
 # the (gl, gl, gl) int64 count table is 134 MB at 256 levels, the most
 # that a uint8 gray-level map holds
 MAX_GL = 256
-# samples per strip of quantize_gray_levels's float64 buffer (256 KiB).
-# A 512^2 band took 0.79 ms at 32768 and 65536 samples, 0.89 ms at 8192
-# and through one band-sized float plane (2-vCPU Xeon, numpy 2.4.6)
-_STRIP_SAMPLES = 32768
 
 
 @dataclass
@@ -61,8 +59,8 @@ def quantize_gray_levels(band: np.ndarray, gl: int = DEFAULT_GL
                          ) -> np.ndarray:
     """Linear min-max binning into a uint8 map of {0..gl-1}, gl in
     [2, MAX_GL]; constant bands map to 0. The samples are binned in
-    strips of _STRIP_SAMPLES, in row-major order, through one float
-    buffer of that size."""
+    row-major order, one row_strips() run at a time, through one float
+    buffer of that run."""
     _check_gl(gl)
     x = np.asarray(band, dtype=np.float64)
     lo, hi = x.min(), x.max()
@@ -72,9 +70,9 @@ def quantize_gray_levels(band: np.ndarray, gl: int = DEFAULT_GL
     # floor(gl * (x - lo) / (hi - lo)); the top sample reaches gl and is
     # clamped before the map narrows
     flat, levels = x.reshape(-1), out.reshape(-1)
-    buf = np.empty(min(flat.size, _STRIP_SAMPLES))
-    for start in range(0, flat.size, _STRIP_SAMPLES):
-        stop = min(start + _STRIP_SAMPLES, flat.size)
+    strips = list(row_strips(flat.size, 8))
+    buf = np.empty(strips[0][1])
+    for start, stop in strips:
         strip = np.subtract(flat[start:stop], lo, out=buf[:stop - start])
         strip *= gl
         strip /= hi - lo

@@ -44,9 +44,8 @@ from .glcm3 import (DEFAULT_GL, DEFAULT_RADII, check_glcm3_options,
                     glcm3_features, quantize_gray_levels, tims_glcm)
 from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
                        process_costs)
-from .quantizer import (LEVELS, LabelMapStack, SpectralCoder,
-                        binary_contour_cost, cross_aura,
-                        post_classification_change_count)
+from .quantizer import (LEVELS, SpectralCoder, binary_contour_cost,
+                        cross_aura, post_classification_change_count)
 from .raster import Image, RasterFile, check_shape, load_image
 from .spectral import (DEFAULT_BLOCK, SummaryStats, centre, ergas,
                        inverse_pcc_cost, mdb_cost, pcc, q4, sam_mean,
@@ -151,7 +150,7 @@ class ImageFeatures:
     image: Image
     stats: list[SummaryStats]                    # per band
     texture: list[tuple[float, float, float]]    # GLCM3 features per band
-    labels: LabelMapStack
+    labels: np.ndarray                           # category2_level plane
     aura_mean: float
     contour: np.ndarray                          # cross-aura plane > 0
     clipped: int                                 # samples outside [0, 1]
@@ -163,9 +162,10 @@ def image_features(img: Image, opts: EvalOptions,
     label code, its samples outside [0, 1] and its gray-level map; then
     its centred samples, once, and the read band is freed. The moments
     and per_band read that one centred copy, the texture the gray-level
-    map alone; then the label stack's cross-aura contour. per_band(b,
-    centred, stats), when given, is called with each band's centred
-    samples and its summary_stats."""
+    map alone; then the label stack's cross-aura contour, after which
+    only the stack's category2_level plane is kept. per_band(b, centred,
+    stats), when given, is called with each band's centred samples and
+    its summary_stats."""
     coder = SpectralCoder(*img.shape)
     stats, texture, clipped = [], [], 0
     for b in range(img.bands):
@@ -185,7 +185,8 @@ def image_features(img: Image, opts: EvalOptions,
     labels = coder.stack()
     plane, aura_mean = cross_aura(labels)
     return ImageFeatures(image=img, stats=stats, texture=texture,
-                         labels=labels, aura_mean=aura_mean,
+                         labels=labels.level(opts.category2_level),
+                         aura_mean=aura_mean,
                          contour=plane > 0, clipped=clipped)
 
 
@@ -223,8 +224,8 @@ def evaluate_candidate(reference: ImageFeatures, candidate: Image,
     # each category's values in its CATEGORY_KEYS order
     values = (
         _mdb_costs(reference.stats, cand.stats),
-        [float(post_classification_change_count(
-            reference.labels, cand.labels, opts.category2_level)),
+        [float(post_classification_change_count(reference.labels,
+                                                cand.labels)),
          inverse_pcc_cost(pccs)],
         _mdb_costs(reference.texture, cand.texture)
         + [abs(reference.aura_mean - cand.aura_mean)],

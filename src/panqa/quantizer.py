@@ -131,12 +131,15 @@ def load_stack(path) -> LabelMapStack:
     return LabelMapStack(*planes)
 
 
-def post_classification_change_count(stack_a: LabelMapStack,
-                                     stack_b: LabelMapStack,
-                                     level: str = "coarse") -> int:
-    """Number of pixels whose labels differ at the chosen level."""
-    check_shape(stack_b, stack_a.shape)
-    return int(np.count_nonzero(stack_a.level(level) != stack_b.level(level)))
+def post_classification_change_count(labels_a: np.ndarray,
+                                     labels_b: np.ndarray) -> int:
+    """Number of pixels whose labels differ between two 2-D label planes
+    of one level."""
+    a, b = np.asarray(labels_a), np.asarray(labels_b)
+    if a.ndim != 2:
+        raise InputError("label planes must be 2-D")
+    check_shape(b, a.shape)
+    return int(np.count_nonzero(a != b))
 
 
 def _aura_plane(labels: np.ndarray) -> np.ndarray:

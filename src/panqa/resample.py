@@ -11,7 +11,8 @@ kernels have unit DC gain. mirror_filter() is the one separable
 mirror-boundary filter, shared by degrade() and the a-trous fuser;
 degrade() asks it for the decimated samples only. It filters one strip
 of output rows at a time, in cache, and bit-identically for any strip
-height. upsample() multiplies each block of interpolation-matrix rows
+height; its strip buffers are sized by raster.STRIP_BYTES, read at each
+call. upsample() multiplies each block of interpolation-matrix rows
 over its nonzero columns only.
 
 degrade() and upsample() write each output band into one preallocated
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import raster
 from .errors import InputError
 from .raster import Image, MultibandImage
 
@@ -33,13 +35,6 @@ DEFAULT_MTF_GAIN_MS = 0.3
 DEFAULT_MTF_GAIN_PAN = 0.15
 
 UPSAMPLE_METHODS = ("nearest", "bilinear", "bicubic")
-
-# bytes of mirror_filter's padded strip buffer and mirrored input rows;
-# its axis-0 sums and tap products take about as much again each. Best
-# of 8 calls on a 1024^2 plane (2-vCPU Xeon, numpy 2.4.6), ATWT
-# smoothing / PAN degrade: 64 KiB 49.8 / 17.9 ms, 128 KiB 41.1 / 13.0,
-# 256 KiB 31.4 / 12.4, 512 KiB 38.0 / 14.5.
-_FILTER_STRIP_BYTES = 256 * 1024
 
 
 def mtf_gaussian_kernel(ratio: int, mtf_gain: float) -> np.ndarray:
@@ -82,7 +77,9 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
     Each strip of output rows is filtered along axis 0 into a buffer,
     mirror padded along axis 1 and filtered from there while in cache.
     On each axis every sample is the sum from zero of taps[t] * sample,
-    in tap order, as a whole-plane pass forms it."""
+    in tap order, as a whole-plane pass forms it. The padded strip and a
+    border strip's mirrored rows each hold about raster.STRIP_BYTES, and
+    the axis-0 sums and tap products as much again each."""
     n0, n1 = plane.shape
     r0, r1 = (range(*keep.indices(n)) for n in plane.shape)
     out = np.zeros((len(r0), len(r1)), dtype=plane.dtype)
@@ -96,12 +93,12 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
     width = left + max(n1, r1[-1] + first + reach + 1)
     pads = np.r_[0:left, left + n1:width]
     mirrored = _mirror_indices(n1, pads - left) + left
-    rows = max(1, _FILTER_STRIP_BYTES // (width * out.itemsize))
+    rows = max(1, raster.STRIP_BYTES // (width * out.itemsize))
     buf = np.empty((rows, width), dtype=plane.dtype)
     # contiguous, the sums and products run faster than on views of buf
     acc0 = np.empty((rows, n1), dtype=plane.dtype)
     tmp = np.empty(rows * n1, dtype=np.result_type(plane, *taps))
-    mirror_rows = max(1, (_FILTER_STRIP_BYTES // (n1 * plane.itemsize)
+    mirror_rows = max(1, (raster.STRIP_BYTES // (n1 * plane.itemsize)
                           - reach - 1) // r0.step + 1)
     k0 = 0
     while k0 < len(r0):
@@ -217,7 +214,7 @@ def _row_blocks(mat: np.ndarray) -> list:
     weights, and a copy of the block over those columns, so that no
     block keeps mat alive. A 4-band 256^2 -> 1024^2 bicubic upsample
     took 51.1, 37.1, 37.9 and 51.2 ms at 32, 64, 128 and 256 rows (best
-    of 10, 1 BLAS thread, as at _FILTER_STRIP_BYTES)."""
+    of 10, 1 BLAS thread, 2-vCPU Xeon)."""
     blocks = []
     for r0 in range(0, mat.shape[0], 64):
         rows = slice(r0, r0 + 64)

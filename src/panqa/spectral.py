@@ -15,12 +15,19 @@ their block moments from _moment_strips, one strip at a time. Every shape
 is compared by raster.check_shape. _q_maps gives a pair's Q in both
 orders from one covariance, bit-identical to two separate evaluations.
 
+SAM and _moment_strips take their strips from raster.row_strips, at one
+byte per sample of each plane a strip row reads, so a strip holds
+raster.STRIP_BYTES samples, 2 MiB of float64. qnr at 1024^2 ran alike
+from 1 to 16 MiB, and slower at 256 KiB and at 64 MiB. With 32-row qnr
+strips, not 48, glibc's heap layout raised `protocol` peak RSS from 89
+to 100 MB; 40 to 96 rows did not.
+
 A band's moments and its PCC read one copy of its centred samples,
 made once by centre(): summary_stats holds one band-sized temporary
 beside it (c*c, then (c*c)*(c*c), then (c*c)*c, for the deviations c),
-and pcc one (the other band centred, then the product, in place). The
-strips of SAM, Q4 and QNR hold about _STRIP_BYTES of samples (2 MiB),
-below that.
+or two where those powers under- or overflow (the scaled deviations and
+their squares), and pcc one (the other band centred, then the product,
+in place). The strips of SAM, Q4 and QNR stay below that.
 
 All moments use the population (N-divisor) convention so that downstream
 z-score standardization behaves exactly.
@@ -36,17 +43,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .raster import Image, check_shape
+from .raster import Image, check_shape, row_strips
 
 DEFAULT_BLOCK = 8
-
-# Q, Q4, QNR and SAM read their inputs one strip of rows at a time: the
-# bytes of one strip's samples across every plane the function reads.
-# qnr at 1024x1024 ran alike from 1 to 16 MiB; it was slower at 256 KiB,
-# from per-strip overhead, and at 64 MiB, one strip for the whole image.
-# At 2 MiB the strips of `panqa eval`'s SAM and Q4 stay below what
-# featurizing one band holds, the band's centred copy and a temporary
-_STRIP_BYTES = 2 << 20
 
 
 class SummaryStats(NamedTuple):
@@ -113,14 +112,16 @@ def _scaled_moments(centered: np.ndarray) -> tuple[float, float, float]:
     """Std, skewness and kurtosis from the deviations scaled to a largest
     magnitude of 1, where no power of them or of their std under- or
     overflows; all 0 for a band with no deviation."""
-    scale = np.max(np.abs(centered))
+    scale = max(centered.max(), -centered.min())
     if scale == 0.0:
         return 0.0, 0.0, 0.0
     z = centered / scale
     sq = z * z
     std = math.sqrt(np.mean(sq))
-    return (float(scale * std), float(np.mean(sq * z) / std**3),
-            float(np.mean(sq * sq) / std**4))
+    # the cubes into z and the fourth powers into sq: two temporaries
+    skew = np.mean(np.multiply(sq, z, out=z)) / std**3
+    kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
+    return float(scale * std), float(skew), float(kurt)
 
 
 def mdb_cost(stats_a, stats_b) -> float:
@@ -154,13 +155,6 @@ def inverse_pcc_cost(pccs: list[float]) -> float:
     return float(np.mean([1.0 - p for p in pccs]))
 
 
-def _strip_rows(width: int, planes: int, unit: int = 1) -> int:
-    """Rows per strip: the largest multiple of unit, and at least unit,
-    whose float64 samples in that many planes of this width fit
-    _STRIP_BYTES."""
-    return unit * max(1, _STRIP_BYTES // (8 * planes * width * unit))
-
-
 def _band_rows(img: Image) -> list:
     """One row reader per band of img: reader(start, stop) is
     img.rows(b, start, stop)."""
@@ -182,11 +176,9 @@ def sam_mean(img_a: Image, img_b: Image) -> float:
     filled part."""
     check_shape(img_b, img_a.shape)
     bands, height, width = img_a.shape
-    step = _strip_rows(width, 2 * bands)
     angles = np.empty(height * width)
     n = 0
-    for r in range(0, height, step):
-        stop = min(r + step, height)
+    for r, stop in row_strips(height, 2 * bands * width):
         a, b = img_a.rows(0, r, stop), img_b.rows(0, r, stop)
         dot, na2, nb2 = a * b, a * a, b * b
         for k in range(1, bands):
@@ -283,18 +275,16 @@ def _q_maps(a: _BlockMoments, b: _BlockMoments):
 
 def _moment_strips(readers, height: int, width: int, bl: int):
     """Yields the _block_moments of planes of one height and width, one
-    list in reader order per strip of whole block rows, about _STRIP_BYTES
-    of samples across all the planes; reader(start, stop) gives a plane's
-    rows [start, stop). Each list is emptied before the next strip is
-    read, so only one strip's rows and moments are held at a time."""
+    list in reader order per row_strips() strip of whole block rows;
+    reader(start, stop) gives a plane's rows [start, stop). Each list is
+    emptied before the next strip is read, so only one strip's rows and
+    moments are held at a time."""
     if bl < 2:
         raise InputError("block_size must be >= 2")
     nby, nbx = height // bl, width // bl
     if nby == 0 or nbx == 0:
         raise InputError(f"image smaller than one {bl}x{bl} block")
-    step = _strip_rows(nbx * bl, len(readers), bl)
-    for r in range(0, nby * bl, step):
-        stop = min(r + step, nby * bl)
+    for r, stop in row_strips(nby * bl, len(readers) * nbx * bl, bl):
         mom = [_block_moments(read(r, stop), bl) for read in readers]
         yield mom
         mom.clear()

@@ -4,11 +4,12 @@ import re
 import shutil
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from panqa import glcm3, pipeline, quantizer
+from panqa import glcm3, pipeline, quantizer, raster
 from panqa.cli import build_parser, main
 from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.resample import DEFAULT_MTF_GAIN_PAN, degrade, mtf_gaussian_kernel
@@ -217,12 +218,12 @@ README_MANIFEST = {
 }
 
 
-def test_readme_quickstart(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "manifest.json").write_text(json.dumps(README_MANIFEST),
-                                            encoding="utf-8")
-    commands = [
-        "synth --seed 7 --width 256 --height 256 --out-ms ms --out-pan pan",
+def readme_commands(size: int) -> list[str]:
+    """The README quick start on a size x size scene, run in a directory
+    that holds README_MANIFEST as manifest.json."""
+    return [
+        f"synth --seed 7 --width {size} --height {size} --out-ms ms "
+        "--out-pan pan",
         "degrade --input ms --ratio 4 --out ms_l",
         "degrade --input pan --ratio 4 --mtf-gain 0.15 --out pan_l",
         *(f"fuse --method {m} --ms ms_l --pan pan --out fused_{m}"
@@ -231,10 +232,43 @@ def test_readme_quickstart(tmp_path, monkeypatch, capsys):
         "qnr --ms ms_l --pan pan --fused fused_pca --out qnr.json",
         "rank --manifest manifest.json --out-dir results/",
     ]
-    codes = {cmd: main(cmd.split()) for cmd in commands}
+
+
+def test_readme_quickstart(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(README_MANIFEST),
+                                            encoding="utf-8")
+    codes = {cmd: main(cmd.split()) for cmd in readme_commands(256)}
     codes["srcc"] = main(["srcc", "--table", "results/ranks.csv",
                           "--col-a", "PDFR case A", "--col-b", "PDFR case C"])
     assert codes == dict.fromkeys(codes, 0), capsys.readouterr().err
+
+
+def test_strip_budget_changes_no_output(tmp_path, monkeypatch, capsys):
+    # every strip loop sizes its strips from raster.STRIP_BYTES when it
+    # runs. At 64x64 the default budget makes one strip of each loop; at
+    # 1 byte each strip is one sample, one row or one block row, and
+    # mirror_filter's buffers one row. Every file written is the same
+    commands = readme_commands(64) + [
+        "quantize --input fused_pca --out labels_pca",
+        "glcm3 --input fused_pca --gl 32 --out glcm3.json "
+        "--dump-matrix glcm3_counts.csv",
+    ]
+    outputs = []
+    for budget in (raster.STRIP_BYTES, 1):
+        run = tmp_path / f"budget{budget}"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        (run / "manifest.json").write_text(json.dumps(README_MANIFEST),
+                                           encoding="utf-8")
+        with mock.patch.object(raster, "STRIP_BYTES", budget):
+            for cmd in commands:
+                assert main(cmd.split()) == 0, (cmd, capsys.readouterr().err)
+        outputs.append({p.relative_to(run).as_posix(): p.read_bytes()
+                        for p in run.rglob("*") if p.is_file()})
+    default, one_byte = outputs
+    assert sorted(one_byte) == sorted(default)
+    assert [name for name in default if one_byte[name] != default[name]] == []
 
 
 def test_glcm3_subcommand(scene):

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from panqa import glcm3
+from panqa import raster
 from panqa.errors import DegeneracyError, InputError
 from panqa.glcm3 import (Glcm3, glcm3_features, quantize_gray_levels,
                          tims_glcm)
@@ -133,11 +133,11 @@ def whole_plane_levels(band, gl):
        gl=st.integers(2, 256), strip=st.integers(2, 64))
 # the strip quantize_gray_levels uses, over two and a bit strips
 @example(band=np.random.default_rng(0).random((181, 363)), gl=256,
-         strip=glcm3._STRIP_SAMPLES)
+         strip=raster.STRIP_BYTES // 8)
 def test_strip_binning_equals_whole_plane(band, gl, strip):
     # sizes that are not a multiple of the strip: a part strip at the end
     assume(band.size % strip)
-    with mock.patch.object(glcm3, "_STRIP_SAMPLES", strip):
+    with mock.patch.object(raster, "STRIP_BYTES", 8 * strip):
         got = quantize_gray_levels(band, gl)
     assert got.dtype == np.uint8
     assert np.array_equal(got, whole_plane_levels(band, gl))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panqa import pipeline, spectral
+from panqa import pipeline, raster
 from panqa.errors import InputError
 from panqa.cli import build_parser
 from panqa.fusion import FusionConfig, pansharpen
@@ -17,6 +17,7 @@ from panqa.pipeline import (Candidate, EvalOptions, RunManifest,
                             classic_metrics, evaluate_candidate,
                             image_features, run_manifest, write_report)
 from panqa.protocol import QiRecord, aggregate, process_costs
+from panqa.quantizer import LEVELS, quantize_spectral
 from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.spectral import DEFAULT_BLOCK
 from test_cli import count_calls
@@ -146,6 +147,21 @@ def test_candidate_equal_to_reference_reuses_its_features(rng,
     assert record == want
 
 
+@pytest.mark.parametrize("level", LEVELS)
+def test_features_keep_the_category2_label_plane(rng, level):
+    # of the label stack, only the plane the category-2 change count
+    # reads outlives image_features
+    opts = EvalOptions(gl=8, category2_level=level)
+    ref, cand = (MultibandImage(rng.uniform(0.0, 1.0, (4, 16, 16)))
+                 for _ in range(2))
+    reference = image_features(ref, opts)
+    want = quantize_spectral(ref).level(level)
+    assert np.array_equal(reference.labels, want)
+    changed = np.count_nonzero(quantize_spectral(cand).level(level) != want)
+    record = evaluate_candidate(reference, cand, opts, "c")
+    assert record.category2["post_class_change"] == changed
+
+
 @pytest.mark.parametrize("pixel", [(2, 0, 5), (3, 15, 15)])
 def test_candidate_one_sample_off_is_featurized(rng, monkeypatch, pixel):
     # one sample off in the first row, then in the last
@@ -231,7 +247,7 @@ def test_raster_file_candidate_scores_as_loaded(case):
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=candidate_files(), budget=st.sampled_from([1, 4 << 20]))
+@given(case=candidate_files(), budget=st.sampled_from([1, 512 << 10]))
 def test_files_score_as_loaded_images(case, budget):
     # the reference and the candidate both read from disk give the record
     # and the classic metrics of the loaded images, float for float,
@@ -239,7 +255,7 @@ def test_files_score_as_loaded_images(case, budget):
     kind, write = case
     opts = EvalOptions(gl=8)
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(spectral, "_STRIP_BYTES", budget):
+            mock.patch.object(raster, "STRIP_BYTES", budget):
         ref_path, path = Path(tmp) / "ref", Path(tmp) / "cand"
         save_image(MultibandImage(_REFERENCE), ref_path)
         write(ref_path, path)

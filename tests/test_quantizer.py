@@ -122,7 +122,8 @@ class TestQuantize:
 class TestChangeCount:
     def test_zero_on_identity(self, rng):
         stack = quantize_spectral(drawn_image(rng, (6, 6, 3)))
-        assert post_classification_change_count(stack, stack) == 0
+        assert post_classification_change_count(stack.coarse,
+                                                stack.coarse) == 0
 
     def test_counts_flipped_pixels(self):
         a = image(np.full((4, 4), 0.1))
@@ -130,23 +131,30 @@ class TestChangeCount:
         b_vals[1, 1] = 0.9
         b_vals[2, 3] = 0.9
         sa, sb = quantize_spectral(a), quantize_spectral(image(b_vals))
-        assert post_classification_change_count(sa, sb) == 2
-        assert post_classification_change_count(sa, sb, level="fine") == 2
+        assert post_classification_change_count(sa.coarse, sb.coarse) == 2
+        assert post_classification_change_count(sa.fine, sb.fine) == 2
 
     def test_level_sensitivity(self):
         # 0.1 vs 0.3 differ at fine but share intermediate/coarse labels
         a = image(np.full((3, 3), 0.1))
         b = image(np.full((3, 3), 0.3))
         sa, sb = quantize_spectral(a), quantize_spectral(b)
-        assert post_classification_change_count(sa, sb, level="fine") == 9
-        assert post_classification_change_count(sa, sb, level="coarse") == 0
+        assert post_classification_change_count(sa.fine, sb.fine) == 9
+        assert post_classification_change_count(sa.coarse, sb.coarse) == 0
 
     def test_dimension_mismatch(self, rng):
         sa = quantize_spectral(drawn_image(rng, (4, 4, 3)))
         sb = quantize_spectral(drawn_image(rng, (5, 4, 3)))
         with pytest.raises(InputError) as exc:
-            post_classification_change_count(sa, sb)
+            post_classification_change_count(sa.coarse, sb.coarse)
         assert "(4, 4)" in str(exc.value) and "(5, 4)" in str(exc.value)
+
+    def test_stacks_refused(self, rng):
+        # the planes of one level, not whole stacks, which would compare
+        # as two objects
+        stack = quantize_spectral(drawn_image(rng, (4, 4, 3)))
+        with pytest.raises(InputError, match="2-D"):
+            post_classification_change_count(stack, stack)
 
 
 def test_label_planes_of_two_shapes_refused():

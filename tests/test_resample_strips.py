@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from panqa import resample
+from panqa import raster
 from panqa.fusion import _B3
 from panqa.raster import MultibandImage
 from panqa.resample import (_interp_matrix, _mirror_indices, _row_blocks,
@@ -75,7 +75,7 @@ def test_mirror_filter_in_strips_equals_pad_once(plane, taps, step, start,
     taps = np.array(taps)
     keep = slice(start, stop, stride)
     # budget // (row bytes) rows per strip: 1 to about 3 on these planes
-    with mock.patch.object(resample, "_FILTER_STRIP_BYTES", budget):
+    with mock.patch.object(raster, "STRIP_BYTES", budget):
         got = mirror_filter(plane, taps, step, keep)
     want = pad_once_filter(plane, taps, step, keep)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -91,7 +91,7 @@ def test_mirror_filter_taps_and_dtypes_as_before(rng, dtype, as_list):
     taps = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
     taps = taps.tolist() if as_list else taps
     keep = slice(1, None, 2)
-    with mock.patch.object(resample, "_FILTER_STRIP_BYTES", 1):
+    with mock.patch.object(raster, "STRIP_BYTES", 1):
         got = mirror_filter(plane, taps, 2, keep)
     want = pad_once_filter(plane, taps, 2, keep)
     assert got.dtype == want.dtype == dtype
@@ -133,7 +133,7 @@ def test_mirror_filter_footprint(rng, taps, step, keep):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    budget = resample._FILTER_STRIP_BYTES
+    budget = raster.STRIP_BYTES
     reach = (len(taps) - 1) * step
     # beside the output: the padded strip, its axis-0 sums and the
     # products, and at a border strip a mirrored copy of the input rows

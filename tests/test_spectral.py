@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from panqa import spectral
+from panqa import raster, spectral
 from panqa.errors import DegeneracyError, InputError
 from panqa.glcm3 import quantize_gray_levels
 from panqa.raster import MultibandImage, RasterFile, load_image, save_image
@@ -19,14 +19,14 @@ from test_layout import traced_peak
 
 # the default strip budget, and one small enough that every strip is a
 # single block row (or pixel row)
-BUDGETS = (spectral._STRIP_BYTES, 1)
+BUDGETS = (raster.STRIP_BYTES, 1)
 
 
 def at_budgets(fn, *args, **kwargs):
     """fn's result at each strip budget of BUDGETS."""
     results = []
     for budget in BUDGETS:
-        with mock.patch.object(spectral, "_STRIP_BYTES", budget):
+        with mock.patch.object(raster, "STRIP_BYTES", budget):
             results.append(fn(*args, **kwargs))
     return results
 
@@ -337,11 +337,24 @@ def earlier_summary_stats(band, levels):
                     / std**3
                 kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
     if not (math.isfinite(skew) and math.isfinite(kurt)):
-        scaled_std, skew, kurt = spectral._scaled_moments(x - mean)
+        scaled_std, skew, kurt = earlier_scaled_moments(x - mean)
         if math.isnan(std):
             std = scaled_std
     return spectral.SummaryStats(float(mean), std, float(skew), float(kurt),
                                  entropy)
+
+
+def earlier_scaled_moments(centered):
+    """_scaled_moments as it was with three temporaries: the absolute
+    deviations, the scaled ones and their squares, then each power."""
+    scale = np.max(np.abs(centered))
+    if scale == 0.0:
+        return 0.0, 0.0, 0.0
+    z = centered / scale
+    sq = z * z
+    std = math.sqrt(np.mean(sq))
+    return (float(scale * std), float(np.mean(sq * z) / std**3),
+            float(np.mean(sq * sq) / std**4))
 
 
 def earlier_pcc(band_a, band_b, stats_a, stats_b):
@@ -560,7 +573,7 @@ class TestQnr:
         save_image(image_of(ms), tmp_path / "ms")
         save_image(image_of(fused), tmp_path / "f")
         pan_h, pan_l = rng.random((32, 32)), rng.random((8, 8))
-        with mock.patch.object(spectral, "_STRIP_BYTES", budget):
+        with mock.patch.object(raster, "STRIP_BYTES", budget):
             want = qnr(load_image(tmp_path / "ms"), load_image(tmp_path / "f"),
                        pan_h, pan_l, 2)
             assert qnr(load_image(tmp_path / "ms"), RasterFile(tmp_path / "f"),
@@ -836,7 +849,7 @@ def test_sam_all_zero_refused_at_every_budget(budget):
     a[2:] = 0.0
     b = np.ones((5, 3, 2))
     b[:2] = 0.0
-    with mock.patch.object(spectral, "_STRIP_BYTES", budget):
+    with mock.patch.object(raster, "STRIP_BYTES", budget):
         with pytest.raises(DegeneracyError, match="zero spectral vector"):
             sam_mean(image_of(a), image_of(b))
 
@@ -868,6 +881,41 @@ def test_summary_stats_footprint(rng):
     stats = summary_stats(centred, mean, levels)
     _, peak = traced_peak(pcc, band, centred, stats, stats)
     assert peak < 1.1 * band.nbytes, peak / band.nbytes
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-160, 1e300])
+def test_scaled_moments_footprint(rng, scale):
+    # where the powers of the deviations under- or overflow, beside the
+    # centred band two temporaries: the scaled deviations, then their
+    # cubes, and their squares, then their fourth powers. The absolute
+    # deviations, a third, held 3.0 planes; the moments are the same bits
+    band = rng.random((256, 256)) * scale
+    levels = quantize_gray_levels(band, 32)
+    centred, mean = centre(band)
+    got, peak = traced_peak(summary_stats, centred, mean, levels)
+    assert peak < 2.1 * band.nbytes, peak / band.nbytes
+    assert bits(got) == bits(earlier_summary_stats(band, levels))
+
+
+@pytest.mark.parametrize("planes, size, rows", [
+    (5, 1024, 48),   # qnr: 4 bands and the pan, at the fused scale
+    (5, 256, 200),   # and at the MS scale
+    (8, 512, 64),    # q4 of two 4-band 512^2 images
+])
+def test_moment_strip_heights(planes, size, rows):
+    # the strips the benchmark's qnr and eval run; qnr's heights set its
+    # peak RSS through glibc's heap layout, so they stay as they are
+    seen = []
+
+    def reader(start, stop):
+        seen.append((start, stop))
+        return np.zeros((stop - start, size))
+
+    for _ in spectral._moment_strips([reader] * planes, size, size, 8):
+        pass
+    starts = sorted(set(seen))
+    assert all(stop - start == rows for start, stop in starts[:-1])
+    assert 0 < starts[-1][1] - starts[-1][0] <= rows
 
 
 def test_qnr_footprint(rng):
