@@ -66,9 +66,9 @@ def cmd_fuse(args) -> int:
             p.resolve() for p in raster_paths(args.out)}:
         raise InputError(f"--process-meta {args.process_meta} would "
                          f"overwrite the fused image {args.out}")
-    ms = load_image(args.ms)
-    # the fuser reads the PAN from disk: whole once, then a strip at a time
-    pan = RasterFile(args.pan)
+    # the fuser reads both from disk: the MS a band at a time, the PAN
+    # whole once or a window of rows at a time, then a strip at a time
+    ms, pan = RasterFile(args.ms), RasterFile(args.pan)
     cfg = FusionConfig(method=args.method, resampler=args.resample,
                        wavelet_levels=args.levels)
     fused, meta = pansharpen(ms, pan, cfg)
@@ -95,12 +95,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_qnr(args) -> int:
-    ms = load_image(args.ms)
-    pan = load_image(args.pan)
+    # read from disk a strip at a time; degrade reads the PAN band once
+    ms, pan, fused = (RasterFile(p) for p in (args.ms, args.pan, args.fused))
     ratio = check_shapes(ms, pan)
-    fused = RasterFile(args.fused)
     pan_l = degrade(pan, ratio, mtf_gaussian_kernel(ratio, args.mtf_gain))
-    value, d_lambda, d_s = qnr(ms, fused, pan.band(0), pan_l.band(0),
+    value, d_lambda, d_s = qnr(ms, fused, pan, pan_l,
                                block_size=args.block_size)
     write_json(args.out, {"qnr": value, "d_lambda": d_lambda, "d_s": d_s})
     return 0

@@ -14,8 +14,9 @@ is copied into this layout once.
 ImageHeader is the header's one definition, its fields named as the JSON
 keys: load_image() builds it from the JSON object and save_image() writes
 it, so every header saved is one that loads. It refuses a width, height
-or band count below 1, a gain or offset that is not finite, and a gain
-of 0, before any sample is converted.
+or band count below 1, a dtype that is not one of the sample type
+names, a gain or offset that is not finite, and a gain of 0, before any
+sample is converted.
 
 Both image kinds share one read interface, the Image base: shape, the
 (bands, height, width) triple, and rows(b, start, stop), the calibrated
@@ -195,7 +196,8 @@ class ImageHeader:
             if value < 1:
                 raise InputError(f"{key} must be at least 1: {value}")
             setattr(self, key, value)
-        if self.dtype not in _DTYPES:
+        # the type first: a list or an object is no key of _DTYPES
+        if not isinstance(self.dtype, str) or self.dtype not in _DTYPES:
             raise InputError(f"unknown dtype {self.dtype!r}")
         for key, default in (("gain", 1.0), ("offset", 0.0)):
             values = getattr(self, key)

@@ -9,18 +9,19 @@ bands up to the panchromatic grid before fusion.
 All border handling is mirror padding (edge pixel not repeated) and all
 kernels have unit DC gain. mirror_filter() is the one separable
 mirror-boundary filter, shared by degrade() and the a-trous fuser;
-degrade() asks it for the decimated samples only. It filters one strip
-of output rows at a time, in cache, and bit-identically for any strip
-height; its strip buffers are sized by raster.STRIP_BYTES, read at each
-call. upsample() multiplies each block of interpolation-matrix rows
+degrade() asks it for the decimated samples only, the fuser for the
+rows of a window of pan rows that its later levels read. It filters one
+strip of output rows at a time, in cache, and bit-identically for any
+strip height; its strip buffers are sized by raster.STRIP_BYTES, read at
+each call. upsample() multiplies each block of interpolation-matrix rows
 over its nonzero columns only.
 
 degrade() and upsample() write each output band into one preallocated
 (bands, height, width) buffer, which the returned image holds without a
 copy, so the result is never stacked from a list of separate planes.
-degrade() reads its input one band at a time through raster.Image's
-band(b), so `panqa degrade` reads a raster.RasterFile and never holds
-the whole input.
+Both read their input one band at a time through raster.Image's
+band(b), so `panqa degrade` and `panqa fuse` read a raster.RasterFile
+and never hold the whole input.
 """
 
 from __future__ import annotations
@@ -66,13 +67,14 @@ def _mirror_indices(n: int, idx: np.ndarray) -> np.ndarray:
 
 
 def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
-                  keep: slice = slice(None)) -> np.ndarray:
+                  keep: slice | tuple[slice, slice] = slice(None)
+                  ) -> np.ndarray:
     """Separable mirror-padded correlation of a plane with 1-D taps, along
     axis 0 then axis 1. The anchor is tap (len(taps)-1)//2 and tap t reads
     the sample (t - anchor)*step away, so step > 1 dilates the taps
-    (a-trous). Only the output positions selected by keep (a slice with a
-    positive step) along each axis are computed; each equals the same
-    sample of the full output.
+    (a-trous). Only the output positions selected by keep are computed:
+    a slice with a positive step for both axes, or a (rows, columns) pair
+    of them. Each equals the same sample of the full output.
 
     Each strip of output rows is filtered along axis 0 into a buffer,
     mirror padded along axis 1 and filtered from there while in cache.
@@ -81,7 +83,8 @@ def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
     border strip's mirrored rows each hold about raster.STRIP_BYTES, and
     the axis-0 sums and tap products as much again each."""
     n0, n1 = plane.shape
-    r0, r1 = (range(*keep.indices(n)) for n in plane.shape)
+    keeps = keep if isinstance(keep, tuple) else (keep, keep)
+    r0, r1 = (range(*k.indices(n)) for k, n in zip(keeps, plane.shape))
     out = np.zeros((len(r0), len(r1)), dtype=plane.dtype)
     if out.size == 0:
         return out
@@ -181,26 +184,30 @@ def _interp_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
     return mat
 
 
-def upsample(img: MultibandImage, ratio: int, method: str = "bicubic"
+def upsample(img: Image, ratio: int, method: str = "bicubic"
              ) -> MultibandImage:
-    """Scale up by an integer ratio; output is (H*ratio, W*ratio, B)."""
+    """Scale up by an integer ratio; output is (B, H*ratio, W*ratio).
+
+    img is read one band at a time through band(b), so it may be a
+    raster.RasterFile, of which one band is held beside the output."""
     if method not in UPSAMPLE_METHODS:
         raise InputError(f"unknown method {method!r}")
     if ratio < 1:
         raise InputError("ratio must be >= 1")
     h, w = img.height, img.width
     planes = np.empty((img.bands, h * ratio, w * ratio))
-    if ratio == 1:
-        planes[...] = img.planes
-    elif method == "nearest":
-        # each sample broadcast over its ratio x ratio block, no repeats
-        planes.reshape(img.bands, h, ratio, w, ratio)[...] = \
-            img.planes[:, :, None, :, None]
-    else:
+    if ratio > 1 and method != "nearest":
         # out = my @ src @ mx.T, one output tile per pair of row blocks
         my = _row_blocks(_interp_matrix(h, ratio, method))
         mx = _row_blocks(_interp_matrix(w, ratio, method))
-        for src, out in zip(img.planes, planes):
+    for b, out in enumerate(planes):
+        src = img.band(b)
+        if ratio == 1:
+            out[...] = src
+        elif method == "nearest":
+            # each sample broadcast over its ratio x ratio block, no repeats
+            out.reshape(h, ratio, w, ratio)[...] = src[:, None, :, None]
+        else:
             for rows, cols, wy in my:
                 part = wy @ src[cols]
                 for rows_x, cols_x, wx in mx:

@@ -338,22 +338,23 @@ def q4(img_a: Image, img_b: Image, block_size: int = DEFAULT_BLOCK
     return float(np.concatenate(maps).mean())
 
 
-def qnr(ms_l: Image, fused_h: Image, pan_h: np.ndarray,
-        pan_degraded_l: np.ndarray, block_size: int = DEFAULT_BLOCK
-        ) -> tuple[float, float, float]:
+def qnr(ms_l: Image, fused_h: Image, pan_h: Image, pan_l: Image,
+        block_size: int = DEFAULT_BLOCK) -> tuple[float, float, float]:
     """No-reference quality: returns (QNR, D_lambda, D_s).
 
-    D_lambda is the mean absolute difference of the inter-band Q values
-    at the two scales, D_s that of the band-vs-pan Q values; both are
-    clamped to [0, 1], as a Q difference can reach magnitude 2. The
-    images are read a strip at a time, the pans sliced.
+    pan_h is the one-band pan on the fused image's grid and pan_l the
+    one-band pan degraded to the MS grid. D_lambda is the mean absolute
+    difference of the inter-band Q values at the two scales, D_s that of
+    the band-vs-pan Q values; both are clamped to [0, 1], as a Q
+    difference can reach magnitude 2. Every image is read a strip at a
+    time.
     """
-    pan_h = np.asarray(pan_h, dtype=np.float64)
-    pan_l = np.asarray(pan_degraded_l, dtype=np.float64)
     nb = ms_l.bands
+    if pan_h.bands != 1 or pan_l.bands != 1:
+        raise InputError("pan images must have exactly one band")
     # the fused image has the MS bands on the grid of the pan
-    check_shape(fused_h, (nb, *pan_h.shape))
-    check_shape(ms_l, (nb, *pan_l.shape))
+    check_shape(fused_h, (nb, *pan_h.shape[1:]))
+    check_shape(ms_l, (nb, *pan_l.shape[1:]))
     if nb < 2:
         raise InputError("qnr needs at least 2 bands")
 
@@ -361,8 +362,8 @@ def qnr(ms_l: Image, fused_h: Image, pan_h: np.ndarray,
         """Mean Q of every ordered band pair (i, j), and of each band
         against the pan, (b, nb), at one scale."""
         strips = []
-        for mom in _moment_strips(_band_rows(img) + [_array_rows(pan)],
-                                  *pan.shape, block_size):
+        for mom in _moment_strips(_band_rows(img) + _band_rows(pan),
+                                  pan.height, pan.width, block_size):
             q = {}
             for i in range(nb):
                 q[i, nb] = next(_q_maps(mom[i], mom[nb]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import benchmark_fixture as bm
+from test_fusion import pan_image
 from test_glcm3 import oracle_counts
 from panqa.fusion import FusionConfig, pansharpen
 from panqa.glcm3 import quantize_gray_levels, tims_glcm
@@ -128,7 +129,8 @@ def test_criterion_4_metric_invariants():
     pan_l = np.repeat(np.repeat(rng.random((4, 4)), bl, axis=0), bl, axis=1)
     fused = upsample(ms, 4, "nearest")
     pan_h = np.repeat(np.repeat(pan_l, 4, axis=0), 4, axis=1)
-    value, d_lambda, d_s = qnr(ms, fused, pan_h, pan_l, block_size=2)
+    value, d_lambda, d_s = qnr(ms, fused, pan_image(pan_h),
+                               pan_image(pan_l), block_size=2)
     checks.append(abs(value - 1.0) <= tol and abs(d_lambda) <= tol
                   and abs(d_s) <= tol)
     # entropy bounds

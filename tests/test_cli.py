@@ -121,8 +121,7 @@ def test_qnr_subcommand(scene):
     assert 0.0 <= doc["d_s"] <= 1.0
     pan = load_image(scene / "pan")
     pan_l = degrade(pan, 4, mtf_gaussian_kernel(4, DEFAULT_MTF_GAIN_PAN))
-    want = qnr(load_image(scene / "ms_l"), load_image(fused), pan.band(0),
-               pan_l.band(0))
+    want = qnr(load_image(scene / "ms_l"), load_image(fused), pan, pan_l)
     assert (doc["qnr"], doc["d_lambda"], doc["d_s"]) == want
 
 
@@ -143,7 +142,7 @@ def test_qnr_takes_its_ratio_from_the_images(tmp_path):
     pan = load_image(tmp_path / "pan")
     pan_l = degrade(pan, 2, mtf_gaussian_kernel(2, DEFAULT_MTF_GAIN_PAN))
     want = qnr(load_image(tmp_path / "ms_l"), load_image(tmp_path / "fused"),
-               pan.band(0), pan_l.band(0))
+               pan, pan_l)
     doc = json.loads(out.read_text("utf-8"))
     assert (doc["qnr"], doc["d_lambda"], doc["d_s"]) == want
 

@@ -278,6 +278,13 @@ def test_upsample_footprint(rng, method):
     assert peak < up.planes.nbytes + 0.5 * PLANE
 
 
+# the planes each fuser may hold beside the fused image, with the MS in
+# memory (test_fuser_footprint) or read from disk by panqa fuse
+# (test_fuse_holds_no_pan)
+FUSER_PLANES = {"pca": 1.5, "cn": 1.5, "atwt": 1.0}
+FUSE_PLANES = {"pca": 1.6, "cn": 1.6, "atwt": 1.1}
+
+
 @pytest.mark.parametrize("method", ["cn", "atwt", "pca"])
 def test_fuser_footprint(rng, method):
     ratio = 4
@@ -288,12 +295,15 @@ def test_fuser_footprint(rng, method):
         (fused, _), peak = traced_peak(pansharpen, ms, pan,
                                        FusionConfig(method=method,
                                                     resampler="bicubic"))
-    # the fused image is the upsampled buffer. Beside it each fuser holds
-    # one pan-sized plane (PCA's PC1, CN's intensity, ATWT's smooth
-    # plane) and, while it injects, strips of 32 pan rows (an eighth of a
-    # plane here); ATWT's plane also waits out the upsample, whose own
-    # temporaries test_upsample_footprint bounds at half a plane
-    assert peak < fused.planes.nbytes + 1.5 * PLANE
+    # the fused image is the upsampled buffer. Beside it PCA and CN hold
+    # one pan-sized plane (PC1, the intensity) and, while they inject,
+    # strips of 32 pan rows (an eighth of a plane here): 1.26 planes in
+    # all, the upsample's own temporaries, which test_upsample_footprint
+    # bounds at half a plane, coming before that plane. ATWT holds no
+    # plane: it smooths a window of pan rows at a time, its level
+    # outputs beside mirror_filter's strip buffers, 0.78 planes, where a
+    # whole smooth plane held through the upsample took 1.41
+    assert peak < fused.planes.nbytes + FUSER_PLANES[method] * PLANE
 
 
 @pytest.mark.parametrize("method", ["cn", "atwt", "pca"])
@@ -308,12 +318,14 @@ def test_fuse_holds_no_pan(tmp_path, rng, method):
     with mock.patch.object(raster, "STRIP_BYTES", STRIPS_OF_32_ROWS):
         code, peak = traced_peak(main, argv)
     assert code == 0
-    # the PAN is read from disk, whole before the upsample and then a
-    # strip of rows at a time. Beside the fused image the command holds
-    # the MS (a quarter plane), its parser and what test_fuser_footprint
-    # bounds: 1.7 to 1.8 planes in all, where a PAN held loaded would add
-    # a whole plane
-    assert peak < BANDS * PLANE + 2 * PLANE
+    # both inputs are read from disk: the MS one band at a time, the PAN
+    # whole (PCA, CN) or a window of rows (ATWT) at a time and then a
+    # strip at a time. Beside the fused image the command holds what
+    # test_fuser_footprint bounds, the PAN rows and MS band it reads and
+    # its parser: 1.49 planes for PCA and CN, 0.96 for ATWT. The MS held
+    # loaded added a quarter plane (1.74, 1.74 and 1.79), and a PAN held
+    # loaded would add a whole plane
+    assert peak < BANDS * PLANE + FUSE_PLANES[method] * PLANE
 
 
 def test_run_manifest_footprint(tmp_path, rng):

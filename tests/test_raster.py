@@ -520,3 +520,55 @@ def test_rows_of_a_payload_cut_after_opening(tmp_path, keep, ok_rows,
     assert str(exc.value) == (f"length mismatch: payload {tmp_path / 's.raw'}"
                               f" ends inside band {b}, header implies 24"
                               " bytes")
+
+
+@pytest.fixture(scope="module")
+def chain_images(tmp_path_factory):
+    """A 32^2 scene, its ratio-4 MS and a PCA fusion of the two."""
+    from panqa.cli import main
+    d = tmp_path_factory.mktemp("chain")
+    assert main(["synth", "--width", "32", "--height", "32",
+                 "--out-ms", str(d / "ms"), "--out-pan", str(d / "pan")]) == 0
+    assert main(["degrade", "--input", str(d / "ms"), "--ratio", "4",
+                 "--out", str(d / "ms_l")]) == 0
+    assert main(["fuse", "--method", "pca", "--ms", str(d / "ms_l"),
+                 "--pan", str(d / "pan"), "--out", str(d / "fused")]) == 0
+    return d
+
+
+# each command with the image it reads as "bad" and its output as "out"
+_READERS = {
+    "degrade": (["degrade", "--input", "bad", "--ratio", "2", "--out",
+                 "out"], "ms"),
+    "fuse": (["fuse", "--method", "pca", "--ms", "ms_l", "--pan", "bad",
+              "--out", "out"], "pan"),
+    "eval": (["eval", "--reference", "ms", "--candidate", "bad", "--out",
+              "out"], "fused"),
+    "qnr": (["qnr", "--ms", "bad", "--pan", "pan", "--fused", "fused",
+             "--out", "out"], "ms_l"),
+    "glcm3": (["glcm3", "--input", "bad", "--out", "out"], "ms"),
+    "quantize": (["quantize", "--input", "bad", "--out", "out"], "ms"),
+}
+
+
+@pytest.mark.parametrize("dtype", [[], {}, 3, True],
+                         ids=["list", "object", "int", "bool"])
+@pytest.mark.parametrize("command", sorted(_READERS))
+def test_header_refuses_dtype_of_another_type(tmp_path, capsys,
+                                              chain_images, dtype, command):
+    from panqa.cli import main
+    argv, name = _READERS[command]
+    header = json.loads((chain_images / f"{name}.json").read_text())
+    (tmp_path / "bad.json").write_text(json.dumps(dict(header, dtype=dtype)))
+    (tmp_path / "bad.raw").write_bytes(
+        (chain_images / f"{name}.raw").read_bytes())
+    for open_image in (load_image, RasterFile):
+        with pytest.raises(InputError, match="unknown dtype"):
+            open_image(tmp_path / "bad")
+    paths = {a: chain_images / a for a in ("ms", "ms_l", "pan", "fused")}
+    paths.update(bad=tmp_path / "bad", out=tmp_path / "out")
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
+    assert "unknown dtype" in capsys.readouterr().err
+    # nothing written: no output file and no .part file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json",
+                                                          "bad.raw"]

@@ -146,6 +146,23 @@ def test_degrade_of_raster_file_equals_loaded(tmp_path, rng, sample_type,
         assert saved[0] == saved[1]
 
 
+@pytest.mark.parametrize("method", ["nearest", "bilinear", "bicubic"])
+@pytest.mark.parametrize("sample_type, gain", [("f32", None),
+                                               ("u16", [1e-4, 2e-4, 5e-5])])
+def test_upsample_of_raster_file_equals_loaded(tmp_path, rng, method,
+                                               sample_type, gain):
+    # read from disk one band at a time, as `panqa fuse` has it read, the
+    # output is that of the loaded image, byte for byte
+    img = MultibandImage(rng.uniform(0.0, 1.0, (3, 7, 9)),
+                         band_names=["b", "g", "r"])
+    save_image(img, tmp_path / "ms", sample_type, gain=gain)
+    for ratio in (1, 2, 3, 4):
+        got = upsample(RasterFile(tmp_path / "ms"), ratio, method)
+        want = upsample(load_image(tmp_path / "ms"), ratio, method)
+        assert got.band_names == ["b", "g", "r"]
+        assert got.planes.tobytes() == want.planes.tobytes()
+
+
 def test_degrade_mean_near_constant(rng):
     # constant plus a tiny perturbation: relative mean shift stays small
     plane = 1.0 + 1e-7 * rng.standard_normal((16, 16))

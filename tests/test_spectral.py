@@ -15,6 +15,7 @@ from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.resample import upsample
 from panqa.spectral import (centre, ergas, inverse_pcc_cost, mdb_cost, pcc,
                             q4, q_index, qnr, sam_mean, summary_stats)
+from test_fusion import pan_image
 from test_layout import traced_peak
 
 # the default strip budget, and one small enough that every strip is a
@@ -531,7 +532,7 @@ class TestQnr:
                           bl, axis=1)
         fused = upsample(ms, ratio, "nearest")
         pan_h = np.repeat(np.repeat(pan_l, ratio, axis=0), ratio, axis=1)
-        return ms, fused, pan_h, pan_l
+        return ms, fused, pan_image(pan_h), pan_image(pan_l)
 
     def test_zero_distortion_construction(self, rng):
         ms, fused, pan_h, pan_l = self.block_constant_pair(rng)
@@ -544,13 +545,13 @@ class TestQnr:
     def test_block_constant_pair_matches_reference(self, rng):
         ms, fused, pan_h, pan_l = self.block_constant_pair(rng)
         assert (qnr(ms, fused, pan_h, pan_l, block_size=2)
-                == qnr_reference(ms, fused, pan_h, pan_l, 2))
+                == qnr_reference(ms, fused, pan_h.band(0), pan_l.band(0), 2))
 
     def test_bounds_random(self, rng):
         ms = image_of(rng.random((16, 16, 3)))
         fused = image_of(rng.random((32, 32, 3)))
-        pan_h = rng.random((32, 32))
-        pan_l = rng.random((16, 16))
+        pan_h = pan_image(rng.random((32, 32)))
+        pan_l = pan_image(rng.random((16, 16)))
         value, d_lambda, d_s = qnr(ms, fused, pan_h, pan_l)
         assert 0.0 <= d_lambda <= 1.0
         assert 0.0 <= d_s <= 1.0
@@ -560,26 +561,29 @@ class TestQnr:
         ms = image_of(rng.random((8, 8, 3)))
         fused = image_of(rng.random((16, 16, 3)))
         with pytest.raises(InputError):
-            qnr(ms, fused, rng.random((8, 8)), rng.random((8, 8)))
+            qnr(ms, fused, pan_image(rng.random((8, 8))),
+                pan_image(rng.random((8, 8))))
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_files_score_as_loaded_images(self, tmp_path, rng, budget):
-        # the fused and MS images read from disk a strip at a time, as
-        # panqa qnr reads the fused one, or loaded: the same floats. A
-        # constant corner in every band makes the band pairs' blocks
-        # there degenerate, so they compare the samples read
+        # every image read from disk a strip at a time, as panqa qnr reads
+        # them, or loaded: the same floats. A constant corner in every
+        # band makes the band pairs' blocks there degenerate, so they
+        # compare the samples read
         ms, fused = rng.random((8, 8, 4)), rng.random((32, 32, 4))
         ms[:2, :2], fused[:4, :4] = 0.5, 0.25
         save_image(image_of(ms), tmp_path / "ms")
         save_image(image_of(fused), tmp_path / "f")
-        pan_h, pan_l = rng.random((32, 32)), rng.random((8, 8))
+        save_image(pan_image(rng.random((32, 32))), tmp_path / "pan_h")
+        save_image(pan_image(rng.random((8, 8))), tmp_path / "pan_l")
+        names = ("ms", "f", "pan_h", "pan_l")
         with mock.patch.object(raster, "STRIP_BYTES", budget):
-            want = qnr(load_image(tmp_path / "ms"), load_image(tmp_path / "f"),
-                       pan_h, pan_l, 2)
+            want = qnr(*(load_image(tmp_path / n) for n in names), 2)
             assert qnr(load_image(tmp_path / "ms"), RasterFile(tmp_path / "f"),
-                       pan_h, pan_l, 2) == want
-            assert qnr(RasterFile(tmp_path / "ms"), RasterFile(tmp_path / "f"),
-                       pan_h, pan_l, 2) == want
+                       *(load_image(tmp_path / n) for n in names[2:]),
+                       2) == want
+            assert qnr(*(RasterFile(tmp_path / n) for n in names),
+                       2) == want
 
 
 def block_view(plane, bl):
@@ -652,7 +656,8 @@ def test_qnr_matches_pairwise_q_reference(seed, bands, low, ratio, bl,
     pan_h = random_planes(seed + 2, (h * ratio, w * ratio), levels)
     pan_l = random_planes(seed + 3, (h, w), levels)
     want = qnr_reference(ms, fused, pan_h, pan_l, bl)
-    assert (at_budgets(qnr, ms, fused, pan_h, pan_l, block_size=bl)
+    assert (at_budgets(qnr, ms, fused, pan_image(pan_h), pan_image(pan_l),
+                       block_size=bl)
             == [want] * len(BUDGETS))
     want = q_index_reference(fused.band(0), fused.band(1), bl)
     assert (at_budgets(q_index, fused.band(0), fused.band(1), bl)
@@ -786,9 +791,9 @@ def test_qnr_matches_across_strip_budgets(seed, shape, bl, levels,
     ms, pan_l = strip_planes(seed, (h, w, bands), levels, flat_cols, shared)
     fused, pan_h = strip_planes(seed + 2, (h * ratio, w * ratio, bands),
                                 levels, flat_cols * ratio, shared)
-    one, per_row = at_budgets(qnr, image_of(ms),
-                              image_of(fused), pan_h[:, :, 0],
-                              pan_l[:, :, 0], block_size=bl)
+    one, per_row = at_budgets(qnr, image_of(ms), image_of(fused),
+                              pan_image(pan_h[:, :, 0]),
+                              pan_image(pan_l[:, :, 0]), block_size=bl)
     assert one == per_row
 
 
@@ -922,6 +927,6 @@ def test_qnr_footprint(rng):
     # a 1024x1024 fused image is 32 MiB: stay within half of one
     ms = image_of(rng.random((256, 256, 4)))
     fused = image_of(rng.random((1024, 1024, 4)))
-    _, peak = traced_peak(qnr, ms, fused, rng.random((1024, 1024)),
-                          rng.random((256, 256)))
+    _, peak = traced_peak(qnr, ms, fused, pan_image(rng.random((1024, 1024))),
+                          pan_image(rng.random((256, 256))))
     assert peak < 16 * MiB
