@@ -132,6 +132,9 @@ def cmd_quantize(args) -> int:
 def cmd_contours(args) -> int:
     stack_a = quant_mod.load_stack(args.a)
     stack_b = quant_mod.load_stack(args.b)
+    if stack_a.bands != stack_b.bands:
+        raise InputError(f"label stacks of {stack_a.bands} and "
+                         f"{stack_b.bands} bands share no code book")
     plane_a, mean_a = quant_mod.cross_aura(stack_a)
     plane_b, mean_b = quant_mod.cross_aura(stack_b)
     doc = {

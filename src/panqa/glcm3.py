@@ -6,9 +6,10 @@ opposite ring positions are paired, their two gray levels sorted, and the
 (center, low, high) triple counted. The counts live in an upper-triangular
 (depth, row, col) array over the gray levels and normalize to a
 probability distribution, from which contrast, energy and large-number
-emphasis are computed. quantize_gray_levels() is the one min-max binning;
-the band's entropy (spectral.summary_stats) counts the same map, binned
-in raster.row_strips runs of raster.STRIP_BYTES of float64 samples.
+emphasis are computed. Every image is binned on one fixed reflectance
+scale by _bin_reflectance(): quantize_gray_levels() at gl levels, whose
+map the band's entropy (spectral.summary_stats) counts too, and the
+spectral quantizer's digit at 4 levels, in raster.row_strips runs.
 """
 
 from __future__ import annotations
@@ -55,31 +56,30 @@ def _check_gl(gl: int) -> None:
         raise InputError(f"gl must be in [2, {MAX_GL}]: {gl!r}")
 
 
-def quantize_gray_levels(band: np.ndarray, gl: int = DEFAULT_GL
-                         ) -> np.ndarray:
-    """Linear min-max binning into a uint8 map of {0..gl-1}, gl in
-    [2, MAX_GL]; constant bands map to 0. The samples are binned in
-    row-major order, one row_strips() run at a time, through one float
-    buffer of that run."""
-    _check_gl(gl)
+def _bin_reflectance(band: np.ndarray, n: int) -> np.ndarray:
+    """clip(ceil(n * x) - 1, 0, n - 1) as a uint8 map, n <= 256: how many
+    thresholds k/n (k = 1 .. n-1) x exceeds, as n * x > k, so x outside
+    [0, 1] bins as if clipped. Binned one row_strips() run at a time."""
     x = np.asarray(band, dtype=np.float64)
-    lo, hi = x.min(), x.max()
-    out = np.zeros(x.shape, dtype=np.uint8)
-    if hi == lo:
-        return out
-    # floor(gl * (x - lo) / (hi - lo)); the top sample reaches gl and is
-    # clamped before the map narrows
+    out = np.empty(x.shape, dtype=np.uint8)
     flat, levels = x.reshape(-1), out.reshape(-1)
     strips = list(row_strips(flat.size, 8))
     buf = np.empty(strips[0][1])
     for start, stop in strips:
-        strip = np.subtract(flat[start:stop], lo, out=buf[:stop - start])
-        strip *= gl
-        strip /= hi - lo
-        np.floor(strip, out=strip)
-        np.minimum(strip, gl - 1, out=strip)
+        strip = np.multiply(flat[start:stop], n, out=buf[:stop - start])
+        np.ceil(strip, out=strip)
+        strip -= 1
+        np.clip(strip, 0, n - 1, out=strip)
         levels[start:stop] = strip
     return out
+
+
+def quantize_gray_levels(band: np.ndarray, gl: int = DEFAULT_GL
+                         ) -> np.ndarray:
+    """The band's uint8 map of {0..gl-1} on the fixed reflectance scale,
+    gl in [2, MAX_GL]: _bin_reflectance(band, gl)."""
+    _check_gl(gl)
+    return _bin_reflectance(band, gl)
 
 
 def _half_ring_offsets(radius: int) -> list[tuple[int, int]]:

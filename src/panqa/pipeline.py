@@ -17,13 +17,13 @@ compare it with the reference. `panqa eval` does the same, and passes
 the candidate as a RasterFile to classic_metrics too.
 
 What featurizing one band holds, beside the reference and the label
-codes: the read band while its label digits, clipped count and uint8
-gray-level map are taken (the map is binned a strip at a time); then,
-the read band freed, its centred samples (band - mean), made once and
-only read. summary_stats holds one band-sized temporary beside them,
-and so does the PCC (the reference band centred, then the product).
-Then the centred copy is freed too, and the GLCM3 counts read the
-gray-level map alone.
+codes: the read band while its label digit, clipped count and uint8
+gray-level map are taken, both binned a strip at a time on glcm3's one
+fixed reflectance scale; then, the read band freed, its centred samples
+(band - mean), made once and only read. summary_stats holds one
+band-sized temporary beside them, and so does the PCC (the reference
+band centred, then the product). Then the centred copy is freed too,
+and the GLCM3 counts read the gray-level map alone.
 """
 
 from __future__ import annotations
@@ -158,14 +158,13 @@ class ImageFeatures:
 
 def image_features(img: Image, opts: EvalOptions,
                    per_band: Callable | None = None) -> ImageFeatures:
-    """One pass over the bands, each read once: its digits of the spectral
+    """One pass over the bands, each read once: its digit of the spectral
     label code, its samples outside [0, 1] and its gray-level map; then
     its centred samples, once, and the read band is freed. The moments
-    and per_band read that one centred copy, the texture the gray-level
-    map alone; then the label stack's cross-aura contour, after which
-    only the stack's category2_level plane is kept. per_band(b, centred,
-    stats), when given, is called with each band's centred samples and
-    its summary_stats."""
+    and per_band(b, centred, stats), when given, read that one centred
+    copy, the texture the gray-level map alone; then the label stack's
+    cross-aura contour, after which only its category2_level plane is
+    kept."""
     coder = SpectralCoder(*img.shape)
     stats, texture, clipped = [], [], 0
     for b in range(img.bands):

@@ -1,19 +1,21 @@
-"""Reference spectral quantizer and label-map contour measures.
+"""Reference spectral quantizer and its label-map measures.
 
 The quantizer is a deliberately simple stand-in for a prior-knowledge
 rule base: a context-free per-pixel threshold code on calibrated
-reflectance, delivered at three nested quantization levels (fine,
-intermediate, coarse). The code book is fixed: 64 fine, 8 intermediate
-and 2 coarse labels, all three built in one pass over the bands by
-SpectralCoder, which takes one band at a time. A fine digit d in {0..3}
-merges to the intermediate digit d // 2, and coarse is the first band's
-intermediate digit. A label stack is the three co-registered planes, and
-is saved as a three-band image. Any labeler with the same interface can
-replace it.
+reflectance over every band, at three nested quantization levels. A
+band's digit d in {0..3} is its level on glcm3's fixed reflectance scale
+at 4 levels (thresholds 0.25, 0.5, 0.75; outside [0, 1] as if clipped).
+Fine is the base-4 code of the digits, intermediate the base-2 code of
+d >> 1 (above 0.5), and coarse 1 where more than half the bands lie
+above 0.5: 4^n, 2^n and 2 labels for n bands, built in one pass by
+SpectralCoder, a band at a time. A label stack is saved as a three-band
+image named after its source band count (fine:4, ...), and loading
+checks each level against that count's code book.
 
-Downstream measures: post-classification change counting, the three-level
-8-adjacency cross-aura contour intensity (0..24), and the binarized
-contour difference.
+The measures, post-classification change counting, the three-level
+8-adjacency cross-aura contour intensity (0..24) and the binarized
+contour difference, compare labels only for equality, so band order
+changes no cost.
 """
 
 from __future__ import annotations
@@ -23,28 +25,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .glcm3 import _bin_reflectance
 from .raster import (Image, MultibandImage, RasterFile, check_shape,
                      save_image)
 
-# per-band reflectance thresholds for the fine 4-bin code; all lie in
-# (0, 1), so a sample outside [0, 1] codes as if clipped to it
-_FINE_THRESHOLDS = (0.25, 0.5, 0.75)
-# bands entering the product code; 4^3 = 64 fine labels
-_CODE_BANDS = 3
-
 LEVELS = ("fine", "intermediate", "coarse")
 
-# labels per level, in LEVELS order
-_CODE_BOOK_SIZES = (4**_CODE_BANDS, 2**_CODE_BANDS, 2)
+# 4^8 fine labels fill save_stack's u16 samples
+MAX_CODE_BANDS = 8
 
 
 @dataclass
 class LabelMapStack:
-    """Co-registered label planes at three quantization levels."""
+    """Label planes at three levels, coded from an image of `bands` bands."""
 
     fine: np.ndarray
     intermediate: np.ndarray
     coarse: np.ndarray
+    bands: int
 
     def __post_init__(self):
         check_shape(self.intermediate, self.fine.shape)
@@ -55,80 +53,81 @@ class LabelMapStack:
             raise InputError(f"unknown level {name!r}")
         return getattr(self, name)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.fine.shape
-
 
 class SpectralCoder:
     """quantize_spectral's label codes, built one band at a time: add()
-    each band of the image in order, then take stack(). Bands past the
-    third add nothing."""
+    each band of the image, then take stack()."""
 
     def __init__(self, bands: int, height: int, width: int):
-        if bands < _CODE_BANDS:
-            raise InputError("quantizer needs at least 3 bands")
-        # at most 64 labels: uint8 keeps a held stack at a byte per pixel
-        self.fine = np.zeros((height, width), dtype=np.uint8)
+        if bands > MAX_CODE_BANDS:
+            raise InputError(f"quantizer codes at most {MAX_CODE_BANDS} "
+                             f"bands, not {bands}")
+        self.bands = bands
+        # a held stack takes a byte per pixel per level up to 4 bands
+        self.fine = np.zeros((height, width),
+                             dtype=np.uint8 if bands <= 4 else np.uint16)
         self.intermediate = np.zeros(self.fine.shape, dtype=np.uint8)
-        self._added = 0
+        # bands above 0.5 per pixel, the coarse level's vote
+        self._above = np.zeros(self.fine.shape, dtype=np.uint8)
 
     def add(self, plane: np.ndarray) -> None:
-        """Add the next band's fine digit, bin by bin, and beside it its
-        merged digit d // 2 (above the middle threshold), in place,
-        through one bool mask that is freed on return."""
-        if self._added < _CODE_BANDS:
-            above = np.empty(self.fine.shape, dtype=bool)
-            self.fine *= 4
-            for t in _FINE_THRESHOLDS:
-                self.fine += np.greater(plane, t, out=above)
-            self.intermediate *= 2
-            self.intermediate += np.greater(plane, _FINE_THRESHOLDS[1],
-                                            out=above)
-        self._added += 1
+        """Add the next band's fine digit and, beside it, its merged
+        digit d >> 1, in place."""
+        digit = _bin_reflectance(plane, 4)
+        self.fine *= 4
+        self.fine += digit
+        digit >>= 1
+        self.intermediate *= 2
+        self.intermediate += digit
+        self._above += digit
 
     def stack(self) -> LabelMapStack:
-        return LabelMapStack(fine=self.fine, intermediate=self.intermediate,
-                             coarse=self.intermediate >> (_CODE_BANDS - 1))
+        return LabelMapStack(
+            fine=self.fine, intermediate=self.intermediate,
+            coarse=(2 * self._above > self.bands).astype(np.uint8),
+            bands=self.bands)
 
 
 def quantize_spectral(img: Image) -> LabelMapStack:
-    """Context-free per-pixel labeling of a reflectance image (B >= 3).
-
-    Fine: base-4 product code over per-band thresholds on the first three
-    bands. Intermediate: the same code with bins merged pairwise (base-2).
-    Coarse: the first band's 2-bin digit alone. The image is read band
-    by band, so it may be a raster.RasterFile.
-    """
-    coder = SpectralCoder(img.bands, img.height, img.width)
-    for b in range(_CODE_BANDS):
+    """The label stack of an image, read band by band, so it may be a
+    raster.RasterFile."""
+    coder = SpectralCoder(*img.shape)
+    for b in range(img.bands):
         coder.add(img.band(b))
     return coder.stack()
 
 
 def save_stack(stack: LabelMapStack, path) -> None:
-    """Write the three label planes as a u16 image, one band per level."""
+    """Write the three label planes as a u16 image, one band per level,
+    each named level:bands."""
     planes = np.array([stack.level(name) for name in LEVELS],
                       dtype=np.float64)
-    save_image(MultibandImage(planes, band_names=list(LEVELS)),
-               path, sample_type="u16")
+    save_image(MultibandImage(planes, band_names=[
+        f"{name}:{stack.bands}" for name in LEVELS]), path, sample_type="u16")
 
 
 def load_stack(path) -> LabelMapStack:
-    """Read a stack written by save_stack, one plane at a time; every label
-    must be an integer in its level's code book."""
+    """Read a stack written by save_stack, one plane at a time. Its band
+    names must give the source band count, and every label must be an
+    integer in its level's code book for that count."""
     img = RasterFile(path)
-    if img.bands != len(LEVELS):
-        raise InputError("label stack image must have 3 bands")
+    counts = [n for n in range(1, MAX_CODE_BANDS + 1)
+              if img.band_names == [f"{name}:{n}" for name in LEVELS]]
+    if not counts:
+        raise InputError(f"label stack {path}: band names must be fine:n, "
+                         f"intermediate:n, coarse:n, n in "
+                         f"[1, {MAX_CODE_BANDS}]: {img.band_names!r}")
+    bands = counts[0]
     planes = []
-    for b, (name, size) in enumerate(zip(LEVELS, _CODE_BOOK_SIZES)):
+    # the labels per level of a source of this many bands
+    for b, (name, size) in enumerate(zip(LEVELS, (4**bands, 2**bands, 2))):
         plane = img.band(b)
         if np.any(plane != np.floor(plane)):
             raise InputError(f"non-integral {name} labels")
         if plane.min() < 0 or plane.max() >= size:
             raise InputError(f"{name} labels outside [0, {size})")
-        planes.append(plane.astype(np.uint8))
-    return LabelMapStack(*planes)
+        planes.append(plane.astype(np.uint8 if size <= 256 else np.uint16))
+    return LabelMapStack(*planes, bands=bands)
 
 
 def post_classification_change_count(labels_a: np.ndarray,
@@ -143,24 +142,22 @@ def post_classification_change_count(labels_a: np.ndarray,
 
 
 def _aura_plane(labels: np.ndarray) -> np.ndarray:
-    """Per-pixel count of existing 8-neighbors with a different label."""
+    """Per-pixel count of existing 8-neighbors with a different label:
+    each of four offsets compares every pixel pair once and marks both."""
     h, w = labels.shape
     count = np.zeros((h, w), dtype=np.uint8)  # at most 8, 24 over levels
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            ys = slice(max(dy, 0), h + min(dy, 0))
-            xs = slice(max(dx, 0), w + min(dx, 0))
-            ysn = slice(max(-dy, 0), h + min(-dy, 0))
-            xsn = slice(max(-dx, 0), w + min(-dx, 0))
-            count[ys, xs] += labels[ys, xs] != labels[ysn, xsn]
+    for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        near = (slice(0, h - dy), slice(max(-dx, 0), w - max(dx, 0)))
+        far = (slice(dy, h), slice(max(dx, 0), w + min(dx, 0)))
+        differ = labels[near] != labels[far]
+        count[near] += differ
+        count[far] += differ
     return count
 
 
 def cross_aura(stack: LabelMapStack) -> tuple[np.ndarray, float]:
     """Three-level contour intensity plane in {0..24} and its mean."""
-    h, w = stack.shape
+    h, w = stack.fine.shape
     if h < 3 or w < 3:
         raise InputError("stack must be at least 3x3")
     plane = sum(_aura_plane(stack.level(name)) for name in LEVELS)

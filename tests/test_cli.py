@@ -318,30 +318,101 @@ def test_quantize_contours_roundtrip(scene):
         assert np.array_equal(saved.level(level), want.level(level))
 
 
+def save_stack_image(planes, path, bands=4, sample_type="u16") -> None:
+    """Three label planes saved as a stack coded from `bands` bands."""
+    save_image(MultibandImage(planes, band_names=[
+        f"{name}:{bands}" for name in quantizer.LEVELS]), path,
+        sample_type=sample_type)
+
+
+# the code books of a 4-band source: 256 fine, 16 intermediate, 2 coarse
 @pytest.mark.parametrize("band, value, sample_type, message", [
     (0, 2.5, "f32", "non-integral fine"),
-    (0, 300.0, "u16", r"fine labels outside \[0, 64\)"),
-    (1, 8.0, "u16", r"intermediate labels outside \[0, 8\)"),
+    (0, 300.0, "u16", r"fine labels outside \[0, 256\)"),
+    (1, 16, "u16", r"intermediate labels outside \[0, 16\)"),
     (2, 2.0, "u16", r"coarse labels outside \[0, 2\)"),
 ])
 def test_contours_rejects_invalid_stack(tmp_path, capsys, band, value,
                                         sample_type, message):
     good = np.zeros((3, 6, 6))
+    good[:, 0, 0] = (255.0, 15.0, 1.0)   # the top label of each book
     bad = good.copy()
     bad[band, 3, 2] = value
-    save_image(MultibandImage(good), tmp_path / "good", sample_type="u16")
-    save_image(MultibandImage(bad), tmp_path / "bad", sample_type=sample_type)
+    save_stack_image(good, tmp_path / "good")
+    save_stack_image(bad, tmp_path / "bad", sample_type=sample_type)
+    assert main(["contours", "--a", str(tmp_path / "good"),
+                 "--b", str(tmp_path / "good"),
+                 "--out", str(tmp_path / "c.json")]) == 0
+    assert main(["contours", "--a", str(tmp_path / "good"),
+                 "--b", str(tmp_path / "bad"),
+                 "--out", str(tmp_path / "d.json")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("names", [
+    None, ["fine", "intermediate", "coarse"],
+    ["fine:4", "intermediate:4", "coarse:5"],
+    ["fine:9", "intermediate:9", "coarse:9"],
+    ["fine:0", "intermediate:0", "coarse:0"],
+    ["intermediate:4", "fine:4", "coarse:4"],
+])
+def test_contours_rejects_stack_without_band_count(tmp_path, capsys, names):
+    save_stack_image(np.zeros((3, 6, 6)), tmp_path / "good")
+    save_image(MultibandImage(np.zeros((3, 6, 6)), band_names=names),
+               tmp_path / "bad", sample_type="u16")
     assert main(["contours", "--a", str(tmp_path / "good"),
                  "--b", str(tmp_path / "bad"),
                  "--out", str(tmp_path / "c.json")]) == 2
-    assert re.search(message, capsys.readouterr().err)
+    assert "band names must be fine:n" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
+
+
+def test_contours_rejects_two_band_counts(tmp_path, capsys):
+    for name, bands in (("a", 4), ("b", 5)):
+        save_stack_image(np.zeros((3, 6, 6)), tmp_path / name, bands)
+    assert main(["contours", "--a", str(tmp_path / "a"),
+                 "--b", str(tmp_path / "b"),
+                 "--out", str(tmp_path / "c.json")]) == 2
+    assert "4 and 5 bands" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_five_band_stack_round_trip(tmp_path, rng):
+    # 4^5 fine labels: a uint16 plane, saved and loaded as such
+    planes = rng.random((5, 12, 12))
+    planes[:, 0, 0] = 0.9    # the top fine label, 1023
+    save_image(MultibandImage(planes), tmp_path / "ms")
+    assert main(["quantize", "--input", str(tmp_path / "ms"),
+                 "--out", str(tmp_path / "labels")]) == 0
+    assert RasterFile(tmp_path / "labels").band_names == [
+        "fine:5", "intermediate:5", "coarse:5"]
+    saved = quantizer.load_stack(tmp_path / "labels")
+    want = quantizer.quantize_spectral(load_image(tmp_path / "ms"))
+    assert saved.bands == 5 and saved.fine.dtype == np.uint16
+    assert saved.fine[0, 0] == 1023
+    for level in quantizer.LEVELS:
+        assert np.array_equal(saved.level(level), want.level(level))
+    assert main(["contours", "--a", str(tmp_path / "labels"),
+                 "--b", str(tmp_path / "labels"),
+                 "--out", str(tmp_path / "c.json")]) == 0
+    with open(tmp_path / "c.json", encoding="utf-8") as fh:
+        assert json.load(fh)["binary_contour_cost"] == 0.0
+
+
+def test_quantize_refuses_nine_bands(tmp_path, capsys):
+    save_image(MultibandImage(np.zeros((9, 4, 4))), tmp_path / "nine",
+               sample_type="u8")
+    assert main(["quantize", "--input", str(tmp_path / "nine"),
+                 "--out", str(tmp_path / "nine_labels")]) == 2
+    assert "not 9" in capsys.readouterr().err
+    assert not any(tmp_path.glob("nine_labels*"))
+    assert not any(tmp_path.glob("*.part"))
 
 
 def test_contours_of_two_sizes_names_both_shapes(tmp_path, capsys):
     for name, width in (("a", 6), ("b", 8)):
-        save_image(MultibandImage(np.zeros((3, 6, width))), tmp_path / name,
-                   sample_type="u16")
+        save_stack_image(np.zeros((3, 6, width)), tmp_path / name)
     assert main(["contours", "--a", str(tmp_path / "a"),
                  "--b", str(tmp_path / "b"),
                  "--out", str(tmp_path / "c.json")]) == 2

@@ -57,16 +57,21 @@ def label_planes(draw):
 
 class TestQuantize:
     def test_constant(self):
-        assert np.array_equal(quantize_gray_levels(np.full((3, 3), 5.0), 32),
-                              np.zeros((3, 3), dtype=np.int64))
+        # a constant band bins by its value on the fixed scale, not to 0
+        for value, level in ((5.0, 31), (0.3, 9), (0.0, 0), (-2.0, 0)):
+            assert np.array_equal(
+                quantize_gray_levels(np.full((3, 3), value), 32),
+                np.full((3, 3), level, dtype=np.uint8))
 
     def test_top_clamp(self):
         band = np.array([[0.0, 1.0]])
         assert quantize_gray_levels(band, 32)[0, 1] == 31
 
     def test_hand_binning(self):
-        band = np.array([[0.0, 0.5, 1.0]])
-        assert quantize_gray_levels(band, 4).ravel().tolist() == [0, 2, 3]
+        # a sample on a threshold k/4 has not exceeded it
+        band = np.array([[0.0, 0.25, 0.26, 0.5, 0.75, 0.76, 1.0]])
+        assert (quantize_gray_levels(band, 4).ravel().tolist()
+                == [0, 0, 1, 1, 2, 3, 3])
 
     def test_gl_too_small(self):
         with pytest.raises(InputError, match=r"gl must be in \[2, 256\]"):
@@ -112,24 +117,16 @@ class TestQuantize:
 
 def whole_plane_levels(band, gl):
     """The binning formula through one band-sized float plane:
-    floor(gl * (x - lo) / (hi - lo)), clamped to gl - 1; 0 for a
-    constant band."""
-    x = np.asarray(band, dtype=np.float64)
-    lo, hi = x.min(), x.max()
-    if hi == lo:
-        return np.zeros(x.shape, dtype=np.uint8)
-    levels = x - lo
-    levels *= gl
-    levels /= hi - lo
-    np.floor(levels, out=levels)
-    np.minimum(levels, gl - 1, out=levels)
-    return levels.astype(np.uint8)
+    clip(ceil(gl * x) - 1, 0, gl - 1)."""
+    levels = np.ceil(gl * np.asarray(band, dtype=np.float64)) - 1
+    return np.clip(levels, 0, gl - 1).astype(np.uint8)
 
 
 @settings(max_examples=150, deadline=None)
 @given(band=arrays(np.float64, st.tuples(st.integers(1, 30),
                                          st.integers(1, 30)),
-                   elements=st.one_of(st.just(0.5), st.floats(-1e6, 1e6))),
+                   elements=st.one_of(st.just(0.5), st.floats(-0.5, 1.5),
+                                      st.floats(-1e6, 1e6))),
        gl=st.integers(2, 256), strip=st.integers(2, 64))
 # the strip quantize_gray_levels uses, over two and a bit strips
 @example(band=np.random.default_rng(0).random((181, 363)), gl=256,
@@ -141,6 +138,27 @@ def test_strip_binning_equals_whole_plane(band, gl, strip):
         got = quantize_gray_levels(band, gl)
     assert got.dtype == np.uint8
     assert np.array_equal(got, whole_plane_levels(band, gl))
+
+
+def thresholds_exceeded(x, n):
+    """How many of the thresholds k/n, k = 1 .. n-1, each sample exceeds,
+    compared as n * x > k."""
+    return np.sum(n * x[:, None] > np.arange(1, n), axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 7, 31, 32, 256])
+@settings(max_examples=40, deadline=None)
+@given(drawn=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=64))
+def test_levels_count_thresholds_exceeded(n, drawn):
+    # every threshold k/n and the floats either side of it, as well
+    k = np.arange(1, n) / n
+    x = np.concatenate([drawn, k, np.nextafter(k, -1.0),
+                        np.nextafter(k, 2.0)])
+    levels = quantize_gray_levels(x, n)
+    assert np.array_equal(levels, thresholds_exceeded(x, n))
+    if n & (n - 1) == 0:
+        # n * x and k/n are exact for a power of two: x > k/n itself
+        assert np.array_equal(levels, np.sum(x[:, None] > k, axis=1))
 
 
 class TestTimsGlcm:

@@ -6,29 +6,57 @@ ranks.csv and the per-candidate lists of report.json (its candidates and
 every rank column), and changes nothing else. The scenes are 64x64
 `synth` scenes with the README fusers and an oracle, a byte copy of the
 reference.
+
+Band order: permuting the bands of the reference and of every candidate
+in the same way changes no rank column, since every label measure
+compares labels only for equality and every other cost is per band. The
+scenes are 256x256 `synth` scenes, seeds 0-3, with the README fusers and
+the oracle.
+
+Flips: transposing, mirroring or rotating by 180 degrees every image in
+the same way changes neither PDFR case A nor case C. This holds in exact
+arithmetic: the GLCM3 rings, the cross-aura 8-neighbourhood and the 8x8
+Q4 blocks map onto themselves, and every other cost is a sum over
+pixels. The candidates are a gain ladder, the reference with band 4
+scaled by 1.02, 1.05, 1.10 and 1.20, on 256x256 scenes, seeds 0-3.
 """
 
 import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panqa.pipeline import EvalOptions, evaluate_candidate, image_features
+from panqa.protocol import aggregate
+from panqa.raster import MultibandImage, load_image, save_image
+from panqa.synth import synth_scene
 from test_golden import _cli
 
 CANDIDATES = ("pca", "cn", "atwt", "oracle")
+GAINS = (1.02, 1.05, 1.10, 1.20)
+LADDER = ("gain1.02", "gain1.05", "gain1.10", "gain1.20")
+# each a map of an image's (bands, height, width) planes
+FLIPS = {
+    "transpose": lambda p: p.transpose(0, 2, 1),
+    "mirror_lr": lambda p: p[:, :, ::-1],
+    "mirror_ud": lambda p: p[:, ::-1],
+    "rotate_180": lambda p: p[:, ::-1, ::-1],
+}
 
 
-def _rank(workdir, ids, out):
+def _rank(workdir, ids, out, names=CANDIDATES):
     """ranks.csv rows and report.json of `panqa rank` over the candidates
-    ids, in that order, each with its own process costs."""
+    ids, in that order, each with its own process costs, given by its
+    place in names."""
     manifest = {
         "reference": str(workdir / "ms"), "ratio": 4,
         "candidates": [{"id": c, "path": str(workdir / c),
-                        "wall_seconds": 0.1 * (CANDIDATES.index(c) + 1),
-                        "n_free_parameters": CANDIDATES.index(c) % 2 + 1}
+                        "wall_seconds": 0.1 * (names.index(c) + 1),
+                        "n_free_parameters": names.index(c) % 2 + 1}
                        for c in ids],
         "options": {"gl": 32, "block_size": 8},
     }
@@ -51,11 +79,10 @@ def _permuted(ranks, order):
     return [ranks[k] for k in order]
 
 
-@pytest.fixture(scope="module", params=[0, 3])
-def scene(tmp_path_factory, request):
-    """A seeded scene's directory and its ranks in CANDIDATES order."""
-    d = tmp_path_factory.mktemp("scene")
-    _cli("synth", "--seed", request.param, "--width", 64, "--height", 64,
+def _fused_scene(d, seed, size):
+    """A seeded scene's reference ms, its README fusions and the oracle,
+    a byte copy of ms, in directory d."""
+    _cli("synth", "--seed", seed, "--width", size, "--height", size,
          "--out-ms", d / "ms", "--out-pan", d / "pan")
     _cli("degrade", "--input", d / "ms", "--ratio", 4, "--out", d / "ms_l")
     for m in CANDIDATES[:3]:
@@ -63,6 +90,22 @@ def scene(tmp_path_factory, request):
              "--out", d / m)
     for ext in (".json", ".raw"):
         shutil.copyfile(d / f"ms{ext}", d / f"oracle{ext}")
+
+
+def _transformed(src, dst, names, transform):
+    """Each image names[k] of directory src, its planes mapped by
+    transform, saved in directory dst; f32 samples round-trip exactly."""
+    dst.mkdir(exist_ok=True)
+    for name in names:
+        planes = transform(load_image(src / name).planes)
+        save_image(MultibandImage(np.ascontiguousarray(planes)), dst / name)
+
+
+@pytest.fixture(scope="module", params=[0, 3])
+def scene(tmp_path_factory, request):
+    """A seeded scene's directory and its ranks in CANDIDATES order."""
+    d = tmp_path_factory.mktemp("scene")
+    _fused_scene(d, request.param, 64)
     return d, _rank(d, CANDIDATES, "ranks")
 
 
@@ -77,3 +120,61 @@ def test_manifest_order_permutes_ranks_and_nothing_else(scene, order):
     assert got == {**report,
                    "candidates": [report["candidates"][k] for k in order],
                    "ranks": _permuted(report["ranks"], order)}
+
+
+@pytest.fixture(scope="module", params=[0, 1, 2, 3])
+def large_scene(tmp_path_factory, request):
+    """A 256x256 seeded scene's directory and its ranks."""
+    d = tmp_path_factory.mktemp("large")
+    _fused_scene(d, request.param, 256)
+    return d, _rank(d, CANDIDATES, "ranks")
+
+
+@settings(max_examples=4, deadline=None)
+@given(order=st.permutations(range(4)))
+def test_band_order_changes_no_rank(large_scene, order):
+    workdir, (rows, report) = large_scene
+    _transformed(workdir, workdir / "bands", ("ms",) + CANDIDATES,
+                 lambda p: p[list(order)])
+    got_rows, got = _rank(workdir / "bands", CANDIDATES, "ranks")
+    assert got_rows == rows
+    assert got["ranks"] == report["ranks"]
+
+
+def _ladder_ranks(ms, transform):
+    """PDFR cases A and C of the gain ladder of the reference planes ms,
+    every image mapped by transform; the images are held in memory, as
+    float64 planes, and ranked as run_manifest ranks them."""
+    opts = EvalOptions(gl=32, block_size=8)
+    image = lambda planes: MultibandImage(np.ascontiguousarray(
+        transform(planes)))
+    reference = image_features(image(ms), opts)
+    records = []
+    for name, gain in zip(LADDER, GAINS):
+        planes = ms.copy()
+        planes[3] *= gain
+        records.append(evaluate_candidate(
+            reference, image(planes), opts, name,
+            {"wall_seconds": 1.0, "n_free_parameters": 1}))
+    table = aggregate(records)
+    return table.pdfr_case_a, table.pdfr_case_c
+
+
+@pytest.fixture(scope="module")
+def ladder(request):
+    """A 256x256 seeded scene's reference planes and its ladder's ranks."""
+    ms = synth_scene(request.param, 256, 256)[0].planes
+    return ms, _ladder_ranks(ms, lambda p: p)
+
+
+# rounding noise, which ROADMAP item 1 drops, may leave a column degenerate
+@pytest.mark.filterwarnings("ignore:dropping degenerate QI column")
+@pytest.mark.parametrize("ladder, flip", [
+    pytest.param(seed, flip, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: rounding noise decides "
+        "seed 2's case A")) if (seed, flip) == (2, "transpose")
+    else (seed, flip)
+    for seed in range(4) for flip in FLIPS], indirect=["ladder"])
+def test_flips_change_no_final_rank(ladder, flip):
+    ms, ranks = ladder
+    assert _ladder_ranks(ms, FLIPS[flip]) == ranks

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panqa.errors import InputError
+from panqa.glcm3 import quantize_gray_levels
 from panqa.raster import MultibandImage
-from panqa.quantizer import (_CODE_BOOK_SIZES, LEVELS, LabelMapStack,
-                             binary_contour_cost,
+from panqa.quantizer import (LEVELS, LabelMapStack, binary_contour_cost,
                              cross_aura,
                              post_classification_change_count,
                              quantize_spectral)
+from panqa.synth import synth_scene
 
 
 def image(values):
@@ -25,33 +26,74 @@ def drawn_image(rng, shape):
 
 
 def digit_stack_codes(img):
-    """(fine, intermediate, coarse) through a (3, h, w) stack of per-band
-    digits, each counting the thresholds its sample exceeds: fine is the
-    base-4 code of the digits d, intermediate the base-2 code of the
-    merged digits d // 2, and coarse the first band's merged digit."""
-    digits = np.zeros((3, img.height, img.width), dtype=np.uint8)
+    """(fine, intermediate, coarse) through a (bands, h, w) stack of
+    per-band digits, each counting the thresholds 0.25, 0.5 and 0.75 its
+    sample exceeds: fine is the base-4 code of the digits d, intermediate
+    the base-2 code of the merged digits d // 2, and coarse 1 where more
+    than half the bands have d // 2 = 1."""
+    digits = np.zeros(img.shape, dtype=np.int64)
     for t in (0.25, 0.5, 0.75):
-        digits += img.planes[:3] > t
-    fine = np.zeros(digits.shape[1:], dtype=np.uint8)
-    intermediate = np.zeros(digits.shape[1:], dtype=np.uint8)
+        digits += img.planes > t
+    fine = np.zeros(digits.shape[1:], dtype=np.int64)
+    intermediate = np.zeros(digits.shape[1:], dtype=np.int64)
     for d in digits:
         fine = fine * 4 + d
         intermediate = intermediate * 2 + d // 2
-    return fine, intermediate, digits[0] // 2
+    return fine, intermediate, 2 * np.sum(digits // 2, axis=0) > img.bands
+
+
+def every_digit(bands):
+    """An image whose pixels take every combination of the per-band
+    digits 0..3 once, at samples 0.1, 0.3, 0.6 and 0.9."""
+    grid = np.meshgrid(*[[0.1, 0.3, 0.6, 0.9]] * bands, indexing="ij")
+    return MultibandImage(np.stack(grid).reshape(bands, 2**bands, -1))
 
 
 # samples outside [0, 1], exactly on a threshold, and constant bands
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9),
-                                    st.integers(3, 5)),
+                                    st.integers(1, 8)),
               elements=st.one_of(st.sampled_from([0.25, 0.5, 0.75]),
                                  st.floats(-2.0, 3.0))))
 def test_fine_code_matches_digit_stack(samples):
     img = MultibandImage(np.moveaxis(samples, 2, 0))
     stack = quantize_spectral(img)
+    assert stack.bands == img.bands
+    assert stack.fine.dtype == (np.uint8 if img.bands <= 4 else np.uint16)
     for name, want in zip(LEVELS, digit_stack_codes(img)):
-        assert stack.level(name).dtype == np.uint8
         assert np.array_equal(stack.level(name), want)
+    assert stack.intermediate.dtype == stack.coarse.dtype == np.uint8
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 9),
+                                    st.integers(1, 9)),
+              elements=st.floats(-0.5, 1.5)))
+def test_fine_digit_is_gray_level_at_four(planes):
+    # each band's base-4 digit of the fine code, most significant first
+    img = MultibandImage(planes)
+    fine = quantize_spectral(img).fine.astype(np.int64)
+    for b in range(img.bands):
+        digit = fine // 4**(img.bands - 1 - b) % 4
+        assert np.array_equal(digit, quantize_gray_levels(img.band(b), 4))
+
+
+def test_outlier_moves_no_other_pixel():
+    # one pixel at 1.6 in every band: the fixed scale bins every other
+    # pixel as before, where a min-max scale re-bins them all
+    img = synth_scene(0, 64, 64)[0]
+    bright = img.planes.copy()
+    bright[:, 17, 40] = 1.6
+    others = np.ones((64, 64), dtype=bool)
+    others[17, 40] = False
+    got, want = (quantize_spectral(MultibandImage(p)) for p in (bright,
+                                                                img.planes))
+    for name in LEVELS:
+        assert np.array_equal(got.level(name)[others],
+                              want.level(name)[others])
+    for b in range(img.bands):
+        assert np.array_equal(quantize_gray_levels(bright[b], 32)[others],
+                              quantize_gray_levels(img.band(b), 32)[others])
 
 
 class TestQuantize:
@@ -62,12 +104,13 @@ class TestQuantize:
         assert np.array_equal(a.intermediate, b.intermediate)
         assert np.array_equal(a.coarse, b.coarse)
 
-    def test_level_counts(self, rng):
-        stack = quantize_spectral(drawn_image(rng, (4, 4, 3)))
-        assert _CODE_BOOK_SIZES == (64, 8, 2)
-        assert stack.fine.max() < 64
-        assert stack.intermediate.max() < 8
-        assert stack.coarse.max() < 2
+    def test_level_counts(self):
+        # every digit combination takes the whole code book of its level
+        for bands in range(1, 9):
+            stack = quantize_spectral(every_digit(bands))
+            for name, size in zip(LEVELS, (4**bands, 2**bands, 2)):
+                assert np.array_equal(np.unique(stack.level(name)),
+                                      np.arange(size))
 
     def test_constant_single_label(self):
         stack = quantize_spectral(image(np.full((5, 5), 0.3)))
@@ -83,30 +126,43 @@ class TestQuantize:
 
     def test_merge_tables_consistent(self):
         # the levels nest: a fine base-4 digit d merges to d // 2 of a
-        # base-2 code, and coarse keeps the leading (first-band) bit;
-        # samples at 0.1/0.3/0.6/0.9 give digits 0/1/2/3, and the 64
-        # pixels take every combination, so every fine code is checked
-        grid = np.meshgrid(*[[0.1, 0.3, 0.6, 0.9]] * 3, indexing="ij")
-        stack = quantize_spectral(MultibandImage(
-            np.stack(grid).reshape(3, 8, 8)))
+        # base-2 code, and coarse is the majority of those merged digits;
+        # the 256 pixels take every combination of four bands' digits,
+        # so every fine code is checked
+        stack = quantize_spectral(every_digit(4))
         fine = stack.fine.astype(int)
-        assert sorted(fine.ravel().tolist()) == list(range(64))
-        digits = (fine // 16, fine // 4 % 4, fine % 4)
-        want = sum(d // 2 * 2**(2 - b) for b, d in enumerate(digits))
+        assert sorted(fine.ravel().tolist()) == list(range(256))
+        merged = [fine // 4**(3 - b) % 4 // 2 for b in range(4)]
+        want = sum(m * 2**(3 - b) for b, m in enumerate(merged))
         assert np.array_equal(stack.intermediate, want)
-        assert np.array_equal(stack.coarse, stack.intermediate >> 2)
-        assert np.array_equal(stack.coarse, digits[0] // 2)
+        assert np.array_equal(stack.coarse, sum(merged) > 2)
 
-    def test_only_first_three_bands_used(self, rng):
-        base = np.moveaxis(rng.random((6, 6, 3)), 2, 0)
-        extra = np.concatenate([base,
-                                np.moveaxis(rng.random((6, 6, 2)), 2, 0)])
-        assert np.array_equal(quantize_spectral(MultibandImage(base)).fine,
-                              quantize_spectral(MultibandImage(extra)).fine)
+    def test_every_band_coded(self, rng):
+        # a change in the last of five bands alone changes the fine code
+        planes = np.moveaxis(rng.random((6, 6, 5)), 2, 0)
+        moved = planes.copy()
+        moved[4] = 1.0 - moved[4]
+        a, b = (quantize_spectral(MultibandImage(p)) for p in (planes, moved))
+        changed = (planes[4] > 0.5) != (moved[4] > 0.5)
+        assert np.array_equal(a.intermediate != b.intermediate, changed)
+        assert np.any(a.fine != b.fine)
+
+    def test_band_order_relabels(self, rng):
+        # permuted bands relabel each level one to one; coarse is the same
+        planes = np.moveaxis(rng.random((8, 8, 4)), 2, 0)
+        a = quantize_spectral(MultibandImage(planes))
+        b = quantize_spectral(MultibandImage(planes[[2, 0, 3, 1]]))
+        for name in LEVELS:
+            pairs = np.unique(np.stack([a.level(name).ravel(),
+                                        b.level(name).ravel()]), axis=1)
+            assert pairs.shape[1] == np.unique(a.level(name)).size
+            assert pairs.shape[1] == np.unique(b.level(name)).size
+        assert np.array_equal(a.coarse, b.coarse)
 
     def test_band_count_checked(self, rng):
-        with pytest.raises(InputError):
-            quantize_spectral(drawn_image(rng, (4, 4, 2)))
+        assert quantize_spectral(drawn_image(rng, (4, 4, 8))).bands == 8
+        with pytest.raises(InputError, match="not 9"):
+            quantize_spectral(drawn_image(rng, (4, 4, 9)))
 
     def test_overshoot_codes_as_clipped(self, rng):
         samples = rng.uniform(-1.0, 2.0, (8, 8, 3))
@@ -160,7 +216,7 @@ class TestChangeCount:
 def test_label_planes_of_two_shapes_refused():
     fine = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(InputError) as exc:
-        LabelMapStack(fine, fine, np.zeros((4, 5), dtype=np.uint8))
+        LabelMapStack(fine, fine, np.zeros((4, 5), dtype=np.uint8), 3)
     assert "(4, 4)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
@@ -200,6 +256,23 @@ class TestCrossAura:
     def test_too_small(self):
         with pytest.raises(InputError, match="3x3"):
             cross_aura(quantize_spectral(image(np.full((2, 2), 0.4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.uint16, st.tuples(st.integers(3, 8), st.integers(3, 8)),
+              elements=st.integers(0, 2)))
+def test_aura_counts_each_differing_neighbour(labels):
+    # a per-pixel count over the existing 8-neighbours, as the reference
+    h, w = labels.shape
+    want = np.zeros((h, w), dtype=np.int64)
+    for y, x in np.ndindex(h, w):
+        for dy, dx in np.ndindex(3, 3):
+            ny, nx = y + dy - 1, x + dx - 1
+            if (dy, dx) != (1, 1) and 0 <= ny < h and 0 <= nx < w:
+                want[y, x] += labels[y, x] != labels[ny, nx]
+    plane, mean = cross_aura(LabelMapStack(labels, labels, labels, 1))
+    assert np.array_equal(plane, 3 * want)
+    assert mean == pytest.approx(3 * want.mean())
 
 
 class TestBinaryContour:

@@ -64,12 +64,13 @@ class TestSummaryStats:
         assert s.entropy_bits == pytest.approx(5.0, abs=1e-12)
 
     def test_entropy_counts_the_gray_level_map(self):
-        # 0.178125 - 1 ulp lies just below np.histogram's edge 19, so a
-        # histogram gives each sample its own bin (2 bits); floor binning
-        # puts it in level 19 with 0.18, three levels (1.5 bits)
-        band = np.array([0.0, 0.17812499999999998, 0.18, 0.3])
+        # a 32-bin histogram of [0, 1] puts 0.5, its edge 16, in bin 16,
+        # so it gives each sample its own bin (2 bits); 0.5 exceeds only
+        # 15 thresholds k/32, level 15 with 0.49, three levels (1.5 bits)
+        band = np.array([0.0, 0.49, 0.5, 1.0])
+        assert np.count_nonzero(np.histogram(band, 32, (0.0, 1.0))[0]) == 4
         levels = quantize_gray_levels(band, 32)
-        assert levels.tolist() == [0, 19, 19, 31]
+        assert levels.tolist() == [0, 15, 15, 31]
         assert summary_stats(*centre(band), levels).entropy_bits == 1.5
 
     def test_levels_shape_checked(self):
