@@ -66,13 +66,13 @@ def cmd_fuse(args) -> int:
             p.resolve() for p in raster_paths(args.out)}:
         raise InputError(f"--process-meta {args.process_meta} would "
                          f"overwrite the fused image {args.out}")
-    # the fuser reads both from disk: the MS a band at a time, the PAN
-    # whole once or a window of rows at a time, then a strip at a time
+    # the fuser reads both from disk a block of rows at a time, and the
+    # PAN whole once for PCA's and CN's stats; it writes each block of
+    # the fused image as it makes it
     ms, pan = RasterFile(args.ms), RasterFile(args.pan)
     cfg = FusionConfig(method=args.method, resampler=args.resample,
                        wavelet_levels=args.levels)
-    fused, meta = pansharpen(ms, pan, cfg)
-    save_image(fused, args.out)
+    meta = pansharpen(ms, pan, cfg, args.out)
     if args.process_meta:
         write_json(args.process_meta, meta)
     return 0

@@ -5,27 +5,30 @@ These are deliberately plain textbook fusers; they exist to feed the
 evaluation harness with distinguishable candidates, not to compete with
 production algorithms.
 
-All three inject detail into the upsampled image they own, in place:
-CN scales its planes, ATWT adds the pan's detail, PCA adds to band b
+Each fuser is a generator of the fused image's blocks of rows, the
+blocks that upsample() yields, with the detail injected in place: CN
+scales them, ATWT adds the pan's detail, PCA adds to band b
 v1[b] * (matched_pan - PC1), v1 the first principal axis and PC1 the
 centred bands' projection on it (PC1 substitution and back-projection,
 up to float64 rounding: 1e-10 relative at most on synthetic scenes).
-Each fused image wraps that buffer, whose samples it checks again.
+pansharpen() hands the blocks to raster.save_rows, which writes each one
+as it comes, so no fuser holds the fused or the upsampled image.
 
 Each fuser takes the MS and the pan as raster.Image, so either may be
-left on disk: upsample() reads the MS one band at a time, and the pan is
-read a strip of rows at a time to inject. PCA and CN also read the pan
-whole once, before the upsample, for its mean and std, and beside the
-upsampled buffer each holds one pan-sized float64 work plane, PCA's PC1
-or CN's intensity, whose whole-plane mean and std it needs. These are
-taken in that plane, in place and bit-identical to ndarray.std(), and
-the plane is then rebuilt by the call that made it. ATWT holds no such
-plane: it smooths a window of pan rows at a time (see _smooth_rows),
-bit-identical to smoothing the whole plane. The matched pan, PCA's
-detail, CN's scale and ATWT's detail are formed a strip at a time, with
-the elementwise operations of a whole-plane pass in its order, so each
-sample is the one that pass gives. The strips come from
-raster.row_strips and raster.STRIP_BYTES.
+left on disk, and reads the rows of each block from it. ATWT needs one
+pass: it smooths the pan rows each block reaches (see _smooth_rows),
+bit-identical to smoothing the whole plane. PCA and CN need two. PCA's
+first pass sums the blocks and their cross products for the band means
+and the covariance, so PC1's mean is 0 and its variance v1' C v1; these
+round differently from the whole-image mean and projection, within 1e-9
+of them. CN's first pass fills the intensity plane, the one pan-sized
+work plane a fuser holds, for its whole-plane mean and std, and frees it
+before the second. PCA and CN also read the pan whole once for its mean
+and std. Both stats are taken in the plane itself, bit-identical to
+ndarray.std() (_mean_std). The matched pan, PCA's detail, CN's scale and
+ATWT's detail are formed a block at a time with the elementwise
+operations of a whole-plane pass in its order, so each CN and ATWT
+sample is the one that pass gives.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .raster import Image, MultibandImage, row_strips
+from .raster import Image, save_rows
 from .resample import mirror_filter, upsample
 
 _EPS = 1e-12
@@ -77,72 +80,84 @@ def _mean_std(plane: np.ndarray) -> tuple[float, float]:
     return mean, np.sqrt(plane.sum() / plane.size)
 
 
-def _matched_strips(pan: Image, pan_stats, target_stats):
-    """(rows, matched) for each row_strips() strip of pan rows: their
-    slice and those rows mapped affinely so that the whole pan's mean and
-    std become the target's (a constant pan maps to the target's mean).
-    matched is one buffer, refilled for each strip."""
+def _pan_stats(pan: Image) -> tuple[float, float]:
+    """The pan's whole-plane _mean_std(), taken in its band as read: a
+    band read from disk for this call is spent, a view of an image held
+    in memory is copied first."""
+    band = pan.band(0)
+    if band.flags.owndata:
+        band.flags.writeable = True
+    else:
+        band = band.copy()
+    return _mean_std(band)
+
+
+def _matched(pan: Image, rows: slice, pan_stats, target_stats
+             ) -> np.ndarray:
+    """The pan's rows mapped affinely so that the whole pan's mean and std
+    become the target's (a constant pan maps to the target's mean)."""
     s_mean, s_std = pan_stats
     t_mean, t_std = target_stats
-    strips = list(row_strips(pan.height, 8 * pan.width))
-    buf = np.empty((strips[0][1], pan.width))
-    for start, stop in strips:
-        out = buf[:stop - start]
-        if s_std < _EPS:
-            out[...] = t_mean
-        else:
-            np.subtract(pan.rows(0, start, stop), s_mean, out=out)
-            out *= t_std / s_std
-            out += t_mean
-        yield slice(start, stop), out
+    if s_std < _EPS:
+        return np.full((rows.stop - rows.start, pan.width), t_mean)
+    out = np.subtract(pan.rows(0, rows.start, rows.stop), s_mean)
+    out *= t_std / s_std
+    out += t_mean
+    return out
 
 
-def pansharpen_pca(ms: Image, pan: Image,
-                   cfg: FusionConfig) -> MultibandImage:
+def pansharpen_pca(ms: Image, pan: Image, cfg: FusionConfig):
     """Component substitution: swap the first principal component for the
-    mean/std-matched pan band, by injection into the upsampled bands."""
+    mean/std-matched pan band, by injection into the upsampled bands.
+    Yields the fused blocks of rows, as upsample() yields its own."""
     ratio = check_shapes(ms, pan)
     if ms.bands < 2:
         raise InputError("PCA fusion needs at least two bands")
-    pan_stats = _mean_std(pan.band(0).copy())
-    up = upsample(ms, ratio, cfg.resampler)
-    x = up.planes.reshape(ms.bands, -1)   # a view of the buffer
-    mean = x.mean(axis=1)
-    x -= mean[:, None]
-    evals, evecs = np.linalg.eigh((x @ x.T) / x.shape[1])
+    pan_stats = _pan_stats(pan)
+    # the sums and cross products of the upsampled bands, shifted by the
+    # MS band means so that they cancel little
+    shift = np.array([ms.band(b).mean() for b in range(ms.bands)])
+    sums, cross = np.zeros(ms.bands), np.zeros((ms.bands, ms.bands))
+    for _, block in upsample(ms, ratio, cfg.resampler):
+        x = block.reshape(ms.bands, -1)
+        x -= shift[:, None]
+        sums += x.sum(axis=1)
+        cross += x @ x.T
+    d = sums / (pan.height * pan.width)
+    mean = shift + d
+    cov = cross / (pan.height * pan.width) - np.outer(d, d)
+    evals, evecs = np.linalg.eigh(cov)
     top = np.argsort(evals)[-1]   # first in descending order
     if evals[top] < _EPS:
         raise DegeneracyError("rank-deficient: all bands constant")
     # the sign that makes the component sum non-negative
     v1 = -evecs[:, top] if evecs[:, top].sum() < 0 else evecs[:, top]
-    pc1 = np.empty(up.planes.shape[1:])
-    np.matmul(v1, x, out=pc1.reshape(-1))
-    pc1_stats = _mean_std(pc1)
-    np.matmul(v1, x, out=pc1.reshape(-1))
-    for rows, detail in _matched_strips(pan, pan_stats, pc1_stats):
-        detail -= pc1[rows]
-        for v, m, plane in zip(v1, mean, up.planes[:, rows]):
-            plane += np.multiply(v, detail, out=pc1[rows])   # spent rows
+    pc1_stats = 0.0, np.sqrt(v1 @ cov @ v1)   # PC1 is centred
+    for rows, block in upsample(ms, ratio, cfg.resampler):
+        block -= mean[:, None, None]
+        detail = _matched(pan, rows, pan_stats, pc1_stats)
+        detail -= np.tensordot(v1, block, axes=1)   # minus PC1
+        for v, m, plane in zip(v1, mean, block):
+            plane += v * detail
             plane += m
-    return MultibandImage(up.planes, band_names=ms.band_names)
+        yield rows, block
 
 
-def pansharpen_cn(ms: Image, pan: Image,
-                  cfg: FusionConfig) -> MultibandImage:
-    """Brovey-style intensity scaling: fused = up * matched_pan / intensity."""
+def pansharpen_cn(ms: Image, pan: Image, cfg: FusionConfig):
+    """Brovey-style intensity scaling: fused = up * matched_pan / intensity.
+    Yields the fused blocks of rows, as upsample() yields its own."""
     ratio = check_shapes(ms, pan)
-    pan_stats = _mean_std(pan.band(0).copy())
-    up = upsample(ms, ratio, cfg.resampler)
-    intensity = np.empty(up.planes.shape[1:])
-    np.mean(up.planes, axis=0, out=intensity)
+    pan_stats = _pan_stats(pan)
+    intensity = np.empty((pan.height, pan.width))
+    for rows, block in upsample(ms, ratio, cfg.resampler):
+        np.mean(block, axis=0, out=intensity[rows])
     intensity_stats = _mean_std(intensity)
-    np.mean(up.planes, axis=0, out=intensity)
-    np.maximum(intensity, _EPS, out=intensity)
-    for rows, scale in _matched_strips(pan, pan_stats, intensity_stats):
-        scale /= intensity[rows]
-        for plane in up.planes[:, rows]:
-            plane *= scale
-    return MultibandImage(up.planes, band_names=ms.band_names)
+    del intensity   # spent, and not held while the image is fused
+    for rows, block in upsample(ms, ratio, cfg.resampler):
+        scale = _matched(pan, rows, pan_stats, intensity_stats)
+        scale /= np.maximum(np.mean(block, axis=0), _EPS)
+        block *= scale
+        yield rows, block
 
 
 _B3 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -168,32 +183,18 @@ def _smooth_rows(pan: Image, start: int, stop: int, levels: int
     return smooth
 
 
-def pansharpen_atwt(ms: Image, pan: Image,
-                    cfg: FusionConfig) -> MultibandImage:
-    """Add the pan image's a-trous detail planes to every upsampled band."""
+def pansharpen_atwt(ms: Image, pan: Image, cfg: FusionConfig):
+    """Add the pan image's a-trous detail planes to every upsampled band.
+    Yields the fused blocks of rows, as upsample() yields its own."""
     ratio = check_shapes(ms, pan)
     levels = cfg.wavelet_levels
     if levels > int(np.log2(max(ratio, 1))) + 2:
         raise InputError("wavelet_levels too large for this scale ratio")
-    up = upsample(ms, ratio, cfg.resampler)
-    strips = list(row_strips(up.height, 8 * up.width))
-    # each window of whole strips at least 8 * (2**levels - 1) rows tall,
-    # four times the reach, so few halo rows are filtered twice. 1024^2
-    # smoothing, 2 levels, windows of 1 / 2 / 4 32-row strips: 35 / 32 /
-    # 30 ms median, whole plane 33; 2048^2, 16-row strips: 157 / 135 /
-    # 123, whole plane 136 (2-vCPU Xeon, 1 BLAS thread)
-    per_window = -(-8 * (2**levels - 1) // strips[0][1])
-    for k in range(0, len(strips), per_window):
-        window = strips[k:k + per_window]
-        first = window[0][0]
-        smooth = _smooth_rows(pan, first, window[-1][1], levels)
-        for start, stop in window:
-            detail = smooth[start - first:stop - first]
-            np.subtract(pan.rows(0, start, stop), detail, out=detail)
-            for plane in up.planes[:, start:stop]:
-                plane += detail
-        del smooth, detail   # not held while the next window is filtered
-    return MultibandImage(up.planes, band_names=ms.band_names)
+    for rows, block in upsample(ms, ratio, cfg.resampler):
+        detail = _smooth_rows(pan, rows.start, rows.stop, levels)
+        np.subtract(pan.rows(0, rows.start, rows.stop), detail, out=detail)
+        block += detail
+        yield rows, block
 
 
 # each method's fuser and its free parameters: the tuning knobs a user
@@ -206,16 +207,17 @@ _FUSERS = {
 FUSION_METHODS = tuple(_FUSERS)
 
 
-def pansharpen(ms: Image, pan: Image, cfg: FusionConfig
-               ) -> tuple[MultibandImage, dict]:
-    """Run the configured fuser; returns (fused, process metadata)."""
+def pansharpen(ms: Image, pan: Image, cfg: FusionConfig, out) -> dict:
+    """Run the configured fuser and write its image to the raster path
+    out, block by block (raster.save_rows); returns the process metadata,
+    whose wall_seconds covers fusing and writing."""
     fuse, n_free_parameters = _FUSERS[cfg.method]
     t0 = time.perf_counter()
-    fused = fuse(ms, pan, cfg)
-    meta = {
+    save_rows(out, (ms.bands, pan.height, pan.width), fuse(ms, pan, cfg),
+              band_names=ms.band_names)
+    return {
         "method": cfg.method,
         "resampler": cfg.resampler,
         "wall_seconds": time.perf_counter() - t0,
         "n_free_parameters": n_free_parameters,
     }
-    return fused, meta

@@ -59,8 +59,11 @@ def _check_gl(gl: int) -> None:
 def _bin_reflectance(band: np.ndarray, n: int) -> np.ndarray:
     """clip(ceil(n * x) - 1, 0, n - 1) as a uint8 map, n <= 256: how many
     thresholds k/n (k = 1 .. n-1) x exceeds, as n * x > k, so x outside
-    [0, 1] bins as if clipped. Binned one row_strips() run at a time."""
+    [0, 1] bins as if clipped. Binned one row_strips() run at a time;
+    an empty band is an InputError."""
     x = np.asarray(band, dtype=np.float64)
+    if x.size == 0:
+        raise InputError("empty band")
     out = np.empty(x.shape, dtype=np.uint8)
     flat, levels = x.reshape(-1), out.reshape(-1)
     strips = list(row_strips(flat.size, 8))

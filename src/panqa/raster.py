@@ -34,10 +34,12 @@ refuse non-finite samples, rows() in the rows it read and
 MultibandImage in each plane it holds. A payload that ends early is a
 length mismatch naming the file.
 
-save_image() converts and writes one band at a time, through one reused
-float64 strip buffer, into <name>.raw.part, so it holds one band of the
-payload, never all of it. The header is written and the .part file
-renamed to <name>.raw only once every band has passed the range check.
+save_rows() is the one writer. It takes an image as blocks of rows of
+every band, in row order, and holds one band of a block's DNs, never the
+payload, so a producer that hands it each block as it makes it, as the
+fusers do, holds no image either; save_image() is save_rows() over an
+image's own row_strips() runs. A raster's two files are its name with
+.json and .raw appended, so a dot in a name starts no suffix.
 
 row_strips() is the one strip iterator and STRIP_BYTES the one strip
 budget: every loop in panqa that works a strip at a time takes its
@@ -216,14 +218,16 @@ class ImageHeader:
 
 
 def raster_paths(path) -> tuple[Path, Path]:
-    """(header, payload) files of a raster; a .json/.raw suffix is dropped.
-    A path with no file name ('', '.', a root) raises InputError."""
+    """(header, payload) files of a raster: its name with .json and .raw
+    appended, once a .json or .raw suffix is dropped, so 'gain1.02' is
+    'gain1.02.json'. A path with no file name ('', '.', a root) raises
+    InputError."""
     p = Path(path)
     if not p.name:
         raise InputError(f"raster path has no file name: {str(path)!r}")
     if p.suffix in (".json", ".raw"):
         p = p.with_suffix("")
-    return p.with_suffix(".json"), p.with_suffix(".raw")
+    return p.with_name(p.name + ".json"), p.with_name(p.name + ".raw")
 
 
 class RasterFile(Image):
@@ -306,57 +310,77 @@ def load_image(path) -> MultibandImage:
 
 def save_image(img: MultibandImage, path, sample_type: str = "f32",
                gain=None, offset=None) -> None:
-    """Write <name>.json/.raw, inverting the affine calibration if given.
+    """save_rows() of the image's own row_strips() runs of rows."""
+    save_rows(path, img.shape,
+              ((slice(start, stop), img.planes[:, start:stop])
+               for start, stop in row_strips(img.height, 8 * img.width)),
+              sample_type, gain, offset, img.band_names)
 
-    gain and offset are sequences of one number per band (None: 1 and 0).
-    The header is built and checked as an ImageHeader first, so a header
-    that load_image() would refuse is never written.
+
+def save_rows(path, shape: tuple[int, int, int], blocks,
+              sample_type: str = "f32", gain=None, offset=None,
+              band_names=None) -> None:
+    """Write <name>.json/.raw of an image of this (bands, height, width)
+    shape, inverting the affine calibration if given. blocks yields
+    (rows, block) in row order: rows the slice of [0, height) that
+    starts where the last one stopped, block its (bands, r, width)
+    float64 samples, left unchanged. gain and offset are sequences of
+    one number per band (None: 1 and 0). The header is built and checked
+    as an ImageHeader first, so a header that load_image() would refuse
+    is never written.
 
     f32 storage round-trips bit-exactly for float32-representable samples,
     and raises on a sample whose DN lies beyond float32's range. Integral
     storage raises on values more than DN_TOLERANCE outside the
-    representable range. Each band is converted one row_strips() run at
-    a time through one float64 buffer of that run and written to
-    <name>.raw.part; the header is written and that file renamed to
-    <name>.raw once every band is in it. A refused sample, or any other
-    error, removes the .part file, so it leaves a pair saved earlier at
-    that path as it was, and a new path with no file.
+    representable range, and every storage on a non-finite sample. Each
+    band of a block is converted in a float64 copy and written at its
+    band-sequential place in <name>.raw.part; the header is written and
+    that file renamed to <name>.raw once the last row is in it. A refused
+    sample, or any other error, the blocks' own included, removes the
+    .part file, so it leaves a pair saved earlier at that path as it
+    was, and a new path with no file.
     """
-    hdr = ImageHeader(img.width, img.height, img.bands, sample_type,
+    bands, height, width = shape
+    hdr = ImageHeader(width, height, bands, sample_type,
                       gain=None if gain is None else list(gain),
                       offset=None if offset is None else list(offset),
-                      band_names=img.band_names)
+                      band_names=band_names)
     hdr_path, raw_path = raster_paths(path)
     part = raw_path.with_name(raw_path.name + ".part")
     dtype = _DTYPES[sample_type]
     if sample_type != "f32":
         lo = np.iinfo(dtype).min - DN_TOLERANCE
         hi = np.iinfo(dtype).max + DN_TOLERANCE
-    size = img.height * img.width
-    band_dn = np.empty(size, dtype=dtype)
-    strips = list(row_strips(size, 8))
-    buf = np.empty(strips[0][1])
+    row_bytes = width * dtype.itemsize
+    done = 0
     try:
         # an overflow to inf, in the arithmetic or the cast, is refused
         with open(part, "wb") as fh, np.errstate(over="ignore"):
-            for k, (plane, g, o) in enumerate(zip(
-                    img.planes.reshape(img.bands, size), hdr.gain,
-                    hdr.offset)):
-                refused = (f"band {k}: sample out of range for "
-                           f"{sample_type} after inverse calibration")
-                for start, stop in strips:
-                    dn = buf[:stop - start]
-                    np.subtract(plane[start:stop], o, out=dn)
+            for rows, block in blocks:
+                if (rows.start != done
+                        or block.shape != (bands, rows.stop - done, width)):
+                    raise ValueError(f"rows {rows.start}:{rows.stop} of "
+                                     f"shape {block.shape} do not follow "
+                                     f"row {done} of a {shape} image")
+                done = rows.stop
+                for k, (band, g, o) in enumerate(zip(block, hdr.gain,
+                                                     hdr.offset)):
+                    _check_finite(band)
+                    refused = (f"band {k}: sample out of range for "
+                               f"{sample_type} after inverse calibration")
+                    dn = np.subtract(band, o)
                     dn /= g
                     if sample_type != "f32":
                         if np.any(dn < lo) or np.any(dn > hi):
                             raise InputError(refused)
                         np.rint(dn, out=dn)
-                    band_dn[start:stop] = dn
-                    if (sample_type == "f32"
-                            and np.isinf(band_dn[start:stop]).any()):
+                    dn = dn.astype(dtype)
+                    if sample_type == "f32" and np.isinf(dn).any():
                         raise InputError(refused)
-                band_dn.tofile(fh)
+                    fh.seek((k * height + rows.start) * row_bytes)
+                    dn.tofile(fh)
+            if done != height:
+                raise ValueError(f"blocks stop at row {done} of {height}")
         with open(hdr_path, "w", encoding="utf-8") as fh:
             json.dump(asdict(hdr), fh)
         # not Path.replace: a rename over an existing file makes ext4

@@ -16,12 +16,15 @@ strip height; its strip buffers are sized by raster.STRIP_BYTES, read at
 each call. upsample() multiplies each block of interpolation-matrix rows
 over its nonzero columns only.
 
-degrade() and upsample() write each output band into one preallocated
-(bands, height, width) buffer, which the returned image holds without a
-copy, so the result is never stacked from a list of separate planes.
-Both read their input one band at a time through raster.Image's
-band(b), so `panqa degrade` and `panqa fuse` read a raster.RasterFile
-and never hold the whole input.
+degrade() writes each output band into one preallocated (bands, height,
+width) buffer, which the returned image holds without a copy, and reads
+its input one band at a time through raster.Image's band(b).
+upsample() is a generator of blocks of 64 output rows of every band,
+refilled in one buffer, whose rows it reads from its input through
+rows(b, start, stop): the fusers inject into each block and
+raster.save_rows writes it, so `panqa degrade` and `panqa fuse` read a
+raster.RasterFile and never hold the whole input, and `panqa fuse` never
+holds the upsampled or the fused image.
 """
 
 from __future__ import annotations
@@ -184,35 +187,44 @@ def _interp_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
     return mat
 
 
-def upsample(img: Image, ratio: int, method: str = "bicubic"
-             ) -> MultibandImage:
-    """Scale up by an integer ratio; output is (B, H*ratio, W*ratio).
+def upsample(img: Image, ratio: int, method: str = "bicubic"):
+    """Yields the image scaled up by an integer ratio, one block of 64
+    output rows at a time and in row order, as (rows, block): rows the
+    block's slice of [0, height * ratio), block its (bands, r,
+    width * ratio) samples. block is one buffer, refilled for each
+    block: a caller that keeps a block copies it.
 
-    img is read one band at a time through band(b), so it may be a
-    raster.RasterFile, of which one band is held beside the output."""
+    Each band's rows are made from the source rows they reach alone,
+    read through img.rows(b, ...), so img may be a raster.RasterFile, of
+    which a few source rows are held beside the block. Every sample is
+    the one that upsampling the whole plane gives, bit for bit."""
     if method not in UPSAMPLE_METHODS:
         raise InputError(f"unknown method {method!r}")
     if ratio < 1:
         raise InputError("ratio must be >= 1")
     h, w = img.height, img.width
-    planes = np.empty((img.bands, h * ratio, w * ratio))
     if ratio > 1 and method != "nearest":
         # out = my @ src @ mx.T, one output tile per pair of row blocks
         my = _row_blocks(_interp_matrix(h, ratio, method))
         mx = _row_blocks(_interp_matrix(w, ratio, method))
-    for b, out in enumerate(planes):
-        src = img.band(b)
-        if ratio == 1:
-            out[...] = src
-        elif method == "nearest":
-            # each sample broadcast over its ratio x ratio block, no repeats
-            out.reshape(h, ratio, w, ratio)[...] = src[:, None, :, None]
-        else:
-            for rows, cols, wy in my:
-                part = wy @ src[cols]
+    else:   # output row i repeats source row i // ratio, no weights
+        my = [(slice(r, min(r + 64, h * ratio)),
+               slice(r // ratio, min(-(-(r + 64) // ratio), h)), None)
+              for r in range(0, h * ratio, 64)]
+    buf = np.empty((img.bands, min(64, h * ratio), w * ratio))
+    for rows, cols, wy in my:
+        block = buf[:, :rows.stop - rows.start]
+        for b, out in enumerate(block):
+            src = img.rows(b, cols.start, cols.stop)
+            if wy is None:
+                # each sample broadcast over its ratio columns, no repeats
+                take = np.arange(rows.start, rows.stop) // ratio - cols.start
+                out.reshape(len(take), w, ratio)[...] = src[take, :, None]
+            else:
+                part = wy @ src
                 for rows_x, cols_x, wx in mx:
-                    np.matmul(part[:, cols_x], wx.T, out=out[rows, rows_x])
-    return MultibandImage(planes, band_names=img.band_names)
+                    np.matmul(part[:, cols_x], wx.T, out=out[:, rows_x])
+        yield rows, block
 
 
 def _row_blocks(mat: np.ndarray) -> list:
@@ -224,7 +236,7 @@ def _row_blocks(mat: np.ndarray) -> list:
     of 10, 1 BLAS thread, 2-vCPU Xeon)."""
     blocks = []
     for r0 in range(0, mat.shape[0], 64):
-        rows = slice(r0, r0 + 64)
+        rows = slice(r0, min(r0 + 64, mat.shape[0]))
         nonzero = np.flatnonzero(mat[rows].any(axis=0))
         cols = slice(nonzero[0], nonzero[-1] + 1)
         blocks.append((rows, cols, mat[rows, cols].copy()))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import benchmark_fixture as bm
+from blocks import collect
 from test_fusion import pan_image
 from test_glcm3 import oracle_counts
 from panqa.fusion import FusionConfig, pansharpen
@@ -13,7 +14,7 @@ from panqa.glcm3 import quantize_gray_levels, tims_glcm
 from panqa.pipeline import EvalOptions, evaluate_candidate, image_features
 from panqa.protocol import (QiRecord, aggregate, category_sum,
                             combine_partial_ranks, srcc, zscore)
-from panqa.raster import MultibandImage
+from panqa.raster import MultibandImage, RasterFile
 from panqa.resample import (DEFAULT_MTF_GAIN_MS, DEFAULT_MTF_GAIN_PAN,
                             degrade, mtf_gaussian_kernel, upsample)
 from panqa.spectral import (centre, ergas, q4, q_index, qnr, sam_mean,
@@ -127,7 +128,7 @@ def test_criterion_4_metric_invariants():
     ms = MultibandImage(np.repeat(np.repeat(
         np.moveaxis(rng.random((4, 4, 4)), 2, 0), bl, axis=1), bl, axis=2))
     pan_l = np.repeat(np.repeat(rng.random((4, 4)), bl, axis=0), bl, axis=1)
-    fused = upsample(ms, 4, "nearest")
+    fused = collect(upsample(ms, 4, "nearest"))
     pan_h = np.repeat(np.repeat(pan_l, 4, axis=0), 4, axis=1)
     value, d_lambda, d_s = qnr(ms, fused, pan_image(pan_h),
                                pan_image(pan_l), block_size=2)
@@ -168,7 +169,7 @@ def test_criterion_4_metric_invariants():
     report(4, ok, f"{sum(checks)}/{len(checks)} invariants at 1e-9")
 
 
-def test_criterion_5_end_to_end_dominance():
+def test_criterion_5_end_to_end_dominance(tmp_path):
     start = time.perf_counter()
     ms, pan = synth_scene(seed=42, width=256, height=256)
     ratio = 4
@@ -182,8 +183,11 @@ def test_criterion_5_end_to_end_dominance():
     reference = image_features(ms_l, opts)
     records = []
     for method in ("pca", "cn", "atwt"):
-        fused, meta = pansharpen(ms_ll, pan_l, FusionConfig(method=method))
-        records.append(evaluate_candidate(reference, fused, opts,
+        # written as `panqa fuse` writes it, and read from disk
+        meta = pansharpen(ms_ll, pan_l, FusionConfig(method=method),
+                          tmp_path / method)
+        records.append(evaluate_candidate(reference,
+                                          RasterFile(tmp_path / method), opts,
                                           candidate_id=method, process=meta))
     records.append(evaluate_candidate(reference, ms_l, opts,
                                       candidate_id="oracle"))

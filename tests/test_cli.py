@@ -4,14 +4,16 @@ import re
 import shutil
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from panqa import glcm3, pipeline, quantizer, raster
+from panqa import fusion, glcm3, pipeline, quantizer, raster
 from panqa.cli import build_parser, main
-from panqa.raster import MultibandImage, RasterFile, load_image, save_image
+from panqa.raster import (MultibandImage, RasterFile, load_image, raster_paths,
+                          save_image)
 from panqa.resample import DEFAULT_MTF_GAIN_PAN, degrade, mtf_gaussian_kernel
 from panqa.spectral import qnr
 from test_layout import traced_peak
@@ -909,6 +911,77 @@ def test_mos_malformed_scores(tmp_path, capsys, text, message):
     scores.write_text(text, encoding="utf-8")
     assert main(["mos", "--scores", str(scores)]) == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("case", ["nan", "overflow"])
+def test_fuse_refused_mid_stream_leaves_nothing(tmp_path, rng, capsys,
+                                                monkeypatch, case):
+    # the PAN's last sample NaN, or its last row beyond float32's range
+    # once calibrated: ATWT refuses it in its last block of rows, after
+    # it has written the others
+    save_image(MultibandImage(rng.uniform(0.1, 0.9, (4, 40, 40))),
+               tmp_path / "ms")
+    pan = rng.uniform(0.1, 0.9, (160, 160))
+    save_image(MultibandImage(pan[None]), tmp_path / "pan")
+    header = {"width": 160, "height": 160, "bands": 1, "dtype": "f32"}
+    if case == "nan":
+        pan[-1, -1] = np.nan
+        message = "error: non-finite samples"
+    else:
+        header["gain"] = [1e10]
+        pan /= 1e10
+        pan[-1] = 1e30
+        message = "error: band 0: sample out of range for f32"
+    (tmp_path / "bad.json").write_text(json.dumps(header), encoding="utf-8")
+    pan.astype("<f4").tofile(tmp_path / "bad.raw")
+    yielded = []
+
+    def counted(ms, pan, cfg):
+        for rows, block in fusion.pansharpen_atwt(ms, pan, cfg):
+            yielded.append(rows)
+            yield rows, block
+
+    monkeypatch.setitem(fusion._FUSERS, "atwt", (counted, 2))
+    argv = ["fuse", "--method", "atwt", "--ms", str(tmp_path / "ms")]
+    assert main(argv + ["--pan", str(tmp_path / "pan"),
+                        "--out", str(tmp_path / "earlier")]) == 0
+    saved = {p.name: p.read_bytes() for p in tmp_path.glob("earlier*")}
+    assert sorted(saved) == ["earlier.json", "earlier.raw"]
+    for out in ("fresh", "earlier"):
+        yielded.clear()
+        assert main(argv + ["--pan", str(tmp_path / "bad"),
+                            "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert len(yielded) >= 2   # blocks of rows were written first
+    assert not list(tmp_path.glob("fresh*"))
+    assert not list(tmp_path.glob("*.part"))
+    assert {p.name: p.read_bytes()
+            for p in tmp_path.glob("earlier*")} == saved
+
+
+def test_dotted_names_are_two_rasters(tmp_path, rng):
+    # a dot in a name starts no suffix: gain1.02 and gain1.05 are two
+    # images, and only a .json or .raw suffix is dropped
+    assert raster_paths("out/gain1.02") == (
+        Path("out/gain1.02.json"), Path("out/gain1.02.raw"))
+    assert raster_paths("fused.v2.raw")[0] == Path("fused.v2.json")
+    planes = {name: rng.uniform(0.1, 0.9, (2, 8, 8))
+              for name in ("gain1.02", "gain1.05")}
+    for name, p in planes.items():
+        save_image(MultibandImage(p), tmp_path / name)
+    for name, p in planes.items():
+        assert np.array_equal(RasterFile(tmp_path / name).band(1),
+                              p[1].astype(np.float32))
+        assert main(["degrade", "--input", str(tmp_path / name),
+                     "--ratio", "2", "--out",
+                     str(tmp_path / f"{name}_l.v2")]) == 0
+        want = degrade(load_image(tmp_path / name), 2).planes
+        got = load_image(tmp_path / f"{name}_l.v2").planes
+        assert np.array_equal(got, want.astype(np.float32))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}{ext}" for name in ("gain1.02", "gain1.05", "gain1.02_l.v2",
+                                    "gain1.05_l.v2")
+        for ext in (".json", ".raw"))
 
 
 @pytest.mark.parametrize("meta", ["fused.json", "fused.raw",

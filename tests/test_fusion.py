@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocks import collect
 from panqa import raster
 from panqa.errors import DegeneracyError, InputError
 from panqa.fusion import (_B3, FusionConfig, _mean_std, _smooth_rows,
                           pansharpen, pansharpen_atwt, pansharpen_cn,
                           pansharpen_pca)
-from panqa.raster import MultibandImage
+from panqa.raster import MultibandImage, load_image
 from panqa.resample import mirror_filter, upsample
 from panqa.spectral import sam_mean
+
+
+FUSERS = {"pca": pansharpen_pca, "cn": pansharpen_cn, "atwt": pansharpen_atwt}
 
 
 def pan_image(plane):
@@ -42,18 +46,18 @@ def first_pc(up):
 def test_pca_identical_component_substitution(rng):
     ms, _ = make_pair(rng)
     cfg = FusionConfig(method="pca", resampler="bilinear")
-    up = upsample(ms, 2, "bilinear")
+    up = collect(upsample(ms, 2, "bilinear"))
     pan = first_pc(up)
-    fused = pansharpen_pca(ms, pan_image(pan), cfg)
+    fused = collect(pansharpen_pca(ms, pan_image(pan), cfg))
     assert np.allclose(fused.planes, up.planes, atol=1e-9)
 
 
 def test_pca_shape_and_mean_preservation(rng):
     ms, pan = make_pair(rng, ratio=4)
     cfg = FusionConfig(method="pca", resampler="bicubic")
-    fused = pansharpen_pca(ms, pan_image(pan), cfg)
+    fused = collect(pansharpen_pca(ms, pan_image(pan), cfg))
     assert fused.planes.shape == (4, 32, 32)
-    up = upsample(ms, 4, "bicubic")
+    up = collect(upsample(ms, 4, "bicubic"))
     for b in range(4):
         ref = up.band(b).mean()
         assert abs(fused.band(b).mean() - ref) / abs(ref) < 1e-6
@@ -63,23 +67,24 @@ def test_pca_rank_deficient(rng):
     ms = MultibandImage(np.full((3, 4, 4), 0.5))
     pan = rng.random((8, 8))
     with pytest.raises(DegeneracyError, match="rank-deficient"):
-        pansharpen_pca(ms, pan_image(pan), FusionConfig(method="pca"))
+        collect(pansharpen_pca(ms, pan_image(pan),
+                               FusionConfig(method="pca")))
 
 
 def test_cn_identity_when_pan_equals_intensity(rng):
     ms, _ = make_pair(rng)
     cfg = FusionConfig(method="cn", resampler="bilinear")
-    up = upsample(ms, 2, "bilinear")
+    up = collect(upsample(ms, 2, "bilinear"))
     pan = up.planes.mean(axis=0)
-    fused = pansharpen_cn(ms, pan_image(pan), cfg)
+    fused = collect(pansharpen_cn(ms, pan_image(pan), cfg))
     assert np.allclose(fused.planes, up.planes, atol=1e-12)
 
 
 def test_cn_preserves_band_ratios(rng):
     ms, pan = make_pair(rng)
     cfg = FusionConfig(method="cn", resampler="bilinear")
-    fused = pansharpen_cn(ms, pan_image(pan), cfg)
-    up = upsample(ms, 2, "bilinear")
+    fused = collect(pansharpen_cn(ms, pan_image(pan), cfg))
+    up = collect(upsample(ms, 2, "bilinear"))
     r_up = up.band(0) / up.band(1)
     r_fused = fused.band(0) / fused.band(1)
     assert np.allclose(r_fused, r_up, atol=1e-9)
@@ -88,8 +93,8 @@ def test_cn_preserves_band_ratios(rng):
 def test_cn_zero_sam_against_upsampled(rng):
     ms, pan = make_pair(rng)
     cfg = FusionConfig(method="cn", resampler="bicubic")
-    fused = pansharpen_cn(ms, pan_image(pan), cfg)
-    up = upsample(ms, 2, "bicubic")
+    fused = collect(pansharpen_cn(ms, pan_image(pan), cfg))
+    up = collect(upsample(ms, 2, "bicubic"))
     # negative matched-pan pixels flip the spectral vector; keep the check
     # on pixels with a positive scale factor
     intensity = up.planes.mean(axis=0)
@@ -106,29 +111,35 @@ def test_atwt_constant_pan_is_identity(rng):
     ms, _ = make_pair(rng)
     cfg = FusionConfig(method="atwt", resampler="nearest", wavelet_levels=2)
     pan = np.full((16, 16), 0.4)
-    fused = pansharpen_atwt(ms, pan_image(pan), cfg)
-    up = upsample(ms, 2, "nearest")
+    fused = collect(pansharpen_atwt(ms, pan_image(pan), cfg))
+    up = collect(upsample(ms, 2, "nearest"))
     assert np.allclose(fused.planes, up.planes, atol=1e-12)
 
 
 def test_atwt_same_detail_all_bands(rng):
     ms, pan = make_pair(rng)
     cfg = FusionConfig(method="atwt", resampler="bilinear", wavelet_levels=2)
-    fused = pansharpen_atwt(ms, pan_image(pan), cfg)
-    up = upsample(ms, 2, "bilinear")
+    fused = collect(pansharpen_atwt(ms, pan_image(pan), cfg))
+    up = collect(upsample(ms, 2, "bilinear"))
     delta = fused.planes - up.planes
     for b in range(1, 4):
         assert np.allclose(delta[b], delta[0], atol=1e-12)
 
 
-def test_all_fusers_deterministic_and_shaped(rng):
+def test_all_fusers_deterministic_and_shaped(tmp_path, rng):
     ms, pan = make_pair(rng)
+    ms.band_names = ["b", "g", "r", "n"]
     for method in ("pca", "cn", "atwt"):
         cfg = FusionConfig(method=method)
-        a, meta = pansharpen(ms, pan_image(pan), cfg)
-        b, _ = pansharpen(ms, pan_image(pan), cfg)
+        meta = pansharpen(ms, pan_image(pan), cfg, tmp_path / "a")
+        pansharpen(ms, pan_image(pan), cfg, tmp_path / "b")
+        a, b = load_image(tmp_path / "a"), load_image(tmp_path / "b")
         assert a.planes.shape == (4, 16, 16)
+        assert a.band_names == ["b", "g", "r", "n"]
         assert np.array_equal(a.planes, b.planes)
+        # the file holds the blocks the fuser yields, as f32
+        want = collect(FUSERS[method](ms, pan_image(pan), cfg)).planes
+        assert np.array_equal(a.planes, want.astype(np.float32))
         assert meta["n_free_parameters"] >= 1
         assert meta["wall_seconds"] >= 0
 
@@ -137,10 +148,10 @@ def test_all_fusers_deterministic_and_shaped(rng):
 def test_band_permutation_equivariance(rng, method):
     ms, pan = make_pair(rng)
     cfg = FusionConfig(method=method)
-    base = pansharpen(ms, pan_image(pan), cfg)[0]
+    base = collect(FUSERS[method](ms, pan_image(pan), cfg))
     for perm in list(permutations(range(4)))[:6]:
         permuted = MultibandImage(ms.planes[list(perm)])
-        out = pansharpen(permuted, pan_image(pan), cfg)[0]
+        out = collect(FUSERS[method](permuted, pan_image(pan), cfg))
         assert np.allclose(out.planes, base.planes[list(perm)], atol=1e-6)
 
 
@@ -155,7 +166,7 @@ def test_atwt_levels_capped(rng):
     ms, pan = make_pair(rng, ratio=2)
     cfg = FusionConfig(method="atwt", wavelet_levels=5)
     with pytest.raises(InputError, match="wavelet_levels"):
-        pansharpen_atwt(ms, pan_image(pan), cfg)
+        collect(pansharpen_atwt(ms, pan_image(pan), cfg))
 
 
 def whole_plane_smooth(pan, levels):
@@ -193,10 +204,10 @@ def test_atwt_windows_equal_whole_plane(seed, h, w, levels, budget):
     ms, pan = make_pair(np.random.default_rng(seed), h, w, 2, 4)
     cfg = FusionConfig(method="atwt", resampler="bilinear",
                        wavelet_levels=levels)
-    want = upsample(ms, 4, "bilinear").planes
+    want = collect(upsample(ms, 4, "bilinear")).planes
     want += pan - whole_plane_smooth(pan, levels)
     with mock.patch.object(raster, "STRIP_BYTES", budget):
-        got = pansharpen_atwt(ms, pan_image(pan), cfg)
+        got = collect(pansharpen_atwt(ms, pan_image(pan), cfg))
     assert got.planes.tobytes() == want.tobytes()
 
 

@@ -73,6 +73,12 @@ class TestQuantize:
         assert (quantize_gray_levels(band, 4).ravel().tolist()
                 == [0, 0, 1, 1, 2, 3, 3])
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (4, 0)])
+    def test_empty_band(self, shape):
+        # an input error, not an IndexError from an empty strip list
+        with pytest.raises(InputError, match="empty band"):
+            quantize_gray_levels(np.empty(shape), 32)
+
     def test_gl_too_small(self):
         with pytest.raises(InputError, match=r"gl must be in \[2, 256\]"):
             quantize_gray_levels(np.ones((2, 2)), 1)

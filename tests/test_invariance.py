@@ -13,6 +13,11 @@ compares labels only for equality and every other cost is per band. The
 scenes are 256x256 `synth` scenes, seeds 0-3, with the README fusers and
 the oracle.
 
+Copies: a byte copy of a candidate, with its process costs, ties with it
+in every column, and the reference itself, listed as a candidate beside
+the README fusers, ranks first in every rank column. These use the 64x64
+scenes.
+
 Flips: transposing, mirroring or rotating by 180 degrees every image in
 the same way changes neither PDFR case A nor case C. This holds in exact
 arithmetic: the GLCM3 rings, the cross-aura 8-neighbourhood and the 8x8
@@ -48,15 +53,17 @@ FLIPS = {
 }
 
 
-def _rank(workdir, ids, out, names=CANDIDATES):
+def _rank(workdir, ids, out, names=CANDIDATES, copies={}):
     """ranks.csv rows and report.json of `panqa rank` over the candidates
     ids, in that order, each with its own process costs, given by its
-    place in names."""
+    place in names; an id in copies takes the costs of the one it
+    maps to."""
+    place = lambda c: names.index(copies.get(c, c))
     manifest = {
         "reference": str(workdir / "ms"), "ratio": 4,
         "candidates": [{"id": c, "path": str(workdir / c),
-                        "wall_seconds": 0.1 * (names.index(c) + 1),
-                        "n_free_parameters": names.index(c) % 2 + 1}
+                        "wall_seconds": 0.1 * (place(c) + 1),
+                        "n_free_parameters": place(c) % 2 + 1}
                        for c in ids],
         "options": {"gl": 32, "block_size": 8},
     }
@@ -120,6 +127,35 @@ def test_manifest_order_permutes_ranks_and_nothing_else(scene, order):
     assert got == {**report,
                    "candidates": [report["candidates"][k] for k in order],
                    "ranks": _permuted(report["ranks"], order)}
+
+
+def test_byte_copy_ties_in_every_column(scene):
+    # a byte copy of a candidate, with the same process costs, has every
+    # cost of it, so every sum and rank column ties the two
+    workdir, _ = scene
+    for ext in (".json", ".raw"):
+        shutil.copyfile(workdir / f"cn{ext}", workdir / f"copy{ext}")
+    rows, _ = _rank(workdir, CANDIDATES + ("copy",), "copied",
+                    copies={"copy": "cn"})
+    by_id = {row[0]: row[1:] for row in rows[1:]}
+    assert by_id["copy"] == by_id["cn"]
+
+
+def test_reference_as_candidate_ranks_first(scene):
+    # the reference itself, beside the fusers and with the least process
+    # costs, is first in every partial and final rank column
+    workdir, _ = scene
+    rows, _ = _rank(workdir, ("ms",) + CANDIDATES[:3], "self",
+                    names=("ms",) + CANDIDATES)
+    header, first = rows[0], rows[1]
+    assert first[0] == "ms"
+    ranks = [k for k, col in enumerate(header) if k and
+             not col.startswith("Sum")]
+    assert len(ranks) == 11
+    assert [first[k] for k in ranks] == ["1"] * len(ranks)
+    # no fuser ties it on quality; a process-cost rank (PSPR) may tie
+    quality = [k for k in ranks if header[k].endswith("PDPR")]
+    assert all(row[k] != "1" for row in rows[2:] for k in quality)
 
 
 @pytest.fixture(scope="module", params=[0, 1, 2, 3])

@@ -1,14 +1,16 @@
 """The band-sequential image layout, from load to save.
 
-Producers fill one (bands, height, width) buffer and the fusers work in
-place on the upsampled one. The hypothesis tests hold every result equal,
-bit for bit, to reference copies of the earlier code that stacked
-per-band results and copied whole images; PCA, whose injection form
-rounds differently from the projection round trip kept here, is held
-within 1e-9. The tracemalloc tests bound how many image-sized buffers
-each step holds at once.
+Producers fill one (bands, height, width) buffer, or, as upsample() and
+the fusers do, one buffer of a block of rows that save_rows() writes as
+it comes. The hypothesis tests hold every result equal, bit for bit, to
+reference copies of the earlier code that stacked per-band results and
+copied whole images; PCA, whose block sums and injection form round
+differently from the projection round trip kept here, is held within
+1e-9. The tracemalloc tests bound how many image-sized buffers each step
+holds at once.
 """
 
+import collections
 import shutil
 import tempfile
 import tracemalloc
@@ -23,12 +25,13 @@ from hypothesis import strategies as st
 from panqa import raster
 from panqa.cli import main
 from panqa.errors import InputError
-from panqa.fusion import (_B3, FusionConfig, pansharpen, pansharpen_atwt,
-                          pansharpen_cn, pansharpen_pca)
+from panqa.fusion import (_B3, FusionConfig, pansharpen_atwt, pansharpen_cn,
+                          pansharpen_pca)
 from panqa.pipeline import Candidate, EvalOptions, RunManifest, run_manifest
 from panqa.raster import MultibandImage, load_image, save_image
 from panqa.resample import _interp_matrix, mirror_filter, upsample
 from panqa.synth import synth_scene
+from blocks import collect
 from test_raster import encode_by_formula
 
 def stacked_upsample(img, ratio, method):
@@ -92,7 +95,8 @@ def is_band_sequential(img):
 
 # (fuser, reference, absolute tolerance): 0 is bit for bit. PCA gets the
 # 1e-9 that test_fusion holds it to; 20,000 seeded draws over these
-# ranges differed from the reference by at most 3.2e-14
+# ranges differed from the reference by at most 6.1e-14, with the
+# sums and cross products taken block by block (3.2e-14 whole-image)
 _STACKED_FUSERS = {"pca": (pansharpen_pca, stacked_pca, 1e-9),
                    "cn": (pansharpen_cn, stacked_cn, 0.0),
                    "atwt": (pansharpen_atwt, stacked_atwt, 0.0)}
@@ -111,8 +115,7 @@ def test_upsample_equals_stacked(seed, bands, ratio, h, w, method,
         planes = np.ascontiguousarray(planes)
     img = MultibandImage(planes)
     for r in (1, ratio):
-        up = upsample(img, r, method)
-        assert is_band_sequential(up)
+        up = collect(upsample(img, r, method))
         assert np.array_equal(up.planes, np.moveaxis(
             stacked_upsample(img, r, method), 2, 0))
 
@@ -132,8 +135,7 @@ def test_fusers_equal_stacked(seed, bands, ratio, h, w, method, resampler,
     cfg = FusionConfig(method=method, resampler=resampler,
                        wavelet_levels=levels)
     fuser, stacked, atol = _STACKED_FUSERS[method]
-    fused = fuser(ms, MultibandImage(pan[None]), cfg)
-    assert is_band_sequential(fused)
+    fused = collect(fuser(ms, MultibandImage(pan[None]), cfg))
     np.testing.assert_allclose(fused.planes,
                                np.moveaxis(stacked(ms, pan, cfg), 2, 0),
                                rtol=0, atol=atol)
@@ -240,6 +242,9 @@ PLANE = H * W * 8   # one float64 band
 # the fusers' strips at the benchmark's 1024 columns: 32 rows, here an
 # eighth of a plane
 STRIPS_OF_32_ROWS = 32 * W * 8
+# upsample()'s block: 64 rows of every band, here one plane; at the
+# benchmark's 1024 columns a quarter of one
+BLOCK = BANDS * 64 * W * 8
 
 
 @pytest.mark.parametrize("sample_type, itemsize", [("u16", 2), ("f32", 4)])
@@ -266,23 +271,29 @@ def test_load_image_footprint(tmp_path, rng, sample_type, itemsize):
     assert peak < BANDS * PLANE + 1.5 * H * W * itemsize
 
 
+def drain(blocks) -> None:
+    """Run a generator of blocks to its end, holding none of them."""
+    collections.deque(blocks, maxlen=0)
+
+
 @pytest.mark.parametrize("method", ["nearest", "bilinear", "bicubic"])
 def test_upsample_footprint(rng, method):
     ratio = 4
     ms = MultibandImage(np.moveaxis(
         rng.random((H // ratio, W // ratio, BANDS)), 2, 0))
-    up, peak = traced_peak(upsample, ms, ratio, method)
-    # the output, one axis's dense interpolation matrix (a quarter plane)
-    # while its blocks are copied out of it, the blocks, and one
-    # (64, W / ratio) product
-    assert peak < up.planes.nbytes + 0.5 * PLANE
+    _, peak = traced_peak(drain, upsample(ms, ratio, method))
+    # the one block buffer, one axis's dense interpolation matrix (a
+    # quarter plane) while its blocks are copied out of it, the blocks,
+    # and one (64, W / ratio) product: 1.29 planes for bicubic. Holding
+    # the whole output took 4 planes more
+    assert peak < BLOCK + 0.5 * PLANE
 
 
-# the planes each fuser may hold beside the fused image, with the MS in
+# the planes each fuser may hold beside its block buffer, with the MS in
 # memory (test_fuser_footprint) or read from disk by panqa fuse
-# (test_fuse_holds_no_pan)
-FUSER_PLANES = {"pca": 1.5, "cn": 1.5, "atwt": 1.0}
-FUSE_PLANES = {"pca": 1.6, "cn": 1.6, "atwt": 1.1}
+# (test_fuse_holds_no_image)
+FUSER_PLANES = {"pca": 2.0, "cn": 1.5, "atwt": 1.75}
+FUSE_PLANES = {"pca": 2.5, "cn": 1.75, "atwt": 2.0}
 
 
 @pytest.mark.parametrize("method", ["cn", "atwt", "pca"])
@@ -292,22 +303,20 @@ def test_fuser_footprint(rng, method):
                                     (BANDS, H // ratio, W // ratio)))
     pan = MultibandImage(rng.uniform(0.1, 0.9, (1, H, W)))
     with mock.patch.object(raster, "STRIP_BYTES", STRIPS_OF_32_ROWS):
-        (fused, _), peak = traced_peak(pansharpen, ms, pan,
-                                       FusionConfig(method=method,
-                                                    resampler="bicubic"))
-    # the fused image is the upsampled buffer. Beside it PCA and CN hold
-    # one pan-sized plane (PC1, the intensity) and, while they inject,
-    # strips of 32 pan rows (an eighth of a plane here): 1.26 planes in
-    # all, the upsample's own temporaries, which test_upsample_footprint
-    # bounds at half a plane, coming before that plane. ATWT holds no
-    # plane: it smooths a window of pan rows at a time, its level
-    # outputs beside mirror_filter's strip buffers, 0.78 planes, where a
-    # whole smooth plane held through the upsample took 1.41
-    assert peak < fused.planes.nbytes + FUSER_PLANES[method] * PLANE
+        _, peak = traced_peak(drain, _STACKED_FUSERS[method][0](
+            ms, pan, FusionConfig(method=method, resampler="bicubic")))
+    # no fuser holds the fused or the upsampled image, only the block
+    # buffer that upsample() refills. Beside it PCA and CN take the pan's
+    # stats in a copy of its plane, CN fills its intensity plane, and
+    # each holds a few block-sized rows of detail and the upsample's
+    # matrices: 1.73 planes for PCA, 1.29 for CN and 1.50 for ATWT,
+    # whose smoothing windows hold mirror_filter's strip buffers. Holding
+    # the fused image took 4 planes more
+    assert peak < BLOCK + FUSER_PLANES[method] * PLANE, peak / PLANE
 
 
 @pytest.mark.parametrize("method", ["cn", "atwt", "pca"])
-def test_fuse_holds_no_pan(tmp_path, rng, method):
+def test_fuse_holds_no_image(tmp_path, rng, method):
     ms = MultibandImage(rng.uniform(0.1, 0.9, (BANDS, H // 4, W // 4)))
     save_image(ms, tmp_path / "ms")
     save_image(MultibandImage(rng.uniform(0.1, 0.9, (1, H, W))),
@@ -318,14 +327,14 @@ def test_fuse_holds_no_pan(tmp_path, rng, method):
     with mock.patch.object(raster, "STRIP_BYTES", STRIPS_OF_32_ROWS):
         code, peak = traced_peak(main, argv)
     assert code == 0
-    # both inputs are read from disk: the MS one band at a time, the PAN
-    # whole (PCA, CN) or a window of rows (ATWT) at a time and then a
-    # strip at a time. Beside the fused image the command holds what
-    # test_fuser_footprint bounds, the PAN rows and MS band it reads and
-    # its parser: 1.49 planes for PCA and CN, 0.96 for ATWT. The MS held
-    # loaded added a quarter plane (1.74, 1.74 and 1.79), and a PAN held
-    # loaded would add a whole plane
-    assert peak < BANDS * PLANE + FUSE_PLANES[method] * PLANE
+    # both inputs are read from disk a block of rows at a time, and the
+    # PAN whole once for PCA's and CN's stats; each block is written as
+    # it is made. Beside the block buffer the command holds what
+    # test_fuser_footprint bounds, the rows it reads, one band of a
+    # block's DNs as it writes them, and its parser: 2.30 planes for
+    # PCA, 1.45 for CN and 1.83 for ATWT. Holding the fused image took 4
+    # planes more
+    assert peak < BLOCK + FUSE_PLANES[method] * PLANE, peak / PLANE
 
 
 def test_run_manifest_footprint(tmp_path, rng):

@@ -115,9 +115,8 @@ def test_candidate_may_carry_fuser_meta(tmp_path, rng):
     # a candidate entry may be a `panqa fuse --process-meta` file plus its
     # id and path
     ms = MultibandImage(np.moveaxis(rng.uniform(0.1, 0.9, (8, 8, 4)), 2, 0))
-    _, meta = pansharpen(ms, MultibandImage(rng.uniform(0.1, 0.9,
-                                                        (1, 32, 32))),
-                         FusionConfig(method="cn"))
+    meta = pansharpen(ms, MultibandImage(rng.uniform(0.1, 0.9, (1, 32, 32))),
+                      FusionConfig(method="cn"), tmp_path / "cn")
     doc = {"reference": "ref", "ratio": 4,
            "candidates": [{"id": "cn", "path": "cn", **meta},
                           {"id": "pca", "path": "pca"}]}

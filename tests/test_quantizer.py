@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 from panqa.errors import InputError
 from panqa.glcm3 import quantize_gray_levels
 from panqa.raster import MultibandImage
-from panqa.quantizer import (LEVELS, LabelMapStack, binary_contour_cost,
-                             cross_aura,
+from panqa.quantizer import (LEVELS, LabelMapStack, SpectralCoder,
+                             binary_contour_cost, cross_aura,
                              post_classification_change_count,
                              quantize_spectral)
 from panqa.synth import synth_scene
@@ -310,3 +310,9 @@ class TestBinaryContour:
         with pytest.raises(InputError) as exc:
             binary_contour_cost(np.zeros((4, 4)), np.zeros((3, 4)))
         assert "(4, 4)" in str(exc.value) and "(3, 4)" in str(exc.value)
+
+
+def test_coder_refuses_empty_band():
+    coder = SpectralCoder(2, 0, 5)
+    with pytest.raises(InputError, match="empty band"):
+        coder.add(np.empty((0, 5)))

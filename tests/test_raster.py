@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from panqa.errors import InputError
 from panqa.raster import (DN_TOLERANCE, ImageHeader, MultibandImage,
-                          RasterFile, load_image, raster_paths, save_image)
+                          RasterFile, load_image, raster_paths, save_image,
+                          save_rows)
 
 
 def write_pair(tmp_path, name, header, payload, dtype):
@@ -103,6 +104,29 @@ def test_refused_save_writes_nothing(tmp_path, rng):
             save_image(MultibandImage(planes), tmp_path / name,
                        sample_type="u8")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == saved
+
+
+@pytest.mark.parametrize("cut, error", [
+    (lambda bl: bl[:-1], "blocks stop at row 6 of 9"),
+    (lambda bl: bl[1:], "rows 3:6 of shape"),
+    (lambda bl: [bl[1], bl[0]] + bl[2:], "rows 3:6 of shape"),
+    (lambda bl: [(r, b[:-1]) for r, b in bl], r"shape \(1, 3, 4\)"),
+    (lambda bl: bl[:2] + [(bl[2][0], np.full((2, 3, 4), np.nan))],
+     "non-finite samples"),
+])
+def test_save_rows_refuses_blocks_that_miss_rows(tmp_path, rng, cut,
+                                                 error):
+    # blocks of 3 rows of a (2, 9, 4) image: refused, with nothing
+    # written, unless they cover its rows in order with finite samples
+    planes = rng.uniform(0.0, 1.0, (2, 9, 4))
+    blocks = [(slice(r, r + 3), planes[:, r:r + 3]) for r in (0, 3, 6)]
+    save_rows(tmp_path / "img", planes.shape, blocks)
+    assert np.array_equal(load_image(tmp_path / "img").planes,
+                          planes.astype(np.float32))
+    with pytest.raises((ValueError, InputError), match=error):
+        save_rows(tmp_path / "bad", planes.shape, cut(blocks))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.json",
+                                                           "img.raw"]
 
 
 F32_MAX = float(np.finfo(np.float32).max)

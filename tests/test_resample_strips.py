@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blocks import collect
 from panqa import raster
 from panqa.fusion import _B3
 from panqa.raster import MultibandImage
@@ -107,7 +108,7 @@ def test_upsample_banded_matches_dense_product(rng, ratio, method):
     my = _interp_matrix(h, ratio, method)
     mx = _interp_matrix(w, ratio, method)
     assert min(len(_row_blocks(my)), len(_row_blocks(mx))) >= 3
-    up = upsample(img, ratio, method)
+    up = collect(upsample(img, ratio, method))
     eps = np.finfo(np.float64).eps
     for b in range(img.bands):
         x = img.band(b)

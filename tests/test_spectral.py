@@ -15,6 +15,7 @@ from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.resample import upsample
 from panqa.spectral import (centre, ergas, inverse_pcc_cost, mdb_cost, pcc,
                             q4, q_index, qnr, sam_mean, summary_stats)
+from blocks import collect
 from test_fusion import pan_image
 from test_layout import traced_peak
 
@@ -531,7 +532,7 @@ class TestQnr:
             rng.random((4, 4, 4)), bl, axis=0), bl, axis=1))
         pan_l = np.repeat(np.repeat(rng.random((4, 4)), bl, axis=0),
                           bl, axis=1)
-        fused = upsample(ms, ratio, "nearest")
+        fused = collect(upsample(ms, ratio, "nearest"))
         pan_h = np.repeat(np.repeat(pan_l, ratio, axis=0), ratio, axis=1)
         return ms, fused, pan_image(pan_h), pan_image(pan_l)
 
