@@ -66,9 +66,8 @@ def cmd_fuse(args) -> int:
             p.resolve() for p in raster_paths(args.out)}:
         raise InputError(f"--process-meta {args.process_meta} would "
                          f"overwrite the fused image {args.out}")
-    # the fuser reads both from disk a block of rows at a time, and the
-    # PAN whole once for PCA's and CN's stats; it writes each block of
-    # the fused image as it makes it
+    # the fuser reads both from disk a block or a strip of rows at a
+    # time, and writes each block of the fused image as it makes it
     ms, pan = RasterFile(args.ms), RasterFile(args.pan)
     cfg = FusionConfig(method=args.method, resampler=args.resample,
                        wavelet_levels=args.levels)

@@ -15,20 +15,19 @@ pansharpen() hands the blocks to raster.save_rows, which writes each one
 as it comes, so no fuser holds the fused or the upsampled image.
 
 Each fuser takes the MS and the pan as raster.Image, so either may be
-left on disk, and reads the rows of each block from it. ATWT needs one
-pass: it smooths the pan rows each block reaches (see _smooth_rows),
-bit-identical to smoothing the whole plane. PCA and CN need two. PCA's
-first pass sums the blocks and their cross products for the band means
-and the covariance, so PC1's mean is 0 and its variance v1' C v1; these
-round differently from the whole-image mean and projection, within 1e-9
-of them. CN's first pass fills the intensity plane, the one pan-sized
-work plane a fuser holds, for its whole-plane mean and std, and frees it
-before the second. PCA and CN also read the pan whole once for its mean
-and std. Both stats are taken in the plane itself, bit-identical to
-ndarray.std() (_mean_std). The matched pan, PCA's detail, CN's scale and
+left on disk, and reads the rows of each block from it; none holds or
+reads any plane whole. ATWT needs one pass: it smooths the pan rows
+each block reaches (see _smooth_rows), bit-identical to smoothing the
+whole plane. PCA and CN need two: a statistics pass, then the
+injection. Every mean, variance and covariance they use comes from
+_moments, over the upsampled blocks (PCA's band means and covariance,
+so PC1's mean is 0 and its variance v1' C v1), their band means (CN's
+intensity) and the pan's strips. These round differently from
+whole-plane stats, within 1e-9 of the whole-image fusers' outputs for
+PCA and 1e-12 for CN. The matched pan, PCA's detail, CN's scale and
 ATWT's detail are formed a block at a time with the elementwise
-operations of a whole-plane pass in its order, so each CN and ATWT
-sample is the one that pass gives.
+operations of a whole-plane pass in its order, so each ATWT sample is
+the one that pass gives.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .raster import Image, save_rows
+from .raster import Image, row_strips, save_rows
 from .resample import mirror_filter, upsample
 
 _EPS = 1e-12
@@ -71,33 +70,38 @@ def check_shapes(ms: Image, pan: Image) -> int:
     return ratio
 
 
-def _mean_std(plane: np.ndarray) -> tuple[float, float]:
-    """(plane.mean(), plane.std()) bit for bit, the deviations squared in
-    place, as ndarray.std() squares them in a temporary: plane is spent."""
-    mean = plane.mean()
-    np.subtract(plane, mean, out=plane)
-    np.square(plane, out=plane)
-    return mean, np.sqrt(plane.sum() / plane.size)
+def _moments(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The means and the population covariance of k planes of n samples
+    each, given as (k, m) blocks of their samples: from the blocks' sums
+    and cross products, shifted by the first block's means so that they
+    cancel little."""
+    sums = cross = 0.0
+    for i, x in enumerate(blocks):
+        if i == 0:
+            shift = x.mean(axis=1)
+        x = x - shift[:, None]
+        sums += x.sum(axis=1)
+        cross += x @ x.T
+    d = sums / n
+    return shift + d, cross / n - np.outer(d, d)
 
 
 def _pan_stats(pan: Image) -> tuple[float, float]:
-    """The pan's whole-plane _mean_std(), taken in its band as read: a
-    band read from disk for this call is spent, a view of an image held
-    in memory is copied first."""
-    band = pan.band(0)
-    if band.flags.owndata:
-        band.flags.writeable = True
-    else:
-        band = band.copy()
-    return _mean_std(band)
+    """The pan's mean and variance, read a strip of rows at a time."""
+    (mean,), ((var,),) = _moments(
+        (pan.rows(0, a, b).reshape(1, -1)
+         for a, b in row_strips(pan.height, 8 * pan.width)),
+        pan.height * pan.width)
+    return mean, var
 
 
 def _matched(pan: Image, rows: slice, pan_stats, target_stats
              ) -> np.ndarray:
-    """The pan's rows mapped affinely so that the whole pan's mean and std
-    become the target's (a constant pan maps to the target's mean)."""
-    s_mean, s_std = pan_stats
-    t_mean, t_std = target_stats
+    """The pan's rows mapped affinely so that the whole pan's mean and
+    std become the target's, both stats given as (mean, variance); a
+    constant pan maps to the target's mean."""
+    s_mean, s_std = pan_stats[0], np.sqrt(pan_stats[1])
+    t_mean, t_std = target_stats[0], np.sqrt(target_stats[1])
     if s_std < _EPS:
         return np.full((rows.stop - rows.start, pan.width), t_mean)
     out = np.subtract(pan.rows(0, rows.start, rows.stop), s_mean)
@@ -114,25 +118,16 @@ def pansharpen_pca(ms: Image, pan: Image, cfg: FusionConfig):
     if ms.bands < 2:
         raise InputError("PCA fusion needs at least two bands")
     pan_stats = _pan_stats(pan)
-    # the sums and cross products of the upsampled bands, shifted by the
-    # MS band means so that they cancel little
-    shift = np.array([ms.band(b).mean() for b in range(ms.bands)])
-    sums, cross = np.zeros(ms.bands), np.zeros((ms.bands, ms.bands))
-    for _, block in upsample(ms, ratio, cfg.resampler):
-        x = block.reshape(ms.bands, -1)
-        x -= shift[:, None]
-        sums += x.sum(axis=1)
-        cross += x @ x.T
-    d = sums / (pan.height * pan.width)
-    mean = shift + d
-    cov = cross / (pan.height * pan.width) - np.outer(d, d)
+    mean, cov = _moments((block.reshape(ms.bands, -1) for _, block in
+                          upsample(ms, ratio, cfg.resampler)),
+                         pan.height * pan.width)
     evals, evecs = np.linalg.eigh(cov)
     top = np.argsort(evals)[-1]   # first in descending order
     if evals[top] < _EPS:
         raise DegeneracyError("rank-deficient: all bands constant")
     # the sign that makes the component sum non-negative
     v1 = -evecs[:, top] if evecs[:, top].sum() < 0 else evecs[:, top]
-    pc1_stats = 0.0, np.sqrt(v1 @ cov @ v1)   # PC1 is centred
+    pc1_stats = 0.0, v1 @ cov @ v1   # PC1 is centred
     for rows, block in upsample(ms, ratio, cfg.resampler):
         block -= mean[:, None, None]
         detail = _matched(pan, rows, pan_stats, pc1_stats)
@@ -148,13 +143,11 @@ def pansharpen_cn(ms: Image, pan: Image, cfg: FusionConfig):
     Yields the fused blocks of rows, as upsample() yields its own."""
     ratio = check_shapes(ms, pan)
     pan_stats = _pan_stats(pan)
-    intensity = np.empty((pan.height, pan.width))
+    (mean,), ((var,),) = _moments(
+        (block.mean(axis=0).reshape(1, -1) for _, block in
+         upsample(ms, ratio, cfg.resampler)), pan.height * pan.width)
     for rows, block in upsample(ms, ratio, cfg.resampler):
-        np.mean(block, axis=0, out=intensity[rows])
-    intensity_stats = _mean_std(intensity)
-    del intensity   # spent, and not held while the image is fused
-    for rows, block in upsample(ms, ratio, cfg.resampler):
-        scale = _matched(pan, rows, pan_stats, intensity_stats)
+        scale = _matched(pan, rows, pan_stats, (mean, var))
         scale /= np.maximum(np.mean(block, axis=0), _EPS)
         block *= scale
         yield rows, block

@@ -220,10 +220,10 @@ class ImageHeader:
 def raster_paths(path) -> tuple[Path, Path]:
     """(header, payload) files of a raster: its name with .json and .raw
     appended, once a .json or .raw suffix is dropped, so 'gain1.02' is
-    'gain1.02.json'. A path with no file name ('', '.', a root) raises
-    InputError."""
+    'gain1.02.json'. A path with no file name ('', '.', a root) or whose
+    name is '..' raises InputError."""
     p = Path(path)
-    if not p.name:
+    if p.name in ("", ".."):
         raise InputError(f"raster path has no file name: {str(path)!r}")
     if p.suffix in (".json", ".raw"):
         p = p.with_suffix("")

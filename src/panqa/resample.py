@@ -14,7 +14,9 @@ rows of a window of pan rows that its later levels read. It filters one
 strip of output rows at a time, in cache, and bit-identically for any
 strip height; its strip buffers are sized by raster.STRIP_BYTES, read at
 each call. upsample() multiplies each block of interpolation-matrix rows
-over its nonzero columns only.
+over its nonzero columns only, for every method and ratio: a nearest
+matrix holds one weight of 1.0 per row, and at ratio 1 every matrix is
+the identity.
 
 degrade() writes each output band into one preallocated (bands, height,
 width) buffer, which the returned image holds without a copy, and reads
@@ -168,7 +170,9 @@ def _interp_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
     mat = np.zeros((n_in * ratio, n_in))
     i0 = np.floor(x).astype(int)
     frac = x - i0
-    if method == "bilinear":
+    if method == "nearest":   # output sample i repeats source i // ratio
+        i0, offsets, weights = np.arange(n_in * ratio) // ratio, (0,), (1.0,)
+    elif method == "bilinear":
         offsets = (0, 1)
         weights = np.stack([1.0 - frac, frac])
     else:  # bicubic, Keys kernel with a = -0.5
@@ -203,27 +207,16 @@ def upsample(img: Image, ratio: int, method: str = "bicubic"):
     if ratio < 1:
         raise InputError("ratio must be >= 1")
     h, w = img.height, img.width
-    if ratio > 1 and method != "nearest":
-        # out = my @ src @ mx.T, one output tile per pair of row blocks
-        my = _row_blocks(_interp_matrix(h, ratio, method))
-        mx = _row_blocks(_interp_matrix(w, ratio, method))
-    else:   # output row i repeats source row i // ratio, no weights
-        my = [(slice(r, min(r + 64, h * ratio)),
-               slice(r // ratio, min(-(-(r + 64) // ratio), h)), None)
-              for r in range(0, h * ratio, 64)]
+    # out = my @ src @ mx.T, one output tile per pair of row blocks
+    my = _row_blocks(_interp_matrix(h, ratio, method))
+    mx = _row_blocks(_interp_matrix(w, ratio, method))
     buf = np.empty((img.bands, min(64, h * ratio), w * ratio))
     for rows, cols, wy in my:
         block = buf[:, :rows.stop - rows.start]
         for b, out in enumerate(block):
-            src = img.rows(b, cols.start, cols.stop)
-            if wy is None:
-                # each sample broadcast over its ratio columns, no repeats
-                take = np.arange(rows.start, rows.stop) // ratio - cols.start
-                out.reshape(len(take), w, ratio)[...] = src[take, :, None]
-            else:
-                part = wy @ src
-                for rows_x, cols_x, wx in mx:
-                    np.matmul(part[:, cols_x], wx.T, out=out[:, rows_x])
+            part = wy @ img.rows(b, cols.start, cols.stop)
+            for rows_x, cols_x, wx in mx:
+                np.matmul(part[:, cols_x], wx.T, out=out[:, rows_x])
         yield rows, block
 
 

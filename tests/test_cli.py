@@ -195,12 +195,18 @@ def test_qnr_multiband_pan_is_input_error(scene, capsys):
 @pytest.mark.parametrize("argv", [
     ["degrade", "--input", "ms", "--ratio", "4", "--out", ""],
     ["eval", "--reference", "", "--candidate", "ms", "--out", "eval.json"],
+    # '..' names a directory: as a raster name it would be '...json'
+    ["degrade", "--input", "ms", "--ratio", "4", "--out", ".."],
+    ["degrade", "--input", "ms", "--ratio", "4", "--out", "ms/.."],
 ])
 def test_empty_raster_path_is_input_error(scene, capsys, monkeypatch, argv):
     monkeypatch.chdir(scene)
+    before = sorted(scene.parent.iterdir()), sorted(scene.iterdir())
     assert main(argv) == 2
+    bad = next(a for a in argv if not a or a.endswith(".."))
     assert (capsys.readouterr().err.strip()
-            == "error: raster path has no file name: ''")
+            == f"error: raster path has no file name: {bad!r}")
+    assert (sorted(scene.parent.iterdir()), sorted(scene.iterdir())) == before
 
 
 # the README quick start, command for command, with its example manifest
