@@ -94,7 +94,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_qnr(args) -> int:
-    # read from disk a strip at a time; degrade reads the PAN band once
+    # read from disk a strip at a time, and by degrade a block of rows
     ms, pan, fused = (RasterFile(p) for p in (args.ms, args.pan, args.fused))
     ratio = check_shapes(ms, pan)
     pan_l = degrade(pan, ratio, mtf_gaussian_kernel(ratio, args.mtf_gain))

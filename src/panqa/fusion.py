@@ -16,18 +16,20 @@ as it comes, so no fuser holds the fused or the upsampled image.
 
 Each fuser takes the MS and the pan as raster.Image, so either may be
 left on disk, and reads the rows of each block from it; none holds or
-reads any plane whole. ATWT needs one pass: it smooths the pan rows
-each block reaches (see _smooth_rows), bit-identical to smoothing the
-whole plane. PCA and CN need two: a statistics pass, then the
+reads any plane whole. ATWT needs one pass: it smooths the pan with
+resample.separable(), the operator upsample() runs, one block of rows
+at a time and aligned with upsample()'s blocks, its banded matrices
+those of one filter whose taps are the a-trous levels' composite (see
+_atwt_taps). PCA and CN need two: a statistics pass, then the
 injection. Every mean, variance and covariance they use comes from
 _moments, over the upsampled blocks (PCA's band means and covariance,
 so PC1's mean is 0 and its variance v1' C v1), their band means (CN's
 intensity) and the pan's strips. These round differently from
-whole-plane stats, within 1e-9 of the whole-image fusers' outputs for
-PCA and 1e-12 for CN. The matched pan, PCA's detail, CN's scale and
+whole-plane stats, and ATWT's smoothing from the per-tap cascade of
+levels: within 1e-9 of the whole-image fusers' outputs for PCA and
+1e-12 for CN and ATWT. The matched pan, PCA's detail, CN's scale and
 ATWT's detail are formed a block at a time with the elementwise
-operations of a whole-plane pass in its order, so each ATWT sample is
-the one that pass gives.
+operations of a whole-plane pass in its order.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import DegeneracyError, InputError
 from .raster import Image, row_strips, save_rows
-from .resample import mirror_filter, upsample
+from .resample import filter_blocks, separable, upsample
 
 _EPS = 1e-12
 
@@ -156,24 +158,18 @@ def pansharpen_cn(ms: Image, pan: Image, cfg: FusionConfig):
 _B3 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
-def _smooth_rows(pan: Image, start: int, stop: int, levels: int
-                 ) -> np.ndarray:
-    """Rows [start, stop) of the pan's a-trous smooth plane after levels
-    B3 filters, bit for bit those of filtering the whole plane. They are
-    filtered from the pan rows they reach alone, and each level computes
-    only the rows that the levels after it read: a row of level k reads
-    the rows up to 2 * 2**k away, mirrored only at the pan's own top and
-    bottom, so no row kept reads past the window's cut."""
-    reach = 2 * (2**levels - 1)   # the rows on either side all levels read
-    lo = max(0, start - reach)
-    smooth = pan.rows(0, lo, min(pan.height, stop + reach))
-    for level in range(levels):
-        reach -= 2 * 2**level      # the rows the later levels read
-        a, b = max(0, start - reach), min(pan.height, stop + reach)
-        smooth = mirror_filter(smooth, _B3, 2**level,
-                               keep=(slice(a - lo, b - lo), slice(None)))
-        lo = a
-    return smooth
+def _atwt_taps(levels: int) -> np.ndarray:
+    """The a-trous smoothing of levels B3 filters, level k's taps 2**k
+    apart, as the taps of one filter. Mirror padding commutes with a
+    symmetric filter (its output, mirrored, is its output of the mirrored
+    input), so one mirror-padded pass with these taps is the cascade of
+    mirror-padded levels, up to float64 rounding."""
+    taps = _B3
+    for level in range(1, levels):
+        dilated = np.zeros(4 * 2**level + 1)
+        dilated[::2**level] = _B3
+        taps = np.convolve(taps, dilated)
+    return taps
 
 
 def pansharpen_atwt(ms: Image, pan: Image, cfg: FusionConfig):
@@ -183,8 +179,12 @@ def pansharpen_atwt(ms: Image, pan: Image, cfg: FusionConfig):
     levels = cfg.wavelet_levels
     if levels > int(np.log2(max(ratio, 1))) + 2:
         raise InputError("wavelet_levels too large for this scale ratio")
-    for rows, block in upsample(ms, ratio, cfg.resampler):
-        detail = _smooth_rows(pan, rows.start, rows.stop, levels)
+    taps = _atwt_taps(levels)
+    # the smooth pan's blocks of rows, upsample()'s rows one for one
+    smooth = separable(pan, filter_blocks(pan.height, taps),
+                       filter_blocks(pan.width, taps))
+    for (rows, block), (_, (detail,)) in zip(
+            upsample(ms, ratio, cfg.resampler), smooth):
         np.subtract(pan.rows(0, rows.start, rows.stop), detail, out=detail)
         block += detail
         yield rows, block

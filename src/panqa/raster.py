@@ -43,8 +43,8 @@ image's own row_strips() runs. A raster's two files are its name with
 
 row_strips() is the one strip iterator and STRIP_BYTES the one strip
 budget: every loop in panqa that works a strip at a time takes its
-strips from row_strips(), and mirror_filter sizes its buffers by
-STRIP_BYTES.
+strips from row_strips(). The resamplers work in blocks of output rows
+instead (resample.BLOCK_ROWS), which do not depend on the budget.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ _DTYPES = {
 # one strip's bytes, read by row_strips() at each call: 32768 float64
 # samples, 32 rows of a 1024-wide plane. 2-vCPU Xeon, numpy 2.4.6: 512^2
 # binning 0.79 ms at 32768 and 65536 samples, 0.89 at 8192; 1024^2 PCA
-# fuse flat from 16 to 128 rows, +11% at 8; 1024^2 ATWT smoothing / PAN
-# degrade 49.8 / 17.9 ms at 64 KiB, 31.4 / 12.4 at 256, 38.0 / 14.5 at 512
+# fuse flat from 16 to 128 rows, +11% at 8
 STRIP_BYTES = 256 * 1024
 
 # DN slack of the u8/u16 range check, which runs before rint: it absorbs

@@ -6,34 +6,35 @@ chosen gain at the low-resolution Nyquist frequency. upsample() provides
 the nearest/bilinear/bicubic resamplers used to bring the multi-spectral
 bands up to the panchromatic grid before fusion.
 
-All border handling is mirror padding (edge pixel not repeated) and all
-kernels have unit DC gain. mirror_filter() is the one separable
-mirror-boundary filter, shared by degrade() and the a-trous fuser;
-degrade() asks it for the decimated samples only, the fuser for the
-rows of a window of pan rows that its later levels read. It filters one
-strip of output rows at a time, in cache, and bit-identically for any
-strip height; its strip buffers are sized by raster.STRIP_BYTES, read at
-each call. upsample() multiplies each block of interpolation-matrix rows
-over its nonzero columns only, for every method and ratio: a nearest
-matrix holds one weight of 1.0 per row, and at ratio 1 every matrix is
-the identity.
+Every resampler is one operator: per axis, a banded matrix of unit-sum
+rows, mirror padded (edge sample not repeated: a tap that falls outside
+the axis adds its weight to its mirror image), and the output is
+my @ band @ mx.T. banded() builds such a matrix from each tap's source
+positions and weights, for all output rows of an axis at once, and
+holds it as blocks of BLOCK_ROWS output rows, each over the columns of
+its nonzero weights only, so no dense (n_out, n_in) matrix is made.
+filter_blocks() gives the matrix of a correlation with 1-D taps that
+keeps every ratio-th sample: degrade()'s, and at ratio 1 the a-trous
+fuser's smoothing. upsample()'s holds the Keys (bicubic), bilinear or
+nearest weights; at ratio 1 every one of them is the identity.
 
-degrade() writes each output band into one preallocated (bands, height,
-width) buffer, which the returned image holds without a copy, and reads
-its input one band at a time through raster.Image's band(b).
-upsample() is a generator of blocks of 64 output rows of every band,
-refilled in one buffer, whose rows it reads from its input through
-rows(b, start, stop): the fusers inject into each block and
-raster.save_rows writes it, so `panqa degrade` and `panqa fuse` read a
-raster.RasterFile and never hold the whole input, and `panqa fuse` never
-holds the upsampled or the fused image.
+separable() applies a pair of them. It yields the output one block of
+rows at a time, refilled in one (bands, BLOCK_ROWS, width) buffer, and
+makes each band's block from the source rows that the block's columns
+span alone, read through the image's rows(b, start, stop): the block's
+weights times those rows, then each x-axis block's columns of that
+product times its weights, transposed. An input may so be a
+raster.RasterFile, of which the rows one block reaches are held. The
+fusers inject into each block that upsample() yields and
+raster.save_rows writes it, so `panqa fuse` never holds the upsampled or
+the fused image; degrade() copies each block into its (bands, height,
+width) output, so `panqa degrade` never holds an input band.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import raster
 from .errors import InputError
 from .raster import Image, MultibandImage
 
@@ -41,6 +42,12 @@ DEFAULT_MTF_GAIN_MS = 0.3
 DEFAULT_MTF_GAIN_PAN = 0.15
 
 UPSAMPLE_METHODS = ("nearest", "bilinear", "bicubic")
+
+# the output rows of one block of a banded matrix, and of the buffer that
+# separable() refills. A 4-band 256^2 -> 1024^2 bicubic upsample took
+# 51.1, 37.1, 37.9 and 51.2 ms at 32, 64, 128 and 256 rows (best of 10,
+# 1 BLAS thread, 2-vCPU Xeon)
+BLOCK_ROWS = 64
 
 
 def mtf_gaussian_kernel(ratio: int, mtf_gain: float) -> np.ndarray:
@@ -71,68 +78,62 @@ def _mirror_indices(n: int, idx: np.ndarray) -> np.ndarray:
     return np.where(idx >= n, period - idx, idx)
 
 
-def mirror_filter(plane: np.ndarray, taps: np.ndarray, step: int = 1,
-                  keep: slice | tuple[slice, slice] = slice(None)
-                  ) -> np.ndarray:
-    """Separable mirror-padded correlation of a plane with 1-D taps, along
-    axis 0 then axis 1. The anchor is tap (len(taps)-1)//2 and tap t reads
-    the sample (t - anchor)*step away, so step > 1 dilates the taps
-    (a-trous). Only the output positions selected by keep are computed:
-    a slice with a positive step for both axes, or a (rows, columns) pair
-    of them. Each equals the same sample of the full output.
+def banded(n_in: int, positions: np.ndarray, weights: np.ndarray) -> list:
+    """The matrix of n_in columns whose row i holds, for each tap t in
+    order, weights[t, i] added at column positions[t, i], mirrored into
+    [0, n_in); weights broadcasts to positions' (taps, n_out) shape. It
+    is cut into blocks of BLOCK_ROWS rows, each as (rows, cols,
+    weights): the block's rows, the range of columns that holds its
+    nonzero weights, and the block over those columns."""
+    cols = _mirror_indices(n_in, positions)
+    n_out = cols.shape[1]
+    starts = range(0, n_out, BLOCK_ROWS)
+    lo = np.minimum.reduceat(cols.min(axis=0), starts)
+    width = np.maximum.reduceat(cols.max(axis=0), starts) - lo + 1
+    # row i's weights from its block's first column lo on, each tap added
+    # to what the taps before it left, as np.add.at adds them
+    dense = np.zeros((n_out, width.max()))
+    rows = np.arange(n_out)
+    for c, w in zip(cols - lo[rows // BLOCK_ROWS],
+                    np.broadcast_to(weights, cols.shape)):
+        dense[rows, c] += w
+    blocks = []
+    for r0, c0 in zip(starts, lo.tolist()):
+        block = dense[r0:r0 + BLOCK_ROWS]
+        # a block whose weights are all zero spans no column
+        nonzero = np.flatnonzero(block.any(axis=0)).tolist() or [0, -1]
+        a, b = nonzero[0], nonzero[-1] + 1
+        blocks.append((slice(r0, r0 + len(block)), slice(c0 + a, c0 + b),
+                       block[:, a:b].copy()))
+    return blocks
 
-    Each strip of output rows is filtered along axis 0 into a buffer,
-    mirror padded along axis 1 and filtered from there while in cache.
-    On each axis every sample is the sum from zero of taps[t] * sample,
-    in tap order, as a whole-plane pass forms it. The padded strip and a
-    border strip's mirrored rows each hold about raster.STRIP_BYTES, and
-    the axis-0 sums and tap products as much again each."""
-    n0, n1 = plane.shape
-    keeps = keep if isinstance(keep, tuple) else (keep, keep)
-    r0, r1 = (range(*k.indices(n)) for k, n in zip(keeps, plane.shape))
-    out = np.zeros((len(r0), len(r1)), dtype=plane.dtype)
-    if out.size == 0:
-        return out
-    first = -((len(taps) - 1) // 2) * step   # the offset tap 0 reads
-    reach = (len(taps) - 1) * step           # from tap 0 to the last tap
-    # a buf row holds input columns 0 .. n1-1 from column left on, and
-    # their mirror images on either side out to the columns the taps read
-    left = max(0, -(r1.start + first))
-    width = left + max(n1, r1[-1] + first + reach + 1)
-    pads = np.r_[0:left, left + n1:width]
-    mirrored = _mirror_indices(n1, pads - left) + left
-    rows = max(1, raster.STRIP_BYTES // (width * out.itemsize))
-    buf = np.empty((rows, width), dtype=plane.dtype)
-    # contiguous, the sums and products run faster than on views of buf
-    acc0 = np.empty((rows, n1), dtype=plane.dtype)
-    tmp = np.empty(rows * n1, dtype=np.result_type(plane, *taps))
-    mirror_rows = max(1, (raster.STRIP_BYTES // (n1 * plane.itemsize)
-                          - reach - 1) // r0.step + 1)
-    k0 = 0
-    while k0 < len(r0):
-        lo = r0[k0] + first
-        # how many output rows from k0 on read only rows inside the plane
-        inside = (n0 - lo - reach - 1) // r0.step + 1 if lo >= 0 else 0
-        m = min(rows, len(r0) - k0, inside if inside > 0 else mirror_rows)
-        span = (m - 1) * r0.step + reach + 1
-        src = (plane[lo:lo + span] if inside > 0 else
-               plane[_mirror_indices(n0, np.arange(lo, lo + span))])
-        acc, prod = acc0[:m], tmp[:m * n1].reshape(m, n1)
-        acc[...] = 0
-        for t, w in enumerate(taps):
-            acc += np.multiply(w, src[t * step:t * step + m * r0.step:r0.step],
-                               out=prod)
-        del src   # so that two mirrored copies are never held at once
-        strip = buf[:m]
-        strip[:, left:left + n1] = acc
-        strip[:, pads] = strip[:, mirrored]
-        acc, prod = out[k0:k0 + m], tmp[:m * len(r1)].reshape(m, len(r1))
-        for t, w in enumerate(taps):
-            c = left + r1.start + first + t * step
-            acc += np.multiply(w, strip[:, c:c + len(r1) * r1.step:r1.step],
-                               out=prod)
-        k0 += m
-    return out
+
+def filter_blocks(n: int, taps: np.ndarray, ratio: int = 1) -> list:
+    """banded() of the correlation of n samples with taps (anchor
+    (len(taps)-1)//2), keeping the samples (ratio-1)//2, and every
+    ratio-th after it."""
+    offsets = np.arange(len(taps)) - (len(taps) - 1) // 2
+    kept = np.arange((ratio - 1) // 2, n, ratio)
+    return banded(n, kept + offsets[:, None], np.asarray(taps)[:, None])
+
+
+def separable(img: Image, my: list, mx: list):
+    """Yields my @ band @ mx.T of every band of img, my and mx blocks of
+    banded(), one block of my's rows at a time and in row order, as
+    (rows, block): rows the block's slice of my's rows, block its
+    (bands, r, width) samples. block is one buffer, refilled for each
+    block: a caller that keeps a block copies it."""
+    buf = np.empty((img.bands, min(BLOCK_ROWS, my[-1][0].stop),
+                    mx[-1][0].stop))
+    for rows, cols, wy in my:
+        block = buf[:, :rows.stop - rows.start]
+        for b, out in enumerate(block):
+            part = wy @ img.rows(b, cols.start, cols.stop)
+            for rows_x, cols_x, wx in mx:
+                np.matmul(part[:, cols_x], wx.T, out=out[:, rows_x])
+            # freed, so that the next band's product is not made beside it
+            del part
+        yield rows, block
 
 
 def degrade(img: Image, ratio: int,
@@ -141,10 +142,9 @@ def degrade(img: Image, ratio: int,
     then decimate by ratio (centered phase). taps default to the MS
     Gaussian, which is no filter at ratio 1.
 
-    img is read one band at a time through band(b), so it may be a
-    raster.RasterFile, of which one band is held beside the output. Only
-    the kept samples are filtered; they equal those of filtering the
-    whole plane and then decimating, bit for bit."""
+    img is read a block of rows at a time (see separable()), so it may
+    be a raster.RasterFile, of which the rows of one block are held
+    beside the output. Only the kept samples are filtered."""
     if ratio < 1:
         raise InputError("ratio must be >= 1")
     if img.height % ratio or img.width % ratio:
@@ -157,22 +157,21 @@ def degrade(img: Image, ratio: int,
         raise InputError("taps must be a non-empty 1-D array")
     if abs(taps.sum() - 1.0) > 1e-12:
         raise InputError("taps must sum to 1 (unit DC gain)")
-    keep = slice((ratio - 1) // 2, None, ratio)
     planes = np.empty((img.bands, img.height // ratio, img.width // ratio))
-    for b, out in enumerate(planes):
-        out[...] = mirror_filter(img.band(b), taps, keep=keep)
+    for rows, block in separable(img, filter_blocks(img.height, taps, ratio),
+                                 filter_blocks(img.width, taps, ratio)):
+        planes[:, rows] = block
     return MultibandImage(planes, band_names=img.band_names)
 
 
-def _interp_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
-    """(n_in*ratio, n_in) weight matrix for one axis, mirror padded."""
+def _interp_blocks(n_in: int, ratio: int, method: str) -> list:
+    """banded() of one axis's (n_in * ratio, n_in) interpolation."""
     x = (np.arange(n_in * ratio) + 0.5) / ratio - 0.5
-    mat = np.zeros((n_in * ratio, n_in))
     i0 = np.floor(x).astype(int)
     frac = x - i0
     if method == "nearest":   # output sample i repeats source i // ratio
-        i0, offsets, weights = np.arange(n_in * ratio) // ratio, (0,), (1.0,)
-    elif method == "bilinear":
+        return banded(n_in, np.arange(n_in * ratio)[None] // ratio, 1.0)
+    if method == "bilinear":
         offsets = (0, 1)
         weights = np.stack([1.0 - frac, frac])
     else:  # bicubic, Keys kernel with a = -0.5
@@ -184,53 +183,18 @@ def _interp_matrix(n_in: int, ratio: int, method: str) -> np.ndarray:
             return np.where(t >= 2, 0.0, w)
         offsets = (-1, 0, 1, 2)
         weights = np.stack([keys(frac - o) for o in offsets])
-    rows = np.arange(n_in * ratio)
-    for off, w in zip(offsets, weights):
-        cols = _mirror_indices(n_in, i0 + off)
-        np.add.at(mat, (rows, cols), w)
-    return mat
+    return banded(n_in, i0 + np.array(offsets)[:, None], weights)
 
 
 def upsample(img: Image, ratio: int, method: str = "bicubic"):
-    """Yields the image scaled up by an integer ratio, one block of 64
-    output rows at a time and in row order, as (rows, block): rows the
-    block's slice of [0, height * ratio), block its (bands, r,
-    width * ratio) samples. block is one buffer, refilled for each
-    block: a caller that keeps a block copies it.
-
-    Each band's rows are made from the source rows they reach alone,
-    read through img.rows(b, ...), so img may be a raster.RasterFile, of
-    which a few source rows are held beside the block. Every sample is
-    the one that upsampling the whole plane gives, bit for bit."""
+    """Yields the image scaled up by an integer ratio, as separable()
+    yields it: one block of BLOCK_ROWS output rows at a time and in row
+    order, as (rows, block), block one buffer refilled for each block.
+    img is read through rows(b, ...), so it may be a raster.RasterFile,
+    of which the source rows of one block are held."""
     if method not in UPSAMPLE_METHODS:
         raise InputError(f"unknown method {method!r}")
     if ratio < 1:
         raise InputError("ratio must be >= 1")
-    h, w = img.height, img.width
-    # out = my @ src @ mx.T, one output tile per pair of row blocks
-    my = _row_blocks(_interp_matrix(h, ratio, method))
-    mx = _row_blocks(_interp_matrix(w, ratio, method))
-    buf = np.empty((img.bands, min(64, h * ratio), w * ratio))
-    for rows, cols, wy in my:
-        block = buf[:, :rows.stop - rows.start]
-        for b, out in enumerate(block):
-            part = wy @ img.rows(b, cols.start, cols.stop)
-            for rows_x, cols_x, wx in mx:
-                np.matmul(part[:, cols_x], wx.T, out=out[:, rows_x])
-        yield rows, block
-
-
-def _row_blocks(mat: np.ndarray) -> list:
-    """mat cut into blocks of 64 rows, each as (rows, cols, weights):
-    the block's rows, the range of columns that holds its nonzero
-    weights, and a copy of the block over those columns, so that no
-    block keeps mat alive. A 4-band 256^2 -> 1024^2 bicubic upsample
-    took 51.1, 37.1, 37.9 and 51.2 ms at 32, 64, 128 and 256 rows (best
-    of 10, 1 BLAS thread, 2-vCPU Xeon)."""
-    blocks = []
-    for r0 in range(0, mat.shape[0], 64):
-        rows = slice(r0, min(r0 + 64, mat.shape[0]))
-        nonzero = np.flatnonzero(mat[rows].any(axis=0))
-        cols = slice(nonzero[0], nonzero[-1] + 1)
-        blocks.append((rows, cols, mat[rows, cols].copy()))
-    return blocks
+    yield from separable(img, _interp_blocks(img.height, ratio, method),
+                         _interp_blocks(img.width, ratio, method))

@@ -254,8 +254,8 @@ def test_readme_quickstart(tmp_path, monkeypatch, capsys):
 def test_strip_budget_changes_no_output(tmp_path, monkeypatch, capsys):
     # every strip loop sizes its strips from raster.STRIP_BYTES when it
     # runs. At 64x64 the default budget makes one strip of each loop; at
-    # 1 byte each strip is one sample, one row or one block row, and
-    # mirror_filter's buffers one row. Every file written is the same
+    # 1 byte each strip is one sample, one row or one block row. Every
+    # file written is the same
     commands = readme_commands(64) + [
         "quantize --input fused_pca --out labels_pca",
         "glcm3 --input fused_pca --gl 32 --out glcm3.json "

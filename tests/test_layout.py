@@ -4,11 +4,12 @@ Producers fill one (bands, height, width) buffer, or, as upsample() and
 the fusers do, one buffer of a block of rows that save_rows() writes as
 it comes. The hypothesis tests hold every result equal, bit for bit, to
 reference copies of the earlier code that stacked per-band results and
-copied whole images, but for PCA and CN: their stats come from block
-sums, not whole planes, and PCA's injection form rounds differently from
-the projection round trip kept here, so they are held within 1e-9 and
-1e-12. The tracemalloc tests bound how many image-sized buffers each step
-holds at once.
+copied whole images, but for the fusers: PCA's and CN's stats come from
+block sums, not whole planes, PCA's injection form rounds differently
+from the projection round trip kept here, and ATWT smooths with one
+banded matrix, not a cascade of per-tap sums, so they are held within
+1e-9, 1e-12 and 1e-12. The tracemalloc tests bound how many image-sized
+buffers each step holds at once.
 """
 
 import collections
@@ -30,10 +31,63 @@ from panqa.fusion import (_B3, FusionConfig, pansharpen_atwt, pansharpen_cn,
                           pansharpen_pca)
 from panqa.pipeline import Candidate, EvalOptions, RunManifest, run_manifest
 from panqa.raster import MultibandImage, load_image, save_image
-from panqa.resample import _interp_matrix, mirror_filter, upsample
+from panqa.resample import BLOCK_ROWS, _mirror_indices, upsample
 from panqa.synth import synth_scene
 from blocks import collect
 from test_raster import encode_by_formula
+
+
+def interp_matrix(n_in, ratio, method):
+    """The dense (n_in*ratio, n_in) interpolation matrix of one axis,
+    mirror padded, as upsample() built it before its banded blocks."""
+    x = (np.arange(n_in * ratio) + 0.5) / ratio - 0.5
+    mat = np.zeros((n_in * ratio, n_in))
+    i0 = np.floor(x).astype(int)
+    frac = x - i0
+    if method == "nearest":   # output sample i repeats source i // ratio
+        i0, offsets, weights = np.arange(n_in * ratio) // ratio, (0,), (1.0,)
+    elif method == "bilinear":
+        offsets = (0, 1)
+        weights = np.stack([1.0 - frac, frac])
+    else:  # bicubic, Keys kernel with a = -0.5
+        def keys(t):
+            t = np.abs(t)
+            w = np.where(t <= 1,
+                         1.5 * t**3 - 2.5 * t**2 + 1.0,
+                         -0.5 * t**3 + 2.5 * t**2 - 4.0 * t + 2.0)
+            return np.where(t >= 2, 0.0, w)
+        offsets = (-1, 0, 1, 2)
+        weights = np.stack([keys(frac - o) for o in offsets])
+    rows = np.arange(n_in * ratio)
+    for off, w in zip(offsets, weights):
+        cols = _mirror_indices(n_in, i0 + off)
+        np.add.at(mat, (rows, cols), w)
+    return mat
+
+
+def padded_filter(plane, taps, step=1):
+    """Separable correlation on an np.pad(mode="reflect") border, each
+    sample the sum of its tap products in tap order; tap t reads the
+    sample (t - anchor)*step away, anchor (len(taps)-1)//2."""
+    anchor = (len(taps) - 1) // 2
+    out = plane
+    for axis in (0, 1):
+        n = out.shape[axis]
+        width = [(0, 0), (0, 0)]
+        width[axis] = (anchor * step, (len(taps) - 1 - anchor) * step)
+        padded = np.pad(out, width, mode="reflect")
+        out = sum(w * np.take(padded, np.arange(n) + t * step, axis=axis)
+                  for t, w in enumerate(taps))
+    return out
+
+
+def whole_plane_smooth(pan, levels):
+    """The a-trous smooth plane of a whole pan plane: levels B3 filters,
+    level k's taps 2**k apart."""
+    for level in range(levels):
+        pan = padded_filter(pan, _B3, 2**level)
+    return pan
+
 
 def stacked_upsample(img, ratio, method):
     """upsample() as it stacked per-band results into an interleaved
@@ -43,8 +97,8 @@ def stacked_upsample(img, ratio, method):
         return samples.copy()
     if method == "nearest":
         return np.repeat(np.repeat(samples, ratio, axis=0), ratio, axis=1)
-    my = _interp_matrix(img.height, ratio, method)
-    mx = _interp_matrix(img.width, ratio, method)
+    my = interp_matrix(img.height, ratio, method)
+    mx = interp_matrix(img.width, ratio, method)
     return np.stack([my @ samples[:, :, b] @ mx.T
                      for b in range(img.bands)], axis=2)
 
@@ -84,9 +138,7 @@ def stacked_cn(ms, pan, cfg):
 
 def stacked_atwt(ms, pan, cfg):
     up = stacked_upsample(ms, pan.shape[0] // ms.height, cfg.resampler)
-    smooth = pan
-    for level in range(cfg.wavelet_levels):
-        smooth = mirror_filter(smooth, _B3, 2**level)
+    smooth = whole_plane_smooth(pan, cfg.wavelet_levels)
     return up + (pan - smooth)[:, :, None]
 
 
@@ -94,14 +146,16 @@ def is_band_sequential(img):
     return img.planes.flags.c_contiguous
 
 
-# (fuser, reference, absolute tolerance): 0 is bit for bit. PCA gets the
-# 1e-9 that test_fusion holds it to, CN 1e-12: both take their stats
-# from block sums (fusion._moments), the references from whole planes.
+# (fuser, reference, absolute tolerance). PCA gets the 1e-9 that
+# test_fusion holds it to, CN 1e-12: both take their stats from block
+# sums (fusion._moments), the references from whole planes. ATWT gets
+# 1e-12: it smooths with one banded matrix of composite taps (BLAS
+# sums), the reference with a per-tap cascade of np.pad reflections.
 # 3,000 seeded draws over these ranges differed from the references by
-# at most 1.5e-14 (PCA) and 6.7e-16 (CN)
+# at most 1.5e-14 (PCA), 6.7e-16 (CN) and 4.4e-16 (ATWT)
 _STACKED_FUSERS = {"pca": (pansharpen_pca, stacked_pca, 1e-9),
                    "cn": (pansharpen_cn, stacked_cn, 1e-12),
-                   "atwt": (pansharpen_atwt, stacked_atwt, 0.0)}
+                   "atwt": (pansharpen_atwt, stacked_atwt, 1e-12)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,7 +300,7 @@ PLANE = H * W * 8   # one float64 band
 STRIPS_OF_32_ROWS = 32 * W * 8
 # upsample()'s block: 64 rows of every band, here one plane; at the
 # benchmark's 1024 columns a quarter of one
-BLOCK = BANDS * 64 * W * 8
+BLOCK = BANDS * BLOCK_ROWS * W * 8
 
 
 @pytest.mark.parametrize("sample_type, itemsize", [("u16", 2), ("f32", 4)])
@@ -284,17 +338,16 @@ def test_upsample_footprint(rng, method):
     ms = MultibandImage(np.moveaxis(
         rng.random((H // ratio, W // ratio, BANDS)), 2, 0))
     _, peak = traced_peak(drain, upsample(ms, ratio, method))
-    # the one block buffer, one axis's dense interpolation matrix (a
-    # quarter plane) while its blocks are copied out of it, the blocks,
-    # and one (64, W / ratio) product: 1.29 planes for bicubic. Holding
-    # the whole output took 4 planes more
+    # the one block buffer, the two axes' banded blocks and one
+    # (64, W / ratio) product: 1.28 planes for bicubic. Holding the
+    # whole output took 4 planes more
     assert peak < BLOCK + 0.5 * PLANE
 
 
 # the planes each fuser may hold beside its block buffer, with the MS in
 # memory (test_fuser_footprint) or read from disk by panqa fuse
 # (test_fuse_holds_no_image)
-FUSER_PLANES = {"pca": 1.5, "cn": 1.25, "atwt": 1.75}
+FUSER_PLANES = {"pca": 1.5, "cn": 1.25, "atwt": 1.5}
 FUSE_PLANES = {"pca": 1.75, "cn": 1.5, "atwt": 2.0}
 
 
@@ -310,10 +363,11 @@ def test_fuser_footprint(rng, method):
     # no fuser holds the fused or the upsampled image, or any plane
     # whole, only the block buffer that upsample() refills. Beside it PCA
     # and CN read the pan's stats a strip at a time, and each holds a few
-    # block-sized rows of detail and the upsample's matrices: 1.29 planes
-    # for PCA, 0.97 for CN and 1.50 for ATWT, whose smoothing windows
-    # hold mirror_filter's strip buffers. Holding the fused image took 4
-    # planes more
+    # block-sized rows of detail and the upsample's blocks: 1.23 planes
+    # for PCA, 0.91 for CN and 1.24 for ATWT, whose smoothing holds the
+    # pan rows one block reaches, its own block buffer and the banded
+    # blocks of both axes (1.50 when it filtered windows of rows with a
+    # per-tap cascade). Holding the fused image took 4 planes more
     assert peak < BLOCK + FUSER_PLANES[method] * PLANE, peak / PLANE
 
 
@@ -333,7 +387,7 @@ def test_fuse_holds_no_image(tmp_path, rng, method):
     # time, and each block is written as it is made. Beside the block
     # buffer the command holds what test_fuser_footprint bounds, the rows
     # it reads, one band of a block's DNs as it writes them, and its
-    # parser: 1.45 planes for PCA, 1.26 for CN and 1.81 for ATWT. Holding
+    # parser: 1.41 planes for PCA, 1.19 for CN and 1.80 for ATWT. Holding
     # the fused image took 4 planes more
     assert peak < BLOCK + FUSE_PLANES[method] * PLANE, peak / PLANE
 
