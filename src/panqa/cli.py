@@ -46,6 +46,16 @@ def _number(cell, line: int, column) -> float:
     return value
 
 
+def _refuse_overwrite(outputs, **rasters) -> None:
+    """Refuses an output path that is the .json or .raw of a raster."""
+    for role, path in rasters.items():
+        files = set(map(Path.resolve, raster_paths(path)))
+        for out in filter(None, outputs):
+            if Path(out).resolve() in files:
+                raise InputError(f"{out} would overwrite the {role} image "
+                                 f"{path}")
+
+
 def cmd_synth(args) -> int:
     ms, pan = synth_scene(args.seed, args.width, args.height)
     save_image(ms, args.out_ms)
@@ -62,10 +72,8 @@ def cmd_degrade(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    if args.process_meta and Path(args.process_meta).resolve() in {
-            p.resolve() for p in raster_paths(args.out)}:
-        raise InputError(f"--process-meta {args.process_meta} would "
-                         f"overwrite the fused image {args.out}")
+    _refuse_overwrite([args.process_meta], ms=args.ms, pan=args.pan,
+                      fused=args.out)
     # the fuser reads both from disk a block or a strip of rows at a
     # time, and writes each block of the fused image as it makes it
     ms, pan = RasterFile(args.ms), RasterFile(args.pan)
@@ -81,19 +89,21 @@ def cmd_eval(args) -> int:
     opts = EvalOptions(ratio=args.ratio, ergas_factor=args.ergas_factor,
                        block_size=args.block_size, gl=args.gl,
                        radii=args.radii)
+    _refuse_overwrite([args.out], reference=args.reference,
+                      candidate=args.candidate)
     # the reference is loaded, as features, PCC, SAM, ERGAS and Q4 each
     # read it; the candidate is read from disk a band or a strip at a time
-    reference = load_image(args.reference)
+    reference = image_features(load_image(args.reference), opts)
     candidate = RasterFile(args.candidate)
-    record = evaluate_candidate(image_features(reference, opts), candidate,
-                                opts, candidate_id=args.candidate)
+    record = evaluate_candidate(reference, candidate, opts, args.candidate)
     doc = {**record.categories(), "clipped_fraction": record.clipped_fraction,
-           "classic": classic_metrics(reference, candidate, opts)}
+           "classic": classic_metrics(reference.image, candidate, opts)}
     write_json(args.out, doc, sort_keys=True)
     return 0
 
 
 def cmd_qnr(args) -> int:
+    _refuse_overwrite([args.out], ms=args.ms, pan=args.pan, fused=args.fused)
     # read from disk a strip at a time, and by degrade a block of rows
     ms, pan, fused = (RasterFile(p) for p in (args.ms, args.pan, args.fused))
     ratio = check_shapes(ms, pan)
@@ -106,6 +116,7 @@ def cmd_qnr(args) -> int:
 
 def cmd_glcm3(args) -> int:
     glcm3_mod.check_glcm3_options(args.gl, args.radii)
+    _refuse_overwrite([args.out, args.dump_matrix], input=args.input)
     band = RasterFile(args.input).band(args.band)
     labels = glcm3_mod.quantize_gray_levels(band, args.gl)
     matrix = glcm3_mod.tims_glcm(labels, args.radii, gl=args.gl)
@@ -129,6 +140,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_contours(args) -> int:
+    _refuse_overwrite([args.out], first=args.a, second=args.b)
     stack_a = quant_mod.load_stack(args.a)
     stack_b = quant_mod.load_stack(args.b)
     if stack_a.bands != stack_b.bands:

@@ -38,8 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (InputError, PanqaError, checked, checked_list, read_json,
-                     require_keys)
+from .errors import (DegeneracyError, InputError, PanqaError, checked,
+                     checked_list, read_json, require_keys)
 from .glcm3 import (DEFAULT_GL, DEFAULT_RADII, check_glcm3_options,
                     glcm3_features, quantize_gray_levels, tims_glcm)
 from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
@@ -198,28 +198,41 @@ def _same_samples(a: Image, b: Image) -> bool:
                     for k in range(a.bands)))
 
 
+def _refuse_flat_reference(reference: ImageFeatures) -> None:
+    """Refuses a reference band of zero variance, which has no PCC."""
+    for b, stats in enumerate(reference.stats):
+        if stats.std == 0.0:
+            raise DegeneracyError(f"reference band {b}: zero variance")
+
+
 def evaluate_candidate(reference: ImageFeatures, candidate: Image,
                        opts: EvalOptions, candidate_id: str = "",
                        process: dict | None = None) -> QiRecord:
     """Collect every product cost for one candidate against the reference,
-    which image_features computed with the same opts. The candidate, a
-    MultibandImage or a RasterFile, is read through shape and rows(): each
-    band once, to featurize it and to take its PCC with the reference's
-    band. A candidate whose samples equal the reference's shares its
-    features, and its PCCs are each reference band's with itself."""
+    which image_features computed with the same opts; a flat reference
+    band is refused first. The candidate is read through rows(), each band
+    once, to featurize it and to take its PCC with the reference's band;
+    its errors name candidate_id. A candidate whose samples equal the
+    reference's shares its features and takes each band's PCC with itself."""
+    _refuse_flat_reference(reference)
     ref = reference.image
-    check_shape(candidate, ref.shape)
     pccs = []
 
     def take_pcc(b: int, centred: np.ndarray, stats: SummaryStats) -> None:
+        if stats.std == 0.0:
+            raise DegeneracyError(f"band {b}: zero variance")
         pccs.append(pcc(ref.band(b), centred, reference.stats[b], stats))
 
-    if _same_samples(ref, candidate):
-        cand = reference
-        for b, stats in enumerate(reference.stats):
-            take_pcc(b, centre(ref.band(b))[0], stats)
-    else:
-        cand = image_features(candidate, opts, take_pcc)
+    try:
+        check_shape(candidate, ref.shape)
+        if _same_samples(ref, candidate):
+            cand = reference
+            for b, stats in enumerate(reference.stats):
+                take_pcc(b, centre(ref.band(b))[0], stats)
+        else:
+            cand = image_features(candidate, opts, take_pcc)
+    except (PanqaError, OSError) as exc:
+        raise type(exc)(f"candidate {candidate_id!r}: {exc}") from exc
     # each category's values in its CATEGORY_KEYS order
     values = (
         _mdb_costs(reference.stats, cand.stats),
@@ -267,14 +280,15 @@ def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
     nothing is written."""
     opts = manifest.options
     reference = image_features(load_image(manifest.reference), opts)
+    _refuse_flat_reference(reference)
     records = []
     for cand in manifest.candidates:
         try:
-            records.append(evaluate_candidate(
-                reference, RasterFile(cand.path), opts,
-                candidate_id=cand.id, process=cand.process))
+            image = RasterFile(cand.path)
         except (PanqaError, OSError) as exc:
             raise type(exc)(f"candidate {cand.id!r}: {exc}") from exc
+        records.append(evaluate_candidate(reference, image, opts, cand.id,
+                                          cand.process))
     table = aggregate(records)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

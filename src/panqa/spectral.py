@@ -9,18 +9,17 @@ no-reference QNR/D_lambda/D_s triple with all its exponents 1.
 
 Images are read through raster.Image's rows(b, start, stop) alone, so
 each may be a MultibandImage in memory or a raster.RasterFile on disk,
-and no function holds a whole image: SAM reads one strip of rows of
-every band at a time, ERGAS one band at a time, and Q, Q4 and QNR read
-their block moments from _moment_strips, one strip at a time. Every shape
-is compared by raster.check_shape. _q_maps gives a pair's Q in both
-orders from one covariance, bit-identical to two separate evaluations.
+and no function holds a whole image: ERGAS reads one band at a time, and
+SAM, Q, Q4 and QNR read through one walker, _strips, the rows of every
+band of their images one raster.row_strips strip at a time. It counts
+one byte per sample of each plane, so a strip holds raster.STRIP_BYTES
+samples, 2 MiB of float64; the Q family's strips are whole block rows.
+Every shape is compared by raster.check_shape.
 
-SAM and _moment_strips take their strips from raster.row_strips, at one
-byte per sample of each plane a strip row reads, so a strip holds
-raster.STRIP_BYTES samples, 2 MiB of float64. qnr at 1024^2 ran alike
-from 1 to 16 MiB, and slower at 256 KiB and at 64 MiB. With 32-row qnr
-strips, not 48, glibc's heap layout raised `protocol` peak RSS from 89
-to 100 MB; 40 to 96 rows did not.
+The Q family takes each strip's block moments from _block_moments and
+the mean of each per-block map from _block_means. A band pair has one Q
+map, _q_map, in which every product and sum commutes, so Q(a, b) is
+Q(b, a) bit for bit and QNR computes each unordered pair once.
 
 A band's moments and its PCC read one copy of its centred samples,
 made once by centre(): summary_stats holds one band-sized temporary
@@ -37,13 +36,12 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .raster import Image, check_shape, row_strips
+from .raster import Image, MultibandImage, check_shape, row_strips
 
 DEFAULT_BLOCK = 8
 
@@ -155,34 +153,31 @@ def inverse_pcc_cost(pccs: list[float]) -> float:
     return float(np.mean([1.0 - p for p in pccs]))
 
 
-def _band_rows(img: Image) -> list:
-    """One row reader per band of img: reader(start, stop) is
-    img.rows(b, start, stop)."""
-    return [partial(img.rows, b) for b in range(img.bands)]
-
-
-def _array_rows(plane: np.ndarray):
-    """The row reader of a 2-D array: reader(start, stop) is its rows
-    [start, stop)."""
-    return lambda start, stop: plane[start:stop]
+def _strips(images: list[Image], stop: int, unit: int = 1):
+    """For each row_strips() strip of rows [0, stop), in whole multiples
+    of unit rows at one byte per sample of each plane, yields the list of
+    its rows of every band of images, in order. The list is emptied
+    before the next strip is read, so one strip is held at a time."""
+    planes = sum(img.bands for img in images)
+    for start, end in row_strips(stop, planes * images[0].width, unit):
+        rows = [img.rows(b, start, end) for img in images
+                for b in range(img.bands)]
+        yield rows
+        rows.clear()
 
 
 def sam_mean(img_a: Image, img_b: Image) -> float:
     """Mean spectral angle in degrees over the pixels whose spectral
-    vectors are both nonzero. One strip of pixel rows at a time, read
-    through rows(), the dot product and both squared norms are summed
-    band by band; the strip's kept angles fill the next part of one
-    angle buffer, in row order, and the mean is taken once, over the
-    filled part."""
+    vectors are both nonzero. Per strip, the dot product and squared
+    norms are summed band by band, and the kept angles fill the next part
+    of one buffer, in row order; the mean is taken once."""
     check_shape(img_b, img_a.shape)
     bands, height, width = img_a.shape
     angles = np.empty(height * width)
     n = 0
-    for r, stop in row_strips(height, 2 * bands * width):
-        a, b = img_a.rows(0, r, stop), img_b.rows(0, r, stop)
-        dot, na2, nb2 = a * b, a * a, b * b
-        for k in range(1, bands):
-            a, b = img_a.rows(k, r, stop), img_b.rows(k, r, stop)
+    for rows in _strips([img_a, img_b], height):
+        dot = na2 = nb2 = 0.0
+        for a, b in zip(rows[:bands], rows[bands:]):
             dot += a * b
             na2 += a * a
             nb2 += b * b
@@ -262,47 +257,37 @@ def _q_ratio_map(num: np.ndarray, denom: np.ndarray,
     return q
 
 
-def _q_maps(a: _BlockMoments, b: _BlockMoments):
-    """Yields the per-block Q of the ordered pair (a, b), then of (b, a),
-    from one 4*cov and one denominator, both symmetric bit for bit; the
-    numerator is not, so each order keeps its own product. (b, a) is
-    computed only when it is asked for."""
+def _q_map(a: _BlockMoments, b: _BlockMoments) -> np.ndarray:
+    """Per-block Q of two planes: 4*cov*(ma*mb) / ((va+vb)*(ma^2+mb^2)).
+    Every product and sum in it commutes, so _q_map(a, b) is
+    _q_map(b, a) bit for bit."""
     cov4 = 4.0 * np.mean(a.centred * b.centred, axis=2)
-    denom = (a.var + b.var) * (a.mean**2 + b.mean**2)
-    yield _q_ratio_map(cov4 * a.mean * b.mean, denom, [a], [b])
-    yield _q_ratio_map(cov4 * b.mean * a.mean, denom, [b], [a])
+    return _q_ratio_map(cov4 * (a.mean * b.mean),
+                        (a.var + b.var) * (a.mean**2 + b.mean**2), [a], [b])
 
 
-def _moment_strips(readers, height: int, width: int, bl: int):
-    """Yields the _block_moments of planes of one height and width, one
-    list in reader order per row_strips() strip of whole block rows;
-    reader(start, stop) gives a plane's rows [start, stop). Each list is
-    emptied before the next strip is read, so only one strip's rows and
-    moments are held at a time."""
+def _block_means(images: list[Image], bl: int, score) -> list[float]:
+    """The mean of each per-block map that score(moments) returns for a
+    strip, given the _block_moments of every band of images on its whole
+    block rows, taken once over the strips' maps in row order."""
     if bl < 2:
         raise InputError("block_size must be >= 2")
-    nby, nbx = height // bl, width // bl
-    if nby == 0 or nbx == 0:
+    if min(images[0].shape[1:]) < bl:
         raise InputError(f"image smaller than one {bl}x{bl} block")
-    for r, stop in row_strips(nby * bl, len(readers) * nbx * bl, bl):
-        mom = [_block_moments(read(r, stop), bl) for read in readers]
-        yield mom
-        mom.clear()
+    maps = [score([_block_moments(r, bl) for r in rows])
+            for rows in _strips(images, images[0].height // bl * bl, bl)]
+    return [float(np.concatenate(m).mean()) for m in zip(*maps)]
 
 
 def q_index(band_a: np.ndarray, band_b: np.ndarray,
             block_size: int = DEFAULT_BLOCK) -> float:
-    """Universal quality index of two 2-D arrays of one shape, averaged
-    over non-overlapping blocks.
-
-    Per block: 4*cov*mx*my / ((vx+vy)*(mx^2+my^2)); degenerate blocks
-    score 1 when identical, else 0.
-    """
-    a, b = np.asarray(band_a), np.asarray(band_b)
+    """Universal quality index of two 2-D arrays of one shape and finite
+    samples, read as one-band images, averaged over non-overlapping
+    blocks: per block 4*cov*(mx*my) / ((vx+vy)*(mx^2+my^2)), or where that
+    denominator is 0, 1 for identical blocks, else 0. Symmetric in a, b."""
+    a, b = (MultibandImage(np.asarray(x)[None]) for x in (band_a, band_b))
     check_shape(b, a.shape)
-    maps = [next(_q_maps(*mom)) for mom in _moment_strips(
-        [_array_rows(a), _array_rows(b)], *a.shape, block_size)]
-    return float(np.concatenate(maps).mean())
+    return _block_means([a, b], block_size, lambda mom: [_q_map(*mom)])[0]
 
 
 def _q4_map(mom_a: list[_BlockMoments], mom_b: list[_BlockMoments]
@@ -332,10 +317,8 @@ def q4(img_a: Image, img_b: Image, block_size: int = DEFAULT_BLOCK
     if img_a.bands != 4 or img_b.bands != 4:
         raise InputError("q4 requires exactly 4 bands")
     check_shape(img_b, img_a.shape)
-    maps = [_q4_map(mom[:4], mom[4:]) for mom in _moment_strips(
-        _band_rows(img_a) + _band_rows(img_b), img_a.height, img_a.width,
-        block_size)]
-    return float(np.concatenate(maps).mean())
+    return _block_means([img_a, img_b], block_size,
+                        lambda mom: [_q4_map(mom[:4], mom[4:])])[0]
 
 
 def qnr(ms_l: Image, fused_h: Image, pan_h: Image, pan_l: Image,
@@ -346,8 +329,7 @@ def qnr(ms_l: Image, fused_h: Image, pan_h: Image, pan_l: Image,
     one-band pan degraded to the MS grid. D_lambda is the mean absolute
     difference of the inter-band Q values at the two scales, D_s that of
     the band-vs-pan Q values; both are clamped to [0, 1], as a Q
-    difference can reach magnitude 2. Every image is read a strip at a
-    time.
+    difference can reach magnitude 2.
     """
     nb = ms_l.bands
     if pan_h.bands != 1 or pan_l.bands != 1:
@@ -358,29 +340,20 @@ def qnr(ms_l: Image, fused_h: Image, pan_h: Image, pan_l: Image,
     if nb < 2:
         raise InputError("qnr needs at least 2 bands")
 
-    def pair_qs(img, pan):
-        """Mean Q of every ordered band pair (i, j), and of each band
-        against the pan, (b, nb), at one scale."""
-        strips = []
-        for mom in _moment_strips(_band_rows(img) + _band_rows(pan),
-                                  pan.height, pan.width, block_size):
-            q = {}
-            for i in range(nb):
-                q[i, nb] = next(_q_maps(mom[i], mom[nb]))
-                for j in range(i + 1, nb):
-                    q[i, j], q[j, i] = _q_maps(mom[i], mom[j])
-            strips.append(q)
-        return {key: float(np.concatenate([q[key] for q in strips]).mean())
-                for key in strips[0]}
-
-    q_ms, q_fused = pair_qs(ms_l, pan_l), pair_qs(fused_h, pan_h)
-    # running sums: from Python 3.12 on, builtin sum() compensates
-    # its rounding, which would change the last bits
+    # the pan is band nb; Q is symmetric, so pair (i, j) serves (j, i)
+    pairs = [(i, j) for i in range(nb) for j in range(i + 1, nb + 1)]
+    q_ms, q_fused = (dict(zip(pairs, _block_means(
+        [img, pan], block_size,
+        lambda mom: [_q_map(mom[i], mom[j]) for i, j in pairs])))
+        for img, pan in ((ms_l, pan_l), (fused_h, pan_h)))
+    # ordered pairs in the reference loop's order, as running sums: from
+    # Python 3.12 on, builtin sum() compensates its rounding
     acc = 0.0
     for i in range(nb):
         for j in range(nb):
             if i != j:
-                acc += abs(q_ms[i, j] - q_fused[i, j])
+                key = min(i, j), max(i, j)
+                acc += abs(q_ms[key] - q_fused[key])
     d_lambda = min(acc / (nb * (nb - 1)), 1.0)
     acc = 0.0
     for b in range(nb):

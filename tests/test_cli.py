@@ -695,6 +695,90 @@ def test_rank_one_candidate_refused_before_featurizing(scene, monkeypatch,
     assert not (scene / "out").exists()
 
 
+def save_flat_band(scene):
+    """scene/flat: the scene's MS with band 2 exactly 0.5, of zero
+    variance, so that it has no PCC."""
+    planes = load_image(scene / "ms").planes.copy()
+    planes[2] = 0.5
+    save_image(MultibandImage(planes), scene / "flat")
+
+
+def test_flat_reference_band_refused_first(scene, capsys):
+    # named before any candidate is opened: the first one does not exist
+    save_flat_band(scene)
+    manifest = {"reference": str(scene / "flat"), "ratio": 4,
+                "candidates": [{"id": "ghost", "path": str(scene / "gone")},
+                               {"id": "ms", "path": str(scene / "ms")}]}
+    mpath = scene / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(scene / "out")]) == 3
+    assert (capsys.readouterr().err.strip()
+            == "error: reference band 2: zero variance")
+    assert not (scene / "out").exists()
+    assert main(["eval", "--reference", str(scene / "flat"), "--candidate",
+                 str(scene / "ms"), "--out", str(scene / "e.json")]) == 3
+    assert (capsys.readouterr().err.strip()
+            == "error: reference band 2: zero variance")
+    assert not (scene / "e.json").exists()
+
+
+def test_flat_candidate_band_named_by_id(scene, capsys):
+    save_flat_band(scene)
+    manifest = {"reference": str(scene / "ms"), "ratio": 4,
+                "candidates": [{"id": "self", "path": str(scene / "ms")},
+                               {"id": "pca", "path": str(scene / "flat")}]}
+    mpath = scene / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(scene / "out")]) == 3
+    assert (capsys.readouterr().err.strip()
+            == "error: candidate 'pca': band 2: zero variance")
+    assert not (scene / "out").exists()
+    flat = str(scene / "flat")
+    assert main(["eval", "--reference", str(scene / "ms"), "--candidate",
+                 flat, "--out", str(scene / "e.json")]) == 3
+    assert (capsys.readouterr().err.strip()
+            == f"error: candidate {flat!r}: band 2: zero variance")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--reference", "ms", "--candidate", "ms_l", "--out",
+      "ms_l.json"], "ms_l.json would overwrite the candidate image ms_l"),
+    (["eval", "--reference", "ms", "--candidate", "ms_l", "--out",
+      "ms.raw"], "ms.raw would overwrite the reference image ms"),
+    (["qnr", "--ms", "ms_l", "--pan", "pan", "--fused", "ms", "--out",
+      "ms.json"], "ms.json would overwrite the fused image ms"),
+    (["qnr", "--ms", "ms_l", "--pan", "pan", "--fused", "ms", "--out",
+      "./pan.json"], "./pan.json would overwrite the pan image pan"),
+    (["glcm3", "--input", "ms", "--out", "ms.json"],
+     "ms.json would overwrite the input image ms"),
+    (["glcm3", "--input", "ms", "--out", "g.json", "--dump-matrix",
+      "ms.raw"], "ms.raw would overwrite the input image ms"),
+    (["contours", "--a", "ms", "--b", "ms_l", "--out", "ms_l.json"],
+     "ms_l.json would overwrite the second image ms_l"),
+    (["fuse", "--method", "cn", "--ms", "ms_l", "--pan", "pan", "--out",
+      "fused", "--process-meta", "ms_l.json"],
+     "ms_l.json would overwrite the ms image ms_l"),
+    (["fuse", "--method", "pca", "--ms", "ms_l", "--pan", "pan", "--out",
+      "fused", "--process-meta", "pan.raw"],
+     "pan.raw would overwrite the pan image pan"),
+])
+def test_output_over_an_input_refused(scene, monkeypatch, capsys, argv,
+                                      message):
+    # refused before any sample is read, every file left as it was
+    monkeypatch.chdir(scene)
+
+    def no_read(*args):
+        raise AssertionError("a sample was read")
+
+    monkeypatch.setattr(RasterFile, "_read_plane", no_read)
+    before = {f.name: f.read_bytes() for f in scene.iterdir()}
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert {f.name: f.read_bytes() for f in scene.iterdir()} == before
+
+
 def count_calls(monkeypatch, fn) -> list:
     """Wrap ``fn`` wherever a panqa module binds it; return the call log."""
     calls = []

@@ -597,7 +597,8 @@ def block_view(plane, bl):
 
 def q_index_reference(band_a, band_b, bl):
     """Q from scratch for each pair, as one q_index call computed it before
-    block moments were shared."""
+    block moments were shared, with the numerator's means multiplied
+    first, as the one symmetric Q map does."""
     x = block_view(np.asarray(band_a, dtype=np.float64), bl)
     y = block_view(np.asarray(band_b, dtype=np.float64), bl)
     mx = x.mean(axis=2)
@@ -607,7 +608,7 @@ def q_index_reference(band_a, band_b, bl):
     cov = np.mean((x - mx[:, :, None]) * (y - my[:, :, None]), axis=2)
     denom = (vx + vy) * (mx**2 + my**2)
     good = denom > 0
-    q = np.where(good, np.divide(4.0 * cov * mx * my, denom,
+    q = np.where(good, np.divide(4.0 * cov * (mx * my), denom,
                                  out=np.zeros_like(denom), where=good), 0.0)
     identical = np.all(x == y, axis=2)
     q = np.where(good, q, np.where(identical, 1.0, 0.0))
@@ -726,9 +727,9 @@ def test_q4_blocks_match_reference(seed, shape, bl, levels):
     h, w = max(shape[0], bl), max(shape[1], bl)
     img_a = image_of(random_planes(seed, (h, w, 4), levels))
     img_b = image_of(random_planes(seed + 1, (h, w, 4), levels))
-    readers = spectral._band_rows(img_a) + spectral._band_rows(img_b)
     # one strip at the default budget: the map covers the whole image
-    mom = next(spectral._moment_strips(readers, h, w, bl))
+    rows = next(spectral._strips([img_a, img_b], h // bl * bl, bl))
+    mom = [spectral._block_moments(r, bl) for r in rows]
     assert np.array_equal(spectral._q4_map(mom[:4], mom[4:]),
                           q4_reference_map(img_a, img_b, bl))
 
@@ -783,6 +784,29 @@ def test_q_index_and_q4_match_across_strip_budgets(seed, shape, bl, levels,
     assert one == per_row
     one, per_row = at_budgets(q_index, a[:, :, 0], b[:, :, 0], bl)
     assert one == per_row
+
+
+@settings(max_examples=40, deadline=None)
+@given(**strip_cases, same=st.booleans())
+def test_q_index_is_symmetric(seed, shape, bl, levels, flat_cols, shared,
+                              same):
+    # bit for bit, at every budget, on degenerate blocks (the flat
+    # columns, identical when shared) and on identical planes
+    h, w = max(shape[0], bl), max(shape[1], bl)
+    a, b = strip_planes(seed, (h, w), levels, flat_cols, shared)
+    if same:
+        b = a.copy()
+    assert (bits(at_budgets(q_index, a, b, bl))
+            == bits(at_budgets(q_index, b, a, bl)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_q_index_refuses_non_finite(rng, bad):
+    a, b = rng.random((16, 16)), rng.random((16, 16))
+    a[5, 3] = bad
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(InputError, match="non-finite samples"):
+            q_index(*pair, 8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -904,25 +928,33 @@ def test_scaled_moments_footprint(rng, scale):
     assert bits(got) == bits(earlier_summary_stats(band, levels))
 
 
+class RowLog(raster.Image):
+    """A size x size image of zeros that logs the row ranges read."""
+
+    def __init__(self, bands, size, seen):
+        self.shape, self.seen = (bands, size, size), seen
+
+    def rows(self, b, start, stop):
+        self.seen.append((start, stop))
+        return np.zeros((stop - start, self.width))
+
+
 @pytest.mark.parametrize("planes, size, rows", [
     (5, 1024, 48),   # qnr: 4 bands and the pan, at the fused scale
     (5, 256, 200),   # and at the MS scale
-    (8, 512, 64),    # q4 of two 4-band 512^2 images
+    (8, 512, 64),    # q4 and SAM of two 4-band 512^2 images
 ])
 def test_moment_strip_heights(planes, size, rows):
     # the strips the benchmark's qnr and eval run; qnr's heights set its
     # peak RSS through glibc's heap layout, so they stay as they are
     seen = []
-
-    def reader(start, stop):
-        seen.append((start, stop))
-        return np.zeros((stop - start, size))
-
-    for _ in spectral._moment_strips([reader] * planes, size, size, 8):
+    images = [RowLog(4, size, seen), RowLog(planes - 4, size, seen)]
+    for _ in spectral._strips(images, size, 8):
         pass
     starts = sorted(set(seen))
     assert all(stop - start == rows for start, stop in starts[:-1])
     assert 0 < starts[-1][1] - starts[-1][0] <= rows
+    assert len(seen) == planes * len(starts)
 
 
 def test_qnr_footprint(rng):
