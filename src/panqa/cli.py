@@ -86,9 +86,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = EvalOptions(ratio=args.ratio, ergas_factor=args.ergas_factor,
-                       block_size=args.block_size, gl=args.gl,
-                       radii=args.radii)
+    opts = EvalOptions(ratio=args.ratio, block_size=args.block_size,
+                       gl=args.gl, radii=args.radii)
     _refuse_overwrite([args.out], reference=args.reference,
                       candidate=args.candidate)
     # the reference is loaded, as features, PCC, SAM, ERGAS and Q4 each
@@ -163,6 +162,14 @@ def cmd_contours(args) -> int:
 
 def cmd_rank(args) -> int:
     manifest = RunManifest.from_json(args.manifest)
+    outputs = [Path(args.out_dir) / name for name in ("ranks.csv",
+                                                      "report.json")]
+    _refuse_overwrite(outputs, reference=manifest.reference)
+    for cand in manifest.candidates:
+        try:
+            _refuse_overwrite(outputs, candidate=cand.path)
+        except InputError as exc:
+            raise InputError(f"candidate {cand.id!r}: {exc}") from None
     run_manifest(manifest, args.out_dir)
     return 0
 
@@ -231,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True)
     p.add_argument("--candidate", required=True)
     p.add_argument("--ratio", type=int, default=EvalOptions.ratio)
-    p.add_argument("--ergas-factor", type=float, default=None)
     p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK)
     p.add_argument("--gl", type=int, default=glcm3_mod.DEFAULT_GL)
     p.add_argument("--radii", type=_radii, default=glcm3_mod.DEFAULT_RADII)

@@ -55,7 +55,6 @@ from .spectral import (DEFAULT_BLOCK, SummaryStats, centre, ergas,
 @dataclass
 class EvalOptions:
     ratio: int = 4
-    ergas_factor: float | None = None
     block_size: int = DEFAULT_BLOCK
     gl: int = DEFAULT_GL
     radii: tuple[int, ...] = DEFAULT_RADII
@@ -69,12 +68,6 @@ class EvalOptions:
             raise InputError(f"ratio must be >= 1: {self.ratio!r}")
         if self.block_size < 2:
             raise InputError("block_size must be >= 2")
-        if self.ergas_factor is not None:
-            self.ergas_factor = checked(float, self.ergas_factor,
-                                        "ergas_factor")
-            if not 0.0 < self.ergas_factor < math.inf:
-                raise InputError("ergas_factor must be finite and > 0: "
-                                 f"{self.ergas_factor!r}")
         self.radii = check_glcm3_options(
             self.gl, checked_list(int, self.radii, "radii"))
         if self.category2_level not in LEVELS:
@@ -265,7 +258,7 @@ def classic_metrics(reference: Image, candidate: Image,
     images through rows(), so either may be a RasterFile."""
     out = {
         "sam_degrees": sam_mean(reference, candidate),
-        "ergas": ergas(reference, candidate, opts.ratio, opts.ergas_factor),
+        "ergas": ergas(reference, candidate, opts.ratio),
     }
     if reference.bands == 4:
         out["q4"] = q4(reference, candidate, opts.block_size)

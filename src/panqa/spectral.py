@@ -22,11 +22,12 @@ map, _q_map, in which every product and sum commutes, so Q(a, b) is
 Q(b, a) bit for bit and QNR computes each unordered pair once.
 
 A band's moments and its PCC read one copy of its centred samples,
-made once by centre(): summary_stats holds one band-sized temporary
-beside it (c*c, then (c*c)*(c*c), then (c*c)*c, for the deviations c),
-or two where those powers under- or overflow (the scaled deviations and
-their squares), and pcc one (the other band centred, then the product,
-in place). The strips of SAM, Q4 and QNR stay below that.
+made once by centre(). summary_stats takes the moments on one path, the
+deviations divided first by the largest of them where that lies outside
+_UNSCALED. It holds one band-sized temporary beside the centred copy
+(c*c, then (c*c)*(c*c), then (c*c)*c), or two outside _UNSCALED, and
+pcc one (the other band centred, then the product, in place). The
+strips of SAM, Q4 and QNR stay below that.
 
 All moments use the population (N-divisor) convention so that downstream
 z-score standardization behaves exactly.
@@ -35,7 +36,6 @@ z-score standardization behaves exactly.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -64,13 +64,21 @@ def centre(band: np.ndarray) -> tuple[np.ndarray, float]:
     return x - mean, float(mean)
 
 
+# The window of a band's largest deviation in which, for up to 2**100
+# samples, no mean of the deviations' powers and no power of their std
+# can under- or overflow; a band outside it is divided by that deviation
+_UNSCALED = (2.0**-200, 2.0**200)
+
+
 def summary_stats(centred: np.ndarray, mean: float, levels: np.ndarray
                   ) -> SummaryStats:
     """Population moments of a band, given its mean and its centred
     samples from centre(), plus the Shannon entropy (bits) of levels, the
-    band's gray-level map from quantize_gray_levels. The centred samples
+    band's gray-level map from quantize_gray_levels; a band whose samples
+    are all equal has std, skewness and kurtosis 0. The centred samples
     are only read: beside them one band-sized temporary holds the squared
-    deviations, then their squares, then the cubes."""
+    deviations, then their squares, then the cubes, and outside _UNSCALED
+    one more, the deviations divided by their largest magnitude."""
     c = np.asarray(centred, dtype=np.float64)
     if c.size == 0:
         raise InputError("empty band")
@@ -82,44 +90,24 @@ def summary_stats(centred: np.ndarray, mean: float, levels: np.ndarray
     p = counts[counts > 0] / c.size
     # 0.0 - sum, not -sum: a constant band's entropy is +0.0, not -0.0
     entropy = float(0.0 - (p * np.log2(p)).sum())
+    lo, hi = float(c.min()), float(c.max())
+    if lo == hi:
+        return SummaryStats(float(mean), 0.0, 0.0, 0.0, entropy)
+    scale = max(hi, -lo)
+    if _UNSCALED[0] < scale < _UNSCALED[1]:
+        scale, z = 1.0, c
+    else:
+        z = c / scale
     # chained products: np.power for cubes and fourth powers is far slower.
     # The fourth powers are the squares squared in place; the squares are
-    # formed once more for the cubes, so the centred samples stay intact.
-    # Where the variance or std**4 is not a normal double, or a power of
-    # the deviations overflows, the moments come from the scaled
-    # deviations instead
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        tmp = c * c
-        var = np.mean(tmp)
-        std = skew = kurt = math.nan
-        if sys.float_info.min <= var < math.inf:
-            std = math.sqrt(var)
-            if sys.float_info.min <= np.float64(std)**4 < math.inf:
-                kurt = np.mean(np.multiply(tmp, tmp, out=tmp)) / std**4
-                np.multiply(c, c, out=tmp)
-                skew = np.mean(np.multiply(tmp, c, out=tmp)) / std**3
-        del tmp
-    if not (math.isfinite(skew) and math.isfinite(kurt)):
-        scaled_std, skew, kurt = _scaled_moments(c)
-        if math.isnan(std):
-            std = scaled_std
-    return SummaryStats(float(mean), std, float(skew), float(kurt), entropy)
-
-
-def _scaled_moments(centered: np.ndarray) -> tuple[float, float, float]:
-    """Std, skewness and kurtosis from the deviations scaled to a largest
-    magnitude of 1, where no power of them or of their std under- or
-    overflows; all 0 for a band with no deviation."""
-    scale = max(centered.max(), -centered.min())
-    if scale == 0.0:
-        return 0.0, 0.0, 0.0
-    z = centered / scale
-    sq = z * z
-    std = math.sqrt(np.mean(sq))
-    # the cubes into z and the fourth powers into sq: two temporaries
-    skew = np.mean(np.multiply(sq, z, out=z)) / std**3
-    kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
-    return float(scale * std), float(skew), float(kurt)
+    # formed once more for the cubes, so z stays intact
+    tmp = z * z
+    std = math.sqrt(np.mean(tmp))
+    kurt = np.mean(np.multiply(tmp, tmp, out=tmp)) / std**4
+    np.multiply(z, z, out=tmp)
+    skew = np.mean(np.multiply(tmp, z, out=tmp)) / std**3
+    return SummaryStats(float(mean), scale * std, float(skew), float(kurt),
+                        entropy)
 
 
 def mdb_cost(stats_a, stats_b) -> float:
@@ -191,13 +179,10 @@ def sam_mean(img_a: Image, img_b: Image) -> float:
     return float(angles[:n].mean())
 
 
-def ergas(reference: Image, test: Image, ratio: int,
-          factor: float | None = None) -> float:
-    """Relative dimensionless global error; factor defaults to 1/ratio.
-    The images are read one band at a time."""
+def ergas(reference: Image, test: Image, ratio: int) -> float:
+    """Relative dimensionless global error, its h/l 1/ratio. The images
+    are read one band at a time."""
     check_shape(test, reference.shape)
-    if factor is None:
-        factor = 1.0 / ratio
     acc = 0.0
     for b in range(reference.bands):
         ref = reference.band(b)
@@ -206,7 +191,7 @@ def ergas(reference: Image, test: Image, ratio: int,
             raise DegeneracyError(f"zero reference mean in band {b}")
         rmse2 = np.mean((ref - test.band(b))**2)
         acc += rmse2 / mean**2
-    return float(100.0 * factor * math.sqrt(acc / reference.bands))
+    return float(100.0 * (1.0 / ratio) * math.sqrt(acc / reference.bands))
 
 
 def _block_view(plane: np.ndarray, bl: int) -> np.ndarray:

@@ -589,6 +589,9 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
      "manifest options has unknown keys ['gll']"),
     (lambda m: m.update(options=[8]),
      "manifest options must be a JSON object"),
+    # ERGAS's h/l is 1/ratio: no option sets it apart
+    (lambda m: m.update(options={"ergas_factor": 0.25}),
+     "manifest options has unknown keys ['ergas_factor']"),
     (lambda m: m["candidates"][1].update(n_free_parameters=0),
      "manifest candidate 'b': n_free_parameters must be >= 1"),
     (lambda m: m["candidates"][0].update(wall_seconds=-5),
@@ -597,8 +600,6 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
     (lambda m: m.update(ratio=0), "ratio must be >= 1: 0"),
     (lambda m: m.update(options={"block_size": 1}),
      "block_size must be >= 2"),
-    (lambda m: m.update(options={"ergas_factor": -3}),
-     "ergas_factor must be finite and > 0: -3.0"),
     (lambda m: m.update(options={"gl": 1}), "gl must be in [2, 256]: 1"),
     (lambda m: m.update(options={"gl": 70000}),
      "gl must be in [2, 256]: 70000"),
@@ -695,32 +696,42 @@ def test_rank_one_candidate_refused_before_featurizing(scene, monkeypatch,
     assert not (scene / "out").exists()
 
 
-def save_flat_band(scene):
-    """scene/flat: the scene's MS with band 2 exactly 0.5, of zero
-    variance, so that it has no PCC."""
+def save_flat_band(scene, name="flat", value=0.5, **storage):
+    """scene/<name>: the scene's MS with every sample of band 2 value, of
+    zero variance, so that it has no PCC; storage is save_image's
+    sample_type and gain."""
     planes = load_image(scene / "ms").planes.copy()
-    planes[2] = 0.5
-    save_image(MultibandImage(planes), scene / "flat")
+    planes[2] = value
+    save_image(MultibandImage(planes), scene / name, **storage)
 
 
 def test_flat_reference_band_refused_first(scene, capsys):
-    # named before any candidate is opened: the first one does not exist
+    # named before any candidate is opened: the first one does not exist.
+    # flat_u16 stores reflectance x 10^4 as u16 with gain 1e-4, its band 2
+    # all DN 3000: the samples are all equal, and their mean rounds
     save_flat_band(scene)
-    manifest = {"reference": str(scene / "flat"), "ratio": 4,
-                "candidates": [{"id": "ghost", "path": str(scene / "gone")},
-                               {"id": "ms", "path": str(scene / "ms")}]}
-    mpath = scene / "manifest.json"
-    mpath.write_text(json.dumps(manifest), encoding="utf-8")
-    assert main(["rank", "--manifest", str(mpath),
-                 "--out-dir", str(scene / "out")]) == 3
-    assert (capsys.readouterr().err.strip()
-            == "error: reference band 2: zero variance")
-    assert not (scene / "out").exists()
-    assert main(["eval", "--reference", str(scene / "flat"), "--candidate",
-                 str(scene / "ms"), "--out", str(scene / "e.json")]) == 3
-    assert (capsys.readouterr().err.strip()
-            == "error: reference band 2: zero variance")
-    assert not (scene / "e.json").exists()
+    save_flat_band(scene, "flat_u16", 0.3, sample_type="u16",
+                   gain=[1e-4] * 4)
+    band = load_image(scene / "flat_u16").band(2)
+    assert np.ptp(band) == 0.0 and band.mean() != band[0, 0]
+    for name in ("flat", "flat_u16"):
+        manifest = {"reference": str(scene / name), "ratio": 4,
+                    "candidates": [{"id": "ghost",
+                                    "path": str(scene / "gone")},
+                                   {"id": "ms", "path": str(scene / "ms")}]}
+        mpath = scene / "manifest.json"
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["rank", "--manifest", str(mpath),
+                     "--out-dir", str(scene / "out")]) == 3
+        assert (capsys.readouterr().err.strip()
+                == "error: reference band 2: zero variance")
+        assert not (scene / "out").exists()
+        assert main(["eval", "--reference", str(scene / name),
+                     "--candidate", str(scene / "ms"),
+                     "--out", str(scene / "e.json")]) == 3
+        assert (capsys.readouterr().err.strip()
+                == "error: reference band 2: zero variance")
+        assert not (scene / "e.json").exists()
 
 
 def test_flat_candidate_band_named_by_id(scene, capsys):
@@ -763,20 +774,39 @@ def test_flat_candidate_band_named_by_id(scene, capsys):
     (["fuse", "--method", "pca", "--ms", "ms_l", "--pan", "pan", "--out",
       "fused", "--process-meta", "pan.raw"],
      "pan.raw would overwrite the pan image pan"),
+    (["rank", "--manifest", "ref_manifest.json", "--out-dir", "out"],
+     "out/report.json would overwrite the reference image out/report"),
+    (["rank", "--manifest", "cand_manifest.json", "--out-dir", "out"],
+     "candidate 'cn': out/report.json would overwrite the candidate image "
+     "out/report"),
 ])
 def test_output_over_an_input_refused(scene, monkeypatch, capsys, argv,
                                       message):
     # refused before any sample is read, every file left as it was
     monkeypatch.chdir(scene)
+    # rank's manifests: the reference, or a candidate, is out/report
+    (scene / "out").mkdir()
+    for ext in (".json", ".raw"):
+        shutil.copyfile(scene / f"ms{ext}", scene / "out" / f"report{ext}")
+    for name, ref, cand in (("ref", "out/report", "ms"),
+                            ("cand", "ms", "out/report")):
+        (scene / f"{name}_manifest.json").write_text(json.dumps(
+            {"reference": ref, "ratio": 4,
+             "candidates": [{"id": "pca", "path": "ms"},
+                            {"id": "cn", "path": cand}]}), encoding="utf-8")
 
     def no_read(*args):
         raise AssertionError("a sample was read")
 
+    def files():
+        return {f: f.read_bytes() if f.is_file() else None
+                for f in scene.rglob("*")}
+
     monkeypatch.setattr(RasterFile, "_read_plane", no_read)
-    before = {f.name: f.read_bytes() for f in scene.iterdir()}
+    before = files()
     assert main(argv) == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
-    assert {f.name: f.read_bytes() for f in scene.iterdir()} == before
+    assert files() == before
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -1103,8 +1133,8 @@ def test_block_size_below_two(scene, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("option, message", [
     (["--ratio", "0"], "ratio must be >= 1: 0"),
-    (["--ergas-factor", "nan"], "ergas_factor must be finite and > 0: nan"),
-    (["--ergas-factor", "0"], "ergas_factor must be finite and > 0: 0.0"),
+    (["--block-size", "1"], "block_size must be >= 2"),
+    (["--radii", "0,1"], "radii must be strictly increasing, min >= 1"),
     (["--gl", "1"], "gl must be in [2, 256]: 1"),
     (["--gl", "257"], "gl must be in [2, 256]: 257"),
     (["--radii", "3,2"], "radii must be strictly increasing, min >= 1"),
@@ -1115,6 +1145,18 @@ def test_eval_option_out_of_range(tmp_path, capsys, option, message):
                  "--candidate", str(tmp_path / "cand"), *option,
                  "--out", str(tmp_path / "eval.json")]) == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_eval_has_no_ergas_factor(tmp_path, capsys):
+    # ERGAS's h/l is 1/ratio: --ratio is the one knob
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--reference", str(tmp_path / "ref"), "--candidate",
+              str(tmp_path / "cand"), "--ergas-factor", "0.25", "--out",
+              str(tmp_path / "eval.json")])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --ergas-factor 0.25"
+            in capsys.readouterr().err)
     assert not (tmp_path / "eval.json").exists()
 
 

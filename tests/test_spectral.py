@@ -160,19 +160,27 @@ class TestPcc:
         assert inverse_pcc_cost([1.0, 0.5, -1.0]) == 2.5 / 3
 
 
-def reference_std(x):
-    """Population std: the root of the mean squared deviation where that
-    mean is a normal double, else from the deviations scaled to a largest
-    magnitude of 1, as their squares under- or overflow; 0 for none."""
+def deviations(x):
+    """(z, scale) for the centred samples of x: z is them and scale 1
+    where their largest magnitude lies inside (2**-200, 2**200), else z is
+    them divided by that magnitude, the scale; (None, 0) where all samples
+    are equal."""
     centered = x.ravel() - x.mean()
-    var = np.mean(centered**2)
-    if np.finfo(np.float64).tiny <= var < math.inf:
-        return math.sqrt(var)
+    if np.ptp(centered) == 0.0:
+        return None, 0.0
     scale = np.max(np.abs(centered))
+    if 2.0**-200 < scale < 2.0**200:
+        return centered, 1.0
+    return centered / scale, scale
+
+
+def reference_std(x):
+    """Population std: the scale times the root of the mean squared
+    deviation of deviations(); 0 where all samples are equal."""
+    z, scale = deviations(x)
     if scale == 0.0:
         return 0.0
-    z = centered / scale
-    return float(scale * math.sqrt(np.mean(z * z)))
+    return float(scale * math.sqrt(np.mean(z**2)))
 
 
 def raw_pcc(x, y):
@@ -187,16 +195,14 @@ def raw_pcc(x, y):
 
 
 def chained_moments(x):
-    """Skewness and kurtosis from fresh chained products of the centred
-    samples, each product a new array."""
-    x = x.ravel()
-    centered = x - x.mean()
-    sq = centered * centered
-    std = math.sqrt(np.mean(sq))
-    if std == 0.0:
+    """Skewness and kurtosis from fresh chained products of deviations(),
+    each product a new array; 0 where all samples are equal."""
+    z, scale = deviations(x)
+    if scale == 0.0:
         return 0.0, 0.0
-    return (float(np.mean(sq * centered) / std**3),
-            float(np.mean(sq * sq) / std**4))
+    sq = z * z
+    std = math.sqrt(np.mean(sq))
+    return (float(np.mean(sq * z) / std**3), float(np.mean(sq * sq) / std**4))
 
 
 # samples outside [0, 1] too; a shape of 1 sample or a one-value fill makes
@@ -229,16 +235,18 @@ def test_pcc_matches_raw_band_reference(pair):
 
 @pytest.mark.parametrize("constant", ["a", "b", "both"])
 def test_pcc_zero_variance_either_side(rng, constant):
-    # constants whose mean is exact, so the centred band is all zero
-    x, y = rng.uniform(-1.0, 2.0, (2, 6, 5))
-    if constant in ("a", "both"):
-        x = np.full_like(x, 0.25)
-    if constant in ("b", "both"):
-        y = np.full_like(y, -1.5)
-    with pytest.raises(DegeneracyError, match="zero variance"):
-        raw_pcc(x, y)
-    with pytest.raises(DegeneracyError, match="zero variance"):
-        pcc_of(x, y)
+    # constants whose mean is exact, so the centred band is all zero, and
+    # 0.3, whose mean of 30 samples rounds: its samples are still all equal
+    for a, b in ((0.25, -1.5), (0.3, 0.3)):
+        x, y = rng.uniform(-1.0, 2.0, (2, 6, 5))
+        if constant in ("a", "both"):
+            x = np.full_like(x, a)
+        if constant in ("b", "both"):
+            y = np.full_like(y, b)
+        with pytest.raises(DegeneracyError, match="zero variance"):
+            raw_pcc(x, y)
+        with pytest.raises(DegeneracyError, match="zero variance"):
+            pcc_of(x, y)
 
 
 def test_pcc_shape_mismatch_names_both_shapes(rng):
@@ -253,13 +261,42 @@ def tiny(*samples):
     return band, band
 
 
+def skewed(d):
+    """[d, -d/2, -d/2]: mean 0, and d its largest deviation."""
+    return np.array([d, -d / 2, -d / 2])
+
+
+# largest deviations just inside, at and just past each edge of the
+# window (2**-200, 2**200) in which summary_stats does not scale them
+EDGES = [np.nextafter(2.0**200, 0.0), 2.0**200,
+         np.nextafter(2.0**200, np.inf), np.nextafter(2.0**-200, 1.0),
+         2.0**-200, np.nextafter(2.0**-200, 0.0)]
+
+
+def scaled_to(d, k):
+    """A double c whose product with 10.0**k is d exactly: d / 10.0**k or
+    one of its neighbours."""
+    c = d / 10.0**k
+    return next(v for v in (c, np.nextafter(c, 0.0), np.nextafter(c, 2 * c))
+                if v * 10.0**k == d)
+
+
 @settings(max_examples=150, deadline=None)
 @given(pair=bands)
-# std**4 is 0; subnormal, with a finite chained kurtosis; 0 with every
-# square underflowing, where the chained formula sees a constant band
+# std**4 below the normal doubles; subnormal deviations; every square
+# underflowing; all six samples equal, their mean rounding
 @example(pair=tiny(4.18573233e-86, 0.0))
 @example(pair=tiny(3e-78, 0.0, -1e-78))
 @example(pair=tiny(5e-324, 0.0, 0.0))
+@example(pair=tiny(*[1.04819143] * 6))
+@example(pair=tiny(*skewed(EDGES[0])))
+@example(pair=tiny(*skewed(EDGES[1])))
+@example(pair=tiny(*skewed(EDGES[2])))
+@example(pair=tiny(*skewed(EDGES[3])))
+@example(pair=tiny(*skewed(EDGES[4])))
+@example(pair=tiny(*skewed(EDGES[5])))
+@example(pair=tiny(*skewed(1e300)))
+@example(pair=tiny(1e-300, 3e-300, -2e-300))
 def test_moments_match_chained_reference(pair):
     band = pair[0]
     with np.errstate(all="ignore"):
@@ -268,24 +305,7 @@ def test_moments_match_chained_reference(pair):
     x = band.ravel()
     assert s.mean == x.mean()
     assert s.std == reference_std(x)
-    if s.std**4 >= np.finfo(np.float64).tiny or not np.any(x - x.mean()):
-        assert same([s.skewness, s.kurtosis], want)
-    else:
-        # std**4 underflows, and the chained formula with it: the moments
-        # are the chained formula's on the deviations scaled to a largest
-        # magnitude of 1
-        assert same([s.skewness, s.kurtosis], scaled_moments(x))
-
-
-def scaled_moments(x):
-    """Skewness and kurtosis by chained products of the centred samples
-    divided by their largest magnitude."""
-    centered = x - x.mean()
-    z = centered / np.max(np.abs(centered))
-    sq = z * z
-    std = math.sqrt(np.mean(sq))
-    return (float(np.mean(sq * z) / std**3),
-            float(np.mean(sq * sq) / std**4))
+    assert same([s.skewness, s.kurtosis], want)
 
 
 def no_levels(band):
@@ -304,6 +324,16 @@ def test_moments_where_std_underflows():
                    elements=st.floats(-1.0, 1.0)),
        k=st.integers(-300, 300))
 @example(band=np.linspace(-1.0, 1.0, 50) ** 3, k=-200)
+# a band well inside the unscaled window whose scaled copy's largest
+# deviation lies at one of its edges, or just inside or past it
+@example(band=skewed(scaled_to(EDGES[0], 60)), k=60)
+@example(band=skewed(scaled_to(EDGES[1], 60)), k=60)
+@example(band=skewed(scaled_to(EDGES[2], 60)), k=60)
+@example(band=skewed(scaled_to(EDGES[3], -60)), k=-60)
+@example(band=skewed(scaled_to(EDGES[4], -60)), k=-60)
+@example(band=skewed(scaled_to(EDGES[5], -60)), k=-60)
+@example(band=skewed(1.0), k=300)
+@example(band=skewed(1.0), k=-300)
 def test_moments_are_scale_free(band, k):
     # from deviations whose squares underflow (k below about -160) to
     # squares that overflow (k above about 150)
@@ -322,42 +352,22 @@ def test_moments_are_scale_free(band, k):
 
 def earlier_summary_stats(band, levels):
     """summary_stats as it was when it took the band itself and centred
-    it anew, its cube written over the centred copy."""
+    it anew, its cube written over the scaled copy of deviations()."""
     x = np.asarray(band, dtype=np.float64).ravel()
     counts = np.bincount(np.ravel(levels))
     p = counts[counts > 0] / x.size
     entropy = float(0.0 - (p * np.log2(p)).sum())
     mean = x.mean()
-    centered = x - mean
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sq = centered * centered
-        var = np.mean(sq)
-        std = skew = kurt = math.nan
-        if np.finfo(np.float64).tiny <= var < math.inf:
-            std = math.sqrt(var)
-            if np.finfo(np.float64).tiny <= np.float64(std)**4 < math.inf:
-                skew = np.mean(np.multiply(sq, centered, out=centered)) \
-                    / std**3
-                kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
-    if not (math.isfinite(skew) and math.isfinite(kurt)):
-        scaled_std, skew, kurt = earlier_scaled_moments(x - mean)
-        if math.isnan(std):
-            std = scaled_std
-    return spectral.SummaryStats(float(mean), std, float(skew), float(kurt),
-                                 entropy)
-
-
-def earlier_scaled_moments(centered):
-    """_scaled_moments as it was with three temporaries: the absolute
-    deviations, the scaled ones and their squares, then each power."""
-    scale = np.max(np.abs(centered))
+    z, scale = deviations(x)
     if scale == 0.0:
-        return 0.0, 0.0, 0.0
-    z = centered / scale
+        return spectral.SummaryStats(float(mean), 0.0, 0.0, 0.0, entropy)
+    z = z.copy()
     sq = z * z
     std = math.sqrt(np.mean(sq))
-    return (float(scale * std), float(np.mean(sq * z) / std**3),
-            float(np.mean(sq * sq) / std**4))
+    skew = np.mean(np.multiply(sq, z, out=z)) / std**3
+    kurt = np.mean(np.multiply(sq, sq, out=sq)) / std**4
+    return spectral.SummaryStats(float(mean), float(scale * std),
+                                 float(skew), float(kurt), entropy)
 
 
 def earlier_pcc(band_a, band_b, stats_a, stats_b):
@@ -375,8 +385,8 @@ def bits(values):
     return np.array(values, dtype=np.float64).view(np.uint64).tolist()
 
 
-# 1e-160: squared deviations underflow; 1e150: std**4 overflows. Both take
-# the scaled path
+# 1e-160: squared deviations underflow; 1e150: std**4 overflows. Both lie
+# outside the unscaled window
 MAGNITUDES = st.sampled_from((1.0, 1e-160, 1e150))
 
 
@@ -387,6 +397,9 @@ MAGNITUDES = st.sampled_from((1.0, 1e-160, 1e150))
          scales=(1.0, 1.0))
 @example(pair=(np.full((3, 5), 0.3), np.linspace(0.0, 1.0, 15).reshape(3, 5)),
          scales=(1e150, 1e-160))
+# only std**4 overflows: std too comes from the scaled deviations
+@example(pair=(np.array([[1.0, 0.5, 0.5]]), np.array([[1.0, 0.5, 0.5]])),
+         scales=(1e150, 1.0))
 def test_shared_centred_samples_match_earlier_formulas(pair, scales):
     x, y = (band * scale for band, scale in zip(pair, scales))
     with np.errstate(all="ignore"):
@@ -457,11 +470,6 @@ class TestErgas:
         ref = image_of(np.array([[[-1.0], [1.0]]]))
         with pytest.raises(DegeneracyError, match="zero reference mean"):
             ergas(ref, ref, 4)
-
-    def test_factor_override(self, random_image):
-        ref, test = random_image(), random_image()
-        assert (ergas(ref, test, 4, factor=0.5)
-                == pytest.approx(2.0 * ergas(ref, test, 4), rel=1e-12))
 
 
 class TestQIndex:
