@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -17,12 +18,10 @@ from . import glcm3 as glcm3_mod
 from . import quantizer as quant_mod
 from .errors import DegeneracyError, InputError, PanqaError
 from .fusion import FUSION_METHODS, FusionConfig, check_shapes, pansharpen
-from .pipeline import (EvalOptions, RunManifest, classic_metrics,
-                       evaluate_candidate, image_features, run_manifest,
-                       write_json)
+from .pipeline import (Candidate, EvalOptions, RunManifest, classic_metrics,
+                       run_manifest, score_candidates, write_json)
 from .protocol import bin_subjective_scores, srcc
-from .raster import (MultibandImage, RasterFile, load_image, raster_paths,
-                     save_image)
+from .raster import MultibandImage, RasterFile, raster_paths, save_image
 from .resample import (DEFAULT_MTF_GAIN_MS, DEFAULT_MTF_GAIN_PAN,
                        UPSAMPLE_METHODS, degrade, mtf_gaussian_kernel)
 from .spectral import DEFAULT_BLOCK, qnr
@@ -57,6 +56,7 @@ def _refuse_overwrite(outputs, **rasters) -> None:
 
 
 def cmd_synth(args) -> int:
+    _refuse_overwrite(raster_paths(args.out_pan), ms=args.out_ms)
     ms, pan = synth_scene(args.seed, args.width, args.height)
     save_image(ms, args.out_ms)
     save_image(MultibandImage(pan[None]), args.out_pan)
@@ -64,6 +64,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_degrade(args) -> int:
+    _refuse_overwrite(raster_paths(args.out), input=args.input)
     # read from disk one band at a time
     img = RasterFile(args.input)
     taps = mtf_gaussian_kernel(args.ratio, args.mtf_gain)
@@ -72,6 +73,7 @@ def cmd_degrade(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    _refuse_overwrite(raster_paths(args.out), ms=args.ms, pan=args.pan)
     _refuse_overwrite([args.process_meta], ms=args.ms, pan=args.pan,
                       fused=args.out)
     # the fuser reads both from disk a block or a strip of rows at a
@@ -86,17 +88,16 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = EvalOptions(ratio=args.ratio, block_size=args.block_size,
-                       gl=args.gl, radii=args.radii)
+    opts = EvalOptions(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(EvalOptions)})
     _refuse_overwrite([args.out], reference=args.reference,
                       candidate=args.candidate)
     # the reference is loaded, as features, PCC, SAM, ERGAS and Q4 each
     # read it; the candidate is read from disk a band or a strip at a time
-    reference = image_features(load_image(args.reference), opts)
-    candidate = RasterFile(args.candidate)
-    record = evaluate_candidate(reference, candidate, opts, args.candidate)
-    doc = {**record.categories(), "clipped_fraction": record.clipped_fraction,
-           "classic": classic_metrics(reference.image, candidate, opts)}
+    reference, (record,) = score_candidates(
+        args.reference, [Candidate(args.candidate, args.candidate)], opts)
+    doc = {**record.entry(), "classic": classic_metrics(
+        reference.image, RasterFile(args.candidate), opts)}
     write_json(args.out, doc, sort_keys=True)
     return 0
 
@@ -133,6 +134,7 @@ def cmd_glcm3(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    _refuse_overwrite(raster_paths(args.out), input=args.input)
     quant_mod.save_stack(quant_mod.quantize_spectral(RasterFile(args.input)),
                          args.out)
     return 0
@@ -237,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="all product costs + classic metrics")
     p.add_argument("--reference", required=True)
     p.add_argument("--candidate", required=True)
-    p.add_argument("--ratio", type=int, default=EvalOptions.ratio)
-    p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK)
-    p.add_argument("--gl", type=int, default=glcm3_mod.DEFAULT_GL)
-    p.add_argument("--radii", type=_radii, default=glcm3_mod.DEFAULT_RADII)
+    # a flag per EvalOptions field, checked as a manifest's value is
+    for f in dataclasses.fields(EvalOptions):
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                       type=_radii if f.name == "radii" else type(f.default))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -2,19 +2,20 @@
 
 image_features() computes one image's quality indicators; evaluate_candidate()
 turns a featurized reference and a candidate image into the full battery of
-scalar costs; run_manifest() featurizes the reference once, evaluates every
-candidate of a run manifest, aggregates the costs into rank tables for
+scalar costs; score_candidates() featurizes the reference once and
+evaluates each candidate, for `panqa eval` (one candidate, its id its path)
+and for run_manifest(), which aggregates the costs into rank tables for
 cases A-D and serializes ranks.csv / report.json.
 
 Images are touched only through raster.Image's shape and rows(b, start,
 stop) (band(b) is the whole-band case), so an image may be a
-MultibandImage in memory or a raster.RasterFile on disk. run_manifest()
-holds the reference loaded, as every candidate is compared with it, and
-passes each candidate as a RasterFile, so a candidate is never held
-whole: each of its bands is read once, to featurize it and to take its
-PCC with the reference's band, and the first row of band 0 once more to
-compare it with the reference. `panqa eval` does the same, and passes
-the candidate as a RasterFile to classic_metrics too.
+MultibandImage in memory or a raster.RasterFile on disk.
+score_candidates() holds the reference loaded, as every candidate is
+compared with it, and passes each candidate as a RasterFile, so a
+candidate is never held whole: each of its bands is read once, to
+featurize it and to take its PCC with the reference's band, and the
+first row of band 0 once more to compare it with the reference.
+`panqa eval` passes the candidate as a RasterFile to classic_metrics too.
 
 What featurizing one band holds, beside the reference and the label
 codes: the read band while its label digit, clipped count and uint8
@@ -265,23 +266,29 @@ def classic_metrics(reference: Image, candidate: Image,
     return out
 
 
-def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
-    """Featurize the reference once, evaluate the candidates in manifest
-    order, aggregate, write ranks.csv + report.json. The reference is
-    held loaded; each candidate is read from its RasterFile one band at a
-    time. The first failing candidate ends the run, named by its id, and
-    nothing is written."""
-    opts = manifest.options
-    reference = image_features(load_image(manifest.reference), opts)
-    _refuse_flat_reference(reference)
+def score_candidates(reference, candidates: list[Candidate],
+                     opts: EvalOptions) -> tuple[ImageFeatures, list]:
+    """The reference raster's features, its flat bands refused, and each
+    candidate's record, read from its RasterFile one band at a time. The
+    first failing candidate raises, named by its id."""
+    ref = image_features(load_image(reference), opts)
+    _refuse_flat_reference(ref)
     records = []
-    for cand in manifest.candidates:
+    for cand in candidates:
         try:
             image = RasterFile(cand.path)
         except (PanqaError, OSError) as exc:
             raise type(exc)(f"candidate {cand.id!r}: {exc}") from exc
-        records.append(evaluate_candidate(reference, image, opts, cand.id,
+        records.append(evaluate_candidate(ref, image, opts, cand.id,
                                           cand.process))
+    return ref, records
+
+
+def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
+    """Score the manifest's candidates, aggregate, write ranks.csv +
+    report.json; a failing candidate ends the run and nothing is written."""
+    _, records = score_candidates(manifest.reference, manifest.candidates,
+                                  manifest.options)
     table = aggregate(records)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,10 +313,7 @@ def write_json(path, doc: dict, sort_keys: bool = False) -> None:
 
 def write_report(records: list[QiRecord], table: RankTable, path) -> None:
     doc = {
-        "candidates": [{"id": r.candidate_id, **r.categories(),
-                        "process": r.process,
-                        "clipped_fraction": r.clipped_fraction}
-                       for r in records],
+        "candidates": [r.entry() for r in records],
         "ranks": {f.name: getattr(table, f.name)
                   for f in dataclasses.fields(table)
                   if f.name not in ("candidate_ids", "dropped_columns")},

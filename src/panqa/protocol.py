@@ -98,6 +98,12 @@ class QiRecord:
         """The four product-cost groups, keyed by category name."""
         return {name: getattr(self, name) for name in CATEGORY_KEYS}
 
+    def entry(self) -> dict:
+        """The candidate's report.json entry; `panqa eval` writes it too."""
+        return {"id": self.candidate_id, **self.categories(),
+                "process": self.process,
+                "clipped_fraction": self.clipped_fraction}
+
 
 def _csv(header: str):
     """A RankTable rank column written to ranks.csv under header."""

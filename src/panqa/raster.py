@@ -258,8 +258,8 @@ class RasterFile(Image):
         size = self.payload_path.stat().st_size
         if size != expected:
             raise InputError(
-                f"length mismatch: payload has {size} bytes, header implies "
-                f"{expected}")
+                f"length mismatch: payload {self.payload_path} has {size} "
+                f"bytes, header implies {expected}")
 
     def rows(self, b: int, start: int, stop: int) -> np.ndarray:
         """The calibrated rows [start, stop) of band b, read from the

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import shutil
@@ -70,8 +71,11 @@ def test_fuse_and_eval(scene, method):
                  "--candidate", str(fused), "--out", str(report)]) == 0
     with open(report, encoding="utf-8") as fh:
         doc = json.load(fh)
-    assert set(doc) == {"category1", "category2", "category3", "category4",
-                        "clipped_fraction", "classic"}
+    # report.json's entry for the candidate, its id its path, plus classic
+    assert set(doc) == {"id", "category1", "category2", "category3",
+                        "category4", "process", "clipped_fraction", "classic"}
+    assert doc["id"] == str(fused)
+    assert doc["process"] == {"wall_seconds": 0.0, "n_free_parameters": 1}
     assert set(doc["classic"]) == {"sam_degrees", "ergas", "q4"}
     assert doc["classic"]["ergas"] > 0
 
@@ -249,6 +253,20 @@ def test_readme_quickstart(tmp_path, monkeypatch, capsys):
     codes["srcc"] = main(["srcc", "--table", "results/ranks.csv",
                           "--col-a", "PDFR case A", "--col-b", "PDFR case C"])
     assert codes == dict.fromkeys(codes, 0), capsys.readouterr().err
+
+
+def test_readme_library_example(tmp_path, monkeypatch, capsys):
+    # the README's one python block, after its quick start at 64x64; a
+    # warning is an error (pyproject.toml's filterwarnings)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(README_MANIFEST),
+                                            encoding="utf-8")
+    for cmd in readme_commands(64):
+        assert main(cmd.split()) == 0, (cmd, capsys.readouterr().err)
+    readme = Path(__file__).parents[1] / "README.md"
+    (block,) = re.findall(r"^```python\n(.*?)^```",
+                          readme.read_text(encoding="utf-8"), re.M | re.S)
+    exec(compile(block, str(readme), "exec"), {})
 
 
 def test_strip_budget_changes_no_output(tmp_path, monkeypatch, capsys):
@@ -779,6 +797,17 @@ def test_flat_candidate_band_named_by_id(scene, capsys):
     (["rank", "--manifest", "cand_manifest.json", "--out-dir", "out"],
      "candidate 'cn': out/report.json would overwrite the candidate image "
      "out/report"),
+    # a raster output over one of the command's rasters
+    (["degrade", "--input", "ms", "--ratio", "2", "--out", "ms"],
+     "ms.json would overwrite the input image ms"),
+    (["fuse", "--method", "pca", "--ms", "ms_l", "--pan", "pan", "--out",
+      "ms_l"], "ms_l.json would overwrite the ms image ms_l"),
+    (["fuse", "--method", "atwt", "--ms", "ms_l", "--pan", "pan", "--out",
+      "pan.raw"], "pan.json would overwrite the pan image pan"),
+    (["quantize", "--input", "pan", "--out", "pan"],
+     "pan.json would overwrite the input image pan"),
+    (["synth", "--out-ms", "ms", "--out-pan", "ms"],
+     "ms.json would overwrite the ms image ms"),
 ])
 def test_output_over_an_input_refused(scene, monkeypatch, capsys, argv,
                                       message):
@@ -1138,14 +1167,72 @@ def test_block_size_below_two(scene, monkeypatch, capsys, argv):
     (["--gl", "1"], "gl must be in [2, 256]: 1"),
     (["--gl", "257"], "gl must be in [2, 256]: 257"),
     (["--radii", "3,2"], "radii must be strictly increasing, min >= 1"),
+    (["--category2-level", "medium"], "unknown category2_level 'medium'"),
 ])
 def test_eval_option_out_of_range(tmp_path, capsys, option, message):
-    # refused before either image is read: neither exists
-    assert main(["eval", "--reference", str(tmp_path / "ref"),
-                 "--candidate", str(tmp_path / "cand"), *option,
-                 "--out", str(tmp_path / "eval.json")]) == 2
+    # refused before either image is read: neither exists. A manifest
+    # that sets the same value is refused with the same message
+    argv = ["eval", "--reference", str(tmp_path / "ref"),
+            "--candidate", str(tmp_path / "cand"), *option,
+            "--out", str(tmp_path / "eval.json")]
+    key = option[0][2:].replace("-", "_")
+    value = getattr(build_parser().parse_args(argv), key)
+    manifest = {"reference": str(tmp_path / "ref"), "ratio": 4,
+                "candidates": [{"id": c, "path": str(tmp_path / c)}
+                               for c in ("a", "b")]}
+    if key == "ratio":
+        manifest["ratio"] = value
+    else:
+        manifest["options"] = {key: value}
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(argv) == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert not (tmp_path / "eval.json").exists()
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_has_a_flag_per_option():
+    # every manifest option is an eval flag, defaulting to the same value
+    args = build_parser().parse_args(["eval", "--reference", "r",
+                                      "--candidate", "c", "--out", "e"])
+    assert {f.name: getattr(args, f.name, None)
+            for f in dataclasses.fields(pipeline.EvalOptions)} == {
+        f.name: f.default for f in dataclasses.fields(pipeline.EvalOptions)}
+
+
+@pytest.mark.parametrize("key, value", [
+    *(("category2_level", level) for level in quantizer.LEVELS),
+    ("gl", 16), ("radii", [1, 4]), ("block_size", 4)])
+def test_eval_writes_the_rank_entry(scene, key, value):
+    # eval's JSON less classic is report.json's entry for the candidate of
+    # a manifest whose ids are the paths and that has no process keys
+    paths = []
+    for m in ("pca", "cn"):
+        paths.append(str(scene / f"fused_{m}"))
+        assert main(["fuse", "--method", m, "--ms", str(scene / "ms_l"),
+                     "--pan", str(scene / "pan"), "--out", paths[-1]]) == 0
+    manifest = {"reference": str(scene / "ms"), "ratio": 4,
+                "candidates": [{"id": p, "path": p} for p in paths],
+                "options": {key: value}}
+    mpath = scene / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(scene / "out")]) == 0
+    entries = json.loads((scene / "out" / "report.json").read_text(
+        encoding="utf-8"))["candidates"]
+    flag = ",".join(map(str, value)) if key == "radii" else str(value)
+    for path, entry in zip(paths, entries, strict=True):
+        out = scene / "eval.json"
+        assert main(["eval", "--reference", str(scene / "ms"),
+                     "--candidate", path, f"--{key.replace('_', '-')}", flag,
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        del doc["classic"]
+        assert doc == entry
 
 
 def test_eval_has_no_ergas_factor(tmp_path, capsys):

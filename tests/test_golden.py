@@ -68,6 +68,8 @@ def run_chain(workdir: Path) -> dict:
             _cli("qnr", "--ms", ms_l, "--pan", pan, "--fused", fused,
                  "--out", d / f"qnr_{m}.json")
             scene["eval"][m] = _read(d / f"eval_{m}.json")
+            # eval's id is its candidate's path, a tmp path: not recorded
+            assert scene["eval"][m].pop("id") == str(fused)
             scene["qnr"][m] = _read(d / f"qnr_{m}.json")
         for ext in (".json", ".raw"):
             shutil.copyfile(f"{ms}{ext}", d / f"oracle{ext}")

@@ -55,13 +55,17 @@ def test_load_length_mismatch(tmp_path):
            "gain": [1.0], "offset": [0.0], "nodata": None,
            "band_names": None}
     path = write_pair(tmp_path, "c", hdr, [1, 2, 3], "<u1")
-    with pytest.raises(InputError, match="length mismatch"):
+    with pytest.raises(InputError) as exc:
         load_image(path)
+    assert str(exc.value) == (f"length mismatch: payload {tmp_path / 'c.raw'}"
+                              " has 3 bytes, header implies 4")
     # a trailing partial sample: u16 samples 1 and 2, then one odd byte
     hdr = dict(hdr, width=2, height=1, dtype="u16")
     path = write_pair(tmp_path, "p", hdr, [1, 0, 2, 0, 9], "<u1")
-    with pytest.raises(InputError, match="length mismatch"):
+    with pytest.raises(InputError) as exc:
         load_image(path)
+    assert str(exc.value) == (f"length mismatch: payload {tmp_path / 'p.raw'}"
+                              " has 5 bytes, header implies 4")
 
 
 def test_load_rejects_nodata(tmp_path):
