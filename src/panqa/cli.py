@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import json
 import math
 import sys
 from pathlib import Path
@@ -24,12 +25,29 @@ from .protocol import bin_subjective_scores, srcc
 from .raster import MultibandImage, RasterFile, raster_paths, save_image
 from .resample import (DEFAULT_MTF_GAIN_MS, DEFAULT_MTF_GAIN_PAN,
                        UPSAMPLE_METHODS, degrade, mtf_gaussian_kernel)
-from .spectral import DEFAULT_BLOCK, qnr
+from .spectral import qnr
 from .synth import synth_scene
 
 
-def _radii(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+def _manifest_value(text: str):
+    """A flag's text as a manifest's JSON value: 32.0 a number, and text
+    that is no JSON a string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _option_flags(p, *names) -> None:
+    """A flag per named EvalOptions field, defaulting to that field. Its
+    text is read as a manifest's value (a tuple's comma-separated), for
+    EvalOptions to check as it checks a manifest's."""
+    for f in dataclasses.fields(EvalOptions):
+        if f.name in names:
+            p.add_argument(
+                "--" + f.name.replace("_", "-"), default=f.default,
+                type=_manifest_value if not isinstance(f.default, tuple)
+                else lambda t: [_manifest_value(v) for v in t.split(",")])
 
 
 def _number(cell, line: int, column) -> float:
@@ -103,23 +121,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_qnr(args) -> int:
+    opts = EvalOptions(block_size=args.block_size)
     _refuse_overwrite([args.out], ms=args.ms, pan=args.pan, fused=args.fused)
     # read from disk a strip at a time, and by degrade a block of rows
     ms, pan, fused = (RasterFile(p) for p in (args.ms, args.pan, args.fused))
     ratio = check_shapes(ms, pan)
     pan_l = degrade(pan, ratio, mtf_gaussian_kernel(ratio, args.mtf_gain))
     value, d_lambda, d_s = qnr(ms, fused, pan, pan_l,
-                               block_size=args.block_size)
+                               block_size=opts.block_size)
     write_json(args.out, {"qnr": value, "d_lambda": d_lambda, "d_s": d_s})
     return 0
 
 
 def cmd_glcm3(args) -> int:
-    glcm3_mod.check_glcm3_options(args.gl, args.radii)
+    opts = EvalOptions(gl=args.gl, radii=args.radii)
     _refuse_overwrite([args.out, args.dump_matrix], input=args.input)
     band = RasterFile(args.input).band(args.band)
-    labels = glcm3_mod.quantize_gray_levels(band, args.gl)
-    matrix = glcm3_mod.tims_glcm(labels, args.radii, gl=args.gl)
+    labels = glcm3_mod.quantize_gray_levels(band, opts.gl)
+    matrix = glcm3_mod.tims_glcm(labels, opts.radii, gl=opts.gl)
     contrast, energy, lne = glcm3_mod.glcm3_features(matrix)
     write_json(args.out, {"contrast": contrast, "energy": energy, "lne": lne,
                           "total_tuples": matrix.total_tuples})
@@ -198,6 +217,10 @@ def cmd_mos(args) -> int:
     ids = [r[0] for r in rows]
     matrix = [[_number(v, line, col) for col, v in enumerate(r[1:], 2)]
               for line, r in enumerate(rows, 1)]
+    for col, scores in enumerate(zip(*matrix), 2):
+        if len(scores) > 1 and len(set(scores)) == 1:
+            raise DegeneracyError(
+                f"column {col}: every candidate has the same score")
     labels = bin_subjective_scores(matrix)
     for cid, label in zip(ids, labels):
         print(f"{cid},{label}")
@@ -239,10 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="all product costs + classic metrics")
     p.add_argument("--reference", required=True)
     p.add_argument("--candidate", required=True)
-    # a flag per EvalOptions field, checked as a manifest's value is
-    for f in dataclasses.fields(EvalOptions):
-        p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
-                       type=_radii if f.name == "radii" else type(f.default))
+    _option_flags(p, *(f.name for f in dataclasses.fields(EvalOptions)))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -252,15 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fused", required=True)
     # the gain of the PAN degrade, the only image qnr degrades
     p.add_argument("--mtf-gain", type=float, default=DEFAULT_MTF_GAIN_PAN)
-    p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK)
+    _option_flags(p, "block_size")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_qnr)
 
     p = sub.add_parser("glcm3", help="third-order texture features")
     p.add_argument("--input", required=True)
     p.add_argument("--band", type=int, default=0)
-    p.add_argument("--gl", type=int, default=glcm3_mod.DEFAULT_GL)
-    p.add_argument("--radii", type=_radii, default=glcm3_mod.DEFAULT_RADII)
+    _option_flags(p, "gl", "radii")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-matrix", default="")
     p.set_defaults(func=cmd_glcm3)

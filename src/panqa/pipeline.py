@@ -2,10 +2,10 @@
 
 image_features() computes one image's quality indicators; evaluate_candidate()
 turns a featurized reference and a candidate image into the full battery of
-scalar costs; score_candidates() featurizes the reference once and
-evaluates each candidate, for `panqa eval` (one candidate, its id its path)
-and for run_manifest(), which aggregates the costs into rank tables for
-cases A-D and serializes ranks.csv / report.json.
+scalar costs; score_candidates() featurizes the reference once, opens every
+candidate, then evaluates each, for `panqa eval` (one candidate, its id its
+path) and for run_manifest(), which aggregates the costs into rank tables
+for cases A-D and serializes ranks.csv / report.json.
 
 Images are touched only through raster.Image's shape and rows(b, start,
 stop) (band(b) is the whole-band case), so an image may be a
@@ -269,19 +269,20 @@ def classic_metrics(reference: Image, candidate: Image,
 def score_candidates(reference, candidates: list[Candidate],
                      opts: EvalOptions) -> tuple[ImageFeatures, list]:
     """The reference raster's features, its flat bands refused, and each
-    candidate's record, read from its RasterFile one band at a time. The
-    first failing candidate raises, named by its id."""
+    candidate's record, read from its RasterFile one band at a time. Every
+    candidate is opened, and its shape checked, before any is featurized;
+    the first failing candidate raises, named by its id."""
     ref = image_features(load_image(reference), opts)
     _refuse_flat_reference(ref)
-    records = []
+    images = []
     for cand in candidates:
         try:
-            image = RasterFile(cand.path)
+            images.append(RasterFile(cand.path))
+            check_shape(images[-1], ref.image.shape)
         except (PanqaError, OSError) as exc:
             raise type(exc)(f"candidate {cand.id!r}: {exc}") from exc
-        records.append(evaluate_candidate(ref, image, opts, cand.id,
-                                          cand.process))
-    return ref, records
+    return ref, [evaluate_candidate(ref, image, opts, cand.id, cand.process)
+                 for cand, image in zip(candidates, images)]
 
 
 def run_manifest(manifest: RunManifest, out_dir) -> RankTable:

@@ -129,6 +129,9 @@ def test_qnr_subcommand(scene):
     pan_l = degrade(pan, 4, mtf_gaussian_kernel(4, DEFAULT_MTF_GAIN_PAN))
     want = qnr(load_image(scene / "ms_l"), load_image(fused), pan, pan_l)
     assert (doc["qnr"], doc["d_lambda"], doc["d_s"]) == want
+    # an integral float flag is read as a manifest's 8.0 is: as 8
+    assert main(argv + ["--block-size", "8.0"]) == 0
+    assert json.loads(out.read_text("utf-8")) == doc
 
 
 def test_qnr_takes_its_ratio_from_the_images(tmp_path):
@@ -309,6 +312,12 @@ def test_glcm3_subcommand(scene):
         rows = list(csv.DictReader(fh))
     assert sum(int(r["count"]) for r in rows) == doc["total_tuples"]
     assert all(int(r["row"]) <= int(r["col"]) for r in rows)
+    # flags are read as a manifest's values: --gl 8.0 is 8
+    written = out.read_bytes(), dump.read_bytes()
+    assert main(["glcm3", "--input", str(scene / "ms"), "--gl", "8.0",
+                 "--radii", "1,2.0,3", "--out", str(out),
+                 "--dump-matrix", str(dump)]) == 0
+    assert (out.read_bytes(), dump.read_bytes()) == written
 
 
 def test_quantize_contours_roundtrip(scene):
@@ -707,10 +716,45 @@ def test_rank_one_candidate_refused_before_featurizing(scene, monkeypatch,
     mpath.write_text(json.dumps(manifest), encoding="utf-8")
     calls = count_calls(monkeypatch, pipeline.image_features)
     assert main(["rank", "--manifest", str(mpath),
-                 "--out-dir", str(scene / "out")]) == 2
+                 "--out-dir", str(scene / "out" / "sub")]) == 2
     assert (capsys.readouterr().err.strip()
             == "error: manifest needs at least 2 candidates, has 1")
     assert calls == []
+    # not even the parent of its --out-dir
+    assert not (scene / "out").exists()
+
+
+@pytest.mark.parametrize("last, message", [
+    ("gone", "missing header {path}.json"),
+    ("short", "length mismatch: payload {path}.raw has 65532 bytes, header "
+     "implies 65536"),
+    ("small", "shape mismatch: (4, 16, 16) against (4, 64, 64)"),
+], ids=["gone", "short", "small"])
+def test_rank_bad_last_candidate_refused_before_featurizing(
+        scene, monkeypatch, capsys, last, message):
+    # every candidate is opened, and its shape checked, before any is
+    # featurized: only the reference is
+    planes = load_image(scene / "ms").planes
+    for name, gain in (("dim", 0.9), ("dimmer", 0.8)):
+        save_image(MultibandImage(planes * gain), scene / name)
+    shutil.copyfile(scene / "ms.json", scene / "short.json")
+    (scene / "short.raw").write_bytes((scene / "ms.raw").read_bytes()[:-4])
+    shutil.copyfile(scene / "ms_l.json", scene / "small.json")
+    shutil.copyfile(scene / "ms_l.raw", scene / "small.raw")
+    path = scene / last
+    manifest = {"reference": str(scene / "ms"), "ratio": 4,
+                "candidates": [{"id": "dim", "path": str(scene / "dim")},
+                               {"id": "dimmer",
+                                "path": str(scene / "dimmer")},
+                               {"id": last, "path": str(path)}]}
+    mpath = scene / "manifest.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    calls = count_calls(monkeypatch, pipeline.image_features)
+    assert main(["rank", "--manifest", str(mpath),
+                 "--out-dir", str(scene / "out")]) == 2
+    assert (capsys.readouterr().err.strip()
+            == f"error: candidate {last!r}: " + message.format(path=path))
+    assert calls == ["image_features"]
     assert not (scene / "out").exists()
 
 
@@ -1062,12 +1106,32 @@ def test_mos_malformed_scores(tmp_path, capsys, text, message):
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
-@pytest.mark.parametrize("case", ["nan", "overflow"])
+@pytest.mark.parametrize("text, message", [
+    ("pca,4,5,3\ncn,3,5,2\natwt,5,5,5\n",
+     "column 3: every candidate has the same score"),
+    # equal scores whose mean rounds, so that their std is 1.4e-17
+    ("a,0.1,1\nb,0.1,2\nc,0.1,3\n",
+     "column 2: every candidate has the same score"),
+], ids=["column-3", "mean-rounds"])
+def test_mos_same_score_for_every_candidate(tmp_path, capsys, text,
+                                            message):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(text, encoding="utf-8")
+    assert main(["mos", "--scores", str(scores)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: {message}"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("case, method", [
+    ("nan", "atwt"), ("overflow", "atwt"), ("nan", "pca"), ("nan", "cn")],
+    ids=["nan", "overflow", "nan-pca", "nan-cn"])
 def test_fuse_refused_mid_stream_leaves_nothing(tmp_path, rng, capsys,
-                                                monkeypatch, case):
+                                                monkeypatch, case, method):
     # the PAN's last sample NaN, or its last row beyond float32's range
     # once calibrated: ATWT refuses it in its last block of rows, after
-    # it has written the others
+    # it has written the others; PCA and CN read the PAN for their stats
+    # before they yield a block
     save_image(MultibandImage(rng.uniform(0.1, 0.9, (4, 40, 40))),
                tmp_path / "ms")
     pan = rng.uniform(0.1, 0.9, (160, 160))
@@ -1084,14 +1148,15 @@ def test_fuse_refused_mid_stream_leaves_nothing(tmp_path, rng, capsys,
     (tmp_path / "bad.json").write_text(json.dumps(header), encoding="utf-8")
     pan.astype("<f4").tofile(tmp_path / "bad.raw")
     yielded = []
+    fuser, n_free_parameters = fusion._FUSERS[method]
 
     def counted(ms, pan, cfg):
-        for rows, block in fusion.pansharpen_atwt(ms, pan, cfg):
+        for rows, block in fuser(ms, pan, cfg):
             yielded.append(rows)
             yield rows, block
 
-    monkeypatch.setitem(fusion._FUSERS, "atwt", (counted, 2))
-    argv = ["fuse", "--method", "atwt", "--ms", str(tmp_path / "ms")]
+    monkeypatch.setitem(fusion._FUSERS, method, (counted, n_free_parameters))
+    argv = ["fuse", "--method", method, "--ms", str(tmp_path / "ms")]
     assert main(argv + ["--pan", str(tmp_path / "pan"),
                         "--out", str(tmp_path / "earlier")]) == 0
     saved = {p.name: p.read_bytes() for p in tmp_path.glob("earlier*")}
@@ -1101,7 +1166,8 @@ def test_fuse_refused_mid_stream_leaves_nothing(tmp_path, rng, capsys,
         assert main(argv + ["--pan", str(tmp_path / "bad"),
                             "--out", str(tmp_path / out)]) == 2
         assert capsys.readouterr().err.startswith(message)
-        assert len(yielded) >= 2   # blocks of rows were written first
+        # ATWT wrote blocks of rows first, PCA and CN none
+        assert len(yielded) >= 2 if method == "atwt" else not yielded
     assert not list(tmp_path.glob("fresh*"))
     assert not list(tmp_path.glob("*.part"))
     assert {p.name: p.read_bytes()
@@ -1118,6 +1184,7 @@ def test_dotted_names_are_two_rasters(tmp_path, rng):
               for name in ("gain1.02", "gain1.05")}
     for name, p in planes.items():
         save_image(MultibandImage(p), tmp_path / name)
+    saved = {f: f.read_bytes() for f in tmp_path.iterdir()}
     for name, p in planes.items():
         assert np.array_equal(RasterFile(tmp_path / name).band(1),
                               p[1].astype(np.float32))
@@ -1131,6 +1198,7 @@ def test_dotted_names_are_two_rasters(tmp_path, rng):
         f"{name}{ext}" for name in ("gain1.02", "gain1.05", "gain1.02_l.v2",
                                     "gain1.05_l.v2")
         for ext in (".json", ".raw"))
+    assert {f: f.read_bytes() for f in saved} == saved
 
 
 @pytest.mark.parametrize("meta", ["fused.json", "fused.raw",
@@ -1151,6 +1219,11 @@ def test_fuse_refuses_meta_over_output(scene, capsys, meta):
      "1", "--out", "qnr.json"],
     ["eval", "--reference", "ms", "--candidate", "ms", "--block-size", "1",
      "--out", "eval.json"],
+    # read as a manifest's 1.0 is: as 1
+    ["qnr", "--ms", "ms_l", "--pan", "pan", "--fused", "ms", "--block-size",
+     "1.0", "--out", "qnr.json"],
+    ["eval", "--reference", "ms", "--candidate", "ms", "--block-size", "1.0",
+     "--out", "eval.json"],
 ])
 def test_block_size_below_two(scene, monkeypatch, capsys, argv):
     # the truth ms stands in for a fused image on the PAN grid
@@ -1158,6 +1231,7 @@ def test_block_size_below_two(scene, monkeypatch, capsys, argv):
     assert main(argv) == 2
     assert (capsys.readouterr().err.strip()
             == "error: block_size must be >= 2")
+    assert not (scene / argv[-1]).exists()
 
 
 @pytest.mark.parametrize("option, message", [
@@ -1168,6 +1242,13 @@ def test_block_size_below_two(scene, monkeypatch, capsys, argv):
     (["--gl", "257"], "gl must be in [2, 256]: 257"),
     (["--radii", "3,2"], "radii must be strictly increasing, min >= 1"),
     (["--category2-level", "medium"], "unknown category2_level 'medium'"),
+    # a flag's text is read as a manifest's JSON value would be
+    (["--gl", "31.7"], "wrong type for gl: 31.7"),
+    (["--gl", "1.0"], "gl must be in [2, 256]: 1"),
+    (["--ratio", "4.5"], "wrong type for ratio: 4.5"),
+    (["--block-size", "true"], "wrong type for block_size: True"),
+    (["--radii", "x"], "wrong type for radii: 'x'"),
+    (["--radii", "1,2.5"], "wrong type for radii: 2.5"),
 ])
 def test_eval_option_out_of_range(tmp_path, capsys, option, message):
     # refused before either image is read: neither exists. A manifest
@@ -1206,7 +1287,7 @@ def test_eval_has_a_flag_per_option():
 
 @pytest.mark.parametrize("key, value", [
     *(("category2_level", level) for level in quantizer.LEVELS),
-    ("gl", 16), ("radii", [1, 4]), ("block_size", 4)])
+    ("gl", 16), ("radii", [1, 4]), ("block_size", 4), ("gl", 16.0)])
 def test_eval_writes_the_rank_entry(scene, key, value):
     # eval's JSON less classic is report.json's entry for the candidate of
     # a manifest whose ids are the paths and that has no process keys
@@ -1263,7 +1344,10 @@ def test_glcm3_radii_not_increasing(scene, capsys):
 
 @pytest.mark.parametrize("option, message", [
     (["--gl", "300"], "gl must be in [2, 256]: 300"),
-    (["--radii", "0,1"], "radii must be strictly increasing, min >= 1")])
+    (["--radii", "0,1"], "radii must be strictly increasing, min >= 1"),
+    (["--gl", "31.7"], "wrong type for gl: 31.7"),
+    (["--gl", "1.0"], "gl must be in [2, 256]: 1"),
+    (["--radii", "x"], "wrong type for radii: 'x'")])
 def test_glcm3_options_checked_before_read(tmp_path, capsys, option,
                                            message):
     # the input does not exist: the option is refused first

@@ -574,29 +574,38 @@ _READERS = {
               "out"], "fused"),
     "qnr": (["qnr", "--ms", "bad", "--pan", "pan", "--fused", "fused",
              "--out", "out"], "ms_l"),
+    "qnr-fused": (["qnr", "--ms", "ms_l", "--pan", "pan", "--fused", "bad",
+                   "--out", "out"], "fused"),
     "glcm3": (["glcm3", "--input", "bad", "--out", "out"], "ms"),
     "quantize": (["quantize", "--input", "bad", "--out", "out"], "ms"),
 }
 
 
-@pytest.mark.parametrize("dtype", [[], {}, 3, True],
-                         ids=["list", "object", "int", "bool"])
+# the bad image: its header's dtype of another type than a string, or
+# its f32 payload one sample short
+@pytest.mark.parametrize("header_keys, cut, message", [
+    *(({"dtype": dtype}, 0, "unknown dtype") for dtype in ([], {}, 3, True)),
+    ({}, 4, "length mismatch"),
+], ids=["list", "object", "int", "bool", "short"])
 @pytest.mark.parametrize("command", sorted(_READERS))
 def test_header_refuses_dtype_of_another_type(tmp_path, capsys,
-                                              chain_images, dtype, command):
+                                              chain_images, header_keys, cut,
+                                              message, command):
     from panqa.cli import main
     argv, name = _READERS[command]
     header = json.loads((chain_images / f"{name}.json").read_text())
-    (tmp_path / "bad.json").write_text(json.dumps(dict(header, dtype=dtype)))
-    (tmp_path / "bad.raw").write_bytes(
-        (chain_images / f"{name}.raw").read_bytes())
+    assert header["dtype"] == "f32"
+    (tmp_path / "bad.json").write_text(json.dumps(dict(header,
+                                                       **header_keys)))
+    payload = (chain_images / f"{name}.raw").read_bytes()
+    (tmp_path / "bad.raw").write_bytes(payload[:len(payload) - cut])
     for open_image in (load_image, RasterFile):
-        with pytest.raises(InputError, match="unknown dtype"):
+        with pytest.raises(InputError, match=message):
             open_image(tmp_path / "bad")
     paths = {a: chain_images / a for a in ("ms", "ms_l", "pan", "fused")}
     paths.update(bad=tmp_path / "bad", out=tmp_path / "out")
     assert main([str(paths.get(a, a)) for a in argv]) == 2
-    assert "unknown dtype" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     # nothing written: no output file and no .part file
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json",
                                                           "bad.raw"]
