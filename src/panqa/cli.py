@@ -17,7 +17,7 @@ import numpy as np
 
 from . import glcm3 as glcm3_mod
 from . import quantizer as quant_mod
-from .errors import DegeneracyError, InputError, PanqaError
+from .errors import DegeneracyError, InputError, PanqaError, checked
 from .fusion import FUSION_METHODS, FusionConfig, check_shapes, pansharpen
 from .pipeline import (Candidate, EvalOptions, RunManifest, classic_metrics,
                        run_manifest, score_candidates, write_json)
@@ -36,6 +36,13 @@ def _manifest_value(text: str):
         return json.loads(text)
     except ValueError:
         return text
+
+
+def _number_flag(kind, key: str):
+    """A flag's type: its text read as a manifest's value, then checked
+    as a kind (int or float) number named key, as a manifest's is. The
+    InputError it raises is an exit 2 of main, before any file is read."""
+    return lambda text: checked(kind, _manifest_value(text), key)
 
 
 def _option_flags(p, *names) -> None:
@@ -94,8 +101,8 @@ def cmd_fuse(args) -> int:
     _refuse_overwrite(raster_paths(args.out), ms=args.ms, pan=args.pan)
     _refuse_overwrite([args.process_meta], ms=args.ms, pan=args.pan,
                       fused=args.out)
-    # the fuser reads both from disk a block or a strip of rows at a
-    # time, and writes each block of the fused image as it makes it
+    # the fuser reads both from disk a block of rows at a time, and
+    # writes each block of the fused image as it makes it
     ms, pan = RasterFile(args.ms), RasterFile(args.pan)
     cfg = FusionConfig(method=args.method, resampler=args.resample,
                        wavelet_levels=args.levels)
@@ -234,17 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic scene")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--width", type=int, default=256)
-    p.add_argument("--height", type=int, default=256)
+    p.add_argument("--seed", type=_number_flag(int, "seed"), default=0)
+    p.add_argument("--width", type=_number_flag(int, "width"), default=256)
+    p.add_argument("--height", type=_number_flag(int, "height"), default=256)
     p.add_argument("--out-ms", required=True)
     p.add_argument("--out-pan", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("degrade", help="MTF-matched low-pass and decimate")
     p.add_argument("--input", required=True)
-    p.add_argument("--ratio", type=int, required=True)
-    p.add_argument("--mtf-gain", type=float, default=DEFAULT_MTF_GAIN_MS)
+    p.add_argument("--ratio", type=_number_flag(int, "ratio"), required=True)
+    p.add_argument("--mtf-gain", type=_number_flag(float, "mtf_gain"),
+                   default=DEFAULT_MTF_GAIN_MS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_degrade)
 
@@ -254,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pan", required=True)
     p.add_argument("--resample", choices=UPSAMPLE_METHODS,
                    default=FusionConfig.resampler)
-    p.add_argument("--levels", type=int, default=FusionConfig.wavelet_levels)
+    p.add_argument("--levels", type=_number_flag(int, "levels"),
+                   default=FusionConfig.wavelet_levels)
     p.add_argument("--out", required=True)
     p.add_argument("--process-meta", default="")
     p.set_defaults(func=cmd_fuse)
@@ -271,14 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pan", required=True)
     p.add_argument("--fused", required=True)
     # the gain of the PAN degrade, the only image qnr degrades
-    p.add_argument("--mtf-gain", type=float, default=DEFAULT_MTF_GAIN_PAN)
+    p.add_argument("--mtf-gain", type=_number_flag(float, "mtf_gain"),
+                   default=DEFAULT_MTF_GAIN_PAN)
     _option_flags(p, "block_size")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_qnr)
 
     p = sub.add_parser("glcm3", help="third-order texture features")
     p.add_argument("--input", required=True)
-    p.add_argument("--band", type=int, default=0)
+    p.add_argument("--band", type=_number_flag(int, "band"), default=0)
     _option_flags(p, "gl", "radii")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-matrix", default="")
@@ -315,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ _atwt_taps). PCA and CN need two: a statistics pass, then the
 injection. Every mean, variance and covariance they use comes from
 _moments, over the upsampled blocks (PCA's band means and covariance,
 so PC1's mean is 0 and its variance v1' C v1), their band means (CN's
-intensity) and the pan's strips. These round differently from
+intensity) and the pan's blocks of rows. These round differently from
 whole-plane stats, and ATWT's smoothing from the per-tap cascade of
 levels: within 1e-9 of the whole-image fusers' outputs for PCA and
 1e-12 for CN and ATWT. The matched pan, PCA's detail, CN's scale and
@@ -39,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import resample
 from .errors import DegeneracyError, InputError
-from .raster import Image, row_strips, save_rows
+from .raster import Image, save_rows
 from .resample import filter_blocks, separable, upsample
 
 _EPS = 1e-12
@@ -89,11 +90,11 @@ def _moments(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pan_stats(pan: Image) -> tuple[float, float]:
-    """The pan's mean and variance, read a strip of rows at a time."""
+    """The pan's mean and variance, over upsample()'s blocks of rows."""
+    step = resample.BLOCK_ROWS   # read now, as upsample() reads it
     (mean,), ((var,),) = _moments(
-        (pan.rows(0, a, b).reshape(1, -1)
-         for a, b in row_strips(pan.height, 8 * pan.width)),
-        pan.height * pan.width)
+        (pan.rows(0, a, min(a + step, pan.height)).reshape(1, -1)
+         for a in range(0, pan.height, step)), pan.height * pan.width)
     return mean, var
 
 

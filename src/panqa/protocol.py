@@ -137,14 +137,16 @@ class RankTable:
 
 
 def zscore(values) -> np.ndarray:
-    """Population standard score; raises on fewer than 2 values or zero
-    spread."""
+    """Population standard score; raises on fewer than 2 values, on
+    values that are all equal (their std is 1e-17 where the mean rounds),
+    and on a std that underflows to 0 or overflows."""
     x = np.asarray(values, dtype=np.float64)
     if x.size < 2:
         raise InputError("need at least 2 values to standardize")
     std = x.std()
-    if std == 0.0:
-        raise DegeneracyError("degenerate QI: zero variance")
+    if x.min() == x.max() or std in (0.0, math.inf):
+        raise DegeneracyError(f"degenerate QI: std {std} of values "
+                              f"{x.min()} to {x.max()}")
     return (x - x.mean()) / std
 
 
@@ -275,10 +277,7 @@ def bin_subjective_scores(scores) -> list[str]:
     if m.ndim != 2 or m.shape[1] < 2:
         raise InputError("need a candidates x subjects matrix, >= 2 subjects")
     z = np.column_stack([zscore(m[:, s]) for s in range(m.shape[1])])
-    lo, hi = z.min(), z.max()
-    if hi == lo:
-        raise DegeneracyError("degenerate score distribution")
-    edges = np.linspace(lo, hi, N_BINS + 1)
+    edges = np.linspace(z.min(), z.max(), N_BINS + 1)
     labels = []
     for c in range(m.shape[0]):
         idx = np.clip(np.searchsorted(edges, z[c], side="right") - 1,

@@ -42,9 +42,9 @@ image's own row_strips() runs. A raster's two files are its name with
 .json and .raw appended, so a dot in a name starts no suffix.
 
 row_strips() is the one strip iterator and STRIP_BYTES the one strip
-budget: every loop in panqa that works a strip at a time takes its
-strips from row_strips(). The resamplers work in blocks of output rows
-instead (resample.BLOCK_ROWS), which do not depend on the budget.
+budget, which bounds memory alone: each loop is elementwise, or gathers
+its results for one mean. The resamplers and the fusers' pan statistics
+work in blocks of rows (resample.BLOCK_ROWS), which do not depend on it.
 """
 
 from __future__ import annotations

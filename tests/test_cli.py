@@ -13,6 +13,8 @@ import pytest
 
 from panqa import fusion, glcm3, pipeline, quantizer, raster
 from panqa.cli import build_parser, main
+from panqa.errors import DegeneracyError
+from panqa.protocol import bin_subjective_scores
 from panqa.raster import (MultibandImage, RasterFile, load_image, raster_paths,
                           save_image)
 from panqa.resample import DEFAULT_MTF_GAIN_PAN, degrade, mtf_gaussian_kernel
@@ -156,23 +158,30 @@ def test_qnr_takes_its_ratio_from_the_images(tmp_path):
     assert (doc["qnr"], doc["d_lambda"], doc["d_s"]) == want
 
 
-@pytest.mark.parametrize("argv", [
-    ["fuse", "--method", "cn", "--ms", "ms_l", "--pan", "pan",
-     "--out", "out"],
-    ["qnr", "--ms", "ms_l", "--pan", "pan", "--fused", "ms",
-     "--out", "out.json"],
-])
-def test_pan_not_a_multiple_of_ms(tmp_path, monkeypatch, capsys, rng, argv):
-    # 30 is no multiple of 8: fuse and qnr refuse the pair alike
+@pytest.mark.parametrize("argv, message", [
+    (["fuse", "--method", "cn", "--ms", "ms_l", "--pan", "pan",
+      "--out", "out"], "pan dimensions must be integer multiples of ms"),
+    (["qnr", "--ms", "ms_l", "--pan", "pan", "--fused", "ms",
+      "--out", "out.json"], "pan dimensions must be integer multiples of ms"),
+    (["fuse", "--method", "cn", "--ms", "ms_wide", "--pan", "pan32",
+      "--out", "out"], "pan/ms ratio differs between axes"),
+    (["fuse", "--method", "pca", "--ms", "ms_one", "--pan", "pan32",
+      "--out", "out"], "PCA fusion needs at least two bands"),
+], ids=["argv0", "argv1", "ratio-differs", "pca-one-band"])
+def test_pan_not_a_multiple_of_ms(tmp_path, monkeypatch, capsys, rng, argv,
+                                  message):
+    # 30 is no multiple of 8: fuse and qnr refuse the pair alike. A 32^2
+    # pan is 4 times an 8^2 MS but 2 times an 8x16 one, and PCA needs a
+    # second band
     for name, shape in (("ms_l", (8, 8, 4)), ("pan", (30, 30, 1)),
-                        ("ms", (30, 30, 4))):
+                        ("ms", (30, 30, 4)), ("pan32", (32, 32, 1)),
+                        ("ms_wide", (8, 16, 4)), ("ms_one", (8, 8, 1))):
         samples = rng.uniform(0.1, 0.9, shape)
         save_image(MultibandImage(np.moveaxis(samples, 2, 0)),
                    tmp_path / name)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
-    assert (capsys.readouterr().err.strip()
-            == "error: pan dimensions must be integer multiples of ms")
+    assert capsys.readouterr().err.strip() == f"error: {message}"
     assert not any(tmp_path.glob("out*"))
 
 
@@ -232,11 +241,11 @@ README_MANIFEST = {
 }
 
 
-def readme_commands(size: int) -> list[str]:
-    """The README quick start on a size x size scene, run in a directory
-    that holds README_MANIFEST as manifest.json."""
+def readme_commands(width: int, height: int) -> list[str]:
+    """The README quick start on a width x height scene, run in a
+    directory that holds README_MANIFEST as manifest.json."""
     return [
-        f"synth --seed 7 --width {size} --height {size} --out-ms ms "
+        f"synth --seed 7 --width {width} --height {height} --out-ms ms "
         "--out-pan pan",
         "degrade --input ms --ratio 4 --out ms_l",
         "degrade --input pan --ratio 4 --mtf-gain 0.15 --out pan_l",
@@ -252,7 +261,7 @@ def test_readme_quickstart(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "manifest.json").write_text(json.dumps(README_MANIFEST),
                                             encoding="utf-8")
-    codes = {cmd: main(cmd.split()) for cmd in readme_commands(256)}
+    codes = {cmd: main(cmd.split()) for cmd in readme_commands(256, 256)}
     codes["srcc"] = main(["srcc", "--table", "results/ranks.csv",
                           "--col-a", "PDFR case A", "--col-b", "PDFR case C"])
     assert codes == dict.fromkeys(codes, 0), capsys.readouterr().err
@@ -264,7 +273,7 @@ def test_readme_library_example(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "manifest.json").write_text(json.dumps(README_MANIFEST),
                                             encoding="utf-8")
-    for cmd in readme_commands(64):
+    for cmd in readme_commands(64, 64):
         assert main(cmd.split()) == 0, (cmd, capsys.readouterr().err)
     readme = Path(__file__).parents[1] / "README.md"
     (block,) = re.findall(r"^```python\n(.*?)^```",
@@ -274,29 +283,38 @@ def test_readme_library_example(tmp_path, monkeypatch, capsys):
 
 def test_strip_budget_changes_no_output(tmp_path, monkeypatch, capsys):
     # every strip loop sizes its strips from raster.STRIP_BYTES when it
-    # runs. At 64x64 the default budget makes one strip of each loop; at
-    # 1 byte each strip is one sample, one row or one block row. Every
-    # file written is the same
-    commands = readme_commands(64) + [
-        "quantize --input fused_pca --out labels_pca",
-        "glcm3 --input fused_pca --gl 32 --out glcm3.json "
-        "--dump-matrix glcm3_counts.csv",
-    ]
-    outputs = []
-    for budget in (raster.STRIP_BYTES, 1):
-        run = tmp_path / f"budget{budget}"
-        run.mkdir()
-        monkeypatch.chdir(run)
-        (run / "manifest.json").write_text(json.dumps(README_MANIFEST),
-                                           encoding="utf-8")
-        with mock.patch.object(raster, "STRIP_BYTES", budget):
-            for cmd in commands:
-                assert main(cmd.split()) == 0, (cmd, capsys.readouterr().err)
-        outputs.append({p.relative_to(run).as_posix(): p.read_bytes()
-                        for p in run.rglob("*") if p.is_file()})
-    default, one_byte = outputs
-    assert sorted(one_byte) == sorted(default)
-    assert [name for name in default if one_byte[name] != default[name]] == []
+    # runs, and no reduction is partitioned by them. Each scene runs at
+    # the default budget and at a small one. At 64x64 the default makes
+    # one strip of each loop, and 1 byte makes each strip one sample, one
+    # row or one block row. At 2048x64 the default makes 4 strips of the
+    # save, binning, SAM and Q4 loops; at 64x2048 the fusers run 32
+    # blocks of resample.BLOCK_ROWS (upsample, PAN statistics and ATWT
+    # smoothing) and each degrade 8. Both run at 4 KiB, as 1 byte takes
+    # minutes there. Every file written is the same
+    for width, height, small in ((64, 64, 1), (2048, 64, 4096),
+                                 (64, 2048, 4096)):
+        commands = readme_commands(width, height) + [
+            "quantize --input fused_pca --out labels_pca",
+            "glcm3 --input fused_pca --gl 32 --out glcm3.json "
+            "--dump-matrix glcm3_counts.csv",
+        ]
+        outputs = []
+        for budget in (raster.STRIP_BYTES, small):
+            run = tmp_path / f"{width}x{height}_budget{budget}"
+            run.mkdir()
+            monkeypatch.chdir(run)
+            (run / "manifest.json").write_text(json.dumps(README_MANIFEST),
+                                               encoding="utf-8")
+            with mock.patch.object(raster, "STRIP_BYTES", budget):
+                for cmd in commands:
+                    assert main(cmd.split()) == 0, (cmd,
+                                                    capsys.readouterr().err)
+            outputs.append({p.relative_to(run).as_posix(): p.read_bytes()
+                            for p in run.rglob("*") if p.is_file()})
+        default, small_budget = outputs
+        assert sorted(small_budget) == sorted(default)
+        assert [name for name in default
+                if small_budget[name] != default[name]] == [], (width, height)
 
 
 def test_glcm3_subcommand(scene):
@@ -648,6 +666,8 @@ def test_rank_manifest_malformed_candidates(tmp_path, capsys, candidates,
      "manifest needs at least 2 candidates, has 0"),
     (lambda m: m["candidates"].pop(),
      "manifest needs at least 2 candidates, has 1"),
+    (lambda m: m["candidates"][1].update(id="a"),
+     "duplicate candidate ids in manifest"),
 ])
 def test_rank_manifest_wrong_type(tmp_path, capsys, change, message):
     manifest = {"reference": "ms", "ratio": 4,
@@ -852,6 +872,20 @@ def test_flat_candidate_band_named_by_id(scene, capsys):
      "pan.json would overwrite the input image pan"),
     (["synth", "--out-ms", "ms", "--out-pan", "ms"],
      "ms.json would overwrite the ms image ms"),
+    # a number flag, read as a manifest's JSON value and checked as the
+    # command line is parsed
+    (["degrade", "--input", "ms", "--ratio", "4.5", "--out", "d"],
+     "wrong type for ratio: 4.5"),
+    (["degrade", "--input", "ms", "--ratio", "\"4\"", "--out", "d"],
+     "wrong type for ratio: '4'"),
+    (["degrade", "--input", "ms", "--ratio", "4", "--mtf-gain", "[0.3]",
+      "--out", "d"], "wrong type for mtf_gain: [0.3]"),
+    (["fuse", "--method", "atwt", "--ms", "ms_l", "--pan", "pan",
+      "--levels", "2.5", "--out", "fused"], "wrong type for levels: 2.5"),
+    (["fuse", "--method", "atwt", "--ms", "ms_l", "--pan", "pan",
+      "--levels", "two", "--out", "fused"], "wrong type for levels: 'two'"),
+    (["qnr", "--ms", "ms_l", "--pan", "pan", "--fused", "ms", "--mtf-gain",
+      "false", "--out", "q.json"], "wrong type for mtf_gain: False"),
 ])
 def test_output_over_an_input_refused(scene, monkeypatch, capsys, argv,
                                       message):
@@ -982,6 +1016,8 @@ GOOD_HEADER = {"width": 2, "height": 2, "bands": 1, "dtype": "u8",
      "header {path}: gain must be finite and nonzero: [0.0]"),
     (json.dumps(dict(GOOD_HEADER, gain=[float("inf")])),
      "header {path}: gain must be finite and nonzero: [inf]"),
+    (json.dumps(dict(GOOD_HEADER, offset=[0.0, 0.0])),
+     "header {path}: gain/offset length must equal band count"),
     (json.dumps(dict(GOOD_HEADER, offset=[float("nan")])),
      "header {path}: offset must be finite: [nan]"),
     (json.dumps({k: v for k, v in GOOD_HEADER.items() if k != "width"}),
@@ -1064,6 +1100,12 @@ def test_exit_code_bad_ratio(scene):
     (["--width", "-4"], "width must be a positive multiple of 4, not -4"),
     (["--height", "0"], "height must be a positive multiple of 4, not 0"),
     (["--width", "6"], "width must be a positive multiple of 4, not 6"),
+    # a flag's text is read as a manifest's JSON value would be
+    (["--width", "6.0"], "width must be a positive multiple of 4, not 6"),
+    (["--seed", "1.5"], "wrong type for seed: 1.5"),
+    (["--width", "64.5"], "wrong type for width: 64.5"),
+    (["--height", "x"], "wrong type for height: 'x'"),
+    (["--seed", "1e400"], "wrong type for seed: inf"),
 ])
 def test_synth_bad_argument(tmp_path, capsys, option, message):
     assert main(["synth", *option, "--out-ms", str(tmp_path / "ms"),
@@ -1121,6 +1163,13 @@ def test_mos_same_score_for_every_candidate(tmp_path, capsys, text,
     captured = capsys.readouterr()
     assert captured.err.strip() == f"error: {message}"
     assert captured.out == ""
+
+
+def test_subjective_scores_same_for_every_candidate():
+    # the library refuses the column that panqa mos refuses: three 0.1s
+    # are equal, though their std is 1.4e-17, and bin as no labels
+    with pytest.raises(DegeneracyError, match="of values 0.1 to 0.1"):
+        bin_subjective_scores([[0.1, 1], [0.1, 2], [0.1, 3]])
 
 
 @pytest.mark.parametrize("case, method", [
@@ -1335,6 +1384,27 @@ def test_degrade_ratio_one_copies(scene):
                           load_image(scene / "ms").planes)
 
 
+def test_number_flags_read_as_manifest_values(scene):
+    # --ratio 4.0 runs as a manifest's 4.0 does, as 4, and the flags of
+    # perfbench parse to the numbers that int() and float() gave
+    assert main(["degrade", "--input", str(scene / "ms"), "--ratio", "4.0",
+                 "--out", str(scene / "ms_l4")]) == 0
+    for ext in (".json", ".raw"):
+        assert ((scene / f"ms_l4{ext}").read_bytes()
+                == (scene / f"ms_l{ext}").read_bytes())
+    parse = build_parser().parse_args
+    args = parse(["degrade", "--input", "i", "--ratio", "4",
+                  "--mtf-gain", "0.15", "--out", "o"])
+    assert (args.ratio, args.mtf_gain) == (4, 0.15)
+    args = parse(["synth", "--seed", "12", "--width", "1024",
+                  "--height", "512.0", "--out-ms", "m", "--out-pan", "p"])
+    assert [(type(v), v) for v in (args.seed, args.width, args.height)] == [
+        (int, 12), (int, 1024), (int, 512)]
+    args = parse(["fuse", "--method", "atwt", "--ms", "m", "--pan", "p",
+                  "--levels", "3.0", "--out", "o"])
+    assert (type(args.levels), args.levels) == (int, 3)
+
+
 def test_glcm3_radii_not_increasing(scene, capsys):
     assert main(["glcm3", "--input", str(scene / "ms"), "--radii", "2,1",
                  "--out", str(scene / "glcm.json")]) == 2
@@ -1347,7 +1417,9 @@ def test_glcm3_radii_not_increasing(scene, capsys):
     (["--radii", "0,1"], "radii must be strictly increasing, min >= 1"),
     (["--gl", "31.7"], "wrong type for gl: 31.7"),
     (["--gl", "1.0"], "gl must be in [2, 256]: 1"),
-    (["--radii", "x"], "wrong type for radii: 'x'")])
+    (["--radii", "x"], "wrong type for radii: 'x'"),
+    (["--band", "0.5"], "wrong type for band: 0.5"),
+    (["--band", "true"], "wrong type for band: True")])
 def test_glcm3_options_checked_before_read(tmp_path, capsys, option,
                                            message):
     # the input does not exist: the option is refused first

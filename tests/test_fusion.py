@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocks import collect
-from panqa import raster
+from panqa import resample
 from panqa.errors import DegeneracyError, InputError
 from panqa.fusion import (FusionConfig, _moments, pansharpen,
                           pansharpen_atwt, pansharpen_cn, pansharpen_pca)
@@ -212,14 +212,14 @@ def test_moments_equal_numpy(seed, k, n, cuts, exponent, constant):
 @pytest.mark.parametrize("method", ["pca", "cn"])
 def test_constant_pan_maps_to_target_mean(rng, method):
     # 14,400 samples of 0.3, whose ndarray mean is 0.29999999999999993 and
-    # std 5.6e-17, read in strips of 7 rows: the pan must count as
+    # std 5.6e-17, read in blocks of 7 rows: the pan must count as
     # constant and map to the target's mean (the intensity's, PC1's 0), as
     # the whole-plane references map it, with no warning (warnings are
     # errors in the tests)
     ms, _ = make_pair(rng, h=30, w=30, ratio=4)
     pan = np.full((120, 120), 0.3)
     cfg = FusionConfig(method=method)
-    with mock.patch.object(raster, "STRIP_BYTES", 7 * 120 * 8):
+    with mock.patch.object(resample, "BLOCK_ROWS", 7):
         fused = collect(FUSERS[method](ms, pan_image(pan), cfg)).planes
     assert np.isfinite(fused).all()
     want = STACKED[method](ms, pan, cfg)

@@ -218,6 +218,13 @@ class TestTimsGlcm:
         with pytest.raises(InputError, match="too small"):
             tims_glcm(np.zeros((4, 4), dtype=np.int64), (1, 2, 3),
                       gl=4)
+        with pytest.raises(InputError, match="labels must be a 2-D plane"):
+            tims_glcm(np.zeros((2, 7, 7), dtype=np.int64), gl=4)
+        for value in (-1, 4):
+            labels = np.zeros((7, 7), dtype=np.int64)
+            labels[3, 3] = value
+            with pytest.raises(InputError, match=r"labels outside \[0, gl\)"):
+                tims_glcm(labels, gl=4)
 
     def test_bad_radii(self):
         labels = np.zeros((7, 7), dtype=np.int64)
@@ -260,6 +267,12 @@ class TestFeatures:
     def test_empty_matrix_rejected(self):
         with pytest.raises(DegeneracyError):
             Glcm3(gl=4, counts=np.zeros((4, 4, 4), dtype=np.int64))
+        with pytest.raises(InputError, match=r"counts must be \(gl, gl, gl\)"):
+            Glcm3(gl=4, counts=np.ones((4, 4, 3), dtype=np.int64))
+        counts = np.zeros((4, 4, 4), dtype=np.int64)
+        counts[0, 2, 1] = 1   # row 2 > col 1
+        with pytest.raises(InputError, match="lower-triangular"):
+            Glcm3(gl=4, counts=counts)
 
 
 class TestCost:

@@ -17,7 +17,6 @@ import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -295,9 +294,6 @@ def traced_peak(fn, *args, **kwargs):
 H = W = 256
 BANDS = 4
 PLANE = H * W * 8   # one float64 band
-# the fusers' strips at the benchmark's 1024 columns: 32 rows, here an
-# eighth of a plane
-STRIPS_OF_32_ROWS = 32 * W * 8
 # upsample()'s block: 64 rows of every band, here one plane; at the
 # benchmark's 1024 columns a quarter of one
 BLOCK = BANDS * BLOCK_ROWS * W * 8
@@ -357,13 +353,13 @@ def test_fuser_footprint(rng, method):
     ms = MultibandImage(rng.uniform(0.1, 0.9,
                                     (BANDS, H // ratio, W // ratio)))
     pan = MultibandImage(rng.uniform(0.1, 0.9, (1, H, W)))
-    with mock.patch.object(raster, "STRIP_BYTES", STRIPS_OF_32_ROWS):
-        _, peak = traced_peak(drain, _STACKED_FUSERS[method][0](
-            ms, pan, FusionConfig(method=method, resampler="bicubic")))
+    _, peak = traced_peak(drain, _STACKED_FUSERS[method][0](
+        ms, pan, FusionConfig(method=method, resampler="bicubic")))
     # no fuser holds the fused or the upsampled image, or any plane
     # whole, only the block buffer that upsample() refills. Beside it PCA
-    # and CN read the pan's stats a strip at a time, and each holds a few
-    # block-sized rows of detail and the upsample's blocks: 1.23 planes
+    # and CN read the pan's stats in upsample()'s blocks of rows, so no
+    # strip budget reaches a fuser, and each holds a few block-sized rows
+    # of detail and the upsample's blocks: 1.23 planes
     # for PCA, 0.91 for CN and 1.24 for ATWT, whose smoothing holds the
     # pan rows one block reaches, its own block buffer and the banded
     # blocks of both axes (1.50 when it filtered windows of rows with a
@@ -380,14 +376,13 @@ def test_fuse_holds_no_image(tmp_path, rng, method):
     argv = ["fuse", "--method", method, "--ms", str(tmp_path / "ms"),
             "--pan", str(tmp_path / "pan"), "--out", str(tmp_path / "out")]
     assert main(argv) == 0   # untraced first, so lazy imports are not held
-    with mock.patch.object(raster, "STRIP_BYTES", STRIPS_OF_32_ROWS):
-        code, peak = traced_peak(main, argv)
+    code, peak = traced_peak(main, argv)
     assert code == 0
-    # both inputs are read from disk a block or a strip of rows at a
-    # time, and each block is written as it is made. Beside the block
-    # buffer the command holds what test_fuser_footprint bounds, the rows
-    # it reads, one band of a block's DNs as it writes them, and its
-    # parser: 1.41 planes for PCA, 1.19 for CN and 1.80 for ATWT. Holding
+    # both inputs are read from disk a block of rows at a time, and each
+    # block is written as it is made. Beside the block buffer the command
+    # holds what test_fuser_footprint bounds, the rows it reads, one band
+    # of a block's DNs as it writes them, and its parser: 1.38 planes for
+    # PCA, 1.21 for CN and 1.80 for ATWT. Holding
     # the fused image took 4 planes more
     assert peak < BLOCK + FUSE_PLANES[method] * PLANE, peak / PLANE
 

@@ -51,6 +51,13 @@ class TestZscore:
     def test_degenerate(self):
         with pytest.raises(DegeneracyError):
             zscore([2.0, 2.0, 2.0])
+        # equal values whose mean rounds: their std is 1.4e-17
+        with pytest.raises(DegeneracyError, match="of values 0.1 to 0.1"):
+            zscore([0.1, 0.1, 0.1])
+        # a std that overflows would standardize both values to 0
+        with pytest.raises(DegeneracyError, match="std inf"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            zscore([-1e308, 1e308])
         with pytest.raises(InputError):
             zscore([1.0])
 
@@ -61,6 +68,8 @@ class TestRank:
 
     def test_all_tied(self):
         assert rank([7.0, 7.0, 7.0]) == [1, 1, 1]
+        with pytest.raises(InputError, match="empty value list"):
+            rank([])
 
     def test_published_category_sums(self):
         assert rank(bm.CAT1_SUM) == bm.CAT1_PDPR
@@ -108,16 +117,20 @@ class TestCategorySum:
         assert np.allclose(got, want, atol=1e-12)
 
     def test_degenerate_column_dropped_with_warning(self):
-        records = [make_record(f"c{i}", i) for i in range(4)]
-        for r in records:
-            r.category1["entropy"] = 1.0
-        got, dropped = category_sum(records, "category1")
-        assert dropped == ["category1.entropy"]
-        want = sum(zscore([r.category1[k] for r in records])
-                   for k in ("mean", "std", "skewness", "kurtosis"))
-        assert np.allclose(got, want, atol=1e-12)
-        with pytest.warns(UserWarning, match="category1.entropy"):
-            aggregate(records)
+        # a column of one value is dropped, also where three 0.1s' mean
+        # rounds, so that their std is 1.4e-17, not 0
+        for value in (1.0, 0.1, 1e-300, -3.7e12):
+            records = [make_record(f"c{i}", i) for i in range(3)]
+            for r in records:
+                r.category1["entropy"] = value
+            got, dropped = category_sum(records, "category1")
+            assert dropped == ["category1.entropy"], value
+            want = sum(zscore([r.category1[k] for r in records])
+                       for k in ("mean", "std", "skewness", "kurtosis"))
+            assert np.allclose(got, want, atol=1e-12)
+            with pytest.warns(UserWarning, match="category1.entropy"):
+                assert aggregate(records).dropped_columns == [
+                    "category1.entropy"]
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_cost_held_by_some_records(self, order):
@@ -313,6 +326,8 @@ class TestSrcc:
     def test_validation(self):
         with pytest.raises(InputError):
             srcc([1, 2], [1, 2, 3])
+        with pytest.raises(InputError, match="need at least 2 ranks"):
+            srcc([1], [1])
 
     @settings(max_examples=150, deadline=None)
     @given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),

@@ -116,6 +116,8 @@ class TestQuantize:
         stack = quantize_spectral(image(np.full((5, 5), 0.3)))
         for name in ("fine", "intermediate", "coarse"):
             assert np.unique(stack.level(name)).size == 1
+        with pytest.raises(InputError, match="unknown level 'medium'"):
+            stack.level("medium")
 
     def test_hand_codes(self):
         # per-band digits at 0.1/0.3/0.6/0.9 are 0/1/2/3

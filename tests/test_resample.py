@@ -106,6 +106,8 @@ def test_degrade_non_divisible():
     img = MultibandImage(np.zeros((1, 6, 8)))
     with pytest.raises(InputError, match="divisible"):
         degrade(img, 4)
+    with pytest.raises(InputError, match="ratio must be >= 1"):
+        degrade(img, 0)
 
 
 def test_degrade_matches_bruteforce_oracle(rng):
@@ -214,6 +216,8 @@ def test_upsample_constant_preserved(method):
 def test_upsample_unknown_method(random_image):
     with pytest.raises(InputError, match="unknown method"):
         collect(upsample(random_image(), 2, "lanczos"))
+    with pytest.raises(InputError, match="ratio must be >= 1"):
+        collect(upsample(random_image(), 0))
 
 
 def test_upsample_shapes(random_image):

@@ -77,6 +77,10 @@ class TestSummaryStats:
     def test_levels_shape_checked(self):
         with pytest.raises(InputError, match="levels"):
             summary_stats(*centre(np.ones(4)), np.zeros(3, dtype=np.int64))
+        with pytest.raises(InputError, match="empty band"):
+            centre(np.ones(0))
+        with pytest.raises(InputError, match="empty band"):
+            summary_stats(np.ones(0), 1.0, np.zeros(0, dtype=np.int64))
 
     def test_two_point_moments(self):
         s = stats(np.array([0.0, 0.0, 1.0, 1.0]))
@@ -572,6 +576,9 @@ class TestQnr:
         fused = image_of(rng.random((16, 16, 3)))
         with pytest.raises(InputError):
             qnr(ms, fused, pan_image(rng.random((8, 8))),
+                pan_image(rng.random((8, 8))))
+        with pytest.raises(InputError, match="exactly one band"):
+            qnr(ms, fused, image_of(rng.random((16, 16, 2))),
                 pan_image(rng.random((8, 8))))
 
     @pytest.mark.parametrize("budget", BUDGETS)
