@@ -17,11 +17,12 @@ featurize it and to take its PCC with the reference's band, and the
 first row of band 0 once more to compare it with the reference.
 `panqa eval` passes the candidate as a RasterFile to classic_metrics too.
 
-What featurizing one band holds, beside the reference and the label
-codes: the read band while its label digit, clipped count and uint8
-gray-level map are taken, both binned a strip at a time on glcm3's one
-fixed reflectance scale; then, the read band freed, its centred samples
-(band - mean), made once and only read. summary_stats holds one
+image_features() is the one place where a band meets its reference's
+band. What featurizing one band holds, beside the reference and the
+label codes: the read band while its label digit, clipped count and
+uint8 gray-level map are taken, both binned a strip at a time on glcm3's
+one fixed reflectance scale; then, the read band freed, its centred
+samples (band - mean), made once and only read. summary_stats holds one
 band-sized temporary beside them, and so does the PCC (the reference
 band centred, then the product). Then the centred copy is freed too,
 and the GLCM3 counts read the gray-level map alone.
@@ -35,7 +36,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -143,6 +143,7 @@ class ImageFeatures:
 
     image: Image
     stats: list[SummaryStats]                    # per band
+    pccs: list[float]                            # PCCs with the reference's
     texture: list[tuple[float, float, float]]    # GLCM3 features per band
     labels: np.ndarray                           # category2_level plane
     aura_mean: float
@@ -151,16 +152,18 @@ class ImageFeatures:
 
 
 def image_features(img: Image, opts: EvalOptions,
-                   per_band: Callable | None = None) -> ImageFeatures:
+                   reference: ImageFeatures | None = None) -> ImageFeatures:
     """One pass over the bands, each read once: its digit of the spectral
     label code, its samples outside [0, 1] and its gray-level map; then
     its centred samples, once, and the read band is freed. The moments
-    and per_band(b, centred, stats), when given, read that one centred
-    copy, the texture the gray-level map alone; then the label stack's
+    and the band's PCC with reference's band read that one centred copy,
+    the texture the gray-level map alone; then the label stack's
     cross-aura contour, after which only its category2_level plane is
-    kept."""
+    kept. An image without a reference is its own: its PCCs are its
+    self-PCCs. A band of zero variance, which has no PCC, raises before
+    its texture is taken."""
     coder = SpectralCoder(*img.shape)
-    stats, texture, clipped = [], [], 0
+    stats, pccs, texture, clipped = [], [], [], 0
     for b in range(img.bands):
         band = img.band(b)
         coder.add(band)
@@ -169,15 +172,20 @@ def image_features(img: Image, opts: EvalOptions,
         centred, mean = centre(band)
         del band
         stats.append(summary_stats(centred, mean, levels))
-        if per_band is not None:
-            per_band(b, centred, stats[b])
+        if stats[b].std == 0.0:
+            raise DegeneracyError(f"band {b}: zero variance")
+        # the image's own band b is its centred copy, of mean 0
+        ref_band, ref_stats = (
+            (centred, stats[b]._replace(mean=0.0)) if reference is None
+            else (reference.image.band(b), reference.stats[b]))
+        pccs.append(pcc(ref_band, centred, ref_stats, stats[b]))
         # the texture reads the levels alone: the centred copy is freed
-        del centred
+        del centred, ref_band
         texture.append(glcm3_features(
             tims_glcm(levels, opts.radii, gl=opts.gl)))
     labels = coder.stack()
     plane, aura_mean = cross_aura(labels)
-    return ImageFeatures(image=img, stats=stats, texture=texture,
+    return ImageFeatures(image=img, stats=stats, pccs=pccs, texture=texture,
                          labels=labels.level(opts.category2_level),
                          aura_mean=aura_mean,
                          contour=plane > 0, clipped=clipped)
@@ -192,39 +200,19 @@ def _same_samples(a: Image, b: Image) -> bool:
                     for k in range(a.bands)))
 
 
-def _refuse_flat_reference(reference: ImageFeatures) -> None:
-    """Refuses a reference band of zero variance, which has no PCC."""
-    for b, stats in enumerate(reference.stats):
-        if stats.std == 0.0:
-            raise DegeneracyError(f"reference band {b}: zero variance")
-
-
 def evaluate_candidate(reference: ImageFeatures, candidate: Image,
                        opts: EvalOptions, candidate_id: str = "",
                        process: dict | None = None) -> QiRecord:
     """Collect every product cost for one candidate against the reference,
-    which image_features computed with the same opts; a flat reference
-    band is refused first. The candidate is read through rows(), each band
-    once, to featurize it and to take its PCC with the reference's band;
-    its errors name candidate_id. A candidate whose samples equal the
-    reference's shares its features and takes each band's PCC with itself."""
-    _refuse_flat_reference(reference)
-    ref = reference.image
-    pccs = []
-
-    def take_pcc(b: int, centred: np.ndarray, stats: SummaryStats) -> None:
-        if stats.std == 0.0:
-            raise DegeneracyError(f"band {b}: zero variance")
-        pccs.append(pcc(ref.band(b), centred, reference.stats[b], stats))
-
+    which image_features computed with the same opts. The candidate is
+    read through rows(), each band once, and featurized against the
+    reference; its errors name candidate_id. A candidate whose samples
+    equal the reference's is the reference: it shares its features,
+    self-PCCs included, and nothing is computed for it."""
     try:
-        check_shape(candidate, ref.shape)
-        if _same_samples(ref, candidate):
-            cand = reference
-            for b, stats in enumerate(reference.stats):
-                take_pcc(b, centre(ref.band(b))[0], stats)
-        else:
-            cand = image_features(candidate, opts, take_pcc)
+        check_shape(candidate, reference.image.shape)
+        cand = (reference if _same_samples(reference.image, candidate)
+                else image_features(candidate, opts, reference))
     except (PanqaError, OSError) as exc:
         raise type(exc)(f"candidate {candidate_id!r}: {exc}") from exc
     # each category's values in its CATEGORY_KEYS order
@@ -232,7 +220,7 @@ def evaluate_candidate(reference: ImageFeatures, candidate: Image,
         _mdb_costs(reference.stats, cand.stats),
         [float(post_classification_change_count(reference.labels,
                                                 cand.labels)),
-         inverse_pcc_cost(pccs)],
+         inverse_pcc_cost(cand.pccs)],
         _mdb_costs(reference.texture, cand.texture)
         + [abs(reference.aura_mean - cand.aura_mean)],
         [binary_contour_cost(reference.contour, cand.contour)],
@@ -268,12 +256,14 @@ def classic_metrics(reference: Image, candidate: Image,
 
 def score_candidates(reference, candidates: list[Candidate],
                      opts: EvalOptions) -> tuple[ImageFeatures, list]:
-    """The reference raster's features, its flat bands refused, and each
-    candidate's record, read from its RasterFile one band at a time. Every
-    candidate is opened, and its shape checked, before any is featurized;
-    the first failing candidate raises, named by its id."""
-    ref = image_features(load_image(reference), opts)
-    _refuse_flat_reference(ref)
+    """The reference raster's features, a flat band of it refused first,
+    and each candidate's record, read from its RasterFile one band at a
+    time. Every candidate is opened, and its shape checked, before any is
+    featurized; the first failing candidate raises, named by its id."""
+    try:
+        ref = image_features(load_image(reference), opts)
+    except DegeneracyError as exc:
+        raise DegeneracyError(f"reference {exc}") from exc
     images = []
     for cand in candidates:
         try:

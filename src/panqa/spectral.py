@@ -26,8 +26,8 @@ made once by centre(). summary_stats takes the moments on one path, the
 deviations divided first by the largest of them where that lies outside
 _UNSCALED. It holds one band-sized temporary beside the centred copy
 (c*c, then (c*c)*(c*c), then (c*c)*c), or two outside _UNSCALED, and
-pcc one (the other band centred, then the product, in place). The
-strips of SAM, Q4 and QNR stay below that.
+pcc one (the other band centred, then the product, in place), or two
+outside it. The strips of SAM, Q4 and QNR stay below that.
 
 All moments use the population (N-divisor) convention so that downstream
 z-score standardization behaves exactly.
@@ -125,15 +125,22 @@ def pcc(band_a: np.ndarray, centred_b: np.ndarray, stats_a: SummaryStats,
     band b given by its centred samples from centre(). stats_a and
     stats_b are the bands' summary_stats, whose mean and std are the ones
     a Pearson correlation computes. One band-sized temporary is held:
-    band_a centred, which becomes the product in place."""
+    band_a centred, which becomes the product in place; where either std
+    lies outside _UNSCALED, each band is divided by its std before the
+    product, in one more temporary, so that the product cannot under- or
+    overflow."""
     x = np.asarray(band_a, dtype=np.float64)
     yc = np.asarray(centred_b, dtype=np.float64)
     check_shape(yc, x.shape)
-    if stats_a.std == 0.0 or stats_b.std == 0.0:
+    sa, sb = stats_a.std, stats_b.std
+    if sa == 0.0 or sb == 0.0:
         raise DegeneracyError("zero variance")
     xc = x - stats_a.mean
+    if not _UNSCALED[0] < min(sa, sb) <= max(sa, sb) < _UNSCALED[1]:
+        xc /= sa
+        yc, sa, sb = yc / sb, 1.0, 1.0
     xc *= yc
-    return float(np.mean(xc) / (stats_a.std * stats_b.std))
+    return float(np.mean(xc) / (sa * sb))
 
 
 def inverse_pcc_cost(pccs: list[float]) -> float:

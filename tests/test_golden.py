@@ -8,7 +8,8 @@ code produced: `ranks.csv` byte for byte, and every cost of `report.json`,
 of the `eval` JSON and of the `qnr` JSON. Ranks must match exactly; each
 number within REL_TOL of its recorded value, or within ABS_TOL of it,
 so that a numpy or BLAS build that rounds differently in the last bits
-still passes.
+still passes. Each scene's ranks.csv and dropped columns must also equal
+those that reference_scorer recomputes from its report's costs.
 
 The fixture records what the code does, not what is right. A change that
 alters outputs on purpose regenerates it in the same commit:
@@ -16,6 +17,8 @@ alters outputs on purpose regenerates it in the same commit:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
+import io
 import json
 import math
 import shutil
@@ -23,6 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import reference_scorer
 from panqa.cli import main
 
 FIXTURE = Path(__file__).with_name("golden_outputs.json")
@@ -122,6 +126,12 @@ def test_readme_chain_matches_golden_outputs(tmp_path):
            for m in _mismatches(got[seed][part], want[seed][part],
                                 f"seed {seed} {part}")]
     assert not bad, "\n".join(bad)
+    for seed, scene in got.items():
+        candidates = scene["report"]["candidates"]
+        assert (list(csv.reader(io.StringIO(scene["ranks_csv"])))
+                == reference_scorer.ranks_csv_rows(candidates)), seed
+        assert (scene["report"]["dropped_columns"]
+                == reference_scorer.score(candidates)[1]), seed
 
 
 if __name__ == "__main__":

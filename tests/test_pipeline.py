@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panqa import pipeline, raster
-from panqa.errors import InputError
+from panqa import glcm3, pipeline, raster, spectral
+from panqa.errors import DegeneracyError, InputError
 from panqa.cli import build_parser
 from panqa.fusion import FusionConfig, pansharpen
 from panqa.pipeline import (Candidate, EvalOptions, RunManifest,
@@ -21,6 +21,7 @@ from panqa.quantizer import LEVELS, quantize_spectral
 from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.spectral import DEFAULT_BLOCK
 from test_cli import count_calls
+from test_spectral import bits, pcc_of
 
 
 def write_manifest(path, options):
@@ -140,10 +141,52 @@ def test_candidate_equal_to_reference_reuses_its_features(rng,
     reference = image_features(ref, opts)
     oracle = MultibandImage(ref.planes.copy())
     want = fresh_record(reference, oracle, opts)
-    calls = count_calls(monkeypatch, pipeline.image_features)
+    # nothing is computed for it: not even its PCCs, which are the
+    # reference's self-PCCs
+    calls = [count_calls(monkeypatch, fn) for fn in
+             (pipeline.image_features, spectral.pcc, spectral.centre)]
     record = evaluate_candidate(reference, oracle, opts, "c")
-    assert calls == []
+    assert calls == [[], [], []]
     assert record == want
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160])
+def test_features_take_each_band_pcc_with_its_reference(rng, scale):
+    # without a reference, an image is its own: its self-PCCs
+    opts = EvalOptions(gl=8)
+    ref = MultibandImage(rng.uniform(0.0, 1.0, (4, 16, 16)) * scale)
+    cand = MultibandImage(ref.planes + rng.normal(0.0, 0.1 * scale,
+                                                  ref.shape))
+    reference = image_features(ref, opts)
+    assert bits(reference.pccs) == bits(
+        [pcc_of(ref.band(b), ref.band(b)) for b in range(4)])
+    assert bits(image_features(cand, opts, reference).pccs) == bits(
+        [pcc_of(ref.band(b), cand.band(b)) for b in range(4)])
+
+
+def test_features_of_a_raster_file_read_each_band_once(tmp_path, rng):
+    # its self-PCCs too are taken from the one read of each band
+    ref = MultibandImage(rng.uniform(0.0, 1.0, (4, 16, 16)))
+    save_image(ref, tmp_path / "ref", sample_type="f32")
+    img = RasterFile(tmp_path / "ref")
+    with mock.patch.object(RasterFile, "rows", autospec=True,
+                           side_effect=RasterFile.rows) as rows:
+        features = image_features(img, EvalOptions(gl=8))
+    assert [c.args[1:] for c in rows.call_args_list] == [
+        (b, 0, 16) for b in range(4)]
+    planes = load_image(tmp_path / "ref").planes
+    assert bits(features.pccs) == bits(
+        [pcc_of(planes[b], planes[b]) for b in range(4)])
+
+
+def test_flat_band_refused_before_its_texture(rng, monkeypatch):
+    planes = rng.uniform(0.0, 1.0, (4, 16, 16))
+    planes[2] = 0.3
+    glcms = count_calls(monkeypatch, glcm3.tims_glcm)
+    with pytest.raises(DegeneracyError) as exc:
+        image_features(MultibandImage(planes), EvalOptions(gl=8))
+    assert str(exc.value) == "band 2: zero variance"
+    assert len(glcms) == 2
 
 
 @pytest.mark.parametrize("level", LEVELS)

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import benchmark_fixture as bm
+import reference_scorer
 from panqa.errors import DegeneracyError, InputError
 from panqa.protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
                             bin_subjective_scores, category_sum,
@@ -181,6 +182,25 @@ class TestCombine:
                                   [1, 2], [1])
 
 
+def pooled_record(cid, cost, n_free=1):
+    """A record whose every cost and wall time is a cost() draw."""
+    return QiRecord(
+        candidate_id=cid,
+        process={"wall_seconds": cost(), "n_free_parameters": n_free},
+        **{name: {key: cost() for key in keys}
+           for name, keys in CATEGORY_KEYS.items()})
+
+
+@st.composite
+def pooled_records(draw):
+    """2-8 records whose costs come from a small pool, so that ties and
+    columns of equal values (three 0.1s among them) are common."""
+    pool = st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5])
+    return [pooled_record(f"c{i}", lambda: draw(pool),
+                          draw(st.integers(1, 3)))
+            for i in range(draw(st.integers(2, 8)))]
+
+
 class TestAggregate:
     def test_end_to_end_consistency(self):
         records = [make_record(f"c{i}", i) for i in range(6)]
@@ -248,6 +268,18 @@ class TestAggregate:
                                for k, col in want.items()}
             else:
                 assert got == [want[p] for p in perm], f.name
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=pooled_records())
+    # three equal 0.1s, whose mean rounds, in every column
+    @example(records=[pooled_record(f"c{i}", lambda: 0.1) for i in range(3)])
+    def test_equals_reference_scorer(self, records):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = aggregate(records)
+        cols, dropped = reference_scorer.score([r.entry() for r in records])
+        assert table.columns() == cols
+        assert table.dropped_columns == dropped
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError, match="duplicate"):

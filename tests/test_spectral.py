@@ -189,12 +189,17 @@ def reference_std(x):
 
 def raw_pcc(x, y):
     """Pearson correlation from the raw bands alone: both means and
-    standard deviations computed here."""
+    standard deviations computed here. Where either std lies outside
+    the unscaled window, each centred band is divided by its std before
+    the product."""
     x, y = x.ravel(), y.ravel()
     xc, yc = x - x.mean(), y - y.mean()
     sx, sy = reference_std(x), reference_std(y)
     if sx == 0.0 or sy == 0.0:
         raise DegeneracyError("zero variance")
+    lo, hi = spectral._UNSCALED
+    if not (lo < sx < hi and lo < sy < hi):
+        return float(np.mean(xc / sx * (yc / sy)))
     return float(np.mean(xc * yc) / (sx * sy))
 
 
@@ -225,6 +230,9 @@ def same(a, b) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(pair=bands)
+# y's std, 4e-68, lies below the unscaled window
+@example(pair=(np.array([[0.0, 0.5, 0.5]]),
+               np.array([[0.0, 8.97284071e-68, 8.97284071e-68]])))
 def test_pcc_matches_raw_band_reference(pair):
     x, y = pair
     with np.errstate(all="ignore"):
@@ -352,6 +360,27 @@ def test_moments_are_scale_free(band, k):
     # std was 0 ("zero variance") or inf
     assert pcc(band, centre(band * 10.0**k)[0], want,
                got) == pytest.approx(1.0, rel=1e-12)
+    # and a scaled band with itself, where the product of its deviations
+    # under- or overflowed
+    assert pcc(band * 10.0**k, centre(band * 10.0**k)[0], got,
+               got) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_pcc_of_a_pair_at_extreme_scales(rng):
+    # a band x 1e-170 against another x 1e160: each is divided by its own
+    # std before the product, and the PCC is that of the unscaled pair
+    x = rng.random((20, 30))
+    y = x + rng.normal(0.0, 0.5, x.shape)
+
+    def pcc_at(sx, sy):
+        (cx, mx), (cy, my) = centre(x * sx), centre(y * sy)
+        return pcc(x * sx, cy, summary_stats(cx, mx, no_levels(x)),
+                   summary_stats(cy, my, no_levels(y)))
+
+    want = pcc_at(1.0, 1.0)
+    assert 0.1 < want < 0.9
+    assert pcc_at(1e-170, 1e160) == pytest.approx(want, abs=1e-15)
+    assert pcc_at(1e160, 1e-170) == pytest.approx(want, abs=1e-15)
 
 
 def earlier_summary_stats(band, levels):
@@ -405,6 +434,9 @@ MAGNITUDES = st.sampled_from((1.0, 1e-160, 1e150))
 @example(pair=(np.array([[1.0, 0.5, 0.5]]), np.array([[1.0, 0.5, 0.5]])),
          scales=(1e150, 1.0))
 def test_shared_centred_samples_match_earlier_formulas(pair, scales):
+    # inside the unscaled window pcc is the earlier formula bit for bit;
+    # outside it, each centred band is divided by its std before the
+    # product, which the earlier formula under- or overflowed
     x, y = (band * scale for band, scale in zip(pair, scales))
     with np.errstate(all="ignore"):
         levels = [quantize_gray_levels(band, 32) for band in (x, y)]
@@ -422,7 +454,13 @@ def test_shared_centred_samples_match_earlier_formulas(pair, scales):
             with pytest.raises(DegeneracyError, match="zero variance"):
                 pcc(x, cy, *got)
             return
-        assert bits(pcc(x, cy, *got)) == bits(want_pcc)
+        sx, sy = got[0].std, got[1].std
+        if all(spectral._UNSCALED[0] < s < spectral._UNSCALED[1]
+               for s in (sx, sy)):
+            assert bits(pcc(x, cy, *got)) == bits(want_pcc)
+        else:
+            scaled = np.mean((x - got[0].mean) / sx * (cy / sy))
+            assert bits(pcc(x, cy, *got)) == bits(scaled)
 
 
 class TestSam:
