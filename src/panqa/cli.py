@@ -117,12 +117,13 @@ def cmd_eval(args) -> int:
                           for f in dataclasses.fields(EvalOptions)})
     _refuse_overwrite([args.out], reference=args.reference,
                       candidate=args.candidate)
-    # the reference is loaded, as features, PCC, SAM, ERGAS and Q4 each
-    # read it; the candidate is read from disk a band or a strip at a time
-    reference, (record,) = score_candidates(
+    # both images are read from disk a band or a strip at a time, by the
+    # features, the PCC, SAM, ERGAS and Q4 alike, each from the one
+    # RasterFile opened for it
+    reference, (candidate,), (record,) = score_candidates(
         args.reference, [Candidate(args.candidate, args.candidate)], opts)
     doc = {**record.entry(), "classic": classic_metrics(
-        reference.image, RasterFile(args.candidate), opts)}
+        reference.image, candidate, opts)}
     write_json(args.out, doc, sort_keys=True)
     return 0
 

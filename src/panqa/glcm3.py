@@ -14,6 +14,7 @@ spectral quantizer's digit at 4 levels, in raster.row_strips runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,11 +108,26 @@ def check_glcm3_options(gl: int, radii) -> tuple[int, ...]:
     return radii
 
 
+def _key_planes(work: np.ndarray | None, dtype, shapes) -> list:
+    """Arrays of dtype and these shapes laid end to end in the bytes of
+    work, a C-contiguous array whose samples the caller no longer needs,
+    or new ones where work is None or too small."""
+    itemsize = np.dtype(dtype).itemsize
+    if work is None or work.nbytes < itemsize * sum(map(math.prod, shapes)):
+        return [np.empty(shape, dtype) for shape in shapes]
+    planes, at = [], 0
+    for shape in shapes:
+        planes.append(np.ndarray(shape, dtype, buffer=work, offset=at))
+        at += planes[-1].nbytes
+    return planes
+
+
 def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
-              *, gl: int) -> Glcm3:
+              *, gl: int, work: np.ndarray | None = None) -> Glcm3:
     """Accumulate (center, sorted opposite-pair) triples over all valid
     centers at every ring radius, then normalize. Pairs are counted in
-    ring order and the table folded onto row <= col once at the end."""
+    ring order and the table folded onto row <= col once at the end. The
+    three key planes are formed in work's bytes where they fit."""
     radii = check_glcm3_options(gl, radii)
     lab = np.asarray(labels)
     if lab.ndim != 2:
@@ -129,10 +145,12 @@ def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
     # which quantize_gray_levels gives and which is not copied
     lab = lab.astype(np.uint8, copy=False)
     key = np.uint16 if gl**3 <= 65536 else np.intp
-    center_term = np.multiply(lab[rmax:h - rmax, rmax:w - rmax], gl * gl,
-                              dtype=key)
-    lab_gl = np.multiply(lab, gl, dtype=key)
-    flat = np.empty_like(center_term)
+    centers = h - 2 * rmax, w - 2 * rmax
+    center_term, lab_gl, flat = _key_planes(work, key,
+                                            (centers, (h, w), centers))
+    np.multiply(lab[rmax:h - rmax, rmax:w - rmax], gl * gl, dtype=key,
+                out=center_term)
+    np.multiply(lab, gl, dtype=key, out=lab_gl)
     counts = np.zeros(gl * gl * gl, dtype=np.int64)
     for radius in radii:
         for dy, dx in _half_ring_offsets(radius):

@@ -8,24 +8,27 @@ path) and for run_manifest(), which aggregates the costs into rank tables
 for cases A-D and serializes ranks.csv / report.json.
 
 Images are touched only through raster.Image's shape and rows(b, start,
-stop) (band(b) is the whole-band case), so an image may be a
+stop, out) (band(b, out) is the whole-band case), so an image may be a
 MultibandImage in memory or a raster.RasterFile on disk.
-score_candidates() holds the reference loaded, as every candidate is
-compared with it, and passes each candidate as a RasterFile, so a
-candidate is never held whole: each of its bands is read once, to
-featurize it and to take its PCC with the reference's band, and the
-first row of band 0 once more to compare it with the reference.
-`panqa eval` passes the candidate as a RasterFile to classic_metrics too.
+score_candidates() opens the reference and every candidate as a
+RasterFile, so no image is held whole: each band of the reference is
+read once to featurize it, then once per candidate, to take that
+candidate band's PCC with it; each band of a candidate is read once, to
+featurize it; and the first row of band 0 of both once more, to compare
+them. `panqa eval` passes both RasterFiles to classic_metrics too.
 
 image_features() is the one place where a band meets its reference's
-band. What featurizing one band holds, beside the reference and the
-label codes: the read band while its label digit, clipped count and
+band. Featurizing an image holds, beside its label codes, three
+band-sized float64 work planes, made once and reused for every band:
+the band, read into the first, while its label digit, clipped count and
 uint8 gray-level map are taken, both binned a strip at a time on glcm3's
-one fixed reflectance scale; then, the read band freed, its centred
-samples (band - mean), made once and only read. summary_stats holds one
-band-sized temporary beside them, and so does the PCC (the reference
-band centred, then the product). Then the centred copy is freed too,
-and the GLCM3 counts read the gray-level map alone.
+one fixed reflectance scale; then its centred samples (band - mean),
+made in place and only read. summary_stats takes the second plane for
+its temporary, and the PCC then reads the reference's band into it,
+centres it and takes the product there; the third holds the scaled
+copy that either takes for a band outside spectral._UNSCALED. The GLCM3
+counts then read the gray-level map alone, their key planes formed in
+the work planes' bytes.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
                        process_costs)
 from .quantizer import (LEVELS, SpectralCoder, binary_contour_cost,
                         cross_aura, post_classification_change_count)
-from .raster import Image, RasterFile, check_shape, load_image
+from .raster import Image, RasterFile, check_shape
 from .spectral import (DEFAULT_BLOCK, SummaryStats, centre, ergas,
                        inverse_pcc_cost, mdb_cost, pcc, q4, sam_mean,
                        summary_stats)
@@ -153,36 +156,41 @@ class ImageFeatures:
 
 def image_features(img: Image, opts: EvalOptions,
                    reference: ImageFeatures | None = None) -> ImageFeatures:
-    """One pass over the bands, each read once: its digit of the spectral
-    label code, its samples outside [0, 1] and its gray-level map; then
-    its centred samples, once, and the read band is freed. The moments
-    and the band's PCC with reference's band read that one centred copy,
-    the texture the gray-level map alone; then the label stack's
-    cross-aura contour, after which only its category2_level plane is
-    kept. An image without a reference is its own: its PCCs are its
-    self-PCCs. A band of zero variance, which has no PCC, raises before
-    its texture is taken."""
+    """One pass over the bands, each read once into a work plane: its
+    digit of the spectral label code, its samples outside [0, 1] and its
+    gray-level map; then its centred samples, in place. The moments and
+    the band's PCC with reference's band read that one centred copy, the
+    texture the gray-level map alone; then the label stack's cross-aura
+    contour, after which only its category2_level plane is kept. An
+    image without a reference is its own: its PCCs are its self-PCCs. A
+    band of zero variance, which has no PCC, raises before its texture
+    is taken."""
     coder = SpectralCoder(*img.shape)
+    # every band-sized temporary of the pass, made once for all bands:
+    # the band, read and centred in place; the moments' temporary, then
+    # the reference's band and its product with the centred one; the
+    # scaled copy of the moments or the PCC outside spectral._UNSCALED.
+    # The texture's key planes then take their bytes. (With two planes,
+    # glibc trimmed and regrew its heap on each run of a loop of runs.)
+    work = np.empty((3, img.height, img.width))
     stats, pccs, texture, clipped = [], [], [], 0
     for b in range(img.bands):
-        band = img.band(b)
+        band = img.band(b, out=work[0])
         coder.add(band)
         clipped += int(np.count_nonzero((band < 0.0) | (band > 1.0)))
         levels = quantize_gray_levels(band, opts.gl)
-        centred, mean = centre(band)
-        del band
-        stats.append(summary_stats(centred, mean, levels))
+        centred, mean = centre(band, out=band)
+        stats.append(summary_stats(centred, mean, levels, work[1:]))
         if stats[b].std == 0.0:
             raise DegeneracyError(f"band {b}: zero variance")
         # the image's own band b is its centred copy, of mean 0
         ref_band, ref_stats = (
             (centred, stats[b]._replace(mean=0.0)) if reference is None
-            else (reference.image.band(b), reference.stats[b]))
-        pccs.append(pcc(ref_band, centred, ref_stats, stats[b]))
-        # the texture reads the levels alone: the centred copy is freed
-        del centred, ref_band
+            else (reference.image.band(b, out=work[1]), reference.stats[b]))
+        pccs.append(pcc(ref_band, centred, ref_stats, stats[b], work[1:]))
+        # the texture reads the levels alone
         texture.append(glcm3_features(
-            tims_glcm(levels, opts.radii, gl=opts.gl)))
+            tims_glcm(levels, opts.radii, gl=opts.gl, work=work)))
     labels = coder.stack()
     plane, aura_mean = cross_aura(labels)
     return ImageFeatures(image=img, stats=stats, pccs=pccs, texture=texture,
@@ -255,15 +263,18 @@ def classic_metrics(reference: Image, candidate: Image,
 
 
 def score_candidates(reference, candidates: list[Candidate],
-                     opts: EvalOptions) -> tuple[ImageFeatures, list]:
-    """The reference raster's features, a flat band of it refused first,
-    and each candidate's record, read from its RasterFile one band at a
-    time. Every candidate is opened, and its shape checked, before any is
-    featurized; the first failing candidate raises, named by its id."""
+                     opts: EvalOptions
+                     ) -> tuple[ImageFeatures, list[RasterFile], list]:
+    """The reference raster's features, its errors named "reference", a
+    flat band of it refused first; each candidate's RasterFile; and each
+    candidate's record. Every image is read from its RasterFile one band
+    at a time. Every candidate is opened, and its shape checked, before
+    any is featurized; the first failing candidate raises, named by its
+    id."""
     try:
-        ref = image_features(load_image(reference), opts)
-    except DegeneracyError as exc:
-        raise DegeneracyError(f"reference {exc}") from exc
+        ref = image_features(RasterFile(reference), opts)
+    except (PanqaError, OSError) as exc:
+        raise type(exc)(f"reference {exc}") from exc
     images = []
     for cand in candidates:
         try:
@@ -271,15 +282,16 @@ def score_candidates(reference, candidates: list[Candidate],
             check_shape(images[-1], ref.image.shape)
         except (PanqaError, OSError) as exc:
             raise type(exc)(f"candidate {cand.id!r}: {exc}") from exc
-    return ref, [evaluate_candidate(ref, image, opts, cand.id, cand.process)
-                 for cand, image in zip(candidates, images)]
+    return ref, images, [
+        evaluate_candidate(ref, image, opts, cand.id, cand.process)
+        for cand, image in zip(candidates, images)]
 
 
 def run_manifest(manifest: RunManifest, out_dir) -> RankTable:
     """Score the manifest's candidates, aggregate, write ranks.csv +
     report.json; a failing candidate ends the run and nothing is written."""
-    _, records = score_candidates(manifest.reference, manifest.candidates,
-                                  manifest.options)
+    _, _, records = score_candidates(manifest.reference,
+                                     manifest.candidates, manifest.options)
     table = aggregate(records)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,10 +19,12 @@ names, a gain or offset that is not finite, and a gain of 0, before any
 sample is converted.
 
 Both image kinds share one read interface, the Image base: shape, the
-(bands, height, width) triple, and rows(b, start, stop), the calibrated
-rows [start, stop) of band b as a read-only (stop - start, width)
-float64 array; band(b) is rows(b, 0, height), and check_shape() is the
-one shape comparison. A MultibandImage returns views of its buffer.
+(bands, height, width) triple, and rows(b, start, stop, out=None), the
+calibrated rows [start, stop) of band b as a read-only (stop - start,
+width) float64 array, or written into out, a caller's C-contiguous
+float64 array of that shape; band(b, out=None) is rows(b, 0, height,
+out), and check_shape() is the one shape comparison. A MultibandImage
+returns views of its buffer, or copies them into out.
 RasterFile is an image left on disk: it checks the header and the
 payload size when it opens, and each rows() call seeks to those rows and
 reads them alone, so a caller that goes strip by strip or band by band
@@ -32,7 +34,9 @@ helper, which converts, refuses nodata and calibrates the rows it reads
 load_image() fills its buffer with it, one band at a time. Both then
 refuse non-finite samples, rows() in the rows it read and
 MultibandImage in each plane it holds. A payload that ends early is a
-length mismatch naming the file.
+length mismatch naming the file, and one whose size or modification
+time differs from those seen on opening is refused as changed, so a
+RasterFile read many times never mixes two versions of its file.
 
 save_rows() is the one writer. It takes an image as blocks of rows of
 every band, in row order, and holds one band of a block's DNs, never the
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -121,11 +126,21 @@ def check_shape(img, shape: tuple[int, ...]) -> None:
                          f"{tuple(shape)}")
 
 
+def _check_out(out: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """out, an array for rows() to fill, once it is C-contiguous float64
+    of this shape: a read could not fill another in place."""
+    check_shape(out, shape)
+    if out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise InputError("out must be a C-contiguous float64 array")
+    return out
+
+
 class Image:
     """The read interface both image kinds share. A subclass gives shape,
-    its (bands, height, width), and rows(b, start, stop), the calibrated
-    rows [start, stop) of band b as a read-only (stop - start, width)
-    float64 array."""
+    its (bands, height, width), and rows(b, start, stop, out=None), the
+    calibrated rows [start, stop) of band b as a read-only (stop - start,
+    width) float64 array, or written into out, a caller's C-contiguous
+    float64 array of that shape, which is returned."""
 
     @property
     def bands(self) -> int:
@@ -139,9 +154,9 @@ class Image:
     def width(self) -> int:
         return self.shape[2]
 
-    def band(self, b: int) -> np.ndarray:
-        """The (height, width) plane of band b: rows(b, 0, height)."""
-        return self.rows(b, 0, self.height)
+    def band(self, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The (height, width) plane of band b: rows(b, 0, height, out)."""
+        return self.rows(b, 0, self.height, out)
 
 
 @dataclass
@@ -169,10 +184,15 @@ class MultibandImage(Image):
     def shape(self) -> tuple[int, int, int]:
         return self.planes.shape
 
-    def rows(self, b: int, start: int, stop: int) -> np.ndarray:
-        """Rows [start, stop) of band b. Read-only view."""
+    def rows(self, b: int, start: int, stop: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Rows [start, stop) of band b: a read-only view, or copied into
+        out."""
         _check_rows(self.shape, b, start, stop)
         view = self.planes[b, start:stop]
+        if out is not None:
+            _check_out(out, view.shape)[...] = view
+            return out
         view.flags.writeable = False
         return view
 
@@ -231,8 +251,10 @@ def raster_paths(path) -> tuple[Path, Path]:
 
 class RasterFile(Image):
     """A raster on disk, read a strip of rows at a time. Opening checks the
-    header and the payload size; rows(b, start, stop) reads, calibrates
-    and checks those rows alone, and closes the file before it returns."""
+    header and the payload size and records the payload's size and
+    modification time; rows(b, start, stop, out) reads, calibrates and
+    checks those rows alone, refuses them once either differs, and
+    closes the file before it returns."""
 
     def __init__(self, path):
         hdr_path, self.payload_path = raster_paths(path)
@@ -255,28 +277,34 @@ class RasterFile(Image):
         self._plane_bytes = self.height * self._row_bytes
         # the exact byte count: a trailing partial sample is refused too
         expected = self.bands * self._plane_bytes
-        size = self.payload_path.stat().st_size
-        if size != expected:
+        stat = self.payload_path.stat()
+        if stat.st_size != expected:
             raise InputError(
-                f"length mismatch: payload {self.payload_path} has {size} "
-                f"bytes, header implies {expected}")
+                f"length mismatch: payload {self.payload_path} has "
+                f"{stat.st_size} bytes, header implies {expected}")
+        # each read is refused once the payload is no longer this file
+        self._stamp = stat.st_size, stat.st_mtime_ns
 
-    def rows(self, b: int, start: int, stop: int) -> np.ndarray:
+    def rows(self, b: int, start: int, stop: int,
+             out: np.ndarray | None = None) -> np.ndarray:
         """The calibrated rows [start, stop) of band b, read from the
-        payload now; read-only, as MultibandImage's views are."""
+        payload now; read-only, as MultibandImage's views are, or read
+        into out."""
         _check_rows(self.shape, b, start, stop)
-        out = np.empty((stop - start, self.width))
+        shape = stop - start, self.width
+        plane = np.empty(shape) if out is None else _check_out(out, shape)
         with open(self.payload_path, "rb") as fh:
             fh.seek(b * self._plane_bytes + start * self._row_bytes)
-            self._read_plane(fh, b, out)
-        _check_finite(out)
-        out.flags.writeable = False
-        return out
+            self._read_plane(fh, b, plane)
+        _check_finite(plane)
+        if out is None:
+            plane.flags.writeable = False
+        return plane
 
     def _read_plane(self, fh, b: int, plane: np.ndarray) -> None:
-        """Fill the float64 array plane with samples of band b, read from
-        fh's position: convert, refuse nodata, multiply by the gain, add
-        the offset."""
+        """Fill the C-contiguous float64 array plane with samples of band
+        b, read from fh's position: convert, refuse nodata, multiply by
+        the gain, add the offset."""
         hdr = self.header
         flat = plane.reshape(-1)
         dn = np.fromfile(fh, dtype=self._dtype, count=flat.size)
@@ -286,6 +314,10 @@ class RasterFile(Image):
                 f"length mismatch: payload {self.payload_path} ends inside "
                 f"band {b}, header implies "
                 f"{self.bands * self._plane_bytes} bytes")
+        stat = os.fstat(fh.fileno())
+        if (stat.st_size, stat.st_mtime_ns) != self._stamp:
+            raise InputError(f"payload {self.payload_path} changed since "
+                             "it was opened")
         flat[:] = dn
         if hdr.nodata is not None and np.any(flat == hdr.nodata):
             raise InputError("nodata pixels present; dense rasters required")

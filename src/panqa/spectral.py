@@ -27,7 +27,9 @@ deviations divided first by the largest of them where that lies outside
 _UNSCALED. It holds one band-sized temporary beside the centred copy
 (c*c, then (c*c)*(c*c), then (c*c)*c), or two outside _UNSCALED, and
 pcc one (the other band centred, then the product, in place), or two
-outside it. The strips of SAM, Q4 and QNR stay below that.
+outside it; a caller may pass both a pair of work planes to hold them,
+as pipeline.image_features does. The strips of SAM, Q4 and QNR stay
+below that.
 
 All moments use the population (N-divisor) convention so that downstream
 z-score standardization behaves exactly.
@@ -54,14 +56,16 @@ class SummaryStats(NamedTuple):
     entropy_bits: float
 
 
-def centre(band: np.ndarray) -> tuple[np.ndarray, float]:
+def centre(band: np.ndarray, out: np.ndarray | None = None
+           ) -> tuple[np.ndarray, float]:
     """(band - mean, mean): a band's centred samples as float64, the one
-    copy that summary_stats and pcc both read, and its mean."""
+    copy that summary_stats and pcc both read, written into out if given
+    (which may be band itself), and its mean."""
     x = np.asarray(band, dtype=np.float64)
     if x.size == 0:
         raise InputError("empty band")
     mean = x.mean()
-    return x - mean, float(mean)
+    return np.subtract(x, mean, out=out), float(mean)
 
 
 # The window of a band's largest deviation in which, for up to 2**100
@@ -70,15 +74,16 @@ def centre(band: np.ndarray) -> tuple[np.ndarray, float]:
 _UNSCALED = (2.0**-200, 2.0**200)
 
 
-def summary_stats(centred: np.ndarray, mean: float, levels: np.ndarray
-                  ) -> SummaryStats:
+def summary_stats(centred: np.ndarray, mean: float, levels: np.ndarray,
+                  work=None) -> SummaryStats:
     """Population moments of a band, given its mean and its centred
     samples from centre(), plus the Shannon entropy (bits) of levels, the
     band's gray-level map from quantize_gray_levels; a band whose samples
     are all equal has std, skewness and kurtosis 0. The centred samples
     are only read: beside them one band-sized temporary holds the squared
     deviations, then their squares, then the cubes, and outside _UNSCALED
-    one more, the deviations divided by their largest magnitude."""
+    one more, the deviations divided by their largest magnitude. work, if
+    given, is a pair of band-sized float64 planes that hold the two."""
     c = np.asarray(centred, dtype=np.float64)
     if c.size == 0:
         raise InputError("empty band")
@@ -94,14 +99,15 @@ def summary_stats(centred: np.ndarray, mean: float, levels: np.ndarray
     if lo == hi:
         return SummaryStats(float(mean), 0.0, 0.0, 0.0, entropy)
     scale = max(hi, -lo)
+    out, scaled = (None, None) if work is None else work
     if _UNSCALED[0] < scale < _UNSCALED[1]:
         scale, z = 1.0, c
     else:
-        z = c / scale
+        z = np.divide(c, scale, out=scaled)
     # chained products: np.power for cubes and fourth powers is far slower.
     # The fourth powers are the squares squared in place; the squares are
     # formed once more for the cubes, so z stays intact
-    tmp = z * z
+    tmp = np.multiply(z, z, out=out)
     std = math.sqrt(np.mean(tmp))
     kurt = np.mean(np.multiply(tmp, tmp, out=tmp)) / std**4
     np.multiply(z, z, out=tmp)
@@ -120,25 +126,28 @@ def mdb_cost(stats_a, stats_b) -> float:
 
 
 def pcc(band_a: np.ndarray, centred_b: np.ndarray, stats_a: SummaryStats,
-        stats_b: SummaryStats) -> float:
+        stats_b: SummaryStats, work=None) -> float:
     """Pearson correlation with population normalization of band_a and a
     band b given by its centred samples from centre(). stats_a and
     stats_b are the bands' summary_stats, whose mean and std are the ones
     a Pearson correlation computes. One band-sized temporary is held:
     band_a centred, which becomes the product in place; where either std
     lies outside _UNSCALED, each band is divided by its std before the
-    product, in one more temporary, so that the product cannot under- or
-    overflow."""
+    product, band_a in place and b in one more temporary, so that the
+    product cannot under- or overflow. work, if given, is a pair of
+    band-sized float64 planes that hold the two; its first may be band_a
+    itself."""
     x = np.asarray(band_a, dtype=np.float64)
     yc = np.asarray(centred_b, dtype=np.float64)
     check_shape(yc, x.shape)
     sa, sb = stats_a.std, stats_b.std
     if sa == 0.0 or sb == 0.0:
         raise DegeneracyError("zero variance")
-    xc = x - stats_a.mean
+    out, scaled = (None, None) if work is None else work
+    xc = np.subtract(x, stats_a.mean, out=out)
     if not _UNSCALED[0] < min(sa, sb) <= max(sa, sb) < _UNSCALED[1]:
         xc /= sa
-        yc, sa, sb = yc / sb, 1.0, 1.0
+        yc, sa, sb = np.divide(yc, sb, out=scaled), 1.0, 1.0
     xc *= yc
     return float(np.mean(xc) / (sa * sb))
 

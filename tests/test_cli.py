@@ -701,7 +701,8 @@ def test_rank_missing_candidate_names_id(scene, capsys):
 
 def test_rank_candidate_shrunk_after_opening(scene, monkeypatch, capsys):
     # the payload passes the size check when it is opened, then loses its
-    # last sample: that band is refused, not read short
+    # last sample: its first read, of the first row that the byte-copy
+    # check compares, is refused, and no band is read short
     ms = load_image(scene / "ms")
     save_image(MultibandImage(ms.planes * 0.9), scene / "dim")
     payload = scene / "dim.raw"
@@ -723,8 +724,8 @@ def test_rank_candidate_shrunk_after_opening(scene, monkeypatch, capsys):
     assert main(["rank", "--manifest", str(mpath),
                  "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.strip() == (
-        f"error: candidate 'dim': length mismatch: payload {payload} ends "
-        f"inside band 3, header implies {4 * 64 * 64 * 4} bytes")
+        f"error: candidate 'dim': payload {payload} changed since it was "
+        "opened")
     assert not out.exists()
 
 
@@ -814,6 +815,32 @@ def test_flat_reference_band_refused_first(scene, capsys):
         assert (capsys.readouterr().err.strip()
                 == "error: reference band 2: zero variance")
         assert not (scene / "e.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "rank"])
+def test_reference_named_in_its_errors(tmp_path, rng, capsys, command):
+    # an error of opening the reference or of featurizing it names it, as
+    # its flat band does: 4x4 images have no GLCM3 center at radius 3
+    for name in ("ref", "a", "b"):
+        save_image(MultibandImage(rng.uniform(0.1, 0.9, (4, 4, 4))),
+                   tmp_path / name)
+    for reference, message in (
+            ("ref", "reference image too small: no valid centers"),
+            ("gone", f"reference missing header {tmp_path / 'gone.json'}")):
+        out = tmp_path / "out"
+        if command == "eval":
+            argv = ["eval", "--reference", str(tmp_path / reference),
+                    "--candidate", str(tmp_path / "a"), "--out", str(out)]
+        else:
+            mpath = tmp_path / "manifest.json"
+            mpath.write_text(json.dumps(
+                {"reference": str(tmp_path / reference), "ratio": 4,
+                 "candidates": [{"id": c, "path": str(tmp_path / c)}
+                                for c in ("a", "b")]}), encoding="utf-8")
+            argv = ["rank", "--manifest", str(mpath), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
 
 
 def test_flat_candidate_band_named_by_id(scene, capsys):
@@ -950,10 +977,17 @@ def test_rank_featurizes_each_image_once(scene, monkeypatch):
     features = count_calls(monkeypatch, pipeline.image_features)
     auras = count_calls(monkeypatch, quantizer.cross_aura)
     gray_maps = count_calls(monkeypatch, glcm3.quantize_gray_levels)
+    # the reference is read from disk as the candidates are, never loaded
+    loads = count_calls(monkeypatch, raster.load_image)
     assert main(["rank", "--manifest", str(mpath),
                  "--out-dir", str(scene / "out")]) == 0
     assert (len(features), len(auras)) == (4, 4)
     assert len(gray_maps) == 4 * 4     # one per band of each 4-band image
+    assert loads == []
+    assert main(["eval", "--reference", str(scene / "ms"), "--candidate",
+                 str(scene / "fused_pca"), "--out",
+                 str(scene / "eval.json")]) == 0
+    assert (len(features), loads) == (6, [])
 
 
 def test_srcc_subcommand(tmp_path, capsys):

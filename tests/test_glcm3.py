@@ -200,6 +200,24 @@ class TestTimsGlcm:
         m = tims_glcm(labels, radii, gl=gl)
         assert np.array_equal(m.counts, oracle_counts(labels, radii, gl))
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=label_planes(), planes=st.sampled_from([0, 1, 3]))
+    @example(case=(np.full((7, 8), 40), (1, 2, 3), 41), planes=3)
+    @example(case=(np.full((7, 8), 40), (1, 2, 3), 41), planes=1)
+    def test_keys_in_work_planes_count_the_same(self, case, planes):
+        # the key planes are formed in the work planes' bytes where all
+        # three fit, else in arrays of their own; the counts are the same
+        labels, radii, gl = case
+        work = np.empty((planes, *labels.shape))
+        work.view(np.uint8).fill(255)   # no key is all ones
+        m = tims_glcm(labels, radii, gl=gl, work=work)
+        assert np.array_equal(m.counts, oracle_counts(labels, radii, gl))
+        h, w = labels.shape
+        side = 2 * radii[-1]
+        keys = 2 * (h - side) * (w - side) + h * w
+        fits = work.nbytes >= keys * (2 if gl**3 <= 65536 else 8)
+        assert (work.view(np.uint8) != 255).any() == fits
+
     def test_normalization(self, rng):
         labels = rng.integers(0, 8, size=(12, 12))
         m = tims_glcm(labels, (1, 2), gl=8)

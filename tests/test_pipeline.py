@@ -1,3 +1,4 @@
+import inspect
 import json
 import shutil
 import tempfile
@@ -160,23 +161,60 @@ def test_features_take_each_band_pcc_with_its_reference(rng, scale):
     reference = image_features(ref, opts)
     assert bits(reference.pccs) == bits(
         [pcc_of(ref.band(b), ref.band(b)) for b in range(4)])
-    assert bits(image_features(cand, opts, reference).pccs) == bits(
+    features = image_features(cand, opts, reference)
+    assert bits(features.pccs) == bits(
         [pcc_of(ref.band(b), cand.band(b)) for b in range(4)])
+    # the moments taken in the pass's work planes, scaled or not, are the
+    # ones taken in arrays of their own
+    for img, got in ((ref, reference), (cand, features)):
+        assert bits(got.stats) == bits(
+            [spectral.summary_stats(*spectral.centre(img.band(b)),
+                                    glcm3.quantize_gray_levels(img.band(b), 8))
+             for b in range(4)])
 
 
 def test_features_of_a_raster_file_read_each_band_once(tmp_path, rng):
-    # its self-PCCs too are taken from the one read of each band
-    ref = MultibandImage(rng.uniform(0.0, 1.0, (4, 16, 16)))
-    save_image(ref, tmp_path / "ref", sample_type="f32")
-    img = RasterFile(tmp_path / "ref")
+    # its self-PCCs too are taken from the one read of each band; a
+    # candidate featurized against it reads, band after band, its own band
+    # and the reference's band once each, every band into the same work
+    # plane of the pass, never a new array
+    for name in ("ref", "cand"):
+        save_image(MultibandImage(rng.uniform(0.0, 1.0, (4, 16, 16))),
+                   tmp_path / name, sample_type="f32")
+    ref, cand = RasterFile(tmp_path / "ref"), RasterFile(tmp_path / "cand")
+    signature = inspect.signature(RasterFile.rows)
+
+    def reads():
+        """Each rows() call as (image, b, start, stop, out's address)."""
+        out = []
+        for c in rows.call_args_list:
+            arg = signature.bind(*c.args, **c.kwargs).arguments
+            address = (None if arg.get("out") is None
+                       else arg["out"].ctypes.data)
+            out.append((arg["self"], arg["b"], arg["start"], arg["stop"],
+                        address))
+        rows.reset_mock()
+        return out
+
+    opts = EvalOptions(gl=8)
     with mock.patch.object(RasterFile, "rows", autospec=True,
                            side_effect=RasterFile.rows) as rows:
-        features = image_features(img, EvalOptions(gl=8))
-    assert [c.args[1:] for c in rows.call_args_list] == [
-        (b, 0, 16) for b in range(4)]
-    planes = load_image(tmp_path / "ref").planes
+        reference = image_features(ref, opts)
+        own = reads()
+        features = image_features(cand, opts, reference)
+        both = reads()
+    assert [r[:4] for r in own] == [(ref, b, 0, 16) for b in range(4)]
+    assert [r[:4] for r in both] == [
+        (img, b, 0, 16) for b in range(4) for img in (cand, ref)]
+    for log in (own, both[0::2], both[1::2]):
+        assert len({r[4] for r in log}) == 1 and log[0][4] is not None
+    assert both[0][4] != both[1][4]
+    planes = {name: load_image(tmp_path / name).planes
+              for name in ("ref", "cand")}
+    assert bits(reference.pccs) == bits(
+        [pcc_of(planes["ref"][b], planes["ref"][b]) for b in range(4)])
     assert bits(features.pccs) == bits(
-        [pcc_of(planes[b], planes[b]) for b in range(4)])
+        [pcc_of(planes["ref"][b], planes["cand"][b]) for b in range(4)])
 
 
 def test_flat_band_refused_before_its_texture(rng, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -468,15 +469,18 @@ def test_header_refuses_dimension_below_one(tmp_path, open_image, header,
 @pytest.mark.parametrize("keep, band", [(0, 0), (13, 1), (23, 1)])
 def test_payload_shrunk_after_opening(tmp_path, keep, band):
     # a 2-band u16 payload of 24 bytes, cut to keep bytes once opened: the
-    # band it cuts into is refused, never returned short or uninitialized
+    # band it cuts into is refused, never returned short or uninitialized,
+    # and a band before the cut, whole, as read from a changed payload
     path = write_pair(tmp_path, "s", dict(_GOOD, dtype="u16"), range(12),
                       "<u2")
     raster = RasterFile(path)
     with open(tmp_path / "s.raw", "r+b") as fh:
         fh.truncate(keep)
     for b in range(band):
-        assert raster.band(b).ravel().tolist() == list(range(6 * b,
-                                                             6 * b + 6))
+        with pytest.raises(InputError) as exc:
+            raster.band(b)
+        assert str(exc.value) == (f"payload {tmp_path / 's.raw'} changed "
+                                  "since it was opened")
     with pytest.raises(InputError) as exc:
         raster.band(band)
     assert str(exc.value) == (f"length mismatch: payload {tmp_path / 's.raw'}"
@@ -500,6 +504,26 @@ def test_rows_out_of_range_on_both_image_kinds(tmp_path, b, start, stop,
         if start == 0:
             with pytest.raises(InputError, match=message):
                 img.band(b)
+
+
+def test_rows_into_out_on_both_image_kinds(tmp_path):
+    # rows read into a caller's array are the rows returned without one,
+    # written in place; an array they cannot fill in place is refused
+    path = write_pair(tmp_path, "r", _GOOD, [0.5 * k for k in range(12)],
+                      "<f4")
+    for img in (RasterFile(path), load_image(path)):
+        out = np.full((1, 3), np.nan)
+        assert img.rows(1, 1, 2, out) is out
+        assert out.tobytes() == img.rows(1, 1, 2).tobytes()
+        assert out.flags.writeable
+        out = np.empty((2, 3))
+        assert img.band(0, out=out) is out
+        assert out.tobytes() == img.band(0).tobytes()
+        with pytest.raises(InputError, match="shape mismatch"):
+            img.rows(1, 1, 2, np.empty((2, 3)))
+        for bad in (np.empty((1, 3), np.float32), np.empty((1, 6))[:, ::2]):
+            with pytest.raises(InputError, match="C-contiguous float64"):
+                img.rows(1, 1, 2, bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -533,21 +557,39 @@ def test_rows_read_as_the_loaded_band(stored, data):
 def test_rows_of_a_payload_cut_after_opening(tmp_path, keep, ok_rows,
                                              cut_rows):
     # a 2-band 2x3 u16 payload of 24 bytes, cut to keep bytes once opened:
-    # rows before the cut are read, rows across it are refused
+    # rows before the cut, though whole, are refused as read from a
+    # changed payload, and rows across it as cut short
     path = write_pair(tmp_path, "s", dict(_GOOD, dtype="u16"), range(12),
                       "<u2")
     img = RasterFile(path)
     with open(tmp_path / "s.raw", "r+b") as fh:
         fh.truncate(keep)
-    b, start, stop = ok_rows
-    assert img.rows(b, start, stop).ravel().tolist() == list(
-        range(6 * b + 3 * start, 6 * b + 3 * stop))
+    with pytest.raises(InputError) as exc:
+        img.rows(*ok_rows)
+    assert str(exc.value) == (f"payload {tmp_path / 's.raw'} changed since "
+                              "it was opened")
     b = cut_rows[0]
     with pytest.raises(InputError) as exc:
         img.rows(*cut_rows)
     assert str(exc.value) == (f"length mismatch: payload {tmp_path / 's.raw'}"
                               f" ends inside band {b}, header implies 24"
                               " bytes")
+
+
+def test_payload_rewritten_after_opening(tmp_path):
+    # rewritten at the same size with a new mtime between two reads, the
+    # payload is refused, not read half old and half new
+    path = write_pair(tmp_path, "s", dict(_GOOD, dtype="u16"), range(12),
+                      "<u2")
+    img = RasterFile(path)
+    assert img.band(1).ravel().tolist() == list(range(6, 12))
+    payload = tmp_path / "s.raw"
+    payload.write_bytes(np.arange(12, 24, dtype="<u2").tobytes())
+    stat = payload.stat()
+    os.utime(payload, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    with pytest.raises(InputError) as exc:
+        img.band(0)
+    assert str(exc.value) == f"payload {payload} changed since it was opened"
 
 
 @pytest.fixture(scope="module")
