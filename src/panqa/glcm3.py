@@ -10,6 +10,8 @@ emphasis are computed. Every image is binned on one fixed reflectance
 scale by _bin_reflectance(): quantize_gray_levels() at gl levels, whose
 map the band's entropy (spectral.summary_stats) counts too, and the
 spectral quantizer's digit at 4 levels, in raster.row_strips runs.
+tims_glcm counts each ring offset's keys with np.bincount from one intp
+plane, formed with its key planes in a caller's work planes if given.
 """
 
 from __future__ import annotations
@@ -108,18 +110,19 @@ def check_glcm3_options(gl: int, radii) -> tuple[int, ...]:
     return radii
 
 
-def _key_planes(work: np.ndarray | None, dtype, shapes) -> list:
-    """Arrays of dtype and these shapes laid end to end in the bytes of
-    work, a C-contiguous array whose samples the caller no longer needs,
-    or new ones where work is None or too small."""
-    itemsize = np.dtype(dtype).itemsize
-    if work is None or work.nbytes < itemsize * sum(map(math.prod, shapes)):
-        return [np.empty(shape, dtype) for shape in shapes]
-    planes, at = [], 0
-    for shape in shapes:
-        planes.append(np.ndarray(shape, dtype, buffer=work, offset=at))
-        at += planes[-1].nbytes
-    return planes
+def _key_planes(work: np.ndarray | None, planes) -> list:
+    """Arrays of these (dtype, shape)s, each laid after the last in the
+    bytes of work, a C-contiguous array whose samples the caller no
+    longer needs, where it fits there, else new (all, if work is None)."""
+    out, at = [], 0
+    for dtype, shape in planes:
+        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+        if work is None or at + nbytes > work.nbytes:
+            out.append(np.empty(shape, dtype))
+        else:
+            out.append(np.ndarray(shape, dtype, buffer=work, offset=at))
+            at += nbytes
+    return out
 
 
 def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
@@ -127,7 +130,7 @@ def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
     """Accumulate (center, sorted opposite-pair) triples over all valid
     centers at every ring radius, then normalize. Pairs are counted in
     ring order and the table folded onto row <= col once at the end. The
-    three key planes are formed in work's bytes where they fit."""
+    key planes are formed in work's bytes, each where it fits."""
     radii = check_glcm3_options(gl, radii)
     lab = np.asarray(labels)
     if lab.ndim != 2:
@@ -142,12 +145,17 @@ def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
     # every flat index (center*gl + p)*gl + q is below gl**3; the ordered
     # (p, q) counts are folded onto row <= col once, after every offset.
     # The keys are formed in their own type straight from a uint8 map,
-    # which quantize_gray_levels gives and which is not copied
+    # which quantize_gray_levels gives and which is not copied; bincount
+    # would copy uint16 keys to intp, so they are cast into an intp plane,
+    # laid first (8-byte aligned), and intp keys are counted as formed
     lab = lab.astype(np.uint8, copy=False)
     key = np.uint16 if gl**3 <= 65536 else np.intp
     centers = h - 2 * rmax, w - 2 * rmax
-    center_term, lab_gl, flat = _key_planes(work, key,
-                                            (centers, (h, w), centers))
+    layout = [(key, centers), (key, centers), (key, (h, w))]
+    if key is not np.intp:
+        layout.insert(0, (np.intp, centers))
+    planes = _key_planes(work, layout)
+    counted, (flat, center_term, lab_gl) = planes[0], planes[-3:]
     np.multiply(lab[rmax:h - rmax, rmax:w - rmax], gl * gl, dtype=key,
                 out=center_term)
     np.multiply(lab, gl, dtype=key, out=lab_gl)
@@ -158,7 +166,10 @@ def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
                    lab_gl[rmax + dy:h - rmax + dy, rmax + dx:w - rmax + dx],
                    out=flat)
             flat += lab[rmax - dy:h - rmax - dy, rmax - dx:w - rmax - dx]
-            counts += np.bincount(flat.ravel(), minlength=gl**3)
+            if flat is not counted:
+                np.copyto(counted, flat)
+            counts += np.bincount(counted.ravel(), minlength=gl**3)
+    del planes, counted, flat, center_term, lab_gl   # freed before the fold
     ordered = counts.reshape(gl, gl, gl)
     folded = np.triu(ordered + ordered.transpose(0, 2, 1), 1)
     diag = np.arange(gl)

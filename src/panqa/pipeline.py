@@ -18,17 +18,17 @@ featurize it; and the first row of band 0 of both once more, to compare
 them. `panqa eval` passes both RasterFiles to classic_metrics too.
 
 image_features() is the one place where a band meets its reference's
-band. Featurizing an image holds, beside its label codes, three
-band-sized float64 work planes, made once and reused for every band:
-the band, read into the first, while its label digit, clipped count and
-uint8 gray-level map are taken, both binned a strip at a time on glcm3's
-one fixed reflectance scale; then its centred samples (band - mean),
-made in place and only read. summary_stats takes the second plane for
-its temporary, and the PCC then reads the reference's band into it,
-centres it and takes the product there; the third holds the scaled
-copy that either takes for a band outside spectral._UNSCALED. The GLCM3
-counts then read the gray-level map alone, their key planes formed in
-the work planes' bytes.
+band. Featurizing an image holds, beside its label codes, two band-sized
+float64 work planes, made once and reused for every band: the band, read
+into the first, while its label digit, clipped count and uint8
+gray-level map are taken, both binned a strip at a time on glcm3's one
+fixed reflectance scale; then its centred samples (band - mean), made in
+place and only read. summary_stats takes the second plane for the map
+cast to intp, which np.bincount counts, then for its temporary; the PCC
+then reads the reference's band into it, centres it and takes the
+product there. The GLCM3 counts then read the gray-level map alone,
+their key planes formed in the work planes' bytes (but one, above gl
+40). A band outside spectral._UNSCALED allocates its scaled copy.
 """
 
 from __future__ import annotations
@@ -167,12 +167,10 @@ def image_features(img: Image, opts: EvalOptions,
     is taken."""
     coder = SpectralCoder(*img.shape)
     # every band-sized temporary of the pass, made once for all bands:
-    # the band, read and centred in place; the moments' temporary, then
-    # the reference's band and its product with the centred one; the
-    # scaled copy of the moments or the PCC outside spectral._UNSCALED.
-    # The texture's key planes then take their bytes. (With two planes,
-    # glibc trimmed and regrew its heap on each run of a loop of runs.)
-    work = np.empty((3, img.height, img.width))
+    # the band, read and centred in place; the entropy's intp map and the
+    # moments' temporary, then the reference's band and its product with
+    # the centred one. The texture's key planes then take their bytes
+    work = np.empty((2, img.height, img.width))
     stats, pccs, texture, clipped = [], [], [], 0
     for b in range(img.bands):
         band = img.band(b, out=work[0])
@@ -180,17 +178,18 @@ def image_features(img: Image, opts: EvalOptions,
         clipped += int(np.count_nonzero((band < 0.0) | (band > 1.0)))
         levels = quantize_gray_levels(band, opts.gl)
         centred, mean = centre(band, out=band)
-        stats.append(summary_stats(centred, mean, levels, work[1:]))
+        stats.append(summary_stats(centred, mean, levels, work[1]))
         if stats[b].std == 0.0:
             raise DegeneracyError(f"band {b}: zero variance")
         # the image's own band b is its centred copy, of mean 0
         ref_band, ref_stats = (
             (centred, stats[b]._replace(mean=0.0)) if reference is None
             else (reference.image.band(b, out=work[1]), reference.stats[b]))
-        pccs.append(pcc(ref_band, centred, ref_stats, stats[b], work[1:]))
+        pccs.append(pcc(ref_band, centred, ref_stats, stats[b], work[1]))
         # the texture reads the levels alone
         texture.append(glcm3_features(
             tims_glcm(levels, opts.radii, gl=opts.gl, work=work)))
+    del work, band, centred, ref_band   # freed before the aura planes
     labels = coder.stack()
     plane, aura_mean = cross_aura(labels)
     return ImageFeatures(image=img, stats=stats, pccs=pccs, texture=texture,

@@ -24,12 +24,12 @@ Q(b, a) bit for bit and QNR computes each unordered pair once.
 A band's moments and its PCC read one copy of its centred samples,
 made once by centre(). summary_stats takes the moments on one path, the
 deviations divided first by the largest of them where that lies outside
-_UNSCALED. It holds one band-sized temporary beside the centred copy
-(c*c, then (c*c)*(c*c), then (c*c)*c), or two outside _UNSCALED, and
-pcc one (the other band centred, then the product, in place), or two
-outside it; a caller may pass both a pair of work planes to hold them,
-as pipeline.image_features does. The strips of SAM, Q4 and QNR stay
-below that.
+_UNSCALED. It holds one band-sized plane beside the centred copy (the
+gray-level map cast to intp for np.bincount, then c*c, (c*c)*(c*c) and
+(c*c)*c), and pcc one (the other band centred, then the product, in
+place); a caller may pass each that plane, as pipeline.image_features
+does. Outside _UNSCALED each allocates one more, the scaled copy, when
+it is taken. The strips of SAM, Q4 and QNR stay below that.
 
 All moments use the population (N-divisor) convention so that downstream
 z-score standardization behaves exactly.
@@ -75,23 +75,26 @@ _UNSCALED = (2.0**-200, 2.0**200)
 
 
 def summary_stats(centred: np.ndarray, mean: float, levels: np.ndarray,
-                  work=None) -> SummaryStats:
+                  out: np.ndarray | None = None) -> SummaryStats:
     """Population moments of a band, given its mean and its centred
     samples from centre(), plus the Shannon entropy (bits) of levels, the
     band's gray-level map from quantize_gray_levels; a band whose samples
     are all equal has std, skewness and kurtosis 0. The centred samples
-    are only read: beside them one band-sized temporary holds the squared
-    deviations, then their squares, then the cubes, and outside _UNSCALED
-    one more, the deviations divided by their largest magnitude. work, if
-    given, is a pair of band-sized float64 planes that hold the two."""
+    are only read: beside them one band-sized float64 plane, out if
+    given, holds the levels cast to intp for np.bincount, then the
+    squared deviations, their squares and the cubes; outside _UNSCALED
+    the deviations divided by their largest magnitude are allocated."""
     c = np.asarray(centred, dtype=np.float64)
     if c.size == 0:
         raise InputError("empty band")
     if np.shape(levels) != c.shape:
         raise InputError("levels must map every sample of the band")
-    # the levels first: bincount's intp copy of the map is freed before
-    # the temporary of the moments exists
-    counts = np.bincount(np.ravel(levels))
+    out = np.empty(c.shape) if out is None else out
+    # the levels first, in out's bytes: bincount would copy any other
+    # type to intp itself
+    keys = out.view(np.intp)
+    np.copyto(keys, levels)
+    counts = np.bincount(keys.ravel())
     p = counts[counts > 0] / c.size
     # 0.0 - sum, not -sum: a constant band's entropy is +0.0, not -0.0
     entropy = float(0.0 - (p * np.log2(p)).sum())
@@ -99,11 +102,10 @@ def summary_stats(centred: np.ndarray, mean: float, levels: np.ndarray,
     if lo == hi:
         return SummaryStats(float(mean), 0.0, 0.0, 0.0, entropy)
     scale = max(hi, -lo)
-    out, scaled = (None, None) if work is None else work
     if _UNSCALED[0] < scale < _UNSCALED[1]:
         scale, z = 1.0, c
     else:
-        z = np.divide(c, scale, out=scaled)
+        z = c / scale
     # chained products: np.power for cubes and fourth powers is far slower.
     # The fourth powers are the squares squared in place; the squares are
     # formed once more for the cubes, so z stays intact
@@ -126,28 +128,26 @@ def mdb_cost(stats_a, stats_b) -> float:
 
 
 def pcc(band_a: np.ndarray, centred_b: np.ndarray, stats_a: SummaryStats,
-        stats_b: SummaryStats, work=None) -> float:
+        stats_b: SummaryStats, out: np.ndarray | None = None) -> float:
     """Pearson correlation with population normalization of band_a and a
     band b given by its centred samples from centre(). stats_a and
     stats_b are the bands' summary_stats, whose mean and std are the ones
-    a Pearson correlation computes. One band-sized temporary is held:
-    band_a centred, which becomes the product in place; where either std
-    lies outside _UNSCALED, each band is divided by its std before the
-    product, band_a in place and b in one more temporary, so that the
-    product cannot under- or overflow. work, if given, is a pair of
-    band-sized float64 planes that hold the two; its first may be band_a
-    itself."""
+    a Pearson correlation computes. One band-sized plane is held, out if
+    given (a float64 plane of the bands' shape, which may be band_a
+    itself): band_a centred, which becomes the product in place. Where
+    either std lies outside _UNSCALED, each band is divided by its std
+    before the product, band_a in place and b in one more plane,
+    allocated, so that the product cannot under- or overflow."""
     x = np.asarray(band_a, dtype=np.float64)
     yc = np.asarray(centred_b, dtype=np.float64)
     check_shape(yc, x.shape)
     sa, sb = stats_a.std, stats_b.std
     if sa == 0.0 or sb == 0.0:
         raise DegeneracyError("zero variance")
-    out, scaled = (None, None) if work is None else work
     xc = np.subtract(x, stats_a.mean, out=out)
     if not _UNSCALED[0] < min(sa, sb) <= max(sa, sb) < _UNSCALED[1]:
         xc /= sa
-        yc, sa, sb = np.divide(yc, sb, out=scaled), 1.0, 1.0
+        yc, sa, sb = yc / sb, 1.0, 1.0
     xc *= yc
     return float(np.mean(xc) / (sa * sb))
 

@@ -201,22 +201,35 @@ class TestTimsGlcm:
         assert np.array_equal(m.counts, oracle_counts(labels, radii, gl))
 
     @settings(max_examples=40, deadline=None)
-    @given(case=label_planes(), planes=st.sampled_from([0, 1, 3]))
-    @example(case=(np.full((7, 8), 40), (1, 2, 3), 41), planes=3)
+    @given(case=label_planes(), planes=st.sampled_from([0, 1, 2, 3]))
+    @example(case=(np.full((7, 8), 40), (1, 2, 3), 41), planes=2)
     @example(case=(np.full((7, 8), 40), (1, 2, 3), 41), planes=1)
     def test_keys_in_work_planes_count_the_same(self, case, planes):
-        # the key planes are formed in the work planes' bytes where all
-        # three fit, else in arrays of their own; the counts are the same
+        # each key plane is formed in the work planes' bytes, after the
+        # last one laid there, where it fits, else in an array of its own:
+        # first the intp plane that np.bincount counts (the flat keys
+        # themselves above gl 40), then the flat keys, the centre term
+        # and the map times gl. The counts are the same
         labels, radii, gl = case
         work = np.empty((planes, *labels.shape))
-        work.view(np.uint8).fill(255)   # no key is all ones
+        work.view(np.uint8).fill(255)
         m = tims_glcm(labels, radii, gl=gl, work=work)
         assert np.array_equal(m.counts, oracle_counts(labels, radii, gl))
         h, w = labels.shape
         side = 2 * radii[-1]
-        keys = 2 * (h - side) * (w - side) + h * w
-        fits = work.nbytes >= keys * (2 if gl**3 <= 65536 else 8)
-        assert (work.view(np.uint8) != 255).any() == fits
+        centers = (h - side) * (w - side)
+        key = np.uint16 if gl**3 <= 65536 else np.intp
+        layout = [(key, centers), (key, centers), (key, h * w)]
+        if key is np.uint16:
+            layout.insert(0, (np.intp, centers))
+        at = 0
+        for dtype, size in layout:
+            if at + size * np.dtype(dtype).itemsize <= work.nbytes:
+                laid = np.ndarray(size, dtype, buffer=work, offset=at)
+                # every key is below gl**3, so none is all ones
+                assert (laid != np.invert(dtype(0))).all()
+                at += laid.nbytes
+        assert (work.view(np.uint8).ravel()[at:] == 255).all()
 
     def test_normalization(self, rng):
         labels = rng.integers(0, 8, size=(12, 12))

@@ -28,9 +28,11 @@ from panqa.cli import main
 from panqa.errors import InputError
 from panqa.fusion import (_B3, FusionConfig, pansharpen_atwt, pansharpen_cn,
                           pansharpen_pca)
+from panqa.glcm3 import quantize_gray_levels, tims_glcm
 from panqa.pipeline import Candidate, EvalOptions, RunManifest, run_manifest
 from panqa.raster import MultibandImage, load_image, save_image
 from panqa.resample import BLOCK_ROWS, _mirror_indices, upsample
+from panqa.spectral import centre, summary_stats
 from panqa.synth import synth_scene
 from blocks import collect
 from test_raster import encode_by_formula
@@ -387,17 +389,33 @@ def test_fuse_holds_no_image(tmp_path, rng, method):
     assert peak < BLOCK + FUSE_PLANES[method] * PLANE, peak / PLANE
 
 
-def test_run_manifest_footprint(tmp_path, rng):
-    # the reference and each candidate are read from disk one band at a
-    # time, so beside the reference's features a run holds one image's
-    # three work planes, and at its peak, in tims_glcm, the key planes
-    # formed in them plus np.bincount's intp copy of one offset's keys
-    # and the counts (the 32^3 count tables weigh at this size): 5.97
-    # planes, bounded with a 5% margin. With the reference held loaded,
-    # loading each candidate whole peaked at 12.0 planes, streaming it at
-    # 8.0, one centred copy for the moments and the PCC at 7.6, and
-    # keeping only the reference's category-2 label plane, not its whole
-    # stack, at 7.35 (7.49 with this test's rng)
+def test_summary_stats_footprint(rng):
+    band = rng.random((H, W))
+    levels = quantize_gray_levels(band)
+    centred, mean = centre(band)
+    _, peak = traced_peak(summary_stats, centred, mean, levels,
+                          out=np.empty((H, W)))
+    # the map is cast to intp in out's bytes for the entropy's bincount;
+    # bincount's own intp copy of it took 1.00 plane
+    assert peak < 0.1 * PLANE, peak / PLANE
+
+
+@pytest.mark.parametrize("gl", [8, 16])
+def test_tims_glcm_footprint(rng, gl):
+    levels = quantize_gray_levels(rng.random((H, W)), gl)
+    _, peak = traced_peak(tims_glcm, levels, gl=gl,
+                          work=np.empty((2, H, W)))
+    # every key plane, and the intp plane that np.bincount counts, lies
+    # in work's bytes; beside them the count tables, the running sum, an
+    # offset's counts and the fold: 5.4 tables at gl 8 (4 KiB each), 3.7
+    # at gl 16. np.bincount's intp copy of each offset's keys took 0.97
+    # planes at gl 8 and 1.08 at gl 16
+    assert peak < 6 * gl**3 * 8 + 0.02 * PLANE, peak / PLANE
+
+
+def traced_run(tmp_path, rng, gl):
+    """(rank table, traced peak) of run_manifest on a reference, an
+    oracle copy of it and three noisy copies, all 256² and on disk."""
     ref = synth_scene(0, W, H)[0].planes
     save_image(MultibandImage(ref), tmp_path / "ref")
     for ext in (".json", ".raw"):
@@ -412,10 +430,38 @@ def test_run_manifest_footprint(tmp_path, rng):
     manifest = RunManifest(
         reference=str(tmp_path / "ref"),
         candidates=[Candidate(id=c, path=str(tmp_path / c)) for c in ids],
-        options=EvalOptions())
-    table, peak = traced_peak(run_manifest, manifest, tmp_path / "out")
+        options=EvalOptions(gl=gl))
+    return traced_peak(run_manifest, manifest, tmp_path / "out")
+
+
+def test_run_manifest_footprint(tmp_path, rng):
+    # the reference and each candidate are read from disk one band at a
+    # time, so beside the reference's features a run holds one image's
+    # two work planes, in whose bytes tims_glcm forms its key planes and
+    # the intp plane that np.bincount counts. Its peak, 4.96 planes, is
+    # in a band's glcm3_features, where the 32^3 tables weigh at this
+    # size; bounded with a 5% margin. With three work planes and
+    # np.bincount's intp copy of each offset's keys it peaked at 5.96, in
+    # tims_glcm; with the reference held loaded, loading each candidate
+    # whole peaked at 12.0 planes, streaming it at 8.0, one centred copy
+    # for the moments and the PCC at 7.6, and keeping only the
+    # reference's category-2 label plane, not its whole stack, at 7.35
+    # (7.49 with this test's rng)
+    table, peak = traced_run(tmp_path, rng, 32)
     assert table.pdfr_case_a[0] == 1
-    assert peak < 6.3 * PLANE, peak / PLANE
+    assert peak < 5.2 * PLANE, peak / PLANE
+
+
+def test_run_manifest_footprint_intp_keys(tmp_path, rng):
+    # above gl 40 the keys are intp and counted where they are formed;
+    # two of the three key planes fit in the two work planes, and the map
+    # times gl is allocated, and freed before the fold. The 64^3 tables
+    # (4 planes each here) of the fold and of glcm3_features set the
+    # peak: 18.99 planes, bounded with a 5% margin. With three work
+    # planes, in which all three key planes fit, it peaked at 19.99
+    table, peak = traced_run(tmp_path, rng, 64)
+    assert table.pdfr_case_a[0] == 1
+    assert peak < 19.94 * PLANE, peak / PLANE
 
 
 def test_eval_footprint(tmp_path, rng):
