@@ -17,7 +17,7 @@ import numpy as np
 
 from . import glcm3 as glcm3_mod
 from . import quantizer as quant_mod
-from .errors import DegeneracyError, InputError, PanqaError, checked
+from .errors import DegeneracyError, InputError, PanqaError, checked, named
 from .fusion import FUSION_METHODS, FusionConfig, check_shapes, pansharpen
 from .pipeline import (Candidate, EvalOptions, RunManifest, classic_metrics,
                        run_manifest, score_candidates, write_json)
@@ -195,24 +195,24 @@ def cmd_rank(args) -> int:
                                                       "report.json")]
     _refuse_overwrite(outputs, reference=manifest.reference)
     for cand in manifest.candidates:
-        try:
+        with named(f"candidate {cand.id!r}: "):
             _refuse_overwrite(outputs, candidate=cand.path)
-        except InputError as exc:
-            raise InputError(f"candidate {cand.id!r}: {exc}") from None
     run_manifest(manifest, args.out_dir)
     return 0
 
 
 def cmd_srcc(args) -> int:
     with open(args.table, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    try:
-        # data rows start on line 2, below the header
-        col_a, col_b = [[_number(r[col], line, repr(col))
-                         for line, r in enumerate(rows, 2)]
-                        for col in (args.col_a, args.col_b)]
-    except KeyError as exc:
-        raise InputError(f"column {exc} not in table") from exc
+        reader = csv.DictReader(fh)
+        # the header alone names the columns, before any cell is read
+        for col in (args.col_a, args.col_b):
+            if col not in (reader.fieldnames or ()):
+                raise InputError(f"column {col!r} not in table")
+        rows = list(reader)
+    # data rows start on line 2, below the header
+    col_a, col_b = [[_number(r[col], line, repr(col))
+                     for line, r in enumerate(rows, 2)]
+                    for col in (args.col_a, args.col_b)]
     print(f"{srcc(col_a, col_b):.4f}")
     return 0
 
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, PanqaError, OSError) as exc:
+    except (PanqaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,12 @@
 """Exception hierarchy shared by the panqa modules.
 
 The CLI maps InputError to exit code 2 and DegeneracyError to exit code 3.
+named() is the one rule that blames an error on the input it came from.
 """
 
 import json
 import numbers
+from contextlib import contextmanager
 
 
 class PanqaError(Exception):
@@ -17,6 +19,16 @@ class InputError(PanqaError):
 
 class DegeneracyError(PanqaError):
     """Numeric degeneracy: zero variance, empty support, rank deficiency."""
+
+
+@contextmanager
+def named(prefix: str):
+    """Re-raises a PanqaError or OSError raised inside as the same type,
+    its message prefix followed by the original's, chained from it."""
+    try:
+        yield
+    except (PanqaError, OSError) as exc:
+        raise type(exc)(f"{prefix}{exc}") from exc
 
 
 def checked(kind, value, key: str):

@@ -135,6 +135,9 @@ def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
     lab = np.asarray(labels)
     if lab.ndim != 2:
         raise InputError("labels must be a 2-D plane")
+    # the uint8 cast would truncate floats, and NaN passes the range check
+    if lab.dtype.kind not in "biu":
+        raise InputError(f"labels must be bool or integer, not {lab.dtype}")
     if lab.min() < 0 or lab.max() >= gl:
         raise InputError("labels outside [0, gl)")
     rmax = radii[-1]

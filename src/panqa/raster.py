@@ -28,12 +28,11 @@ returns views of its buffer, or copies them into out.
 RasterFile is an image left on disk: it checks the header and the
 payload size when it opens, and each rows() call seeks to those rows and
 reads them alone, so a caller that goes strip by strip or band by band
-holds that strip or band, never the image. Every read goes through one
-helper, which converts, refuses nodata and calibrates the rows it reads
-(multiply, then add: the same two roundings as DN * gain + offset);
-load_image() fills its buffer with it, one band at a time. Both then
-refuse non-finite samples, rows() in the rows it read and
-MultibandImage in each plane it holds. A payload that ends early is a
+holds that strip or band, never the image. rows() is the one reader of
+a payload: it converts, refuses nodata, calibrates (multiply, then add:
+the same two roundings as DN * gain + offset) and refuses non-finite
+samples in the rows it reads, and load_image() fills its buffer through
+it, each plane with band(b, out=plane). A payload that ends early is a
 length mismatch naming the file, and one whose size or modification
 time differs from those seen on opening is refused as changed, so a
 RasterFile read many times never mixes two versions of its file.
@@ -61,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (InputError, checked, checked_list, read_json,
+from .errors import (InputError, checked, checked_list, named, read_json,
                      require_keys)
 
 _DTYPES = {
@@ -266,10 +265,8 @@ class RasterFile(Image):
         keys = fields(ImageHeader)
         require_keys(doc, [f.name for f in keys if f.default is MISSING],
                      f"header {hdr_path}", [f.name for f in keys])
-        try:
+        with named(f"header {hdr_path}: "):
             self.header = hdr = ImageHeader(**doc)
-        except InputError as exc:
-            raise InputError(f"header {hdr_path}: {exc}") from None
         self.shape = hdr.bands, hdr.height, hdr.width
         self.band_names = hdr.band_names
         self._dtype = _DTYPES[hdr.dtype]
@@ -293,49 +290,42 @@ class RasterFile(Image):
         _check_rows(self.shape, b, start, stop)
         shape = stop - start, self.width
         plane = np.empty(shape) if out is None else _check_out(out, shape)
+        flat = plane.reshape(-1)
         with open(self.payload_path, "rb") as fh:
             fh.seek(b * self._plane_bytes + start * self._row_bytes)
-            self._read_plane(fh, b, plane)
-        _check_finite(plane)
-        if out is None:
-            plane.flags.writeable = False
-        return plane
-
-    def _read_plane(self, fh, b: int, plane: np.ndarray) -> None:
-        """Fill the C-contiguous float64 array plane with samples of band
-        b, read from fh's position: convert, refuse nodata, multiply by
-        the gain, add the offset."""
-        hdr = self.header
-        flat = plane.reshape(-1)
-        dn = np.fromfile(fh, dtype=self._dtype, count=flat.size)
+            dn = np.fromfile(fh, dtype=self._dtype, count=flat.size)
+            stat = os.fstat(fh.fileno())
         # the payload was checked on opening, but a file can change since
         if dn.size != flat.size:
             raise InputError(
                 f"length mismatch: payload {self.payload_path} ends inside "
                 f"band {b}, header implies "
                 f"{self.bands * self._plane_bytes} bytes")
-        stat = os.fstat(fh.fileno())
         if (stat.st_size, stat.st_mtime_ns) != self._stamp:
             raise InputError(f"payload {self.payload_path} changed since "
                              "it was opened")
         flat[:] = dn
+        del dn   # freed before the nodata and non-finite masks
+        hdr = self.header
         if hdr.nodata is not None and np.any(flat == hdr.nodata):
             raise InputError("nodata pixels present; dense rasters required")
         # an overflow to inf is refused as a non-finite sample
         with np.errstate(over="ignore"):
             flat *= hdr.gain[b]
             flat += hdr.offset[b]
+        _check_finite(plane)
+        if out is None:
+            plane.flags.writeable = False
+        return plane
 
 
 def load_image(path) -> MultibandImage:
     """Load and radiometrically calibrate a raster from <name>.json/.raw,
-    one band at a time through RasterFile's plane reader."""
+    each band read by RasterFile.rows into its plane of one buffer."""
     raster = RasterFile(path)
-    planes = np.empty((raster.bands, raster.height, raster.width))
-    with open(raster.payload_path, "rb") as fh:
-        for b, plane in enumerate(planes):
-            raster._read_plane(fh, b, plane)
-    # MultibandImage refuses non-finite samples, as from a gain overflow
+    planes = np.empty(raster.shape)
+    for b, plane in enumerate(planes):
+        raster.band(b, out=plane)
     return MultibandImage(planes, band_names=raster.band_names)
 
 

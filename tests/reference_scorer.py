@@ -15,7 +15,23 @@ and imports nothing from panqa:
   those of 1, 2(ii), 3 and 4; cases B and D add both PSPRs to A and C;
 - every rank is a competition rank: 1 + the number of strictly smaller
   values, so ties share the smallest rank.
+
+category1_costs(reference, candidate, gl) and inverse_pcc(reference,
+candidate) recompute a record's category-1 costs and its inverse PCC
+from two whole images, each a (bands, height, width) float64 array,
+with no strips and no centred copy shared between moments:
+
+- a band's moments are its population mean, std sqrt(m2), skewness
+  m3 / m2**1.5 and kurtosis m4 / m2**2, m_k the mean of the k-th powers
+  of its deviations from its mean; its entropy is the Shannon entropy
+  (bits) of its gray levels clip(ceil(gl * x) - 1, 0, gl - 1);
+- each category-1 cost is the mean over bands of the absolute
+  difference of that feature between the two images;
+- the inverse PCC is the mean over bands of 1 - the Pearson correlation
+  (population normalization) of the two images' bands.
 """
+
+import math
 
 import numpy as np
 
@@ -71,3 +87,38 @@ def ranks_csv_rows(candidates: list[dict]) -> list[list[str]]:
     return [["candidate", *cols],
             *([c["id"], *map(str, row)]
               for c, row in zip(candidates, zip(*cols.values())))]
+
+
+CATEGORY1_KEYS = ("mean", "std", "skewness", "kurtosis", "entropy")
+
+
+def band_features(band: np.ndarray, gl: int) -> tuple[float, ...]:
+    """(mean, std, skewness, kurtosis, entropy) of one band."""
+    mean = band.mean()
+    dev = band - mean
+    m2, m3, m4 = (np.mean(dev**k) for k in (2, 3, 4))
+    levels = np.clip(np.ceil(band * gl) - 1, 0, gl - 1)
+    _, counts = np.unique(levels, return_counts=True)
+    p = counts / band.size
+    entropy = 0.0 - (p * np.log2(p)).sum()
+    return mean, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2, entropy
+
+
+def category1_costs(reference: np.ndarray, candidate: np.ndarray,
+                    gl: int) -> dict[str, float]:
+    """Each category-1 cost, keyed in the paper's order."""
+    ref = [band_features(band, gl) for band in reference]
+    cand = [band_features(band, gl) for band in candidate]
+    return {key: float(np.mean(np.abs(np.subtract(
+                [r[k] for r in ref], [c[k] for c in cand]))))
+            for k, key in enumerate(CATEGORY1_KEYS)}
+
+
+def inverse_pcc(reference: np.ndarray, candidate: np.ndarray) -> float:
+    """The mean over bands of 1 - PCC."""
+    pccs = []
+    for a, b in zip(reference, candidate):
+        da, db = a - a.mean(), b - b.mean()
+        pccs.append(np.mean(da * db)
+                    / math.sqrt(np.mean(da**2) * np.mean(db**2)))
+    return float(np.mean([1.0 - p for p in pccs]))

@@ -936,7 +936,7 @@ def test_output_over_an_input_refused(scene, monkeypatch, capsys, argv,
         return {f: f.read_bytes() if f.is_file() else None
                 for f in scene.rglob("*")}
 
-    monkeypatch.setattr(RasterFile, "_read_plane", no_read)
+    monkeypatch.setattr(RasterFile, "rows", no_read)
     before = files()
     assert main(argv) == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
@@ -1154,6 +1154,18 @@ def test_exit_code_degenerate(tmp_path):
     assert main(["eval", "--reference", str(tmp_path / "flat"),
                  "--candidate", str(tmp_path / "flat"),
                  "--out", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.mark.parametrize("text", ["candidate,y\n", ""])
+def test_srcc_names_a_missing_column_with_no_data_row(tmp_path, capsys,
+                                                      text):
+    # the header names the columns, read before any cell; an empty table
+    # has no header
+    table = tmp_path / "ranks.csv"
+    table.write_text(text, encoding="utf-8")
+    assert main(["srcc", "--table", str(table), "--col-a", "x",
+                 "--col-b", "y"]) == 2
+    assert capsys.readouterr().err.strip() == "error: column 'x' not in table"
 
 
 @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf"])

@@ -257,6 +257,22 @@ class TestTimsGlcm:
             with pytest.raises(InputError, match=r"labels outside \[0, gl\)"):
                 tims_glcm(labels, gl=4)
 
+    @pytest.mark.parametrize("labels", [
+        np.full((7, 7), 2.7),         # would count as level 2
+        np.full((7, 7), np.nan),      # passes the [0, gl) check
+        np.zeros((7, 7), dtype=np.float32),
+        np.zeros((7, 7), dtype=complex),
+    ])
+    def test_non_integer_labels_refused(self, labels):
+        with pytest.raises(InputError, match="labels must be bool or "
+                                             "integer"):
+            tims_glcm(labels, gl=4)
+
+    def test_bool_labels_count_as_levels_0_and_1(self):
+        labels = np.arange(49).reshape(7, 7) % 2
+        assert np.array_equal(tims_glcm(labels.astype(bool), gl=4).counts,
+                              oracle_counts(labels, (1, 2, 3), 4))
+
     def test_bad_radii(self):
         labels = np.zeros((7, 7), dtype=np.int64)
         for radii in ((2, 1), (0, 1), ()):

@@ -21,6 +21,8 @@ from panqa.protocol import QiRecord, aggregate, process_costs
 from panqa.quantizer import LEVELS, quantize_spectral
 from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.spectral import DEFAULT_BLOCK
+from reference_scorer import (CATEGORY1_KEYS, band_features,
+                              category1_costs, inverse_pcc)
 from test_cli import count_calls
 from test_spectral import bits, pcc_of
 
@@ -346,3 +348,74 @@ def test_files_score_as_loaded_images(case, budget):
         got = (evaluate_candidate(image_features(ref, opts), cand, opts, "c"),
                classic_metrics(ref, cand, opts))
     assert got == want
+
+
+def _drawn_planes(rng, shape, kind):
+    """(bands, height, width) samples of one kind: reflectances reaching
+    beyond [0, 1], a skewed heavy tail, 8-bit DNs with many ties, or a
+    near-constant scene with two outliers, on one side of it (large
+    skewness and kurtosis) or on both (kurtosis alone)."""
+    if kind == "uniform":
+        return rng.uniform(-0.2, 1.2, shape)
+    if kind == "lognormal":
+        return rng.lognormal(-2.0, 1.0, shape)
+    if kind == "dn":
+        return rng.integers(0, 256, shape) / 255
+    planes = rng.normal(0.3 if kind == "spike" else 0.5, 1e-3, shape)
+    planes[:, 0, 0], planes[:, -1, -1] = 0.9, 0.1
+    return planes
+
+
+_KINDS = ("uniform", "lognormal", "dn", "spike", "twin")
+
+
+@st.composite
+def image_pairs(draw):
+    """(reference, candidate, gl): two images of a drawn shape, 1 to 8
+    bands of 8 to 40 rows and columns; the candidate is drawn alone, is
+    the reference plus noise, or is its copy."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(8, 40)),
+             draw(st.integers(8, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reference = _drawn_planes(rng, shape, draw(st.sampled_from(_KINDS)))
+    how = draw(st.sampled_from(["drawn", "noisy", "copy"]))
+    if how == "drawn":
+        candidate = _drawn_planes(rng, shape, draw(st.sampled_from(_KINDS)))
+    elif how == "noisy":
+        sigma = draw(st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1]))
+        candidate = reference + rng.normal(0.0, sigma, shape)
+    else:
+        candidate = reference.copy()
+    return reference, candidate, draw(st.sampled_from([8, 32, 64]))
+
+
+# 9 eps: the largest difference over 6,000 draws was 9.5e-16
+COST_RTOL = 2e-15
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=image_pairs())
+def test_costs_match_the_reference_scorer(case):
+    # category 1 and the inverse PCC recomputed from their formulas on
+    # the whole images: the mean, std and entropy costs bit for bit, the
+    # others within COST_RTOL of their feature's scale, the largest over
+    # the bands of both images of mean |z|**3 for the skewness and of
+    # the kurtosis, and 1 for the inverse PCC, since |PCC| <= 1
+    reference, candidate, gl = case
+    opts = EvalOptions(gl=gl)
+    record = evaluate_candidate(
+        image_features(MultibandImage(reference), opts),
+        MultibandImage(candidate), opts)
+    want = category1_costs(reference, candidate, gl)
+    bands = np.concatenate([reference, candidate])
+    scale = {"skewness": max(np.mean(np.abs((b - b.mean()) / b.std())**3)
+                             for b in bands),
+             "kurtosis": max(band_features(b, gl)[3] for b in bands)}
+    for key in CATEGORY1_KEYS:
+        if key in scale:
+            assert (abs(record.category1[key] - want[key])
+                    <= COST_RTOL * scale[key]), key
+        else:
+            assert record.category1[key] == want[key], key
+    assert (abs(record.category2["inverse_pcc"]
+                - inverse_pcc(reference, candidate)) <= COST_RTOL)
