@@ -10,19 +10,20 @@ emphasis are computed. Every image is binned on one fixed reflectance
 scale by _bin_reflectance(): quantize_gray_levels() at gl levels, whose
 map the band's entropy (spectral.summary_stats) counts too, and the
 spectral quantizer's digit at 4 levels, in raster.row_strips runs.
-tims_glcm counts each ring offset's keys with np.bincount from one intp
-plane, formed with its key planes in a caller's work planes if given.
+tims_glcm forms each ring offset's keys one way at every gl, in uint16
+(uint32 above gl 40), and counts them with np.bincount from one intp
+plane; all three planes lie in two float64 work planes, a caller's if
+given.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .raster import row_strips
+from .raster import _check_out, row_strips
 
 DEFAULT_GL = 32
 DEFAULT_RADII = (1, 2, 3)
@@ -45,8 +46,7 @@ class Glcm3:
         self.total_tuples = int(self.counts.sum())
         if self.total_tuples == 0:
             raise DegeneracyError("empty co-occurrence accumulator")
-        d, r, c = np.nonzero(self.counts)
-        if np.any(r > c):
+        if np.tril(self.counts.any(axis=0), -1).any():
             raise InputError("lower-triangular cell populated")
 
     @property
@@ -110,27 +110,15 @@ def check_glcm3_options(gl: int, radii) -> tuple[int, ...]:
     return radii
 
 
-def _key_planes(work: np.ndarray | None, planes) -> list:
-    """Arrays of these (dtype, shape)s, each laid after the last in the
-    bytes of work, a C-contiguous array whose samples the caller no
-    longer needs, where it fits there, else new (all, if work is None)."""
-    out, at = [], 0
-    for dtype, shape in planes:
-        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
-        if work is None or at + nbytes > work.nbytes:
-            out.append(np.empty(shape, dtype))
-        else:
-            out.append(np.ndarray(shape, dtype, buffer=work, offset=at))
-            at += nbytes
-    return out
-
-
 def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
               *, gl: int, work: np.ndarray | None = None) -> Glcm3:
     """Accumulate (center, sorted opposite-pair) triples over all valid
     centers at every ring radius, then normalize. Pairs are counted in
-    ring order and the table folded onto row <= col once at the end. The
-    key planes are formed in work's bytes, each where it fits."""
+    ring order and the table folded onto row <= col once at the end.
+    work, None (two planes are allocated) or a C-contiguous float64
+    (2, h, w) array whose samples the caller no longer needs, holds the
+    key planes: the intp plane that np.bincount counts at the start of
+    work[0], the keys and the centre term at the start of work[1]."""
     radii = check_glcm3_options(gl, radii)
     lab = np.asarray(labels)
     if lab.ndim != 2:
@@ -144,35 +132,32 @@ def tims_glcm(labels: np.ndarray, radii: tuple[int, ...] = DEFAULT_RADII,
     h, w = lab.shape
     if h < 2 * rmax + 1 or w < 2 * rmax + 1:
         raise InputError("image too small: no valid centers")
+    work = (np.empty((2, h, w)) if work is None
+            else _check_out(work, (2, h, w)))
 
     # every flat index (center*gl + p)*gl + q is below gl**3; the ordered
     # (p, q) counts are folded onto row <= col once, after every offset.
-    # The keys are formed in their own type straight from a uint8 map,
-    # which quantize_gray_levels gives and which is not copied; bincount
-    # would copy uint16 keys to intp, so they are cast into an intp plane,
-    # laid first (8-byte aligned), and intp keys are counted as formed
+    # The keys are formed in the narrowest type that holds gl**3, straight
+    # from a uint8 map, which quantize_gray_levels gives and which is not
+    # copied; bincount would copy them to intp, so they are cast into an
+    # intp plane of the work planes' bytes
     lab = lab.astype(np.uint8, copy=False)
-    key = np.uint16 if gl**3 <= 65536 else np.intp
+    key = np.uint16 if gl**3 <= 65536 else np.uint32
     centers = h - 2 * rmax, w - 2 * rmax
-    layout = [(key, centers), (key, centers), (key, (h, w))]
-    if key is not np.intp:
-        layout.insert(0, (np.intp, centers))
-    planes = _key_planes(work, layout)
-    counted, (flat, center_term, lab_gl) = planes[0], planes[-3:]
+    counted = np.ndarray(centers, np.intp, buffer=work[0])
+    flat, center_term = np.ndarray((2, *centers), key, buffer=work[1])
     np.multiply(lab[rmax:h - rmax, rmax:w - rmax], gl * gl, dtype=key,
                 out=center_term)
-    np.multiply(lab, gl, dtype=key, out=lab_gl)
     counts = np.zeros(gl * gl * gl, dtype=np.int64)
     for radius in radii:
         for dy, dx in _half_ring_offsets(radius):
-            np.add(center_term,
-                   lab_gl[rmax + dy:h - rmax + dy, rmax + dx:w - rmax + dx],
-                   out=flat)
+            np.multiply(lab[rmax + dy:h - rmax + dy, rmax + dx:w - rmax + dx],
+                        gl, dtype=key, out=flat)
+            flat += center_term
             flat += lab[rmax - dy:h - rmax - dy, rmax - dx:w - rmax - dx]
-            if flat is not counted:
-                np.copyto(counted, flat)
+            np.copyto(counted, flat)
             counts += np.bincount(counted.ravel(), minlength=gl**3)
-    del planes, counted, flat, center_term, lab_gl   # freed before the fold
+    del work, counted, flat, center_term   # freed before the fold
     ordered = counts.reshape(gl, gl, gl)
     folded = np.triu(ordered + ordered.transpose(0, 2, 1), 1)
     diag = np.arange(gl)
@@ -184,12 +169,20 @@ def glcm3_features(m: Glcm3) -> tuple[float, float, float]:
     """(contrast, energy, large-number emphasis) of the distribution.
 
     Sums run over the full stored support row <= col, so diagonal mass
-    from flat texture contributes.
+    from flat texture contributes. Each weight table is formed in one
+    float64 table beside the probabilities, its integer weights exact,
+    and multiplied by them in place.
     """
     p = m.probabilities
-    d, r, c = np.indices(p.shape, sparse=True)
-    contrast = float(np.sum(((d - r)**2 + (r - c)**2 + (d - c)**2) * p))
-    energy = float(np.sum(p**2))
-    lne = float(np.sum((d**2 + r**2 + c**2) * p))
+    d, r, c = np.indices(p.shape, dtype=np.float64, sparse=True)
+    table = np.empty(p.shape)
+    table[...] = (d - r)**2
+    table += (r - c)**2
+    table += (d - c)**2
+    contrast = float(np.sum(np.multiply(table, p, out=table)))
+    energy = float(np.sum(np.multiply(p, p, out=table)))
+    table[...] = d**2
+    table += r**2
+    table += c**2
+    lne = float(np.sum(np.multiply(table, p, out=table)))
     return contrast, energy, lne
-

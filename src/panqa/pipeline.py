@@ -27,8 +27,8 @@ place and only read. summary_stats takes the second plane for the map
 cast to intp, which np.bincount counts, then for its temporary; the PCC
 then reads the reference's band into it, centres it and takes the
 product there. The GLCM3 counts then read the gray-level map alone,
-their key planes formed in the work planes' bytes (but one, above gl
-40). A band outside spectral._UNSCALED allocates its scaled copy.
+their key planes laid in the work planes' bytes at every gl. A band
+outside spectral._UNSCALED allocates its scaled copy.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def image_features(img: Image, opts: EvalOptions,
     # every band-sized temporary of the pass, made once for all bands:
     # the band, read and centred in place; the entropy's intp map and the
     # moments' temporary, then the reference's band and its product with
-    # the centred one. The texture's key planes then take their bytes.
+    # the centred one; then, at every gl, the texture's key planes.
     # Allocated per band, they made a 512^2 rank op trace 10.6 MB, not
     # 7.6, fault 21,396 times, not 315, and take 10% longer (2-vCPU Xeon)
     work = np.empty((2, img.height, img.width))

@@ -125,9 +125,9 @@ def check_shape(img, shape: tuple[int, ...]) -> None:
                          f"{tuple(shape)}")
 
 
-def _check_out(out: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """out, an array for rows() to fill, once it is C-contiguous float64
-    of this shape: a read could not fill another in place."""
+def _check_out(out: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """out, an array for rows() to fill or tims_glcm's work planes, once
+    it is C-contiguous float64 of this shape, as both write its bytes."""
     check_shape(out, shape)
     if out.dtype != np.float64 or not out.flags.c_contiguous:
         raise InputError("out must be a C-contiguous float64 array")

@@ -195,6 +195,9 @@ class TestTimsGlcm:
     @given(case=label_planes())
     @example(case=(np.full((7, 7), 39), (1, 2, 3), 40))
     @example(case=(np.full((7, 8), 40), (1, 2, 3), 41))
+    # uint32 keys, up to gl**3 - 1 at the top levels
+    @example(case=(63 - np.arange(63).reshape(7, 9) % 3, (1, 2, 3), 64))
+    @example(case=(99 - np.arange(99).reshape(9, 11) % 7, (1, 4), 100))
     def test_matches_oracle_property(self, case):
         labels, radii, gl = case
         m = tims_glcm(labels, radii, gl=gl)
@@ -205,31 +208,37 @@ class TestTimsGlcm:
     @example(case=(np.full((7, 8), 40), (1, 2, 3), 41), planes=2)
     @example(case=(np.full((7, 8), 40), (1, 2, 3), 41), planes=1)
     def test_keys_in_work_planes_count_the_same(self, case, planes):
-        # each key plane is formed in the work planes' bytes, after the
-        # last one laid there, where it fits, else in an array of its own:
-        # first the intp plane that np.bincount counts (the flat keys
-        # themselves above gl 40), then the flat keys, the centre term
-        # and the map times gl. The counts are the same
+        # in two work planes, the intp plane that np.bincount counts lies
+        # at the start of the first, the keys and the centre term at the
+        # start of the second, and no other byte is touched; the counts
+        # are the same. Any other number of planes is refused
         labels, radii, gl = case
         work = np.empty((planes, *labels.shape))
         work.view(np.uint8).fill(255)
+        if planes != 2:
+            with pytest.raises(InputError, match="shape mismatch"):
+                tims_glcm(labels, radii, gl=gl, work=work)
+            return
         m = tims_glcm(labels, radii, gl=gl, work=work)
         assert np.array_equal(m.counts, oracle_counts(labels, radii, gl))
         h, w = labels.shape
         side = 2 * radii[-1]
         centers = (h - side) * (w - side)
-        key = np.uint16 if gl**3 <= 65536 else np.intp
-        layout = [(key, centers), (key, centers), (key, h * w)]
-        if key is np.uint16:
-            layout.insert(0, (np.intp, centers))
-        at = 0
-        for dtype, size in layout:
-            if at + size * np.dtype(dtype).itemsize <= work.nbytes:
-                laid = np.ndarray(size, dtype, buffer=work, offset=at)
-                # every key is below gl**3, so none is all ones
-                assert (laid != np.invert(dtype(0))).all()
-                at += laid.nbytes
-        assert (work.view(np.uint8).ravel()[at:] == 255).all()
+        key = np.uint16 if gl**3 <= 65536 else np.uint32
+        for plane, dtype, size in ((work[0], np.intp, centers),
+                                   (work[1], key, 2 * centers)):
+            laid = np.ndarray(size, dtype, buffer=plane)
+            # every key is below gl**3, so none is all ones
+            assert (laid != np.invert(dtype(0))).all()
+            assert (plane.view(np.uint8).ravel()[laid.nbytes:] == 255).all()
+
+    @pytest.mark.parametrize("work", [
+        np.zeros((2, 7, 7), dtype=np.float32),
+        np.zeros((2, 7, 14))[:, :, ::2],     # not C-contiguous
+    ])
+    def test_work_of_another_layout_refused(self, work):
+        with pytest.raises(InputError, match="C-contiguous float64"):
+            tims_glcm(np.zeros((7, 7), dtype=np.uint8), gl=4, work=work)
 
     def test_normalization(self, rng):
         labels = rng.integers(0, 8, size=(12, 12))

@@ -405,11 +405,12 @@ def test_tims_glcm_footprint(rng, gl):
     levels = quantize_gray_levels(rng.random((H, W)), gl)
     _, peak = traced_peak(tims_glcm, levels, gl=gl,
                           work=np.empty((2, H, W)))
-    # every key plane, and the intp plane that np.bincount counts, lies
-    # in work's bytes; beside them the count tables, the running sum, an
-    # offset's counts and the fold: 5.4 tables at gl 8 (4 KiB each), 3.7
-    # at gl 16. np.bincount's intp copy of each offset's keys took 0.97
-    # planes at gl 8 and 1.08 at gl 16
+    # the keys, the centre term and the intp plane that np.bincount
+    # counts lie in work's bytes; beside them the count tables, the
+    # running sum, an offset's counts and the fold: 5.6 tables at gl 8
+    # (4 KiB each), 3.2 at gl 16 (3.75 when the triangle check took
+    # np.nonzero's index arrays). np.bincount's intp copy of each
+    # offset's keys took 0.97 planes at gl 8 and 1.08 at gl 16
     assert peak < 6 * gl**3 * 8 + 0.02 * PLANE, peak / PLANE
 
 
@@ -438,9 +439,11 @@ def test_run_manifest_footprint(tmp_path, rng):
     # the reference and each candidate are read from disk one band at a
     # time, so beside the reference's features a run holds one image's
     # two work planes, in whose bytes tims_glcm forms its key planes and
-    # the intp plane that np.bincount counts. Its peak, 4.96 planes, is
+    # the intp plane that np.bincount counts. Its peak, 4.46 planes, is
     # in a band's glcm3_features, where the 32^3 tables weigh at this
-    # size; bounded with a 5% margin. With three work planes and
+    # size: the counts, the probabilities and one weight table; bounded
+    # with a 5% margin. With int64 weight sums and their products beside
+    # the probabilities it peaked at 4.96; with three work planes and
     # np.bincount's intp copy of each offset's keys it peaked at 5.96, in
     # tims_glcm; with the reference held loaded, loading each candidate
     # whole peaked at 12.0 planes, streaming it at 8.0, one centred copy
@@ -449,19 +452,20 @@ def test_run_manifest_footprint(tmp_path, rng):
     # (7.49 with this test's rng)
     table, peak = traced_run(tmp_path, rng, 32)
     assert table.pdfr_case_a[0] == 1
-    assert peak < 5.2 * PLANE, peak / PLANE
+    assert peak < 4.69 * PLANE, peak / PLANE
 
 
 def test_run_manifest_footprint_intp_keys(tmp_path, rng):
-    # above gl 40 the keys are intp and counted where they are formed;
-    # two of the three key planes fit in the two work planes, and the map
-    # times gl is allocated, and freed before the fold. The 64^3 tables
-    # (4 planes each here) of the fold and of glcm3_features set the
-    # peak: 18.99 planes, bounded with a 5% margin. With three work
-    # planes, in which all three key planes fit, it peaked at 19.99
+    # above gl 40 the keys are uint32, formed in the same two work planes
+    # as at gl 32. The 64^3 tables (4 planes each here) of the fold and
+    # of glcm3_features set the peak: 14.99 planes, three tables beside
+    # the work planes, bounded with a 5% margin. With intp keys counted
+    # where they were formed, the map times gl allocated beside the work
+    # planes, and several tables in glcm3_features, it peaked at 18.99;
+    # with three work planes, in which all three key planes fit, 19.99
     table, peak = traced_run(tmp_path, rng, 64)
     assert table.pdfr_case_a[0] == 1
-    assert peak < 19.94 * PLANE, peak / PLANE
+    assert peak < 15.74 * PLANE, peak / PLANE
 
 
 def test_eval_footprint(tmp_path, rng):

@@ -21,8 +21,10 @@ from panqa.protocol import QiRecord, aggregate, process_costs
 from panqa.quantizer import LEVELS, quantize_spectral
 from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.spectral import DEFAULT_BLOCK
-from reference_scorer import (CATEGORY1_KEYS, band_features,
-                              category1_costs, inverse_pcc)
+from reference_scorer import (CATEGORY1_KEYS, GLCM_KEYS, band_features,
+                              category1_costs, category3_costs,
+                              category4_cost, glcm_features, inverse_pcc,
+                              post_class_change)
 from test_cli import count_calls
 from test_spectral import bits, pcc_of
 
@@ -396,11 +398,13 @@ COST_RTOL = 2e-15
 @settings(max_examples=80, deadline=None)
 @given(case=image_pairs())
 def test_costs_match_the_reference_scorer(case):
-    # category 1 and the inverse PCC recomputed from their formulas on
-    # the whole images: the mean, std and entropy costs bit for bit, the
-    # others within COST_RTOL of their feature's scale, the largest over
-    # the bands of both images of mean |z|**3 for the skewness and of
-    # the kurtosis, and 1 for the inverse PCC, since |PCC| <= 1
+    # every cost recomputed from its formula on the whole images: the
+    # mean, std and entropy costs, the label change count, the cross-aura
+    # and the binary contour bit for bit, the others within COST_RTOL of
+    # their feature's scale, the largest over the bands of both images of
+    # mean |z|**3 for the skewness, and of the kurtosis and each GLCM3
+    # feature for theirs, and 1 for the inverse PCC, since |PCC| <= 1.
+    # At gl 64 the triple keys are uint32
     reference, candidate, gl = case
     opts = EvalOptions(gl=gl)
     record = evaluate_candidate(
@@ -419,3 +423,13 @@ def test_costs_match_the_reference_scorer(case):
             assert record.category1[key] == want[key], key
     assert (abs(record.category2["inverse_pcc"]
                 - inverse_pcc(reference, candidate)) <= COST_RTOL)
+    assert record.category2["post_class_change"] == post_class_change(
+        reference, candidate)
+    want = category3_costs(reference, candidate, gl, opts.radii)
+    texture = [glcm_features(b, gl, opts.radii) for b in bands]
+    for k, key in enumerate(GLCM_KEYS):
+        assert (abs(record.category3[key] - want[key])
+                <= COST_RTOL * max(f[k] for f in texture)), key
+    assert record.category3["cross_aura"] == want["cross_aura"]
+    assert record.category4["binary_contour"] == category4_cost(
+        reference, candidate)
