@@ -144,9 +144,14 @@ def cmd_qnr(args) -> int:
 def cmd_glcm3(args) -> int:
     opts = EvalOptions(gl=args.gl, radii=args.radii)
     _refuse_overwrite([args.out, args.dump_matrix], input=args.input)
-    band = RasterFile(args.input).band(args.band)
-    labels = glcm3_mod.quantize_gray_levels(band, opts.gl)
-    matrix = glcm3_mod.tims_glcm(labels, opts.radii, gl=opts.gl)
+    image = RasterFile(args.input)
+    # the band is read into the first of the work planes that then hold
+    # tims_glcm's key planes; they are freed before the features' tables
+    work = np.empty((2, image.height, image.width))
+    labels = glcm3_mod.quantize_gray_levels(
+        image.band(args.band, out=work[0]), opts.gl)
+    matrix = glcm3_mod.tims_glcm(labels, opts.radii, gl=opts.gl, work=work)
+    del work
     contrast, energy, lne = glcm3_mod.glcm3_features(matrix)
     write_json(args.out, {"contrast": contrast, "energy": energy, "lne": lne,
                           "total_tuples": matrix.total_tuples})

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import resample
-from .errors import DegeneracyError, InputError
+from .errors import DegeneracyError, InputError, checked
 from .raster import Image, save_rows
 from .resample import filter_blocks, separable, upsample
 
@@ -56,6 +56,10 @@ class FusionConfig:
     def __post_init__(self):
         if self.method not in FUSION_METHODS:
             raise InputError(f"unknown fusion method {self.method!r}")
+        if self.resampler not in resample.UPSAMPLE_METHODS:
+            raise InputError(f"unknown resampler {self.resampler!r}")
+        self.wavelet_levels = checked(int, self.wavelet_levels,
+                                      "wavelet_levels")
         if self.wavelet_levels < 1:
             raise InputError("wavelet_levels must be >= 1")
 

@@ -24,11 +24,12 @@ into the first, while its label digit, clipped count and uint8
 gray-level map are taken, both binned a strip at a time on glcm3's one
 fixed reflectance scale; then its centred samples (band - mean), made in
 place and only read. summary_stats takes the second plane for the map
-cast to intp, which np.bincount counts, then for its temporary; the PCC
-then reads the reference's band into it, centres it and takes the
-product there. The GLCM3 counts then read the gray-level map alone,
-their key planes laid in the work planes' bytes at every gl. A band
-outside spectral._UNSCALED allocates its scaled copy.
+cast to intp, which np.bincount counts, then for its temporary; against
+a reference, the PCC then reads the reference's band into it, centres
+it and takes the product there. The GLCM3 counts then read the
+gray-level map alone, their key planes laid in the work planes' bytes
+at every gl. A band outside spectral._UNSCALED allocates its scaled
+copy.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class ImageFeatures:
 
     image: Image
     stats: list[SummaryStats]                    # per band
-    pccs: list[float]                            # PCCs with the reference's
+    pccs: list[float]                            # with the reference's bands
     texture: list[tuple[float, float, float]]    # GLCM3 features per band
     labels: np.ndarray                           # category2_level plane
     aura_mean: float
@@ -159,13 +160,13 @@ def image_features(img: Image, opts: EvalOptions,
     the band's PCC with reference's band read that one centred copy, the
     texture the gray-level map alone; then the label stack's cross-aura
     contour, after which only its category2_level plane is kept. An
-    image without a reference is its own: its PCCs are its self-PCCs. A
-    band of zero variance, which has no PCC, raises before its texture
-    is taken."""
+    image without a reference is the reference: a band's PCC with itself
+    is 1, and none is taken. A band of zero variance, which has no PCC,
+    raises before its texture is taken."""
     coder = SpectralCoder(*img.shape)
     # every band-sized temporary of the pass, made once for all bands:
     # the band, read and centred in place; the entropy's intp map and the
-    # moments' temporary, then the reference's band and its product with
+    # moments' temporary, then any reference's band and its product with
     # the centred one; then, at every gl, the texture's key planes.
     # Allocated per band, they made a 512^2 rank op trace 10.6 MB, not
     # 7.6, fault 21,396 times, not 315, and take 10% longer (2-vCPU Xeon)
@@ -180,15 +181,13 @@ def image_features(img: Image, opts: EvalOptions,
         stats.append(summary_stats(centred, mean, levels, work[1]))
         if stats[b].std == 0.0:
             raise DegeneracyError(f"band {b}: zero variance")
-        # the image's own band b is its centred copy, of mean 0
-        ref_band, ref_stats = (
-            (centred, stats[b]._replace(mean=0.0)) if reference is None
-            else (reference.image.band(b, out=work[1]), reference.stats[b]))
-        pccs.append(pcc(ref_band, centred, ref_stats, stats[b], work[1]))
+        pccs.append(1.0 if reference is None else pcc(
+            reference.image.band(b, out=work[1]), centred,
+            reference.stats[b], stats[b], work[1]))
         # the texture reads the levels alone
         texture.append(glcm3_features(
             tims_glcm(levels, opts.radii, gl=opts.gl, work=work)))
-    del work, band, centred, ref_band   # freed before the aura planes
+    del work, band, centred   # freed before the aura planes
     labels = coder.stack()
     plane, aura_mean = cross_aura(labels)
     return ImageFeatures(image=img, stats=stats, pccs=pccs, texture=texture,
@@ -213,8 +212,8 @@ def evaluate_candidate(reference: ImageFeatures, candidate: Image,
     which image_features computed with the same opts. The candidate is
     read through rows(), each band once, and featurized against the
     reference; its errors name candidate_id. A candidate whose samples
-    equal the reference's is the reference: it shares its features,
-    self-PCCs included, and nothing is computed for it."""
+    equal the reference's is the reference: it shares its features, each
+    band's PCC 1, so nothing is computed for it and every cost is 0."""
     with named(f"candidate {candidate_id!r}: "):
         check_shape(candidate, reference.image.shape)
         cand = (reference if _same_samples(reference.image, candidate)

@@ -9,6 +9,8 @@ column (cases A/B) and without it (cases C/D). Process costs contribute
 two further partial ranks (PSPR) in cases B/D.
 
 Competition ("1224") ranking throughout: ties share the minimal rank.
+Category sums tie within their rounding (TIE_ULPS); every other rank
+compares its values exactly.
 """
 
 from __future__ import annotations
@@ -160,20 +162,32 @@ def _positions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.searchsorted(ordered, x, side="right"))
 
 
-def rank(values) -> list[int]:
-    """Competition ranking, lower is better: 1 + number of strictly
-    smaller values."""
+def rank(values, tol: float = 0.0) -> list[int]:
+    """Competition ranking, lower is better: 1 + the number of values
+    smaller by more than tol, so values within tol of each other tie."""
     x = np.asarray(values, dtype=np.float64)
     if x.size < 1:
         raise InputError("empty value list")
-    return [int(v) for v in 1 + _positions(x)[0]]
+    if np.isnan(x).any():
+        raise InputError("cannot rank a NaN value")
+    # x - v is 0 only where x == v; inf - inf is NaN, a tie
+    with np.errstate(over="ignore", invalid="ignore"):
+        better = x[:, None] - x > tol
+    return [int(v) for v in 1 + np.count_nonzero(better, axis=1)]
 
 
-def category_sum(records: list[QiRecord], column: str
-                 ) -> tuple[np.ndarray, list[str]]:
-    """Per-candidate sum of the standardized costs of one PARTIAL_RANKS
-    column, and the "category<n>.<cost>" names of the degenerate costs left
-    out of it. A cost key no record holds is skipped; one that only some
+# a category sum of K z-scores, max|z| the largest of them, is rounded by
+# at most TIE_ULPS * eps * K * max|z|: sums that cancel exactly (columns
+# a and 1.7 - a, a on a 2^-30 grid in [0, 1], 3-14 candidates, 600,000
+# seeded draws) spread by up to 2.12 of these units, about half TIE_ULPS
+TIE_ULPS = 4.0
+
+
+def _zscores(records: list[QiRecord], column: str
+             ) -> tuple[list[np.ndarray], list[str]]:
+    """The z-scores of one PARTIAL_RANKS column's kept costs, in summing
+    order, and the "category<n>.<cost>" names of the degenerate costs left
+    out. A cost key no record holds is skipped; one that only some
     records hold raises InputError naming the first candidate without it."""
     if column not in PARTIAL_RANKS:
         raise InputError(f"unknown partial-rank column {column!r}")
@@ -181,8 +195,7 @@ def category_sum(records: list[QiRecord], column: str
         raise InputError("need at least 2 candidates")
     category, keys, _ = PARTIAL_RANKS[column]
     groups = [getattr(r, category) for r in records]
-    total = np.zeros(len(records))
-    dropped = []
+    zs, dropped = [], []
     for key in keys:
         lacking = [r.candidate_id for r, g in zip(records, groups)
                    if key not in g]
@@ -192,10 +205,28 @@ def category_sum(records: list[QiRecord], column: str
             raise InputError(
                 f"candidate {lacking[0]!r} has no {category}.{key} cost")
         try:
-            total = total + zscore([g[key] for g in groups])
+            zs.append(zscore([g[key] for g in groups]))
         except DegeneracyError:
             dropped.append(f"{category}.{key}")
-    return total, dropped
+    return zs, dropped
+
+
+def category_sum(records: list[QiRecord], column: str
+                 ) -> tuple[np.ndarray, list[str]]:
+    """Per-candidate sum of the standardized costs of one PARTIAL_RANKS
+    column, and the names of the degenerate costs left out of it."""
+    zs, dropped = _zscores(records, column)
+    return sum(zs, np.zeros(len(records))), dropped
+
+
+def partial_rank(records: list[QiRecord], column: str
+                 ) -> tuple[list[int], list[str]]:
+    """One PARTIAL_RANKS column's ranks of the category sums, which tie
+    within their rounding, and the degenerate costs left out of them."""
+    zs, dropped = _zscores(records, column)
+    tol = (TIE_ULPS * np.finfo(np.float64).eps * len(zs)
+           * max((np.abs(z).max() for z in zs), default=0.0))
+    return rank(sum(zs, np.zeros(len(records))), tol), dropped
 
 
 def combine_partial_ranks(pdpr1, pdpr2_i, pdpr2_ii, pdpr3, pdpr4,
@@ -227,8 +258,7 @@ def aggregate(records: list[QiRecord]) -> RankTable:
         raise InputError("duplicate candidate ids")
     pdpr, dropped = {}, {}
     for column in PARTIAL_RANKS:
-        total, lost = category_sum(records, column)
-        pdpr[column] = rank(total)
+        pdpr[column], lost = partial_rank(records, column)
         # category 2's shared costs are standardized twice: keep one name
         dropped.update(dict.fromkeys(lost))
     for name in dropped:

@@ -10,11 +10,16 @@ and imports nothing from panqa:
   population z-score of each of its cost columns across the candidates;
   a column whose values are all equal has no z-score and is left out,
   and named "category<n>.<cost>" among the dropped columns, once;
+- two partial-rank sums tie when they differ by at most
+  4 * eps * K * m, eps float64's machine epsilon, K the number of
+  z-scored columns summed and m the largest |z| among them: the
+  rounding of a sum of z-scores;
 - PSPR1 and PSPR2 rank the wall time and the free-parameter count;
 - case A sums the partial ranks of categories 1, 2(i), 3 and 4, case C
   those of 1, 2(ii), 3 and 4; cases B and D add both PSPRs to A and C;
-- every rank is a competition rank: 1 + the number of strictly smaller
-  values, so ties share the smallest rank.
+- every rank is a competition rank: 1 + the number of values smaller
+  by more than the tie width (0 but for partial ranks), so ties share
+  the smallest rank.
 
 category1_costs(reference, candidate, gl) and inverse_pcc(reference,
 candidate) recompute a record's category-1 costs and its inverse PCC
@@ -72,8 +77,8 @@ PARTIAL_RANKS = (
 )
 
 
-def competition_rank(values) -> list[int]:
-    return [1 + sum(v < x for v in values) for x in values]
+def competition_rank(values, width: float = 0.0) -> list[int]:
+    return [1 + sum(x - v > width for v in values) for x in values]
 
 
 def score(candidates: list[dict]) -> tuple[dict[str, list], list[str]]:
@@ -81,14 +86,18 @@ def score(candidates: list[dict]) -> tuple[dict[str, list], list[str]]:
     cols, dropped = {}, []
     for header, category, keys in PARTIAL_RANKS:
         total = np.zeros(len(candidates))
+        kept, largest = 0, 0.0
         for key in keys:
             x = np.array([c[category][key] for c in candidates])
             if x.min() == x.max():
                 if f"{category}.{key}" not in dropped:
                     dropped.append(f"{category}.{key}")
                 continue
-            total = total + (x - x.mean()) / x.std()
-        cols[header] = competition_rank(total)
+            z = (x - x.mean()) / x.std()
+            total = total + z
+            kept, largest = kept + 1, max(largest, float(np.abs(z).max()))
+        eps = np.finfo(np.float64).eps
+        cols[header] = competition_rank(total, 4 * eps * kept * largest)
     for header, key in (("PSPR1", "wall_seconds"),
                         ("PSPR2", "n_free_parameters")):
         cols[header] = competition_rank(

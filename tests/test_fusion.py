@@ -157,10 +157,19 @@ def test_band_permutation_equivariance(rng, method):
 
 
 def test_config_validation():
-    with pytest.raises(InputError):
-        FusionConfig(method="gram-schmidt")
-    with pytest.raises(InputError):
-        FusionConfig(method="atwt", wavelet_levels=0)
+    # each refused when the config is made, before any image is read
+    for kwargs, match in (
+            ({"method": "gram-schmidt"}, "unknown fusion method"),
+            ({"method": "atwt", "wavelet_levels": 0},
+             "wavelet_levels must be >= 1"),
+            ({"resampler": "cubic"}, "unknown resampler 'cubic'"),
+            ({"wavelet_levels": 2.5}, r"wrong type for wavelet_levels: 2\.5"),
+            ({"wavelet_levels": "2"}, "wrong type for wavelet_levels: '2'"),
+            ({"wavelet_levels": True},
+             "wrong type for wavelet_levels: True")):
+        with pytest.raises(InputError, match=match):
+            FusionConfig(**kwargs)
+    assert type(FusionConfig(wavelet_levels=3.0).wavelet_levels) is int
 
 
 def test_atwt_levels_capped(rng):

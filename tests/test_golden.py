@@ -6,10 +6,11 @@ start: `degrade` the MS, `fuse` it back with pca, cn and atwt, `eval` and
 of the reference). The fixture `golden_outputs.json` records what the
 code produced: `ranks.csv` byte for byte, and every cost of `report.json`,
 of the `eval` JSON and of the `qnr` JSON. Ranks must match exactly; each
-number within REL_TOL of its recorded value, or within ABS_TOL of it,
-so that a numpy or BLAS build that rounds differently in the last bits
-still passes. Each scene's ranks.csv and dropped columns must also equal
-those that reference_scorer recomputes from its report's costs.
+number within REL_TOL of its recorded value, so that a numpy or BLAS
+build that rounds differently in the last bits still passes; an exact 0,
+such as every cost of the oracle, must be 0. Each scene's ranks.csv and
+dropped columns must also equal those that reference_scorer recomputes
+from its report's costs.
 
 The fixture records what the code does, not what is right. A change that
 alters outputs on purpose regenerates it in the same commit:
@@ -36,9 +37,6 @@ METHODS = ("pca", "cn", "atwt")
 # a few hundred ulps of the largest cost; the costs are sums over 16k
 # samples, so a different summation order moves them far less than this
 REL_TOL = 1e-12
-# the oracle's inverse_pcc, 1 - pcc of the reference with itself, is the
-# rounding noise of an exact 0 (|cost| <= 1.2e-16 here)
-ABS_TOL = 1e-15
 
 
 def _cli(*argv) -> None:
@@ -95,10 +93,10 @@ def run_chain(workdir: Path) -> dict:
 
 
 def _mismatches(got, want, where: str) -> list[str]:
-    """Where got differs from want: floats beyond the tolerances, and
-    anything else (ints, strings, keys, lengths) at all."""
+    """Where got differs from want: floats beyond REL_TOL, and anything
+    else (ints, strings, keys, lengths) at all."""
     if isinstance(want, float) and isinstance(got, float):
-        if math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+        if math.isclose(got, want, rel_tol=REL_TOL):
             return []
         return [f"{where}: {got!r} != {want!r}"]
     if isinstance(want, dict) and isinstance(got, dict):

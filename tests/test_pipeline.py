@@ -146,25 +146,32 @@ def test_candidate_equal_to_reference_reuses_its_features(rng,
     reference = image_features(ref, opts)
     oracle = MultibandImage(ref.planes.copy())
     want = fresh_record(reference, oracle, opts)
-    # nothing is computed for it: not even its PCCs, which are the
-    # reference's self-PCCs
+    # nothing is computed for it: not even its PCCs, which are 1
     calls = [count_calls(monkeypatch, fn) for fn in
              (pipeline.image_features, spectral.pcc, spectral.centre)]
     record = evaluate_candidate(reference, oracle, opts, "c")
     assert calls == [[], [], []]
+    costs = [v for group in record.categories().values()
+             for v in group.values()]
+    assert bits(costs) == bits([0.0] * len(costs))
+    # featurized afresh, the same record but for 1 - PCC's rounding
+    assert abs(want.category2["inverse_pcc"]) <= 1e-15
+    want.category2["inverse_pcc"] = 0.0
+    assert bits(costs) == bits([v for group in want.categories().values()
+                                for v in group.values()])
     assert record == want
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e160])
 def test_features_take_each_band_pcc_with_its_reference(rng, scale):
-    # without a reference, an image is its own: its self-PCCs
+    # without a reference, an image is the reference: each band's PCC
+    # with itself is 1
     opts = EvalOptions(gl=8)
     ref = MultibandImage(rng.uniform(0.0, 1.0, (4, 16, 16)) * scale)
     cand = MultibandImage(ref.planes + rng.normal(0.0, 0.1 * scale,
                                                   ref.shape))
     reference = image_features(ref, opts)
-    assert bits(reference.pccs) == bits(
-        [pcc_of(ref.band(b), ref.band(b)) for b in range(4)])
+    assert reference.pccs == [1.0] * 4
     features = image_features(cand, opts, reference)
     assert bits(features.pccs) == bits(
         [pcc_of(ref.band(b), cand.band(b)) for b in range(4)])
@@ -177,8 +184,20 @@ def test_features_take_each_band_pcc_with_its_reference(rng, scale):
              for b in range(4)])
 
 
+def test_reference_features_take_no_pcc(rng, monkeypatch):
+    # a candidate featurized against the reference takes one per band
+    opts = EvalOptions(gl=8)
+    ref, cand = (MultibandImage(rng.uniform(0.0, 1.0, (4, 16, 16)))
+                 for _ in range(2))
+    pccs = count_calls(monkeypatch, spectral.pcc)
+    reference = image_features(ref, opts)
+    assert pccs == []
+    image_features(cand, opts, reference)
+    assert len(pccs) == 4
+
+
 def test_features_of_a_raster_file_read_each_band_once(tmp_path, rng):
-    # its self-PCCs too are taken from the one read of each band; a
+    # the reference reads each band once, and takes no PCC; a
     # candidate featurized against it reads, band after band, its own band
     # and the reference's band once each, every band into the same work
     # plane of the pass, never a new array
@@ -215,8 +234,7 @@ def test_features_of_a_raster_file_read_each_band_once(tmp_path, rng):
     assert both[0][4] != both[1][4]
     planes = {name: load_image(tmp_path / name).planes
               for name in ("ref", "cand")}
-    assert bits(reference.pccs) == bits(
-        [pcc_of(planes["ref"][b], planes["ref"][b]) for b in range(4)])
+    assert reference.pccs == [1.0] * 4
     assert bits(features.pccs) == bits(
         [pcc_of(planes["ref"][b], planes["cand"][b]) for b in range(4)])
 

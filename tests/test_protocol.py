@@ -75,6 +75,11 @@ class TestRank:
     def test_published_category_sums(self):
         assert rank(bm.CAT1_SUM) == bm.CAT1_PDPR
 
+    def test_values_within_tol_tie(self):
+        assert rank([0.0, 0.25, 0.5, 2.0], tol=0.25) == [1, 1, 2, 4]
+        assert rank([2.0, -math.inf, math.inf, math.inf],
+                    tol=0.25) == [2, 1, 3, 3]
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.integers(-3, 3), st.floats(allow_nan=False)),
                     min_size=1, max_size=12))
@@ -268,6 +273,39 @@ class TestAggregate:
                                for k, col in want.items()}
             else:
                 assert got == [want[p] for p in perm], f.name
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cancelling_columns_tie(self, data):
+        # each pair of columns a and b = 1.7 - a, exact on a 2^-30 grid in
+        # [0, 1], has z(b) = -z(a), so every category sum is 0 but those of
+        # category 2(ii); compared exactly, the rounded sums split in most
+        # draws
+        n = data.draw(st.integers(3, 7))
+        column = st.lists(st.integers(0, 2**30).map(lambda k: k / 2**30),
+                          min_size=n, max_size=n).filter(
+                              lambda a: min(a) < max(a))
+        a, b, c, d, e = (data.draw(column) for _ in range(5))
+        records = [QiRecord(
+            candidate_id=f"c{i}",
+            category1={"mean": a[i], "std": 1.7 - a[i], "skewness": b[i],
+                       "kurtosis": 1.7 - b[i], "entropy": 0.5},
+            category2={"post_class_change": c[i],
+                       "inverse_pcc": 1.7 - c[i]},
+            category3={"glcm_contrast": d[i], "glcm_energy": 1.7 - d[i],
+                       "glcm_lne": e[i], "cross_aura": 1.7 - e[i]},
+            category4={"binary_contour": 0.5}, process={})
+            for i in range(n)]
+        with pytest.warns(UserWarning, match="degenerate"):
+            table = aggregate(records)
+        assert table.dropped_columns == ["category1.entropy",
+                                         "category4.binary_contour"]
+        assert {k: v for k, v in table.pdpr.items()
+                if k != "category2_ii"} == dict.fromkeys(
+            ("category1", "category2_i", "category3", "category4"), [1] * n)
+        assert table.pdpr["category2_ii"] == rank(c)
+        assert table.columns() == reference_scorer.score(
+            [r.entry() for r in records])[0]
 
     @settings(max_examples=200, deadline=None)
     @given(records=pooled_records())
