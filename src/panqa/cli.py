@@ -172,28 +172,6 @@ def cmd_quantize(args) -> int:
     return 0
 
 
-def cmd_contours(args) -> int:
-    _refuse_overwrite([args.out], first=args.a, second=args.b)
-    stack_a = quant_mod.load_stack(args.a)
-    stack_b = quant_mod.load_stack(args.b)
-    if stack_a.bands != stack_b.bands:
-        raise InputError(f"label stacks of {stack_a.bands} and "
-                         f"{stack_b.bands} bands share no code book")
-    plane_a, mean_a = quant_mod.cross_aura(stack_a)
-    plane_b, mean_b = quant_mod.cross_aura(stack_b)
-    doc = {
-        "cross_aura_mean_a": mean_a,
-        "cross_aura_mean_b": mean_b,
-        "cross_aura_cost": abs(mean_a - mean_b),
-        "binary_contour_cost": quant_mod.binary_contour_cost(plane_a,
-                                                             plane_b),
-        "post_class_change_coarse": quant_mod.post_classification_change_count(
-            stack_a.coarse, stack_b.coarse),
-    }
-    write_json(args.out, doc)
-    return 0
-
-
 def cmd_rank(args) -> int:
     manifest = RunManifest.from_json(args.manifest)
     outputs = [Path(args.out_dir) / name for name in ("ranks.csv",
@@ -304,12 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_quantize)
-
-    p = sub.add_parser("contours", help="contour costs between label stacks")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_contours)
 
     p = sub.add_parser("rank", help="full pipeline from a run manifest")
     p.add_argument("--manifest", required=True)

@@ -211,14 +211,6 @@ def _zscores(records: list[QiRecord], column: str
     return zs, dropped
 
 
-def category_sum(records: list[QiRecord], column: str
-                 ) -> tuple[np.ndarray, list[str]]:
-    """Per-candidate sum of the standardized costs of one PARTIAL_RANKS
-    column, and the names of the degenerate costs left out of it."""
-    zs, dropped = _zscores(records, column)
-    return sum(zs, np.zeros(len(records))), dropped
-
-
 def partial_rank(records: list[QiRecord], column: str
                  ) -> tuple[list[int], list[str]]:
     """One PARTIAL_RANKS column's ranks of the category sums, which tie

@@ -8,9 +8,9 @@ at 4 levels (thresholds 0.25, 0.5, 0.75; outside [0, 1] as if clipped).
 Fine is the base-4 code of the digits, intermediate the base-2 code of
 d >> 1 (above 0.5), and coarse 1 where more than half the bands lie
 above 0.5: 4^n, 2^n and 2 labels for n bands, built in one pass by
-SpectralCoder, a band at a time. A label stack is saved as a three-band
-image named after its source band count (fine:4, ...), and loading
-checks each level against that count's code book.
+SpectralCoder, a band at a time. A label stack is saved, for people to
+look at, as a three-band u16 image named after its source band count
+(fine:4, ...); nothing in panqa reads one back.
 
 The measures, post-classification change counting, the three-level
 8-adjacency cross-aura contour intensity (0..24) and the binarized
@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .glcm3 import _bin_reflectance
-from .raster import (Image, MultibandImage, RasterFile, check_shape,
-                     save_image)
+from .raster import Image, MultibandImage, check_shape, save_image
 
 LEVELS = ("fine", "intermediate", "coarse")
 
@@ -104,30 +103,6 @@ def save_stack(stack: LabelMapStack, path) -> None:
                       dtype=np.float64)
     save_image(MultibandImage(planes, band_names=[
         f"{name}:{stack.bands}" for name in LEVELS]), path, sample_type="u16")
-
-
-def load_stack(path) -> LabelMapStack:
-    """Read a stack written by save_stack, one plane at a time. Its band
-    names must give the source band count, and every label must be an
-    integer in its level's code book for that count."""
-    img = RasterFile(path)
-    counts = [n for n in range(1, MAX_CODE_BANDS + 1)
-              if img.band_names == [f"{name}:{n}" for name in LEVELS]]
-    if not counts:
-        raise InputError(f"label stack {path}: band names must be fine:n, "
-                         f"intermediate:n, coarse:n, n in "
-                         f"[1, {MAX_CODE_BANDS}]: {img.band_names!r}")
-    bands = counts[0]
-    planes = []
-    # the labels per level of a source of this many bands
-    for b, (name, size) in enumerate(zip(LEVELS, (4**bands, 2**bands, 2))):
-        plane = img.band(b)
-        if np.any(plane != np.floor(plane)):
-            raise InputError(f"non-integral {name} labels")
-        if plane.min() < 0 or plane.max() >= size:
-            raise InputError(f"{name} labels outside [0, {size})")
-        planes.append(plane.astype(np.uint8 if size <= 256 else np.uint16))
-    return LabelMapStack(*planes, bands=bands)
 
 
 def post_classification_change_count(labels_a: np.ndarray,

@@ -339,118 +339,70 @@ def test_glcm3_subcommand(scene):
 
 
 def test_quantize_contours_roundtrip(scene):
-    stack_a = scene / "labels_a"
-    stack_b = scene / "labels_b"
+    # a saved stack, read back as an image, holds quantize_spectral's
+    # labels, a u16 band per level named after the source band count
     assert main(["quantize", "--input", str(scene / "ms"),
-                 "--out", str(stack_a)]) == 0
-    # perturbed copy flips some labels
-    img = load_image(scene / "ms")
-    shifted = MultibandImage(np.clip(img.planes + 0.08, 0.0, 1.0))
-    save_image(shifted, scene / "ms_shift")
-    assert main(["quantize", "--input", str(scene / "ms_shift"),
-                 "--out", str(stack_b)]) == 0
-
-    out = scene / "contours.json"
-    assert main(["contours", "--a", str(stack_a), "--b", str(stack_a),
-                 "--out", str(out)]) == 0
-    with open(out, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["cross_aura_cost"] == 0.0
-    assert doc["binary_contour_cost"] == 0.0
-    assert doc["post_class_change_coarse"] == 0
-
-    assert main(["contours", "--a", str(stack_a), "--b", str(stack_b),
-                 "--out", str(out)]) == 0
-    with open(out, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["post_class_change_coarse"] > 0
-
-    saved = quantizer.load_stack(stack_a)
-    want = quantizer.quantize_spectral(img)
-    for level in quantizer.LEVELS:
-        assert np.array_equal(saved.level(level), want.level(level))
+                 "--out", str(scene / "labels")]) == 0
+    saved = RasterFile(scene / "labels")
+    want = quantizer.quantize_spectral(load_image(scene / "ms"))
+    assert saved.band_names == ["fine:4", "intermediate:4", "coarse:4"]
+    assert saved.header.dtype == "u16"
+    for b, level in enumerate(quantizer.LEVELS):
+        assert np.array_equal(saved.band(b), want.level(level))
 
 
-def save_stack_image(planes, path, bands=4, sample_type="u16") -> None:
-    """Three label planes saved as a stack coded from `bands` bands."""
-    save_image(MultibandImage(planes, band_names=[
-        f"{name}:{bands}" for name in quantizer.LEVELS]), path,
-        sample_type=sample_type)
+def test_saved_stacks_give_evals_label_map_costs(tmp_path, monkeypatch,
+                                                  capsys):
+    # the three label-map costs, taken between the saved stacks of the
+    # reference and of a fused image, are eval's bit for bit
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(README_MANIFEST),
+                                            encoding="utf-8")
+    methods = ("pca", "cn", "atwt")
+    commands = readme_commands(64, 64) + [
+        f"quantize --input {name} --out labels_{name}"
+        for name in ("ms", *(f"fused_{m}" for m in methods))] + [
+        # the quick start evaluates pca
+        f"eval --reference ms --candidate fused_{m} --out eval_{m}.json"
+        for m in methods[1:]]
+    for cmd in commands:
+        assert main(cmd.split()) == 0, (cmd, capsys.readouterr().err)
 
+    def saved_stack(name):
+        img = RasterFile(f"labels_{name}")
+        return quantizer.LabelMapStack(*(img.band(b) for b in range(3)),
+                                       bands=4)
 
-# the code books of a 4-band source: 256 fine, 16 intermediate, 2 coarse
-@pytest.mark.parametrize("band, value, sample_type, message", [
-    (0, 2.5, "f32", "non-integral fine"),
-    (0, 300.0, "u16", r"fine labels outside \[0, 256\)"),
-    (1, 16, "u16", r"intermediate labels outside \[0, 16\)"),
-    (2, 2.0, "u16", r"coarse labels outside \[0, 2\)"),
-])
-def test_contours_rejects_invalid_stack(tmp_path, capsys, band, value,
-                                        sample_type, message):
-    good = np.zeros((3, 6, 6))
-    good[:, 0, 0] = (255.0, 15.0, 1.0)   # the top label of each book
-    bad = good.copy()
-    bad[band, 3, 2] = value
-    save_stack_image(good, tmp_path / "good")
-    save_stack_image(bad, tmp_path / "bad", sample_type=sample_type)
-    assert main(["contours", "--a", str(tmp_path / "good"),
-                 "--b", str(tmp_path / "good"),
-                 "--out", str(tmp_path / "c.json")]) == 0
-    assert main(["contours", "--a", str(tmp_path / "good"),
-                 "--b", str(tmp_path / "bad"),
-                 "--out", str(tmp_path / "d.json")]) == 2
-    assert re.search(message, capsys.readouterr().err)
-    assert not (tmp_path / "d.json").exists()
-
-
-@pytest.mark.parametrize("names", [
-    None, ["fine", "intermediate", "coarse"],
-    ["fine:4", "intermediate:4", "coarse:5"],
-    ["fine:9", "intermediate:9", "coarse:9"],
-    ["fine:0", "intermediate:0", "coarse:0"],
-    ["intermediate:4", "fine:4", "coarse:4"],
-])
-def test_contours_rejects_stack_without_band_count(tmp_path, capsys, names):
-    save_stack_image(np.zeros((3, 6, 6)), tmp_path / "good")
-    save_image(MultibandImage(np.zeros((3, 6, 6)), band_names=names),
-               tmp_path / "bad", sample_type="u16")
-    assert main(["contours", "--a", str(tmp_path / "good"),
-                 "--b", str(tmp_path / "bad"),
-                 "--out", str(tmp_path / "c.json")]) == 2
-    assert "band names must be fine:n" in capsys.readouterr().err
-    assert not (tmp_path / "c.json").exists()
-
-
-def test_contours_rejects_two_band_counts(tmp_path, capsys):
-    for name, bands in (("a", 4), ("b", 5)):
-        save_stack_image(np.zeros((3, 6, 6)), tmp_path / name, bands)
-    assert main(["contours", "--a", str(tmp_path / "a"),
-                 "--b", str(tmp_path / "b"),
-                 "--out", str(tmp_path / "c.json")]) == 2
-    assert "4 and 5 bands" in capsys.readouterr().err
-    assert not (tmp_path / "c.json").exists()
+    ref = saved_stack("ms")
+    ref_plane, ref_mean = quantizer.cross_aura(ref)
+    for m in methods:
+        stack = saved_stack(f"fused_{m}")
+        plane, mean = quantizer.cross_aura(stack)
+        with open(f"eval_{m}.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert [quantizer.post_classification_change_count(ref.coarse,
+                                                           stack.coarse),
+                abs(ref_mean - mean),
+                quantizer.binary_contour_cost(ref_plane, plane)] == [
+            doc["category2"]["post_class_change"],
+            doc["category3"]["cross_aura"],
+            doc["category4"]["binary_contour"]], m
 
 
 def test_five_band_stack_round_trip(tmp_path, rng):
-    # 4^5 fine labels: a uint16 plane, saved and loaded as such
+    # 4^5 fine labels: u16 samples, saved and read back as such
     planes = rng.random((5, 12, 12))
     planes[:, 0, 0] = 0.9    # the top fine label, 1023
     save_image(MultibandImage(planes), tmp_path / "ms")
     assert main(["quantize", "--input", str(tmp_path / "ms"),
                  "--out", str(tmp_path / "labels")]) == 0
-    assert RasterFile(tmp_path / "labels").band_names == [
-        "fine:5", "intermediate:5", "coarse:5"]
-    saved = quantizer.load_stack(tmp_path / "labels")
+    saved = RasterFile(tmp_path / "labels")
+    assert saved.band_names == ["fine:5", "intermediate:5", "coarse:5"]
+    assert saved.header.dtype == "u16"
+    assert saved.band(0)[0, 0] == 1023
     want = quantizer.quantize_spectral(load_image(tmp_path / "ms"))
-    assert saved.bands == 5 and saved.fine.dtype == np.uint16
-    assert saved.fine[0, 0] == 1023
-    for level in quantizer.LEVELS:
-        assert np.array_equal(saved.level(level), want.level(level))
-    assert main(["contours", "--a", str(tmp_path / "labels"),
-                 "--b", str(tmp_path / "labels"),
-                 "--out", str(tmp_path / "c.json")]) == 0
-    with open(tmp_path / "c.json", encoding="utf-8") as fh:
-        assert json.load(fh)["binary_contour_cost"] == 0.0
+    for b, level in enumerate(quantizer.LEVELS):
+        assert np.array_equal(saved.band(b), want.level(level))
 
 
 def test_quantize_refuses_nine_bands(tmp_path, capsys):
@@ -461,17 +413,6 @@ def test_quantize_refuses_nine_bands(tmp_path, capsys):
     assert "not 9" in capsys.readouterr().err
     assert not any(tmp_path.glob("nine_labels*"))
     assert not any(tmp_path.glob("*.part"))
-
-
-def test_contours_of_two_sizes_names_both_shapes(tmp_path, capsys):
-    for name, width in (("a", 6), ("b", 8)):
-        save_stack_image(np.zeros((3, 6, width)), tmp_path / name)
-    assert main(["contours", "--a", str(tmp_path / "a"),
-                 "--b", str(tmp_path / "b"),
-                 "--out", str(tmp_path / "c.json")]) == 2
-    err = capsys.readouterr().err
-    assert "(6, 6)" in err and "(6, 8)" in err
-    assert not (tmp_path / "c.json").exists()
 
 
 @pytest.mark.parametrize("argv, header, samples, key", [
@@ -875,8 +816,8 @@ def test_flat_candidate_band_named_by_id(scene, capsys):
      "ms.json would overwrite the input image ms"),
     (["glcm3", "--input", "ms", "--out", "g.json", "--dump-matrix",
       "ms.raw"], "ms.raw would overwrite the input image ms"),
-    (["contours", "--a", "ms", "--b", "ms_l", "--out", "ms_l.json"],
-     "ms_l.json would overwrite the second image ms_l"),
+    (["qnr", "--ms", "ms_l", "--pan", "pan", "--fused", "ms", "--out",
+      "ms_l.json"], "ms_l.json would overwrite the ms image ms_l"),
     (["fuse", "--method", "cn", "--ms", "ms_l", "--pan", "pan", "--out",
       "fused", "--process-meta", "ms_l.json"],
      "ms_l.json would overwrite the ms image ms_l"),

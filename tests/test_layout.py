@@ -473,7 +473,7 @@ def test_run_manifest_footprint(tmp_path, rng):
     assert peak < 4.69 * PLANE, peak / PLANE
 
 
-def test_run_manifest_footprint_intp_keys(tmp_path, rng):
+def test_run_manifest_footprint_gl64(tmp_path, rng):
     # above gl 40 the keys are uint32, formed in the same two work planes
     # as at gl 32. The 64^3 tables (4 planes each here) of the fold and
     # of glcm3_features set the peak: 14.99 planes, three tables beside

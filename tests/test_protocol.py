@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 import benchmark_fixture as bm
 import reference_scorer
 from panqa.errors import DegeneracyError, InputError
-from panqa.protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
-                            bin_subjective_scores, category_sum,
-                            combine_partial_ranks, process_costs, rank, srcc,
-                            winner_label, zscore)
+from panqa.protocol import (CATEGORY_KEYS, QiRecord, RankTable, _zscores,
+                            aggregate, bin_subjective_scores,
+                            combine_partial_ranks, partial_rank,
+                            process_costs, rank, srcc, winner_label, zscore)
 
 
 def make_record(cid, seed):
@@ -100,18 +100,25 @@ class TestRank:
             rank(values)
 
 
+def category_total(records, column):
+    """The sum of one PARTIAL_RANKS column's z-scores, which partial_rank
+    ranks, and the degenerate costs left out of it."""
+    zs, dropped = _zscores(records, column)
+    return sum(zs, np.zeros(len(records))), dropped
+
+
 class TestCategorySum:
     def test_single_column_equals_zscore(self):
         records = [make_record(f"c{i}", i) for i in range(5)]
         vals = [r.category4["binary_contour"] for r in records]
-        total, dropped = category_sum(records, "category4")
+        total, dropped = category_total(records, "category4")
         assert np.allclose(total, zscore(vals), atol=1e-12)
         assert dropped == []
 
     def test_case_without_ipcc_single_column(self):
         records = [make_record(f"c{i}", i) for i in range(5)]
         vals = [r.category2["post_class_change"] for r in records]
-        got, _ = category_sum(records, "category2_ii")
+        got, _ = category_total(records, "category2_ii")
         assert np.allclose(got, zscore(vals), atol=1e-12)
 
     def test_sum_is_sum_of_zscores(self):
@@ -119,7 +126,7 @@ class TestCategorySum:
         want = sum(zscore([r.category1[k] for r in records])
                    for k in ("mean", "std", "skewness", "kurtosis",
                              "entropy"))
-        got, _ = category_sum(records, "category1")
+        got, _ = category_total(records, "category1")
         assert np.allclose(got, want, atol=1e-12)
 
     def test_degenerate_column_dropped_with_warning(self):
@@ -129,7 +136,7 @@ class TestCategorySum:
             records = [make_record(f"c{i}", i) for i in range(3)]
             for r in records:
                 r.category1["entropy"] = value
-            got, dropped = category_sum(records, "category1")
+            got, dropped = category_total(records, "category1")
             assert dropped == ["category1.entropy"], value
             want = sum(zscore([r.category1[k] for r in records])
                        for k in ("mean", "std", "skewness", "kurtosis"))
@@ -148,15 +155,15 @@ class TestCategorySum:
         # a key no record holds is skipped
         for r in records:
             r.category1 = {}
-        total, dropped = category_sum(records, "category1")
+        total, dropped = category_total(records, "category1")
         assert total.tolist() == [0.0, 0.0] and dropped == []
 
     def test_validation(self):
         records = [make_record("a", 0), make_record("b", 1)]
         with pytest.raises(InputError):
-            category_sum(records, "category5")
+            partial_rank(records, "category5")
         with pytest.raises(InputError):
-            category_sum(records[:1], "category1")
+            partial_rank(records[:1], "category1")
 
 
 class TestCombine:
@@ -212,7 +219,7 @@ class TestAggregate:
         table = aggregate(records)
         assert table.candidate_ids == [r.candidate_id for r in records]
         assert table.pdpr["category1"] == rank(
-            category_sum(records, "category1")[0])
+            category_total(records, "category1")[0])
         assert table.pspr1 == rank([r.process["wall_seconds"]
                                     for r in records])
         want = [a + b + c + d for a, b, c, d in zip(
@@ -324,7 +331,7 @@ class TestAggregate:
             aggregate([make_record("x", 0), make_record("x", 1)])
 
     def test_unknown_cost_key_rejected(self):
-        # category_sum reads only the keys CATEGORY_KEYS names, so an
+        # _zscores reads only the keys CATEGORY_KEYS names, so an
         # unknown one would otherwise be left out without a word
         with pytest.raises(InputError, match=r"unknown category1 .*'men'"):
             QiRecord(candidate_id="a", category1={"men": 1.0}, category2={},
