@@ -47,8 +47,8 @@ from .errors import (DegeneracyError, InputError, checked, checked_list,
                      named, read_json, require_keys)
 from .glcm3 import (DEFAULT_GL, DEFAULT_RADII, check_glcm3_options,
                     glcm3_features, quantize_gray_levels, tims_glcm)
-from .protocol import (CATEGORY_KEYS, QiRecord, RankTable, aggregate,
-                       process_costs)
+from .protocol import (CATEGORY_KEYS, ROUNDING, QiRecord, RankTable,
+                       aggregate, process_costs)
 from .quantizer import (LEVELS, SpectralCoder, binary_contour_cost,
                         cross_aura, post_classification_change_count)
 from .raster import Image, RasterFile, check_shape
@@ -213,7 +213,9 @@ def evaluate_candidate(reference: ImageFeatures, candidate: Image,
     read through rows(), each band once, and featurized against the
     reference; its errors name candidate_id. A candidate whose samples
     equal the reference's is the reference: it shares its features, each
-    band's PCC 1, so nothing is computed for it and every cost is 0."""
+    band's PCC 1, so nothing is computed for it and every cost is 0.
+    Each cost's rounding scale (protocol.ROUNDING) takes the larger eps
+    of the two images' samples."""
     with named(f"candidate {candidate_id!r}: "):
         check_shape(candidate, reference.image.shape)
         cand = (reference if _same_samples(reference.image, candidate)
@@ -231,10 +233,18 @@ def evaluate_candidate(reference: ImageFeatures, candidate: Image,
     costs = {name: dict(zip(keys, vals, strict=True))
              for (name, keys), vals in zip(CATEGORY_KEYS.items(), values,
                                            strict=True)}
+    eps = max(reference.image.eps, candidate.eps)
+    # each feature's largest magnitude over both images' bands, keyed by
+    # its mdb_cost (the zip ends before cross_aura, which is none)
+    peaks = dict(zip(CATEGORY_KEYS["category1"] + CATEGORY_KEYS["category3"],
+                     [*np.abs(reference.stats + cand.stats).max(axis=0),
+                      *np.abs(reference.texture + cand.texture).max(axis=0)]))
     # the count over the samples, as np.mean of their mask gives it
     return QiRecord(candidate_id=candidate_id, process=process or {},
                     clipped_fraction=cand.clipped / math.prod(
                         candidate.shape),
+                    scales={key: eps * (peaks[key] if unit is None else unit)
+                            for key, unit in ROUNDING.items()},
                     **costs)
 
 

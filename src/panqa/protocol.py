@@ -2,11 +2,13 @@
 
 Costs are grouped into four product categories plus two process costs.
 Within a category each cost column is z-scored across candidates and the
-standardized columns are summed; category sums are converted to partial
-ranks (PDPR), partial ranks are summed, and the sums ranked again to give
-final ranks. Category 2 exists in two flavours: with the inverse-PCC
-column (cases A/B) and without it (cases C/D). Process costs contribute
-two further partial ranks (PSPR) in cases B/D.
+standardized columns are summed, less any column whose values are all
+equal or differ only by rounding (ROUNDING, NOISE_K); category sums are
+converted to partial ranks (PDPR), partial ranks are summed, and the
+sums ranked again to give final ranks. Category 2 exists in two
+flavours: with the inverse-PCC column (cases A/B) and without it (cases
+C/D). Process costs contribute two further partial ranks (PSPR) in cases
+B/D.
 
 Competition ("1224") ranking throughout: ties share the minimal rank.
 Category sums tie within their rounding (TIE_ULPS); every other rank
@@ -31,6 +33,18 @@ CATEGORY_KEYS = {
     "category2": ("post_class_change", "inverse_pcc"),
     "category3": ("glcm_contrast", "glcm_energy", "glcm_lne", "cross_aura"),
     "category4": ("binary_contour",),
+}
+
+# Each cost's rounding scale, in units of eps, the relative rounding of
+# the samples as read (raster.Image.eps). None marks an mdb_cost, which
+# rounds with its feature: eps times the feature's largest magnitude over
+# both images' bands. A cost taken from counts has scale 0, since equal
+# counts compare exactly.
+ROUNDING = {
+    "mean": None, "std": None, "skewness": None, "kurtosis": None,
+    "entropy": None, "post_class_change": 0.0, "inverse_pcc": 1.0,
+    "glcm_contrast": None, "glcm_energy": None, "glcm_lne": None,
+    "cross_aura": 0.0, "binary_contour": 0.0,
 }
 
 
@@ -84,16 +98,25 @@ class QiRecord:
     process: dict[str, float]     # read through process_costs
     # share of the candidate's samples outside [0, 1]; not a cost
     clipped_fraction: float = 0.0
+    # each cost key's rounding scale (ROUNDING), 0 where absent; not a
+    # cost, and not in entry()
+    scales: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.process = process_costs(self.process)
+        if not (set(self.scales) <= set(ROUNDING) and all(
+                0.0 <= s < math.inf for s in self.scales.values())):
+            raise InputError("rounding scales must be finite and >= 0, "
+                             f"keyed by cost: {self.scales}")
         for name, group in self.categories().items():
             unknown = set(group) - set(CATEGORY_KEYS[name])
             if unknown:
                 raise InputError(f"unknown {name} costs {sorted(unknown)}")
-        for group in self.categories().values():
-            for key, val in group.items():
-                if not math.isfinite(val):
+            for key in CATEGORY_KEYS[name]:
+                if key not in group:
+                    raise InputError(f"candidate {self.candidate_id!r} "
+                                     f"has no {name}.{key} cost")
+                if not math.isfinite(group[key]):
                     raise InputError(f"non-finite cost {key}")
 
     def categories(self) -> dict[str, dict[str, float]]:
@@ -152,16 +175,6 @@ def zscore(values) -> np.ndarray:
     return (x - x.mean()) / std
 
 
-def _positions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's first and past-last position among the sorted values,
-    so equal values share both. A NaN has no position: InputError."""
-    if np.isnan(x).any():
-        raise InputError("cannot rank a NaN value")
-    ordered = np.sort(x)
-    return (np.searchsorted(ordered, x, side="left"),
-            np.searchsorted(ordered, x, side="right"))
-
-
 def rank(values, tol: float = 0.0) -> list[int]:
     """Competition ranking, lower is better: 1 + the number of values
     smaller by more than tol, so values within tol of each other tie."""
@@ -170,10 +183,7 @@ def rank(values, tol: float = 0.0) -> list[int]:
         raise InputError("empty value list")
     if np.isnan(x).any():
         raise InputError("cannot rank a NaN value")
-    # x - v is 0 only where x == v; inf - inf is NaN, a tie
-    with np.errstate(over="ignore", invalid="ignore"):
-        better = x[:, None] - x > tol
-    return [int(v) for v in 1 + np.count_nonzero(better, axis=1)]
+    return [int(v) for v in 1 + np.searchsorted(np.sort(x), x - tol)]
 
 
 # a category sum of K z-scores, max|z| the largest of them, is rounded by
@@ -183,38 +193,45 @@ def rank(values, tol: float = 0.0) -> list[int]:
 TIE_ULPS = 4.0
 
 
+# a column whose std is at most NOISE_K times its largest rounding scale
+# differs only by rounding, and is dropped. On ROADMAP item 1's ladders
+# (128^2 to 512^2, seeds 0-3, in memory and as f32 files) the columns
+# that rounding alone spreads reach 3.9 scales and the others span at
+# least 549; on the README fusers' scenes every column spans >= 6,672
+NOISE_K = 32.0
+
+
 def _zscores(records: list[QiRecord], column: str
-             ) -> tuple[list[np.ndarray], list[str]]:
+             ) -> tuple[list[np.ndarray], dict[str, str]]:
     """The z-scores of one PARTIAL_RANKS column's kept costs, in summing
-    order, and the "category<n>.<cost>" names of the degenerate costs left
-    out. A cost key no record holds is skipped; one that only some
-    records hold raises InputError naming the first candidate without it."""
+    order, and the "category<n>.<cost>" names of the costs left out, each
+    with its reason: "all equal" (zscore's DegeneracyError) or "rounding
+    noise" (a std within NOISE_K rounding scales)."""
     if column not in PARTIAL_RANKS:
         raise InputError(f"unknown partial-rank column {column!r}")
-    if len(records) < 2:
-        raise InputError("need at least 2 candidates")
     category, keys, _ = PARTIAL_RANKS[column]
-    groups = [getattr(r, category) for r in records]
-    zs, dropped = [], []
+    zs, dropped = [], {}
     for key in keys:
-        lacking = [r.candidate_id for r, g in zip(records, groups)
-                   if key not in g]
-        if len(lacking) == len(records):
-            continue
-        if lacking:
-            raise InputError(
-                f"candidate {lacking[0]!r} has no {category}.{key} cost")
+        name = f"{category}.{key}"
+        values = np.array([getattr(r, category)[key] for r in records])
         try:
-            zs.append(zscore([g[key] for g in groups]))
+            z = zscore(values)
         except DegeneracyError:
-            dropped.append(f"{category}.{key}")
+            dropped[name] = "all equal"
+            continue
+        if values.std() <= NOISE_K * max(r.scales.get(key, 0.0)
+                                         for r in records):
+            dropped[name] = "rounding noise"
+        else:
+            zs.append(z)
     return zs, dropped
 
 
 def partial_rank(records: list[QiRecord], column: str
-                 ) -> tuple[list[int], list[str]]:
+                 ) -> tuple[list[int], dict[str, str]]:
     """One PARTIAL_RANKS column's ranks of the category sums, which tie
-    within their rounding, and the degenerate costs left out of them."""
+    within their rounding, and the costs left out of them, each with its
+    reason."""
     zs, dropped = _zscores(records, column)
     tol = (TIE_ULPS * np.finfo(np.float64).eps * len(zs)
            * max((np.abs(z).max() for z in zs), default=0.0))
@@ -252,9 +269,10 @@ def aggregate(records: list[QiRecord]) -> RankTable:
     for column in PARTIAL_RANKS:
         pdpr[column], lost = partial_rank(records, column)
         # category 2's shared costs are standardized twice: keep one name
-        dropped.update(dict.fromkeys(lost))
-    for name in dropped:
-        warnings.warn(f"dropping degenerate QI column {name!r}", stacklevel=2)
+        dropped.update(lost)
+    for name, reason in dropped.items():
+        warnings.warn(f"dropping degenerate QI column {name!r}: {reason}",
+                      stacklevel=2)
     pspr1 = rank([r.process["wall_seconds"] for r in records])
     pspr2 = rank([r.process["n_free_parameters"] for r in records])
     return RankTable(candidate_ids=ids, pdpr=pdpr, pspr1=pspr1, pspr2=pspr2,
@@ -270,8 +288,9 @@ def srcc(ranks_a, ranks_b) -> float:
         raise InputError("rank vectors must be 1-D and equal length")
     if a.size < 2:
         raise InputError("need at least 2 ranks")
-    fa, fb = ((first + past_last + 1) / 2.0
-              for first, past_last in (_positions(a), _positions(b)))
+    # a value's tie-averaged rank: the mean of its first place, rank(x),
+    # and its last, n + 1 - rank(-x)
+    fa, fb = ((np.add(rank(x), x.size + 1) - rank(-x)) / 2.0 for x in (a, b))
     da, db = fa - fa.mean(), fb - fb.mean()
     denom = math.sqrt(np.sum(da**2) * np.sum(db**2))
     if denom == 0.0:

@@ -139,7 +139,11 @@ class Image:
     its (bands, height, width), and rows(b, start, stop, out=None), the
     calibrated rows [start, stop) of band b as a read-only (stop - start,
     width) float64 array, or written into out, a caller's C-contiguous
-    float64 array of that shape, which is returned."""
+    float64 array of that shape, which is returned. eps is the relative
+    rounding of a sample as read: float64's, or float32's for an f32
+    RasterFile and for the image load_image reads from it."""
+
+    eps = float(np.finfo(np.float64).eps)
 
     @property
     def bands(self) -> int:
@@ -161,10 +165,12 @@ class Image:
 @dataclass
 class MultibandImage(Image):
     """Calibrated raster: planes is its C-contiguous float64 buffer of
-    (bands, height, width) planes."""
+    (bands, height, width) planes; eps is that of the samples it was
+    made from (load_image keeps its file's)."""
 
     planes: np.ndarray
     band_names: list[str] | None = None
+    eps: float = Image.eps
 
     def __post_init__(self):
         a = np.asarray(self.planes)
@@ -270,6 +276,8 @@ class RasterFile(Image):
         self.shape = hdr.bands, hdr.height, hdr.width
         self.band_names = hdr.band_names
         self._dtype = _DTYPES[hdr.dtype]
+        if hdr.dtype == "f32":
+            self.eps = float(np.finfo(np.float32).eps)
         self._row_bytes = self.width * self._dtype.itemsize
         self._plane_bytes = self.height * self._row_bytes
         # the exact byte count: a trailing partial sample is refused too
@@ -326,7 +334,8 @@ def load_image(path) -> MultibandImage:
     planes = np.empty(raster.shape)
     for b, plane in enumerate(planes):
         raster.band(b, out=plane)
-    return MultibandImage(planes, band_names=raster.band_names)
+    return MultibandImage(planes, band_names=raster.band_names,
+                          eps=raster.eps)
 
 
 def save_image(img: MultibandImage, path, sample_type: str = "f32",

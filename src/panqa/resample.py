@@ -155,6 +155,9 @@ def degrade(img: Image, ratio: int,
     taps = np.asarray(taps, dtype=np.float64)
     if taps.ndim != 1 or taps.size < 1:
         raise InputError("taps must be a non-empty 1-D array")
+    # a NaN sum is no farther than 1e-12 from 1
+    if not np.isfinite(taps).all():
+        raise InputError("taps must be finite")
     if abs(taps.sum() - 1.0) > 1e-12:
         raise InputError("taps must sum to 1 (unit DC gain)")
     planes = np.empty((img.bands, img.height // ratio, img.width // ratio))

@@ -163,7 +163,7 @@ def test_criterion_4_metric_invariants():
             process={"wall_seconds": 1.0, "n_free_parameters": 1}))
     zs, dropped = _zscores(records, "category1")
     total = sum(zs, np.zeros(len(records)))
-    checks.append(dropped == [])
+    checks.append(dropped == {})
     checks.append(abs(np.var(total) - len(names)) <= tol)
 
     ok = all(checks)

@@ -17,7 +17,8 @@ from panqa.fusion import FusionConfig, pansharpen
 from panqa.pipeline import (Candidate, EvalOptions, RunManifest,
                             classic_metrics, evaluate_candidate,
                             image_features, run_manifest, write_report)
-from panqa.protocol import QiRecord, aggregate, process_costs
+from panqa.protocol import (CATEGORY_KEYS, QiRecord, aggregate,
+                            process_costs)
 from panqa.quantizer import LEVELS, quantize_spectral
 from panqa.raster import MultibandImage, RasterFile, load_image, save_image
 from panqa.spectral import DEFAULT_BLOCK
@@ -102,10 +103,11 @@ def test_defaults_have_one_definition(tmp_path):
 
 
 def test_report_lists_dropped_columns(tmp_path):
-    records = [QiRecord(candidate_id=c, category1={"mean": v},
-                        category2={"post_class_change": v},
-                        category3={"cross_aura": v},
-                        category4={"binary_contour": 0.5},
+    # every cost but binary_contour ranks a, b, c
+    costs = lambda v: {name: {key: 0.5 if key == "binary_contour" else v
+                              for key in keys}
+                       for name, keys in CATEGORY_KEYS.items()}
+    records = [QiRecord(candidate_id=c, **costs(v),
                         process={"wall_seconds": v, "n_free_parameters": 1})
                for c, v in (("a", 1.0), ("b", 2.0), ("c", 4.0))]
     with pytest.warns(UserWarning, match="binary_contour"):
@@ -451,3 +453,13 @@ def test_costs_match_the_reference_scorer(case):
     assert record.category3["cross_aura"] == want["cross_aura"]
     assert record.category4["binary_contour"] == category4_cost(
         reference, candidate)
+    # each cost's rounding scale in float64's eps: an mdb_cost's is its
+    # feature's largest magnitude over both images' bands, the inverse
+    # PCC's 1 and a count's 0
+    peaks = dict(zip(CATEGORY1_KEYS + GLCM_KEYS, np.abs(
+        [band_features(b, gl) + t for b, t in zip(bands, texture)]).max(
+            axis=0)))
+    peaks["inverse_pcc"] = 1.0
+    for key, scale in record.scales.items():
+        assert scale == pytest.approx(2.0**-52 * peaks.get(key, 0.0),
+                                      rel=1e-6, abs=0.0), key

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import benchmark_fixture as bm
 import reference_scorer
 from panqa.errors import DegeneracyError, InputError
-from panqa.protocol import (CATEGORY_KEYS, QiRecord, RankTable, _zscores,
-                            aggregate, bin_subjective_scores,
+from panqa.protocol import (CATEGORY_KEYS, NOISE_K, QiRecord, RankTable,
+                            _zscores, aggregate, bin_subjective_scores,
                             combine_partial_ranks, partial_rank,
                             process_costs, rank, srcc, winner_label, zscore)
 
@@ -91,6 +91,16 @@ class TestRank:
                 if x == y:
                     assert ranks[i] == ranks[j]
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(st.integers(-4, 4).map(float),
+                                     st.sampled_from([math.inf, -math.inf])),
+                           min_size=1, max_size=12),
+           tol=st.sampled_from([0.0, 0.5, 1.5]))
+    def test_rank_counts_values_smaller_by_more_than_tol(self, values, tol):
+        # integers and tols on a half grid: x - y and x - tol are exact,
+        # so no form rounds at the boundary; inf - inf is NaN, no count
+        assert rank(values, tol) == [1 + sum(x - y > tol for y in values)
+                                     for x in values]
 
     @pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0],
                                         [1.0, 2.0, math.nan], [math.nan]])
@@ -102,7 +112,7 @@ class TestRank:
 
 def category_total(records, column):
     """The sum of one PARTIAL_RANKS column's z-scores, which partial_rank
-    ranks, and the degenerate costs left out of it."""
+    ranks, and the costs left out of it, each with its reason."""
     zs, dropped = _zscores(records, column)
     return sum(zs, np.zeros(len(records))), dropped
 
@@ -113,7 +123,7 @@ class TestCategorySum:
         vals = [r.category4["binary_contour"] for r in records]
         total, dropped = category_total(records, "category4")
         assert np.allclose(total, zscore(vals), atol=1e-12)
-        assert dropped == []
+        assert dropped == {}
 
     def test_case_without_ipcc_single_column(self):
         records = [make_record(f"c{i}", i) for i in range(5)]
@@ -137,7 +147,7 @@ class TestCategorySum:
             for r in records:
                 r.category1["entropy"] = value
             got, dropped = category_total(records, "category1")
-            assert dropped == ["category1.entropy"], value
+            assert dropped == {"category1.entropy": "all equal"}, value
             want = sum(zscore([r.category1[k] for r in records])
                        for k in ("mean", "std", "skewness", "kurtosis"))
             assert np.allclose(got, want, atol=1e-12)
@@ -145,18 +155,65 @@ class TestCategorySum:
                 assert aggregate(records).dropped_columns == [
                     "category1.entropy"]
 
-    @pytest.mark.parametrize("order", [1, -1])
-    def test_cost_held_by_some_records(self, order):
-        records = [QiRecord("a", {"mean": 1.0}, {}, {}, {}, {}),
-                   QiRecord("b", {}, {}, {}, {}, {})][::order]
+    @pytest.mark.parametrize("category, key", [
+        (name, key) for name, keys in CATEGORY_KEYS.items() for key in keys])
+    def test_record_missing_a_cost_refused(self, category, key):
+        # every record holds every cost, so each column is standardized
+        # over all the candidates
+        costs = make_record("b", 0).categories()
+        del costs[category][key]
         with pytest.raises(InputError,
-                           match=r"candidate 'b' has no category1\.mean"):
-            aggregate(records)
-        # a key no record holds is skipped
-        for r in records:
-            r.category1 = {}
-        total, dropped = category_total(records, "category1")
-        assert total.tolist() == [0.0, 0.0] and dropped == []
+                           match=rf"candidate 'b' has no {category}\.{key} "
+                                 "cost"):
+            QiRecord(candidate_id="b", process={}, **costs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_noise_rule_is_scale_free(self, data):
+        # a column and its rounding scales multiplied together by 10^j are
+        # dropped, or kept, alike at every j: the rule compares the
+        # column's std with NOISE_K times its largest scale, here 10^r
+        # times smaller than the std, r at least 1e-6 from 0
+        n = data.draw(st.integers(2, 6))
+        values = np.array(data.draw(st.lists(
+            st.integers(0, 1000), min_size=n, max_size=n).filter(
+                lambda v: min(v) < max(v)))) / 1000
+        shares = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n,
+                                    max_size=n))
+        r = data.draw(st.floats(-3.0, 3.0).filter(lambda r: abs(r) > 1e-6))
+        largest = values.std() / (NOISE_K * 10.0**r)
+        for j in range(-6, 7):
+            records = [make_record(f"c{i}", i) for i in range(n)]
+            for i, record in enumerate(records):
+                record.category1["skewness"] = values[i] * 10.0**j
+                record.scales = {"skewness": largest * shares[i]
+                                 / max(shares) * 10.0**j}
+            _, dropped = _zscores(records, "category1")
+            assert dropped.get("category1.skewness") == (
+                "rounding noise" if r < 0 else None), j
+
+    def test_noise_dropped_with_its_reason(self):
+        # a column within NOISE_K of its largest scale is noise; the
+        # column of equal values keeps its own reason
+        records = [make_record(f"c{i}", i) for i in range(3)]
+        for i, r in enumerate(records):
+            r.category1["skewness"] = 0.5 + i * 1e-12
+            r.category4["binary_contour"] = 0.25
+            r.scales = {"skewness": 1e-12 / NOISE_K * (i + 1) / 3}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = aggregate(records)
+        assert table.dropped_columns == ["category1.skewness",
+                                         "category4.binary_contour"]
+        assert [str(w.message) for w in caught] == [
+            "dropping degenerate QI column 'category1.skewness': "
+            "rounding noise",
+            "dropping degenerate QI column 'category4.binary_contour': "
+            "all equal"]
+        # at twice that spread the column is kept
+        for i, r in enumerate(records):
+            r.category1["skewness"] = 0.5 + i * 2e-12
+        assert "category1.skewness" not in _zscores(records, "category1")[1]
 
     def test_validation(self):
         records = [make_record("a", 0), make_record("b", 1)]
@@ -248,8 +305,10 @@ class TestAggregate:
             warnings.simplefilter("always")
             aggregate(records)
         assert [str(w.message) for w in caught] == [
-            "dropping degenerate QI column 'category2.post_class_change'",
-            "dropping degenerate QI column 'category4.binary_contour'"]
+            "dropping degenerate QI column 'category2.post_class_change': "
+            "all equal",
+            "dropping degenerate QI column 'category4.binary_contour': "
+            "all equal"]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -333,15 +392,23 @@ class TestAggregate:
     def test_unknown_cost_key_rejected(self):
         # _zscores reads only the keys CATEGORY_KEYS names, so an
         # unknown one would otherwise be left out without a word
+        costs = make_record("a", 0).categories()
+        costs["category1"]["men"] = 1.0
         with pytest.raises(InputError, match=r"unknown category1 .*'men'"):
-            QiRecord(candidate_id="a", category1={"men": 1.0}, category2={},
-                     category3={}, category4={}, process={})
+            QiRecord(candidate_id="a", process={}, **costs)
 
     def test_record_validation(self):
-        with pytest.raises(InputError):
-            make_record("bad", 0).__class__(
-                candidate_id="bad", category1={"mean": float("nan")},
-                category2={}, category3={}, category4={}, process={})
+        costs = make_record("bad", 0).categories()
+        costs["category1"]["mean"] = float("nan")
+        with pytest.raises(InputError, match="non-finite cost mean"):
+            QiRecord(candidate_id="bad", process={}, **costs)
+        costs["category1"]["mean"] = 0.5
+        for scales in ({"men": 0.0}, {"mean": -1e-17}, {"mean": math.nan},
+                       {"mean": math.inf}):
+            with pytest.raises(InputError, match="rounding scales must be "
+                               "finite and >= 0, keyed by cost"):
+                QiRecord(candidate_id="bad", process={}, scales=scales,
+                         **costs)
 
 
 # integers tie often; -0.0 ties with 0.0, and each infinity with itself
@@ -350,18 +417,10 @@ TIED_VALUES = st.one_of(st.integers(-3, 3).map(float),
 
 
 def reference_fractional_ranks(x: np.ndarray) -> np.ndarray:
-    """Average ranks by walking the stably sorted values: each run of equal
-    values shares the mean of the positions it occupies."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Tie-averaged ranks by a plain double loop: 1 plus the number of
+    smaller values, plus half the number of other values equal to it."""
+    return np.array([1 + sum(y < v for y in x) + (sum(y == v for y in x) - 1)
+                     / 2 for v in x], dtype=np.float64)
 
 
 class TestSrcc:
@@ -494,5 +553,5 @@ class TestProcessCosts:
         with pytest.raises(InputError, match=message):
             process_costs(meta)
         with pytest.raises(InputError, match=message):
-            QiRecord(candidate_id="a", category1={}, category2={},
-                     category3={}, category4={}, process=meta)
+            QiRecord(candidate_id="a", process=meta,
+                     **make_record("a", 0).categories())

@@ -89,6 +89,18 @@ def test_f32_round_trip(tmp_path, rng):
     assert (back.height, back.width, back.bands) == (4, 4, 3)
 
 
+@pytest.mark.parametrize("sample_type, eps", [
+    ("f32", 2.0**-23), ("u16", 2.0**-52), ("u8", 2.0**-52)])
+def test_eps_follows_the_samples_as_read(tmp_path, sample_type, eps):
+    # an f32 sample keeps float32's rounding however it is read; every
+    # other image holds float64 samples
+    img = MultibandImage(np.full((1, 2, 2), 0.5))
+    assert img.eps == 2.0**-52
+    save_image(img, tmp_path / "x", sample_type=sample_type)
+    assert RasterFile(tmp_path / "x").eps == eps
+    assert load_image(tmp_path / "x").eps == eps
+
+
 def test_u8_out_of_range(tmp_path):
     img = MultibandImage(np.array([[[-0.1]]]))
     with pytest.raises(InputError, match="band 0: sample out of range"):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +89,17 @@ def test_kernel_invalid_gain():
     for bad in (np.ones((1, 1)), np.empty(0)):
         with pytest.raises(InputError, match="non-empty 1-D"):
             degrade(img, 2, bad)
+
+
+@pytest.mark.parametrize("taps", [[np.nan], [0.5, np.nan, 0.5],
+                                  [np.inf, -np.inf], [np.inf]])
+def test_degrade_refuses_non_finite_taps(taps):
+    # refused before any row is read: a NaN sum passes the unit-sum check
+    img = MultibandImage(np.zeros((1, 4, 4)))
+    with mock.patch.object(MultibandImage, "rows") as rows, \
+            pytest.raises(InputError, match="taps must be finite"):
+        degrade(img, 2, taps)
+    rows.assert_not_called()
 
 
 def test_degrade_constant_preserved():
