@@ -167,6 +167,18 @@ class TestCategorySum:
                                  "cost"):
             QiRecord(candidate_id="b", process={}, **costs)
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_cost_held_by_some_records(self, order):
+        # a cost only some records hold is refused, naming the record
+        # that lacks it, whether that record comes first or last
+        partial = make_record("b", 1).categories()
+        del partial["category1"]["mean"]
+        costs = [("a", make_record("a", 0).categories()), ("b", partial)]
+        with pytest.raises(InputError,
+                           match=r"candidate 'b' has no category1\.mean"):
+            aggregate([QiRecord(candidate_id=cid, process={}, **c)
+                       for cid, c in costs[::order]])
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_noise_rule_is_scale_free(self, data):
